@@ -4,7 +4,7 @@
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use padico_core::dist::Distribution;
-use padico_core::parallel::wire::{assemble_block, assemble_block_unpooled, Chunk};
+use padico_core::parallel::wire::{assemble_block, Chunk};
 use padico_core::redistribute::schedule;
 
 fn bench_schedule(c: &mut Criterion) {
@@ -56,17 +56,6 @@ fn bench_assemble(c: &mut Criterion) {
                 b.iter(|| assemble_block(1, total as u64, chunks).unwrap());
             },
         );
-        // The same reassembly into a freshly allocated (never pooled)
-        // buffer — the pool's contribution is the gap between the pair.
-        if pieces == 8 {
-            group.bench_with_input(
-                BenchmarkId::from_parameter("8_unpooled"),
-                &chunks,
-                |b, chunks| {
-                    b.iter(|| assemble_block_unpooled(1, total as u64, chunks).unwrap());
-                },
-            );
-        }
     }
     // Strided scatter: one chunk per source whose pieces interleave, the
     // shape the strided wire format produces for cyclic destinations.

@@ -21,7 +21,7 @@ use padico_orb::orb::{AsyncReply, ObjectRef, Orb};
 use padico_orb::poa::{Servant, ServerCtx};
 use padico_orb::profile::OrbProfile;
 use padico_orb::OrbError;
-use padico_tm::runtime::{EngineKind, PadicoTM, TmConfig};
+use padico_tm::runtime::PadicoTM;
 use padico_tm::selector::FabricChoice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -102,13 +102,7 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
 /// threads through one node, one pooled connection.
 pub fn run(total: usize, submitters: usize) -> StormResult {
     let (topo, _ids) = single_cluster(2);
-    // Pin the threaded engine so the thread-count claim is apples to
-    // apples regardless of PADICO_ENGINE (EventLoop would trivially win).
-    let cfg = TmConfig {
-        engine: EngineKind::Threaded,
-        ..TmConfig::default()
-    };
-    let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
+    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
     let choice = FabricChoice::Kind(FabricKind::Myrinet);
     let client_orb =
         Orb::start(Arc::clone(&tms[0]), "storm", OrbProfile::omniorb3(), choice).unwrap();
@@ -198,12 +192,12 @@ mod tests {
     fn storm_outstanding_is_not_threads() {
         // The tentpole claim: 10k concurrent two-way invocations cost 10k
         // pending-table entries, not 10k blocked threads. The whole
-        // process — two TM nodes, the ORB accept/serve loops, the mux
-        // pump, the capped dispatch pool, eight submitters — stays within
-        // a bounded handful of OS threads. The margins here are generous
-        // because `/proc/self/status` counts the whole test binary and
-        // sibling tests run concurrently; the tight fence (< 64 threads,
-        // own process) is the `serving_storm` bin gate that
+        // process — two TM nodes, the world scheduler, the ORB
+        // accept/serve loops, the capped dispatch pool, eight submitters —
+        // stays within a bounded handful of OS threads. The margins here
+        // are generous because `/proc/self/status` counts the whole test
+        // binary and sibling tests run concurrently; the tight fence (< 64
+        // threads, own process) is the `serving_storm` bin gate that
         // `scripts/bench_snapshot.sh` enforces.
         let before = process_threads();
         let r = run(10_000, 8);

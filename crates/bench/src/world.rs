@@ -1,7 +1,7 @@
 //! The `world_*` benches: a 10k/100k-node ring driven end-to-end by the
 //! discrete-event progress core in one process.
 //!
-//! The thread-per-node engine tops out around the OS thread limit; the
+//! A thread per node would top out around the OS thread limit; the
 //! point of [`padico_fabric::sched::WorldSched`] is that world size is
 //! bounded by memory, not by threads. This module proves it: every node
 //! is a [`NodeCell`](padico_tm::NodeCell) with a reactive channel
@@ -13,7 +13,7 @@
 
 use padico_fabric::topology::Topology;
 use padico_fabric::{presets, Payload, SecurityZone};
-use padico_tm::{EngineKind, PadicoTM, TmConfig, TraceSampling};
+use padico_tm::{PadicoTM, TmConfig, TraceSampling};
 use padico_util::ids::ChannelId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -111,7 +111,6 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
     b.fabric(presets::ethernet100(), ids.clone());
     let topo = Arc::new(b.build());
     let cfg = TmConfig {
-        engine: EngineKind::EventLoop,
         trace_sampling: match obs {
             WorldObs::Off => TraceSampling::Always,
             WorldObs::Full => TraceSampling::SampleEvery(OBS_SAMPLE_EVERY),

@@ -71,27 +71,23 @@ impl ControlServant {
         ObservabilitySnapshot::capture_world(self.tm.topology())
     }
 
-    /// The text form served by `snapshot`: a scheduler header (when the
-    /// world runs on the event engine) followed by the full
-    /// observability render.
+    /// The text form served by `snapshot`: a scheduler header followed by
+    /// the full observability render.
     fn snapshot_text(&self) -> String {
-        let mut out = String::new();
-        if let Some(sched) = self.tm.topology().sched_started() {
-            let s = sched.stats();
-            out.push_str(&format!(
-                "sched: posted={} delivered={} steals={} pending={} horizon_ns={} \
-                 workers={} shards={} lane_samples={} lane_dropped={}\n",
-                s.posted,
-                s.delivered,
-                s.steals,
-                s.pending,
-                s.horizon,
-                s.workers,
-                s.shards,
-                s.lane_samples,
-                s.lane_dropped
-            ));
-        }
+        let s = self.tm.topology().sched().stats();
+        let mut out = format!(
+            "sched: posted={} delivered={} steals={} pending={} horizon_ns={} \
+             workers={} shards={} lane_samples={} lane_dropped={}\n",
+            s.posted,
+            s.delivered,
+            s.steals,
+            s.pending,
+            s.horizon,
+            s.workers,
+            s.shards,
+            s.lane_samples,
+            s.lane_dropped
+        );
         out.push_str(&self.capture().render());
         out
     }

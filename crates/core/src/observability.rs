@@ -70,8 +70,8 @@ pub struct ObservabilitySnapshot {
     /// Spans discarded because a per-node or the process-wide buffer
     /// overflowed.
     pub dropped_spans: u64,
-    /// Scheduler lane samples (empty for thread-per-node worlds or when
-    /// captured without a topology).
+    /// Scheduler lane samples (empty when captured without a topology, or
+    /// for a topology no node has booted on).
     pub lanes: Vec<LaneSample>,
     /// Lane samples dropped to the lane buffer cap.
     pub dropped_lanes: u64,
@@ -93,8 +93,8 @@ impl ObservabilitySnapshot {
 
     /// [`ObservabilitySnapshot::capture`] plus the lane telemetry of
     /// `topo`'s world scheduler, if one was started. Deliberately does
-    /// not start a scheduler: observing a threaded world must not boot
-    /// a worker pool.
+    /// not start a scheduler: observing a raw-fabric topology must not
+    /// boot a worker pool.
     pub fn capture_world(topo: &Topology) -> Self {
         let mut snap = Self::capture();
         if let Some(sched) = topo.sched_started() {

@@ -471,29 +471,6 @@ fn build_scatter_plan(
     Ok(plan)
 }
 
-/// Copy one merged run. The default is a plain `memcpy`; the `simd`
-/// feature swaps in a 64-byte-block loop over unaligned word loads —
-/// the exact shape a `std::simd` port would vectorize, kept on stable
-/// by using `[u8; 64]` as the vector type.
-#[cfg(not(feature = "simd"))]
-#[inline]
-unsafe fn copy_run(dst: *mut u8, src: &[u8]) {
-    std::ptr::copy_nonoverlapping(src.as_ptr(), dst, src.len());
-}
-
-#[cfg(feature = "simd")]
-#[inline]
-unsafe fn copy_run(dst: *mut u8, src: &[u8]) {
-    const BLOCK: usize = 64;
-    let mut off = 0;
-    while off + BLOCK <= src.len() {
-        let v = std::ptr::read_unaligned(src.as_ptr().add(off).cast::<[u8; BLOCK]>());
-        std::ptr::write_unaligned(dst.add(off).cast::<[u8; BLOCK]>(), v);
-        off += BLOCK;
-    }
-    std::ptr::copy_nonoverlapping(src.as_ptr().add(off), dst.add(off), src.len() - off);
-}
-
 /// Run a validated plan into `out`'s spare capacity (at least
 /// `total_bytes` of it). The tiling check in [`build_scatter_plan`]
 /// guarantees every byte of `0..total_bytes` is written exactly once, so
@@ -506,7 +483,7 @@ fn run_scatter_plan(plan: &[CopyPiece], chunks: &[Chunk], total_bytes: usize, ou
         // SAFETY: the plan tiles [0, total_bytes) exactly (validated),
         // total_bytes fits in `out`'s capacity, and src/dst never overlap
         // (dst is freshly leased storage).
-        unsafe { copy_run(base.add(p.dst), src) };
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), base.add(p.dst), src.len()) };
     }
     // SAFETY: all total_bytes bytes were just initialized by the plan.
     unsafe { out.set_len(total_bytes) };
@@ -548,21 +525,6 @@ pub fn assemble_block(
     let mut buf = padico_fabric::pool::lease(total_bytes);
     run_scatter_plan(&plan, chunks, total_bytes, &mut buf);
     Ok(buf.freeze())
-}
-
-/// [`assemble_block`] into a freshly allocated (non-pooled) buffer —
-/// kept public so benches can measure the pool's contribution.
-pub fn assemble_block_unpooled(
-    elem_size: u32,
-    local_elems: u64,
-    chunks: &[Chunk],
-) -> Result<Bytes, GridCcmError> {
-    let es = u64::from(elem_size);
-    let total_bytes = (local_elems * es) as usize;
-    let plan = build_scatter_plan(es, local_elems, chunks)?;
-    let mut buf = Vec::with_capacity(total_bytes);
-    run_scatter_plan(&plan, chunks, total_bytes, &mut buf);
-    Ok(Bytes::from(buf))
 }
 
 #[cfg(test)]

@@ -275,6 +275,26 @@ pub mod pool {
         }
     }
 
+    #[cfg(test)]
+    thread_local! {
+        /// The calling thread's share of the counters. Unit tests run on
+        /// threads of their own, so they assert on this instead of the
+        /// process-wide counters their neighbours move concurrently.
+        static THREAD_STATS: std::cell::Cell<PoolStats> =
+            std::cell::Cell::new(PoolStats::default());
+    }
+
+    /// Bump the calling thread's counters (unit tests only).
+    #[inline]
+    fn note_thread(_bump: impl FnOnce(&mut PoolStats)) {
+        #[cfg(test)]
+        THREAD_STATS.with(|cell| {
+            let mut stats = cell.get();
+            _bump(&mut stats);
+            cell.set(stats);
+        });
+    }
+
     fn class_for_lease(min: usize) -> Option<usize> {
         CLASS_SIZES.iter().position(|&c| c >= min)
     }
@@ -282,6 +302,10 @@ pub mod pool {
     fn give_back(vec: Vec<u8>) {
         RETURNS.fetch_add(1, Relaxed);
         OUTSTANDING.fetch_sub(1, Relaxed);
+        note_thread(|s| {
+            s.returns += 1;
+            s.outstanding = s.outstanding.wrapping_sub(1);
+        });
         // Shelve under the largest class the slab can serve.
         let Some(class) = CLASS_SIZES.iter().rposition(|&c| c <= vec.capacity()) else {
             return;
@@ -299,6 +323,7 @@ pub mod pool {
     /// Lease a cleared slab with capacity for at least `min` bytes.
     pub fn lease(min: usize) -> PooledBuf {
         OUTSTANDING.fetch_add(1, Relaxed);
+        note_thread(|s| s.outstanding = s.outstanding.wrapping_add(1));
         if let Some(class) = class_for_lease(min) {
             let recycled = {
                 let mut shelves = SHELVES.lock();
@@ -306,10 +331,12 @@ pub mod pool {
             };
             if let Some(mut vec) = recycled {
                 HITS.fetch_add(1, Relaxed);
+                note_thread(|s| s.hits += 1);
                 vec.clear();
                 return PooledBuf { vec, pooled: true };
             }
             MISSES.fetch_add(1, Relaxed);
+            note_thread(|s| s.misses += 1);
             return PooledBuf {
                 vec: Vec::with_capacity(CLASS_SIZES[class]),
                 pooled: true,
@@ -318,6 +345,7 @@ pub mod pool {
         // Oversize: allocate exactly; the return path shelves it by its
         // real capacity, so giants still recycle.
         MISSES.fetch_add(1, Relaxed);
+        note_thread(|s| s.misses += 1);
         PooledBuf {
             vec: Vec::with_capacity(min),
             pooled: true,
@@ -392,8 +420,9 @@ pub mod pool {
     static RECORD_RETURNS: AtomicU64 = AtomicU64::new(0);
     static RECORD_OUTSTANDING: AtomicU64 = AtomicU64::new(0);
 
-    /// A point-in-time view of the record-pool counters (all
-    /// [`RecordPool`] instances share them, like the slab counters).
+    /// A point-in-time view of the process-wide record-pool counters
+    /// (summed over every [`RecordPool`] instance, like the slab
+    /// counters; [`RecordPool::hits_misses`] is one instance's share).
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
     pub struct RecordStats {
         /// Records served from a shelf (no allocation).
@@ -421,13 +450,15 @@ pub mod pool {
     /// scheduler ([`crate::sched`]) allocates one small record per
     /// in-flight delivery event; at steady state every one of them must
     /// come off this shelf, not the allocator. Instances keep their own
-    /// shelf (a scheduler owns exactly one), but traffic is accounted in
-    /// the shared [`record_stats`] counters so
-    /// `tests/alloc_steady_state.rs` can assert zero misses.
+    /// shelf and hit/miss counts (a scheduler owns exactly one, so a test
+    /// can assert zero misses without reading its neighbours' traffic);
+    /// traffic is also summed into the process-wide [`record_stats`].
     #[derive(Debug)]
     pub struct RecordPool<T> {
         shelf: Mutex<Vec<Box<T>>>,
         cap: usize,
+        hits: AtomicU64,
+        misses: AtomicU64,
     }
 
     impl<T: Default> RecordPool<T> {
@@ -436,6 +467,8 @@ pub mod pool {
             RecordPool {
                 shelf: Mutex::new(Vec::new()),
                 cap,
+                hits: AtomicU64::new(0),
+                misses: AtomicU64::new(0),
             }
         }
 
@@ -446,10 +479,17 @@ pub mod pool {
             RECORD_OUTSTANDING.fetch_add(1, Relaxed);
             if let Some(rec) = self.shelf.lock().pop() {
                 RECORD_HITS.fetch_add(1, Relaxed);
+                self.hits.fetch_add(1, Relaxed);
                 return rec;
             }
             RECORD_MISSES.fetch_add(1, Relaxed);
+            self.misses.fetch_add(1, Relaxed);
             Box::default()
+        }
+
+        /// This pool's own `(hits, misses)` since it was created.
+        pub fn hits_misses(&self) -> (u64, u64) {
+            (self.hits.load(Relaxed), self.misses.load(Relaxed))
         }
 
         /// Return a record; surplus past the cap is simply freed.
@@ -472,6 +512,13 @@ pub mod pool {
     mod tests {
         use super::*;
 
+        /// This test thread's counters (see `THREAD_STATS`). Exact
+        /// before/after comparisons use these; a monotone "went up"
+        /// check can read the process-wide [`stats`].
+        fn thread_stats() -> PoolStats {
+            THREAD_STATS.with(std::cell::Cell::get)
+        }
+
         #[test]
         fn lease_rounds_up_and_recycles() {
             let before = stats();
@@ -490,13 +537,13 @@ pub mod pool {
         fn frozen_segment_returns_slab_on_last_drop() {
             let mut buf = lease(64);
             buf.extend_from_slice(b"hdr");
-            let before = stats();
+            let before = thread_stats();
             let seg = buf.freeze();
             let copy = seg.clone();
             drop(seg);
-            assert_eq!(stats().returns, before.returns, "clone still alive");
+            assert_eq!(thread_stats().returns, before.returns, "clone still alive");
             drop(copy);
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(after.returns, before.returns + 1);
             assert_eq!(after.outstanding, before.outstanding - 1);
         }
@@ -506,19 +553,19 @@ pub mod pool {
             let huge = 3 << 20;
             let buf = lease(huge);
             assert!(buf.capacity() >= huge);
-            let before = stats();
+            let before = thread_stats();
             drop(buf);
-            assert_eq!(stats().returns, before.returns + 1);
+            assert_eq!(thread_stats().returns, before.returns + 1);
         }
 
         #[test]
         fn default_pooledbuf_is_inert() {
-            let before = stats();
+            let before = thread_stats();
             let buf = PooledBuf::default();
             let b = buf.freeze();
             assert!(b.is_empty());
             drop(PooledBuf::default());
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(before, after, "unpooled placeholders never touch accounting");
         }
 

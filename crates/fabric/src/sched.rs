@@ -1,13 +1,17 @@
 //! # World scheduler — the discrete-event progress core
 //!
-//! One sharded event heap for the whole world instead of one cooperative
-//! I/O thread per node. Every fabric delivery becomes a timestamped
+//! One sharded event heap for the whole world, and the only progress
+//! engine there is. Every fabric delivery becomes a timestamped
 //! *event record* pushed into a binary heap ordered by virtual time; a
 //! small pool of workers drains the heaps and runs each destination
 //! node's step function inline. This is what lets a single process carry
-//! a 100,000-node topology (`world_100k` bench): node cost drops from an
-//! OS thread + stack to a registered handler closure and a few hundred
-//! bytes of channel state.
+//! a 100,000-node topology (`world_100k` bench): a node costs a
+//! registered handler closure and a few hundred bytes of channel state,
+//! not an OS thread + stack.
+//!
+//! Handlers run on the workers, so they must not block: on a 2-vCPU
+//! host the pool is a single worker, and a handler waiting for another
+//! delivery would wait for itself.
 //!
 //! ## Ordering and determinism
 //!
@@ -20,7 +24,7 @@
 //! * `src` — the sending node, a deterministic tie-break.
 //! * `seq` — a global monotone counter stamped at post time. For any
 //!   single sender thread this preserves program order, so per-channel
-//!   FIFO delivery matches the threaded engine exactly.
+//!   delivery is FIFO.
 //!
 //! ## Shards and stealing
 //!
@@ -35,11 +39,21 @@
 //! ## Zero steady-state allocation
 //!
 //! Event records are boxed [`EventSlot`]s drawn from a
-//! [`pool::RecordPool`] free-list (same discipline as the byte slabs of
-//! PR 6); `tests/alloc_steady_state.rs` asserts zero misses once warm.
+//! [`pool::RecordPool`] free-list (same discipline as the byte slabs);
+//! `tests/alloc_steady_state.rs` asserts zero misses once warm.
+//!
+//! ## Parking
+//!
+//! A worker with nothing to drain parks on a condvar. It registers in
+//! `parked` and re-checks `pending` under the park lock before waiting;
+//! [`WorldSched::post`] raises `pending` first and notifies *under the
+//! same lock* whenever `parked` is non-zero. Either the poster sees the
+//! parked worker and its notify cannot land before the wait, or the
+//! worker's re-check sees the new event — no wakeup is lost, so the wait
+//! needs no timeout, and a post to a busy pool takes no lock at all.
 
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::{BinaryHeap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -134,13 +148,16 @@ pub struct LaneSample {
     pub stolen: bool,
 }
 
-/// Retained lane samples: bounded like every other flight-recorder
-/// buffer; overflow is counted, never silently ignored.
-const LANE_CAP: usize = 1 << 16;
+/// Retained lane samples: a flight-recorder window over the most recent
+/// batches. Older samples are overwritten and counted, never silently
+/// lost. 4 096 × 40 B keeps the window at 160 KiB; a longer log held the
+/// first batches of a process's life and cost megabytes of resident
+/// memory in every long-running world.
+const LANE_CAP: usize = 4096;
 
 #[derive(Default)]
 struct LaneLog {
-    samples: Vec<LaneSample>,
+    samples: VecDeque<LaneSample>,
     dropped: u64,
 }
 
@@ -165,12 +182,16 @@ pub struct SchedStats {
     pub shards: usize,
     /// Lane telemetry samples retained (≤ the lane buffer cap).
     pub lane_samples: u64,
-    /// Lane telemetry samples dropped to the buffer cap.
+    /// Older lane telemetry samples overwritten by newer ones.
     pub lane_dropped: u64,
+    /// Event records this scheduler drew from its record shelf.
+    pub record_hits: u64,
+    /// Event records this scheduler had to allocate (cold shelf).
+    pub record_misses: u64,
 }
 
 /// The world's discrete-event scheduler. One per [`crate::topology::Topology`],
-/// created lazily on the first `EventLoop`-engine node boot.
+/// created lazily on the first node boot.
 pub struct WorldSched {
     shards: Vec<Shard>,
     handlers: RwLock<Vec<Option<NodeHandler>>>,
@@ -185,6 +206,8 @@ pub struct WorldSched {
     watermark: AtomicU64,
     lanes: Mutex<LaneLog>,
     stop: AtomicBool,
+    /// Workers registered as about to wait (or waiting) on `park_cv`.
+    parked: AtomicUsize,
     park: Mutex<()>,
     park_cv: Condvar,
     idle: Mutex<()>,
@@ -232,6 +255,7 @@ impl WorldSched {
             watermark: AtomicU64::new(0),
             lanes: Mutex::new(LaneLog::default()),
             stop: AtomicBool::new(false),
+            parked: AtomicUsize::new(0),
             park: Mutex::new(()),
             park_cv: Condvar::new(),
             idle: Mutex::new(()),
@@ -288,7 +312,12 @@ impl WorldSched {
         self.pending.fetch_add(1, Ordering::SeqCst);
         let shard = &self.shards[shard_of(dst, self.shards.len())];
         shard.heap.lock().push(std::cmp::Reverse(rec));
-        self.park_cv.notify_one();
+        // SeqCst pairs with the worker's `parked` increment and `pending`
+        // re-check (see "Parking" in the module docs).
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _park = self.park.lock();
+            self.park_cv.notify_one();
+        }
     }
 
     /// One full scan over all shards starting at `home`; returns whether
@@ -387,16 +416,17 @@ impl WorldSched {
             padico_util::timeseries::record("sched.steals", newest, batch.len() as u64);
         }
         let mut lanes = self.lanes.lock();
-        if lanes.samples.len() < LANE_CAP {
-            lanes.samples.push(sample);
-        } else {
+        if lanes.samples.len() == LANE_CAP {
+            lanes.samples.pop_front();
             lanes.dropped += 1;
         }
+        lanes.samples.push_back(sample);
     }
 
-    /// The retained lane telemetry, in recording order.
+    /// The retained lane telemetry — the most recent window — oldest
+    /// first.
     pub fn lane_samples(&self) -> Vec<LaneSample> {
-        self.lanes.lock().samples.clone()
+        self.lanes.lock().samples.iter().copied().collect()
     }
 
     /// Drop retained lane samples (benches use this between phases).
@@ -416,10 +446,11 @@ impl WorldSched {
                 self.idle_cv.notify_all();
             }
             let mut guard = self.park.lock();
-            if self.pending.load(Ordering::SeqCst) == 0 && !self.stop.load(Ordering::Relaxed) {
-                self.park_cv
-                    .wait_for(&mut guard, Duration::from_micros(500));
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            if self.pending.load(Ordering::SeqCst) == 0 && !self.stop.load(Ordering::SeqCst) {
+                self.park_cv.wait(&mut guard);
             }
+            self.parked.fetch_sub(1, Ordering::SeqCst);
         }
     }
 
@@ -461,6 +492,7 @@ impl WorldSched {
             let lanes = self.lanes.lock();
             (lanes.samples.len() as u64, lanes.dropped)
         };
+        let (record_hits, record_misses) = self.records.hits_misses();
         SchedStats {
             posted: self.posted.load(Ordering::Relaxed),
             delivered: self.delivered.load(Ordering::Relaxed),
@@ -472,6 +504,8 @@ impl WorldSched {
             shards: self.shards.len(),
             lane_samples,
             lane_dropped,
+            record_hits,
+            record_misses,
         }
     }
 
@@ -479,7 +513,10 @@ impl WorldSched {
     /// heap stay there (the world is being torn down).
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
-        self.park_cv.notify_all();
+        {
+            let _park = self.park.lock();
+            self.park_cv.notify_all();
+        }
         let handles = std::mem::take(&mut *self.workers.lock());
         for handle in handles {
             let _ = handle.join();
@@ -491,7 +528,7 @@ impl WorldSched {
 mod tests {
     use super::*;
     use crate::fabric::{EndpointAddr, Message};
-    use crate::payload::{pool, Payload};
+    use crate::payload::Payload;
     use padico_util::ids::ChannelId;
 
     fn msg(src: NodeId, tag: u64) -> Message {
@@ -565,6 +602,8 @@ mod tests {
 
     #[test]
     fn event_records_recycle_through_the_pool() {
+        // Reads only this scheduler's own record counters: sibling tests
+        // post to cold schedulers of their own concurrently.
         let sched = WorldSched::start(2, 0);
         sched.register(NodeId(0), Arc::new(|_m| {}));
         // Warm the shelf.
@@ -572,20 +611,19 @@ mod tests {
             sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
         }
         sched.run_until_idle();
-        let before = pool::record_stats();
+        let before = sched.stats();
         for i in 0..100u64 {
             sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
             sched.run_until_idle();
         }
-        let after = pool::record_stats();
-        assert_eq!(after.misses, before.misses, "warm records must not allocate");
-        assert!(after.hits >= before.hits + 100);
+        let after = sched.stats();
+        assert_eq!(after.record_misses, before.record_misses, "warm records must not allocate");
+        assert_eq!(after.record_hits, before.record_hits + 100);
         sched.stop();
     }
 
     #[test]
     fn lane_telemetry_samples_batches() {
-        let _iso = padico_util::trace::isolated();
         let sched = WorldSched::start(4, 0);
         sched.register(NodeId(0), Arc::new(|_m| {}));
         for i in 0..100u64 {
@@ -604,11 +642,52 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.lane_samples, samples.len() as u64);
         assert_eq!(stats.lane_dropped, 0);
-        // The batches also land in the sched.delivered timeseries.
-        let ts = padico_util::timeseries::snapshot();
-        assert_eq!(ts.series("sched.delivered").unwrap().total_count(), samples.len() as u64);
         sched.clear_lanes();
         assert!(sched.lane_samples().is_empty());
+        sched.stop();
+    }
+
+    #[test]
+    fn lane_log_keeps_the_most_recent_window() {
+        // One event per batch: every post is drained on its own, so the
+        // log sees exactly one sample per event.
+        let sched = WorldSched::start(1, 0);
+        sched.register(NodeId(0), Arc::new(|_m| {}));
+        let total = LANE_CAP as u64 + 10;
+        for i in 0..total {
+            let mut m = msg(NodeId(1), i);
+            m.arrival = i;
+            sched.post(NodeId(0), i, NodeId(1), m);
+            sched.run_until_idle();
+        }
+        let samples = sched.lane_samples();
+        assert_eq!(samples.len(), LANE_CAP, "the ring is bounded");
+        assert_eq!(samples.first().unwrap().vt, 10, "oldest samples overwritten");
+        assert_eq!(samples.last().unwrap().vt, total - 1, "newest sample kept");
+        let stats = sched.stats();
+        assert_eq!(stats.lane_samples, LANE_CAP as u64);
+        assert_eq!(stats.lane_dropped, 10, "every overwrite is counted");
+        sched.stop();
+    }
+
+    #[test]
+    fn worker_wakes_for_every_post_to_an_idle_pool() {
+        // A post to a pool whose only worker is parked must wake it:
+        // each round trip below waits on its own delivery, with no other
+        // traffic to rescue a lost wakeup.
+        let sched = WorldSched::start(1, 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        sched.register(
+            NodeId(0),
+            Arc::new(move |m: Message| {
+                let _ = tx.lock().send(m.channel.0);
+            }),
+        );
+        for i in 0..200u64 {
+            sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(i));
+        }
         sched.stop();
     }
 

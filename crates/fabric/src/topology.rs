@@ -43,9 +43,9 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     fabrics: Vec<Arc<SimFabric>>,
     by_name: HashMap<String, NodeId>,
-    /// The world's discrete-event scheduler, started lazily on first use
-    /// (only `EventLoop`-engine nodes touch it; a purely thread-backed
-    /// world never pays for the worker pool).
+    /// The world's discrete-event scheduler, started lazily when the
+    /// first node boots (a topology used only by raw fabric clients
+    /// never pays for the worker pool).
     sched: OnceLock<Arc<WorldSched>>,
 }
 
@@ -119,7 +119,7 @@ impl Topology {
         }
     }
 
-    /// The world scheduler serving this topology's event-loop nodes.
+    /// The world scheduler serving this topology's nodes.
     /// Started on first call: 64 shards, worker pool sized to half the
     /// available cores (clamped to 1..=4 — the workload is event
     /// dispatch, not computation).
@@ -133,10 +133,10 @@ impl Topology {
         })
     }
 
-    /// The world scheduler, only if some event-loop node already started
-    /// it. Introspection paths (the control service's `snapshot()`) use
-    /// this so that *observing* a thread-per-node world does not boot a
-    /// worker pool it never asked for.
+    /// The world scheduler, only if some node already started it.
+    /// Introspection paths (the control service's `snapshot()`) use this
+    /// so that *observing* a raw-fabric topology does not boot a worker
+    /// pool it never asked for.
     pub fn sched_started(&self) -> Option<&Arc<WorldSched>> {
         self.sched.get()
     }

@@ -15,13 +15,10 @@
 //! threads, and replies may return in any order — the table routes each
 //! one to its handle by request id.
 //!
-//! Completion delivery depends on the progress engine:
-//!
-//! * `Threaded` — a dedicated reader thread pumps `read_frame` and
-//!   completes slots;
-//! * `EventLoop` — the stream goes reactive ([`VLinkStream::on_frames`])
-//!   and replies complete inline on the scheduler worker that delivers
-//!   the frame: no reader thread exists at all.
+//! Replies complete as scheduler events: the stream goes reactive
+//! ([`VLinkStream::on_frames`]) and each reply completes its slot inline
+//! on the world-scheduler worker that delivers the frame. No reader
+//! thread exists at all.
 //!
 //! A handle dropped without being consumed deregisters its pending entry
 //! (see [`ReplyHandle`]'s `Drop`), so a reply racing a cancel — or a
@@ -29,7 +26,6 @@
 //! leak a table slot.
 
 use padico_fabric::Payload;
-use padico_tm::runtime::EngineKind;
 use padico_tm::vlink::VLinkStream;
 use padico_tm::TmError;
 use padico_util::metrics::counter_add;
@@ -67,9 +63,9 @@ enum SlotState {
 }
 
 /// One outstanding request's completion slot. The waiter blocks on the
-/// condvar (Threaded) or is simply gone by the time the event-loop
-/// completes the slot inline; either way `complete`/`kill` publish the
-/// terminal state exactly once.
+/// condvar (or is already gone) while a scheduler worker completes the
+/// slot inline; `complete`/`kill` publish the terminal state exactly
+/// once.
 struct ReplySlot {
     state: Mutex<SlotState>,
     cv: Condvar,
@@ -100,7 +96,7 @@ impl ReplySlot {
 /// Per-(node, peer) request multiplexer over one pooled VLink connection.
 pub struct RequestMux {
     stream: Arc<VLinkStream>,
-    /// Serializes frame *writes* only; reads belong to the pump.
+    /// Serializes frame *writes*; reads arrive as scheduler events.
     write_lock: Mutex<()>,
     /// Outstanding requests awaiting their reply, keyed by request id.
     pending: Mutex<HashMap<u32, Arc<ReplySlot>>>,
@@ -111,38 +107,19 @@ pub struct RequestMux {
 }
 
 impl RequestMux {
-    /// Wrap `stream` in a mux and start its completion pump for the
-    /// given progress engine.
-    pub fn establish(
-        stream: Arc<VLinkStream>,
-        engine: EngineKind,
-        reader_name: String,
-    ) -> Result<Arc<RequestMux>, OrbError> {
+    /// Wrap a freshly handshaken client `stream` in a mux and hand its
+    /// inbound side to the mux's reply router. Such a stream is quiescent
+    /// inbound (no request is on the wire yet), so going reactive cannot
+    /// race a reader; a failure is reported, not worked around.
+    pub fn establish(stream: Arc<VLinkStream>) -> Result<Arc<RequestMux>, OrbError> {
         let mux = Arc::new(RequestMux {
             stream: Arc::clone(&stream),
             write_lock: Mutex::new(()),
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU32::new(1),
         });
-        match engine {
-            EngineKind::Threaded => spawn_pump(&mux, reader_name)?,
-            EngineKind::EventLoop => {
-                // Replies complete as scheduler events: the frame's
-                // delivery event runs `on_frame` inline, no thread.
-                let pump = Arc::clone(&mux);
-                if stream
-                    .on_frames(Arc::new(move |frame| {
-                        pump.on_frame(frame);
-                    }))
-                    .is_err()
-                {
-                    // A stream that cannot go reactive (already consumed
-                    // queued frames reactively, exotic fabric) still
-                    // multiplexes fine behind a pump thread.
-                    spawn_pump(&mux, reader_name)?;
-                }
-            }
-        }
+        let router = Arc::clone(&mux);
+        stream.on_frames(Arc::new(move |frame| router.on_frame(frame)))?;
         Ok(mux)
     }
 
@@ -173,7 +150,7 @@ impl RequestMux {
             None
         };
         let _w = self.write_lock.lock();
-        // Reply completions ride the pump, not a recv on this core —
+        // Reply completions ride scheduler events, not a recv on this core —
         // flush so a coalesced request cannot sit queued.
         if let Err(e) = self
             .stream
@@ -203,27 +180,25 @@ impl RequestMux {
             .and_then(|()| self.stream.flush());
     }
 
-    /// Route one inbound frame (or EOF, as `None`). Returns `false` when
-    /// the connection is finished and the pump should stop.
-    fn on_frame(&self, frame: Option<Payload>) -> bool {
+    /// Route one inbound frame (or EOF, as `None`).
+    fn on_frame(&self, frame: Option<Payload>) {
         let Some(frame) = frame else {
             self.fail_all();
-            return false;
+            return;
         };
-        let msg = match decode_any(&frame).1 {
-            Ok(msg) => msg,
-            Err(_) => return true,
+        let Ok(msg) = decode_any(&frame).1 else {
+            return;
         };
         let request_id = match &msg {
             GiopMessage::Reply { request_id, .. }
             | GiopMessage::LocateReply { request_id, .. } => *request_id,
             GiopMessage::CloseConnection => {
                 self.fail_all();
-                return false;
+                return;
             }
             // Server-role traffic and stray cancels are not ours to
             // answer on a client connection.
-            _ => return true,
+            _ => return,
         };
         // A reply to an id no longer pending (the waiter timed out and
         // deregistered, or its handle was dropped) is simply discarded.
@@ -231,7 +206,6 @@ impl RequestMux {
         if let Some(slot) = slot {
             slot.complete(msg);
         }
-        true
     }
 
     /// Connection is gone: wake every waiter with an error.
@@ -244,36 +218,12 @@ impl RequestMux {
     }
 }
 
-/// Dedicated reader thread for `Threaded` engines (and the reactive
-/// fallback): pumps `read_frame` into `on_frame` until the connection
-/// finishes.
-fn spawn_pump(mux: &Arc<RequestMux>, reader_name: String) -> Result<(), OrbError> {
-    let pump = Arc::clone(mux);
-    std::thread::Builder::new()
-        .name(reader_name)
-        .spawn(move || loop {
-            match pump.stream.read_frame() {
-                Ok(Some(frame)) => {
-                    if !pump.on_frame(Some(frame)) {
-                        return;
-                    }
-                }
-                Ok(None) | Err(_) => {
-                    pump.on_frame(None);
-                    return;
-                }
-            }
-        })
-        .map_err(|e| OrbError::System(format!("spawn mux pump: {e}")))?;
-    Ok(())
-}
-
 /// Handle to one submitted request's future reply.
 ///
 /// Dropping an unconsumed handle deregisters its pending entry, so an
 /// abandoned request (caller error path, reply racing a cancel) cannot
 /// leak a table slot; a straggler reply to the stale id is discarded by
-/// the pump.
+/// the reply router.
 pub struct ReplyHandle {
     mux: Arc<RequestMux>,
     request_id: u32,
@@ -293,7 +243,7 @@ impl ReplyHandle {
     /// A lost reply (the request or the reply frame was dropped on the
     /// wire) surfaces as `TRANSIENT` after the deadline instead of
     /// blocking the caller forever; the pending entry is removed so a
-    /// straggler reply to the stale id is simply discarded by the pump.
+    /// straggler reply to the stale id is simply discarded by the reply router.
     /// A best-effort GIOP `CancelRequest` chases the abandoned request so
     /// a server still working on it can suppress the (now unwanted)
     /// reply.
@@ -304,7 +254,7 @@ impl ReplyHandle {
         loop {
             match std::mem::replace(&mut *st, SlotState::Waiting) {
                 SlotState::Ready(msg) => {
-                    // The pump removed the pending entry when it
+                    // The reply router removed the pending entry when it
                     // completed the slot; nothing left to deregister.
                     self.consumed = true;
                     return Ok(msg);

@@ -333,7 +333,7 @@ impl Orb {
                 Ok(None) | Err(_) => return, // peer closed
             };
             // One decode/auto-detect path for the whole ORB: the same
-            // routine the client-side mux pump uses.
+            // routine the client-side mux reply router uses.
             let (wire, decoded) = mux::decode_any(&frame);
             let msg = match decoded {
                 Ok(msg) => msg,
@@ -632,11 +632,7 @@ impl Orb {
                 .vlink_connect(node, endpoint, self.choice)
                 .map_err(OrbError::from)?,
         );
-        let conn = RequestMux::establish(
-            stream,
-            self.tm.config().engine,
-            format!("orb-{}-reader", self.tm.node()),
-        )?;
+        let conn = RequestMux::establish(stream)?;
         self.conns
             .lock()
             .insert((node, endpoint.to_string()), Arc::clone(&conn));
@@ -963,8 +959,8 @@ impl RequestBuilder {
 /// An invocation in flight: the request frame is on (or chasing) the
 /// wire and its reply will be routed back by request id through the
 /// peer's pooled [`RequestMux`] connection. Holding an `AsyncReply`
-/// costs one pending-table entry, not a blocked thread; under the
-/// event-loop engine completion arrives as a scheduler event.
+/// costs one pending-table entry, not a blocked thread; completion
+/// arrives as a scheduler event.
 ///
 /// Retries, breakers, admission, deadlines, and span propagation behave
 /// exactly as in the blocking path: `invoke()` *is* `submit()` + `wait()`.

@@ -8,10 +8,9 @@
 //! arbitration layer fixes this by being **the only client** of the
 //! low-level drivers: it attaches exactly once per node to every fabric,
 //! multiplexes an arbitrary number of *logical channels* over each
-//! attachment, and runs the node's **progress engine** — one cooperative
-//! I/O thread per node, regardless of how many fabrics are attached —
-//! that demultiplexes inbound traffic by channel id instead of letting
-//! middleware systems spin competing polling threads.
+//! attachment, and hands inbound traffic of *all* attachments to one
+//! **progress engine** that demultiplexes it by channel id instead of
+//! letting middleware systems spin competing polling threads.
 //!
 //! Middleware (and the abstraction layer) interact with [`NetAccess`]:
 //!
@@ -26,25 +25,18 @@
 //! ## The progress engine
 //!
 //! Every node's inbound traffic funnels through one step function — a
-//! [`NodeCell`] that demultiplexes typed [`IoEvent`]s by channel id. Two
-//! engines can drive it ([`crate::runtime::EngineKind`]):
+//! [`NodeCell`] that demultiplexes each [`Message`] by channel id. The
+//! topology-wide discrete-event scheduler ([`padico_fabric::WorldSched`])
+//! drives it: fabric sinks post timestamped delivery events, and the
+//! scheduler's small worker pool runs each node's [`NodeCell::step`] in
+//! virtual-time order. A node costs a registered closure instead of an
+//! OS thread, which is what lets one process carry 100,000-node worlds.
+//! Shutdown unregisters the node; the entire `ChannelId` space
+//! (including `u64::MAX`) belongs to users.
 //!
-//! * **Threaded** — the classic model: a single `padico-io-<node>` thread
-//!   drains a per-node event queue fed by every fabric attachment.
-//!   Shutdown and wake-ups are typed [`ControlEvent`]s on the *same*
-//!   queue — ordered after all traffic that preceded them — not reserved
-//!   channel ids, so the entire `ChannelId` space (including `u64::MAX`)
-//!   belongs to users.
-//! * **EventLoop** — no per-node thread at all: fabric sinks post
-//!   timestamped delivery events into the topology-wide discrete-event
-//!   scheduler ([`padico_fabric::WorldSched`]), whose small worker pool
-//!   runs each node's [`NodeCell::step`] in virtual-time order. A node
-//!   costs a registered closure instead of an OS thread, which is what
-//!   lets one process carry 100,000-node worlds.
-//!
-//! Under either engine, middleware that wants to *react* to traffic
-//! instead of blocking on a [`ChannelRx`] can install a
-//! [`NetAccess::on_channel`] handler, which runs inline on the engine.
+//! Middleware that wants to *react* to traffic instead of blocking on a
+//! [`ChannelRx`] can install a [`NetAccess::on_channel`] handler, which
+//! runs inline on a scheduler worker and therefore must not block.
 //!
 //! ## Bounded queues and the parked budget
 //!
@@ -60,12 +52,11 @@
 //! The channel registry is a **sharded** map: channel ids hash to one of
 //! [`SHARD_COUNT`] independently locked shards, and the live-subscriber
 //! fast path clones the subscriber's sender under the shard lock but
-//! performs the actual hand-off outside it. Concurrent paradigms (CORBA
+//! performs the actual hand-off outside it. Subscribing threads (CORBA
 //! and MPI exercising different channels at once, as in the paper's §4.4
-//! sharing experiment) therefore never serialize on a single global
-//! mutex.
+//! sharing experiment) therefore do not all serialize on one mutex.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use padico_fabric::{
     EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, Payload, SimFabric, Topology,
     WorldSched,
@@ -78,25 +69,20 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::error::TmError;
-use crate::runtime::EngineKind;
 
 /// Well-known fabric service port where every node's arbitration layer
 /// listens. Raw fabric clients use other ports (or fail to attach at all on
 /// exclusive hardware — that is the conflict PadicoTM exists to solve).
 pub const TM_SERVICE_PORT: u16 = 1;
 
-/// Number of independently locked shards in the channel registry. Spreads
-/// unrelated channels (CORBA vs MPI flows) over distinct locks.
-const SHARD_COUNT: usize = 16;
-
-/// Channel-registry shards for event-loop nodes. Per-node dispatch is
-/// already serialized by the world scheduler's shard claim, so contention
-/// is not a concern — but per-node memory at 100k nodes is.
-const EVENT_SHARD_COUNT: usize = 2;
+/// Number of independently locked shards in the channel registry. Inbound
+/// dispatch is already serialized per node by the world scheduler's shard
+/// claim, so shards only spread subscribing threads; per-node memory at
+/// 100k nodes is what keeps the count small.
+const SHARD_COUNT: usize = 2;
 
 /// Capacity hint of one subscriber's channel queue. The shim's bounded
 /// channels reserve this up front and spill past it rather than blocking
@@ -133,35 +119,15 @@ pub fn named_channel(name: &str) -> ChannelId {
 /// from [`fresh_channel`] are sequential, so a plain modulo would also
 /// spread fine, but named channels are FNV values and benefit from the
 /// mix.
-#[cfg(test)]
 fn shard_index(channel: ChannelId) -> usize {
-    shard_index_n(channel, SHARD_COUNT)
-}
-
-fn shard_index_n(channel: ChannelId, shards: usize) -> usize {
     let h = channel.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (h >> 32) as usize % shards
+    (h >> 32) as usize % SHARD_COUNT
 }
 
-/// One unit of work for a node's progress engine.
-pub enum IoEvent {
-    /// Inbound traffic from one of the node's fabric attachments.
-    Inbound(Message),
-    /// First-class control event (the former reserved-channel-id hack).
-    Control(ControlEvent),
-}
-
-/// Control events understood by the progress engine. Delivered through
-/// the same event queue as traffic, so they order *after* everything the
-/// engine was already asked to deliver.
-pub enum ControlEvent {
-    /// Stop the engine.
-    Shutdown,
-}
-
-/// A reactive channel handler: runs inline on the node's progress engine
+/// A reactive channel handler: runs inline on a world-scheduler worker
 /// for every message on its channel, instead of queueing into a
-/// [`ChannelRx`]. Must only do node-local work (dispatching, sending).
+/// [`ChannelRx`]. Must only do node-local, non-blocking work
+/// (dispatching, sending).
 pub type ChannelHandler = Arc<dyn Fn(Message) + Send + Sync>;
 
 enum ChannelEntry {
@@ -175,28 +141,23 @@ enum ChannelEntry {
 
 /// The sharded channel registry of one node (see module docs).
 struct ChannelMap {
-    shards: Vec<Mutex<HashMap<ChannelId, ChannelEntry>>>,
+    shards: [Mutex<HashMap<ChannelId, ChannelEntry>>; SHARD_COUNT],
     /// Messages currently parked across all shards, bounded by `budget`.
     parked_total: AtomicUsize,
     parked_budget: usize,
 }
 
 impl ChannelMap {
-    #[cfg(test)]
     fn new(parked_budget: usize) -> ChannelMap {
-        ChannelMap::with_shards(SHARD_COUNT, parked_budget)
-    }
-
-    fn with_shards(shards: usize, parked_budget: usize) -> ChannelMap {
         ChannelMap {
-            shards: (0..shards.max(1)).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             parked_total: AtomicUsize::new(0),
             parked_budget,
         }
     }
 
     fn shard(&self, channel: ChannelId) -> &Mutex<HashMap<ChannelId, ChannelEntry>> {
-        &self.shards[shard_index_n(channel, self.shards.len())]
+        &self.shards[shard_index(channel)]
     }
 
     /// Reserve one slot of the parked budget; on exhaustion the message is
@@ -406,13 +367,11 @@ struct Attachment {
     endpoint: FabricEndpoint,
 }
 
-/// The node-local state machine at the heart of either progress engine:
-/// the step function that demultiplexes one [`IoEvent`] into the node's
+/// The node-local state machine the world scheduler drives: the step
+/// function that demultiplexes one inbound [`Message`] into the node's
 /// channel registry, plus a deterministic per-node RNG stream for
 /// workloads that want seeded per-node behaviour (think-time jitter in
-/// the world benches). Under the threaded engine the `padico-io-<node>`
-/// thread drives it; under the event engine the world scheduler does.
-/// Either way, calls are serialized per node.
+/// the world benches). The scheduler serializes calls per node.
 pub struct NodeCell {
     node: NodeId,
     map: Arc<ChannelMap>,
@@ -436,18 +395,12 @@ impl NodeCell {
         self.node
     }
 
-    /// Process one event. Inbound traffic is demultiplexed by channel id;
-    /// inbound shed has nobody to answer, so the drop is only counted
+    /// Process one inbound message: demultiplex it by channel id.
+    /// Inbound shed has nobody to answer, so the drop is only counted
     /// (`tm.parked.dropped`) and warned about.
-    pub fn step(&self, event: IoEvent) {
+    pub fn step(&self, msg: Message) {
         self.steps.fetch_add(1, Ordering::Relaxed);
-        match event {
-            IoEvent::Inbound(msg) => {
-                let channel = msg.channel;
-                let _ = self.map.dispatch(channel, msg);
-            }
-            IoEvent::Control(ControlEvent::Shutdown) => {}
-        }
+        let _ = self.map.dispatch(msg.channel, msg);
     }
 
     /// Events stepped so far.
@@ -480,83 +433,38 @@ impl NodeCell {
 pub struct NetAccess {
     node: NodeId,
     clock: SimClock,
-    engine: EngineKind,
     attachments: Vec<Attachment>,
     map: Arc<ChannelMap>,
     cell: Arc<NodeCell>,
-    /// Producer side of the node's event queue (threaded engine only);
-    /// fabric sinks hold clones.
-    events_tx: Option<Sender<IoEvent>>,
-    /// The node's single progress thread (threaded engine only; `None`
-    /// once shut down).
-    io_thread: Mutex<Option<JoinHandle<()>>>,
-    /// The world scheduler this node is registered with (event engine).
-    sched: Option<Arc<WorldSched>>,
+    /// The world scheduler this node is registered with.
+    sched: Arc<WorldSched>,
     /// Per-node recovery bookkeeping; the runtime façade exposes it.
     recovery: RecoveryStats,
 }
 
 impl NetAccess {
-    /// [`NetAccess::bring_up_with`] on the environment-selected engine
-    /// ([`EngineKind::from_env`]).
+    /// Attach to every fabric `node` is wired to and register the node's
+    /// step function with the topology's world scheduler: every
+    /// attachment's inbound traffic becomes a scheduler event for the one
+    /// [`NodeCell`] — no per-node thread at all.
+    ///
+    /// Fails with [`TmError::Fabric`] if some exclusive NIC is already held
+    /// by a raw client — the very conflict the paper describes.
     pub fn bring_up(
         topology: &Topology,
         node: NodeId,
         clock: SimClock,
     ) -> Result<Arc<NetAccess>, TmError> {
-        NetAccess::bring_up_with(topology, node, clock, EngineKind::default())
-    }
-
-    /// Attach to every fabric `node` is wired to and start the node's
-    /// progress engine: either a single I/O thread draining one event
-    /// queue fed by *all* attachments (`Threaded`), or a handler
-    /// registration with the topology's discrete-event scheduler
-    /// (`EventLoop`) — no per-node thread at all.
-    ///
-    /// Fails with [`TmError::Fabric`] if some exclusive NIC is already held
-    /// by a raw client — the very conflict the paper describes.
-    pub fn bring_up_with(
-        topology: &Topology,
-        node: NodeId,
-        clock: SimClock,
-        engine: EngineKind,
-    ) -> Result<Arc<NetAccess>, TmError> {
-        let map_shards = match engine {
-            EngineKind::Threaded => SHARD_COUNT,
-            EngineKind::EventLoop => EVENT_SHARD_COUNT,
-        };
-        let map = Arc::new(ChannelMap::with_shards(map_shards, PARKED_BUDGET));
+        let map = Arc::new(ChannelMap::new(PARKED_BUDGET));
         let cell = Arc::new(NodeCell::new(node, Arc::clone(&map)));
-        let queue = match engine {
-            EngineKind::Threaded => Some(unbounded::<IoEvent>()),
-            EngineKind::EventLoop => None,
-        };
-        let sched = match engine {
-            EngineKind::Threaded => None,
-            EngineKind::EventLoop => Some(Arc::clone(topology.sched())),
-        };
+        let sched = Arc::clone(topology.sched());
         let mut attachments = Vec::new();
         for fabric in topology.fabrics_of(node) {
-            let sink: MessageSink = match engine {
-                EngineKind::Threaded => {
-                    let queue = queue.as_ref().expect("threaded queue").0.clone();
-                    Arc::new(move |msg| {
-                        // Engine gone (node shut down): inbound traffic is
-                        // dropped on the floor, like a powered-off NIC.
-                        let _ = queue.send(IoEvent::Inbound(msg));
-                    })
-                }
-                EngineKind::EventLoop => {
-                    let sched = Arc::clone(sched.as_ref().expect("world scheduler"));
-                    Arc::new(move |msg: Message| {
-                        // The fabric already stamped the virtual arrival
-                        // time; the heap orders delivery by it.
-                        let vt = msg.arrival;
-                        let src = msg.src.node;
-                        sched.post(node, vt, src, msg);
-                    })
-                }
-            };
+            let sched = Arc::clone(&sched);
+            // The fabric already stamped the virtual arrival time; the
+            // heap orders delivery by it.
+            let sink: MessageSink =
+                Arc::new(move |msg: Message| sched.post(node, msg.arrival, msg.src.node, msg));
             let endpoint = fabric.attach_service_sink(node, TM_SERVICE_PORT, "PadicoTM", sink)?;
             // On mapping-table hardware, the arbitration layer owns the
             // table and maps the whole member set up front (it is the
@@ -585,32 +493,15 @@ impl NetAccess {
             );
             attachments.push(Attachment { fabric, endpoint });
         }
-        let (events_tx, io_thread) = match queue {
-            Some((events_tx, events_rx)) => {
-                let cell = Arc::clone(&cell);
-                let handle = std::thread::Builder::new()
-                    .name(format!("padico-io-{node}"))
-                    .spawn(move || progress_loop(events_rx, cell))
-                    .expect("spawn progress engine");
-                (Some(events_tx), Some(handle))
-            }
-            None => {
-                let sched = sched.as_ref().expect("world scheduler");
-                let cell = Arc::clone(&cell);
-                sched.register(node, Arc::new(move |msg| cell.step(IoEvent::Inbound(msg))));
-                (None, None)
-            }
-        };
+        let step = Arc::clone(&cell);
+        sched.register(node, Arc::new(move |msg| step.step(msg)));
 
         Ok(Arc::new(NetAccess {
             node,
             clock,
-            engine,
             attachments,
             map,
             cell,
-            events_tx,
-            io_thread: Mutex::new(io_thread),
             sched,
             recovery: RecoveryStats::new(),
         }))
@@ -632,19 +523,6 @@ impl NetAccess {
             .collect()
     }
 
-    /// Number of live I/O progress threads. The engine invariant: under
-    /// the threaded engine, `1` regardless of how many fabrics are
-    /// attached and `0` after shutdown; under the event engine, always
-    /// `0` — the node is a handler in the world scheduler, not a thread.
-    pub fn io_thread_count(&self) -> usize {
-        usize::from(self.io_thread.lock().is_some())
-    }
-
-    /// The engine driving this node.
-    pub fn engine(&self) -> EngineKind {
-        self.engine
-    }
-
     /// The node's step-function state machine.
     pub fn cell(&self) -> &Arc<NodeCell> {
         &self.cell
@@ -662,7 +540,7 @@ impl NetAccess {
     }
 
     /// Install a reactive handler on a logical channel: it runs inline on
-    /// the node's progress engine for every message, parked messages
+    /// a world-scheduler worker for every message, parked messages
     /// replayed first. The reactive form is what scales — a waiting node
     /// costs no blocked thread — and is how the `world_*` benches express
     /// 100k concurrent state machines. The handler must not block; it may
@@ -742,45 +620,17 @@ impl NetAccess {
         self.map.dispatch(channel, msg)
     }
 
-    /// Tear down the progress engine and release all NICs. Idempotent;
-    /// also runs on drop. The shutdown request is a typed control event on
-    /// the engine's own queue, so it orders after all traffic the engine
-    /// was already asked to deliver.
+    /// Unregister the node from the world scheduler: later events for it
+    /// count as dropped, exactly like traffic into a powered-off NIC.
+    /// Idempotent; also runs on drop, which releases the NICs.
     pub fn shutdown(&self) {
-        if let Some(events_tx) = &self.events_tx {
-            let _ = events_tx.send(IoEvent::Control(ControlEvent::Shutdown));
-        }
-        if let Some(handle) = self.io_thread.lock().take() {
-            let _ = handle.join();
-        }
-        if let Some(sched) = &self.sched {
-            // Later events for this node count as dropped in the
-            // scheduler, exactly like traffic into a powered-off NIC.
-            sched.unregister(self.node);
-        }
+        self.sched.unregister(self.node);
     }
 }
 
 impl Drop for NetAccess {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// The threaded progress engine of one node: drain the shared event
-/// queue — inbound traffic from every fabric attachment, interleaved
-/// with typed control events — through the node's step function until
-/// told to stop. Blocking receive, no polling: the queue *is* the
-/// readiness notification. (The event engine runs the same
-/// [`NodeCell::step`], driven by the world scheduler instead.)
-fn progress_loop(events: Receiver<IoEvent>, cell: Arc<NodeCell>) {
-    loop {
-        match events.recv() {
-            Ok(IoEvent::Control(ControlEvent::Shutdown)) => return,
-            Ok(event) => cell.step(event),
-            // All senders vanished (process teardown).
-            Err(_) => return,
-        }
     }
 }
 
@@ -819,44 +669,30 @@ mod tests {
     }
 
     #[test]
-    fn one_progress_thread_regardless_of_fabric_count() {
-        // The threaded-engine invariant: a node attached to three fabrics
-        // runs exactly ONE I/O thread, and shutdown retires it.
+    fn every_fabric_delivers_through_the_world_scheduler() {
+        // A node is one handler registration in the world scheduler,
+        // never an OS thread: traffic from all three of its fabrics flows
+        // end to end through the sharded event heap into the one cell.
         let (topo, ids) = single_cluster(2);
-        let net =
-            NetAccess::bring_up_with(&topo, ids[0], SimClock::new(), EngineKind::Threaded).unwrap();
-        assert_eq!(net.fabrics().len(), 3, "precondition: multiple fabrics");
-        assert_eq!(net.io_thread_count(), 1, "one engine per node");
-        net.shutdown();
-        assert_eq!(net.io_thread_count(), 0, "engine retired");
-    }
-
-    #[test]
-    fn event_engine_runs_zero_io_threads() {
-        // The event-engine invariant: a node is a handler registration in
-        // the world scheduler, never an OS thread — and traffic still
-        // flows end to end through the sharded event heap.
-        let (topo, ids) = single_cluster(2);
-        let a =
-            NetAccess::bring_up_with(&topo, ids[0], SimClock::new(), EngineKind::EventLoop)
-                .unwrap();
-        let b =
-            NetAccess::bring_up_with(&topo, ids[1], SimClock::new(), EngineKind::EventLoop)
-                .unwrap();
-        assert_eq!(a.io_thread_count(), 0, "no per-node thread");
-        assert_eq!(a.engine(), EngineKind::EventLoop);
+        let a = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
+        let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
+        assert_eq!(a.fabrics().len(), 3, "precondition: multiple fabrics");
         let ch = fresh_channel();
         let rx = b.subscribe(ch).unwrap();
-        let fid = myrinet_id(&a);
-        a.send(fid, ids[1], ch, Payload::from_vec(vec![7])).unwrap();
-        let msg = rx
-            .recv_timeout(b.clock(), Duration::from_secs(5))
-            .expect("delivery through the world scheduler");
-        assert_eq!(msg.payload.to_vec(), vec![7]);
+        for (i, fabric) in a.fabrics().iter().enumerate() {
+            a.send(fabric.id(), ids[1], ch, Payload::from_vec(vec![i as u8]))
+                .unwrap();
+            let msg = rx
+                .recv_timeout(b.clock(), Duration::from_secs(5))
+                .expect("delivery through the world scheduler");
+            assert_eq!(msg.payload.to_vec(), vec![i as u8]);
+        }
         // The delivered counter moves after the handler returns; wait for
         // the worker to finish its batch before reading it.
         assert!(topo.sched().quiesce(Duration::from_secs(5)));
-        assert!(topo.sched().stats().delivered >= 1);
+        assert!(topo.sched().stats().delivered >= 3);
+        assert_eq!(b.cell().steps(), 3, "one cell steps every fabric's traffic");
+        let fid = myrinet_id(&a);
         b.shutdown();
         // After unregistration, further traffic is dropped (powered-off
         // NIC semantics), not an error at the sender.
@@ -871,12 +707,8 @@ mod tests {
     #[test]
     fn reactive_handler_runs_on_the_engine_with_parked_replay() {
         let (topo, ids) = single_cluster(2);
-        let a =
-            NetAccess::bring_up_with(&topo, ids[0], SimClock::new(), EngineKind::EventLoop)
-                .unwrap();
-        let b =
-            NetAccess::bring_up_with(&topo, ids[1], SimClock::new(), EngineKind::EventLoop)
-                .unwrap();
+        let a = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
+        let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         let ch = fresh_channel();
         let fid = myrinet_id(&a);
         // Send before any handler exists: the message parks.
@@ -902,16 +734,13 @@ mod tests {
     fn node_cell_rng_stream_is_deterministic_per_node() {
         let (topo, ids) = single_cluster(2);
         let run = || {
-            let net =
-                NetAccess::bring_up_with(&topo, ids[0], SimClock::new(), EngineKind::Threaded)
-                    .unwrap();
+            let net = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
             let draws: Vec<u64> = (0..8).map(|_| net.cell().rng_next()).collect();
             net.shutdown();
             draws
         };
         assert_eq!(run(), run(), "same node, same stream");
-        let other =
-            NetAccess::bring_up_with(&topo, ids[1], SimClock::new(), EngineKind::Threaded).unwrap();
+        let other = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         assert_ne!(
             run(),
             (0..8).map(|_| other.cell().rng_next()).collect::<Vec<u64>>(),
@@ -940,11 +769,10 @@ mod tests {
 
     #[test]
     fn top_range_channel_ids_are_deliverable() {
-        // Regression for the removed SHUTDOWN_CHANNEL sentinel: u64::MAX
-        // used to be reserved and silently undeliverable. Now the whole id
-        // space belongs to users — including the very top of the named
-        // range — and shutdown still works (it is a control event, not a
-        // channel id).
+        // u64::MAX was once a reserved shutdown sentinel and silently
+        // undeliverable. The whole id space belongs to users — including
+        // the very top of the named range — and shutdown still works (it
+        // unregisters the node; it is not a channel id).
         let (topo, ids) = single_cluster(2);
         let a = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
         let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
@@ -1094,7 +922,7 @@ mod tests {
 
         #[test]
         fn channel_ids_spread_across_all_shards(seed in any::<u64>()) {
-            // 10k random service names must land on all 16 registry shards
+            // 10k random service names must land on every registry shard
             // with no shard taking more than 2× the mean — the Fibonacci
             // mix over FNV ids is what keeps CORBA and MPI flows off each
             // other's locks.

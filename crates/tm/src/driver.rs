@@ -343,9 +343,8 @@ impl LinkCore {
     }
 
     /// Hand this link's receive channel over to a reactive handler that
-    /// runs inline on the node's progress engine: under the event-loop
-    /// engine that is a scheduler worker, so frames complete as scheduler
-    /// events with no reader thread parked on the link.
+    /// runs inline on a world-scheduler worker, so frames complete as
+    /// scheduler events with no reader thread parked on the link.
     ///
     /// The wrapper replays anything already queued, then swaps the Live
     /// subscription for the handler (messages landing in the gap park and

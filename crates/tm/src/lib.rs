@@ -7,9 +7,10 @@
 //!
 //! 1. **Arbitration layer** ([`arbitration`]) — the *only* client of the
 //!    low-level network resources. It attaches once per node to every
-//!    fabric, multiplexes logical channels over each attachment, and runs a
-//!    single coherent I/O loop per node so that concurrent middleware
-//!    polling loops cooperate instead of competing.
+//!    fabric, multiplexes logical channels over each attachment, and hands
+//!    every node's inbound traffic to one world-wide progress engine so
+//!    that concurrent middleware polling loops cooperate instead of
+//!    competing.
 //! 2. **Abstraction layer** ([`driver`], [`circuit`], [`vlink`],
 //!    [`selector`]) — two paradigm-true interfaces offered on top of
 //!    *every* arbitrated driver: [`circuit::Circuit`] (parallel-oriented:
@@ -42,13 +43,13 @@ pub mod security;
 pub mod selector;
 pub mod vlink;
 
-pub use arbitration::{ChannelHandler, ChannelRx, IoEvent, NetAccess, NodeCell, TM_SERVICE_PORT};
+pub use arbitration::{ChannelHandler, ChannelRx, NetAccess, NodeCell, TM_SERVICE_PORT};
 pub use circuit::{Circuit, CircuitSpec};
 pub use driver::{coalesce_stats, ArbitratedDriver, CoalesceStats, LinkCore};
 pub use error::TmError;
 pub use faults::{is_retryable, RetryPolicy};
 pub use module::{ModuleManager, PadicoModule};
 pub use padico_util::span::TraceSampling;
-pub use runtime::{BreakerPolicy, CoalescePolicy, EngineKind, PadicoTM, TmConfig};
+pub use runtime::{BreakerPolicy, CoalescePolicy, PadicoTM, TmConfig};
 pub use selector::{FabricChoice, Route};
 pub use vlink::{VLinkListener, VLinkStream};

@@ -33,8 +33,7 @@ pub struct TmConfig {
     /// Retry budget + backoff for stream ops, handshakes, and failover.
     pub retry: RetryPolicy,
     /// Small-message coalescing policy for every link on this node.
-    /// On by default with [`CoalescePolicy::default`] now that both
-    /// engines replay the envelope byte-identically; `None` sends each
+    /// On by default with [`CoalescePolicy::default`]; `None` sends each
     /// frame as its own wire message (opt out cluster-wide via
     /// `PADICO_COALESCE=off`, or per-config by setting the field —
     /// the envelope changes the wire format, so all nodes must agree).
@@ -47,8 +46,6 @@ pub struct TmConfig {
     /// `None` (the default) never trips; routes are re-probed on every
     /// call exactly as before.
     pub breaker: Option<BreakerPolicy>,
-    /// Which progress engine drives this node's arbitration layer.
-    pub engine: EngineKind,
     /// Head-based trace sampling policy, installed process-globally at
     /// boot (the span layer is process-global; the last boot wins, so
     /// set it once cluster-wide like `coalesce`). `Always` records every
@@ -56,39 +53,6 @@ pub struct TmConfig {
     /// by trace-id hash, which is how tracing stays on at 100k nodes
     /// within the events/s overhead budget.
     pub trace_sampling: padico_util::span::TraceSampling,
-}
-
-/// The progress engine behind a node's arbitration layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// One cooperative I/O thread per node (the classic model; required
-    /// for real-socket personalities that block in the kernel).
-    Threaded,
-    /// No per-node thread: the topology-wide discrete-event scheduler
-    /// ([`padico_fabric::WorldSched`]) delivers fabric events to the
-    /// node's step function in virtual-time order. This is what scales
-    /// to 100k-node worlds.
-    EventLoop,
-}
-
-impl EngineKind {
-    /// Engine selection from the `PADICO_ENGINE` environment variable:
-    /// `event` / `eventloop` / `event-loop` pick [`EngineKind::EventLoop`],
-    /// anything else (including unset) picks [`EngineKind::Threaded`].
-    /// This is how CI runs the whole suite under both engines without
-    /// touching call sites.
-    pub fn from_env() -> EngineKind {
-        match std::env::var("PADICO_ENGINE").as_deref() {
-            Ok("event") | Ok("eventloop") | Ok("event-loop") => EngineKind::EventLoop,
-            _ => EngineKind::Threaded,
-        }
-    }
-}
-
-impl Default for EngineKind {
-    fn default() -> Self {
-        EngineKind::from_env()
-    }
 }
 
 /// Knobs for the per-route circuit breaker in
@@ -140,8 +104,8 @@ impl Default for CoalescePolicy {
 impl CoalescePolicy {
     /// The cluster-wide default: coalescing on, unless the
     /// `PADICO_COALESCE` environment variable opts out with `off` / `0`
-    /// / `none`. Mirrors [`EngineKind::from_env`] so CI can run the
-    /// suite both ways without touching call sites.
+    /// / `none`, so the suite can run both ways without touching call
+    /// sites.
     pub fn default_from_env() -> Option<CoalescePolicy> {
         match std::env::var("PADICO_COALESCE").as_deref() {
             Ok("off") | Ok("0") | Ok("none") => None,
@@ -159,7 +123,6 @@ impl Default for TmConfig {
             coalesce: CoalescePolicy::default_from_env(),
             inflight_budget: None,
             breaker: None,
-            engine: EngineKind::default(),
             trace_sampling: padico_util::span::TraceSampling::Always,
         }
     }
@@ -199,7 +162,7 @@ impl PadicoTM {
     ) -> Result<Arc<PadicoTM>, TmError> {
         let clock = SimClock::new();
         padico_util::span::set_sampling(config.trace_sampling);
-        let net = NetAccess::bring_up_with(&topology, node, clock.share(), config.engine)?;
+        let net = NetAccess::bring_up(&topology, node, clock.share())?;
         Ok(Arc::new(PadicoTM {
             topology,
             node,
@@ -303,11 +266,6 @@ impl PadicoTM {
     /// The node's runtime knobs.
     pub fn config(&self) -> &TmConfig {
         &self.config
-    }
-
-    /// The progress engine driving this node.
-    pub fn engine(&self) -> EngineKind {
-        self.config.engine
     }
 
     /// The node-wide circuit-breaker route table (one entry per

@@ -429,9 +429,8 @@ impl VLinkStream {
 
     /// Hand the stream over to a reactive frame handler (see
     /// [`LinkCore::go_reactive`]): every subsequent DATA frame is
-    /// decrypted and run through `on_frame` inline on the node's progress
-    /// engine — under the event-loop engine that is a scheduler worker,
-    /// so no thread ever parks on this stream. `on_frame` receives `None`
+    /// decrypted and run through `on_frame` inline on a world-scheduler
+    /// worker, so no thread ever parks on this stream. `on_frame` receives `None`
     /// exactly once when the peer's FIN arrives (or on a framing error).
     ///
     /// Must be called while the stream is quiescent inbound (a client
@@ -499,10 +498,7 @@ impl VLinkStream {
     /// on a timed-out connect attempt) at wall-clock mercy, and a
     /// drop-time FIN would land in whatever metrics window happens to be
     /// open — the exact nondeterminism that kept per-fabric `bytes.*`
-    /// counters out of same-seed identity comparisons. It would also
-    /// fork the threaded and event engines' traces: every frame must
-    /// exist in both worlds for the cross-engine replay to stay
-    /// byte-identical.
+    /// counters out of same-seed identity comparisons.
     pub fn close(&self) -> Result<(), TmError> {
         self.send_frame(KIND_FIN, Payload::new())?;
         self.core.flush()

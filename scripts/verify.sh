@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, full test suite, chaos suite, and the
-# clippy gate (warnings are errors). Run before every commit.
+# Tier-1 verification: build, full test suite, chaos suite, the
+# same-seed replay-identity suite, and the clippy gate (warnings are
+# errors). Run before every commit.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
@@ -15,8 +16,8 @@ cargo test -q
 echo "== cargo test --features chaos -q --test chaos"
 cargo test --features chaos -q --test chaos
 
-echo "== cargo test --features chaos -q --test engine_equivalence"
-cargo test --features chaos -q --test engine_equivalence
+echo "== cargo test --features chaos -q --test replay_identity"
+cargo test --features chaos -q --test replay_identity
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -10,15 +10,14 @@
 use padico::fabric::topology::single_cluster;
 use padico::fabric::{pool, FabricKind, Payload};
 use padico::tm::selector::FabricChoice;
-use padico::tm::{CircuitSpec, EngineKind, PadicoTM, TmConfig};
+use padico::tm::{CircuitSpec, PadicoTM};
 use std::sync::{Arc, Mutex};
 
 const WARMUP: usize = 50;
 const MEASURED: usize = 200;
 
-/// Both tests read the process-global pool counters, and under
-/// `PADICO_ENGINE=event` both generate event-record traffic — serialize
-/// them so neither measures the other's warm-up.
+/// Both tests read the process-global slab counters — serialize them so
+/// neither measures the other's warm-up.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -93,17 +92,13 @@ fn steady_state_roundtrips_make_zero_pool_misses() {
 
 #[test]
 fn steady_state_event_engine_makes_zero_record_misses() {
-    // The event engine boxes one record per delivery event; at steady
-    // state every one of them must come off the scheduler's record
-    // shelf, not the allocator — and the byte slabs must stay warm too.
+    // The world scheduler boxes one record per delivery event; at steady
+    // state every one of them must come off its record shelf, not the
+    // allocator — and the byte slabs must stay warm too.
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (topo, ids) = single_cluster(2);
-    let cfg = TmConfig {
-        engine: EngineKind::EventLoop,
-        ..TmConfig::default()
-    };
-    let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
-    assert_eq!(tms[0].net().io_thread_count(), 0, "event engine: no threads");
+    let topo = Arc::new(topo);
+    let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
     let circuits: Vec<_> = tms
         .iter()
         .map(|tm| {
@@ -135,32 +130,34 @@ fn steady_state_event_engine_makes_zero_record_misses() {
         roundtrip(i as u64);
     }
 
+    // This world's own scheduler counts its record traffic; the slab
+    // counters are process-wide.
     let slabs_before = pool::stats();
-    let recs_before = pool::record_stats();
+    let recs_before = topo.sched().stats();
     for i in 0..MEASURED {
         roundtrip((WARMUP + i) as u64);
     }
     let slabs_after = pool::stats();
-    let recs_after = pool::record_stats();
+    let recs_after = topo.sched().stats();
 
     assert_eq!(
-        recs_after.misses - recs_before.misses,
+        recs_after.record_misses - recs_before.record_misses,
         0,
-        "steady-state event loop allocated fresh records over {} round-trips \
+        "steady-state loop allocated fresh records over {} round-trips \
          (before {:?}, after {:?})",
         MEASURED,
         recs_before,
         recs_after
     );
     assert!(
-        recs_after.hits > recs_before.hits,
+        recs_after.record_hits > recs_before.record_hits,
         "the loop never drew event records — the assertion proves nothing \
          (before {recs_before:?}, after {recs_after:?})"
     );
     assert_eq!(
         slabs_after.misses - slabs_before.misses,
         0,
-        "event-engine round-trips must keep the byte slabs warm too \
+        "round-trips must keep the byte slabs warm too \
          (before {slabs_before:?}, after {slabs_after:?})"
     );
 }

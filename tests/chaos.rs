@@ -23,9 +23,7 @@ use padico::orb::cdr::{CdrReader, CdrWriter};
 use padico::orb::profile::OrbProfile;
 use padico::orb::{Orb, OrbError, Servant, ServerCtx};
 use padico::tm::selector::FabricChoice;
-use padico::tm::{
-    BreakerPolicy, EngineKind, PadicoTM, RetryPolicy, TmConfig, TmError, TraceSampling,
-};
+use padico::tm::{BreakerPolicy, PadicoTM, RetryPolicy, TmConfig, TmError, TraceSampling};
 use padico::util::simtime::{MS, SEC};
 use padico::util::stats::RecoverySnapshot;
 use std::sync::{mpsc, Arc};
@@ -45,7 +43,7 @@ fn chaos_config_coalesced() -> TmConfig {
 /// storm scenarios sharing this process race wall-clock deadlines by
 /// design, and a deadline-raced stray frame can land in a neighbouring
 /// test's registry window — see [`chaos_world::strip_bytes`]. The
-/// `engine_equivalence` binary owns its process and compares the full
+/// `replay_identity` binary owns its process and compares the full
 /// render, byte counters included.
 fn stable_metrics_render() -> String {
     strip_bytes(&padico::util::metrics::snapshot().render())
@@ -422,7 +420,6 @@ fn run_overload_storm() -> (String, String, u32) {
         coalesce: None,
         inflight_budget: Some(2),
         breaker: None,
-        engine: EngineKind::default(),
         trace_sampling: TraceSampling::Always,
     };
     let (client, server, _tms, _topo, _ids) = orb_pair_with(cfg);
@@ -559,7 +556,6 @@ fn run_breaker_storm() -> (String, String) {
             trip_after: 2,
             cooldown,
         }),
-        engine: EngineKind::default(),
         trace_sampling: TraceSampling::Always,
     };
     let (client, server, tms, topo, ids) = orb_pair_with(cfg);

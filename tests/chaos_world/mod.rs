@@ -1,6 +1,6 @@
 //! The seeded chaos failover world, shared by the `chaos` suite and the
-//! `engine_equivalence` suite (a separate test binary, hence a separate
-//! process — see `engine_equivalence.rs` for why that matters).
+//! `replay_identity` suite (a separate test binary, hence a separate
+//! process — see `replay_identity.rs` for why that matters).
 //!
 //! Everything here is deterministic: fault decisions are a pure function
 //! of the plan seed and per-link sequence numbers, and backoff is
@@ -18,7 +18,7 @@ use padico::fabric::fabric::FabricKind;
 use padico::fabric::{presets, FaultPlan, SecurityZone, Topology};
 use padico::orb::profile::OrbProfile;
 use padico::tm::selector::FabricChoice;
-use padico::tm::{EngineKind, RetryPolicy, TmConfig, TraceSampling};
+use padico::tm::{RetryPolicy, TmConfig, TraceSampling};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,7 +45,6 @@ pub fn chaos_config() -> TmConfig {
         coalesce: None,
         inflight_budget: None,
         breaker: None,
-        engine: EngineKind::default(),
         trace_sampling: TraceSampling::Always,
     }
 }
@@ -58,7 +57,7 @@ pub fn chaos_config() -> TmConfig {
 /// to be open — possibly a *neighbouring test's*. Byte tallies are the
 /// only counter family such a stray frame perturbs; everything
 /// load-bearing (retries, sheds, breaker transitions, deadline refusals,
-/// latency histograms) stays in the comparison. The `engine_equivalence`
+/// latency histograms) stays in the comparison. The `replay_identity`
 /// binary owns its whole process and compares the unstripped render.
 pub fn strip_bytes(render: &str) -> String {
     render
@@ -181,9 +180,9 @@ pub struct FailoverRun {
     pub metrics: String,
     /// Deterministic render of the virtual-time telemetry windows,
     /// captured inside the run's isolated registry window. Compare
-    /// [`strip_sched`]`(&run.timeseries)` across engines: the `sched.*`
-    /// series sample wall-clock batching (event engine only) and are
-    /// legitimately nondeterministic.
+    /// [`strip_sched`]`(&run.timeseries)` across runs: the `sched.*`
+    /// series sample wall-clock batching and are legitimately
+    /// nondeterministic.
     pub timeseries: String,
     /// `ccm.invoke` roots retained in the span buffers — 4 under
     /// `TraceSampling::Always`, fewer when sampling drops whole trees.
@@ -215,8 +214,7 @@ pub fn run_traced_failover(seed: u64) -> FailoverRun {
 }
 
 /// [`run_traced_failover`] with explicit runtime knobs, so the same
-/// scenario can be replayed with coalescing enabled or on a specific
-/// progress engine.
+/// scenario can be replayed with coalescing enabled or with sampling.
 pub fn run_traced_failover_with(seed: u64, config: TmConfig) -> FailoverRun {
     let _iso = padico::util::trace::isolated();
     let sampling_all = matches!(config.trace_sampling, TraceSampling::Always);

@@ -3,10 +3,10 @@
 //! A CORBA-style flow (ORB oneway pushes over Ethernet) and an MPI-style
 //! flow (circuit sends over Myrinet) target the *same* receiver node on
 //! disjoint channels, so every inbound message of both middlewares drains
-//! through that node's single cooperative I/O engine. The paper's claim is
-//! that arbitration-layer multiplexing costs nothing measurable: each
-//! flow's virtual completion latency when both run together must stay
-//! within 10 % of its solo run.
+//! through that node's one step function on the world scheduler. The
+//! paper's claim is that arbitration-layer multiplexing costs nothing
+//! measurable: each flow's virtual completion latency when both run
+//! together must stay within 10 % of its solo run.
 //!
 //! The two flows are sized to take about the same virtual span (Ethernet
 //! ≈11 MB/s vs Myrinet ≈240 MB/s), so they genuinely overlap instead of
@@ -58,7 +58,7 @@ impl Servant for SinkServant {
 }
 
 /// Nodes: 0 = CORBA client, 1 = MPI sender, 2 = shared receiver (ORB
-/// server + MPI rank 1) whose single engine carries both flows.
+/// server + MPI rank 1) whose one step function carries both flows.
 struct Rig {
     tms: Vec<Arc<PadicoTM>>,
     obj: ObjectRef,
@@ -152,29 +152,20 @@ fn concurrent_corba_and_mpi_flows_keep_solo_latency() {
     let mpi_solo = rig().run_mpi().join().unwrap();
     let corba_solo = rig().run_corba().join().unwrap();
 
-    // Both flows together through the shared receiver's single engine.
+    // Both flows together through the shared receiver's one step
+    // function on the world scheduler.
     let r = rig();
     let mpi = r.run_mpi();
     let corba = r.run_corba();
-    // One coherent engine per node — the receiver multiplexes the ORB's
-    // Ethernet traffic and the circuit's Myrinet traffic on one engine,
-    // and neither flow gets a private thread. Under the threaded engine
-    // that is exactly one I/O thread; under the event engine it is zero
-    // (the node is a handler in the world scheduler).
-    let want_threads = match padico::tm::EngineKind::default() {
-        padico::tm::EngineKind::Threaded => 1,
-        padico::tm::EngineKind::EventLoop => 0,
-    };
-    for tm in &r.tms {
-        assert_eq!(
-            tm.net().io_thread_count(),
-            want_threads,
-            "one engine on {}",
-            tm.node()
-        );
-    }
     let mpi_shared = mpi.join().unwrap();
     let corba_shared = corba.join().unwrap();
+    // Neither flow got a private reader: every piece of both stepped
+    // through the receiver's one cell.
+    let steps = r.tms[2].net().cell().steps();
+    assert!(
+        steps >= (MPI_PIECES + CORBA_PIECES) as u64,
+        "receiver cell stepped {steps} events for both flows"
+    );
 
     within(mpi_shared, mpi_solo, "MPI flow");
     within(corba_shared, corba_solo, "CORBA flow");
