@@ -12,6 +12,7 @@ use padico_tm::circuit::CircuitSpec;
 use padico_tm::ArbitratedDriver;
 use padico_tm::runtime::PadicoTM;
 use padico_tm::selector::FabricChoice;
+use padico_tm::VLinkListener;
 use std::sync::Arc;
 
 fn bench_circuit_roundtrip(c: &mut Criterion) {
@@ -107,15 +108,18 @@ fn bench_small_burst(c: &mut Criterion) {
 fn bench_vlink_roundtrip(c: &mut Criterion) {
     let (topo, _ids) = single_cluster(2);
     let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let listener = tms[1].vlink_listen("bench").unwrap();
-    std::thread::spawn(move || {
-        let s = listener.accept().unwrap();
-        while let Ok(Some(frame)) = s.read_frame() {
-            if s.write_payload(frame).is_err() {
-                return;
+    // Reactive echo: each frame bounces back inline on the server node's
+    // scheduler worker.
+    VLinkListener::on_accept(&tms[1], "bench", |stream| {
+        let echo = Arc::clone(&stream);
+        stream.on_frames(Arc::new(move |frame| match frame {
+            Some(frame) => {
+                let _ = echo.write_payload(frame).and_then(|()| echo.flush());
             }
-        }
-    });
+            None => echo.stop_frames(),
+        }))
+    })
+    .unwrap();
     let s = tms[0]
         .vlink_connect(tms[1].node(), "bench", FabricChoice::Auto)
         .unwrap();

@@ -18,6 +18,7 @@ use padico_orb::profile::OrbProfile;
 use padico_orb::OrbError;
 use padico_tm::runtime::PadicoTM;
 use padico_tm::selector::FabricChoice;
+use padico_tm::VLinkListener;
 use padico_util::stats::{mb_per_s, size_sweep, Series};
 use std::sync::Arc;
 
@@ -144,18 +145,18 @@ pub fn mpi_bandwidth(fabric: FabricKind, sizes: &[usize], rounds: usize) -> Seri
 pub fn tcp_reference(sizes: &[usize], rounds: usize) -> Series {
     let (topo, _ids) = single_cluster(2);
     let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let listener = tms[1].vlink_listen("echo").unwrap();
-    let echo = std::thread::spawn(move || {
-        let stream = listener.accept().unwrap();
-        loop {
-            match stream.read_frame() {
-                Ok(Some(frame)) => {
-                    stream.write_payload(frame).unwrap();
-                }
-                Ok(None) | Err(_) => return,
+    // Reactive echo: each frame bounces back inline on the server node's
+    // scheduler worker.
+    VLinkListener::on_accept(&tms[1], "echo", |stream| {
+        let echo = Arc::clone(&stream);
+        stream.on_frames(Arc::new(move |frame| match frame {
+            Some(frame) => {
+                let _ = echo.write_payload(frame).and_then(|()| echo.flush());
             }
-        }
-    });
+            None => echo.stop_frames(),
+        }))
+    })
+    .unwrap();
     let stream = tms[0]
         .vlink_connect(
             tms[1].node(),
@@ -181,8 +182,6 @@ pub fn tcp_reference(sizes: &[usize], rounds: usize) -> Series {
         series.push(size, mb_per_s(2 * size * rounds, elapsed));
     }
     stream.close().unwrap();
-    drop(stream);
-    echo.join().unwrap();
     series
 }
 

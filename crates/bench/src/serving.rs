@@ -111,7 +111,7 @@ pub fn run(total: usize, submitters: usize) -> StormResult {
     let server_node = tms[1].node();
     let obj = client_orb.object_ref(server_orb.activate(Arc::new(EchoServant)));
     obj.request("drain").invoke().unwrap(); // connection warmup
-    drop(server_orb); // the accept loop holds its own Arc
+    drop(server_orb); // the ORB's endpoint listener holds its own Arc
 
     let per = total / submitters;
     let total = per * submitters;
@@ -192,9 +192,9 @@ mod tests {
     fn storm_outstanding_is_not_threads() {
         // The tentpole claim: 10k concurrent two-way invocations cost 10k
         // pending-table entries, not 10k blocked threads. The whole
-        // process — two TM nodes, the world scheduler, the ORB
-        // accept/serve loops, the capped dispatch pool, eight submitters —
-        // stays within a bounded handful of OS threads. The margins here
+        // process — two TM nodes, the world scheduler, the capped
+        // dispatch pool, eight submitters — stays within a bounded
+        // handful of OS threads. The margins here
         // are generous because `/proc/self/status` counts the whole test
         // binary and sibling tests run concurrently; the tight fence (< 64
         // threads, own process) is the `serving_storm` bin gate that

@@ -510,7 +510,9 @@ impl WorldSched {
     }
 
     /// Stop and join the worker pool. Idempotent; events still in the
-    /// heap stay there (the world is being torn down).
+    /// heap stay there (the world is being torn down). Callable from a
+    /// worker — a handler may own the last handle on its world — which
+    /// then exits after its batch instead of joining itself.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
         {
@@ -519,7 +521,9 @@ impl WorldSched {
         }
         let handles = std::mem::take(&mut *self.workers.lock());
         for handle in handles {
-            let _ = handle.join();
+            if handle.thread().id() != thread::current().id() {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -575,6 +579,23 @@ mod tests {
         assert_eq!(sched.stats().dropped, 1);
         assert_eq!(sched.stats().delivered, 0);
         sched.stop();
+    }
+
+    #[test]
+    fn a_handler_may_stop_its_own_scheduler() {
+        let sched = WorldSched::start(1, 1);
+        let stopped = Arc::new(AtomicBool::new(false));
+        let (s, flag) = (Arc::clone(&sched), Arc::clone(&stopped));
+        sched.register(
+            NodeId(0),
+            Arc::new(move |_m| {
+                s.stop();
+                flag.store(true, Ordering::SeqCst);
+            }),
+        );
+        sched.post(NodeId(0), 1, NodeId(1), msg(NodeId(1), 1));
+        assert!(sched.quiesce(Duration::from_secs(10)));
+        assert!(stopped.load(Ordering::SeqCst), "stop returned on the worker");
     }
 
     #[test]

@@ -118,8 +118,14 @@ impl RequestMux {
             pending: Mutex::new(HashMap::new()),
             next_id: AtomicU32::new(1),
         });
-        let router = Arc::clone(&mux);
-        stream.on_frames(Arc::new(move |frame| router.on_frame(frame)))?;
+        // The router holds the mux weakly: dropping the mux's last owner
+        // drops the stream, which releases this handler.
+        let router = Arc::downgrade(&mux);
+        stream.on_frames(Arc::new(move |frame| {
+            if let Some(mux) = router.upgrade() {
+                mux.on_frame(frame);
+            }
+        }))?;
         Ok(mux)
     }
 

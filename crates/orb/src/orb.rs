@@ -6,6 +6,13 @@
 //! through [`FabricChoice`]) — the ORB code itself is network-unaware,
 //! which is the paper's whole point.
 //!
+//! The server side owns no thread. The endpoint is a reactive VLink
+//! listener ([`VLinkListener::on_accept`]): handshakes and every inbound
+//! frame run inline on a world-scheduler worker, which decodes, runs
+//! admission, answers shed/locate/error replies on the spot, and hands
+//! each admitted request to the connection's dispatch pool — servants
+//! block on nested invocations, so they never run on a scheduler worker.
+//!
 //! The client side is a dynamic invocation interface: [`ObjectRef::request`]
 //! returns a [`RequestBuilder`] onto which arguments are marshalled with
 //! the profile's CDR strategy; [`RequestBuilder::invoke`] frames the GIOP
@@ -15,15 +22,15 @@
 use bytes::Bytes;
 use padico_tm::runtime::PadicoTM;
 use padico_tm::selector::FabricChoice;
+use padico_tm::vlink::{VLinkListener, VLinkStream};
 use padico_tm::TmError;
 use padico_util::ids::NodeId;
 use padico_util::metrics::counter_add;
 use padico_util::{trace_debug, trace_info};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crate::cdr::{CdrReader, CdrWriter};
 use crate::error::OrbError;
@@ -46,6 +53,14 @@ pub enum WireProtocol {
 }
 
 impl WireProtocol {
+    /// Frame a reply in this protocol.
+    fn encode_reply(self, request_id: u32, status: ReplyStatus, body: Payload) -> Payload {
+        match self {
+            WireProtocol::Giop => giop::encode_reply(request_id, status, body),
+            WireProtocol::Esiop => crate::esiop::encode_reply(request_id, status, body),
+        }
+    }
+
     /// Scale applied to the fixed per-request protocol cost.
     pub fn fixed_cost_factor(self) -> f64 {
         match self {
@@ -68,8 +83,8 @@ pub struct Orb {
     /// request-id allocation, so every invocation to the same peer
     /// pipelines over one connection.
     conns: Mutex<HashMap<(NodeId, String), Arc<RequestMux>>>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
-    shutting_down: Arc<AtomicBool>,
+    /// Inbound connections currently being served.
+    server_conns: AtomicUsize,
     protocol: WireProtocol,
     admission: Arc<AdmissionController>,
     /// Replies suppressed because a CancelRequest beat the dispatch to
@@ -169,9 +184,11 @@ fn reply_reason(strategy: MarshalStrategy, body: &Payload) -> String {
 }
 
 impl Orb {
-    /// Start an ORB: bind its GIOP endpoint and run the accept loop.
+    /// Start an ORB: serve its GIOP endpoint reactively.
     ///
     /// `name` must be unique per node (it names the endpoint service).
+    /// The endpoint holds the ORB: it keeps serving after the caller's
+    /// last `Arc<Orb>` drops, until [`Orb::shutdown`].
     pub fn start(
         tm: Arc<PadicoTM>,
         name: &str,
@@ -190,44 +207,23 @@ impl Orb {
         choice: FabricChoice,
         protocol: WireProtocol,
     ) -> Result<Arc<Orb>, OrbError> {
-        let endpoint_service = format!("giop:{name}");
-        let listener = tm.vlink_listen(&endpoint_service)?;
         let orb = Arc::new(Orb {
             tm: Arc::clone(&tm),
             name: name.to_string(),
             profile,
             choice,
             poa: Arc::new(Poa::new()),
-            endpoint_service,
+            endpoint_service: format!("giop:{name}"),
             conns: Mutex::new(HashMap::new()),
-            accept_thread: Mutex::new(None),
-            shutting_down: Arc::new(AtomicBool::new(false)),
+            server_conns: AtomicUsize::new(0),
             protocol,
             admission: AdmissionController::new(tm.config().inflight_budget),
             cancels_suppressed: std::sync::atomic::AtomicU64::new(0),
         });
-        let accept_orb = Arc::clone(&orb);
-        let handle = std::thread::Builder::new()
-            .name(format!("orb-{}-{}", tm.node(), name))
-            .spawn(move || {
-                while !accept_orb.shutting_down.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            if accept_orb.shutting_down.load(Ordering::Acquire) {
-                                return;
-                            }
-                            let conn_orb = Arc::clone(&accept_orb);
-                            std::thread::spawn(move || conn_orb.serve_connection(stream));
-                        }
-                        // An idle endpoint trips the accept deadline from
-                        // time to time; that is not a failure of the ORB.
-                        Err(TmError::Timeout(_)) => continue,
-                        Err(_) => return,
-                    }
-                }
-            })
-            .expect("spawn orb accept thread");
-        *orb.accept_thread.lock() = Some(handle);
+        let serving = Arc::clone(&orb);
+        VLinkListener::on_accept(&tm, &orb.endpoint_service, move |stream| {
+            ServerConn::serve(Arc::clone(&serving), stream)
+        })?;
         trace_info!(
             "orb",
             "{}: ORB `{name}` up ({})",
@@ -287,201 +283,29 @@ impl Orb {
         Ok(self.object_ref(Ior::destringify(s)?))
     }
 
-    /// Stop accepting connections. Established connections drain on their
-    /// own when peers close.
+    /// Stop accepting connections: the endpoint's listener is released,
+    /// so later handshakes go unanswered. Established connections drain on
+    /// their own when peers close. Idempotent.
     pub fn shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::AcqRel) {
+        VLinkListener::off_accept(&self.tm, &self.endpoint_service);
+    }
+
+    /// Run one admitted request on a dispatch-pool worker (never on a
+    /// scheduler worker: servants block on nested invocations).
+    fn dispatch_request(&self, conn: &ServerConn, wire: WireProtocol, request: GiopMessage) {
+        let GiopMessage::Request {
+            request_id,
+            response_expected,
+            object_key,
+            operation,
+            trace_id,
+            parent_span,
+            deadline,
+            body,
+        } = request
+        else {
             return;
-        }
-        // Wake the accept loop with a dummy connection — from a detached
-        // thread, because the wake-up races thread startup: an accept
-        // thread that saw the flag before its first accept() exits
-        // without ever ACKing the dummy SYN, and shutdown must not sit
-        // out that connect's full timeout-and-retry budget.
-        let tm = Arc::clone(&self.tm);
-        let endpoint = self.endpoint_service.clone();
-        std::thread::spawn(move || {
-            let _ = tm.vlink_connect(tm.node(), &endpoint, FabricChoice::Auto);
-        });
-        if let Some(handle) = self.accept_thread.lock().take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Serve one inbound connection. Frames are read sequentially, but
-    /// each Request is dispatched off the read loop (replies are written
-    /// back under a per-connection write lock): component graphs routinely
-    /// nest invocations through shared connections, and a blocking
-    /// dispatch must not starve the requests queued behind it. Dispatches
-    /// run on a grow-on-demand worker pool, so a pipelined client storm
-    /// costs worker threads proportional to concurrent dispatches, not to
-    /// requests submitted.
-    fn serve_connection(self: Arc<Self>, stream: padico_tm::vlink::VLinkStream) {
-        let stream = Arc::new(stream);
-        let write_lock = Arc::new(Mutex::new(()));
-        let pool = mux::DispatchPool::new(format!("orb-{}-dispatch", self.tm.node()), 16);
-        // Requests this connection is still dispatching, keyed by request
-        // id; the flag flips to true when a CancelRequest arrives and the
-        // dispatch thread then suppresses its reply write. Entries are
-        // removed when the dispatch finishes, so a cancel racing a
-        // completed request is recognisably "late".
-        let cancel_reg: Arc<Mutex<HashMap<u32, bool>>> = Arc::new(Mutex::new(HashMap::new()));
-        let caller = stream.peer();
-        loop {
-            let frame = match stream.read_frame() {
-                Ok(Some(frame)) => frame,
-                Ok(None) | Err(_) => return, // peer closed
-            };
-            // One decode/auto-detect path for the whole ORB: the same
-            // routine the client-side mux reply router uses.
-            let (wire, decoded) = mux::decode_any(&frame);
-            let msg = match decoded {
-                Ok(msg) => msg,
-                Err(_) => {
-                    let _w = write_lock.lock();
-                    let _ = stream
-                        .write_payload(giop::encode_message_error())
-                        .and_then(|()| stream.flush());
-                    continue;
-                }
-            };
-            match msg {
-                GiopMessage::Request {
-                    request_id,
-                    response_expected,
-                    object_key,
-                    operation,
-                    trace_id,
-                    parent_span,
-                    deadline,
-                    body,
-                } => {
-                    // Admission decides *before* a dispatch thread exists:
-                    // shed work never queues, never spawns, and answers
-                    // TRANSIENT immediately (oneways are silently dropped
-                    // — there is nobody to answer).
-                    let Some(permit) = self.admission.try_admit() else {
-                        padico_util::timeseries::bump(
-                            "orb.admission.shed",
-                            self.tm.clock().now(),
-                        );
-                        trace_debug!(
-                            "orb",
-                            "{}: shed request {request_id} (`{operation}`): \
-                             admission budget exhausted",
-                            self.tm.node()
-                        );
-                        if response_expected {
-                            let mut w = CdrWriter::new(self.profile.strategy);
-                            w.write_string("admission budget exhausted");
-                            let frame = match wire {
-                                WireProtocol::Giop => giop::encode_reply(
-                                    request_id,
-                                    ReplyStatus::Transient,
-                                    w.finish(),
-                                ),
-                                WireProtocol::Esiop => crate::esiop::encode_reply(
-                                    request_id,
-                                    ReplyStatus::Transient,
-                                    w.finish(),
-                                ),
-                            };
-                            let _w = write_lock.lock();
-                            let _ = stream
-                                .write_payload(frame)
-                                .and_then(|()| stream.flush());
-                        }
-                        continue;
-                    };
-                    cancel_reg.lock().insert(request_id, false);
-                    let orb = Arc::clone(&self);
-                    let stream = Arc::clone(&stream);
-                    let write_lock = Arc::clone(&write_lock);
-                    let cancel_reg = Arc::clone(&cancel_reg);
-                    pool.submit(move || {
-                        let _slot = permit;
-                        orb.dispatch_request(
-                            &stream,
-                            &write_lock,
-                            &cancel_reg,
-                            caller,
-                            wire,
-                            request_id,
-                            response_expected,
-                            object_key,
-                            operation,
-                            trace_id,
-                            parent_span,
-                            deadline,
-                            body,
-                        );
-                    });
-                }
-                GiopMessage::LocateRequest {
-                    request_id,
-                    object_key,
-                } => {
-                    let status = if self.poa.contains(object_key) {
-                        LocateStatus::ObjectHere
-                    } else {
-                        LocateStatus::UnknownObject
-                    };
-                    let _w = write_lock.lock();
-                    if stream
-                        .write_payload(giop::encode_locate_reply(request_id, status))
-                        .and_then(|()| stream.flush())
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
-                GiopMessage::CancelRequest { request_id } => {
-                    // A cancel for a dispatch still in flight flags it so
-                    // its reply write is suppressed (the client has
-                    // already given up waiting); a cancel that lost the
-                    // race against completion is logged and ignored, as
-                    // real ORBs do.
-                    let mut reg = cancel_reg.lock();
-                    if let Some(flag) = reg.get_mut(&request_id) {
-                        *flag = true;
-                        trace_debug!(
-                            "orb",
-                            "CancelRequest {request_id}: reply will be suppressed"
-                        );
-                    } else {
-                        trace_debug!("orb", "late CancelRequest {request_id}");
-                    }
-                }
-                GiopMessage::CloseConnection => return,
-                GiopMessage::Reply { .. } | GiopMessage::LocateReply { .. } => {
-                    // Client-role messages on a server connection.
-                    let _w = write_lock.lock();
-                    let _ = stream
-                        .write_payload(giop::encode_message_error())
-                        .and_then(|()| stream.flush());
-                }
-                GiopMessage::MessageError => return,
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_request(
-        &self,
-        stream: &padico_tm::vlink::VLinkStream,
-        write_lock: &Mutex<()>,
-        cancel_reg: &Mutex<HashMap<u32, bool>>,
-        caller: NodeId,
-        wire: WireProtocol,
-        request_id: u32,
-        response_expected: bool,
-        object_key: crate::ior::ObjectKey,
-        operation: String,
-        trace_id: u64,
-        parent_span: u64,
-        deadline: u64,
-        body: Payload,
-    ) {
+        };
         let clock = self.tm.clock().share();
         // Adopt the caller's wire context so the servant's work (and any
         // nested invocations it makes) joins the caller's trace tree.
@@ -505,25 +329,18 @@ impl Orb {
                 self.tm.node(),
                 clock.now() - deadline
             );
-            let cancelled = cancel_reg.lock().remove(&request_id).unwrap_or(false);
+            let cancelled = conn.cancel_reg.lock().remove(&request_id).unwrap_or(false);
             if response_expected && !cancelled {
                 let mut w = CdrWriter::new(self.profile.strategy);
                 w.write_string(&format!(
                     "deadline expired {} vns before dispatch of `{operation}`",
                     clock.now() - deadline
                 ));
-                let frame = match wire {
-                    WireProtocol::Giop => {
-                        giop::encode_reply(request_id, ReplyStatus::DeadlineExceeded, w.finish())
-                    }
-                    WireProtocol::Esiop => crate::esiop::encode_reply(
-                        request_id,
-                        ReplyStatus::DeadlineExceeded,
-                        w.finish(),
-                    ),
-                };
-                let _w = write_lock.lock();
-                let _ = stream.write_payload(frame).and_then(|()| stream.flush());
+                let _ = conn.write(wire.encode_reply(
+                    request_id,
+                    ReplyStatus::DeadlineExceeded,
+                    w.finish(),
+                ));
             }
             return;
         }
@@ -544,7 +361,7 @@ impl Orb {
                 let ctx = ServerCtx {
                     node: self.tm.node(),
                     clock: clock.share(),
-                    caller,
+                    caller: conn.stream.peer(),
                 };
                 // Copying profiles physically flatten the request into
                 // one unmarshalling buffer (the copy `charge_server`
@@ -587,7 +404,7 @@ impl Orb {
         // arrived while the servant ran suppresses the reply write — the
         // client stopped waiting long ago and a stale reply would only be
         // discarded by its reader anyway.
-        let cancelled = cancel_reg.lock().remove(&request_id).unwrap_or(false);
+        let cancelled = conn.cancel_reg.lock().remove(&request_id).unwrap_or(false);
         if cancelled {
             self.cancels_suppressed
                 .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
@@ -603,20 +420,14 @@ impl Orb {
             // the reply body.
             self.profile
                 .charge_server_scaled(&clock, reply_payload.len(), wire.fixed_cost_factor());
-            let frame = match wire {
-                WireProtocol::Giop => giop::encode_reply(request_id, status, reply_payload),
-                WireProtocol::Esiop => {
-                    crate::esiop::encode_reply(request_id, status, reply_payload)
-                }
-            };
+            let frame = wire.encode_reply(request_id, status, reply_payload);
             // Close the dispatch span *before* the reply goes out: the
             // instant the client sees the reply it may snapshot the span
             // buffers, and everything server-side must already be there.
             drop(dispatch_span);
             drop(ambient_deadline);
             drop(ctx_guard);
-            let _w = write_lock.lock();
-            let _ = stream.write_payload(frame).and_then(|()| stream.flush());
+            let _ = conn.write(frame);
         }
     }
 
@@ -671,6 +482,12 @@ impl Orb {
         self.admission.inflight.load(Ordering::Acquire)
     }
 
+    /// Inbound connections this ORB is serving right now; a connection
+    /// leaves the count once its peer closed and its last dispatch ended.
+    pub fn server_connections(&self) -> usize {
+        self.server_conns.load(Ordering::Acquire)
+    }
+
     /// Replies suppressed because a `CancelRequest` arrived while the
     /// dispatch was still running.
     pub fn cancels_suppressed(&self) -> u64 {
@@ -705,9 +522,146 @@ impl Orb {
     }
 }
 
-impl Drop for Orb {
+/// One inbound connection, served as scheduler completions: its frame
+/// handler runs inline on a world-scheduler worker, and admitted requests
+/// run on the connection's own dispatch pool. The stream's channel
+/// handler owns the connection until the peer closes.
+struct ServerConn {
+    orb: Arc<Orb>,
+    stream: Arc<VLinkStream>,
+    /// Serializes reply writes from the frame handler and the pool.
+    write_lock: Mutex<()>,
+    pool: mux::DispatchPool,
+    /// Requests this connection is still dispatching, keyed by request
+    /// id; the flag flips to true when a CancelRequest arrives and the
+    /// dispatch then suppresses its reply write. Entries are removed when
+    /// the dispatch finishes, so a cancel racing a completed request is
+    /// recognisably "late".
+    cancel_reg: Mutex<HashMap<u32, bool>>,
+}
+
+impl ServerConn {
+    /// Serve a freshly accepted, not yet ACKed stream: hand its frames to
+    /// a connection handler, which then owns the connection.
+    fn serve(orb: Arc<Orb>, stream: Arc<VLinkStream>) -> Result<(), TmError> {
+        orb.server_conns.fetch_add(1, Ordering::AcqRel);
+        let conn = Arc::new(ServerConn {
+            pool: mux::DispatchPool::new(format!("orb-{}-dispatch", orb.tm.node()), 16),
+            orb,
+            stream: Arc::clone(&stream),
+            write_lock: Mutex::new(()),
+            cancel_reg: Mutex::new(HashMap::new()),
+        });
+        stream.on_frames(Arc::new(move |frame| conn.on_frame(frame)))
+    }
+
+    fn write(&self, frame: Payload) -> Result<(), TmError> {
+        let _w = self.write_lock.lock();
+        self.stream
+            .write_payload(frame)
+            .and_then(|()| self.stream.flush())
+    }
+
+    /// Stop serving: release the stream's handler, which owns this
+    /// connection. Dispatches still running finish and drop it last.
+    fn close(&self) {
+        self.stream.stop_frames();
+    }
+
+    /// Handle one inbound frame (`None` at end of stream). Runs on a
+    /// scheduler worker, so everything here is non-blocking: a request
+    /// is admitted or shed *before* it reaches the pool — shed work never
+    /// queues and answers TRANSIENT immediately (oneways are silently
+    /// dropped; there is nobody to answer).
+    fn on_frame(self: &Arc<Self>, frame: Option<Payload>) {
+        let Some(frame) = frame else {
+            return self.close();
+        };
+        // One decode/auto-detect path for the whole ORB: the same
+        // routine the client-side mux reply router uses.
+        let (wire, decoded) = mux::decode_any(&frame);
+        let Ok(msg) = decoded else {
+            let _ = self.write(giop::encode_message_error());
+            return;
+        };
+        let orb = &self.orb;
+        match msg {
+            GiopMessage::Request {
+                request_id,
+                response_expected,
+                ref operation,
+                ..
+            } => {
+                let Some(permit) = orb.admission.try_admit() else {
+                    padico_util::timeseries::bump("orb.admission.shed", orb.tm.clock().now());
+                    trace_debug!(
+                        "orb",
+                        "{}: shed request {request_id} (`{operation}`): \
+                         admission budget exhausted",
+                        orb.tm.node()
+                    );
+                    if response_expected {
+                        let mut w = CdrWriter::new(orb.profile.strategy);
+                        w.write_string("admission budget exhausted");
+                        let _ = self.write(wire.encode_reply(
+                            request_id,
+                            ReplyStatus::Transient,
+                            w.finish(),
+                        ));
+                    }
+                    return;
+                };
+                self.cancel_reg.lock().insert(request_id, false);
+                let conn = Arc::clone(self);
+                self.pool.submit(move || {
+                    let _slot = permit;
+                    conn.orb.dispatch_request(&conn, wire, msg);
+                });
+            }
+            GiopMessage::LocateRequest {
+                request_id,
+                object_key,
+            } => {
+                let status = if orb.poa.contains(object_key) {
+                    LocateStatus::ObjectHere
+                } else {
+                    LocateStatus::UnknownObject
+                };
+                if self
+                    .write(giop::encode_locate_reply(request_id, status))
+                    .is_err()
+                {
+                    self.close();
+                }
+            }
+            GiopMessage::CancelRequest { request_id } => {
+                // A cancel for a dispatch still in flight flags it so its
+                // reply write is suppressed (the client has already given
+                // up waiting); a cancel that lost the race against
+                // completion is logged and ignored, as real ORBs do.
+                let mut reg = self.cancel_reg.lock();
+                if let Some(flag) = reg.get_mut(&request_id) {
+                    *flag = true;
+                    trace_debug!(
+                        "orb",
+                        "CancelRequest {request_id}: reply will be suppressed"
+                    );
+                } else {
+                    trace_debug!("orb", "late CancelRequest {request_id}");
+                }
+            }
+            GiopMessage::CloseConnection | GiopMessage::MessageError => self.close(),
+            GiopMessage::Reply { .. } | GiopMessage::LocateReply { .. } => {
+                // Client-role messages on a server connection.
+                let _ = self.write(giop::encode_message_error());
+            }
+        }
+    }
+}
+
+impl Drop for ServerConn {
     fn drop(&mut self) {
-        self.shutting_down.store(true, Ordering::Release);
+        self.orb.server_conns.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -1569,6 +1523,129 @@ mod tests {
         // the connect times out or the write fails.
         let result = obj.request("noop").invoke();
         assert!(result.is_err(), "invoke after shutdown should fail");
+    }
+
+    #[test]
+    fn malformed_syns_do_not_stop_the_endpoint() {
+        let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
+        let ior = server.activate(Arc::new(Calculator));
+        let listener = padico_tm::arbitration::named_channel(&format!(
+            "vlink:giop:server@{}",
+            server.node()
+        ));
+        // A SYN of the wrong length, then a well-formed one naming an
+        // unknown fabric-choice code.
+        let mut bad_choice = vec![1u8; 22];
+        bad_choice[21] = 0xEE;
+        for garbage in [vec![1u8, 2, 3], bad_choice] {
+            server
+                .tm()
+                .net()
+                .send_local(listener, Payload::from_vec(garbage))
+                .unwrap();
+        }
+        let obj = client.object_ref(ior);
+        let mut reply = obj.request("add").arg_i32(2).arg_i32(3).invoke().unwrap();
+        assert_eq!(reply.read_i32().unwrap(), 5);
+    }
+
+    /// Poll `cond` for up to five seconds: completions land on scheduler
+    /// and pool workers, after the reply the test already holds.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let start = std::time::Instant::now();
+        while start.elapsed() < std::time::Duration::from_secs(5) {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        false
+    }
+
+    #[test]
+    fn closed_connections_release_their_state() {
+        let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
+        let ior = server.activate(Arc::new(Calculator));
+        let obj = client.object_ref(ior.clone());
+        obj.request("noop").invoke().unwrap();
+        // Client side: the reply router holds the mux weakly, so evicting
+        // the cached connection frees the mux and its stream.
+        let mux = client.connection(ior.node, &ior.endpoint).unwrap();
+        let weak = Arc::downgrade(&mux);
+        drop(mux);
+        client.drop_connection(ior.node, &ior.endpoint);
+        assert!(weak.upgrade().is_none(), "a dropped mux must not stay alive");
+        // Server side: a connection whose peer closes gives up its
+        // dispatch pool and stream once its last dispatch ends.
+        assert_eq!(server.server_connections(), 1);
+        let stream = client
+            .tm()
+            .vlink_connect(ior.node, &ior.endpoint, FabricChoice::Kind(FabricKind::Myrinet))
+            .unwrap();
+        assert_eq!(server.server_connections(), 2);
+        let mut args = CdrWriter::new(MarshalStrategy::ZeroCopy);
+        args.write_i32(20);
+        args.write_i32(22);
+        let request = giop::encode_request(7, true, ior.key, "add", 0, 0, 0, args.finish());
+        stream.write_payload(request).unwrap();
+        stream.flush().unwrap();
+        // The reply is one small frame: one read returns all of it.
+        let mut buf = [0u8; 256];
+        let n = stream.read(&mut buf).unwrap();
+        assert!(matches!(
+            giop::decode(&Payload::copy_from(&buf[..n])).unwrap(),
+            GiopMessage::Reply { request_id: 7, status: ReplyStatus::NoException, .. }
+        ));
+        stream.close().unwrap();
+        assert!(
+            eventually(|| server.server_connections() == 1),
+            "closed connection still served: {}",
+            server.server_connections()
+        );
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn inbound_connections_cost_no_threads() {
+        fn os_threads() -> usize {
+            std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+        }
+        let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
+        let choice = FabricChoice::Kind(FabricKind::Myrinet);
+        let mut streams = Vec::new();
+        // Sibling tests start and stop threads concurrently, so one quiet
+        // window in a few attempts is the evidence; a thread per
+        // connection would add eight in every attempt.
+        let quiet = (0..5).any(|_| {
+            let before = os_threads();
+            for _ in 0..8 {
+                streams.push(
+                    client
+                        .tm()
+                        .vlink_connect(server.node(), "giop:server", choice)
+                        .unwrap(),
+                );
+            }
+            // Give a per-connection thread time to appear.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            os_threads() <= before
+        });
+        assert!(quiet, "opening 8 connections added OS threads every time");
+        assert_eq!(server.server_connections(), streams.len());
+    }
+
+    #[test]
+    fn requests_pipelined_behind_the_handshake_are_all_answered() {
+        let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
+        let obj = client.object_ref(server.activate(Arc::new(Calculator)));
+        // The first submit connects; the other 63 follow right behind the
+        // ACK, landing while the server is still setting the stream up.
+        let pending: Vec<_> = (0..64)
+            .map(|i| obj.request("add").arg_i32(i).arg_i32(1).submit())
+            .collect();
+        for (i, reply) in pending.into_iter().enumerate() {
+            assert_eq!(reply.wait().unwrap().read_i32().unwrap(), i as i32 + 1);
+        }
     }
 }
 

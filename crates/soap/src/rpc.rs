@@ -3,11 +3,10 @@
 use padico_tm::module::PadicoModule;
 use padico_tm::runtime::PadicoTM;
 use padico_tm::selector::FabricChoice;
-use padico_tm::vlink::VLinkStream;
+use padico_tm::vlink::{VLinkListener, VLinkStream};
 use padico_tm::TmError;
 use padico_util::ids::NodeId;
 use padico_util::trace_info;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::envelope::{self, Decoded, Fault, SoapValue};
@@ -23,47 +22,27 @@ pub type Handler = Box<
 /// A running SOAP endpoint.
 pub struct SoapServer {
     service: String,
-    shutting_down: Arc<AtomicBool>,
     tm: Arc<PadicoTM>,
 }
 
 impl SoapServer {
-    /// Serve `handler` under the given service name.
+    /// Serve `handler` under the given service name. Handshakes complete
+    /// on the node's progress engine; HTTP framing is pull-style, so each
+    /// connection gets a serve thread of its own.
     pub fn serve(
         tm: Arc<PadicoTM>,
         service: &str,
         handler: Handler,
     ) -> Result<SoapServer, TmError> {
-        let vlink_service = format!("soap:{service}");
-        let listener = tm.vlink_listen(&vlink_service)?;
-        let shutting_down = Arc::new(AtomicBool::new(false));
         let handler = Arc::new(handler);
-        let flag = Arc::clone(&shutting_down);
-        let accept_tm = Arc::clone(&tm);
-        std::thread::Builder::new()
-            .name(format!("soap-{}-{service}", tm.node()))
-            .spawn(move || {
-                while !flag.load(Ordering::Acquire) {
-                    match listener.accept() {
-                        Ok(stream) => {
-                            if flag.load(Ordering::Acquire) {
-                                return;
-                            }
-                            let handler = Arc::clone(&handler);
-                            std::thread::spawn(move ||
-
-                                serve_connection(stream, handler));
-                        }
-                        Err(_) => return,
-                    }
-                }
-                drop(accept_tm);
-            })
-            .expect("spawn soap accept thread");
+        VLinkListener::on_accept(&tm, &format!("soap:{service}"), move |stream| {
+            let handler = Arc::clone(&handler);
+            std::thread::spawn(move || serve_connection(&stream, &handler));
+            Ok(())
+        })?;
         trace_info!("soap", "{}: SOAP service `{service}` up", tm.node());
         Ok(SoapServer {
             service: service.to_string(),
-            shutting_down,
             tm,
         })
     }
@@ -72,22 +51,15 @@ impl SoapServer {
         &self.service
     }
 
-    /// Stop accepting new connections.
+    /// Stop accepting new connections. Idempotent.
     pub fn shutdown(&self) {
-        if self.shutting_down.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        let _ = self.tm.vlink_connect(
-            self.tm.node(),
-            &format!("soap:{}", self.service),
-            FabricChoice::Auto,
-        );
+        VLinkListener::off_accept(&self.tm, &format!("soap:{}", self.service));
     }
 }
 
-fn serve_connection(stream: VLinkStream, handler: Arc<Handler>) {
+fn serve_connection(stream: &VLinkStream, handler: &Handler) {
     loop {
-        let request = match http::read_message(&stream) {
+        let request = match http::read_message(stream) {
             Ok(Some(msg)) => msg,
             Ok(None) | Err(_) => return,
         };
@@ -98,7 +70,7 @@ fn serve_connection(stream: VLinkStream, handler: Arc<Handler>) {
             },
             Err(fault) => http::server_error(envelope::encode_fault(&fault).into_bytes()),
         };
-        if http::write_message(&stream, &reply).is_err() {
+        if http::write_message(stream, &reply).is_err() {
             return;
         }
     }
@@ -297,6 +269,38 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn idle_endpoint_keeps_accepting_past_the_default_deadline() {
+        let (topo, _ids) = single_cluster(2);
+        let cfg = padico_tm::TmConfig {
+            default_deadline: std::time::Duration::from_millis(50),
+            ..Default::default()
+        };
+        let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
+        let _server = SoapServer::serve(Arc::clone(&tms[1]), "idle", calculator()).unwrap();
+        // Three default deadlines of idleness: no accept may time out.
+        std::thread::sleep(std::time::Duration::from_millis(150));
+        let client =
+            SoapClient::connect(&tms[0], tms[1].node(), "idle", FabricChoice::Auto).unwrap();
+        let got = client.call("add", &[("v".into(), SoapValue::Int(7))]).unwrap();
+        assert_eq!(got[0].1, SoapValue::Int(7));
+    }
+
+    #[test]
+    fn shutdown_stops_accepting() {
+        let (topo, _ids) = single_cluster(2);
+        let cfg = padico_tm::TmConfig {
+            connect_timeout: std::time::Duration::from_millis(100),
+            ..Default::default()
+        };
+        let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
+        let server = SoapServer::serve(Arc::clone(&tms[1]), "gone", calculator()).unwrap();
+        server.shutdown();
+        server.shutdown();
+        let refused = SoapClient::connect(&tms[0], tms[1].node(), "gone", FabricChoice::Auto);
+        assert!(refused.is_err(), "no handshake after shutdown");
     }
 
     #[test]

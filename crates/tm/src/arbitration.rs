@@ -289,8 +289,12 @@ impl ChannelMap {
         Ok(())
     }
 
+    /// Drop a channel's entry. The entry is dropped outside the shard
+    /// lock: a reactive handler's captures may release channels of their
+    /// own on drop.
     fn remove(&self, channel: ChannelId) {
-        if let Some(ChannelEntry::Parked(v)) = self.shard(channel).lock().remove(&channel) {
+        let entry = self.shard(channel).lock().remove(&channel);
+        if let Some(ChannelEntry::Parked(v)) = &entry {
             self.parked_total.fetch_sub(v.len(), Ordering::Relaxed);
         }
     }
@@ -308,16 +312,9 @@ impl ChannelRx {
         self.channel
     }
 
-    /// Blocking receive; merges `clock` to the message arrival time and
+    /// Blocking receive with a wall-clock timeout, so a missing peer cannot
+    /// hang the caller; merges `clock` to the message arrival time and
     /// charges the receive cost.
-    pub fn recv(&self, clock: &SimClock) -> Result<Message, TmError> {
-        let msg = self.rx.recv().map_err(|_| TmError::Closed)?;
-        msg.deliver(clock);
-        Ok(msg)
-    }
-
-    /// Blocking receive with a wall-clock timeout (used for handshakes so a
-    /// missing peer cannot hang the process).
     pub fn recv_timeout(&self, clock: &SimClock, timeout: Duration) -> Result<Message, TmError> {
         match self.rx.recv_timeout(timeout) {
             Ok(msg) => {
@@ -341,11 +338,6 @@ impl ChannelRx {
             Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
             Err(crossbeam::channel::TryRecvError::Disconnected) => Err(TmError::Closed),
         }
-    }
-
-    /// Receive without charging any clock (forwarding layers).
-    pub fn recv_raw(&self) -> Result<Message, TmError> {
-        self.rx.recv().map_err(|_| TmError::Closed)
     }
 
     /// Non-blocking receive without charging any clock. Used when a
@@ -549,6 +541,14 @@ impl NetAccess {
         self.map.subscribe_reactive(channel, self.node, handler)
     }
 
+    /// Release a channel installed with [`NetAccess::on_channel`]: the
+    /// handler (and everything it captured) is dropped, and later messages
+    /// park as for any unsubscribed channel. Idempotent. A handler may
+    /// release its own channel; the running invocation finishes normally.
+    pub fn off_channel(&self, channel: ChannelId) {
+        self.map.remove(channel);
+    }
+
     /// Per-node recovery counters (remaps, retries charged by the
     /// abstraction layer).
     pub fn recovery(&self) -> &RecoveryStats {
@@ -652,6 +652,9 @@ mod tests {
     use padico_fabric::FabricKind;
     use proptest::prelude::*;
 
+    /// Upper bound on any receive in these tests.
+    const WAIT: Duration = Duration::from_secs(5);
+
     fn myrinet_id(net: &NetAccess) -> FabricId {
         net.fabrics()
             .iter()
@@ -728,6 +731,15 @@ mod tests {
             b.on_channel(ch, Arc::new(|_| {})),
             Err(TmError::Protocol(_))
         ));
+        // Releasing the channel drops the handler and its captures; later
+        // traffic parks until the next handler.
+        b.off_channel(ch);
+        assert_eq!(Arc::strong_count(&seen), 1, "handler dropped on release");
+        a.send(fid, ids[1], ch, Payload::from_vec(vec![3])).unwrap();
+        assert!(topo.sched().quiesce(Duration::from_secs(5)));
+        assert_eq!(seen.lock().len(), 2, "a released channel runs no handler");
+        let rx = b.subscribe(ch).unwrap();
+        assert_eq!(rx.try_recv_raw().unwrap().payload.to_vec(), vec![3]);
     }
 
     #[test]
@@ -763,8 +775,8 @@ mod tests {
         a.send(fid, ids[1], ch2, Payload::from_vec(vec![2])).unwrap();
         a.send(fid, ids[1], ch1, Payload::from_vec(vec![1])).unwrap();
         let clock = b.clock().clone();
-        assert_eq!(rx1.recv(&clock).unwrap().payload.to_vec(), vec![1]);
-        assert_eq!(rx2.recv(&clock).unwrap().payload.to_vec(), vec![2]);
+        assert_eq!(rx1.recv_timeout(&clock, WAIT).unwrap().payload.to_vec(), vec![1]);
+        assert_eq!(rx2.recv_timeout(&clock, WAIT).unwrap().payload.to_vec(), vec![2]);
     }
 
     #[test]
@@ -780,7 +792,7 @@ mod tests {
         for ch in [ChannelId(u64::MAX), ChannelId(u64::MAX - 1)] {
             let rx = b.subscribe(ch).unwrap();
             a.send(fid, ids[1], ch, Payload::from_vec(vec![0xEE])).unwrap();
-            let msg = rx.recv(b.clock()).unwrap();
+            let msg = rx.recv_timeout(b.clock(), WAIT).unwrap();
             assert_eq!(msg.payload.to_vec(), vec![0xEE], "{ch} deliverable");
         }
         b.shutdown();
@@ -798,7 +810,7 @@ mod tests {
         // Give the progress engine a moment to park it.
         std::thread::sleep(Duration::from_millis(20));
         let rx = b.subscribe(ch).unwrap();
-        let msg = rx.recv(b.clock()).unwrap();
+        let msg = rx.recv_timeout(b.clock(), WAIT).unwrap();
         assert_eq!(msg.payload.to_vec(), vec![42]);
     }
 
@@ -861,7 +873,7 @@ mod tests {
         let rx = net.subscribe(ch).unwrap();
         let before = net.clock().now();
         net.send_local(ch, Payload::from_vec(vec![9, 9])).unwrap();
-        let msg = rx.recv(net.clock()).unwrap();
+        let msg = rx.recv_timeout(net.clock(), WAIT).unwrap();
         assert_eq!(msg.payload.to_vec(), vec![9, 9]);
         assert_eq!(net.clock().now(), before, "local dispatch is free");
     }
@@ -970,7 +982,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut sum = 0u64;
                     for _ in 0..PER_FLOW {
-                        let msg = rx.recv(&clock).unwrap();
+                        let msg = rx.recv_timeout(&clock, WAIT).unwrap();
                         sum += u64::from(msg.payload.to_vec()[0]);
                     }
                     sum

@@ -347,13 +347,15 @@ impl LinkCore {
     /// scheduler events with no reader thread parked on the link.
     ///
     /// The wrapper replays anything already queued, then swaps the Live
-    /// subscription for the handler (messages landing in the gap park and
-    /// replay in order). Callers must invoke this while the link is
-    /// quiescent inbound — e.g. a client connection right after its
-    /// handshake, before the first request is on the wire. `on_msg` sees
-    /// intact, envelope-demuxed messages, already delivered to the node
-    /// clock; corrupted deliveries are discarded here exactly like the
-    /// pull path does.
+    /// subscription for the handler (messages landing after the swap
+    /// park and replay in order; one landing between the drain and the
+    /// swap would be lost). Callers must therefore invoke this while the
+    /// link is quiescent inbound — a client connection right after its
+    /// handshake, or a server one before its ACK. `on_msg` sees intact,
+    /// envelope-demuxed messages, already delivered to the node clock;
+    /// corrupted deliveries are discarded here exactly like the pull path
+    /// does. The handler stays installed until [`LinkCore::stop_reactive`]
+    /// or the link drops.
     pub fn go_reactive(
         &self,
         on_msg: Arc<dyn Fn(Message) + Send + Sync>,
@@ -387,16 +389,26 @@ impl LinkCore {
                     }
                     rx.channel()
                 }
-                RxState::Reactive(ch) => {
-                    return Err(TmError::Protocol(format!(
-                        "channel {ch} is already reactive"
-                    )))
-                }
+                RxState::Reactive(ch) => *ch,
             };
             *state = RxState::Reactive(channel);
             channel
         };
+        // A second handler on one link is refused by the channel registry.
         self.tm.net().on_channel(channel, handler)
+    }
+
+    /// Release the handler [`LinkCore::go_reactive`] installed; later
+    /// messages park. Idempotent, and a no-op on a pull-style link.
+    pub fn stop_reactive(&self) {
+        let reactive = match *self.rx.lock() {
+            RxState::Reactive(channel) => Some(channel),
+            RxState::Queued(_) => None,
+        };
+        // Outside the lock: dropping the handler may drop its captures.
+        if let Some(channel) = reactive {
+            self.tm.net().off_channel(channel);
+        }
     }
 
     pub fn tm(&self) -> &Arc<PadicoTM> {
@@ -649,33 +661,6 @@ impl LinkCore {
         Ok(cbox.pending.lock().pop_front())
     }
 
-    /// Like [`LinkCore::recv_intact`] but deliberately deadline-free:
-    /// long-lived reader threads (the ORB's per-connection readers) idle
-    /// here legitimately between requests; request liveness is the
-    /// caller's business.
-    pub fn recv_intact_blocking(&self) -> Result<Message, TmError> {
-        if let Some(m) = self.flush_and_pop_pending()? {
-            return Ok(m);
-        }
-        loop {
-            let msg = {
-                let rx = self.rx.lock();
-                rx.queued()?.recv(self.tm.clock())?
-            };
-            if msg.corrupted {
-                faults::note(self.tm.recovery(), |r| &r.corrupt_discards);
-                continue;
-            }
-            let Some(cbox) = &self.coalesce else {
-                return Ok(msg);
-            };
-            self.ingest_wire(cbox, msg)?;
-            if let Some(m) = cbox.pending.lock().pop_front() {
-                return Ok(m);
-            }
-        }
-    }
-
     /// Non-blocking intact receive.
     pub fn try_recv_intact(&self) -> Result<Option<Message>, TmError> {
         if let Some(m) = self.flush_and_pop_pending()? {
@@ -784,6 +769,9 @@ impl Drop for LinkCore {
     fn drop(&mut self) {
         // Last chance for queued frames; errors have nowhere to go.
         let _ = self.flush();
+        // A pull receiver unsubscribes itself; a reactive handler is
+        // released here, dropping whatever it captured.
+        self.stop_reactive();
     }
 }
 
@@ -1174,16 +1162,26 @@ mod tests {
         // storage: the kind tag is peeled off the gather list, never
         // flattened into the body.
         let (a, b) = pair();
-        let listener = b.vlink_listen("zc").unwrap();
-        let bt = std::thread::spawn(move || listener.accept().unwrap());
+        let (tx, rx) = crossbeam::channel::unbounded();
+        crate::vlink::VLinkListener::on_accept(&b, "zc", move |stream| {
+            let tx = tx.clone();
+            // The handler owns its stream until end of stream.
+            let server = Arc::clone(&stream);
+            stream.on_frames(Arc::new(move |frame| match frame {
+                Some(frame) => {
+                    let _ = tx.send(frame);
+                }
+                None => server.stop_frames(),
+            }))
+        })
+        .unwrap();
         let s = a
             .vlink_connect(b.node(), "zc", FabricChoice::Kind(FabricKind::Myrinet))
             .unwrap();
-        let server = bt.join().unwrap();
         let blob = bytes::Bytes::from(vec![0xAB; 64 * 1024]);
         let sent_ptr = blob.as_ptr();
         s.write_payload(Payload::from_bytes(blob)).unwrap();
-        let frame = server.read_frame().unwrap().expect("one frame");
+        let frame = rx.recv().expect("one frame");
         assert!(frame.is_contiguous(), "frame should be one segment");
         let got = frame.to_contiguous();
         assert_eq!(got.len(), 64 * 1024);

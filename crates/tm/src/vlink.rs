@@ -17,16 +17,21 @@
 //!   `"vlink:<service>@<node>"`.
 //! * `connect` allocates two fresh channels (client→server and
 //!   server→client), subscribes its receiving one, and sends `SYN` with
-//!   both ids; the listener's `accept` subscribes the other and replies
-//!   `ACK`. Either side then exchanges `DATA` frames and closes with
-//!   `FIN`.
+//!   both ids; the listener claims the other and replies `ACK`. Either
+//!   side then exchanges `DATA` frames and closes with `FIN`.
+//! * A listener either pulls connections with [`VLinkListener::accept`]
+//!   or serves them with [`VLinkListener::on_accept`], whose SYNs are
+//!   handled inline on a world-scheduler worker — no listener thread. A
+//!   malformed SYN is counted (`tm.vlink.bad_syn`) and dropped; it never
+//!   stops a listener.
 //! * On untrusted routes every `DATA` frame is encrypted with a session
 //!   key derived from the channel pair (toy cipher — see
 //!   [`crate::security`]).
 
-use padico_fabric::{Paradigm, Payload};
+use padico_fabric::{Message, Paradigm, Payload};
 use padico_util::ids::{ChannelId, NodeId};
-use padico_util::trace_debug;
+use padico_util::metrics::counter_add;
+use padico_util::{trace_debug, trace_warn};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -43,6 +48,10 @@ const KIND_SYN: u8 = 1;
 const KIND_ACK: u8 = 2;
 const KIND_DATA: u8 = 3;
 const KIND_FIN: u8 = 4;
+
+/// SYN layout: kind, client→server channel, server→client channel, client
+/// node, fabric-choice code.
+const SYN_LEN: usize = 1 + 8 + 8 + 4 + 1;
 
 /// The one-byte frame tag as a static segment: prepending it to a frame
 /// is a gather-list append, not an allocation per frame.
@@ -72,11 +81,76 @@ fn encode_choice(choice: FabricChoice) -> u8 {
     choice_codes().iter().position(|&c| c == choice).expect("known choice") as u8
 }
 
-fn decode_choice(byte: u8) -> Result<FabricChoice, TmError> {
-    choice_codes()
-        .get(usize::from(byte))
-        .copied()
-        .ok_or_else(|| TmError::Protocol(format!("bad fabric choice byte {byte}")))
+fn decode_choice(byte: u8) -> Option<FabricChoice> {
+    choice_codes().get(usize::from(byte)).copied()
+}
+
+/// A validated SYN: the client's channel pair, its node, and the fabric
+/// it asked for.
+struct Syn {
+    c2s: ChannelId,
+    s2c: ChannelId,
+    peer: NodeId,
+    choice: FabricChoice,
+}
+
+impl Syn {
+    /// Validate one delivery on a listener channel. A corrupted SYN is as
+    /// good as a lost one (the client's connect retry re-sends it); a
+    /// malformed one is counted in `tm.vlink.bad_syn`. Both are dropped:
+    /// no bytes off the wire stop a listener from accepting.
+    fn parse(tm: &PadicoTM, msg: &Message) -> Option<Syn> {
+        if msg.corrupted {
+            crate::faults::note(tm.recovery(), |r| &r.corrupt_discards);
+            return None;
+        }
+        // SYN frames are sent as one segment, so this flatten is free.
+        let syn = msg.payload.to_contiguous();
+        let choice = (syn.len() == SYN_LEN && syn[0] == KIND_SYN)
+            .then(|| decode_choice(syn[21]))
+            .flatten();
+        let Some(choice) = choice else {
+            counter_add("tm.vlink.bad_syn", 1);
+            trace_warn!(
+                "tm.vlink",
+                "{}: dropped a malformed SYN on {}",
+                tm.node(),
+                msg.channel
+            );
+            return None;
+        };
+        Some(Syn {
+            c2s: ChannelId(u64::from_le_bytes(syn[1..9].try_into().expect("8"))),
+            s2c: ChannelId(u64::from_le_bytes(syn[9..17].try_into().expect("8"))),
+            peer: NodeId(u32::from_le_bytes(syn[17..21].try_into().expect("4"))),
+            choice,
+        })
+    }
+
+    /// The listener's end of the handshake, un-ACKed: it receives on
+    /// client→server and transmits on server→client.
+    fn establish(&self, tm: &Arc<PadicoTM>, service: &str) -> Result<VLinkStream, TmError> {
+        let core = LinkCore::establish(
+            Arc::clone(tm),
+            vec![tm.node(), self.peer],
+            Paradigm::Distributed,
+            self.choice,
+            "tm.vlink",
+            self.c2s,
+        )?;
+        trace_debug!(
+            "tm.vlink",
+            "accepted {} -> {} for `{service}`",
+            self.peer,
+            tm.node()
+        );
+        Ok(VLinkStream::assemble(
+            core,
+            self.peer,
+            self.s2c,
+            SessionKey::derive(self.c2s.0, self.s2c.0),
+        ))
+    }
 }
 
 /// Passive side of the VLink abstraction.
@@ -96,64 +170,73 @@ impl VLinkListener {
         })
     }
 
-    pub fn service(&self) -> &str {
-        &self.service
+    /// Serve `service` on `tm` without a thread: each SYN is validated
+    /// inline on a world-scheduler worker, and `on_stream` receives the
+    /// established stream *before* its ACK goes out. Nothing can arrive on
+    /// the stream until the client sees that ACK, so `on_stream` may hand
+    /// it to a reactive handler ([`VLinkStream::on_frames`]) with no frame
+    /// able to slip past the handover, or to a thread of its own. An
+    /// `Err` from `on_stream` withholds the ACK (the client's connect
+    /// retries). `on_stream` runs on a scheduler worker and must not
+    /// block. The listener stays up until [`VLinkListener::off_accept`].
+    pub fn on_accept(
+        tm: &Arc<PadicoTM>,
+        service: &str,
+        on_stream: impl Fn(Arc<VLinkStream>) -> Result<(), TmError> + Send + Sync + 'static,
+    ) -> Result<(), TmError> {
+        // The node's own registry holds this handler: a strong runtime
+        // handle would keep the node alive forever.
+        let weak_tm = Arc::downgrade(tm);
+        let service = service.to_string();
+        tm.net().on_channel(
+            listener_channel(&service, tm.node()),
+            Arc::new(move |msg: Message| {
+                let Some(tm) = weak_tm.upgrade() else {
+                    return;
+                };
+                msg.deliver(tm.clock());
+                let Some(syn) = Syn::parse(&tm, &msg) else {
+                    return;
+                };
+                let served = syn.establish(&tm, &service).and_then(|stream| {
+                    let stream = Arc::new(stream);
+                    on_stream(Arc::clone(&stream))?;
+                    stream.ack().inspect_err(|_| stream.stop_frames())
+                });
+                // Nobody to answer: the client's connect times out and
+                // retries.
+                if let Err(err) = served {
+                    trace_warn!(
+                        "tm.vlink",
+                        "{}: accepting {} for `{service}` failed: {err}",
+                        tm.node(),
+                        syn.peer
+                    );
+                }
+            }),
+        )
+    }
+
+    /// Stop a listener started with [`VLinkListener::on_accept`]: later
+    /// SYNs park unanswered. Established streams are unaffected.
+    /// Idempotent.
+    pub fn off_accept(tm: &PadicoTM, service: &str) {
+        tm.net().off_channel(listener_channel(service, tm.node()));
     }
 
     /// Accept one incoming connection. "Blocking" is bounded by the
     /// runtime's default deadline — a dead peer surfaces
     /// [`TmError::Timeout`] instead of hanging the acceptor forever.
     pub fn accept(&self) -> Result<VLinkStream, TmError> {
-        self.accept_inner(None)
-    }
-
-    /// Accept with a wall-clock timeout.
-    pub fn accept_timeout(&self, timeout: Duration) -> Result<VLinkStream, TmError> {
-        self.accept_inner(Some(timeout))
-    }
-
-    fn accept_inner(&self, timeout: Option<Duration>) -> Result<VLinkStream, TmError> {
-        let timeout = timeout.unwrap_or(self.tm.config().default_deadline);
-        let msg = loop {
+        let timeout = self.tm.config().default_deadline;
+        let syn = loop {
             let msg = self.rx.recv_timeout(self.tm.clock(), timeout)?;
-            if msg.corrupted {
-                // A damaged SYN is as good as a lost one: the client's
-                // connect retry re-sends it.
-                crate::faults::note(self.tm.recovery(), |r| &r.corrupt_discards);
-                continue;
+            if let Some(syn) = Syn::parse(&self.tm, &msg) {
+                break syn;
             }
-            break msg;
         };
-        // SYN frames are sent as one segment, so this flatten is free.
-        let syn = msg.payload.to_contiguous();
-        if syn.len() != 1 + 8 + 8 + 4 + 1 || syn[0] != KIND_SYN {
-            return Err(TmError::Protocol("malformed SYN".into()));
-        }
-        let c2s = ChannelId(u64::from_le_bytes(syn[1..9].try_into().expect("8")));
-        let s2c = ChannelId(u64::from_le_bytes(syn[9..17].try_into().expect("8")));
-        let peer = NodeId(u32::from_le_bytes(syn[17..21].try_into().expect("4")));
-        let choice = decode_choice(syn[21])?;
-        let core = LinkCore::establish(
-            Arc::clone(&self.tm),
-            vec![self.tm.node(), peer],
-            Paradigm::Distributed,
-            choice,
-            "tm.vlink",
-            c2s,
-        )?;
-        // We transmit on server→client.
-        let stream = VLinkStream::assemble(core, peer, s2c, SessionKey::derive(c2s.0, s2c.0));
-        // ACK back on the server→client channel; flushed immediately —
-        // the client is blocked on it.
-        stream.send_frame(KIND_ACK, Payload::new())?;
-        stream.core.flush()?;
-        trace_debug!(
-            "tm.vlink",
-            "accepted {} -> {} for `{}`",
-            peer,
-            self.tm.node(),
-            self.service
-        );
+        let stream = syn.establish(&self.tm, &self.service)?;
+        stream.ack()?;
         Ok(stream)
     }
 }
@@ -179,7 +262,7 @@ impl ArbitratedDriver for VLinkStream {
 
 /// Received-but-unread data, kept as the segments the wire delivered —
 /// `read` copies into the caller's buffer (that copy is inherent to the
-/// read(2)-style API), while `read_frame` hands segments out untouched.
+/// read(2)-style API); a reactive handler gets frames untouched.
 #[derive(Default)]
 struct StreamBuffer {
     segments: VecDeque<bytes::Bytes>,
@@ -213,16 +296,6 @@ impl StreamBuffer {
             }
         }
         done
-    }
-
-    /// Hand every buffered segment out as one payload, zero-copy.
-    fn drain_payload(&mut self) -> Payload {
-        let mut p = Payload::new();
-        for seg in self.segments.drain(..) {
-            p.push_segment(seg);
-        }
-        self.len = 0;
-        p
     }
 }
 
@@ -309,6 +382,13 @@ impl VLinkStream {
 
     pub fn peer(&self) -> NodeId {
         self.peer
+    }
+
+    /// Answer the client's SYN; flushed immediately — the client is
+    /// blocked on it.
+    fn ack(&self) -> Result<(), TmError> {
+        self.send_frame(KIND_ACK, Payload::new())?;
+        self.core.flush()
     }
 
     fn send_frame(&self, kind: u8, body: Payload) -> Result<(), TmError> {
@@ -402,31 +482,6 @@ impl VLinkStream {
         Ok(())
     }
 
-    /// Receive one whole DATA frame as a payload (message-ish fast path
-    /// used by the ORB: GIOP messages map 1:1 onto frames). Deliberately
-    /// blocks without deadline: long-lived reader threads (the ORB's
-    /// per-connection readers) idle here legitimately between requests;
-    /// request liveness is the caller's business (`await_reply` budgets).
-    pub fn read_frame(&self) -> Result<Option<Payload>, TmError> {
-        // Drain any buffered bytes first to preserve stream semantics.
-        {
-            let mut b = self.buffer.lock();
-            if b.len > 0 {
-                return Ok(Some(b.drain_payload()));
-            }
-            if b.eof {
-                return Ok(None);
-            }
-        }
-        let msg = self.core.recv_intact_blocking()?;
-        let mut out = None;
-        self.ingest(msg, |body, _buffer| {
-            out = Some(body);
-        })?;
-        // `None` here means a FIN arrived: end of stream.
-        Ok(out)
-    }
-
     /// Hand the stream over to a reactive frame handler (see
     /// [`LinkCore::go_reactive`]): every subsequent DATA frame is
     /// decrypted and run through `on_frame` inline on a world-scheduler
@@ -435,13 +490,18 @@ impl VLinkStream {
     ///
     /// Must be called while the stream is quiescent inbound (a client
     /// connection right after its handshake qualifies); afterwards the
-    /// pull-style `read*` methods are unavailable.
+    /// pull-style `read*` methods are unavailable. The handler holds the
+    /// stream weakly: dropping the stream's last owner releases the
+    /// handler too.
     pub fn on_frames(
         self: &Arc<Self>,
         on_frame: Arc<dyn Fn(Option<Payload>) + Send + Sync>,
     ) -> Result<(), TmError> {
-        let this = Arc::clone(self);
+        let this = Arc::downgrade(self);
         self.core.go_reactive(Arc::new(move |msg| {
+            let Some(this) = this.upgrade() else {
+                return;
+            };
             let mut out = None;
             match this.ingest(msg, |body, _buffer| out = Some(body)) {
                 Ok(()) => match out {
@@ -456,6 +516,14 @@ impl VLinkStream {
                 Err(_) => on_frame(None),
             }
         }))
+    }
+
+    /// Release the handler installed by [`VLinkStream::on_frames`] and
+    /// everything it captured; later frames park unread. A handler may
+    /// stop its own stream (a server at end of stream does); the running
+    /// invocation finishes normally.
+    pub fn stop_frames(&self) {
+        self.core.stop_reactive();
     }
 
     fn ingest(
@@ -494,8 +562,8 @@ impl VLinkStream {
     ///
     /// Closing is an explicit act and the ONLY source of FIN frames:
     /// merely dropping a stream is abortive — no FIN, no flush, no wire
-    /// traffic. Streams are often dropped by detached reader threads (or
-    /// on a timed-out connect attempt) at wall-clock mercy, and a
+    /// traffic. Streams are often dropped by dispatch workers or handlers
+    /// (or on a timed-out connect attempt) at wall-clock mercy, and a
     /// drop-time FIN would land in whatever metrics window happens to be
     /// open — the exact nondeterminism that kept per-fabric `bytes.*`
     /// counters out of same-seed identity comparisons.

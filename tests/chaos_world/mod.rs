@@ -245,7 +245,7 @@ pub fn run_traced_failover_with(seed: u64, config: TmConfig) -> FailoverRun {
 
     // Let deadline-raced stragglers land inside OUR registry window
     // before capturing. A canceled request's late reply is sent by the
-    // server's reader thread at thread-scheduling mercy, a few
+    // server's dispatch worker at thread-scheduling mercy, a few
     // milliseconds after the client has already moved on — the one
     // wall-clock-exposed byte source left in this scenario. The frame
     // SET is deterministic (the span tree replays byte-identically), so

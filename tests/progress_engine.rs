@@ -76,7 +76,7 @@ fn rig() -> Rig {
     let server_orb = Orb::start(Arc::clone(&tms[2]), "stress", OrbProfile::omniorb3(), eth).unwrap();
     let obj = client_orb.object_ref(server_orb.activate(Arc::new(SinkServant)));
     obj.request("drain").invoke().unwrap(); // connection warmup
-    drop(server_orb); // the accept loop keeps its own Arc
+    drop(server_orb); // the ORB's endpoint listener keeps its own Arc
     let group = vec![ids[1], ids[2]];
     let mpi_tx = init_world(&tms[1], "stress", group.clone(), myri).unwrap();
     let mpi_rx = init_world(&tms[2], "stress", group, myri).unwrap();
