@@ -16,8 +16,9 @@ use padico_orb::profile::OrbProfile;
 /// one-byte ack from a peer thread that drained them — so the number
 /// includes the receive-side wakeup cost per wire message, which is
 /// exactly what coalescing amortizes. Returns wall-clock nanoseconds
-/// per message over `rounds` rounds.
-fn small_burst(coalesce: bool, burst: usize, rounds: usize) -> f64 {
+/// per message over `rounds` rounds, plus the world's
+/// `(frames_coalesced, coalesce_flushes)`.
+fn small_burst(coalesce: bool, burst: usize, rounds: usize) -> (f64, (u64, u64)) {
     use padico_fabric::topology::single_cluster;
     use padico_fabric::Payload;
     use padico_tm::selector::FabricChoice;
@@ -25,11 +26,12 @@ fn small_burst(coalesce: bool, burst: usize, rounds: usize) -> f64 {
     use std::sync::Arc;
 
     let (topo, ids) = single_cluster(2);
+    let topo = Arc::new(topo);
     let cfg = TmConfig {
         coalesce: coalesce.then(CoalescePolicy::default),
         ..TmConfig::default()
     };
-    let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
+    let tms = PadicoTM::boot_all_with_config(Arc::clone(&topo), cfg).unwrap();
     let spec =
         CircuitSpec::new("snapshot-burst", ids).with_choice(FabricChoice::Kind(FabricKind::Myrinet));
     let c0 = tms[0].circuit(spec.clone()).unwrap();
@@ -67,7 +69,8 @@ fn small_burst(coalesce: bool, burst: usize, rounds: usize) -> f64 {
     for r in 0..rounds {
         round((4 + r) as u64);
     }
-    start.elapsed().as_nanos() as f64 / (rounds * burst) as f64
+    let ns_per_msg = start.elapsed().as_nanos() as f64 / (rounds * burst) as f64;
+    (ns_per_msg, topo.telemetry().coalesce_counts())
 }
 
 fn main() {
@@ -83,8 +86,8 @@ fn main() {
     let fig7_series = fig7::run(3);
     eprintln!("running concurrent CORBA+MPI share...");
     let share = concurrent::run(256 << 10, 8);
-    eprintln!("running 2x2 parallel invoke (schedule cache)...");
-    let par = fig8::run_parallel_pair(
+    eprintln!("running 2x2 parallel invoke (schedule cache, observed)...");
+    let (par, obs) = fig8::run_parallel_pair_observed(
         2,
         OrbProfile::omniorb3(),
         FabricKind::Myrinet,
@@ -95,10 +98,10 @@ fn main() {
     eprintln!("running small-message burst (coalesced vs per-frame)...");
     const BURST_MSGS: usize = 64;
     const BURST_ROUNDS: usize = 32;
-    let burst_plain_ns = small_burst(false, BURST_MSGS, BURST_ROUNDS);
-    let burst_coalesced_ns = small_burst(true, BURST_MSGS, BURST_ROUNDS);
+    let (burst_plain_ns, _) = small_burst(false, BURST_MSGS, BURST_ROUNDS);
+    let (burst_coalesced_ns, (frames_coalesced, coalesce_flushes)) =
+        small_burst(true, BURST_MSGS, BURST_ROUNDS);
     let pool = padico_fabric::pool::stats();
-    let coalesce = padico_tm::coalesce_stats();
     eprintln!("running overload storm (admission shedding under pressure)...");
     let storm = overload::run(8, 2, 32, std::time::Duration::from_micros(500));
     eprintln!("running serving storm (10k pipelined two-way invocations)...");
@@ -110,10 +113,8 @@ fn main() {
         serve.peak_pending
     );
 
-    // Everything the runs above left in the observability layer: span
-    // latency histograms, per-fabric byte counters, recovery totals.
-    let obs = padico_core::observability::ObservabilitySnapshot::capture();
-    // Critical-path breakdown of the latest parallel invocation's trace.
+    // Critical-path breakdown of the 2x2 world's latest parallel
+    // invocation's trace.
     let critical_path = obs
         .spans
         .iter()
@@ -126,9 +127,7 @@ fn main() {
         })
         .unwrap_or_else(|| "null".to_string());
 
-    // The tentpole scale test, run after the observability capture so
-    // its half-million sends don't drown the per-layer byte counters of
-    // the latency/bandwidth benches above.
+    // The tentpole scale test.
     eprintln!("running world_100k (discrete-event progress core)...");
     let w = world::run_world(100_000, 256, 2_000);
     eprintln!(
@@ -162,12 +161,11 @@ fn main() {
         w_obs.ts_points
     );
 
-    // Scheduler lane telemetry + timeseries registry state after both
-    // world runs (the `sched.*` series come from the lane recorder).
-    let ts = padico_util::timeseries::snapshot();
+    // The flight-recorder world's telemetry windows (the `sched.*`
+    // series come from the lane recorder).
     let ts_section = {
         let mut body = String::from("{");
-        for (i, (name, s)) in ts.series.iter().enumerate() {
+        for (i, (name, s)) in w_obs.timeseries.series.iter().enumerate() {
             if i > 0 {
                 body.push(',');
             }
@@ -287,8 +285,7 @@ fn main() {
         (
             "coalesce",
             format!(
-                "{{\"frames_coalesced\":{},\"coalesce_flushes\":{}}}",
-                coalesce.frames_coalesced, coalesce.flushes
+                "{{\"frames_coalesced\":{frames_coalesced},\"coalesce_flushes\":{coalesce_flushes}}}"
             ),
         ),
         // The serving path: 10k concurrent two-way invocations from 8
@@ -334,13 +331,13 @@ fn main() {
                 storm.p99_us
             ),
         ),
-        // Retry/failover work done across every run above — shows the
-        // recovery overhead next to the latency/bandwidth numbers (all
-        // zero on a healthy grid; nonzero means a bench hit the
-        // fault-injection or failover paths).
-        ("recovery", report::recovery_json()),
-        // Per-layer latency histograms and byte counters accumulated by
-        // the span/metrics registry over every run above.
+        // Retry/failover work done in the 2x2 world — shows the recovery
+        // overhead next to the latency/bandwidth numbers (all zero on a
+        // healthy grid; nonzero means the bench hit the fault-injection
+        // or failover paths).
+        ("recovery", report::recovery_json(&obs.metrics)),
+        // Per-layer latency histograms and byte counters of the 2x2
+        // world.
         ("metrics", report::metrics_json(&obs.metrics)),
         ("critical_path", critical_path),
     ];

@@ -84,22 +84,19 @@ pub fn series_json(series: &[Series]) -> String {
     out
 }
 
-/// The process-wide recovery counters as a JSON object — how much
-/// retry/failover work the PadicoTM stack did while the benchmarks ran.
-pub fn recovery_json() -> String {
-    let r = padico_util::stats::global_recovery().snapshot();
-    format!(
-        "{{\"send_retries\":{},\"connect_retries\":{},\"giop_retries\":{},\
-         \"route_failovers\":{},\"mapping_remaps\":{},\"corrupt_discards\":{},\
-         \"backoff_ns\":{}}}",
-        r.send_retries,
-        r.connect_retries,
-        r.giop_retries,
-        r.route_failovers,
-        r.mapping_remaps,
-        r.corrupt_discards,
-        r.backoff_ns
-    )
+/// The `recovery.*` counters of a world's metrics as a JSON object —
+/// how much retry/failover work the PadicoTM stack did while a benchmark
+/// ran.
+pub fn recovery_json(snap: &padico_util::metrics::MetricsSnapshot) -> String {
+    let fields: Vec<String> = snap
+        .counters
+        .iter()
+        .filter_map(|(name, v)| {
+            name.strip_prefix("recovery.")
+                .map(|f| format!("\"{f}\":{v}"))
+        })
+        .collect();
+    format!("{{{}}}", fields.join(","))
 }
 
 /// A metrics snapshot as a JSON object: every counter verbatim, every
@@ -220,7 +217,7 @@ mod tests {
 
     #[test]
     fn recovery_json_is_wellformed() {
-        let doc = recovery_json();
+        let doc = recovery_json(&padico_util::Telemetry::new().metrics());
         for field in [
             "send_retries",
             "connect_retries",

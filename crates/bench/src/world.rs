@@ -15,6 +15,7 @@ use padico_fabric::topology::Topology;
 use padico_fabric::{presets, Payload, SecurityZone};
 use padico_tm::{PadicoTM, TmConfig, TraceSampling};
 use padico_util::ids::ChannelId;
+use padico_util::timeseries::TimeSeriesSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -73,6 +74,8 @@ pub struct WorldReport {
     pub sampled_spans: u64,
     /// Points the run folded into the `world.hop` timeseries.
     pub ts_points: u64,
+    /// The world's telemetry windows at the end of the run.
+    pub timeseries: TimeSeriesSnapshot,
 }
 
 /// Peak RSS of this process in MiB (`VmHWM` from `/proc/self/status`),
@@ -104,7 +107,6 @@ pub fn run_world(n: usize, tokens: usize, hops: u64) -> WorldReport {
 /// `Off`.
 pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> WorldReport {
     assert!(n >= 2 && tokens >= 1 && hops >= 1);
-    let prev_sampling = padico_util::span::sampling();
     let boot_start = std::time::Instant::now();
     let mut b = Topology::builder();
     let ids = b.machine("w", "world-ring", n, SecurityZone::Trusted);
@@ -119,6 +121,7 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
     };
     let tms = PadicoTM::boot_all_with_config(Arc::clone(&topo), cfg).unwrap();
     let fabric = topo.fabrics()[0].id();
+    let telemetry = topo.telemetry();
 
     // Every node: merge the arrival stamp, retire the token at hop 0,
     // otherwise jitter the local clock and forward. The handler runs
@@ -131,6 +134,7 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
         let next = ids[(i + 1) % n];
         let node_id = ids[i].0;
         let completed = Arc::clone(&completed);
+        let telemetry = Arc::clone(telemetry);
         tm.net()
             .on_channel(
                 RING_CHANNEL,
@@ -142,7 +146,7 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
                     if hops_left == 0 {
                         completed.fetch_add(1, Ordering::Relaxed);
                         if obs == WorldObs::Full {
-                            padico_util::timeseries::bump("world.token.retired", clock.now());
+                            telemetry.bump("world.token.retired", clock.now());
                         }
                         return;
                     }
@@ -152,6 +156,7 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
                     // of an unsampled hop is one hash.
                     let _hop_span = (obs == WorldObs::Full).then(|| {
                         padico_util::span::root(
+                            &telemetry,
                             &clock,
                             node_id,
                             token,
@@ -161,8 +166,8 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
                     });
                     let jitter = net.cell().jitter(JITTER_NS);
                     clock.advance(jitter);
-                    if obs == WorldObs::Full && padico_util::span::trace_sampled(token) {
-                        padico_util::timeseries::record("world.hop", clock.now(), jitter);
+                    if obs == WorldObs::Full && telemetry.trace_sampled(token) {
+                        telemetry.record("world.hop", clock.now(), jitter);
                     }
                     let mut wire = Vec::with_capacity(16);
                     wire.extend_from_slice(&(hops_left - 1).to_le_bytes());
@@ -209,17 +214,16 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
     );
     let sampled_spans = match obs {
         WorldObs::Off => 0,
-        WorldObs::Full => padico_util::span::snapshot()
+        WorldObs::Full => telemetry
+            .spans()
             .iter()
             .filter(|s| s.layer == "world.hop")
             .count() as u64,
     };
-    let ts_points = padico_util::timeseries::snapshot()
+    let timeseries = telemetry.timeseries();
+    let ts_points = timeseries
         .series("world.hop")
         .map_or(0, |s| s.total_count());
-    // Sampling policy is process-global (installed at boot): put back
-    // whatever was in force before this run.
-    padico_util::span::set_sampling(prev_sampling);
     WorldReport {
         nodes: n,
         tokens,
@@ -236,5 +240,6 @@ pub fn run_world_with(n: usize, tokens: usize, hops: u64, obs: WorldObs) -> Worl
         lane_dropped: after.lane_dropped,
         sampled_spans,
         ts_points,
+        timeseries,
     }
 }

@@ -23,7 +23,6 @@ use padico_orb::cdr::{CdrReader, CdrWriter};
 use padico_orb::orb::{ObjectRef, Orb};
 use padico_orb::poa::{Servant, ServerCtx};
 use padico_orb::{Ior, OrbError};
-use padico_util::trace_info;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -75,13 +74,6 @@ impl NodeDaemon {
                 package.name, self.props.machine
             )));
         }
-        trace_info!(
-            "ccm.deploy",
-            "{}: installed package `{}` v{}",
-            self.props.name,
-            package.name,
-            package.version
-        );
         self.packages.lock().insert(package.name.clone(), package);
         Ok(())
     }
@@ -422,12 +414,6 @@ impl Deployer {
                 instance.component.ccm_activate()?;
             }
         }
-        trace_info!(
-            "ccm.deploy",
-            "assembly `{}` deployed: {} component instance group(s)",
-            app.name,
-            app.components.len()
-        );
         Ok(app)
     }
 }

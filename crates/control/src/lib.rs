@@ -67,8 +67,9 @@ impl ControlServant {
         Arc::new(ControlServant { tm })
     }
 
+    /// The world this servant's node booted in.
     fn capture(&self) -> ObservabilitySnapshot {
-        ObservabilitySnapshot::capture_world(self.tm.topology())
+        ObservabilitySnapshot::capture(self.tm.topology())
     }
 
     /// The text form served by `snapshot`: a scheduler header followed by
@@ -127,7 +128,7 @@ impl Servant for ControlServant {
             }
             "windows" => {
                 let name = args.read_string()?;
-                let ts = padico_util::timeseries::snapshot();
+                let ts = self.tm.telemetry().timeseries();
                 match ts.series(&name) {
                     Some(series) => {
                         reply.write_u64(series.window_ns);
@@ -283,7 +284,6 @@ mod tests {
 
     #[test]
     fn control_service_answers_over_giop() {
-        let _guard = padico_util::trace::isolated();
         let (client_orb, server_orb) = control_pair();
         let ior = serve(&server_orb);
 
@@ -299,9 +299,10 @@ mod tests {
         assert!(vt > 0, "served clock should have advanced past boot");
 
         // Generate some activity so the snapshot has something to show.
-        padico_util::timeseries::bump("orb.admission.shed", 1_500_000);
-        padico_util::timeseries::bump("orb.admission.shed", 1_600_000);
-        padico_util::timeseries::record("sched.delivered", 2_500_000, 32);
+        let telemetry = server_orb.tm().telemetry();
+        telemetry.bump("orb.admission.shed", 1_500_000);
+        telemetry.bump("orb.admission.shed", 1_600_000);
+        telemetry.record("sched.delivered", 2_500_000, 32);
 
         let snap = client.snapshot().unwrap();
         assert!(snap.contains("timeseries"), "snapshot render: {snap}");
@@ -325,17 +326,22 @@ mod tests {
 
     #[test]
     fn trace_op_returns_a_causal_tree() {
-        let _guard = padico_util::trace::isolated();
         let (client_orb, server_orb) = control_pair();
         let ior = serve(&server_orb);
         let client = ControlClient::attach(&client_orb, ior);
 
-        // Plant a span tree with a known trace id on this process's
-        // buffers (control serves process-global state).
+        // Plant a span tree with a known trace id in the served world.
         let clock = padico_util::simtime::SimClock::starting_at(1_000);
         let trace_id = 0xC0FFEE;
         {
-            let _root = padico_util::span::root(&clock, 7, trace_id, "orb", "invoke:probe");
+            let _root = padico_util::span::root(
+                server_orb.tm().telemetry(),
+                &clock,
+                7,
+                trace_id,
+                "orb",
+                "invoke:probe",
+            );
             clock.advance(100);
             let _child = padico_util::span::child(&clock, 7, "orb", "marshal");
             clock.advance(50);

@@ -20,7 +20,6 @@ use padico_ccm::component::AttrValue;
 use padico_ccm::deploy::{DaemonInfo, DeployedApp, DeployedInstance};
 use padico_ccm::package::Package;
 use padico_ccm::CcmError;
-use padico_util::trace_info;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -244,12 +243,6 @@ impl<'g> GridDeployer<'g> {
                         user_replicas[0]
                             .component
                             .connect(&conn.receptacle, &proxy_ior)?;
-                        trace_info!(
-                            "gridccm.deploy",
-                            "proxy for `{}` installed on {}",
-                            conn.id,
-                            provider_replicas[0].node
-                        );
                     }
                 }
             }
@@ -283,11 +276,6 @@ impl<'g> GridDeployer<'g> {
                 instance.component.ccm_activate()?;
             }
         }
-        trace_info!(
-            "gridccm.deploy",
-            "assembly `{}` deployed with GridCCM wiring",
-            app.name
-        );
         Ok(app)
     }
 }

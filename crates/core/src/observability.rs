@@ -1,23 +1,25 @@
-//! One-stop observability snapshot for a whole grid run — the flight
+//! One-stop observability snapshot for one world — the flight
 //! recorder's assembly point.
 //!
-//! The lower layers each keep their own books: spans land in the
-//! process-global span buffers ([`padico_util::span`]), latency
-//! histograms and byte counters in the metrics registry
-//! ([`padico_util::metrics`]), their windowed twins in the timeseries
-//! registry ([`padico_util::timeseries`]), retry/failover totals in the
-//! recovery stats ([`padico_util::stats`]), scheduler lane samples in
-//! [`padico_fabric::WorldSched`], and schedule reuse in the
-//! redistribution cache ([`crate::redistribute::schedule_cache_stats`]).
-//! This module folds all of them into one [`ObservabilitySnapshot`] so a
-//! bench harness, the control service, or an example dumps one coherent
+//! Every layer of a world reports into that world's
+//! [`Telemetry`](padico_util::Telemetry), owned by its [`Topology`]:
+//! spans ([`padico_util::span`]), latency histograms and byte counters
+//! ([`padico_util::metrics`]), their windowed twins
+//! ([`padico_util::timeseries`]), every node's retry/failover totals and
+//! the coalescer counters. Two further books live elsewhere: scheduler
+//! lane samples in [`padico_fabric::WorldSched`], and two process-wide
+//! allocator-and-memo families — segment-pool traffic
+//! ([`padico_fabric::pool`]) and schedule reuse in the redistribution
+//! cache ([`crate::redistribute::schedule_cache_stats`]). This module
+//! folds all of them into one [`ObservabilitySnapshot`] so a bench
+//! harness, the control service, or an example dumps one coherent
 //! picture — and exports the whole thing as a single Perfetto trace via
 //! [`ObservabilitySnapshot::flight_recorder_json`].
 
 use padico_fabric::{LaneSample, Topology};
 use padico_util::metrics::MetricsSnapshot;
 use padico_util::span::{self, CriticalPath, Span};
-use padico_util::timeseries::{self, TimeSeriesSnapshot};
+use padico_util::timeseries::TimeSeriesSnapshot;
 
 use crate::redistribute::schedule_cache_stats;
 
@@ -34,69 +36,59 @@ const TIMESERIES_PID: u64 = 900_001;
 /// renders as a readable handful of tracks rather than 64.
 const SHARD_GROUPS: usize = 8;
 
-/// The metrics registry plus recovery counters plus schedule-cache,
-/// segment-pool, coalescing and span-buffer counters, merged under
-/// deterministic names.
-pub fn metrics_snapshot() -> MetricsSnapshot {
-    let mut snap = padico_util::metrics::snapshot_with_recovery();
-    let cache = schedule_cache_stats();
-    let pool = padico_fabric::pool::stats();
-    let coalesce = padico_tm::coalesce_stats();
-    for (name, v) in [
-        ("schedule_cache.hits", cache.hits),
-        ("schedule_cache.misses", cache.misses),
-        ("schedule_cache.evictions", cache.evictions),
-        ("pool.hits", pool.hits),
-        ("pool.misses", pool.misses),
-        ("pool.returns", pool.returns),
-        ("pool.outstanding", pool.outstanding),
-        ("tm.coalesce.frames_coalesced", coalesce.frames_coalesced),
-        ("tm.coalesce.flushes", coalesce.flushes),
-        ("span.retained", span::retained()),
-        ("span.dropped", span::dropped()),
-    ] {
-        snap.counters.insert(name.to_string(), v);
-    }
-    snap
-}
-
-/// Everything observable about a run: the merged metrics, the windowed
-/// timeseries, the merged span buffers of every node, and (when a world
-/// scheduler is running) its lane telemetry.
+/// Everything observable about one world: the merged metrics, the
+/// windowed timeseries, the merged span buffers of every node, and (when
+/// its world scheduler is running) the lane telemetry.
 pub struct ObservabilitySnapshot {
     pub metrics: MetricsSnapshot,
     pub timeseries: TimeSeriesSnapshot,
     pub spans: Vec<Span>,
-    /// Spans discarded because a per-node or the process-wide buffer
+    /// Spans discarded because a per-node or the world-wide buffer
     /// overflowed.
     pub dropped_spans: u64,
-    /// Scheduler lane samples (empty when captured without a topology, or
-    /// for a topology no node has booted on).
+    /// Scheduler lane samples (empty for a topology no node has booted
+    /// on).
     pub lanes: Vec<LaneSample>,
     /// Lane samples dropped to the lane buffer cap.
     pub dropped_lanes: u64,
 }
 
 impl ObservabilitySnapshot {
-    /// Capture the process-global state. Lane telemetry needs a
-    /// topology; use [`ObservabilitySnapshot::capture_world`] to get it.
-    pub fn capture() -> Self {
-        ObservabilitySnapshot {
-            metrics: metrics_snapshot(),
-            timeseries: timeseries::snapshot(),
-            spans: span::snapshot(),
-            dropped_spans: span::dropped(),
+    /// Capture `topo`'s world: its telemetry (recovery totals included)
+    /// under deterministic names, plus the coalescing and span-buffer
+    /// counters, the process-wide schedule-cache and segment-pool
+    /// counters, and the lane telemetry of its world scheduler if one was
+    /// started. Deliberately does not start a scheduler: observing a
+    /// raw-fabric topology must not boot a worker pool.
+    pub fn capture(topo: &Topology) -> Self {
+        let telemetry = topo.telemetry();
+        let mut metrics = telemetry.metrics();
+        let cache = schedule_cache_stats();
+        let pool = padico_fabric::pool::stats();
+        let (frames_coalesced, coalesce_flushes) = telemetry.coalesce_counts();
+        for (name, v) in [
+            ("schedule_cache.hits", cache.hits),
+            ("schedule_cache.misses", cache.misses),
+            ("schedule_cache.evictions", cache.evictions),
+            ("pool.hits", pool.hits),
+            ("pool.misses", pool.misses),
+            ("pool.returns", pool.returns),
+            ("pool.outstanding", pool.outstanding),
+            ("tm.coalesce.frames_coalesced", frames_coalesced),
+            ("tm.coalesce.flushes", coalesce_flushes),
+            ("span.retained", telemetry.spans_retained()),
+            ("span.dropped", telemetry.spans_dropped()),
+        ] {
+            metrics.counters.insert(name.to_string(), v);
+        }
+        let mut snap = ObservabilitySnapshot {
+            metrics,
+            timeseries: telemetry.timeseries(),
+            spans: telemetry.spans(),
+            dropped_spans: telemetry.spans_dropped(),
             lanes: Vec::new(),
             dropped_lanes: 0,
-        }
-    }
-
-    /// [`ObservabilitySnapshot::capture`] plus the lane telemetry of
-    /// `topo`'s world scheduler, if one was started. Deliberately does
-    /// not start a scheduler: observing a raw-fabric topology must not
-    /// boot a worker pool.
-    pub fn capture_world(topo: &Topology) -> Self {
-        let mut snap = Self::capture();
+        };
         if let Some(sched) = topo.sched_started() {
             let stats = sched.stats();
             snap.lanes = sched.lane_samples();
@@ -274,7 +266,7 @@ mod tests {
 
     #[test]
     fn snapshot_folds_cache_and_recovery_counters() {
-        let _iso = padico_util::trace::isolated();
+        let (topo, _ids) = padico_fabric::topology::single_cluster(2);
         // Force at least one schedule-cache lookup so the counters move.
         let _ = crate::redistribute::schedule_cached(
             64,
@@ -284,7 +276,12 @@ mod tests {
             2,
         )
         .unwrap();
-        let snap = ObservabilitySnapshot::capture();
+        let snap = ObservabilitySnapshot::capture(&topo);
+        assert!(
+            snap.lanes.is_empty(),
+            "observing must not start a scheduler"
+        );
+        assert!(topo.sched_started().is_none());
         assert!(snap.metrics.counters.contains_key("schedule_cache.hits"));
         assert!(snap.metrics.counters.contains_key("schedule_cache.misses"));
         assert!(snap.metrics.counters.contains_key("recovery.giop_retries"));
@@ -304,14 +301,15 @@ mod tests {
 
     #[test]
     fn flight_recorder_merges_spans_timeseries_and_lanes() {
-        let _iso = padico_util::trace::isolated();
+        let (topo, _ids) = padico_fabric::topology::single_cluster(2);
+        let telemetry = topo.telemetry();
         let clock = padico_util::simtime::SimClock::new();
         {
-            let _r = padico_util::span::root(&clock, 0, 9, "ccm.invoke", "invoke:x");
+            let _r = padico_util::span::root(telemetry, &clock, 0, 9, "ccm.invoke", "invoke:x");
             clock.advance(1000);
         }
-        padico_util::timeseries::bump("orb.admission.shed", 500);
-        let mut snap = ObservabilitySnapshot::capture();
+        telemetry.bump("orb.admission.shed", 500);
+        let mut snap = ObservabilitySnapshot::capture(&topo);
         snap.lanes = vec![
             LaneSample {
                 worker: 0,

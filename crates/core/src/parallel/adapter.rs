@@ -232,7 +232,6 @@ impl ParallelAdapter {
     /// the invocation's (possibly degraded) view* — equal to
     /// `cfg.rank`/`cfg.size` on a healthy invocation, and the client's
     /// renumbering of the survivors otherwise.
-    #[allow(clippy::too_many_arguments)]
     fn run_invocation(
         &self,
         cfg: &Configured,
@@ -240,9 +239,9 @@ impl ParallelAdapter {
         eff_size: usize,
         op_plan: &OpPlan,
         state: &InvState,
-        clock: &SimClock,
-        node: u32,
+        server: &ServerCtx,
     ) -> Result<Outcome, GridCcmError> {
+        let clock = &server.clock;
         let client_size = state.arrived.len();
         debug_assert_eq!(client_size, state.expected.len());
         // Whichever dispatch thread happens to arrive last runs the
@@ -255,9 +254,13 @@ impl ParallelAdapter {
             .and_then(|r| state.ctxs.get(r))
             .filter(|(trace_id, _)| *trace_id != 0)
             .map(|&(trace_id, span_id)| padico_util::span::SpanCtx { trace_id, span_id });
-        let _adopt = run_ctx.map(padico_util::span::adopt);
-        let _run_span =
-            padico_util::span::child(clock, node, "ccm.run", format!("run:{}", op_plan.name));
+        let _adopt = run_ctx.map(|ctx| padico_util::span::adopt(&server.telemetry, ctx));
+        let _run_span = padico_util::span::child(
+            clock,
+            server.node.0,
+            "ccm.run",
+            format!("run:{}", op_plan.name),
+        );
         let arity = op_plan.arg_dists.len();
         // Assemble the argument list.
         let mut values = Vec::with_capacity(arity);
@@ -437,10 +440,13 @@ impl Servant for ParallelAdapter {
         // tests do.
         let _hdr_adopt = (padico_util::span::current().is_none() && header.trace_id != 0)
             .then(|| {
-                padico_util::span::adopt(padico_util::span::SpanCtx {
-                    trace_id: header.trace_id,
-                    span_id: header.parent_span,
-                })
+                padico_util::span::adopt(
+                    &ctx.telemetry,
+                    padico_util::span::SpanCtx {
+                        trace_id: header.trace_id,
+                        span_id: header.parent_span,
+                    },
+                )
             });
         // Same rule for the deadline: the ORB dispatch path has already
         // adopted the wire deadline; pick up the header's only when
@@ -569,15 +575,7 @@ impl Servant for ParallelAdapter {
                 if state.arrived.len() == state.expected.len() {
                     // Last chunk in: this thread runs the user operation.
                     let outcome = self
-                        .run_invocation(
-                            &cfg,
-                            eff_rank,
-                            eff_size,
-                            &op_plan,
-                            &state,
-                            &ctx.clock,
-                            ctx.node.0,
-                        )
+                        .run_invocation(&cfg, eff_rank, eff_size, &op_plan, &state, ctx)
                         .map(Arc::new)
                         .map_err(|e| e.to_string());
                     state.outcome = Some(outcome);

@@ -207,6 +207,7 @@ impl ParallelRef {
         // client group roots its spans in the same tree.
         let tm = self.replicas[0].orb().tm();
         let _root = padico_util::span::root(
+            tm.telemetry(),
             tm.clock(),
             tm.node().0,
             inv_id,

@@ -510,6 +510,8 @@ struct ScheduleCache {
     evictions: std::sync::atomic::AtomicU64,
 }
 
+/// Process-wide on purpose: a schedule is a pure function of its key, so
+/// worlds sharing the memo cannot observe one another through it.
 static SCHEDULE_CACHE: std::sync::OnceLock<ScheduleCache> = std::sync::OnceLock::new();
 
 fn cache() -> &'static ScheduleCache {

@@ -41,6 +41,7 @@ use crate::payload::Payload;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use padico_util::ids::{ChannelId, FabricId, NodeId};
 use padico_util::simtime::{ResourceTimeline, SimClock, Vt, VtDuration};
+use padico_util::Telemetry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::collections::HashSet;
@@ -187,6 +188,8 @@ pub struct SimFabric {
     member_set: HashSet<NodeId>,
     /// Pre-rendered `bytes.<kind>` counter name (one per send otherwise).
     bytes_counter: String,
+    /// The world's telemetry, which `bytes_counter` counts into.
+    telemetry: Arc<Telemetry>,
     nics: HashMap<NodeId, NicState>,
     state: Mutex<FabricState>,
     faults: FaultInjector,
@@ -205,7 +208,9 @@ impl fmt::Debug for SimFabric {
 }
 
 impl SimFabric {
-    /// Create a fabric connecting `members`.
+    /// Create a fabric connecting `members`, counting its wire bytes into
+    /// `telemetry`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         id: FabricId,
         kind: FabricKind,
@@ -214,6 +219,7 @@ impl SimFabric {
         model: LinkModel,
         mapping_limit: Option<usize>,
         members: Vec<NodeId>,
+        telemetry: Arc<Telemetry>,
     ) -> Arc<Self> {
         let nics = members
             .iter()
@@ -237,6 +243,7 @@ impl SimFabric {
             member_set: members.iter().copied().collect(),
             members,
             bytes_counter: format!("bytes.{kind}"),
+            telemetry,
             nics,
             state: Mutex::new(FabricState::default()),
             faults: FaultInjector::new(),
@@ -485,7 +492,7 @@ impl SimFabric {
                 span.end_at(*done);
                 // Bytes that occupied the wire (a fault-dropped message
                 // still did — the sender paid in full).
-                padico_util::metrics::counter_add(&self.bytes_counter, len as u64);
+                self.telemetry.counter_add(&self.bytes_counter, len as u64);
             }
             // Refused sends charge no time: the span is a zero-length
             // mark of the failed attempt.
@@ -698,11 +705,11 @@ mod tests {
     use padico_util::simtime::US;
 
     fn two_node_myrinet() -> Arc<SimFabric> {
-        presets::myrinet2000().build(FabricId(0), vec![NodeId(0), NodeId(1)])
+        presets::myrinet2000().build(FabricId(0), vec![NodeId(0), NodeId(1)], Telemetry::new())
     }
 
     fn two_node_ethernet() -> Arc<SimFabric> {
-        presets::ethernet100().build(FabricId(1), vec![NodeId(0), NodeId(1)])
+        presets::ethernet100().build(FabricId(1), vec![NodeId(0), NodeId(1)], Telemetry::new())
     }
 
     #[test]
@@ -872,6 +879,7 @@ mod tests {
         let fab = presets::sci().build(
             FabricId(2),
             vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)],
+            Telemetry::new(),
         );
         let a = fab.attach(NodeId(0), "t").unwrap();
         let b = fab.attach(NodeId(1), "t").unwrap();
@@ -912,6 +920,7 @@ mod tests {
             model,
             Some(2),
             (0..4).map(NodeId).collect(),
+            Telemetry::new(),
         );
         let a = fab.attach(NodeId(0), "t").unwrap();
         a.map_remote(NodeId(1)).unwrap();
@@ -1000,7 +1009,7 @@ mod tests {
 
     #[test]
     fn dead_mapping_hardware_refuses_remap() {
-        let fab = presets::sci().build(FabricId(4), vec![NodeId(0), NodeId(1)]);
+        let fab = presets::sci().build(FabricId(4), vec![NodeId(0), NodeId(1)], Telemetry::new());
         let a = fab.attach(NodeId(0), "t").unwrap();
         let b = fab.attach(NodeId(1), "t").unwrap();
         let ca = SimClock::new();
@@ -1072,8 +1081,11 @@ mod tests {
     fn concurrent_senders_share_receiver_nic() {
         // Nodes 0 and 1 both blast node 2: each flow should see roughly
         // half the line rate because the receiving NIC serializes them.
-        let fab =
-            presets::myrinet2000().build(FabricId(3), vec![NodeId(0), NodeId(1), NodeId(2)]);
+        let fab = presets::myrinet2000().build(
+            FabricId(3),
+            vec![NodeId(0), NodeId(1), NodeId(2)],
+            Telemetry::new(),
+        );
         let rx = fab.attach(NodeId(2), "sink").unwrap();
         let len = 256 << 10;
         let rounds = 8;

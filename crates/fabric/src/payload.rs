@@ -203,7 +203,8 @@ impl Payload {
     }
 }
 
-/// A process-global slab pool for hot-path scratch buffers.
+/// A process-global slab pool for hot-path scratch buffers — an
+/// allocator cache, shared by every world in the process like `malloc`.
 ///
 /// Wire layers (frame headers, SYN packets, cipher scratch, CDR copy
 /// profiles, kernel-copy receives) used to allocate a fresh `Vec` per

@@ -17,6 +17,7 @@
 use crate::fabric::{AccessMode, FabricKind, Paradigm, SimFabric};
 use crate::model::LinkModel;
 use padico_util::ids::{FabricId, NodeId};
+use padico_util::Telemetry;
 use std::sync::Arc;
 
 /// SCI per-node mapping-table size.
@@ -49,8 +50,14 @@ impl FabricPreset {
         &self.model
     }
 
-    /// Instantiate a fabric connecting `members`.
-    pub fn build(&self, id: FabricId, members: Vec<NodeId>) -> Arc<SimFabric> {
+    /// Instantiate a fabric connecting `members`, reporting into
+    /// `telemetry`.
+    pub fn build(
+        &self,
+        id: FabricId,
+        members: Vec<NodeId>,
+        telemetry: Arc<Telemetry>,
+    ) -> Arc<SimFabric> {
         SimFabric::new(
             id,
             self.kind,
@@ -59,6 +66,7 @@ impl FabricPreset {
             self.model.clone(),
             self.mapping_limit,
             members,
+            telemetry,
         )
     }
 }

@@ -62,6 +62,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use padico_util::ids::NodeId;
 use padico_util::simtime::Vt;
+use padico_util::Telemetry;
 
 use crate::fabric::Message;
 use crate::payload::pool::RecordPool;
@@ -205,6 +206,8 @@ pub struct WorldSched {
     steals: AtomicU64,
     watermark: AtomicU64,
     lanes: Mutex<LaneLog>,
+    /// The world's telemetry, where the `sched.*` series land.
+    telemetry: Arc<Telemetry>,
     stop: AtomicBool,
     /// Workers registered as about to wait (or waiting) on `park_cv`.
     parked: AtomicUsize,
@@ -233,9 +236,10 @@ fn shard_of(node: NodeId, shards: usize) -> usize {
 
 impl WorldSched {
     /// Start a scheduler with `shards` heap shards served by `workers`
-    /// threads. `workers == 0` is valid for tests and single-threaded
-    /// driving via [`WorldSched::run_until_idle`].
-    pub fn start(shards: usize, workers: usize) -> Arc<WorldSched> {
+    /// threads, recording its `sched.*` series into `telemetry`.
+    /// `workers == 0` is valid for tests and single-threaded driving via
+    /// [`WorldSched::run_until_idle`].
+    pub fn start(shards: usize, workers: usize, telemetry: Arc<Telemetry>) -> Arc<WorldSched> {
         let sched = Arc::new(WorldSched {
             shards: (0..shards.max(1))
                 .map(|_| Shard {
@@ -254,6 +258,7 @@ impl WorldSched {
             steals: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
             lanes: Mutex::new(LaneLog::default()),
+            telemetry,
             stop: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
             park: Mutex::new(()),
@@ -411,9 +416,11 @@ impl WorldSched {
             lag: self.watermark.load(Ordering::Relaxed).saturating_sub(oldest),
             stolen,
         };
-        padico_util::timeseries::record("sched.delivered", newest, batch.len() as u64);
+        self.telemetry
+            .record("sched.delivered", newest, batch.len() as u64);
         if stolen {
-            padico_util::timeseries::record("sched.steals", newest, batch.len() as u64);
+            self.telemetry
+                .record("sched.steals", newest, batch.len() as u64);
         }
         let mut lanes = self.lanes.lock();
         if lanes.samples.len() == LANE_CAP {
@@ -548,7 +555,7 @@ mod tests {
 
     #[test]
     fn events_dispatch_in_virtual_time_order() {
-        let sched = WorldSched::start(4, 0);
+        let sched = WorldSched::start(4, 0, Telemetry::new());
         let seen: Arc<Mutex<Vec<(Vt, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
         sched.register(
@@ -573,7 +580,7 @@ mod tests {
 
     #[test]
     fn unregistered_destination_counts_dropped() {
-        let sched = WorldSched::start(2, 0);
+        let sched = WorldSched::start(2, 0, Telemetry::new());
         sched.post(NodeId(3), 5, NodeId(0), msg(NodeId(0), 1));
         sched.run_until_idle();
         assert_eq!(sched.stats().dropped, 1);
@@ -583,7 +590,7 @@ mod tests {
 
     #[test]
     fn a_handler_may_stop_its_own_scheduler() {
-        let sched = WorldSched::start(1, 1);
+        let sched = WorldSched::start(1, 1, Telemetry::new());
         let stopped = Arc::new(AtomicBool::new(false));
         let (s, flag) = (Arc::clone(&sched), Arc::clone(&stopped));
         sched.register(
@@ -600,7 +607,7 @@ mod tests {
 
     #[test]
     fn worker_pool_quiesces_after_burst() {
-        let sched = WorldSched::start(8, 2);
+        let sched = WorldSched::start(8, 2, Telemetry::new());
         let hits = Arc::new(AtomicU64::new(0));
         for n in 0..16u32 {
             let h = Arc::clone(&hits);
@@ -625,7 +632,7 @@ mod tests {
     fn event_records_recycle_through_the_pool() {
         // Reads only this scheduler's own record counters: sibling tests
         // post to cold schedulers of their own concurrently.
-        let sched = WorldSched::start(2, 0);
+        let sched = WorldSched::start(2, 0, Telemetry::new());
         sched.register(NodeId(0), Arc::new(|_m| {}));
         // Warm the shelf.
         for i in 0..8u64 {
@@ -645,7 +652,7 @@ mod tests {
 
     #[test]
     fn lane_telemetry_samples_batches() {
-        let sched = WorldSched::start(4, 0);
+        let sched = WorldSched::start(4, 0, Telemetry::new());
         sched.register(NodeId(0), Arc::new(|_m| {}));
         for i in 0..100u64 {
             sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
@@ -672,7 +679,7 @@ mod tests {
     fn lane_log_keeps_the_most_recent_window() {
         // One event per batch: every post is drained on its own, so the
         // log sees exactly one sample per event.
-        let sched = WorldSched::start(1, 0);
+        let sched = WorldSched::start(1, 0, Telemetry::new());
         sched.register(NodeId(0), Arc::new(|_m| {}));
         let total = LANE_CAP as u64 + 10;
         for i in 0..total {
@@ -696,7 +703,7 @@ mod tests {
         // A post to a pool whose only worker is parked must wake it:
         // each round trip below waits on its own delivery, with no other
         // traffic to rescue a lost wakeup.
-        let sched = WorldSched::start(1, 1);
+        let sched = WorldSched::start(1, 1, Telemetry::new());
         let (tx, rx) = std::sync::mpsc::channel();
         let tx = Mutex::new(tx);
         sched.register(
@@ -714,7 +721,7 @@ mod tests {
 
     #[test]
     fn handler_replacement_is_latest_wins() {
-        let sched = WorldSched::start(2, 0);
+        let sched = WorldSched::start(2, 0, Telemetry::new());
         let first = Arc::new(AtomicU64::new(0));
         let second = Arc::new(AtomicU64::new(0));
         let f = Arc::clone(&first);

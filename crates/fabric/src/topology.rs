@@ -12,6 +12,7 @@ use crate::fabric::SimFabric;
 use crate::presets::FabricPreset;
 use crate::sched::WorldSched;
 use padico_util::ids::{FabricId, NodeId};
+use padico_util::Telemetry;
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
@@ -43,6 +44,9 @@ pub struct Topology {
     nodes: Vec<NodeInfo>,
     fabrics: Vec<Arc<SimFabric>>,
     by_name: HashMap<String, NodeId>,
+    /// The world's one telemetry handle: every layer of every node
+    /// booted on this topology reports here, and nowhere else.
+    telemetry: Arc<Telemetry>,
     /// The world's discrete-event scheduler, started lazily when the
     /// first node boots (a topology used only by raw fabric clients
     /// never pays for the worker pool).
@@ -119,6 +123,12 @@ impl Topology {
         }
     }
 
+    /// The world's telemetry: metrics, vt windows, spans and recovery
+    /// totals of everything running on this topology.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
+    }
+
     /// The world scheduler serving this topology's nodes.
     /// Started on first call: 64 shards, worker pool sized to half the
     /// available cores (clamped to 1..=4 — the workload is event
@@ -129,7 +139,7 @@ impl Topology {
                 .map(|p| p.get() / 2)
                 .unwrap_or(1)
                 .clamp(1, 4);
-            WorldSched::start(SCHED_SHARDS, workers)
+            WorldSched::start(SCHED_SHARDS, workers, Arc::clone(&self.telemetry))
         })
     }
 
@@ -191,6 +201,7 @@ impl TopologyBuilder {
     }
 
     pub fn build(self) -> Topology {
+        let telemetry = Telemetry::new();
         let by_name = self
             .nodes
             .iter()
@@ -200,12 +211,15 @@ impl TopologyBuilder {
             .fabric_plans
             .into_iter()
             .enumerate()
-            .map(|(i, (preset, members))| preset.build(FabricId(i as u32), members))
+            .map(|(i, (preset, members))| {
+                preset.build(FabricId(i as u32), members, Arc::clone(&telemetry))
+            })
             .collect();
         Topology {
             nodes: self.nodes,
             fabrics,
             by_name,
+            telemetry,
             sched: OnceLock::new(),
         }
     }

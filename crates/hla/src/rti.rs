@@ -21,7 +21,6 @@ use padico_tm::module::PadicoModule;
 use padico_tm::runtime::PadicoTM;
 use padico_tm::TmError;
 use padico_util::ids::IdGen;
-use padico_util::trace_info;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -323,7 +322,6 @@ impl Servant for Rtig {
 /// Start an RTIG on an ORB; returns its IOR (bind it in naming for
 /// discovery).
 pub fn start_rtig(orb: &Arc<Orb>) -> Ior {
-    trace_info!("hla", "{}: RTIG up", orb.node());
     orb.activate(Arc::new(Rtig {
         orb: Arc::clone(orb),
         ids: IdGen::new(),
@@ -339,8 +337,7 @@ impl PadicoModule for HlaModule {
         "hla.certi"
     }
 
-    fn init(&self, tm: &Arc<PadicoTM>) -> Result<(), TmError> {
-        trace_info!("hla", "{}: Certi module initialized", tm.node());
+    fn init(&self, _tm: &Arc<PadicoTM>) -> Result<(), TmError> {
         Ok(())
     }
 }

@@ -27,8 +27,7 @@
 
 use padico_fabric::Payload;
 use padico_tm::vlink::VLinkStream;
-use padico_tm::TmError;
-use padico_util::metrics::counter_add;
+use padico_tm::{ArbitratedDriver, TmError};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -278,7 +277,12 @@ impl ReplyHandle {
                 drop(st);
                 self.consumed = true;
                 self.mux.pending.lock().remove(&self.request_id);
-                counter_add("orb.cancel.sent", 1);
+                self.mux
+                    .stream
+                    .core()
+                    .tm()
+                    .telemetry()
+                    .counter_add("orb.cancel.sent", 1);
                 self.mux.send_cancel(self.request_id);
                 return Err(classify_transport(TmError::Timeout(format!(
                     "GIOP reply to request {}",

@@ -25,8 +25,7 @@ use padico_tm::selector::FabricChoice;
 use padico_tm::vlink::{VLinkListener, VLinkStream};
 use padico_tm::TmError;
 use padico_util::ids::NodeId;
-use padico_util::metrics::counter_add;
-use padico_util::{trace_debug, trace_info};
+use padico_util::Telemetry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
@@ -106,6 +105,8 @@ struct AdmissionController {
     /// Maximum concurrently dispatching requests; `None` = unbounded
     /// (admission control off, the default).
     budget: Option<u32>,
+    /// The world's telemetry, where admission decisions are counted.
+    telemetry: Arc<Telemetry>,
     inflight: AtomicU32,
     /// High-water mark of `inflight`; with a budget configured it can
     /// never exceed it — the overload chaos test asserts exactly that.
@@ -113,9 +114,10 @@ struct AdmissionController {
 }
 
 impl AdmissionController {
-    fn new(budget: Option<u32>) -> Arc<AdmissionController> {
+    fn new(budget: Option<u32>, telemetry: Arc<Telemetry>) -> Arc<AdmissionController> {
         Arc::new(AdmissionController {
             budget,
+            telemetry,
             inflight: AtomicU32::new(0),
             peak: AtomicU32::new(0),
         })
@@ -140,7 +142,7 @@ impl AdmissionController {
         loop {
             let cur = self.inflight.load(Ordering::Acquire);
             if cur >= budget {
-                counter_add("orb.admission.shed", 1);
+                self.telemetry.counter_add("orb.admission.shed", 1);
                 return None;
             }
             if self
@@ -149,7 +151,7 @@ impl AdmissionController {
                 .is_ok()
             {
                 self.peak.fetch_max(cur + 1, Ordering::AcqRel);
-                counter_add("orb.admission.admitted", 1);
+                self.telemetry.counter_add("orb.admission.admitted", 1);
                 return Some(AdmissionPermit {
                     ctl: Some(Arc::clone(self)),
                 });
@@ -217,19 +219,16 @@ impl Orb {
             conns: Mutex::new(HashMap::new()),
             server_conns: AtomicUsize::new(0),
             protocol,
-            admission: AdmissionController::new(tm.config().inflight_budget),
+            admission: AdmissionController::new(
+                tm.config().inflight_budget,
+                Arc::clone(tm.telemetry()),
+            ),
             cancels_suppressed: std::sync::atomic::AtomicU64::new(0),
         });
         let serving = Arc::clone(&orb);
         VLinkListener::on_accept(&tm, &orb.endpoint_service, move |stream| {
             ServerConn::serve(Arc::clone(&serving), stream)
         })?;
-        trace_info!(
-            "orb",
-            "{}: ORB `{name}` up ({})",
-            tm.node(),
-            orb.profile.name
-        );
         Ok(orb)
     }
 
@@ -307,28 +306,26 @@ impl Orb {
             return;
         };
         let clock = self.tm.clock().share();
+        let telemetry = self.tm.telemetry();
         // Adopt the caller's wire context so the servant's work (and any
-        // nested invocations it makes) joins the caller's trace tree.
+        // nested invocations it makes) joins the caller's trace tree,
+        // recorded into this (the serving) world's telemetry.
         let ctx_guard = (trace_id != 0).then(|| {
-            padico_util::span::adopt(padico_util::span::SpanCtx {
-                trace_id,
-                span_id: parent_span,
-            })
+            padico_util::span::adopt(
+                telemetry,
+                padico_util::span::SpanCtx {
+                    trace_id,
+                    span_id: parent_span,
+                },
+            )
         });
         // A deadline that expired in flight short-circuits before any
         // servant work: the caller has already given up, so burning CPU
         // on the reply only steals time from requests that can still
         // make theirs. Answer the typed TIMEOUT instead.
         if deadline != 0 && clock.now() >= deadline {
-            counter_add("orb.deadline.expired_server", 1);
-            padico_util::timeseries::bump("orb.deadline.expired_server", clock.now());
-            trace_debug!(
-                "orb",
-                "{}: request {request_id} (`{operation}`) arrived {} vns past \
-                 its deadline; dispatch short-circuited",
-                self.tm.node(),
-                clock.now() - deadline
-            );
+            telemetry.counter_add("orb.deadline.expired_server", 1);
+            telemetry.bump("orb.deadline.expired_server", clock.now());
             let cancelled = conn.cancel_reg.lock().remove(&request_id).unwrap_or(false);
             if response_expected && !cancelled {
                 let mut w = CdrWriter::new(self.profile.strategy);
@@ -362,6 +359,7 @@ impl Orb {
                     node: self.tm.node(),
                     clock: clock.share(),
                     caller: conn.stream.peer(),
+                    telemetry: Arc::clone(telemetry),
                 };
                 // Copying profiles physically flatten the request into
                 // one unmarshalling buffer (the copy `charge_server`
@@ -408,11 +406,6 @@ impl Orb {
         if cancelled {
             self.cancels_suppressed
                 .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
-            trace_debug!(
-                "orb",
-                "{}: reply to cancelled request {request_id} suppressed",
-                self.tm.node()
-            );
         }
         if response_expected && !cancelled {
             let reply_payload = reply_writer.finish();
@@ -509,16 +502,13 @@ impl Orb {
     /// Account one GIOP retry: charge the policy's backoff to the node's
     /// virtual clock and bump the recovery counters.
     fn note_giop_retry(&self, retry: u32, policy: &padico_tm::RetryPolicy) {
-        padico_util::timeseries::bump("recovery.giop_retries", self.tm.clock().now());
+        self.tm
+            .telemetry()
+            .bump("recovery.giop_retries", self.tm.clock().now());
         let charged = policy.charge_backoff(self.tm.clock(), retry);
         let recovery = self.tm.recovery();
         padico_tm::faults::note(recovery, |r| &r.giop_retries);
         padico_tm::faults::note_backoff(recovery, charged);
-        trace_debug!(
-            "orb",
-            "{}: GIOP retry #{retry}, backed off {charged} vns",
-            self.tm.node()
-        );
     }
 }
 
@@ -589,17 +579,12 @@ impl ServerConn {
             GiopMessage::Request {
                 request_id,
                 response_expected,
-                ref operation,
                 ..
             } => {
                 let Some(permit) = orb.admission.try_admit() else {
-                    padico_util::timeseries::bump("orb.admission.shed", orb.tm.clock().now());
-                    trace_debug!(
-                        "orb",
-                        "{}: shed request {request_id} (`{operation}`): \
-                         admission budget exhausted",
-                        orb.tm.node()
-                    );
+                    orb.tm
+                        .telemetry()
+                        .bump("orb.admission.shed", orb.tm.clock().now());
                     if response_expected {
                         let mut w = CdrWriter::new(orb.profile.strategy);
                         w.write_string("admission budget exhausted");
@@ -638,16 +623,9 @@ impl ServerConn {
                 // A cancel for a dispatch still in flight flags it so its
                 // reply write is suppressed (the client has already given
                 // up waiting); a cancel that lost the race against
-                // completion is logged and ignored, as real ORBs do.
-                let mut reg = self.cancel_reg.lock();
-                if let Some(flag) = reg.get_mut(&request_id) {
+                // completion is ignored, as real ORBs do.
+                if let Some(flag) = self.cancel_reg.lock().get_mut(&request_id) {
                     *flag = true;
-                    trace_debug!(
-                        "orb",
-                        "CancelRequest {request_id}: reply will be suppressed"
-                    );
-                } else {
-                    trace_debug!("orb", "late CancelRequest {request_id}");
                 }
             }
             GiopMessage::CloseConnection | GiopMessage::MessageError => self.close(),
@@ -723,7 +701,9 @@ impl ObjectRef {
         loop {
             let remaining = deadline_vt.saturating_sub(clock.now());
             if remaining == 0 {
-                counter_add("orb.deadline.expired_client", 1);
+                orb.tm
+                    .telemetry()
+                    .counter_add("orb.deadline.expired_client", 1);
                 return Err(OrbError::DeadlineExceeded(format!(
                     "locate budget spent after {retry} attempts"
                 )));
@@ -976,7 +956,9 @@ impl AsyncReply {
         let clock = orb.tm.clock();
         let remaining = self.deadline_vt.saturating_sub(clock.now());
         if remaining == 0 {
-            counter_add("orb.deadline.expired_client", 1);
+            orb.tm
+                .telemetry()
+                .counter_add("orb.deadline.expired_client", 1);
             self.attempt = AttemptState::Failed(OrbError::DeadlineExceeded(format!(
                 "budget spent before attempt {} of `{}`",
                 self.retry + 1,
@@ -986,7 +968,9 @@ impl AsyncReply {
         }
         // Install the submit-time context for the span parentage and the
         // transport's own tracing; restored on scope exit.
-        let _ctx = self.parent_ctx.map(padico_util::span::adopt);
+        let _ctx = self
+            .parent_ctx
+            .map(|ctx| padico_util::span::adopt(orb.tm.telemetry(), ctx));
         // One span per GIOP attempt; a re-issue links back to the
         // attempt it replaces so the trace shows the recovery story.
         let mut attempt_span = padico_util::span::child_retry(
@@ -1569,12 +1553,16 @@ mod tests {
         let obj = client.object_ref(ior.clone());
         obj.request("noop").invoke().unwrap();
         // Client side: the reply router holds the mux weakly, so evicting
-        // the cached connection frees the mux and its stream.
+        // the cached connection frees the mux and its stream (once the
+        // scheduler worker that routed the reply has let go of it).
         let mux = client.connection(ior.node, &ior.endpoint).unwrap();
         let weak = Arc::downgrade(&mux);
         drop(mux);
         client.drop_connection(ior.node, &ior.endpoint);
-        assert!(weak.upgrade().is_none(), "a dropped mux must not stay alive");
+        assert!(
+            eventually(|| weak.upgrade().is_none()),
+            "a dropped mux must not stay alive"
+        );
         // Server side: a connection whose peer closes gives up its
         // dispatch pool and stream once its last dispatch ends.
         assert_eq!(server.server_connections(), 1);

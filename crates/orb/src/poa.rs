@@ -15,6 +15,7 @@ use crate::ior::ObjectKey;
 use padico_util::ids::IdGen;
 use padico_util::ids::NodeId;
 use padico_util::simtime::SimClock;
+use padico_util::Telemetry;
 
 /// Context a servant sees while dispatching.
 pub struct ServerCtx {
@@ -24,6 +25,9 @@ pub struct ServerCtx {
     pub clock: SimClock,
     /// Requesting node (from the connection).
     pub caller: NodeId,
+    /// The serving world's telemetry (servants adopting a shipped span
+    /// context record into it).
+    pub telemetry: Arc<Telemetry>,
 }
 
 /// A CORBA-style servant: dispatches operations by name, reading arguments
@@ -128,6 +132,7 @@ mod tests {
             node: NodeId(0),
             clock: SimClock::new(),
             caller: NodeId(1),
+            telemetry: Telemetry::new(),
         }
     }
 

@@ -6,7 +6,6 @@ use padico_tm::selector::FabricChoice;
 use padico_tm::vlink::{VLinkListener, VLinkStream};
 use padico_tm::TmError;
 use padico_util::ids::NodeId;
-use padico_util::trace_info;
 use std::sync::Arc;
 
 use crate::envelope::{self, Decoded, Fault, SoapValue};
@@ -40,7 +39,6 @@ impl SoapServer {
             std::thread::spawn(move || serve_connection(&stream, &handler));
             Ok(())
         })?;
-        trace_info!("soap", "{}: SOAP service `{service}` up", tm.node());
         Ok(SoapServer {
             service: service.to_string(),
             tm,
@@ -152,8 +150,7 @@ impl PadicoModule for SoapModule {
         "soap.gsoap"
     }
 
-    fn init(&self, tm: &Arc<PadicoTM>) -> Result<(), TmError> {
-        trace_info!("soap", "{}: gSOAP module initialized", tm.node());
+    fn init(&self, _tm: &Arc<PadicoTM>) -> Result<(), TmError> {
         Ok(())
     }
 }

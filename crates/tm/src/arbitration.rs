@@ -44,7 +44,7 @@
 //! ([`CHANNEL_QUEUE_CAP`]) and messages parked for not-yet-subscribed
 //! channels draw from a per-node budget ([`PARKED_BUDGET`]). Beyond the
 //! budget, parked messages are *dropped* (counted in the
-//! `tm.parked.dropped` metric and warned about) — an unsubscribed channel
+//! `tm.parked.dropped` metric) — an unsubscribed channel
 //! must not grow the node's memory without bound.
 //!
 //! ## Concurrency structure
@@ -64,7 +64,7 @@ use padico_fabric::{
 use padico_util::ids::{ChannelId, FabricId, IdGen, NodeId};
 use padico_util::simtime::{SimClock, Vt};
 use padico_util::stats::RecoveryStats;
-use padico_util::{trace_info, trace_warn};
+use padico_util::Telemetry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -91,11 +91,12 @@ const SHARD_COUNT: usize = 2;
 const CHANNEL_QUEUE_CAP: usize = 1024;
 
 /// Per-node budget of messages parked for not-yet-subscribed channels.
-/// Beyond it, further parked messages are dropped (counted + warned).
+/// Beyond it, further parked messages are dropped (and counted).
 const PARKED_BUDGET: usize = 8192;
 
-/// Process-wide generator for logical channel ids. The whole simulated
-/// grid lives in one OS process, so these are grid-unique.
+/// Process-wide generator for logical channel ids: ids only need to be
+/// unique, and one shared counter keeps them unique across every world in
+/// the process.
 static CHANNEL_IDS: IdGen = IdGen::new();
 
 /// Allocate a fresh, grid-unique logical channel id.
@@ -145,14 +146,17 @@ struct ChannelMap {
     /// Messages currently parked across all shards, bounded by `budget`.
     parked_total: AtomicUsize,
     parked_budget: usize,
+    /// The world's telemetry, where dropped parked messages are counted.
+    telemetry: Arc<Telemetry>,
 }
 
 impl ChannelMap {
-    fn new(parked_budget: usize) -> ChannelMap {
+    fn new(parked_budget: usize, telemetry: Arc<Telemetry>) -> ChannelMap {
         ChannelMap {
             shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             parked_total: AtomicUsize::new(0),
             parked_budget,
+            telemetry,
         }
     }
 
@@ -162,14 +166,9 @@ impl ChannelMap {
 
     /// Reserve one slot of the parked budget; on exhaustion the message is
     /// accounted as dropped and `false` is returned.
-    fn try_park(&self, channel: ChannelId) -> bool {
+    fn try_park(&self) -> bool {
         if self.parked_total.load(Ordering::Relaxed) >= self.parked_budget {
-            padico_util::metrics::counter_add("tm.parked.dropped", 1);
-            trace_warn!(
-                "tm.arbitration",
-                "parked budget ({}) exhausted; dropping message for {channel}",
-                self.parked_budget
-            );
+            self.telemetry.counter_add("tm.parked.dropped", 1);
             return false;
         }
         self.parked_total.fetch_add(1, Ordering::Relaxed);
@@ -201,14 +200,14 @@ impl ChannelMap {
                     return Ok(());
                 }
                 Some(ChannelEntry::Parked(v)) => {
-                    if self.try_park(channel) {
+                    if self.try_park() {
                         v.push(msg);
                         return Ok(());
                     }
                     return Err(overloaded(channel));
                 }
                 None => {
-                    if self.try_park(channel) {
+                    if self.try_park() {
                         entries.insert(channel, ChannelEntry::Parked(vec![msg]));
                         return Ok(());
                     }
@@ -219,7 +218,7 @@ impl ChannelMap {
         if let Err(err) = tx.send(msg) {
             // Subscriber dropped without unsubscribing; repark.
             let mut entries = shard.lock();
-            if !self.try_park(channel) {
+            if !self.try_park() {
                 return Err(overloaded(channel));
             }
             if let Some(ChannelEntry::Parked(v)) = entries.get_mut(&channel) {
@@ -389,7 +388,7 @@ impl NodeCell {
 
     /// Process one inbound message: demultiplex it by channel id.
     /// Inbound shed has nobody to answer, so the drop is only counted
-    /// (`tm.parked.dropped`) and warned about.
+    /// (`tm.parked.dropped`).
     pub fn step(&self, msg: Message) {
         self.steps.fetch_add(1, Ordering::Relaxed);
         let _ = self.map.dispatch(msg.channel, msg);
@@ -430,8 +429,9 @@ pub struct NetAccess {
     cell: Arc<NodeCell>,
     /// The world scheduler this node is registered with.
     sched: Arc<WorldSched>,
-    /// Per-node recovery bookkeeping; the runtime façade exposes it.
-    recovery: RecoveryStats,
+    /// Per-node recovery bookkeeping; the runtime façade exposes it and
+    /// the world's telemetry sums it into `recovery.*`.
+    recovery: Arc<RecoveryStats>,
 }
 
 impl NetAccess {
@@ -447,7 +447,8 @@ impl NetAccess {
         node: NodeId,
         clock: SimClock,
     ) -> Result<Arc<NetAccess>, TmError> {
-        let map = Arc::new(ChannelMap::new(PARKED_BUDGET));
+        let telemetry = topology.telemetry();
+        let map = Arc::new(ChannelMap::new(PARKED_BUDGET, Arc::clone(telemetry)));
         let cell = Arc::new(NodeCell::new(node, Arc::clone(&map)));
         let sched = Arc::clone(topology.sched());
         let mut attachments = Vec::new();
@@ -468,25 +469,18 @@ impl NetAccess {
                         // Best effort: a table smaller than the member set
                         // degrades to on-demand mapping at send time.
                         if fabric.map_remote(node, peer).is_err() {
-                            trace_warn!(
-                                "tm.arbitration",
-                                "{node}: SCI mapping table too small for all peers"
-                            );
+                            telemetry.counter_add("tm.arbitration.mapping_table_short", 1);
                             break;
                         }
                     }
                 }
             }
-            trace_info!(
-                "tm.arbitration",
-                "{node}: attached {} ({})",
-                fabric.id(),
-                fabric.model().name
-            );
             attachments.push(Attachment { fabric, endpoint });
         }
         let step = Arc::clone(&cell);
         sched.register(node, Arc::new(move |msg| step.step(msg)));
+        let recovery = Arc::new(RecoveryStats::new());
+        telemetry.register_recovery(Arc::clone(&recovery));
 
         Ok(Arc::new(NetAccess {
             node,
@@ -495,7 +489,7 @@ impl NetAccess {
             map,
             cell,
             sched,
-            recovery: RecoveryStats::new(),
+            recovery,
         }))
     }
 
@@ -590,9 +584,6 @@ impl NetAccess {
                 // caller fails over to another fabric.
                 att.fabric.map_remote(self.node, dst)?;
                 self.recovery.mapping_remaps.fetch_add(1, Ordering::Relaxed);
-                padico_util::stats::global_recovery()
-                    .mapping_remaps
-                    .fetch_add(1, Ordering::Relaxed);
                 att.endpoint
                     .send(&self.clock, dst_addr, channel, payload)
                     .map_err(TmError::from)
@@ -669,6 +660,22 @@ mod tests {
         let net = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
         assert_eq!(net.fabrics().len(), 3);
         assert_eq!(net.node(), ids[0]);
+    }
+
+    #[test]
+    fn short_sci_mapping_tables_are_counted() {
+        // Two more peers than an SCI table holds: every node maps what
+        // fits at bring-up and the shortfall lands in its world's counter.
+        let mut b = Topology::builder();
+        let n = padico_fabric::presets::SCI_MAPPING_LIMIT + 3;
+        let ids = b.machine("n", "sci", n, padico_fabric::SecurityZone::Trusted);
+        b.fabric(padico_fabric::presets::sci(), ids.clone());
+        let topo = b.build();
+        for &id in &ids {
+            NetAccess::bring_up(&topo, id, SimClock::new()).unwrap();
+        }
+        let short = topo.telemetry().metrics().counter("tm.arbitration.mapping_table_short");
+        assert_eq!(short, n as u64);
     }
 
     #[test]
@@ -819,7 +826,8 @@ mod tests {
         // Unit-level: a registry with a budget of 2 parks two messages and
         // drops the third; subscribing replays exactly the survivors and
         // returns the budget.
-        let map = ChannelMap::new(2);
+        let telemetry = Telemetry::new();
+        let map = ChannelMap::new(2, Arc::clone(&telemetry));
         let ch = ChannelId(7777);
         let msg = |n: u8| Message {
             src: EndpointAddr {
@@ -840,6 +848,7 @@ mod tests {
         assert!(err.is_transient(), "shed-at-arbitration is retryable");
         assert!(!err.is_link_level(), "shed does not indict the fabric");
         assert_eq!(map.parked_total.load(Ordering::Relaxed), 2);
+        assert_eq!(telemetry.metrics().counter("tm.parked.dropped"), 1);
         let rx = map.subscribe(ch, NodeId(0)).unwrap();
         assert_eq!(rx.try_recv().unwrap().payload.to_vec(), vec![1]);
         assert_eq!(rx.try_recv().unwrap().payload.to_vec(), vec![2]);

@@ -35,11 +35,10 @@
 
 use padico_fabric::{pool, Message, Paradigm, Payload};
 use padico_util::ids::{ChannelId, FabricId, NodeId};
-use padico_util::metrics::counter_add;
 use padico_util::simtime::{SimClock, Vt};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -59,31 +58,6 @@ const ENV_AGG: u8 = 1;
 fn env_tag(tag: u8) -> bytes::Bytes {
     static TAGS: [u8; 2] = [ENV_SINGLE, ENV_AGG];
     bytes::Bytes::from_static(std::slice::from_ref(&TAGS[usize::from(tag)]))
-}
-
-// Coalescer counters. Module-local atomics rather than the metrics
-// registry: batching varies with wall-clock thread interleaving, and the
-// registry's renders must stay byte-identical across same-seed chaos
-// runs. The observability layer folds these in as `tm.coalesce.*`.
-static FRAMES_COALESCED: AtomicU64 = AtomicU64::new(0);
-static COALESCE_FLUSHES: AtomicU64 = AtomicU64::new(0);
-
-/// A point-in-time view of the process-wide coalescer counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CoalesceStats {
-    /// Sub-threshold frames that entered a batch instead of going to the
-    /// wire on their own.
-    pub frames_coalesced: u64,
-    /// Batches flushed to the wire (each one wire message).
-    pub flushes: u64,
-}
-
-/// Current coalescer counters (all links, whole process).
-pub fn coalesce_stats() -> CoalesceStats {
-    CoalesceStats {
-        frames_coalesced: FRAMES_COALESCED.load(Relaxed),
-        flushes: COALESCE_FLUSHES.load(Relaxed),
-    }
 }
 
 /// Frames queued towards one destination within one virtual tick.
@@ -195,7 +169,7 @@ fn breaker_admit(tm: &PadicoTM, fabric: FabricId, dst: NodeId) -> Result<(), TmE
     };
     let now = tm.clock().now();
     if now < until {
-        counter_add("tm.breaker.fast_failures", 1);
+        tm.telemetry().counter_add("tm.breaker.fast_failures", 1);
         return Err(TmError::CircuitOpen(format!(
             "route to {dst} open until vt {until}"
         )));
@@ -203,7 +177,7 @@ fn breaker_admit(tm: &PadicoTM, fabric: FabricId, dst: NodeId) -> Result<(), TmE
     // Cooldown over: this attempt is the half-open probe.
     st.open_until = None;
     st.probing = true;
-    counter_add("tm.breaker.probes", 1);
+    tm.telemetry().counter_add("tm.breaker.probes", 1);
     breaker_transition_span(tm, format!("probe:{dst}"), now);
     Ok(())
 }
@@ -218,7 +192,7 @@ fn breaker_note_success(tm: &PadicoTM, fabric: FabricId, dst: NodeId) {
     let mut routes = routes.lock();
     let st = routes.entry((fabric, dst)).or_default();
     if st.probing {
-        counter_add("tm.breaker.closed", 1);
+        tm.telemetry().counter_add("tm.breaker.closed", 1);
         breaker_transition_span(tm, format!("close:{dst}"), tm.clock().now());
     }
     *st = BreakerState::default();
@@ -245,7 +219,7 @@ fn breaker_note_failure(tm: &PadicoTM, fabric: FabricId, dst: NodeId) {
         let now = tm.clock().now();
         st.open_until = Some(now + policy.cooldown);
         st.consecutive_fails = 0;
-        counter_add("tm.breaker.opened", 1);
+        tm.telemetry().counter_add("tm.breaker.opened", 1);
         breaker_transition_span(tm, format!("open:{dst}"), now);
     }
 }
@@ -257,7 +231,7 @@ fn breaker_note_failure(tm: &PadicoTM, fabric: FabricId, dst: NodeId) {
 /// campaign shows *which window* the route opened in.
 fn breaker_transition_span(tm: &PadicoTM, name: String, at: Vt) {
     let kind = name.split(':').next().unwrap_or("transition");
-    padico_util::timeseries::bump(&format!("tm.breaker.{kind}"), at);
+    tm.telemetry().bump(&format!("tm.breaker.{kind}"), at);
     let mut span = padico_util::span::child(tm.clock(), tm.node().0, "tm.breaker", name);
     span.end_at(at);
 }
@@ -475,7 +449,7 @@ impl LinkCore {
         batch.tick = tick;
         batch.bytes += wire.len();
         batch.frames.push(wire);
-        FRAMES_COALESCED.fetch_add(1, Relaxed);
+        self.tm.telemetry().frames_coalesced.fetch_add(1, Relaxed);
         if batch.bytes >= cbox.policy.max_batch_bytes {
             self.flush_batch(&mut batch)?;
         }
@@ -501,7 +475,7 @@ impl LinkCore {
         let (dst, channel) = batch.dst.take().expect("non-empty batch has a destination");
         let frames = std::mem::take(&mut batch.frames);
         batch.bytes = 0;
-        COALESCE_FLUSHES.fetch_add(1, Relaxed);
+        self.tm.telemetry().coalesce_flushes.fetch_add(1, Relaxed);
         let mut env = Payload::new();
         if frames.len() == 1 {
             env.push_segment(env_tag(ENV_SINGLE));
@@ -578,10 +552,9 @@ impl LinkCore {
                     breaker_note_failure(&self.tm, fabric, dst);
                     let rec = self.tm.recovery();
                     faults::note(rec, |r| &r.send_retries);
-                    padico_util::timeseries::bump(
-                        "recovery.send_retries",
-                        self.tm.clock().now(),
-                    );
+                    self.tm
+                        .telemetry()
+                        .bump("recovery.send_retries", self.tm.clock().now());
                     let charged = policy.charge_backoff(self.tm.clock(), attempt);
                     faults::note_backoff(rec, charged);
                     self.try_failover(&err);
@@ -746,7 +719,8 @@ impl LinkCore {
                 Err(err) if attempt < policy.max_attempts && err.is_transient() => {
                     let rec = tm.recovery();
                     faults::note(rec, |r| &r.connect_retries);
-                    padico_util::timeseries::bump("recovery.connect_retries", tm.clock().now());
+                    tm.telemetry()
+                        .bump("recovery.connect_retries", tm.clock().now());
                     let charged = policy.charge_backoff(tm.clock(), attempt);
                     faults::note_backoff(rec, charged);
                     if err.is_link_level() {
@@ -1216,8 +1190,7 @@ mod tests {
 
     #[test]
     fn coalescing_aggregates_small_frames_and_preserves_order() {
-        let before = coalesce_stats();
-        let (_tms, circuits) = coalesced_circuits("co", FabricKind::Myrinet);
+        let (tms, circuits) = coalesced_circuits("co", FabricKind::Myrinet);
         // Ten sub-threshold frames, one oversize (bypasses the batch but
         // must not overtake it), then two more small ones.
         let mut sent = Vec::new();
@@ -1238,12 +1211,9 @@ mod tests {
             assert_eq!((src, h), (0, i as u64), "order preserved");
             assert_eq!(got.to_vec(), *body, "frame {i} byte-identical");
         }
-        let after = coalesce_stats();
-        assert!(
-            after.frames_coalesced >= before.frames_coalesced + 12,
-            "12 sub-threshold frames entered batches"
-        );
-        assert!(after.flushes > before.flushes, "at least one batch flushed");
+        let (frames_coalesced, flushes) = tms[0].telemetry().coalesce_counts();
+        assert!(frames_coalesced >= 12, "12 sub-threshold frames entered batches");
+        assert!(flushes > 0, "at least one batch flushed");
     }
 
     #[test]
@@ -1306,7 +1276,6 @@ mod tests {
 
     #[test]
     fn breaker_trips_fails_fast_and_recovers_via_half_open_probe() {
-        let _iso = padico_util::trace::isolated();
         let cooldown = 5 * padico_util::simtime::MS;
         let (topo, _ids) = single_cluster(2);
         let cfg = TmConfig {
@@ -1358,7 +1327,7 @@ mod tests {
             wire_attempts,
             "an open breaker must not generate wire traffic"
         );
-        let counters = padico_util::metrics::snapshot().counters;
+        let counters = tms[0].telemetry().metrics().counters;
         assert!(counters["tm.breaker.opened"] >= 1, "{counters:?}");
         assert!(counters["tm.breaker.fast_failures"] >= 1, "{counters:?}");
         // Heal the links and let the cooldown elapse on the virtual
@@ -1372,7 +1341,7 @@ mod tests {
         let mut buf = [0u8; 4];
         server.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"pong");
-        let counters = padico_util::metrics::snapshot().counters;
+        let counters = tms[0].telemetry().metrics().counters;
         assert!(counters["tm.breaker.probes"] >= 1, "{counters:?}");
         assert_eq!(counters["tm.breaker.closed"], 1, "{counters:?}");
     }

@@ -15,20 +15,18 @@
 
 use crate::error::TmError;
 use padico_util::simtime::{SimClock, VtDuration, MS, US};
-use padico_util::stats::{global_recovery, RecoveryStats};
+use padico_util::stats::RecoveryStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Bump one recovery counter on both the node-local stats and the
-/// process-global aggregate (bench reports read the aggregate).
+/// Bump one of the node's recovery counters (its world's telemetry sums
+/// every node's into `recovery.*`).
 pub fn note(local: &RecoveryStats, field: fn(&RecoveryStats) -> &AtomicU64) {
     field(local).fetch_add(1, Ordering::Relaxed);
-    field(global_recovery()).fetch_add(1, Ordering::Relaxed);
 }
 
 /// Account `ns` of backoff charged to a virtual clock.
 pub fn note_backoff(local: &RecoveryStats, ns: u64) {
     local.backoff_ns.fetch_add(ns, Ordering::Relaxed);
-    global_recovery().backoff_ns.fetch_add(ns, Ordering::Relaxed);
 }
 
 /// Budgeted-retry policy with exponential backoff.

@@ -45,7 +45,7 @@ pub mod vlink;
 
 pub use arbitration::{ChannelHandler, ChannelRx, NetAccess, NodeCell, TM_SERVICE_PORT};
 pub use circuit::{Circuit, CircuitSpec};
-pub use driver::{coalesce_stats, ArbitratedDriver, CoalesceStats, LinkCore};
+pub use driver::{ArbitratedDriver, LinkCore};
 pub use error::TmError;
 pub use faults::{is_retryable, RetryPolicy};
 pub use module::{ModuleManager, PadicoModule};

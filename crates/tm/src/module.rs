@@ -8,7 +8,6 @@
 //! initialized against the node's [`crate::runtime::PadicoTM`], and can be
 //! started, stopped and unloaded while the process runs.
 
-use padico_util::{trace_info, trace_warn};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -87,7 +86,6 @@ impl ModuleManager {
             }
         }
         module.init(tm)?;
-        trace_info!("tm.module", "{}: loaded `{name}`", tm.node());
         self.slots.lock().insert(
             name,
             Slot {
@@ -144,12 +142,12 @@ impl ModuleManager {
             Arc::clone(&slot.module)
         };
         if self.state(name) == Some(ModuleState::Started) {
-            if let Err(e) = module.stop(tm) {
-                trace_warn!("tm.module", "stop of `{name}` failed during unload: {e}");
+            // The unload goes ahead regardless; the failure is counted.
+            if module.stop(tm).is_err() {
+                tm.telemetry().counter_add("tm.module.stop_failed", 1);
             }
         }
         self.slots.lock().remove(name);
-        trace_info!("tm.module", "{}: unloaded `{name}`", tm.node());
         Ok(())
     }
 

@@ -10,6 +10,7 @@ use padico_fabric::{Paradigm, Topology};
 use padico_util::ids::{FabricId, NodeId};
 use padico_util::simtime::SimClock;
 use padico_util::stats::RecoveryStats;
+use padico_util::Telemetry;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -34,9 +35,8 @@ pub struct TmConfig {
     pub retry: RetryPolicy,
     /// Small-message coalescing policy for every link on this node.
     /// On by default with [`CoalescePolicy::default`]; `None` sends each
-    /// frame as its own wire message (opt out cluster-wide via
-    /// `PADICO_COALESCE=off`, or per-config by setting the field —
-    /// the envelope changes the wire format, so all nodes must agree).
+    /// frame as its own wire message (the envelope changes the wire
+    /// format, so set it alike on every node).
     pub coalesce: Option<CoalescePolicy>,
     /// Bounded inflight-dispatch budget for this node's ORB endpoint.
     /// `None` (the default) admits everything; `Some(b)` load-sheds
@@ -46,12 +46,12 @@ pub struct TmConfig {
     /// `None` (the default) never trips; routes are re-probed on every
     /// call exactly as before.
     pub breaker: Option<BreakerPolicy>,
-    /// Head-based trace sampling policy, installed process-globally at
-    /// boot (the span layer is process-global; the last boot wins, so
-    /// set it once cluster-wide like `coalesce`). `Always` records every
-    /// trace; `SampleEvery(n)` keeps ~1/n of the causal trees, selected
-    /// by trace-id hash, which is how tracing stays on at 100k nodes
-    /// within the events/s overhead budget.
+    /// Head-based trace sampling policy, installed on the world's
+    /// telemetry at boot (one policy per world; the last node booted in a
+    /// world wins, so set it alike on every node like `coalesce`).
+    /// `Always` records every trace; `SampleEvery(n)` keeps ~1/n of the
+    /// causal trees, selected by trace-id hash, which is how tracing stays
+    /// on at 100k nodes within the events/s overhead budget.
     pub trace_sampling: padico_util::span::TraceSampling,
 }
 
@@ -101,26 +101,13 @@ impl Default for CoalescePolicy {
     }
 }
 
-impl CoalescePolicy {
-    /// The cluster-wide default: coalescing on, unless the
-    /// `PADICO_COALESCE` environment variable opts out with `off` / `0`
-    /// / `none`, so the suite can run both ways without touching call
-    /// sites.
-    pub fn default_from_env() -> Option<CoalescePolicy> {
-        match std::env::var("PADICO_COALESCE").as_deref() {
-            Ok("off") | Ok("0") | Ok("none") => None,
-            _ => Some(CoalescePolicy::default()),
-        }
-    }
-}
-
 impl Default for TmConfig {
     fn default() -> Self {
         TmConfig {
             default_deadline: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(5),
             retry: RetryPolicy::default(),
-            coalesce: CoalescePolicy::default_from_env(),
+            coalesce: Some(CoalescePolicy::default()),
             inflight_budget: None,
             breaker: None,
             trace_sampling: padico_util::span::TraceSampling::Always,
@@ -161,7 +148,7 @@ impl PadicoTM {
         config: TmConfig,
     ) -> Result<Arc<PadicoTM>, TmError> {
         let clock = SimClock::new();
-        padico_util::span::set_sampling(config.trace_sampling);
+        topology.telemetry().set_sampling(config.trace_sampling);
         let net = NetAccess::bring_up(&topology, node, clock.share())?;
         Ok(Arc::new(PadicoTM {
             topology,
@@ -248,6 +235,11 @@ impl PadicoTM {
         &self.topology
     }
 
+    /// The world's telemetry (shared by every node of the topology).
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        self.topology.telemetry()
+    }
+
     /// The node's virtual clock. All middleware on the node shares it.
     pub fn clock(&self) -> &SimClock {
         &self.clock
@@ -277,9 +269,8 @@ impl PadicoTM {
         Arc::clone(&self.breaker_routes)
     }
 
-    /// The node's recovery counters (retries, failovers, backoff charged).
-    /// The process-global aggregate in
-    /// [`padico_util::stats::global_recovery`] is bumped alongside these.
+    /// The node's recovery counters (retries, failovers, backoff charged);
+    /// the world's telemetry sums every node's into `recovery.*`.
     pub fn recovery(&self) -> &RecoveryStats {
         self.net.recovery()
     }

@@ -12,7 +12,6 @@
 
 use padico_fabric::{FabricKind, Paradigm, SimFabric, Topology};
 use padico_util::ids::{FabricId, NodeId};
-use padico_util::trace_info;
 use std::sync::Arc;
 
 use crate::error::TmError;
@@ -105,20 +104,11 @@ pub fn select_excluding(
             .iter()
             .all(|&b| a == b || topology.link_is_trusted(a, b))
     });
-    let route = Route {
+    Ok(Route {
         straight: best.paradigm() == paradigm,
         encrypt: !trusted,
         fabric: best,
-    };
-    trace_info!(
-        "tm.selector",
-        "group {:?}: selected {} (straight={}, encrypt={})",
-        peers.iter().map(|n| n.0).collect::<Vec<_>>(),
-        route.fabric.model().name,
-        route.straight,
-        route.encrypt
-    );
-    Ok(route)
+    })
 }
 
 #[cfg(test)]

@@ -30,8 +30,6 @@
 
 use padico_fabric::{Message, Paradigm, Payload};
 use padico_util::ids::{ChannelId, NodeId};
-use padico_util::metrics::counter_add;
-use padico_util::{trace_debug, trace_warn};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,13 +108,7 @@ impl Syn {
             .then(|| decode_choice(syn[21]))
             .flatten();
         let Some(choice) = choice else {
-            counter_add("tm.vlink.bad_syn", 1);
-            trace_warn!(
-                "tm.vlink",
-                "{}: dropped a malformed SYN on {}",
-                tm.node(),
-                msg.channel
-            );
+            tm.telemetry().counter_add("tm.vlink.bad_syn", 1);
             return None;
         };
         Some(Syn {
@@ -129,7 +121,7 @@ impl Syn {
 
     /// The listener's end of the handshake, un-ACKed: it receives on
     /// client→server and transmits on server→client.
-    fn establish(&self, tm: &Arc<PadicoTM>, service: &str) -> Result<VLinkStream, TmError> {
+    fn establish(&self, tm: &Arc<PadicoTM>) -> Result<VLinkStream, TmError> {
         let core = LinkCore::establish(
             Arc::clone(tm),
             vec![tm.node(), self.peer],
@@ -138,12 +130,6 @@ impl Syn {
             "tm.vlink",
             self.c2s,
         )?;
-        trace_debug!(
-            "tm.vlink",
-            "accepted {} -> {} for `{service}`",
-            self.peer,
-            tm.node()
-        );
         Ok(VLinkStream::assemble(
             core,
             self.peer,
@@ -187,9 +173,8 @@ impl VLinkListener {
         // The node's own registry holds this handler: a strong runtime
         // handle would keep the node alive forever.
         let weak_tm = Arc::downgrade(tm);
-        let service = service.to_string();
         tm.net().on_channel(
-            listener_channel(&service, tm.node()),
+            listener_channel(service, tm.node()),
             Arc::new(move |msg: Message| {
                 let Some(tm) = weak_tm.upgrade() else {
                     return;
@@ -198,20 +183,15 @@ impl VLinkListener {
                 let Some(syn) = Syn::parse(&tm, &msg) else {
                     return;
                 };
-                let served = syn.establish(&tm, &service).and_then(|stream| {
+                let served = syn.establish(&tm).and_then(|stream| {
                     let stream = Arc::new(stream);
                     on_stream(Arc::clone(&stream))?;
                     stream.ack().inspect_err(|_| stream.stop_frames())
                 });
                 // Nobody to answer: the client's connect times out and
                 // retries.
-                if let Err(err) = served {
-                    trace_warn!(
-                        "tm.vlink",
-                        "{}: accepting {} for `{service}` failed: {err}",
-                        tm.node(),
-                        syn.peer
-                    );
+                if served.is_err() {
+                    tm.telemetry().counter_add("tm.vlink.accept_failed", 1);
                 }
             }),
         )
@@ -235,7 +215,7 @@ impl VLinkListener {
                 break syn;
             }
         };
-        let stream = syn.establish(&self.tm, &self.service)?;
+        let stream = syn.establish(&self.tm)?;
         stream.ack()?;
         Ok(stream)
     }

@@ -6,13 +6,14 @@
 //!   figures in the paper are reproduced in virtual time so that the *shape*
 //!   of the results (who wins, by what factor, where crossovers fall) is a
 //!   function of the modelled mechanisms, not of the host machine.
-//! * [`trace`] — a lightweight, lock-cheap event tracer used by the runtime
-//!   layers (arbitration decisions, module loads, fabric selection).
+//! * [`telemetry`] — one world's telemetry handle: it owns that world's
+//!   metrics, timeseries windows, span buffers, sampling policy and
+//!   recovery totals, so worlds sharing a process never mix.
 //! * [`span`] — causally-linked, virtual-time-stamped spans with cross-node
 //!   context propagation, a critical-path analyzer and a Chrome-trace
 //!   (Perfetto) exporter.
-//! * [`metrics`] — a process-global registry of named counters and
-//!   virtual-time histograms (per-layer latency, bytes on the wire).
+//! * [`metrics`] — named counters and virtual-time histograms (per-layer
+//!   latency, bytes on the wire).
 //! * [`timeseries`] — the flight recorder's windowed view of the same
 //!   observations: counters/histograms folded into fixed-width
 //!   virtual-time windows in a bounded ring, so campaigns show *when*
@@ -31,8 +32,9 @@ pub mod rng;
 pub mod simtime;
 pub mod span;
 pub mod stats;
+pub mod telemetry;
 pub mod timeseries;
-pub mod trace;
 pub mod xml;
 
 pub use simtime::{SimClock, Vt, VtDuration};
+pub use telemetry::Telemetry;

@@ -1,10 +1,11 @@
-//! A process-global metrics registry: named counters and virtual-time
-//! histograms.
+//! Named counters and virtual-time histograms, one registry per world
+//! ([`Telemetry`]).
 //!
 //! Spans ([`crate::span`]) feed per-layer latency histograms on every
 //! span end; the fabric feeds `bytes.<fabric>` counters for bytes on the
-//! wire; higher layers fold their own counters in (schedule-cache
-//! hit/miss, recovery retries) when building a snapshot. Everything is
+//! wire; the world's recovery counters are summed in as `recovery.*` on
+//! snapshot, and higher layers fold their own counters in (schedule-cache
+//! hit/miss, pool traffic) when building a snapshot. Everything is
 //! keyed by name and stored in `BTreeMap`s so a snapshot iterates in a
 //! deterministic order — same-seed runs produce byte-identical dumps.
 //!
@@ -13,7 +14,7 @@
 //! `v == 0`). That is coarse but stable, which is what regression diffs
 //! across bench snapshots need.
 
-use parking_lot::Mutex;
+use crate::telemetry::Telemetry;
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets: one per possible bit-length of a `u64`
@@ -126,113 +127,79 @@ impl MetricsSnapshot {
     }
 }
 
+/// The counter and histogram maps of one [`Telemetry`].
 #[derive(Default)]
-struct Inner {
+pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
-static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
-
-fn with_inner<R>(f: impl FnOnce(&mut Inner) -> R) -> R {
-    let mut guard = REGISTRY.lock();
-    f(guard.get_or_insert_with(Inner::default))
-}
-
-/// Add `delta` to the named counter (creating it at zero).
-pub fn counter_add(name: &str, delta: u64) {
-    with_inner(|inner| {
-        if let Some(c) = inner.counters.get_mut(name) {
+impl Telemetry {
+    /// Add `delta` to the named counter (creating it at zero).
+    pub fn counter_add(&self, name: &str, delta: u64) {
+        let mut reg = self.metrics.lock();
+        if let Some(c) = reg.counters.get_mut(name) {
             *c += delta;
         } else {
-            inner.counters.insert(name.to_string(), delta);
+            reg.counters.insert(name.to_string(), delta);
         }
-    });
-}
+    }
 
-/// Record one observation into the named histogram.
-pub fn observe(name: &str, value: u64) {
-    with_inner(|inner| {
-        if let Some(h) = inner.histograms.get_mut(name) {
+    /// Record one observation into the named histogram.
+    pub fn observe(&self, name: &str, value: u64) {
+        let mut reg = self.metrics.lock();
+        if let Some(h) = reg.histograms.get_mut(name) {
             h.observe(value);
         } else {
             let mut h = Histogram::default();
             h.observe(value);
-            inner.histograms.insert(name.to_string(), h);
+            reg.histograms.insert(name.to_string(), h);
         }
-    });
-}
-
-/// Snapshot the registry's current contents.
-pub fn snapshot() -> MetricsSnapshot {
-    let guard = REGISTRY.lock();
-    match &*guard {
-        None => MetricsSnapshot::default(),
-        Some(inner) => MetricsSnapshot {
-            counters: inner.counters.clone(),
-            histograms: inner.histograms.clone(),
-        },
     }
-}
 
-/// Snapshot with the process-global recovery counters folded in as
-/// `recovery.*` counters — the retry/failover story next to the latency
-/// story, in one dump.
-pub fn snapshot_with_recovery() -> MetricsSnapshot {
-    let mut snap = snapshot();
-    let rec = crate::stats::global_recovery().snapshot();
-    for (name, v) in [
-        ("recovery.send_retries", rec.send_retries),
-        ("recovery.connect_retries", rec.connect_retries),
-        ("recovery.giop_retries", rec.giop_retries),
-        ("recovery.route_failovers", rec.route_failovers),
-        ("recovery.mapping_remaps", rec.mapping_remaps),
-        ("recovery.corrupt_discards", rec.corrupt_discards),
-        ("recovery.backoff_ns", rec.backoff_ns),
-    ] {
-        snap.counters.insert(name.to_string(), v);
+    /// Snapshot the counters and histograms, with the world's recovery
+    /// counters summed in as `recovery.*` — the retry/failover story
+    /// next to the latency story, in one dump.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        let mut snap = {
+            let reg = self.metrics.lock();
+            MetricsSnapshot {
+                counters: reg.counters.clone(),
+                histograms: reg.histograms.clone(),
+            }
+        };
+        let rec = self.recovery();
+        for (name, v) in [
+            ("recovery.send_retries", rec.send_retries),
+            ("recovery.connect_retries", rec.connect_retries),
+            ("recovery.giop_retries", rec.giop_retries),
+            ("recovery.route_failovers", rec.route_failovers),
+            ("recovery.mapping_remaps", rec.mapping_remaps),
+            ("recovery.corrupt_discards", rec.corrupt_discards),
+            ("recovery.backoff_ns", rec.backoff_ns),
+        ] {
+            snap.counters.insert(name.to_string(), v);
+        }
+        snap
     }
-    snap
-}
-
-/// Drop every counter and histogram (tests use this for isolation).
-pub fn clear() {
-    *REGISTRY.lock() = None;
-}
-
-/// Swap the registry out (for the scoped test-isolation guard).
-pub(crate) fn take() -> MetricsSnapshot {
-    let mut guard = REGISTRY.lock();
-    match guard.take() {
-        None => MetricsSnapshot::default(),
-        Some(inner) => MetricsSnapshot {
-            counters: inner.counters,
-            histograms: inner.histograms,
-        },
-    }
-}
-
-/// Restore a previously taken registry state.
-pub(crate) fn restore(snap: MetricsSnapshot) {
-    *REGISTRY.lock() = Some(Inner {
-        counters: snap.counters,
-        histograms: snap.histograms,
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::RecoveryStats;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     #[test]
     fn counters_histograms_and_merge() {
-        let _iso = crate::trace::isolated();
-        counter_add("bytes.myrinet", 100);
-        counter_add("bytes.myrinet", 28);
-        observe("latency.orb.giop", 0);
-        observe("latency.orb.giop", 5);
-        observe("latency.orb.giop", 1 << 20);
-        let snap = snapshot();
+        let t = Telemetry::new();
+        t.counter_add("bytes.myrinet", 100);
+        t.counter_add("bytes.myrinet", 28);
+        t.observe("latency.orb.giop", 0);
+        t.observe("latency.orb.giop", 5);
+        t.observe("latency.orb.giop", 1 << 20);
+        let snap = t.metrics();
         assert_eq!(snap.counter("bytes.myrinet"), 128);
         assert_eq!(snap.counter("missing"), 0);
         let h = snap.histogram("latency.orb.giop").unwrap();
@@ -255,20 +222,31 @@ mod tests {
 
     #[test]
     fn recovery_counters_fold_into_snapshot() {
-        let _iso = crate::trace::isolated();
-        let snap = snapshot_with_recovery();
-        assert!(snap.counters.contains_key("recovery.giop_retries"));
+        let t = Telemetry::new();
+        let snap = t.metrics();
+        assert_eq!(snap.counter("recovery.giop_retries"), 0);
         assert!(snap.counters.contains_key("recovery.backoff_ns"));
+        // Every registered node's counters are summed.
+        let a = Arc::new(RecoveryStats::new());
+        let b = Arc::new(RecoveryStats::new());
+        t.register_recovery(Arc::clone(&a));
+        t.register_recovery(Arc::clone(&b));
+        a.giop_retries.fetch_add(2, Ordering::Relaxed);
+        b.giop_retries.fetch_add(3, Ordering::Relaxed);
+        b.backoff_ns.fetch_add(40, Ordering::Relaxed);
+        let snap = t.metrics();
+        assert_eq!(snap.counter("recovery.giop_retries"), 5);
+        assert_eq!(snap.counter("recovery.backoff_ns"), 40);
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let _iso = crate::trace::isolated();
-        counter_add("x", 1);
-        observe("y", 2);
-        clear();
-        let snap = snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.histograms.is_empty());
+    fn worlds_do_not_share_counters() {
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        a.counter_add("x", 1);
+        a.observe("y", 2);
+        b.counter_add("x", 5);
+        assert_eq!(a.metrics().counter("x"), 1);
+        assert_eq!(b.metrics().counter("x"), 5);
+        assert!(b.metrics().histogram("y").is_none());
     }
 }

@@ -4,11 +4,12 @@
 //! whole causal tree), its own deterministic span id, its parent's span
 //! id, the node it ran on, a layer tag (`ccm.invoke`, `orb.giop`,
 //! `tm.vlink`, `fabric.link`, …) and start/end stamps from the node's
-//! [`SimClock`]. Spans from every node land in per-node buffers merged
-//! (and canonically sorted) on snapshot, so one GridCCM parallel
-//! invocation yields a single connected tree spanning client ranks,
-//! redistribution, the ORB, VLink and the fabric — including retry spans
-//! linked to the attempt they replaced via `retry_of`.
+//! [`SimClock`]. Spans from every node of a world land in that world's
+//! [`Telemetry`], in per-node buffers merged (and canonically sorted) on
+//! snapshot, so one GridCCM parallel invocation yields a single
+//! connected tree spanning client ranks, redistribution, the ORB, VLink
+//! and the fabric — including retry spans linked to the attempt they
+//! replaced via `retry_of`.
 //!
 //! ## Determinism
 //!
@@ -20,19 +21,23 @@
 //!
 //! ## Context propagation
 //!
-//! The current `(trace_id, span_id)` pair lives in a thread-local;
-//! [`child`] reads it implicitly, [`current`] extracts it for shipping
-//! across threads or the wire, and [`adopt`] installs a received context
-//! (the ORB does this on the server side of every traced request).
-//! Recording is *opt-in by causality*: with no ambient context, [`child`]
-//! returns a disabled guard and records nothing, so untraced traffic
-//! (warm-ups, MPI, background chatter) stays out of the buffers.
+//! The current `(trace_id, span_id)` pair lives in a thread-local
+//! together with the handle of the world it records into; [`child`]
+//! reads both implicitly, [`current`] extracts the pair for shipping
+//! across threads or the wire, and [`adopt`] installs a received pair
+//! under the receiving world's handle (the ORB does this on the server
+//! side of every traced request). Only [`root`] and [`adopt`] name a
+//! [`Telemetry`]. Recording is *opt-in by causality*: with no ambient
+//! context, [`child`] returns a disabled guard that records and clones
+//! nothing, so untraced traffic (warm-ups, MPI, background chatter) stays
+//! out of the buffers.
 
 use crate::simtime::{SimClock, Vt, VtDuration};
-use parking_lot::Mutex;
-use std::cell::Cell;
+use crate::telemetry::Telemetry;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 /// Head-based trace sampling policy: decided once per trace at
 /// [`root`] time from a hash of the trace id, so the whole causal tree
@@ -51,45 +56,43 @@ pub enum TraceSampling {
     SampleEvery(u32),
 }
 
-static SAMPLE_N: AtomicU32 = AtomicU32::new(0);
-
-/// Install the process-global sampling policy (the TM applies
-/// `TmConfig::trace_sampling` here at boot). [`crate::trace::isolated`]
-/// resets the policy to [`TraceSampling::Always`] inside its scope and
-/// restores the previous policy on drop.
-pub fn set_sampling(policy: TraceSampling) {
-    let n = match policy {
-        TraceSampling::Always => 0,
-        TraceSampling::SampleEvery(n) => n,
-    };
-    SAMPLE_N.store(n, Ordering::Relaxed);
-}
-
-/// The current process-global sampling policy.
-pub fn sampling() -> TraceSampling {
-    match SAMPLE_N.load(Ordering::Relaxed) {
-        0 => TraceSampling::Always,
-        n => TraceSampling::SampleEvery(n),
+impl Telemetry {
+    /// Install this world's sampling policy (the TM applies
+    /// `TmConfig::trace_sampling` here at boot).
+    pub fn set_sampling(&self, policy: TraceSampling) {
+        let n = match policy {
+            TraceSampling::Always => 0,
+            TraceSampling::SampleEvery(n) => n,
+        };
+        self.sample_n.store(n, Ordering::Relaxed);
     }
-}
 
-/// Whether a trace with this id is recorded under the current policy.
-/// Exposed so workloads can pre-compute which of their deterministic
-/// ids will be traced (the world bench keys per-hop instrumentation off
-/// exactly this).
-pub fn trace_sampled(trace_id: u64) -> bool {
-    let n = SAMPLE_N.load(Ordering::Relaxed);
-    if n <= 1 {
-        return true;
+    /// This world's sampling policy.
+    pub fn sampling(&self) -> TraceSampling {
+        match self.sample_n.load(Ordering::Relaxed) {
+            0 => TraceSampling::Always,
+            n => TraceSampling::SampleEvery(n),
+        }
     }
-    // FNV-1a over the id bytes: cheap, stable, and decorrelated from
-    // sequential id allocation patterns.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in trace_id.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+
+    /// Whether a trace with this id is recorded under this world's
+    /// policy. Exposed so workloads can pre-compute which of their
+    /// deterministic ids will be traced (the world bench keys per-hop
+    /// instrumentation off exactly this).
+    pub fn trace_sampled(&self, trace_id: u64) -> bool {
+        let n = self.sample_n.load(Ordering::Relaxed);
+        if n <= 1 {
+            return true;
+        }
+        // FNV-1a over the id bytes: cheap, stable, and decorrelated from
+        // sequential id allocation patterns.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in trace_id.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x1000_0000_01b3);
+        }
+        h.is_multiple_of(u64::from(n))
     }
-    h.is_multiple_of(u64::from(n))
 }
 
 /// One completed unit of traced work.
@@ -129,32 +132,48 @@ pub struct SpanCtx {
     pub span_id: u64,
 }
 
+/// The thread's ambient context: the current span plus the world whose
+/// telemetry its children record into.
+struct Ambient {
+    ctx: SpanCtx,
+    telemetry: Arc<Telemetry>,
+}
+
 thread_local! {
-    static CURRENT: Cell<Option<SpanCtx>> = const { Cell::new(None) };
+    static CURRENT: RefCell<Option<Ambient>> = const { RefCell::new(None) };
+}
+
+/// Make `next` the thread's ambient context, returning the previous one.
+fn swap_ambient(next: Option<Ambient>) -> Option<Ambient> {
+    CURRENT.with(|c| c.replace(next))
 }
 
 /// The calling thread's current span context, if any. Ship this across
 /// thread spawns (then [`adopt`] it) and across the wire (GIOP service
 /// context, InvHeader).
 pub fn current() -> Option<SpanCtx> {
-    CURRENT.with(|c| c.get())
+    CURRENT.with(|c| c.borrow().as_ref().map(|a| a.ctx))
 }
 
-/// Install a received context as the thread's current one; restored on
-/// drop. The ORB server side adopts the wire context before dispatching.
-pub fn adopt(ctx: SpanCtx) -> CtxGuard {
-    let prev = CURRENT.with(|c| c.replace(Some(ctx)));
+/// Install a received context as the thread's current one, recording
+/// into `telemetry`; restored on drop. The ORB server side adopts the
+/// wire context before dispatching.
+pub fn adopt(telemetry: &Arc<Telemetry>, ctx: SpanCtx) -> CtxGuard {
+    let prev = swap_ambient(Some(Ambient {
+        ctx,
+        telemetry: Arc::clone(telemetry),
+    }));
     CtxGuard { prev }
 }
 
 /// RAII restore of the previous thread-local context.
 pub struct CtxGuard {
-    prev: Option<SpanCtx>,
+    prev: Option<Ambient>,
 }
 
 impl Drop for CtxGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(self.prev));
+        swap_ambient(self.prev.take());
     }
 }
 
@@ -181,35 +200,45 @@ pub fn derive_span_id(trace_id: u64, parent: u64, layer: &str, name: &str) -> u6
 }
 
 struct Open {
+    telemetry: Arc<Telemetry>,
     clock: SimClock,
-    prev: Option<SpanCtx>,
+    prev: Option<Ambient>,
     explicit_end: Option<Vt>,
     detached: bool,
     span: Span,
 }
 
 /// RAII span: stamps `end` from the clock on drop, records the span into
-/// its node's buffer, feeds the per-layer latency histogram, and restores
-/// the previous thread-local context. A disabled guard (no ambient
-/// context at [`child`] time) does nothing.
+/// its node's buffer in its world's [`Telemetry`], feeds the per-layer
+/// latency histogram, and restores the previous thread-local context. A
+/// disabled guard (no ambient context at [`child`] time) does nothing.
 pub struct SpanGuard {
     open: Option<Open>,
 }
 
 impl SpanGuard {
+    /// Open a span under `parent` (`parent.span_id` 0 for a root).
     fn start(
+        telemetry: Arc<Telemetry>,
         clock: &SimClock,
         node: u32,
-        trace_id: u64,
-        parent: u64,
+        parent: SpanCtx,
         layer: &'static str,
         name: String,
         retry_of: u64,
     ) -> SpanGuard {
+        let SpanCtx {
+            trace_id,
+            span_id: parent,
+        } = parent;
         let span_id = derive_span_id(trace_id, parent, layer, &name);
-        let prev = CURRENT.with(|c| c.replace(Some(SpanCtx { trace_id, span_id })));
+        let prev = swap_ambient(Some(Ambient {
+            ctx: SpanCtx { trace_id, span_id },
+            telemetry: Arc::clone(&telemetry),
+        }));
         SpanGuard {
             open: Some(Open {
+                telemetry,
                 clock: clock.share(),
                 prev,
                 explicit_end: None,
@@ -264,7 +293,7 @@ impl SpanGuard {
     pub fn detach(&mut self) {
         if let Some(open) = &mut self.open {
             if !open.detached {
-                CURRENT.with(|c| c.set(open.prev));
+                swap_ambient(open.prev.take());
                 open.detached = true;
             }
         }
@@ -277,37 +306,52 @@ impl Drop for SpanGuard {
             return;
         };
         if !open.detached {
-            CURRENT.with(|c| c.set(open.prev));
+            swap_ambient(open.prev.take());
         }
         open.span.end = open
             .explicit_end
             .unwrap_or_else(|| open.clock.now())
             .max(open.span.start);
+        let telemetry = open.telemetry;
         let latency_name = format!("latency.{}", open.span.layer);
-        crate::metrics::observe(&latency_name, open.span.duration());
+        telemetry.observe(&latency_name, open.span.duration());
         // The same observation windowed over virtual time: the flight
         // recorder's view of where in the run this layer was slow.
-        crate::timeseries::record(&latency_name, open.span.end, open.span.duration());
-        record(open.span);
+        telemetry.record(&latency_name, open.span.end, open.span.duration());
+        telemetry.record_span(open.span);
     }
 }
 
-/// Open a root span: the start of a new causal tree. The caller supplies
-/// the trace id (GridCCM uses its deterministic invocation id). Under a
-/// [`TraceSampling::SampleEvery`] policy an unsampled trace id returns a
-/// disabled guard: no context is installed, so the entire tree — local
-/// children and remote dispatches alike — stays out of the buffers.
+/// Open a root span recording into `telemetry`: the start of a new
+/// causal tree. The caller supplies the trace id (GridCCM uses its
+/// deterministic invocation id). Under a [`TraceSampling::SampleEvery`]
+/// policy an unsampled trace id returns a disabled guard: no context is
+/// installed, so the entire tree — local children and remote dispatches
+/// alike — stays out of the buffers.
 pub fn root(
+    telemetry: &Arc<Telemetry>,
     clock: &SimClock,
     node: u32,
     trace_id: u64,
     layer: &'static str,
     name: impl Into<String>,
 ) -> SpanGuard {
-    if !trace_sampled(trace_id) {
+    if !telemetry.trace_sampled(trace_id) {
         return SpanGuard { open: None };
     }
-    SpanGuard::start(clock, node, trace_id, 0, layer, name.into(), 0)
+    let parent = SpanCtx {
+        trace_id,
+        span_id: 0,
+    };
+    SpanGuard::start(
+        Arc::clone(telemetry),
+        clock,
+        node,
+        parent,
+        layer,
+        name.into(),
+        0,
+    )
 }
 
 /// Open a child of the thread's current span; disabled (records nothing)
@@ -330,16 +374,15 @@ pub fn child_retry(
     name: impl Into<String>,
     retry_of: u64,
 ) -> SpanGuard {
-    match current() {
-        Some(ctx) => SpanGuard::start(
-            clock,
-            node,
-            ctx.trace_id,
-            ctx.span_id,
-            layer,
-            name.into(),
-            retry_of,
-        ),
+    let parent = CURRENT.with(|c| {
+        c.borrow()
+            .as_ref()
+            .map(|a| (a.ctx, Arc::clone(&a.telemetry)))
+    });
+    match parent {
+        Some((ctx, telemetry)) => {
+            SpanGuard::start(telemetry, clock, node, ctx, layer, name.into(), retry_of)
+        }
         None => SpanGuard { open: None },
     }
 }
@@ -348,103 +391,69 @@ pub fn child_retry(
 /// counted, not silently ignored.
 const NODE_CAP: usize = 1 << 16;
 
-/// Process-wide span cap across *all* nodes. The per-node cap alone is
+/// Span cap across *all* nodes of one world. The per-node cap alone is
 /// no bound at world scale — 100k nodes x 64k spans would be licence to
 /// eat the heap node by node. Past this cap everything drops (and is
 /// counted); turn on sampling instead of raising it.
 const TOTAL_CAP: usize = 1 << 20;
 
+/// The span buffers of one [`Telemetry`].
 #[derive(Default)]
-struct Buffers {
+pub(crate) struct Buffers {
     per_node: BTreeMap<u32, Vec<Span>>,
     total: usize,
     dropped: u64,
 }
 
-static BUFFERS: Mutex<Option<Buffers>> = Mutex::new(None);
-
-fn record(span: Span) {
-    let mut guard = BUFFERS.lock();
-    let buffers = guard.get_or_insert_with(Buffers::default);
-    if buffers.total >= TOTAL_CAP {
-        buffers.dropped += 1;
-        return;
+impl Telemetry {
+    fn record_span(&self, span: Span) {
+        let mut buffers = self.spans.lock();
+        if buffers.total >= TOTAL_CAP {
+            buffers.dropped += 1;
+            return;
+        }
+        let buf = buffers.per_node.entry(span.node).or_default();
+        if buf.len() < NODE_CAP {
+            buf.push(span);
+            buffers.total += 1;
+        } else {
+            buffers.dropped += 1;
+        }
     }
-    let buf = buffers.per_node.entry(span.node).or_default();
-    if buf.len() < NODE_CAP {
-        buf.push(span);
-        buffers.total += 1;
-    } else {
-        buffers.dropped += 1;
-    }
-}
 
-/// Merge every node's buffer into one canonically-ordered list (sorted
-/// by trace id, then start/end stamps, then span id — a total order
-/// independent of which thread recorded first).
-pub fn snapshot() -> Vec<Span> {
-    let guard = BUFFERS.lock();
-    let mut out: Vec<Span> = match &*guard {
-        None => Vec::new(),
-        Some(buffers) => buffers
+    /// Merge every node's buffer into one canonically-ordered list
+    /// (sorted by trace id, then start/end stamps, then span id — a total
+    /// order independent of which thread recorded first).
+    pub fn spans(&self) -> Vec<Span> {
+        let mut out: Vec<Span> = self
+            .spans
+            .lock()
             .per_node
             .values()
             .flat_map(|v| v.iter().cloned())
-            .collect(),
-    };
-    drop(guard);
-    out.sort_by(|a, b| {
-        (a.trace_id, a.start, a.end, a.span_id).cmp(&(b.trace_id, b.start, b.end, b.span_id))
-    });
-    out
-}
-
-/// [`snapshot`] filtered to one causal tree. Tests use this to stay
-/// immune to spans other concurrently-running scenarios record.
-pub fn snapshot_trace(trace_id: u64) -> Vec<Span> {
-    let mut out = snapshot();
-    out.retain(|s| s.trace_id == trace_id);
-    out
-}
-
-/// Spans recorded but dropped to the per-node or process-wide cap.
-pub fn dropped() -> u64 {
-    BUFFERS.lock().as_ref().map_or(0, |b| b.dropped)
-}
-
-/// Spans currently retained across every node buffer.
-pub fn retained() -> u64 {
-    BUFFERS.lock().as_ref().map_or(0, |b| b.total as u64)
-}
-
-/// Drop every recorded span.
-pub fn clear() {
-    *BUFFERS.lock() = None;
-}
-
-/// Swap all buffers out (for the scoped test-isolation guard).
-pub(crate) fn take() -> Vec<Span> {
-    let mut guard = BUFFERS.lock();
-    match guard.take() {
-        None => Vec::new(),
-        Some(buffers) => buffers
-            .per_node
-            .into_values()
-            .flatten()
-            .collect(),
+            .collect();
+        out.sort_by(|a, b| {
+            (a.trace_id, a.start, a.end, a.span_id).cmp(&(b.trace_id, b.start, b.end, b.span_id))
+        });
+        out
     }
-}
 
-/// Restore previously taken spans.
-pub(crate) fn restore(spans: Vec<Span>) {
-    let mut buffers = Buffers {
-        total: spans.len(),
-        ..Buffers::default()
-    };
-    for span in spans {
-        buffers.per_node.entry(span.node).or_default().push(span);
+    /// [`Telemetry::spans`] filtered to one causal tree.
+    pub fn trace(&self, trace_id: u64) -> Vec<Span> {
+        let mut out = self.spans();
+        out.retain(|s| s.trace_id == trace_id);
+        out
     }
-    *BUFFERS.lock() = Some(buffers);
+
+    /// Spans recorded but dropped to the per-node or world-wide cap.
+    pub fn spans_dropped(&self) -> u64 {
+        self.spans.lock().dropped
+    }
+
+    /// Spans currently retained across every node buffer.
+    pub fn spans_retained(&self) -> u64 {
+        self.spans.lock().total as u64
+    }
 }
 
 /// One line per span in canonical order — byte-comparable across
@@ -678,11 +687,11 @@ mod tests {
 
     #[test]
     fn guards_nest_and_propagate_context() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         assert!(current().is_none());
         {
-            let root = root(&c, 0, 77, "ccm.invoke", "invoke:op");
+            let root = root(&t, &c, 0, 77, "ccm.invoke", "invoke:op");
             assert!(root.is_active());
             c.advance(100);
             let ctx = current().unwrap();
@@ -698,7 +707,7 @@ mod tests {
             assert_eq!(current().unwrap().span_id, root.id());
         }
         assert!(current().is_none());
-        let spans = snapshot_trace(77);
+        let spans = t.trace(77);
         assert_eq!(spans.len(), 2);
         let root_span = spans.iter().find(|s| s.parent == 0).unwrap();
         let kid_span = spans.iter().find(|s| s.parent != 0).unwrap();
@@ -709,31 +718,31 @@ mod tests {
 
     #[test]
     fn child_without_context_is_disabled() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         let g = child(&c, 0, "fabric.link", "tx");
         assert!(!g.is_active());
         assert_eq!(g.id(), 0);
         drop(g);
-        assert!(snapshot().is_empty());
+        assert!(t.spans().is_empty());
     }
 
     #[test]
     fn adopt_installs_remote_context() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         let ctx = SpanCtx {
             trace_id: 9,
             span_id: 1234,
         };
         {
-            let _a = adopt(ctx);
+            let _a = adopt(&t, ctx);
             let kid = child(&c, 3, "orb.dispatch", "dispatch:op:req5");
             assert!(kid.is_active());
             drop(kid);
         }
         assert!(current().is_none());
-        let spans = snapshot_trace(9);
+        let spans = t.trace(9);
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].parent, 1234);
         assert_eq!(spans[0].node, 3);
@@ -741,9 +750,9 @@ mod tests {
 
     #[test]
     fn retry_links_to_replaced_attempt() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
-        let r = root(&c, 0, 5, "ccm.invoke", "invoke:x");
+        let r = root(&t, &c, 0, 5, "ccm.invoke", "invoke:x");
         let first_id;
         {
             let first = child(&c, 0, "orb.giop", "request:x:attempt1");
@@ -755,7 +764,7 @@ mod tests {
             c.advance(10);
         }
         drop(r);
-        let spans = snapshot_trace(5);
+        let spans = t.trace(5);
         let second = spans
             .iter()
             .find(|s| s.name.ends_with("attempt2"))
@@ -765,11 +774,11 @@ mod tests {
 
     #[test]
     fn critical_path_sums_to_root_duration() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         let root_id;
         {
-            let r = root(&c, 0, 11, "ccm.invoke", "invoke:op");
+            let r = root(&t, &c, 0, 11, "ccm.invoke", "invoke:op");
             root_id = r.id();
             c.advance(20); // ccm self
             {
@@ -783,7 +792,7 @@ mod tests {
             }
             c.advance(5); // ccm tail
         }
-        let spans = snapshot_trace(11);
+        let spans = t.trace(11);
         let cp = critical_path(&spans, root_id).unwrap();
         assert_eq!(cp.total, 100);
         assert_eq!(cp.self_ns.values().sum::<u64>(), cp.total);
@@ -824,17 +833,17 @@ mod tests {
 
     #[test]
     fn canonical_dump_is_order_independent() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         {
-            let _r = root(&c, 2, 42, "ccm.invoke", "invoke:a");
+            let _r = root(&t, &c, 2, 42, "ccm.invoke", "invoke:a");
             c.advance(10);
         }
         {
-            let _r = root(&c, 1, 41, "ccm.invoke", "invoke:b");
+            let _r = root(&t, &c, 1, 41, "ccm.invoke", "invoke:b");
             c.advance(10);
         }
-        let dump = canonical_dump(&snapshot());
+        let dump = canonical_dump(&t.spans());
         // Sorted by trace id, not by recording (or node) order.
         let pos_a = dump.find("invoke:a").unwrap();
         let pos_b = dump.find("invoke:b").unwrap();
@@ -844,15 +853,15 @@ mod tests {
 
     #[test]
     fn chrome_export_is_balanced_json() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         {
-            let _r = root(&c, 0, 7, "ccm.invoke", "invoke:\"quoted\"");
+            let _r = root(&t, &c, 0, 7, "ccm.invoke", "invoke:\"quoted\"");
             c.advance(1_500);
             let _k = child(&c, 0, "orb.giop", "request");
             c.advance(500);
         }
-        let json = chrome_trace_json(&snapshot());
+        let json = chrome_trace_json(&t.spans());
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         let braces: i64 = json
             .chars()
@@ -881,38 +890,38 @@ mod tests {
 
     #[test]
     fn span_latency_feeds_metrics() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         {
-            let _r = root(&c, 0, 3, "tm.vlink", "send:attempt1");
+            let _r = root(&t, &c, 0, 3, "tm.vlink", "send:attempt1");
             c.advance(64);
         }
-        let snap = crate::metrics::snapshot();
+        let snap = t.metrics();
         let h = snap.histogram("latency.tm.vlink").unwrap();
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 64);
         // The windowed twin of the histogram.
-        let ts = crate::timeseries::snapshot();
+        let ts = t.timeseries();
         assert_eq!(ts.series("latency.tm.vlink").unwrap().total_count(), 1);
     }
 
     #[test]
     fn sampling_drops_whole_trees_deterministically() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
-        set_sampling(TraceSampling::SampleEvery(4));
-        let sampled: Vec<u64> = (0..64).filter(|id| trace_sampled(*id)).collect();
+        t.set_sampling(TraceSampling::SampleEvery(4));
+        let sampled: Vec<u64> = (0..64).filter(|id| t.trace_sampled(*id)).collect();
         assert!(!sampled.is_empty(), "some ids must pass a 1-in-4 policy");
         assert!(sampled.len() < 64, "some ids must be dropped");
         for id in 0..64u64 {
-            let r = root(&c, 0, id, "ccm.invoke", format!("invoke:{id}"));
-            assert_eq!(r.is_active(), trace_sampled(id));
+            let r = root(&t, &c, 0, id, "ccm.invoke", format!("invoke:{id}"));
+            assert_eq!(r.is_active(), t.trace_sampled(id));
             // Children follow the root's fate via ambient context.
             let k = child(&c, 0, "orb.giop", format!("request:{id}"));
-            assert_eq!(k.is_active(), trace_sampled(id));
+            assert_eq!(k.is_active(), t.trace_sampled(id));
             c.advance(10);
         }
-        let spans = snapshot();
+        let spans = t.spans();
         let mut traced: Vec<u64> = spans.iter().map(|s| s.trace_id).collect();
         traced.sort_unstable();
         traced.dedup();
@@ -920,52 +929,55 @@ mod tests {
         // The decision is a pure function of the id: re-evaluating gives
         // the identical set.
         assert_eq!(
-            (0..64).filter(|id| trace_sampled(*id)).collect::<Vec<u64>>(),
+            (0..64).filter(|id| t.trace_sampled(*id)).collect::<Vec<u64>>(),
             sampled
         );
-        set_sampling(TraceSampling::Always);
-        assert!(trace_sampled(sampled.len() as u64 + 1));
+        t.set_sampling(TraceSampling::Always);
+        assert!(t.trace_sampled(sampled.len() as u64 + 1));
     }
 
     #[test]
-    fn isolation_resets_sampling_policy() {
-        let outer = crate::trace::isolated();
-        set_sampling(TraceSampling::SampleEvery(8));
+    fn sampling_policy_is_per_telemetry() {
+        let (a, b) = (Telemetry::new(), Telemetry::new());
+        a.set_sampling(TraceSampling::SampleEvery(8));
+        assert_eq!(a.sampling(), TraceSampling::SampleEvery(8));
+        assert_eq!(b.sampling(), TraceSampling::Always);
+        // Children record into the world their root belongs to.
+        let c = clock();
         {
-            let _inner = crate::trace::isolated();
-            assert_eq!(sampling(), TraceSampling::Always);
+            let _r = root(&b, &c, 0, 3, "ccm.invoke", "invoke:b");
+            let _k = child(&c, 0, "orb.giop", "request");
         }
-        assert_eq!(sampling(), TraceSampling::SampleEvery(8));
-        set_sampling(TraceSampling::Always);
-        drop(outer);
+        assert_eq!(b.spans().len(), 2);
+        assert!(a.spans().is_empty());
     }
 
     #[test]
     fn buffers_stay_bounded_and_count_drops() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         let over = 64;
         for i in 0..NODE_CAP + over {
-            let _r = root(&c, 1, 1, "fabric.link", format!("tx:{i}"));
+            let _r = root(&t, &c, 1, 1, "fabric.link", format!("tx:{i}"));
         }
-        assert_eq!(snapshot().len(), NODE_CAP);
-        assert_eq!(dropped(), over as u64);
-        assert_eq!(retained(), NODE_CAP as u64);
+        assert_eq!(t.spans().len(), NODE_CAP);
+        assert_eq!(t.spans_dropped(), over as u64);
+        assert_eq!(t.spans_retained(), NODE_CAP as u64);
     }
 
     #[test]
     fn zero_duration_spans_export_as_instant_events() {
-        let _iso = crate::trace::isolated();
+        let t = Telemetry::new();
         let c = clock();
         {
-            let _r = root(&c, 0, 5, "tm.breaker", "open:n1");
+            let _r = root(&t, &c, 0, 5, "tm.breaker", "open:n1");
             // No clock advance: a state transition has no duration.
         }
         {
-            let _r = root(&c, 0, 6, "orb.giop", "request");
+            let _r = root(&t, &c, 0, 6, "orb.giop", "request");
             c.advance(100);
         }
-        let json = chrome_trace_json(&snapshot());
+        let json = chrome_trace_json(&t.spans());
         assert!(
             json.contains("\"ph\":\"i\",\"s\":\"t\""),
             "transitions must render as instant events: {json}"

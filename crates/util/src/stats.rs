@@ -6,14 +6,14 @@
 //! statistics over repeated measurements.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Recovery bookkeeping: how much work the retry/failover machinery did.
 ///
 /// One instance lives in each PadicoTM runtime (per-node counters, used by
-/// the chaos tests to assert deterministic recovery); a process-global
-/// aggregate (see [`global_recovery`]) is mirrored alongside so bench
-/// reports can show recovery overhead next to latency without plumbing.
+/// the chaos tests to assert deterministic recovery); every node's
+/// instance is registered with its world's
+/// [`Telemetry`](crate::telemetry::Telemetry), whose snapshot sums them
+/// into `recovery.*` next to the latency story.
 #[derive(Debug, Default)]
 pub struct RecoveryStats {
     /// Stream/send operations retried after a retryable transport error.
@@ -68,12 +68,6 @@ impl RecoveryStats {
             backoff_ns: self.backoff_ns.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Process-wide aggregate recovery counters (for bench reports).
-pub fn global_recovery() -> &'static RecoveryStats {
-    static GLOBAL: OnceLock<RecoveryStats> = OnceLock::new();
-    GLOBAL.get_or_init(RecoveryStats::new)
 }
 
 /// Summary of a set of scalar samples.

@@ -15,20 +15,21 @@
 //!   *behind* the ring's base is dropped and counted in `dropped_samples`.
 //!   Nothing here grows with run length.
 //! * **Determinism.** Same-seed runs stamp the same virtual times, so the
-//!   whole registry renders byte-identically — the engine-equivalence
-//!   suite compares these renders across progress engines (after
-//!   stripping the `sched.*` series, whose steal timing is a property of
-//!   host thread scheduling, not of the seed).
+//!   whole registry renders byte-identically — the chaos replay checks
+//!   compare these renders run against re-run (after stripping the
+//!   `sched.*` series, whose steal timing is a property of host thread
+//!   scheduling, not of the seed).
 //! * **Cheap recording.** One mutex, one `BTreeMap` lookup, O(1) fold.
 //!   Hot paths record at batch granularity (the world scheduler folds 32
 //!   events per sample), cold paths (sheds, trips, retries) record freely.
 //!
-//! Like the metrics registry, the whole state participates in
-//! [`crate::trace::isolated`] so concurrently-running tests cannot
-//! observe each other's windows.
+//! Like the metrics registry, the series live in one world's
+//! [`Telemetry`]: each world's windows start at its own virtual time, so
+//! a young world's samples are never dropped behind an older world's
+//! base.
 
 use crate::simtime::Vt;
-use parking_lot::Mutex;
+use crate::telemetry::Telemetry;
 use std::collections::BTreeMap;
 
 /// Default window width: 1 ms of virtual time. Wide enough that a
@@ -200,84 +201,52 @@ impl TimeSeriesSnapshot {
     }
 }
 
-#[derive(Default)]
-struct Inner {
+/// The series of one [`Telemetry`], plus the geometry new series get.
+pub(crate) struct Registry {
     config: SeriesConfig,
     series: BTreeMap<String, Series>,
 }
 
-static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
-
-fn with_inner<R>(f: impl FnOnce(&mut Inner) -> R) -> R {
-    let mut guard = REGISTRY.lock();
-    f(guard.get_or_insert_with(Inner::default))
+impl Registry {
+    pub(crate) fn new(config: SeriesConfig) -> Registry {
+        Registry {
+            config,
+            series: BTreeMap::new(),
+        }
+    }
 }
 
-/// Set the window width/ring depth used by series created from now on.
-/// Existing series keep their geometry (their windows would not be
-/// comparable across a mid-run change).
-pub fn configure(cfg: SeriesConfig) {
-    with_inner(|inner| inner.config = cfg);
-}
+impl Telemetry {
+    /// Set the window width/ring depth used by series created from now
+    /// on. Existing series keep their geometry (their windows would not
+    /// be comparable across a mid-run change).
+    pub fn configure_series(&self, cfg: SeriesConfig) {
+        self.series.lock().config = cfg;
+    }
 
-/// Fold one observation into the named series at virtual time `vt`.
-pub fn record(name: &str, vt: Vt, value: u64) {
-    with_inner(|inner| {
-        if let Some(s) = inner.series.get_mut(name) {
+    /// Fold one observation into the named series at virtual time `vt`.
+    pub fn record(&self, name: &str, vt: Vt, value: u64) {
+        let mut reg = self.series.lock();
+        if let Some(s) = reg.series.get_mut(name) {
             s.record(vt, value);
         } else {
-            let mut s = Series::new(inner.config);
+            let mut s = Series::new(reg.config);
             s.record(vt, value);
-            inner.series.insert(name.to_string(), s);
+            reg.series.insert(name.to_string(), s);
         }
-    });
-}
-
-/// Count one event (value 1) in the named series at virtual time `vt`.
-pub fn bump(name: &str, vt: Vt) {
-    record(name, vt, 1);
-}
-
-/// Snapshot the registry's current contents.
-pub fn snapshot() -> TimeSeriesSnapshot {
-    let guard = REGISTRY.lock();
-    match &*guard {
-        None => TimeSeriesSnapshot::default(),
-        Some(inner) => TimeSeriesSnapshot {
-            series: inner.series.clone(),
-        },
     }
-}
 
-/// Drop every series (tests use this for isolation).
-pub fn clear() {
-    *REGISTRY.lock() = None;
-}
-
-/// Registry state moved out by the scoped test-isolation guard.
-#[derive(Default)]
-pub(crate) struct TsState {
-    config: SeriesConfig,
-    series: BTreeMap<String, Series>,
-}
-
-/// Swap the registry out (for the scoped test-isolation guard).
-pub(crate) fn take() -> TsState {
-    match REGISTRY.lock().take() {
-        None => TsState::default(),
-        Some(inner) => TsState {
-            config: inner.config,
-            series: inner.series,
-        },
+    /// Count one event (value 1) in the named series at virtual time `vt`.
+    pub fn bump(&self, name: &str, vt: Vt) {
+        self.record(name, vt, 1);
     }
-}
 
-/// Restore a previously taken registry state.
-pub(crate) fn restore(state: TsState) {
-    *REGISTRY.lock() = Some(Inner {
-        config: state.config,
-        series: state.series,
-    });
+    /// Snapshot every series.
+    pub fn timeseries(&self) -> TimeSeriesSnapshot {
+        TimeSeriesSnapshot {
+            series: self.series.lock().series.clone(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -286,15 +255,15 @@ mod tests {
 
     #[test]
     fn windows_fold_by_virtual_time() {
-        let _iso = crate::trace::isolated();
-        configure(SeriesConfig {
+        let t = Telemetry::new();
+        t.configure_series(SeriesConfig {
             window_ns: 100,
             windows: 4,
         });
-        record("x", 10, 5);
-        record("x", 20, 7);
-        record("x", 150, 1);
-        let snap = snapshot();
+        t.record("x", 10, 5);
+        t.record("x", 20, 7);
+        t.record("x", 150, 1);
+        let snap = t.timeseries();
         let s = snap.series("x").unwrap();
         assert_eq!(s.base, 0);
         let occ = s.occupied();
@@ -310,28 +279,28 @@ mod tests {
 
     #[test]
     fn ring_slides_and_counts_evictions_and_drops() {
-        let _iso = crate::trace::isolated();
-        configure(SeriesConfig {
+        let t = Telemetry::new();
+        t.configure_series(SeriesConfig {
             window_ns: 100,
             windows: 4,
         });
         for w in 0..4 {
-            record("s", w * 100, 1);
+            t.record("s", w * 100, 1);
         }
         // Window 5 slides windows 0..=1 out (base becomes 2).
-        record("s", 500, 1);
-        let snap = snapshot();
+        t.record("s", 500, 1);
+        let snap = t.timeseries();
         let s = snap.series("s").unwrap();
         assert_eq!(s.base, 2);
         assert_eq!(s.evicted_windows, 2);
         assert_eq!(s.dropped_samples, 0);
         // A sample behind the base drops.
-        record("s", 0, 1);
-        let s2 = snapshot();
+        t.record("s", 0, 1);
+        let s2 = t.timeseries();
         assert_eq!(s2.series("s").unwrap().dropped_samples, 1);
         // A huge forward jump clears the whole ring.
-        record("s", 1_000_000, 1);
-        let s3 = snapshot();
+        t.record("s", 1_000_000, 1);
+        let s3 = t.timeseries();
         let s3 = s3.series("s").unwrap();
         assert_eq!(s3.base, 10_000);
         assert_eq!(s3.occupied().len(), 1);
@@ -339,36 +308,35 @@ mod tests {
 
     #[test]
     fn memory_stays_bounded_and_render_is_deterministic() {
-        let _iso = crate::trace::isolated();
-        configure(SeriesConfig {
+        let t = Telemetry::new();
+        t.configure_series(SeriesConfig {
             window_ns: 10,
             windows: 8,
         });
         for vt in 0..10_000u64 {
-            record("bounded", vt, vt % 17);
+            t.record("bounded", vt, vt % 17);
         }
-        let snap = snapshot();
+        let snap = t.timeseries();
         let s = snap.series("bounded").unwrap();
         assert!(s.ring.len() <= 8);
         assert!(s.evicted_windows > 0);
         let r1 = snap.render();
-        let r2 = snapshot().render();
+        let r2 = t.timeseries().render();
         assert_eq!(r1, r2);
         assert!(r1.starts_with("timeseries bounded window_ns=10"));
     }
 
     #[test]
-    fn isolation_guard_swaps_timeseries_state() {
-        let outer = crate::trace::isolated();
-        bump("outer.series", 42);
-        {
-            let _inner = crate::trace::isolated();
-            assert!(snapshot().series.is_empty());
-            bump("inner.series", 7);
-            assert!(snapshot().series("inner.series").is_some());
-        }
-        assert!(snapshot().series("inner.series").is_none());
-        assert!(snapshot().series("outer.series").is_some());
-        drop(outer);
+    fn each_telemetry_keeps_its_own_series() {
+        // An old world far along in virtual time must not push a young
+        // world's first samples behind its ring base.
+        let (old, young) = (Telemetry::new(), Telemetry::new());
+        old.bump("latency.x", 500 * DEFAULT_WINDOW_NS);
+        young.bump("latency.x", 7);
+        let s = young.timeseries();
+        let s = s.series("latency.x").unwrap();
+        assert_eq!((s.total_count(), s.dropped_samples), (1, 0));
+        assert!(old.timeseries().series("latency.x").unwrap().base > s.base);
+        assert!(young.timeseries().series("other").is_none());
     }
 }

@@ -159,7 +159,7 @@ fn main() {
     }
 
     // What the observability layer saw.
-    let obs = ObservabilitySnapshot::capture();
+    let obs = ObservabilitySnapshot::capture(grid.topology());
     let root = obs
         .spans
         .iter()

@@ -162,7 +162,7 @@ fn main() {
         .expect("grid boots");
 
     // The observed world: an echo service on node 1, the control object
-    // on the same node (it reports process-global state), the dashboard
+    // on the same node (it reports the world it booted in), the dashboard
     // client on node 5 — every poll is a real GIOP round-trip.
     let echo_ior = grid.node(1).env.orb.activate(Arc::new(Echo));
     let control_ior = padico::control::serve(&grid.node(1).env.orb);
@@ -176,6 +176,7 @@ fn main() {
     let obj = grid.node(0).env.orb.object_ref(echo_ior.clone());
     let echo = |trace_id: u64| {
         let _root = padico::util::span::root(
+            client_tm.telemetry(),
             client_tm.clock(),
             client_tm.node().0,
             trace_id,
@@ -230,7 +231,7 @@ fn main() {
 
     // Pull one sampled causal tree and the full flight recorder.
     let snapshot = patient(|| dashboard.snapshot()).expect("snapshot over GIOP");
-    let spans = padico::util::span::snapshot();
+    let spans = grid.topology().telemetry().spans();
     if let Some(root) = spans.iter().find(|s| s.layer == "app.echo") {
         let tree = patient(|| dashboard.trace(root.trace_id)).expect("trace over GIOP");
         println!(

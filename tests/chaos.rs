@@ -6,14 +6,16 @@
 //! Everything here is deterministic: fault decisions are a pure function
 //! of the plan seed and per-link sequence numbers, and backoff is
 //! charged to the virtual clock — so two runs of the same scenario must
-//! report identical retry counts and recovery time.
+//! report identical retry counts and recovery time. Every scenario boots
+//! its own world and reads that world's telemetry, so the same-seed
+//! comparisons cover the full metrics render, byte counters included.
 #![cfg(feature = "chaos")]
 
 mod chaos_world;
 
 use chaos_world::{
-    assert_shifted, chaos_config, chaos_seed, invoke_shift, run_traced_failover,
-    run_traced_failover_with, sci_cluster, shift_handle, strip_bytes,
+    assert_shifted, chaos_config, chaos_seed, cpu_turn, invoke_shift, quiesce, run_traced_failover,
+    run_traced_failover_with, sci_cluster, shift_handle, strip_sched,
 };
 use padico::core::{Grid, GridCcmError};
 use padico::fabric::fabric::FabricKind;
@@ -36,17 +38,6 @@ fn chaos_config_coalesced() -> TmConfig {
         coalesce: Some(padico::tm::CoalescePolicy::default()),
         ..chaos_config()
     }
-}
-
-/// The metrics render used in same-seed identity comparisons in THIS
-/// binary: the registry minus the per-fabric `bytes.*` counters. The
-/// storm scenarios sharing this process race wall-clock deadlines by
-/// design, and a deadline-raced stray frame can land in a neighbouring
-/// test's registry window — see [`chaos_world::strip_bytes`]. The
-/// `replay_identity` binary owns its process and compares the full
-/// render, byte counters included.
-fn stable_metrics_render() -> String {
-    strip_bytes(&padico::util::metrics::snapshot().render())
 }
 
 /// The acceptance scenario: a GridCCM parallel invocation with 20%
@@ -103,6 +94,9 @@ fn run_failover_scenario(seed: u64) -> (Vec<f64>, Vec<RecoverySnapshot>, u64) {
 
 #[test]
 fn same_seed_chaos_yields_byte_identical_trace_trees() {
+    // The determinism contract: the same seeded chaos scenario, run
+    // twice, produces the identical trace tree, routes, recovery
+    // counters, and metrics registry — byte counters included.
     let seed = chaos_seed();
     let r1 = run_traced_failover(seed);
     let r2 = run_traced_failover(seed);
@@ -111,11 +105,74 @@ fn same_seed_chaos_yields_byte_identical_trace_trees() {
         r1.retries > 0,
         "the scenario never hit the retry paths — the comparison proves nothing"
     );
-    assert_eq!(r1.dump, r2.dump, "span trees diverged between same-seed runs");
     assert_eq!(
-        strip_bytes(&r1.metrics),
-        strip_bytes(&r2.metrics),
+        r1.dump, r2.dump,
+        "span trees diverged between same-seed runs"
+    );
+    assert_eq!(r1.warmup, r2.warmup, "warm-up routes diverged across runs");
+    assert_eq!(
+        r1.failover, r2.failover,
+        "failover routes diverged across runs"
+    );
+    assert_eq!(
+        r1.retries, r2.retries,
+        "recovery counters diverged across runs"
+    );
+    assert!(
+        r1.metrics.contains("counter bytes."),
+        "the render must include the byte counters"
+    );
+    assert_eq!(
+        r1.metrics, r2.metrics,
         "metrics diverged between same-seed runs"
+    );
+}
+
+#[test]
+fn telemetry_windows_and_sampled_traces_replay_identically() {
+    // The flight-recorder additions ride the same determinism contract:
+    // virtual-time telemetry windows fold identically run after run
+    // (minus the `sched.*` lane series, which sample wall-clock batch
+    // composition), and head-based trace sampling keeps the identical
+    // *subset* of causal trees — the sampled set is a pure function of
+    // the deterministic trace ids, not of thread scheduling.
+    let seed = chaos_seed();
+    let run = run_traced_failover_with(seed, chaos_config());
+    let rerun = run_traced_failover_with(seed, chaos_config());
+    assert!(
+        run.timeseries.contains("timeseries latency."),
+        "span latencies must feed the vt windows: {}",
+        run.timeseries
+    );
+    assert!(
+        run.timeseries.contains("timeseries sched."),
+        "the world scheduler's lane series must be present (and stripped)"
+    );
+    assert_eq!(
+        strip_sched(&run.timeseries),
+        strip_sched(&rerun.timeseries),
+        "telemetry windows diverged across runs"
+    );
+
+    // Sampled runs: SampleEvery(2) must keep a strict, identical subset
+    // of the four invocation trees on every run.
+    let sampled = || TmConfig {
+        trace_sampling: TraceSampling::SampleEvery(2),
+        ..chaos_config()
+    };
+    let s = run_traced_failover_with(seed, sampled());
+    let s2 = run_traced_failover_with(seed, sampled());
+    assert!(s.roots > 0, "SampleEvery(2) kept no invocation trees");
+    assert_eq!(s.roots, s2.roots, "sampled tree count diverged");
+    assert_eq!(s.dump, s2.dump, "sampled span trees diverged across runs");
+    assert!(
+        s.dump.len() < run.dump.len(),
+        "a sampled dump must be strictly smaller than the full dump"
+    );
+    assert_eq!(
+        strip_sched(&s.timeseries),
+        strip_sched(&s2.timeseries),
+        "sampled-run telemetry windows diverged across runs"
     );
 }
 
@@ -138,8 +195,7 @@ fn same_seed_chaos_is_byte_identical_with_coalescing_enabled() {
         "span trees diverged between same-seed coalesced runs"
     );
     assert_eq!(
-        strip_bytes(&r1.metrics),
-        strip_bytes(&r2.metrics),
+        r1.metrics, r2.metrics,
         "metrics diverged between same-seed coalesced runs"
     );
     assert_eq!(r1.retries, r2.retries, "retry counts diverged");
@@ -167,7 +223,7 @@ fn failover_trace_shows_the_san_to_socket_route_change() {
 
 #[test]
 fn san_mapping_death_fails_over_to_socket_with_seeded_drops() {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let seed = chaos_seed();
     let (got, recovery, dropped) = run_failover_scenario(seed);
 
@@ -202,7 +258,7 @@ fn san_mapping_death_fails_over_to_socket_with_seeded_drops() {
 
 #[test]
 fn invocation_completes_through_flapping_wan_within_retry_budget() {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let (topo, a, b) = padico::fabric::topology::two_clusters_wan(2);
     let grid = Grid::boot_with_config(
         topo,
@@ -255,7 +311,7 @@ fn invocation_completes_through_flapping_wan_within_retry_budget() {
 
 #[test]
 fn partitioned_replica_degrades_to_surviving_ranks() {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let (topo, ids) = sci_cluster(3);
     let grid = Grid::boot_with_config(
         topo,
@@ -290,7 +346,7 @@ fn partitioned_replica_degrades_to_surviving_ranks() {
 
 #[test]
 fn quorum_loss_is_an_error_not_a_hang() {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let (topo, ids) = sci_cluster(3);
     let grid = Grid::boot_with_config(
         topo,
@@ -409,7 +465,7 @@ fn await_quiescent(server: &Orb) {
 /// traces excluded — their dispatch spans end on wall-clock release),
 /// the rendered metrics registry, and the inflight high-water mark.
 fn run_overload_storm() -> (String, String, u32) {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let cfg = TmConfig {
         default_deadline: Duration::from_millis(150),
         connect_timeout: Duration::from_millis(500),
@@ -422,7 +478,7 @@ fn run_overload_storm() -> (String, String, u32) {
         breaker: None,
         trace_sampling: TraceSampling::Always,
     };
-    let (client, server, _tms, _topo, _ids) = orb_pair_with(cfg);
+    let (client, server, _tms, topo, _ids) = orb_pair_with(cfg);
     let (started_tx, started_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();
     let ior = server.activate(Arc::new(Blocker {
@@ -430,6 +486,7 @@ fn run_overload_storm() -> (String, String, u32) {
         release: std::sync::Mutex::new(release_rx),
     }));
     let obj = client.object_ref(ior);
+    let telemetry = topo.telemetry();
     let clock = client.tm().clock();
     let node = client.tm().node().0;
 
@@ -438,7 +495,7 @@ fn run_overload_storm() -> (String, String, u32) {
     // explicit root span with a fixed trace id — spans only record
     // inside an ambient trace, and fixed ids keep the dump replayable.
     {
-        let _root = padico::util::span::root(clock, node, 1, "chaos.storm", "warmup");
+        let _root = padico::util::span::root(telemetry, clock, node, 1, "chaos.storm", "warmup");
         obj.request("ok").invoke().unwrap();
     }
     await_quiescent(&server);
@@ -456,8 +513,14 @@ fn run_overload_storm() -> (String, String, u32) {
     // the retryable TRANSIENT. Probes are not idempotent, so each is
     // exactly one wire attempt and the shed counter moves by exactly 1.
     for i in 0..6 {
-        let _root =
-            padico::util::span::root(clock, node, 10 + i, "chaos.storm", format!("probe:{i}"));
+        let _root = padico::util::span::root(
+            telemetry,
+            clock,
+            node,
+            10 + i,
+            "chaos.storm",
+            format!("probe:{i}"),
+        );
         let err = obj.request("ok").invoke().unwrap_err();
         assert!(
             matches!(&err, OrbError::Transient(TmError::Overloaded(_))),
@@ -472,11 +535,12 @@ fn run_overload_storm() -> (String, String, u32) {
     release_tx.send(()).unwrap();
     await_quiescent(&server);
     {
-        let _root = padico::util::span::root(clock, node, 100, "chaos.storm", "recovery");
+        let _root =
+            padico::util::span::root(telemetry, clock, node, 100, "chaos.storm", "recovery");
         obj.request("ok").invoke().unwrap();
     }
 
-    let counters = padico::util::metrics::snapshot().counters;
+    let counters = telemetry.metrics().counters;
     assert_eq!(
         counters.get("orb.admission.shed"),
         Some(&6),
@@ -494,10 +558,9 @@ fn run_overload_storm() -> (String, String, u32) {
     // CI's failure path sets CHAOS_FLIGHT_OUT and re-runs the suite to
     // capture the full flight-recorder export (spans + telemetry
     // windows as a Perfetto trace) as a build artifact for offline
-    // triage of the failing seed. Written here, while this scenario's
-    // isolated registry window is still open.
+    // triage of the failing seed.
     if let Ok(path) = std::env::var("CHAOS_FLIGHT_OUT") {
-        let json = padico::core::observability::ObservabilitySnapshot::capture()
+        let json = padico::core::observability::ObservabilitySnapshot::capture(&topo)
             .flight_recorder_json();
         std::fs::write(&path, json).expect("write CHAOS_FLIGHT_OUT");
     }
@@ -505,9 +568,12 @@ fn run_overload_storm() -> (String, String, u32) {
     // The untraced blockers recorded nothing, so the dump covers the
     // warm-up, all six sheds, and the recovery — every deterministic
     // trace of the scenario.
+    quiesce(&topo, || {
+        client.admission_inflight() + server.admission_inflight()
+    });
     (
-        padico::util::span::canonical_dump(&padico::util::span::snapshot()),
-        stable_metrics_render(),
+        padico::util::span::canonical_dump(&telemetry.spans()),
+        telemetry.metrics().render(),
         peak,
     )
 }
@@ -541,7 +607,7 @@ fn overload_storm_sheds_within_budget_and_replays_byte_identically() {
 /// the canonical span dump and the rendered metrics registry for the
 /// byte-identity comparison.
 fn run_breaker_storm() -> (String, String) {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let cooldown = 30 * SEC;
     let cfg = TmConfig {
         default_deadline: Duration::from_millis(150),
@@ -565,6 +631,7 @@ fn run_breaker_storm() -> (String, String) {
         started: started_tx,
         release: std::sync::Mutex::new(rx),
     })));
+    let telemetry = topo.telemetry();
     let clock = client.tm().clock();
     let node = client.tm().node().0;
 
@@ -572,7 +639,7 @@ fn run_breaker_storm() -> (String, String) {
     // step runs under a fixed-trace-id root span so the breaker's
     // transition spans land in a replayable dump.
     {
-        let _root = padico::util::span::root(clock, node, 1, "chaos.breaker", "warmup");
+        let _root = padico::util::span::root(telemetry, clock, node, 1, "chaos.breaker", "warmup");
         obj.request("ok").invoke().unwrap();
     }
 
@@ -596,8 +663,14 @@ fn run_breaker_storm() -> (String, String) {
     // counters freeze.
     let mut seen = Vec::new();
     for i in 0..5u64 {
-        let _root =
-            padico::util::span::root(clock, node, 10 + i, "chaos.breaker", format!("trip:{i}"));
+        let _root = padico::util::span::root(
+            telemetry,
+            clock,
+            node,
+            10 + i,
+            "chaos.breaker",
+            format!("trip:{i}"),
+        );
         assert!(
             obj.request("ok").idempotent().invoke().is_err(),
             "a fully partitioned invoke cannot succeed"
@@ -613,7 +686,7 @@ fn run_breaker_storm() -> (String, String) {
         "routes never all tripped; fabric fault counts kept moving: {seen:?}"
     );
 
-    let counters = padico::util::metrics::snapshot().counters;
+    let counters = telemetry.metrics().counters;
     assert!(
         counters.get("tm.breaker.opened").copied().unwrap_or(0) >= 1,
         "the breaker never tripped: {counters:?}"
@@ -628,7 +701,8 @@ fn run_breaker_storm() -> (String, String) {
     // a single frame reaching any fabric.
     let wire_before = wire_faults(&topo);
     {
-        let _root = padico::util::span::root(clock, node, 50, "chaos.breaker", "while-open");
+        let _root =
+            padico::util::span::root(telemetry, clock, node, 50, "chaos.breaker", "while-open");
         assert!(
             obj.request("ok").idempotent().invoke().is_err(),
             "the breaker is open — this cannot succeed"
@@ -639,7 +713,7 @@ fn run_breaker_storm() -> (String, String) {
         wire_before,
         "an open breaker must not put anything on the wire"
     );
-    let counters = padico::util::metrics::snapshot().counters;
+    let counters = telemetry.metrics().counters;
     assert!(
         counters
             .get("tm.breaker.fast_failures")
@@ -657,10 +731,11 @@ fn run_breaker_storm() -> (String, String) {
     }
     tms[0].clock().advance(cooldown + SEC);
     {
-        let _root = padico::util::span::root(clock, node, 100, "chaos.breaker", "recovery");
+        let _root =
+            padico::util::span::root(telemetry, clock, node, 100, "chaos.breaker", "recovery");
         obj.request("ok").idempotent().invoke().unwrap();
     }
-    let counters = padico::util::metrics::snapshot().counters;
+    let counters = telemetry.metrics().counters;
     assert!(
         counters.get("tm.breaker.probes").copied().unwrap_or(0) >= 1,
         "recovery never went through a half-open probe: {counters:?}"
@@ -670,9 +745,12 @@ fn run_breaker_storm() -> (String, String) {
         "the probe's success never closed the breaker: {counters:?}"
     );
 
+    quiesce(&topo, || {
+        client.admission_inflight() + server.admission_inflight()
+    });
     (
-        padico::util::span::canonical_dump(&padico::util::span::snapshot()),
-        stable_metrics_render(),
+        padico::util::span::canonical_dump(&telemetry.spans()),
+        telemetry.metrics().render(),
     )
 }
 
@@ -690,8 +768,9 @@ fn breaker_trips_fails_fast_and_recovers_byte_identically() {
 
 #[test]
 fn expired_deadline_short_circuits_server_dispatch() {
-    let _iso = padico::util::trace::isolated();
-    let (client, server, tms, _topo, _ids) = orb_pair_with(chaos_config());
+    let _turn = cpu_turn();
+    let (client, server, tms, topo, _ids) = orb_pair_with(chaos_config());
+    let telemetry = topo.telemetry();
     let (started_tx, _started_rx) = mpsc::channel();
     let (_tx, rx) = mpsc::channel();
     let obj = client.object_ref(server.activate(Arc::new(Blocker {
@@ -714,7 +793,7 @@ fn expired_deadline_short_circuits_server_dispatch() {
         "want the typed TIMEOUT, got {err:?}"
     );
     assert!(!err.is_retryable(), "an expired deadline is terminal");
-    let counters = padico::util::metrics::snapshot().counters;
+    let counters = telemetry.metrics().counters;
     assert_eq!(
         counters.get("orb.deadline.expired_server"),
         Some(&1),
@@ -725,7 +804,7 @@ fn expired_deadline_short_circuits_server_dispatch() {
     // receive), so the client's next deadline is stamped far enough in
     // the future and the call goes through — no poison, no retry storm.
     obj.request("ok").invoke().unwrap();
-    let counters = padico::util::metrics::snapshot().counters;
+    let counters = telemetry.metrics().counters;
     assert_eq!(
         counters.get("orb.deadline.expired_server"),
         Some(&1),
@@ -742,7 +821,7 @@ fn mid_pipeline_link_down_fails_in_flight_and_retries_queued() {
     // died on the wire and non-idempotent work must not be re-issued —
     // while the queued idempotent ones ride the retry loop onto a fresh
     // connection once the link heals.
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let (client, server, _tms, topo, ids) = orb_pair_with(chaos_config());
     let (started_tx, started_rx) = mpsc::channel();
     let (release_tx, release_rx) = mpsc::channel();

@@ -1,14 +1,10 @@
-//! The seeded chaos failover world, shared by the `chaos` suite and the
-//! `replay_identity` suite (a separate test binary, hence a separate
-//! process — see `replay_identity.rs` for why that matters).
+//! The seeded chaos failover world used by the `chaos` suite.
 //!
 //! Everything here is deterministic: fault decisions are a pure function
 //! of the plan seed and per-link sequence numbers, and backoff is
 //! charged to the virtual clock — so two runs of the same scenario must
-//! report identical retry counts, span trees, and metrics.
-//!
-//! Each including test binary uses a different subset of these helpers.
-#![allow(dead_code)]
+//! report identical retry counts, span trees, and metrics. Each run boots
+//! its own world, whose telemetry no other test can reach.
 
 use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelServant};
 use padico::core::parallel::{ParValue, ParallelAdapter, ParallelRef};
@@ -19,8 +15,8 @@ use padico::fabric::{presets, FaultPlan, SecurityZone, Topology};
 use padico::orb::profile::OrbProfile;
 use padico::tm::selector::FabricChoice;
 use padico::tm::{RetryPolicy, TmConfig, TraceSampling};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// The seed the chaos scenarios run under. CI's multi-seed matrix sets
 /// `CHAOS_SEED`; local runs default to 42. Every determinism assertion
@@ -49,22 +45,29 @@ pub fn chaos_config() -> TmConfig {
     }
 }
 
-/// Drop the per-fabric `bytes.*` counter lines from a metrics render.
-///
-/// Needed wherever scenarios that race wall-clock deadlines share a
-/// process: a deadline-raced frame (a reply the server sends just as the
-/// client gives up) lands in whatever isolated registry window happens
-/// to be open — possibly a *neighbouring test's*. Byte tallies are the
-/// only counter family such a stray frame perturbs; everything
-/// load-bearing (retries, sheds, breaker transitions, deadline refusals,
-/// latency histograms) stays in the comparison. The `replay_identity`
-/// binary owns its whole process and compares the unstripped render.
-pub fn strip_bytes(render: &str) -> String {
-    render
-        .lines()
-        .filter(|l| !l.starts_with("counter bytes."))
-        .map(|l| format!("{l}\n"))
-        .collect()
+/// Take the host's turn for one chaos scenario. The scenarios wait out
+/// 150 ms wall-clock reply deadlines on dropped frames; run side by side
+/// on a small host (2 vCPUs), CPU contention alone can push a healthy
+/// reply past its deadline and change a run's retry story. This lock
+/// orders CPU use only: each scenario's telemetry is its own world's.
+pub fn cpu_turn() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Block until the world is quiescent: no node's ORB holds an admission
+/// slot (`inflight` sums them — no dispatch is queued or running, so no
+/// reply is left to write) and the world scheduler has nothing pending
+/// or in flight. A canceled request's late reply is written by a server
+/// dispatch worker after the client has moved on; once this holds,
+/// every frame the scenario put on the wire has been delivered and
+/// counted.
+pub fn quiesce(topo: &Topology, inflight: impl Fn() -> u32) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !(inflight() == 0 && topo.sched().quiesce(Duration::from_secs(1)) && inflight() == 0) {
+        assert!(Instant::now() < deadline, "the world never quiesced");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn shift_interface() -> InterfaceDef {
@@ -171,17 +174,14 @@ pub fn sci_cluster(n: usize) -> (Topology, Vec<padico::util::ids::NodeId>) {
 }
 
 /// Everything a determinism comparison needs from one traced failover
-/// run. `metrics` is the full registry render, `bytes.*` included —
-/// captured inside the run's isolated registry window. Compare it
-/// directly only when the process runs nothing that races wall-clock
-/// deadlines; otherwise compare [`strip_bytes`]`(&run.metrics)`.
+/// run, read from the run's own world once it is quiescent. `metrics` is
+/// the full registry render, `bytes.*` and `recovery.*` included.
 pub struct FailoverRun {
     pub dump: String,
     pub metrics: String,
-    /// Deterministic render of the virtual-time telemetry windows,
-    /// captured inside the run's isolated registry window. Compare
-    /// [`strip_sched`]`(&run.timeseries)` across runs: the `sched.*`
-    /// series sample wall-clock batching and are legitimately
+    /// Deterministic render of the virtual-time telemetry windows.
+    /// Compare [`strip_sched`]`(&run.timeseries)` across runs: the
+    /// `sched.*` series sample wall-clock batching and are legitimately
     /// nondeterministic.
     pub timeseries: String,
     /// `ccm.invoke` roots retained in the span buffers — 4 under
@@ -216,7 +216,7 @@ pub fn run_traced_failover(seed: u64) -> FailoverRun {
 /// [`run_traced_failover`] with explicit runtime knobs, so the same
 /// scenario can be replayed with coalescing enabled or with sampling.
 pub fn run_traced_failover_with(seed: u64, config: TmConfig) -> FailoverRun {
-    let _iso = padico::util::trace::isolated();
+    let _turn = cpu_turn();
     let sampling_all = matches!(config.trace_sampling, TraceSampling::Always);
     let (topo, ids) = sci_cluster(2);
     let grid =
@@ -243,27 +243,15 @@ pub fn run_traced_failover_with(seed: u64, config: TmConfig) -> FailoverRun {
         assert_shifted(&invoke_shift(&par, &values, delta).unwrap(), &values, delta);
     }
 
-    // Let deadline-raced stragglers land inside OUR registry window
-    // before capturing. A canceled request's late reply is sent by the
-    // server's dispatch worker at thread-scheduling mercy, a few
-    // milliseconds after the client has already moved on — the one
-    // wall-clock-exposed byte source left in this scenario. The frame
-    // SET is deterministic (the span tree replays byte-identically), so
-    // "everything landed" is simply "the render stopped changing".
-    let mut prev = padico::util::metrics::snapshot().render();
-    for _ in 0..50 {
-        std::thread::sleep(Duration::from_millis(40));
-        let cur = padico::util::metrics::snapshot().render();
-        if cur == prev {
-            break;
-        }
-        prev = cur;
-    }
+    quiesce(grid.topology(), || {
+        (0..grid.len())
+            .map(|i| grid.node(i).env.orb.admission_inflight())
+            .sum()
+    });
 
-    let retries: u64 = (0..grid.len())
-        .map(|i| grid.node(i).env.tm.recovery().snapshot().total_retries())
-        .sum();
-    let spans = padico::util::span::snapshot();
+    let telemetry = grid.topology().telemetry();
+    let retries = telemetry.recovery().total_retries();
+    let spans = telemetry.spans();
     let mut roots: Vec<_> = spans.iter().filter(|s| s.layer == "ccm.invoke").collect();
     roots.sort_by_key(|s| s.start);
     if sampling_all {
@@ -293,8 +281,8 @@ pub fn run_traced_failover_with(seed: u64, config: TmConfig) -> FailoverRun {
         .unwrap_or_default();
     FailoverRun {
         dump: padico::util::span::canonical_dump(&spans),
-        metrics: padico::util::metrics::snapshot().render(),
-        timeseries: padico::util::timeseries::snapshot().render(),
+        metrics: telemetry.metrics().render(),
+        timeseries: telemetry.timeseries().render(),
         roots: roots.len(),
         warmup,
         failover,

@@ -9,6 +9,10 @@ use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelServant};
 use padico::core::parallel::{ParValue, ParallelAdapter, ParallelRef};
 use padico::core::paridl::{ArgDef, InterfaceDef, OpDef, ParamKind};
 use padico::core::{DistSeq, Distribution, Grid, GridCcmError, InterceptionPlan};
+use padico::orb::profile::OrbProfile;
+use padico::tm::selector::FabricChoice;
+use padico::tm::{TmConfig, TraceSampling};
+use padico::util::simtime::MS;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -63,7 +67,14 @@ impl ParallelServant for ShiftServant {
     }
 }
 
-fn shift_handle(grid: &Grid, client_node: usize, server_nodes: &[usize]) -> ParallelRef {
+/// A client handle on `client_node` over ShiftServant replicas on
+/// `server_nodes`. The group name seeds the invocation (= trace) ids.
+fn shift_handle(
+    grid: &Grid,
+    group: &str,
+    client_node: usize,
+    server_nodes: &[usize],
+) -> ParallelRef {
     let plan = shift_plan();
     let mut refs = Vec::new();
     for (rank, &node) in server_nodes.iter().enumerate() {
@@ -72,7 +83,7 @@ fn shift_handle(grid: &Grid, client_node: usize, server_nodes: &[usize]) -> Para
         let ior = grid.node(node).env.orb.activate(adapter);
         refs.push(grid.node(client_node).env.orb.object_ref(ior));
     }
-    ParallelRef::new("obs-shift", plan, refs, 0, 1).unwrap()
+    ParallelRef::new(group, plan, refs, 0, 1).unwrap()
 }
 
 fn invoke_shift(par: &ParallelRef, values: &[f64], delta: f64) -> Vec<f64> {
@@ -89,14 +100,13 @@ fn invoke_shift(par: &ParallelRef, values: &[f64], delta: f64) -> Vec<f64> {
 
 #[test]
 fn parallel_invocation_yields_one_connected_multilayer_tree() {
-    let _iso = padico::util::trace::isolated();
     let grid = Grid::single_cluster(3).unwrap();
-    let par = shift_handle(&grid, 0, &[1, 2]);
+    let par = shift_handle(&grid, "obs-shift", 0, &[1, 2]);
     let values: Vec<f64> = (0..64).map(|i| i as f64).collect();
     let got = invoke_shift(&par, &values, 1.5);
     assert!((got[10] - 11.5).abs() < 1e-9);
 
-    let obs = ObservabilitySnapshot::capture();
+    let obs = ObservabilitySnapshot::capture(grid.topology());
     assert_eq!(obs.dropped_spans, 0);
 
     // Exactly one root: everything the grid did — boot, connection
@@ -192,14 +202,13 @@ fn parallel_invocation_yields_one_connected_multilayer_tree() {
 
 #[test]
 fn separate_invocations_get_separate_traces() {
-    let _iso = padico::util::trace::isolated();
     let grid = Grid::single_cluster(3).unwrap();
-    let par = shift_handle(&grid, 0, &[1, 2]);
+    let par = shift_handle(&grid, "obs-shift", 0, &[1, 2]);
     let values: Vec<f64> = (0..32).map(|i| i as f64).collect();
     invoke_shift(&par, &values, 1.0);
     invoke_shift(&par, &values, 2.0);
 
-    let obs = ObservabilitySnapshot::capture();
+    let obs = ObservabilitySnapshot::capture(grid.topology());
     let roots: Vec<_> = obs
         .spans
         .iter()
@@ -226,9 +235,8 @@ fn control_service_serves_the_flight_recorder_over_giop() {
     // ControlServant on the server node exposes them through the ORB;
     // a client on another node retrieves them with plain GIOP requests
     // — the stack observing itself through its own invocation path.
-    let _iso = padico::util::trace::isolated();
     let grid = Grid::single_cluster(3).unwrap();
-    let par = shift_handle(&grid, 0, &[1, 2]);
+    let par = shift_handle(&grid, "obs-shift", 0, &[1, 2]);
     let values: Vec<f64> = (0..64).map(|i| i as f64).collect();
     invoke_shift(&par, &values, 1.5);
 
@@ -245,7 +253,7 @@ fn control_service_serves_the_flight_recorder_over_giop() {
     assert!(snap.contains("timeseries latency.ccm.invoke"), "snapshot:\n{snap}");
     assert!(snap.contains("histogram latency.ccm.invoke"));
 
-    let local = ObservabilitySnapshot::capture();
+    let local = ObservabilitySnapshot::capture(grid.topology());
     let root = local
         .spans
         .iter()
@@ -273,4 +281,74 @@ fn control_service_serves_the_flight_recorder_over_giop() {
     assert!(json.contains("traceEvents"));
     assert!(json.contains("invoke:"));
     assert!(json.contains("ts.latency.ccm.invoke"));
+}
+
+/// The trace ids of a world's retained `ccm.invoke` roots.
+fn invoke_roots(obs: &ObservabilitySnapshot) -> BTreeSet<u64> {
+    obs.spans
+        .iter()
+        .filter(|s| s.layer == "ccm.invoke")
+        .map(|s| s.trace_id)
+        .collect()
+}
+
+#[test]
+fn each_world_keeps_its_own_sampling_policy_and_spans() {
+    // World A samples every other trace; world B, booted after it with
+    // the default policy, must not switch A's sampling back on.
+    let (topo, _ids) = padico::fabric::topology::single_cluster(3);
+    let sampled = TmConfig {
+        trace_sampling: TraceSampling::SampleEvery(2),
+        ..TmConfig::default()
+    };
+    let a =
+        Grid::boot_with_config(topo, OrbProfile::omniorb3(), FabricChoice::Auto, sampled).unwrap();
+    let b = Grid::single_cluster(3).unwrap();
+    let par_a = shift_handle(&a, "obs-world-a", 0, &[1, 2]);
+    let par_b = shift_handle(&b, "obs-world-b", 0, &[1, 2]);
+    let values: Vec<f64> = (0..16).map(|i| i as f64).collect();
+    for round in 0..8 {
+        invoke_shift(&par_a, &values, f64::from(round));
+        invoke_shift(&par_b, &values, f64::from(round));
+    }
+
+    let obs_a = ObservabilitySnapshot::capture(a.topology());
+    let obs_b = ObservabilitySnapshot::capture(b.topology());
+    let (roots_a, roots_b) = (invoke_roots(&obs_a), invoke_roots(&obs_b));
+    assert!(
+        roots_a.len() < 8,
+        "SampleEvery(2) kept all 8 roots of world A"
+    );
+    assert_eq!(roots_b.len(), 8, "world B samples every trace");
+    let traces = |obs: &ObservabilitySnapshot| -> BTreeSet<u64> {
+        obs.spans.iter().map(|s| s.trace_id).collect()
+    };
+    assert!(
+        traces(&obs_a).is_disjoint(&roots_b) && traces(&obs_b).is_disjoint(&roots_a),
+        "a world's capture holds another world's traces"
+    );
+}
+
+#[test]
+fn a_young_world_keeps_its_early_windows() {
+    // World A's clock runs far past the 64 default windows; a world
+    // booted afterwards starts at virtual time zero and must still keep
+    // its first latency samples.
+    let a = Grid::single_cluster(3).unwrap();
+    let par_a = shift_handle(&a, "obs-old", 0, &[1, 2]);
+    let values: Vec<f64> = (0..16).map(|i| i as f64).collect();
+    invoke_shift(&par_a, &values, 1.0);
+    a.node(0).env.tm.clock().advance(200 * MS);
+    invoke_shift(&par_a, &values, 2.0);
+
+    let b = Grid::single_cluster(3).unwrap();
+    let par_b = shift_handle(&b, "obs-young", 0, &[1, 2]);
+    invoke_shift(&par_b, &values, 3.0);
+
+    let ts = b.topology().telemetry().timeseries();
+    let series = ts
+        .series("latency.ccm.invoke")
+        .expect("invoke latency series");
+    assert!(series.total_count() >= 1, "{}", ts.render());
+    assert_eq!(series.dropped_samples, 0, "{}", ts.render());
 }
