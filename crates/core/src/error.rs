@@ -24,9 +24,27 @@ pub enum GridCcmError {
     /// invocation: `alive` of `total` answered the liveness probe, but
     /// the handle's quorum requires more.
     QuorumLost { alive: usize, total: usize },
+    /// A derived request arrived for an invocation its client rank had
+    /// already acknowledged as returned, after the replica dropped the
+    /// result: a stale duplicate, answered at once and never re-run.
+    AlreadyCompleted { inv_id: u64 },
 }
 
+/// How [`GridCcmError::AlreadyCompleted`] ends its message, which is all
+/// of it that survives a trip through a GIOP system exception.
+const ALREADY_COMPLETED: &str = "already completed";
+
 impl GridCcmError {
+    /// Whether the error is (or, as a system exception off the wire,
+    /// carries) [`GridCcmError::AlreadyCompleted`].
+    pub fn is_already_completed(&self) -> bool {
+        match self {
+            GridCcmError::AlreadyCompleted { .. } => true,
+            GridCcmError::Orb(OrbError::System(msg)) => msg.ends_with(ALREADY_COMPLETED),
+            _ => false,
+        }
+    }
+
     /// Whether an invocation error came from the arbitrated transport
     /// (and a degraded re-plan or retry may help) rather than from the
     /// GridCCM protocol itself. Delegates to [`OrbError::is_transport`],
@@ -49,6 +67,9 @@ impl fmt::Display for GridCcmError {
                 f,
                 "quorum lost: only {alive} of {total} server replicas reachable"
             ),
+            GridCcmError::AlreadyCompleted { inv_id } => {
+                write!(f, "invocation {inv_id:#x} {ALREADY_COMPLETED}")
+            }
         }
     }
 }
@@ -113,5 +134,16 @@ mod tests {
         assert!(!GridCcmError::Protocol("bad header".into()).is_transport_failure());
         assert!(!GridCcmError::Orb(OrbError::Marshal("short".into())).is_transport_failure());
         assert!(!GridCcmError::QuorumLost { alive: 1, total: 4 }.is_transport_failure());
+    }
+
+    #[test]
+    fn already_completed_survives_the_system_exception_round_trip() {
+        let e = GridCcmError::AlreadyCompleted { inv_id: 0x2a };
+        assert!(e.is_already_completed());
+        assert!(!e.is_transport_failure());
+        // What the client sees: the adapter's message inside the ORB's.
+        let wire = OrbError::System(format!("GridCCM: {e}")).to_string();
+        assert!(GridCcmError::Orb(OrbError::System(wire)).is_already_completed());
+        assert!(!GridCcmError::Orb(OrbError::System("deliberate".into())).is_already_completed());
     }
 }

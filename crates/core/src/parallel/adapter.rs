@@ -20,6 +20,7 @@ use padico_orb::cdr::{CdrReader, CdrWriter};
 use padico_orb::poa::{Servant, ServerCtx};
 use padico_orb::OrbError;
 use padico_util::simtime::SimClock;
+use padico_util::Telemetry;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -151,6 +152,12 @@ enum Outcome {
     Dist(DistSeq),
 }
 
+/// How an invocation ended: its outcome, or the servant's error message.
+type Finished = Result<Arc<Outcome>, String>;
+
+/// A gathered invocation is keyed by `(inv_id, op)`.
+type InvKey = (u64, String);
+
 struct InvState {
     expected: BTreeSet<u32>,
     arrived: HashMap<u32, Vec<WireArg>>,
@@ -158,7 +165,7 @@ struct InvState {
     /// rank: the upcall span is parented on the lowest expected rank's
     /// context so the tree shape does not depend on arrival order.
     ctxs: HashMap<u32, (u64, u64)>,
-    outcome: Option<Result<Arc<Outcome>, String>>,
+    outcome: Option<Finished>,
     replies_sent: usize,
 }
 
@@ -167,42 +174,142 @@ struct InvSlot {
     cv: Condvar,
 }
 
-/// How many finished invocations keep their outcome for duplicate
-/// requests (a client whose reply frame was lost re-sends the request;
-/// the servant must not run twice, so the cached outcome answers it).
-const COMPLETED_CAP: usize = 256;
-
-/// Bounded FIFO of completed invocation outcomes.
-#[derive(Default)]
-struct CompletedCache {
-    outcomes: HashMap<(u64, String), Result<Arc<Outcome>, String>>,
-    order: std::collections::VecDeque<(u64, String)>,
+/// A finished invocation kept for duplicates of its requests (a client
+/// whose reply frame was lost re-sends the request; the servant must not
+/// run twice, so the kept outcome answers it).
+struct Retained {
+    group: u64,
+    seq: u64,
+    /// The client ranks it served: all of them must acknowledge it.
+    expected: BTreeSet<u32>,
+    outcome: Finished,
 }
 
-impl CompletedCache {
-    fn insert(&mut self, key: (u64, String), outcome: Result<Arc<Outcome>, String>) {
-        if self.outcomes.insert(key.clone(), outcome).is_none() {
-            self.order.push_back(key);
-            while self.order.len() > COMPLETED_CAP {
-                if let Some(evicted) = self.order.pop_front() {
-                    self.outcomes.remove(&evicted);
-                }
-            }
+impl Retained {
+    /// Result bytes the kept outcome pins.
+    fn bytes(&self) -> u64 {
+        match self.outcome.as_deref() {
+            Ok(Outcome::Replicated(v)) => v.byte_len() as u64,
+            Ok(Outcome::Dist(d)) => d.data.len() as u64,
+            Ok(Outcome::Void) | Err(_) => 0,
         }
     }
 
-    fn get(&self, key: &(u64, String)) -> Option<Result<Arc<Outcome>, String>> {
-        self.outcomes.get(key).cloned()
+    /// Whether every rank it served has passed it, by `marks` (the
+    /// watermarks of [`Dedup`]).
+    fn acknowledged(&self, marks: &HashMap<(u64, u32), u64>) -> bool {
+        self.expected
+            .iter()
+            .all(|&c| marks.get(&(self.group, c)).is_some_and(|&m| m > self.seq))
+    }
+}
+
+/// What one pass over the dedup state released or kept, reported to the
+/// world's telemetry once the adapter's lock is dropped.
+#[derive(Default)]
+struct DedupChange {
+    released: u64,
+    retained_bytes: i64,
+}
+
+impl DedupChange {
+    fn report(&self, telemetry: &Telemetry) {
+        if self.released > 0 {
+            telemetry.counter_add("ccm.dedup.released", self.released);
+        }
+        if self.retained_bytes != 0 {
+            telemetry.gauge_add("ccm.dedup.retained_bytes", self.retained_bytes);
+        }
+    }
+}
+
+/// Duplicate suppression acknowledged by the clients: open gathers,
+/// finished outcomes still owed to some client, and each client rank's
+/// completion watermark ([`InvHeader::done_below`]).
+#[derive(Default)]
+struct Dedup {
+    open: HashMap<InvKey, Arc<InvSlot>>,
+    retained: HashMap<InvKey, Retained>,
+    /// Per `(group, client rank)`: every invocation of that rank below
+    /// this sequence number has returned to its caller.
+    done_below: HashMap<(u64, u32), u64>,
+}
+
+impl Dedup {
+    fn watermark(&self, group: u64, rank: u32) -> u64 {
+        self.done_below.get(&(group, rank)).copied().unwrap_or(0)
+    }
+
+    /// Raise `rank`'s watermark in `group` and drop every retained outcome
+    /// whose expected ranks have all passed its sequence number.
+    fn acknowledge(&mut self, group: u64, rank: u32, done_below: u64) -> DedupChange {
+        let mut change = DedupChange::default();
+        let mark = self.done_below.entry((group, rank)).or_insert(0);
+        if done_below <= *mark {
+            return change;
+        }
+        *mark = done_below;
+        let Dedup {
+            retained,
+            done_below: marks,
+            ..
+        } = self;
+        retained.retain(|_, r| {
+            let passed = r.group == group && r.expected.contains(&rank) && r.acknowledged(marks);
+            if passed {
+                change.released += 1;
+                change.retained_bytes -= r.bytes() as i64;
+            }
+            !passed
+        });
+        change
+    }
+
+    /// Close a gather whose every reply is out: keep its outcome unless
+    /// all of its ranks have already moved past it.
+    fn retire(&mut self, key: &InvKey, finished: Retained) -> DedupChange {
+        self.open.remove(key);
+        if finished.acknowledged(&self.done_below) {
+            return DedupChange {
+                released: 1,
+                retained_bytes: 0,
+            };
+        }
+        let retained_bytes = finished.bytes() as i64;
+        self.retained.insert(key.clone(), finished);
+        DedupChange {
+            released: 0,
+            retained_bytes,
+        }
     }
 }
 
 /// The derived-interface servant of one replica.
+///
+/// **Duplicate requests.** Derived requests are idempotent, so the ORB may
+/// deliver one twice. A duplicate of an invocation still gathering joins
+/// the gather; a duplicate of a finished one is answered from its kept
+/// outcome; a duplicate arriving after its client rank acknowledged the
+/// invocation (its sequence number is below the rank's watermark) and the
+/// outcome is gone is refused at once with
+/// [`GridCcmError::AlreadyCompleted`], never by opening a new gather. The
+/// servant runs at most once per invocation either way.
+///
+/// **Memory bound.** An outcome is kept only until every client rank it
+/// served has acknowledged it, i.e. sent this replica any request issued
+/// after the invocation returned. Only distributed results pin whole
+/// blocks, and they come from full fan-out invocations, where every rank
+/// of the group reaches every replica: the next such invocation's
+/// requests acknowledge the previous one. So a replica holds at most one
+/// distributed result per client group (plus one per call still in
+/// progress when threads share a handle). Void and replicated outcomes of
+/// sparse routings wait for their ranks' next request here; the
+/// watermarks cost one `u64` per client rank.
 pub struct ParallelAdapter {
     user: Arc<dyn ParallelServant>,
     plan: Arc<InterceptionPlan>,
     configured: Mutex<Option<Arc<Configured>>>,
-    invocations: Mutex<HashMap<(u64, String), Arc<InvSlot>>>,
-    completed: Mutex<CompletedCache>,
+    dedup: Mutex<Dedup>,
 }
 
 impl ParallelAdapter {
@@ -211,9 +318,18 @@ impl ParallelAdapter {
             user,
             plan,
             configured: Mutex::new(None),
-            invocations: Mutex::new(HashMap::new()),
-            completed: Mutex::new(CompletedCache::default()),
+            dedup: Mutex::new(Dedup::default()),
         })
+    }
+
+    /// Finished invocations this replica keeps for duplicate requests,
+    /// and the result bytes they pin.
+    pub fn retained(&self) -> (usize, u64) {
+        let dedup = self.dedup.lock();
+        (
+            dedup.retained.len(),
+            dedup.retained.values().map(Retained::bytes).sum(),
+        )
     }
 
     /// Bind the adapter to its replica identity. Called by the GridCCM
@@ -521,40 +637,53 @@ impl Servant for ParallelAdapter {
         }
 
         let key = (header.inv_id, op_name.to_string());
-        // A duplicate of a finished invocation (the ORB re-issued a
-        // request whose reply frame was lost) is answered from the
-        // completed cache — the servant must not run twice. The cache
-        // check and the slot lookup share the invocations lock so a slot
+        let seq = header.seq();
+        // The request's acknowledgement goes first, then the lookup: a
+        // duplicate of a finished invocation (the ORB re-issued a request
+        // whose reply frame was lost) is answered from its kept outcome,
+        // and one its own rank has already acknowledged is stale. Both
+        // checks and the slot lookup share the dedup lock, so a slot
         // retiring concurrently cannot slip between them.
         enum Found {
-            Done(Result<Arc<Outcome>, String>),
+            Done(Finished),
+            Stale,
             Slot(Arc<InvSlot>),
         }
-        let found = {
-            let mut invocations = self.invocations.lock();
-            match self.completed.lock().get(&key) {
-                Some(outcome) => Found::Done(outcome),
-                None => Found::Slot(Arc::clone(invocations.entry(key.clone()).or_insert_with(
-                    || {
-                        Arc::new(InvSlot {
-                            mu: Mutex::new(InvState {
-                                expected: expected.clone(),
-                                arrived: HashMap::new(),
-                                ctxs: HashMap::new(),
-                                outcome: None,
-                                replies_sent: 0,
-                            }),
-                            cv: Condvar::new(),
-                        })
-                    },
-                ))),
-            }
+        let (found, change) = {
+            let mut dedup = self.dedup.lock();
+            let change = dedup.acknowledge(header.group, header.client_rank, header.done_below);
+            let found = if let Some(kept) = dedup.retained.get(&key) {
+                Found::Done(kept.outcome.clone())
+            } else if seq < dedup.watermark(header.group, header.client_rank) {
+                Found::Stale
+            } else {
+                Found::Slot(Arc::clone(dedup.open.entry(key.clone()).or_insert_with(|| {
+                    Arc::new(InvSlot {
+                        mu: Mutex::new(InvState {
+                            expected: expected.clone(),
+                            arrived: HashMap::new(),
+                            ctxs: HashMap::new(),
+                            outcome: None,
+                            replies_sent: 0,
+                        }),
+                        cv: Condvar::new(),
+                    })
+                })))
+            };
+            (found, change)
         };
+        change.report(&ctx.telemetry);
         let slot = match found {
             Found::Done(outcome) => {
                 let outcome =
                     outcome.map_err(|msg| OrbError::System(format!("GridCCM: {msg}")))?;
                 return self.write_outcome(&outcome, &header, reply);
+            }
+            Found::Stale => {
+                ctx.telemetry.counter_add("ccm.dedup.stale_duplicates", 1);
+                return Err(to_orb(GridCcmError::AlreadyCompleted {
+                    inv_id: header.inv_id,
+                }));
             }
             Found::Slot(slot) => slot,
         };
@@ -593,7 +722,7 @@ impl Servant for ParallelAdapter {
                     if !duplicate {
                         state.arrived.remove(&header.client_rank);
                         if state.arrived.is_empty() {
-                            self.invocations.lock().remove(&key);
+                            self.dedup.lock().open.remove(&key);
                         }
                     }
                     return Err(OrbError::System(format!(
@@ -606,11 +735,16 @@ impl Servant for ParallelAdapter {
             if !duplicate {
                 state.replies_sent += 1;
                 if state.replies_sent == state.expected.len() {
-                    // Retire the slot but keep the outcome around for
-                    // late duplicates, atomically w.r.t. the lookup above.
-                    let mut invocations = self.invocations.lock();
-                    self.completed.lock().insert(key.clone(), outcome.clone());
-                    invocations.remove(&key);
+                    // Retire the slot but keep the outcome for late
+                    // duplicates until its ranks acknowledge it,
+                    // atomically w.r.t. the lookup above.
+                    let finished = Retained {
+                        group: header.group,
+                        seq,
+                        expected: state.expected.clone(),
+                        outcome: outcome.clone(),
+                    };
+                    self.dedup.lock().retire(&key, finished).report(&ctx.telemetry);
                 }
             }
             outcome
@@ -633,12 +767,164 @@ fn to_orb(e: GridCcmError) -> OrbError {
 }
 
 // Integration-level behaviour (gather, upcall-once, result routing) is
-// exercised end-to-end in `client.rs` tests and in the workspace
-// integration suite; unit tests here cover the argument container.
+// exercised end-to-end in `crates/core/tests/gridccm_e2e.rs` and in the
+// workspace integration suite; unit tests here cover the argument
+// container and the duplicate-suppression rules, dispatching by hand.
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::Distribution;
+    use crate::paridl::{ArgDef, InterfaceDef, OpDef, ParamKind};
+    use crate::parallel::wire::write_replicated;
+    use padico_orb::profile::MarshalStrategy;
+    use padico_util::ids::NodeId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const GROUP: u64 = 0x6c0b_a1a5;
+
+    /// Answers `bump` with how many upcalls it has run so far, so a
+    /// re-run servant would answer differently.
+    struct Counter(AtomicUsize);
+
+    impl ParallelServant for Counter {
+        fn repository_id(&self) -> &str {
+            "IDL:Test/Counter:1.0"
+        }
+
+        fn invoke_parallel(
+            &self,
+            _op: &str,
+            _args: &ParArgs,
+            _ctx: &ParCtx,
+        ) -> Result<Option<ParValue>, GridCcmError> {
+            let n = self.0.fetch_add(1, Ordering::SeqCst) + 1;
+            Ok(Some(ParValue::I32(n as i32)))
+        }
+    }
+
+    /// One replica of one, serving a one-rank client group.
+    fn counter_adapter() -> (Arc<ParallelAdapter>, Arc<Counter>, ServerCtx) {
+        let interface = InterfaceDef {
+            repo_id: "IDL:Test/Counter:1.0".into(),
+            ops: vec![OpDef::new(
+                "bump",
+                vec![ArgDef::new("x", ParamKind::Long)],
+                Some(ParamKind::Long),
+            )],
+        };
+        let xml = r#"<parallelism interface="IDL:Test/Counter:1.0"></parallelism>"#;
+        let plan = Arc::new(InterceptionPlan::compile(&interface, xml).unwrap());
+        let counter = Arc::new(Counter(AtomicUsize::new(0)));
+        let adapter = ParallelAdapter::new(Arc::clone(&counter) as _, plan);
+        adapter.configure(0, 1, None);
+        let ctx = ServerCtx {
+            node: NodeId(0),
+            clock: SimClock::new(),
+            caller: NodeId(1),
+            telemetry: Telemetry::new(),
+        };
+        (adapter, counter, ctx)
+    }
+
+    /// The derived `bump` request of invocation `seq` from a sequential
+    /// one-rank client: every earlier invocation has returned.
+    fn bump_request(seq: u64) -> padico_fabric::Payload {
+        let mut w = CdrWriter::new(MarshalStrategy::Copying);
+        InvHeader {
+            inv_id: GROUP + seq,
+            group: GROUP,
+            done_below: seq,
+            client_rank: 0,
+            client_size: 1,
+            target_rank: 0,
+            target_size: 1,
+            arg_count: 1,
+            trace_id: 0,
+            parent_span: 0,
+            deadline: 0,
+        }
+        .write(&mut w);
+        write_replicated(&mut w, &ParValue::I32(7)).unwrap();
+        w.finish()
+    }
+
+    fn dispatch(
+        adapter: &ParallelAdapter,
+        request: &padico_fabric::Payload,
+        ctx: &ServerCtx,
+    ) -> Result<Bytes, OrbError> {
+        let mut reply = CdrWriter::new(MarshalStrategy::Copying);
+        adapter.dispatch("_par_bump", &mut CdrReader::new(request), &mut reply, ctx)?;
+        Ok(reply.finish().to_contiguous())
+    }
+
+    #[test]
+    fn lost_reply_duplicate_is_answered_with_the_same_bytes() {
+        let (adapter, counter, ctx) = counter_adapter();
+        let request = bump_request(1);
+        let first = dispatch(&adapter, &request, &ctx).unwrap();
+        // The reply frame was lost: the ORB re-issues the same request.
+        let again = dispatch(&adapter, &request, &ctx).unwrap();
+        assert_eq!(first, again);
+        assert_eq!(counter.0.load(Ordering::SeqCst), 1, "the servant ran twice");
+        assert_eq!(adapter.retained().0, 1);
+        // The next invocation acknowledges the first and releases it.
+        dispatch(&adapter, &bump_request(2), &ctx).unwrap();
+        assert_eq!(adapter.retained().0, 1);
+        assert_eq!(ctx.telemetry.metrics().counter("ccm.dedup.released"), 1);
+    }
+
+    #[test]
+    fn acknowledged_duplicate_is_refused_at_once_and_never_reruns() {
+        // A duplicate that arrives long after its invocation returned (300
+        // invocations later) must neither re-run the servant nor open a
+        // gather slot that would park a dispatch worker.
+        let (adapter, counter, ctx) = counter_adapter();
+        for seq in 1..=300 {
+            dispatch(&adapter, &bump_request(seq), &ctx).unwrap();
+        }
+        let start = std::time::Instant::now();
+        let err = dispatch(&adapter, &bump_request(1), &ctx).unwrap_err();
+        assert!(
+            start.elapsed() < ABANDON_TIMEOUT / 5,
+            "the stale duplicate waited {:?}",
+            start.elapsed()
+        );
+        assert!(GridCcmError::Orb(err.clone()).is_already_completed(), "{err}");
+        assert_eq!(counter.0.load(Ordering::SeqCst), 300, "the servant re-ran");
+        // Only the last invocation's outcome is still kept.
+        assert_eq!(adapter.retained(), (1, 8));
+        let metrics = ctx.telemetry.metrics();
+        assert_eq!(metrics.counter("ccm.dedup.released"), 299);
+        assert_eq!(metrics.counter("ccm.dedup.stale_duplicates"), 1);
+        assert_eq!(metrics.counter("ccm.dedup.retained_bytes"), 8);
+    }
+
+    #[test]
+    fn outcome_is_kept_until_every_expected_rank_acknowledges_it() {
+        let finished = |seq| Retained {
+            group: GROUP,
+            seq,
+            expected: BTreeSet::from([0, 1]),
+            outcome: Ok(Arc::new(Outcome::Replicated(ParValue::U64(seq)))),
+        };
+        let key = |seq| (GROUP + seq, "op".to_string());
+        let mut dedup = Dedup::default();
+        assert_eq!(dedup.retire(&key(1), finished(1)).retained_bytes, 8);
+        // Rank 0 moved on; rank 1 may still re-ask.
+        assert_eq!(dedup.acknowledge(GROUP, 0, 2).released, 0);
+        // Another group's rank 1 acknowledges nothing here.
+        assert_eq!(dedup.acknowledge(GROUP + 1, 1, 9).released, 0);
+        let change = dedup.acknowledge(GROUP, 1, 2);
+        assert_eq!((change.released, change.retained_bytes), (1, -8));
+        assert!(dedup.retained.is_empty());
+        // A gather retiring after all its ranks moved past it keeps nothing.
+        dedup.acknowledge(GROUP, 0, 4);
+        dedup.acknowledge(GROUP, 1, 4);
+        let change = dedup.retire(&key(3), finished(3));
+        assert_eq!((change.released, change.retained_bytes), (1, 0));
+        assert!(dedup.retained.is_empty());
+    }
 
     #[test]
     fn par_args_typed_accessors() {

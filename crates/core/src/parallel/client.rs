@@ -9,7 +9,10 @@
 //! Invocations are **collective** across the client group: every rank
 //! must call [`ParallelRef::invoke`] with the same operation sequence
 //! (the usual SPMD contract), so the layers can derive matching
-//! invocation ids without extra coordination.
+//! invocation ids without extra coordination. Every derived request also
+//! carries this rank's completion watermark ([`InvHeader::done_below`]),
+//! the acknowledgement that lets each replica drop the results it keeps
+//! for duplicate requests.
 //!
 //! # Degraded operation
 //!
@@ -32,7 +35,6 @@
 use padico_orb::orb::ObjectRef;
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::dist::Distribution;
@@ -41,7 +43,7 @@ use crate::paridl::{InterceptionPlan, OpPlan};
 use crate::parallel::routing::{targets_of, DistMeta};
 use crate::parallel::wire::{
     assemble_block, read_reply, write_dist_chunks, write_replicated, InvHeader, ParValue,
-    WireReply,
+    WireReply, ROUND_SHIFT,
 };
 use crate::parallel::GRIDCCM_CLIENT_NS;
 use crate::redistribute::{schedule_cached, sends_of, TransferRun};
@@ -63,7 +65,53 @@ pub struct ParallelRef {
     /// marked dead stays out of every later plan).
     dead: Mutex<BTreeSet<usize>>,
     base: u64,
-    seq: AtomicU64,
+    seqs: Mutex<Sequence>,
+}
+
+/// The handle's invocation sequence numbers: the next one to hand out and
+/// those handed out whose `invoke` has not returned yet.
+struct Sequence {
+    next: u64,
+    open: BTreeSet<u64>,
+}
+
+impl Sequence {
+    fn new() -> Mutex<Sequence> {
+        Mutex::new(Sequence {
+            next: 1,
+            open: BTreeSet::new(),
+        })
+    }
+
+    /// Hand out the next sequence number, in progress until the returned
+    /// guard drops.
+    fn open(seqs: &Mutex<Sequence>) -> OpenSeq<'_> {
+        let mut locked = seqs.lock();
+        let seq = locked.next;
+        locked.next += 1;
+        locked.open.insert(seq);
+        OpenSeq { seqs, seq }
+    }
+
+    /// The completion watermark: every lower sequence number has
+    /// returned to its caller. The lowest one still in progress, not the
+    /// highest one completed, so concurrent `invoke`s on one handle never
+    /// acknowledge a sibling call that still waits for its result.
+    fn done_below(&self) -> u64 {
+        self.open.first().copied().unwrap_or(self.next)
+    }
+}
+
+/// Holds one invocation's sequence number open until `invoke` returns.
+struct OpenSeq<'a> {
+    seqs: &'a Mutex<Sequence>,
+    seq: u64,
+}
+
+impl Drop for OpenSeq<'_> {
+    fn drop(&mut self) {
+        self.seqs.lock().open.remove(&self.seq);
+    }
 }
 
 impl ParallelRef {
@@ -103,7 +151,7 @@ impl ParallelRef {
             quorum,
             dead: Mutex::new(BTreeSet::new()),
             base,
-            seq: AtomicU64::new(1),
+            seqs: Sequence::new(),
         })
     }
 
@@ -197,9 +245,8 @@ impl ParallelRef {
         self.validate_args(&op, &args)?;
         let policy = self.replicas[0].orb().tm().config().retry;
         let max_rounds = policy.max_attempts.max(1);
-        let inv_id = self
-            .base
-            .wrapping_add(self.seq.fetch_add(1, Ordering::Relaxed));
+        let open = Sequence::open(&self.seqs);
+        let inv_id = self.base.wrapping_add(open.seq);
         let derived = InterceptionPlan::derived_op(op_name);
 
         // Root of the invocation's span tree: the deterministic
@@ -231,7 +278,7 @@ impl ParallelRef {
             // A retried round is a fresh logical invocation as far as the
             // servers are concerned (the degraded view may differ), so it
             // gets its own deterministic id.
-            let round_id = inv_id.wrapping_add(u64::from(round) << 48);
+            let round_id = inv_id.wrapping_add(u64::from(round) << ROUND_SHIFT);
             let round_span = padico_util::span::child_retry(
                 tm.clock(),
                 tm.node().0,
@@ -477,9 +524,12 @@ impl ParallelRef {
         let (trace_id, parent_span) =
             padico_util::span::current().map_or((0, 0), |c| (c.trace_id, c.span_id));
         let deadline = padico_orb::deadline::current().unwrap_or(0);
+        let done_below = self.seqs.lock().done_below();
         let w = request.writer();
         InvHeader {
             inv_id,
+            group: self.base,
+            done_below,
             client_rank: self.my_rank as u32,
             client_size: self.group_size as u32,
             target_rank: server_rank as u32,
@@ -518,5 +568,27 @@ impl std::fmt::Debug for ParallelRef {
             self.group_size,
             self.replicas.len()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn watermark_is_the_lowest_call_still_in_progress() {
+        let seqs = Sequence::new();
+        assert_eq!(seqs.lock().done_below(), 1);
+        let first = Sequence::open(&seqs);
+        let second = Sequence::open(&seqs);
+        assert_eq!((first.seq, second.seq), (1, 2));
+        // A call never acknowledges itself.
+        assert_eq!(seqs.lock().done_below(), 1);
+        // The later call returning first acknowledges nothing: its
+        // sibling still waits for its result.
+        drop(second);
+        assert_eq!(seqs.lock().done_below(), 1);
+        drop(first);
+        assert_eq!(seqs.lock().done_below(), 3);
     }
 }

@@ -1,9 +1,10 @@
 //! Wire encoding of derived-interface invocations.
 //!
 //! A derived request (`_par_<op>`) carries an invocation header (logical
-//! invocation id, the client's rank and group size) followed by the
-//! argument list. Replicated arguments are sent identically to every
-//! target; distributed arguments travel as *strided chunk sets* — one
+//! invocation id, the client group and its rank's completion watermark,
+//! the client's rank and group size) followed by the argument list.
+//! Replicated arguments are sent identically to every target;
+//! distributed arguments travel as *strided chunk sets* — one
 //! header per [`TransferRun`] of the redistribution schedule (destination
 //! offset, piece length, destination stride, piece count) followed by a
 //! single octet sequence gathering all the run's pieces. Header bytes are
@@ -55,10 +56,29 @@ const TAG_STR: u8 = 5;
 const TAG_SEQ: u8 = 6;
 const TAG_DIST: u8 = 7;
 
+/// A retried round of one invocation travels under
+/// `inv_id + (round << ROUND_SHIFT)`: a fresh id for the servers' gather,
+/// the same sequence number for acknowledgement.
+pub const ROUND_SHIFT: u32 = 48;
+
 /// Header of one derived invocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct InvHeader {
+    /// `group + seq + (round << ROUND_SHIFT)`: unique per logical
+    /// invocation and round of one client group.
     pub inv_id: u64,
+    /// The client group's id (the `ParallelRef`'s `base`, a hash of the
+    /// group name) that `inv_id` is derived from; with `client_rank` it
+    /// names whose acknowledgement `done_below` is.
+    pub group: u64,
+    /// The sending rank's completion watermark: every invocation of this
+    /// client rank with a sequence number below it has returned to its
+    /// caller. It is the lowest sequence number still in progress on the
+    /// handle, so it never passes a call some thread still waits for.
+    /// The adapter drops a kept result once every rank it served has
+    /// passed it, and answers later requests below it as already
+    /// completed.
+    pub done_below: u64,
     pub client_rank: u32,
     pub client_size: u32,
     /// The server rank this request addresses, in the client's (possibly
@@ -86,8 +106,16 @@ pub struct InvHeader {
 }
 
 impl InvHeader {
+    /// The invocation's sequence number in its group; every round of one
+    /// invocation shares it.
+    pub fn seq(&self) -> u64 {
+        self.inv_id.wrapping_sub(self.group) & ((1 << ROUND_SHIFT) - 1)
+    }
+
     pub fn write(&self, w: &mut CdrWriter) {
         w.write_u64(self.inv_id);
+        w.write_u64(self.group);
+        w.write_u64(self.done_below);
         w.write_u32(self.client_rank);
         w.write_u32(self.client_size);
         w.write_u32(self.target_rank);
@@ -101,6 +129,8 @@ impl InvHeader {
     pub fn read(r: &mut CdrReader) -> Result<InvHeader, GridCcmError> {
         Ok(InvHeader {
             inv_id: r.read_u64()?,
+            group: r.read_u64()?,
+            done_below: r.read_u64()?,
             client_rank: r.read_u32()?,
             client_size: r.read_u32()?,
             target_rank: r.read_u32()?,
@@ -549,7 +579,9 @@ mod tests {
         ];
         let mut w = CdrWriter::new(MarshalStrategy::Copying);
         let header = InvHeader {
-            inv_id: 99,
+            inv_id: 99 + (2 << ROUND_SHIFT),
+            group: 90,
+            done_below: 7,
             client_rank: 1,
             client_size: 4,
             target_rank: 2,
@@ -566,6 +598,7 @@ mod tests {
         let payload = w.finish();
         let mut r = CdrReader::new(&payload);
         assert_eq!(InvHeader::read(&mut r).unwrap(), header);
+        assert_eq!(header.seq(), 9, "a retried round keeps its sequence number");
         for v in &values {
             assert_eq!(read_arg(&mut r).unwrap(), WireArg::Replicated(v.clone()));
         }

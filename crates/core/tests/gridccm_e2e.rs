@@ -332,6 +332,41 @@ fn sequential_proxy_hides_the_parallel_component() {
 }
 
 #[test]
+fn threads_sharing_one_handle_never_see_already_completed() {
+    // The proxy shape: two callers invoke concurrently on one handle.
+    // Each request acknowledges only invocations below the lowest one
+    // still in progress, so no replica refuses or forgets an invocation
+    // a sibling call still waits for.
+    let fx = fixture(2, 1);
+    let client = fx.client_ref(0);
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for thread in 0..2 {
+            let (client, start) = (&client, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..100 {
+                    let factor = f64::from(thread * 1000 + i);
+                    let local =
+                        DistSeq::from_f64_local(6, Distribution::Block, 0, 1, &[1.0; 6]).unwrap();
+                    match client.invoke("scale", vec![ParValue::Dist(local), ParValue::F64(factor)])
+                    {
+                        Ok(Some(ParValue::Dist(d))) => {
+                            assert_eq!(d.as_f64().unwrap(), vec![factor; 6])
+                        }
+                        other => panic!("thread {thread} call {i}: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    // Every invocation ran once on each replica.
+    assert_eq!(fx.server_upcalls.upcalls.load(Ordering::SeqCst), 2 * 200);
+    let metrics = fx.grid.topology().telemetry().metrics();
+    assert_eq!(metrics.counter("ccm.dedup.stale_duplicates"), 0);
+}
+
+#[test]
 fn validation_errors_surface_cleanly() {
     let fx = fixture(2, 1);
     let client = fx.client_ref(0);

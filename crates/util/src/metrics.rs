@@ -145,6 +145,18 @@ impl Telemetry {
         }
     }
 
+    /// Move the named gauge by `delta` (creating it at zero). A gauge is
+    /// a counter that also goes down, so it shares the counter map (as
+    /// `pool.outstanding` does in a snapshot); it saturates at zero.
+    pub fn gauge_add(&self, name: &str, delta: i64) {
+        let mut reg = self.metrics.lock();
+        if let Some(g) = reg.counters.get_mut(name) {
+            *g = g.saturating_add_signed(delta);
+        } else {
+            reg.counters.insert(name.to_string(), delta.max(0) as u64);
+        }
+    }
+
     /// Record one observation into the named histogram.
     pub fn observe(&self, name: &str, value: u64) {
         let mut reg = self.metrics.lock();
@@ -218,6 +230,18 @@ mod tests {
         let rendered = snap.render();
         assert!(rendered.contains("counter bytes.myrinet = 128"));
         assert!(rendered.contains("histogram latency.orb.giop"));
+    }
+
+    #[test]
+    fn gauges_go_up_and_down_but_never_below_zero() {
+        let t = Telemetry::new();
+        t.gauge_add("held", 700);
+        t.gauge_add("held", -300);
+        assert_eq!(t.metrics().counter("held"), 400);
+        t.gauge_add("held", -1000);
+        assert_eq!(t.metrics().counter("held"), 0);
+        t.gauge_add("fresh", -5);
+        assert_eq!(t.metrics().counter("fresh"), 0);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 mod chaos_world;
 
 use chaos_world::{
-    assert_shifted, chaos_config, chaos_seed, cpu_turn, invoke_shift, quiesce, run_traced_failover,
-    run_traced_failover_with, sci_cluster, shift_handle, strip_sched,
+    assert_shifted, chaos_config, chaos_seed, cpu_turn, invoke_shift, quiesce, quiesce_grid,
+    run_traced_failover, run_traced_failover_with, sci_cluster, shift_handle, strip_sched,
 };
 use padico::core::{Grid, GridCcmError};
 use padico::fabric::fabric::FabricKind;
@@ -79,6 +79,16 @@ fn run_failover_scenario(seed: u64) -> (Vec<f64>, Vec<RecoverySnapshot>, u64) {
         got = invoke_shift(&par, &values, delta).unwrap();
         assert_shifted(&got, &values, delta);
     }
+
+    // Retries and re-sent duplicates leave no extra dedup state behind:
+    // at quiescence the replicas keep exactly their blocks of the last
+    // result.
+    quiesce_grid(&grid);
+    assert_eq!(
+        retained_bytes(&grid),
+        values.len() as u64 * 8,
+        "the replicas keep more than one result of the group"
+    );
 
     let recovery: Vec<RecoverySnapshot> = (0..grid.len())
         .map(|i| grid.node(i).env.tm.recovery().snapshot())
@@ -342,6 +352,26 @@ fn partitioned_replica_degrades_to_surviving_ranks() {
     // And it keeps working on the degraded group.
     let got = invoke_shift(&par, &values, 5.0).unwrap();
     assert_shifted(&got, &values, 5.0);
+
+    // One result per replica at quiescence: the survivor keeps the last
+    // one (all of it, as the sole rank of the degraded view) — the failed
+    // round and the invocation before were acknowledged and released —
+    // and the partitioned replica keeps its half of the warm-up, the last
+    // invocation it served.
+    quiesce_grid(&grid);
+    let f64_bytes = |elems: usize| elems as u64 * 8;
+    assert_eq!(
+        retained_bytes(&grid),
+        f64_bytes(values.len()) + f64_bytes(values.len() / 2)
+    );
+}
+
+/// Result bytes every GridCCM replica of the world keeps for duplicates.
+fn retained_bytes(grid: &Grid) -> u64 {
+    grid.topology()
+        .telemetry()
+        .metrics()
+        .counter("ccm.dedup.retained_bytes")
 }
 
 #[test]

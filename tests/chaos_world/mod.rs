@@ -70,6 +70,15 @@ pub fn quiesce(topo: &Topology, inflight: impl Fn() -> u32) {
     }
 }
 
+/// [`quiesce`] over every node's ORB of `grid`.
+pub fn quiesce_grid(grid: &Grid) {
+    quiesce(grid.topology(), || {
+        (0..grid.len())
+            .map(|i| grid.node(i).env.orb.admission_inflight())
+            .sum()
+    });
+}
+
 fn shift_interface() -> InterfaceDef {
     InterfaceDef {
         repo_id: "IDL:Chaos/Shift:1.0".into(),
@@ -243,11 +252,7 @@ pub fn run_traced_failover_with(seed: u64, config: TmConfig) -> FailoverRun {
         assert_shifted(&invoke_shift(&par, &values, delta).unwrap(), &values, delta);
     }
 
-    quiesce(grid.topology(), || {
-        (0..grid.len())
-            .map(|i| grid.node(i).env.orb.admission_inflight())
-            .sum()
-    });
+    quiesce_grid(&grid);
 
     let telemetry = grid.topology().telemetry();
     let retries = telemetry.recovery().total_retries();

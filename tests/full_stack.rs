@@ -8,11 +8,12 @@ use padico::ccm::component::{
 };
 use padico::ccm::package::Package;
 use padico::ccm::CcmError;
-use padico::core::dist::DistSeq;
+use padico::core::dist::{DistSeq, Distribution};
 use padico::core::error::GridCcmError;
 use padico::core::grid_deploy::GridDeployer;
 use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
-use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelServant};
+use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelAdapter, ParallelServant};
+use padico::core::parallel::client::ParallelRef;
 use padico::core::parallel::component::{GridCcmComponent, ParallelPort};
 use padico::core::parallel::wire::ParValue;
 use padico::core::Grid;
@@ -20,7 +21,8 @@ use padico::mpi::ReduceOp;
 use padico::orb::cdr::{CdrReader, CdrWriter};
 use padico::orb::poa::{Servant, ServerCtx};
 use padico::orb::OrbError;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// A plain CCM echo component used by the sequential paths.
 struct EchoComponent {
@@ -280,6 +282,177 @@ fn cyclic_distribution_through_assembly_deployment() {
         }
         other => panic!("unexpected {other:?}"),
     }
+}
+
+fn field_interface() -> InterfaceDef {
+    InterfaceDef {
+        repo_id: "IDL:It/Field:1.0".into(),
+        ops: vec![
+            OpDef::new(
+                "store",
+                vec![ArgDef::new("values", ParamKind::Sequence)],
+                None,
+            ),
+            OpDef::new("fetch", vec![], Some(ParamKind::Sequence)),
+        ],
+    }
+}
+
+fn field_plan() -> Arc<InterceptionPlan> {
+    let xml = r#"<parallelism interface="IDL:It/Field:1.0">
+        <operation name="store">
+          <argument index="0" distribution="block"/>
+        </operation>
+        <operation name="fetch">
+          <result distribution="block"/>
+        </operation>
+    </parallelism>"#;
+    Arc::new(InterceptionPlan::compile(&field_interface(), xml).unwrap())
+}
+
+/// `store` keeps its local block, `fetch` hands it back.
+struct FieldServant {
+    held: Mutex<Option<DistSeq>>,
+    upcalls: AtomicUsize,
+}
+
+impl ParallelServant for FieldServant {
+    fn repository_id(&self) -> &str {
+        "IDL:It/Field:1.0"
+    }
+
+    fn invoke_parallel(
+        &self,
+        op: &str,
+        args: &ParArgs,
+        _ctx: &ParCtx,
+    ) -> Result<Option<ParValue>, GridCcmError> {
+        self.upcalls.fetch_add(1, Ordering::SeqCst);
+        match op {
+            "store" => {
+                *self.held.lock().unwrap() = Some(args.dist(0)?.clone());
+                Ok(None)
+            }
+            "fetch" => {
+                let held = self.held.lock().unwrap().clone();
+                held.map(|block| Some(ParValue::Dist(block)))
+                    .ok_or_else(|| GridCcmError::Protocol("fetch before store".into()))
+            }
+            other => Err(GridCcmError::Protocol(format!("unknown op {other}"))),
+        }
+    }
+}
+
+/// Couple a 2-rank client group with a 3-replica field for `steps`
+/// `store`+`fetch` steps over a `field_bytes` sequence of `i32`, then
+/// check that each replica keeps exactly one result — its block of the
+/// last `fetch` — and nothing else: the dedup state is released by the
+/// clients' own acknowledgements, not by a count.
+fn coupling_keeps_one_result_per_group(field_bytes: usize, steps: u64) {
+    const CLIENTS: usize = 2;
+    const REPLICAS: usize = 3;
+    let client_dist = Distribution::BlockCyclic(256);
+    let grid = Grid::single_cluster(REPLICAS + CLIENTS).unwrap();
+    let plan = field_plan();
+    let servants: Vec<Arc<FieldServant>> = (0..REPLICAS)
+        .map(|_| {
+            Arc::new(FieldServant {
+                held: Mutex::new(None),
+                upcalls: AtomicUsize::new(0),
+            })
+        })
+        .collect();
+    let adapters: Vec<Arc<ParallelAdapter>> = servants
+        .iter()
+        .enumerate()
+        .map(|(rank, servant)| {
+            let adapter = ParallelAdapter::new(Arc::clone(servant) as _, Arc::clone(&plan));
+            adapter.configure(rank, REPLICAS, None);
+            adapter
+        })
+        .collect();
+    let iors: Vec<_> = adapters
+        .iter()
+        .enumerate()
+        .map(|(rank, a)| grid.node(rank).env.orb.activate(Arc::clone(a) as _))
+        .collect();
+
+    // Two epochs, so a stale block answering a `fetch` is a wrong answer.
+    let elems = (field_bytes / 4) as u64;
+    let epochs: Vec<Bytes> = (0..2u8)
+        .map(|e| Bytes::from(padico::util::rng::payload(u64::from(e), "field", field_bytes)))
+        .collect();
+    std::thread::scope(|scope| {
+        for rank in 0..CLIENTS {
+            let (grid, plan, iors, epochs) = (&grid, &plan, &iors, &epochs);
+            scope.spawn(move || {
+                let orb = &grid.node(REPLICAS + rank).env.orb;
+                let replicas = iors.iter().map(|ior| orb.object_ref(ior.clone())).collect();
+                let client =
+                    ParallelRef::new("couplers", Arc::clone(plan), replicas, rank, CLIENTS)
+                        .unwrap();
+                let mine: Vec<DistSeq> = epochs
+                    .iter()
+                    .map(|g| DistSeq::from_global(4, client_dist, rank, CLIENTS, g).unwrap())
+                    .collect();
+                let back: Vec<Bytes> = epochs
+                    .iter()
+                    .map(|g| {
+                        DistSeq::from_global(4, Distribution::Block, rank, CLIENTS, g)
+                            .unwrap()
+                            .data
+                    })
+                    .collect();
+                for step in 0..steps {
+                    let epoch = (step % 2) as usize;
+                    let stored = client.invoke("store", vec![ParValue::Dist(mine[epoch].clone())]);
+                    assert!(matches!(stored, Ok(None)), "step {step}: {stored:?}");
+                    match client.invoke("fetch", vec![]) {
+                        Ok(Some(ParValue::Dist(d))) => {
+                            assert_eq!(d.global_elems, elems);
+                            assert!(d.data == back[epoch], "step {step}: stale or torn block");
+                        }
+                        other => panic!("step {step}: {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+
+    let invocations = 2 * steps;
+    for (rank, adapter) in adapters.iter().enumerate() {
+        assert_eq!(
+            servants[rank].upcalls.load(Ordering::SeqCst) as u64,
+            invocations,
+            "replica {rank} ran an invocation twice (or skipped one)"
+        );
+        let block = Distribution::Block.local_len(elems, rank, REPLICAS) * 4;
+        assert_eq!(
+            adapter.retained(),
+            (1, block),
+            "replica {rank} keeps more than the last fetch"
+        );
+    }
+    let metrics = grid.topology().telemetry().metrics();
+    assert_eq!(metrics.counter("ccm.dedup.retained_bytes"), field_bytes as u64);
+    // Every other invocation was released, on every replica.
+    assert_eq!(
+        metrics.counter("ccm.dedup.released"),
+        REPLICAS as u64 * (invocations - 1)
+    );
+    assert_eq!(metrics.counter("ccm.dedup.stale_duplicates"), 0);
+}
+
+#[test]
+fn gridccm_coupling_keeps_one_result_per_group() {
+    coupling_keeps_one_result_per_group(96 << 10, 300);
+}
+
+#[test]
+fn gridccm_coupling_keeps_one_result_per_group_at_4_mib() {
+    // The field size the wall-clock benchmark had to drop: 256 kept
+    // fetch results per replica pinned over 1 GiB there.
+    coupling_keeps_one_result_per_group(4 << 20, 300);
 }
 
 #[test]
