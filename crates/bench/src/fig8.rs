@@ -12,7 +12,6 @@
 
 use padico_core::dist::{DistSeq, Distribution};
 use padico_core::error::GridCcmError;
-use padico_core::observability::ObservabilitySnapshot;
 use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::parallel::adapter::{ParArgs, ParCtx, ParallelAdapter, ParallelServant};
 use padico_core::parallel::client::ParallelRef;
@@ -84,21 +83,8 @@ pub fn run_parallel_pair(
     block_bytes: usize,
     rounds: usize,
 ) -> ParallelRow {
-    run_parallel_pair_observed(n, profile, fabric, block_bytes, rounds).0
-}
-
-/// [`run_parallel_pair`] plus everything the experiment's world observed
-/// (spans, latency histograms, byte and recovery counters).
-pub fn run_parallel_pair_observed(
-    n: usize,
-    profile: OrbProfile,
-    fabric: FabricKind,
-    block_bytes: usize,
-    rounds: usize,
-) -> (ParallelRow, ObservabilitySnapshot) {
     let (topo, ids) = single_cluster(2 * n);
-    let topo = Arc::new(topo);
-    let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
+    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
     let choice = FabricChoice::Kind(fabric);
     let plan = Arc::new(InterceptionPlan::compile(&store_interface(), STORE_PAR_XML).unwrap());
 
@@ -176,12 +162,11 @@ pub fn run_parallel_pair_observed(
     // benchmarks, where data crosses twice).
     let bytes_per_round = elems_per_rank * 4 * n;
     let aggregate_mb_s = mb_per_s(bytes_per_round * rounds, slowest.max(1));
-    let row = ParallelRow {
+    ParallelRow {
         nodes: n,
         latency_us,
         aggregate_mb_s,
-    };
-    (row, ObservabilitySnapshot::capture(&topo))
+    }
 }
 
 /// Figure 8 (Myrinet, Mico-based, as in the paper): latency rows use a

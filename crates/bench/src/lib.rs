@@ -2,8 +2,8 @@
 //!
 //! The experiment harness: one module per table/figure of the paper's
 //! evaluation (§4.4), regenerating the same rows and series in virtual
-//! time. Binaries under `src/bin/` print the tables; Criterion benches
-//! under `benches/` measure the real wall-time cost of the hot paths.
+//! time. Binaries under `src/bin/` print the tables. Wall-clock cost is
+//! measured by the separate `benchmark/` harness, not here.
 //!
 //! | paper artefact | module | binary |
 //! |---|---|---|
@@ -14,19 +14,13 @@
 //! | §4.4 Fast-Ethernet scaling | [`fig8`] (Ethernet config) | `fastethernet_scaling` |
 //! | §4.3 no-overhead / layering claims | [`ablation`] | `ablation_layers` |
 //!
-//! [`overload`] is ours, not the paper's: it measures the admission
-//! controller's shed rate and the admitted requests' tail latency when
-//! offered load exceeds the inflight budget. So is [`serving`]: 10k
-//! concurrent two-way invocations pipelined through one pooled RequestMux
-//! connection, with a thread-count proof that outstanding requests cost
-//! pending-table entries rather than blocked threads.
+//! `fig7_bandwidth`, `latency_table` and `ablation_layers` print the same
+//! bytes on every run; `tests/paper_figures.rs` compares their output
+//! with `expected/`.
 
 pub mod ablation;
 pub mod concurrent;
 pub mod fig7;
 pub mod fig8;
 pub mod latency;
-pub mod overload;
 pub mod report;
-pub mod serving;
-pub mod world;

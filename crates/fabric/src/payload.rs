@@ -416,44 +416,13 @@ pub mod pool {
         }
     }
 
-    static RECORD_HITS: AtomicU64 = AtomicU64::new(0);
-    static RECORD_MISSES: AtomicU64 = AtomicU64::new(0);
-    static RECORD_RETURNS: AtomicU64 = AtomicU64::new(0);
-    static RECORD_OUTSTANDING: AtomicU64 = AtomicU64::new(0);
-
-    /// A point-in-time view of the process-wide record-pool counters
-    /// (summed over every [`RecordPool`] instance, like the slab
-    /// counters; [`RecordPool::hits_misses`] is one instance's share).
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-    pub struct RecordStats {
-        /// Records served from a shelf (no allocation).
-        pub hits: u64,
-        /// Records that had to allocate (cold shelf).
-        pub misses: u64,
-        /// Records handed back.
-        pub returns: u64,
-        /// Records currently out with a caller.
-        pub outstanding: u64,
-    }
-
-    /// Current record-pool counters.
-    pub fn record_stats() -> RecordStats {
-        RecordStats {
-            hits: RECORD_HITS.load(Relaxed),
-            misses: RECORD_MISSES.load(Relaxed),
-            returns: RECORD_RETURNS.load(Relaxed),
-            outstanding: RECORD_OUTSTANDING.load(Relaxed),
-        }
-    }
-
     /// A free-list of boxed fixed-size records — the event-record
     /// counterpart of the byte-slab shelves above. The discrete-event
     /// scheduler ([`crate::sched`]) allocates one small record per
     /// in-flight delivery event; at steady state every one of them must
     /// come off this shelf, not the allocator. Instances keep their own
     /// shelf and hit/miss counts (a scheduler owns exactly one, so a test
-    /// can assert zero misses without reading its neighbours' traffic);
-    /// traffic is also summed into the process-wide [`record_stats`].
+    /// can assert zero misses without reading its neighbours' traffic).
     #[derive(Debug)]
     pub struct RecordPool<T> {
         shelf: Mutex<Vec<Box<T>>>,
@@ -477,13 +446,10 @@ pub mod pool {
         /// The record comes back exactly as [`RecordPool::put`] received
         /// it — callers clear whatever state they store in it.
         pub fn take(&self) -> Box<T> {
-            RECORD_OUTSTANDING.fetch_add(1, Relaxed);
             if let Some(rec) = self.shelf.lock().pop() {
-                RECORD_HITS.fetch_add(1, Relaxed);
                 self.hits.fetch_add(1, Relaxed);
                 return rec;
             }
-            RECORD_MISSES.fetch_add(1, Relaxed);
             self.misses.fetch_add(1, Relaxed);
             Box::default()
         }
@@ -495,8 +461,6 @@ pub mod pool {
 
         /// Return a record; surplus past the cap is simply freed.
         pub fn put(&self, rec: Box<T>) {
-            RECORD_RETURNS.fetch_add(1, Relaxed);
-            RECORD_OUTSTANDING.fetch_sub(1, Relaxed);
             let mut shelf = self.shelf.lock();
             if shelf.len() < self.cap {
                 shelf.push(rec);

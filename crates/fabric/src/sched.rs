@@ -5,7 +5,7 @@
 //! *event record* pushed into a binary heap ordered by virtual time; a
 //! small pool of workers drains the heaps and runs each destination
 //! node's step function inline. This is what lets a single process carry
-//! a 100,000-node topology (`world_100k` bench): a node costs a
+//! a 100,000-node topology (the benchmark's `world_ring`): a node costs a
 //! registered handler closure and a few hundred bytes of channel state,
 //! not an OS thread + stack.
 //!

@@ -784,11 +784,6 @@ impl RequestBuilder {
         self
     }
 
-    pub fn arg_f64(mut self, v: f64) -> Self {
-        self.args.write_f64(v);
-        self
-    }
-
     pub fn arg_bool(mut self, v: bool) -> Self {
         self.args.write_bool(v);
         self
@@ -1592,12 +1587,96 @@ mod tests {
         );
     }
 
+    #[test]
+    fn idle_endpoint_keeps_accepting_past_the_default_deadline() {
+        let (topo, _ids) = single_cluster(2);
+        let cfg = padico_tm::TmConfig {
+            default_deadline: std::time::Duration::from_millis(50),
+            ..Default::default()
+        };
+        let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
+        let choice = FabricChoice::Kind(FabricKind::Myrinet);
+        let client =
+            Orb::start(Arc::clone(&tms[0]), "client", OrbProfile::omniorb3(), choice).unwrap();
+        let server =
+            Orb::start(Arc::clone(&tms[1]), "server", OrbProfile::omniorb3(), choice).unwrap();
+        let obj = client.object_ref(server.activate(Arc::new(Calculator)));
+        // Three default deadlines of idleness: the listener must not time
+        // out, so the first connection made afterwards is still answered.
+        std::thread::sleep(std::time::Duration::from_millis(150));
+        let mut reply = obj.request("add").arg_i32(40).arg_i32(2).invoke().unwrap();
+        assert_eq!(reply.read_i32().unwrap(), 42);
+    }
+
+    /// OS threads in this process (entries of `/proc/self/task`).
+    #[cfg(target_os = "linux")]
+    fn os_threads() -> usize {
+        std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn storm_outstanding_is_not_threads() {
+        // Outstanding two-ways cost pending-table entries on the one
+        // pooled connection, not blocked threads. Every handle is
+        // submitted before any is consumed, and meanwhile the process
+        // stays within a bounded handful of threads. The margins are
+        // generous because sibling tests start and stop threads
+        // concurrently.
+        const SUBMITTERS: usize = 4;
+        const PER_SUBMITTER: usize = 1_000;
+        const TOTAL: usize = SUBMITTERS * PER_SUBMITTER;
+        let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
+        let obj = client.object_ref(server.activate(Arc::new(Calculator)));
+        obj.request("noop").invoke().unwrap(); // connection warm-up
+        let before = os_threads();
+        let submitted = AtomicUsize::new(0);
+        let drain = std::sync::Barrier::new(SUBMITTERS + 1);
+        let peak_threads = std::thread::scope(|scope| {
+            for worker in 0..SUBMITTERS {
+                let (obj, submitted, drain) = (&obj, &submitted, &drain);
+                scope.spawn(move || {
+                    let handles: Vec<_> = (0..PER_SUBMITTER)
+                        .map(|i| {
+                            let v = (worker * PER_SUBMITTER + i) as i32;
+                            let request = obj.request("add").arg_i32(v).arg_i32(1).idempotent();
+                            (v, request.submit())
+                        })
+                        .collect();
+                    submitted.fetch_add(1, Ordering::SeqCst);
+                    drain.wait();
+                    for (v, handle) in handles {
+                        let got = handle.wait().unwrap().read_i32().unwrap();
+                        assert_eq!(got, v + 1, "reply routed to the wrong handle");
+                    }
+                });
+            }
+            // Sample until every handle is in flight and none consumed.
+            let mut peak = 0;
+            loop {
+                peak = peak.max(os_threads());
+                if submitted.load(Ordering::SeqCst) == SUBMITTERS {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            drain.wait();
+            peak
+        });
+        assert!(
+            peak_threads > 0 && peak_threads.saturating_sub(before) < 128,
+            "the storm should add a bounded number of threads, saw \
+             {peak_threads} (baseline {before})"
+        );
+        assert!(
+            TOTAL >= 20 * peak_threads,
+            "outstanding ({TOTAL}) should dwarf thread count ({peak_threads})"
+        );
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn inbound_connections_cost_no_threads() {
-        fn os_threads() -> usize {
-            std::fs::read_dir("/proc/self/task").map_or(0, |d| d.count())
-        }
         let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
         let choice = FabricChoice::Kind(FabricKind::Myrinet);
         let mut streams = Vec::new();

@@ -30,10 +30,6 @@ allowed=(
     "MISSES      segment pool miss counter (allocator statistics)"
     "RETURNS     segment pool return counter (allocator statistics)"
     "OUTSTANDING segment pool outstanding-lease gauge (allocator statistics)"
-    "RECORD_HITS        record pool hit counter (allocator statistics)"
-    "RECORD_MISSES      record pool miss counter (allocator statistics)"
-    "RECORD_RETURNS     record pool return counter (allocator statistics)"
-    "RECORD_OUTSTANDING record pool outstanding-record gauge (allocator statistics)"
     "SCHEDULE_CACHE     redistribution schedules: a memo of a pure function"
     "CHANNEL_IDS        logical channel ids must be unique across every world"
 )
