@@ -107,9 +107,9 @@ pub struct RequestMux {
 
 impl RequestMux {
     /// Wrap a freshly handshaken client `stream` in a mux and hand its
-    /// inbound side to the mux's reply router. Such a stream is quiescent
-    /// inbound (no request is on the wire yet), so going reactive cannot
-    /// race a reader; a failure is reported, not worked around.
+    /// inbound side to the mux's reply router. Anything already queued on
+    /// the stream drains through the router first; a failure is
+    /// reported, not worked around.
     pub fn establish(stream: Arc<VLinkStream>) -> Result<Arc<RequestMux>, OrbError> {
         let mux = Arc::new(RequestMux {
             stream: Arc::clone(&stream),

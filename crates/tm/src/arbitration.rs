@@ -14,12 +14,12 @@
 //!
 //! Middleware (and the abstraction layer) interact with [`NetAccess`]:
 //!
-//! * [`NetAccess::subscribe`] — claim a logical channel and get a
-//!   [`ChannelRx`] from which to receive messages targeted at it;
+//! * [`NetAccess::on_channel`] — claim a logical channel by installing
+//!   the handler that runs for every message targeted at it;
 //! * [`NetAccess::send`] — transmit on a chosen fabric to a peer node's
 //!   arbitration layer, tagged with a channel id.
 //!
-//! Messages that arrive before their channel is subscribed are parked, so
+//! Messages that arrive before their channel has a handler are parked, so
 //! higher layers need no rendezvous dance at startup.
 //!
 //! ## The progress engine
@@ -34,29 +34,30 @@
 //! Shutdown unregisters the node; the entire `ChannelId` space
 //! (including `u64::MAX`) belongs to users.
 //!
-//! Middleware that wants to *react* to traffic instead of blocking on a
-//! [`ChannelRx`] can install a [`NetAccess::on_channel`] handler, which
-//! runs inline on a scheduler worker and therefore must not block.
+//! ## One inbound path per channel
 //!
-//! ## Bounded queues and the parked budget
+//! A channel is either handled or parked; there is no third form. The
+//! handler runs inline on a scheduler worker and therefore must not
+//! block. Middleware that wants to *wait* for traffic instead installs a
+//! handler that queues into an inbox its own thread waits on — that is
+//! what the abstraction layer's links do (`driver::Inbox`).
 //!
-//! Per-channel subscriber queues are created with a bounded capacity
-//! ([`CHANNEL_QUEUE_CAP`]) and messages parked for not-yet-subscribed
-//! channels draw from a per-node budget ([`PARKED_BUDGET`]). Beyond the
-//! budget, parked messages are *dropped* (counted in the
-//! `tm.parked.dropped` metric) — an unsubscribed channel
-//! must not grow the node's memory without bound.
+//! ## The parked budget
+//!
+//! Messages parked for channels without a handler draw from a per-node
+//! budget ([`PARKED_BUDGET`]). Beyond the budget, parked messages are
+//! *dropped* (counted in the `tm.parked.dropped` metric) — an unclaimed
+//! channel must not grow the node's memory without bound.
 //!
 //! ## Concurrency structure
 //!
 //! The channel registry is a **sharded** map: channel ids hash to one of
-//! [`SHARD_COUNT`] independently locked shards, and the live-subscriber
-//! fast path clones the subscriber's sender under the shard lock but
-//! performs the actual hand-off outside it. Subscribing threads (CORBA
-//! and MPI exercising different channels at once, as in the paper's §4.4
-//! sharing experiment) therefore do not all serialize on one mutex.
+//! [`SHARD_COUNT`] independently locked shards, and dispatch clones the
+//! handler under the shard lock but runs it outside it. Threads claiming
+//! and releasing channels (CORBA and MPI exercising different channels at
+//! once, as in the paper's §4.4 sharing experiment) therefore do not all
+//! serialize on one mutex.
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use padico_fabric::{
     EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, Payload, SimFabric, Topology,
     WorldSched,
@@ -69,7 +70,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::error::TmError;
 
@@ -80,17 +80,11 @@ pub const TM_SERVICE_PORT: u16 = 1;
 
 /// Number of independently locked shards in the channel registry. Inbound
 /// dispatch is already serialized per node by the world scheduler's shard
-/// claim, so shards only spread subscribing threads; per-node memory at
-/// 100k nodes is what keeps the count small.
+/// claim, so shards only spread threads claiming channels; per-node
+/// memory at 100k nodes is what keeps the count small.
 const SHARD_COUNT: usize = 2;
 
-/// Capacity hint of one subscriber's channel queue. The shim's bounded
-/// channels reserve this up front and spill past it rather than blocking
-/// the progress engine, so the bound is a sizing statement, not a
-/// deadlock risk.
-const CHANNEL_QUEUE_CAP: usize = 1024;
-
-/// Per-node budget of messages parked for not-yet-subscribed channels.
+/// Per-node budget of messages parked for channels without a handler.
 /// Beyond it, further parked messages are dropped (and counted).
 const PARKED_BUDGET: usize = 8192;
 
@@ -125,18 +119,15 @@ fn shard_index(channel: ChannelId) -> usize {
     (h >> 32) as usize % SHARD_COUNT
 }
 
-/// A reactive channel handler: runs inline on a world-scheduler worker
-/// for every message on its channel, instead of queueing into a
-/// [`ChannelRx`]. Must only do node-local, non-blocking work
-/// (dispatching, sending).
+/// A channel handler: runs inline on a world-scheduler worker for every
+/// message on its channel. Must only do node-local, non-blocking work
+/// (dispatching, queueing, sending).
 pub type ChannelHandler = Arc<dyn Fn(Message) + Send + Sync>;
 
 enum ChannelEntry {
-    /// A subscriber is listening.
-    Live(Sender<Message>),
-    /// A reactive handler runs inline on the progress engine.
-    Reactive(ChannelHandler),
-    /// No subscriber yet; messages are parked.
+    /// A handler runs inline on the progress engine.
+    Handled(ChannelHandler),
+    /// No handler yet; messages are parked.
     Parked(Vec<Message>),
 }
 
@@ -175,8 +166,8 @@ impl ChannelMap {
         true
     }
 
-    /// Route one inbound message: hand to the live subscriber or park it.
-    /// The send to a live subscriber happens outside the shard lock.
+    /// Route one inbound message: run the channel's handler (outside the
+    /// shard lock) or park it.
     ///
     /// A message shed because the parked budget is exhausted surfaces as
     /// a typed [`TmError::Overloaded`] (on top of the `tm.parked.dropped`
@@ -184,78 +175,36 @@ impl ChannelMap {
     /// shed-at-arbitration apart from link death; the remote inbound path
     /// has nobody to answer and keeps only the counter.
     fn dispatch(&self, channel: ChannelId, msg: Message) -> Result<(), TmError> {
-        let overloaded =
-            |channel: ChannelId| TmError::Overloaded(format!("parked budget full for {channel}"));
-        let shard = self.shard(channel);
-        let tx = {
-            let mut entries = shard.lock();
-            match entries.get_mut(&channel) {
-                Some(ChannelEntry::Live(tx)) => tx.clone(),
-                Some(ChannelEntry::Reactive(handler)) => {
-                    // Run the handler outside the shard lock: it may send,
-                    // which can dispatch back into this very registry.
-                    let handler = Arc::clone(handler);
-                    drop(entries);
-                    handler(msg);
-                    return Ok(());
-                }
-                Some(ChannelEntry::Parked(v)) => {
-                    if self.try_park() {
-                        v.push(msg);
-                        return Ok(());
-                    }
-                    return Err(overloaded(channel));
-                }
-                None => {
-                    if self.try_park() {
-                        entries.insert(channel, ChannelEntry::Parked(vec![msg]));
-                        return Ok(());
-                    }
-                    return Err(overloaded(channel));
-                }
+        let mut entries = self.shard(channel).lock();
+        let parked = match entries.get_mut(&channel) {
+            Some(ChannelEntry::Handled(handler)) => {
+                // Run the handler outside the shard lock: it may send,
+                // which can dispatch back into this very registry.
+                let handler = Arc::clone(handler);
+                drop(entries);
+                handler(msg);
+                return Ok(());
             }
+            Some(ChannelEntry::Parked(parked)) => Some(parked),
+            None => None,
         };
-        if let Err(err) = tx.send(msg) {
-            // Subscriber dropped without unsubscribing; repark.
-            let mut entries = shard.lock();
-            if !self.try_park() {
-                return Err(overloaded(channel));
-            }
-            if let Some(ChannelEntry::Parked(v)) = entries.get_mut(&channel) {
-                v.push(err.0);
-            } else {
-                entries.insert(channel, ChannelEntry::Parked(vec![err.0]));
+        if !self.try_park() {
+            return Err(TmError::Overloaded(format!(
+                "parked budget full for {channel}"
+            )));
+        }
+        match parked {
+            Some(parked) => parked.push(msg),
+            None => {
+                entries.insert(channel, ChannelEntry::Parked(vec![msg]));
             }
         }
         Ok(())
     }
 
-    /// Install a live subscriber, replaying parked messages (if any) into
-    /// the returned bounded receiver in arrival order.
-    fn subscribe(&self, channel: ChannelId, node: NodeId) -> Result<Receiver<Message>, TmError> {
-        let (tx, rx) = bounded(CHANNEL_QUEUE_CAP);
-        let mut entries = self.shard(channel).lock();
-        match entries.get_mut(&channel) {
-            Some(ChannelEntry::Live(_)) | Some(ChannelEntry::Reactive(_)) => {
-                return Err(TmError::Protocol(format!(
-                    "channel {channel} already subscribed on {node}"
-                )))
-            }
-            Some(ChannelEntry::Parked(parked)) => {
-                self.parked_total.fetch_sub(parked.len(), Ordering::Relaxed);
-                for msg in parked.drain(..) {
-                    let _ = tx.send(msg);
-                }
-            }
-            None => {}
-        }
-        entries.insert(channel, ChannelEntry::Live(tx));
-        Ok(rx)
-    }
-
-    /// Install a reactive handler, replaying parked messages (if any)
+    /// Install `handler` on `channel`, replaying parked messages (if any)
     /// into it in arrival order before it goes live.
-    fn subscribe_reactive(
+    fn install(
         &self,
         channel: ChannelId,
         node: NodeId,
@@ -263,23 +212,20 @@ impl ChannelMap {
     ) -> Result<(), TmError> {
         let replay = {
             let mut entries = self.shard(channel).lock();
-            match entries.get_mut(&channel) {
-                Some(ChannelEntry::Live(_)) | Some(ChannelEntry::Reactive(_)) => {
+            let replay = match entries.get_mut(&channel) {
+                Some(ChannelEntry::Handled(_)) => {
                     return Err(TmError::Protocol(format!(
-                        "channel {channel} already subscribed on {node}"
+                        "channel {channel} already handled on {node}"
                     )))
                 }
                 Some(ChannelEntry::Parked(parked)) => {
                     self.parked_total.fetch_sub(parked.len(), Ordering::Relaxed);
-                    let drained = std::mem::take(parked);
-                    entries.insert(channel, ChannelEntry::Reactive(Arc::clone(&handler)));
-                    drained
+                    std::mem::take(parked)
                 }
-                None => {
-                    entries.insert(channel, ChannelEntry::Reactive(Arc::clone(&handler)));
-                    Vec::new()
-                }
-            }
+                None => Vec::new(),
+            };
+            entries.insert(channel, ChannelEntry::Handled(Arc::clone(&handler)));
+            replay
         };
         // Outside the lock: the handler may send.
         for msg in replay {
@@ -296,60 +242,6 @@ impl ChannelMap {
         if let Some(ChannelEntry::Parked(v)) = &entry {
             self.parked_total.fetch_sub(v.len(), Ordering::Relaxed);
         }
-    }
-}
-
-/// Receiving side of a subscribed logical channel.
-pub struct ChannelRx {
-    channel: ChannelId,
-    rx: Receiver<Message>,
-    map: Arc<ChannelMap>,
-}
-
-impl ChannelRx {
-    pub fn channel(&self) -> ChannelId {
-        self.channel
-    }
-
-    /// Blocking receive with a wall-clock timeout, so a missing peer cannot
-    /// hang the caller; merges `clock` to the message arrival time and
-    /// charges the receive cost.
-    pub fn recv_timeout(&self, clock: &SimClock, timeout: Duration) -> Result<Message, TmError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(msg) => {
-                msg.deliver(clock);
-                Ok(msg)
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                Err(TmError::Timeout(format!("recv on {}", self.channel)))
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(TmError::Closed),
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self, clock: &SimClock) -> Result<Option<Message>, TmError> {
-        match self.rx.try_recv() {
-            Ok(msg) => {
-                msg.deliver(clock);
-                Ok(Some(msg))
-            }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(TmError::Closed),
-        }
-    }
-
-    /// Non-blocking receive without charging any clock. Used when a
-    /// receiver is being handed over to a reactive handler: already-queued
-    /// messages drain through the handler, which does its own delivery.
-    pub fn try_recv_raw(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
-    }
-}
-
-impl Drop for ChannelRx {
-    fn drop(&mut self) {
-        self.map.remove(self.channel);
     }
 }
 
@@ -514,30 +406,20 @@ impl NetAccess {
         &self.cell
     }
 
-    /// Subscribe a logical channel; parked messages (if any) are replayed
-    /// into the returned receiver in arrival order.
-    pub fn subscribe(&self, channel: ChannelId) -> Result<ChannelRx, TmError> {
-        let rx = self.map.subscribe(channel, self.node)?;
-        Ok(ChannelRx {
-            channel,
-            rx,
-            map: Arc::clone(&self.map),
-        })
-    }
-
-    /// Install a reactive handler on a logical channel: it runs inline on
-    /// a world-scheduler worker for every message, parked messages
-    /// replayed first. The reactive form is what scales — a waiting node
-    /// costs no blocked thread — and is how the `world_*` benches express
-    /// 100k concurrent state machines. The handler must not block; it may
-    /// send (including back to the arriving fabric).
+    /// Claim a logical channel: `handler` runs inline on a world-scheduler
+    /// worker for every message on it, parked messages replayed first.
+    /// This is the only way traffic leaves the arbitration layer — a
+    /// waiting node costs no blocked thread, which is how the `world_*`
+    /// workloads express 100k concurrent state machines. The handler must
+    /// not block; it may send (including back to the arriving fabric). A
+    /// channel that already has a handler is refused.
     pub fn on_channel(&self, channel: ChannelId, handler: ChannelHandler) -> Result<(), TmError> {
-        self.map.subscribe_reactive(channel, self.node, handler)
+        self.map.install(channel, self.node, handler)
     }
 
     /// Release a channel installed with [`NetAccess::on_channel`]: the
     /// handler (and everything it captured) is dropped, and later messages
-    /// park as for any unsubscribed channel. Idempotent. A handler may
+    /// park as for any unclaimed channel. Idempotent. A handler may
     /// release its own channel; the running invocation finishes normally.
     pub fn off_channel(&self, channel: ChannelId) {
         self.map.remove(channel);
@@ -642,9 +524,20 @@ mod tests {
     use padico_fabric::topology::single_cluster;
     use padico_fabric::FabricKind;
     use proptest::prelude::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Upper bound on any receive in these tests.
     const WAIT: Duration = Duration::from_secs(5);
+
+    /// Claim `ch` on `net` with a handler that forwards every message to
+    /// the returned receiver.
+    fn collect(net: &NetAccess, ch: ChannelId) -> mpsc::Receiver<Message> {
+        let (tx, rx) = mpsc::channel();
+        net.on_channel(ch, Arc::new(move |msg| drop(tx.send(msg))))
+            .unwrap();
+        rx
+    }
 
     fn myrinet_id(net: &NetAccess) -> FabricId {
         net.fabrics()
@@ -688,12 +581,12 @@ mod tests {
         let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         assert_eq!(a.fabrics().len(), 3, "precondition: multiple fabrics");
         let ch = fresh_channel();
-        let rx = b.subscribe(ch).unwrap();
+        let rx = collect(&b, ch);
         for (i, fabric) in a.fabrics().iter().enumerate() {
             a.send(fabric.id(), ids[1], ch, Payload::from_vec(vec![i as u8]))
                 .unwrap();
             let msg = rx
-                .recv_timeout(b.clock(), Duration::from_secs(5))
+                .recv_timeout(WAIT)
                 .expect("delivery through the world scheduler");
             assert_eq!(msg.payload.to_vec(), vec![i as u8]);
         }
@@ -732,12 +625,6 @@ mod tests {
         a.send(fid, ids[1], ch, Payload::from_vec(vec![2])).unwrap();
         assert!(topo.sched().quiesce(Duration::from_secs(5)));
         assert_eq!(*seen.lock(), vec![vec![1], vec![2]]);
-        // A reactive channel counts as subscribed.
-        assert!(matches!(b.subscribe(ch), Err(TmError::Protocol(_))));
-        assert!(matches!(
-            b.on_channel(ch, Arc::new(|_| {})),
-            Err(TmError::Protocol(_))
-        ));
         // Releasing the channel drops the handler and its captures; later
         // traffic parks until the next handler.
         b.off_channel(ch);
@@ -745,8 +632,8 @@ mod tests {
         a.send(fid, ids[1], ch, Payload::from_vec(vec![3])).unwrap();
         assert!(topo.sched().quiesce(Duration::from_secs(5)));
         assert_eq!(seen.lock().len(), 2, "a released channel runs no handler");
-        let rx = b.subscribe(ch).unwrap();
-        assert_eq!(rx.try_recv_raw().unwrap().payload.to_vec(), vec![3]);
+        let rx = collect(&b, ch);
+        assert_eq!(rx.try_recv().unwrap().payload.to_vec(), vec![3]);
     }
 
     #[test]
@@ -776,14 +663,13 @@ mod tests {
         let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         let ch1 = fresh_channel();
         let ch2 = fresh_channel();
-        let rx1 = b.subscribe(ch1).unwrap();
-        let rx2 = b.subscribe(ch2).unwrap();
+        let rx1 = collect(&b, ch1);
+        let rx2 = collect(&b, ch2);
         let fid = myrinet_id(&a);
         a.send(fid, ids[1], ch2, Payload::from_vec(vec![2])).unwrap();
         a.send(fid, ids[1], ch1, Payload::from_vec(vec![1])).unwrap();
-        let clock = b.clock().clone();
-        assert_eq!(rx1.recv_timeout(&clock, WAIT).unwrap().payload.to_vec(), vec![1]);
-        assert_eq!(rx2.recv_timeout(&clock, WAIT).unwrap().payload.to_vec(), vec![2]);
+        assert_eq!(rx1.recv_timeout(WAIT).unwrap().payload.to_vec(), vec![1]);
+        assert_eq!(rx2.recv_timeout(WAIT).unwrap().payload.to_vec(), vec![2]);
     }
 
     #[test]
@@ -797,9 +683,9 @@ mod tests {
         let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         let fid = myrinet_id(&a);
         for ch in [ChannelId(u64::MAX), ChannelId(u64::MAX - 1)] {
-            let rx = b.subscribe(ch).unwrap();
+            let rx = collect(&b, ch);
             a.send(fid, ids[1], ch, Payload::from_vec(vec![0xEE])).unwrap();
-            let msg = rx.recv_timeout(b.clock(), WAIT).unwrap();
+            let msg = rx.recv_timeout(WAIT).unwrap();
             assert_eq!(msg.payload.to_vec(), vec![0xEE], "{ch} deliverable");
         }
         b.shutdown();
@@ -814,18 +700,18 @@ mod tests {
         let ch = fresh_channel();
         let fid = myrinet_id(&a);
         a.send(fid, ids[1], ch, Payload::from_vec(vec![42])).unwrap();
-        // Give the progress engine a moment to park it.
-        std::thread::sleep(Duration::from_millis(20));
-        let rx = b.subscribe(ch).unwrap();
-        let msg = rx.recv_timeout(b.clock(), WAIT).unwrap();
+        // Let the progress engine park it.
+        assert!(topo.sched().quiesce(WAIT));
+        let rx = collect(&b, ch);
+        let msg = rx.try_recv().expect("parked message replayed on claim");
         assert_eq!(msg.payload.to_vec(), vec![42]);
     }
 
     #[test]
     fn parked_messages_beyond_budget_are_dropped() {
         // Unit-level: a registry with a budget of 2 parks two messages and
-        // drops the third; subscribing replays exactly the survivors and
-        // returns the budget.
+        // drops the third; installing a handler replays exactly the
+        // survivors and returns the budget.
         let telemetry = Telemetry::new();
         let map = ChannelMap::new(2, Arc::clone(&telemetry));
         let ch = ChannelId(7777);
@@ -849,10 +735,11 @@ mod tests {
         assert!(!err.is_link_level(), "shed does not indict the fabric");
         assert_eq!(map.parked_total.load(Ordering::Relaxed), 2);
         assert_eq!(telemetry.metrics().counter("tm.parked.dropped"), 1);
-        let rx = map.subscribe(ch, NodeId(0)).unwrap();
-        assert_eq!(rx.try_recv().unwrap().payload.to_vec(), vec![1]);
-        assert_eq!(rx.try_recv().unwrap().payload.to_vec(), vec![2]);
-        assert!(rx.try_recv().is_err(), "third message was dropped");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        map.install(ch, NodeId(0), Arc::new(move |m: Message| sink.lock().push(m.payload.to_vec())))
+            .unwrap();
+        assert_eq!(*seen.lock(), vec![vec![1], vec![2]], "third message was dropped");
         assert_eq!(map.parked_total.load(Ordering::Relaxed), 0, "budget returned");
     }
 
@@ -861,8 +748,9 @@ mod tests {
         let (topo, ids) = single_cluster(1);
         let net = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
         let ch = fresh_channel();
-        let _rx = net.subscribe(ch).unwrap();
-        assert!(matches!(net.subscribe(ch), Err(TmError::Protocol(_))));
+        net.on_channel(ch, Arc::new(|_| {})).unwrap();
+        let err = net.on_channel(ch, Arc::new(|_| {})).unwrap_err();
+        assert!(matches!(err, TmError::Protocol(_)), "{err}");
     }
 
     #[test]
@@ -870,8 +758,9 @@ mod tests {
         let (topo, ids) = single_cluster(1);
         let net = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
         let ch = fresh_channel();
-        drop(net.subscribe(ch).unwrap());
-        assert!(net.subscribe(ch).is_ok());
+        net.on_channel(ch, Arc::new(|_| {})).unwrap();
+        net.off_channel(ch);
+        assert!(net.on_channel(ch, Arc::new(|_| {})).is_ok());
     }
 
     #[test]
@@ -879,10 +768,11 @@ mod tests {
         let (topo, ids) = single_cluster(1);
         let net = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
         let ch = fresh_channel();
-        let rx = net.subscribe(ch).unwrap();
+        let rx = collect(&net, ch);
         let before = net.clock().now();
         net.send_local(ch, Payload::from_vec(vec![9, 9])).unwrap();
-        let msg = rx.recv_timeout(net.clock(), WAIT).unwrap();
+        let msg = rx.try_recv().expect("dispatched inline");
+        msg.deliver(net.clock());
         assert_eq!(msg.payload.to_vec(), vec![9, 9]);
         assert_eq!(net.clock().now(), before, "local dispatch is free");
     }
@@ -912,11 +802,9 @@ mod tests {
     fn recv_timeout_reports_timeout() {
         let (topo, ids) = single_cluster(1);
         let net = NetAccess::bring_up(&topo, ids[0], SimClock::new()).unwrap();
-        let rx = net.subscribe(fresh_channel()).unwrap();
-        let err = rx
-            .recv_timeout(net.clock(), Duration::from_millis(10))
-            .unwrap_err();
-        assert!(matches!(err, TmError::Timeout(_)));
+        let inbox = crate::driver::Inbox::attach(&net, fresh_channel()).unwrap();
+        let err = inbox.recv_timeout(Duration::from_millis(10)).unwrap_err();
+        assert!(matches!(err, TmError::Timeout(_)), "{err}");
     }
 
     #[test]
@@ -986,12 +874,11 @@ mod tests {
         let receivers: Vec<_> = channels
             .iter()
             .map(|&ch| {
-                let rx = b.subscribe(ch).unwrap();
-                let clock = b.clock().clone();
+                let rx = collect(&b, ch);
                 std::thread::spawn(move || {
                     let mut sum = 0u64;
                     for _ in 0..PER_FLOW {
-                        let msg = rx.recv_timeout(&clock, WAIT).unwrap();
+                        let msg = rx.recv_timeout(WAIT).unwrap();
                         sum += u64::from(msg.payload.to_vec()[0]);
                     }
                     sum

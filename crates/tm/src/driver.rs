@@ -8,8 +8,8 @@
 //!
 //! * [`LinkCore`] — the link state machine both abstractions embed. It
 //!   holds the current [`Route`] (swapped in place on failover, invisibly
-//!   to the peer: channel ids are fabric-independent), the subscribed
-//!   [`ChannelRx`], and the peer set + [`Paradigm`] needed to re-select.
+//!   to the peer: channel ids are fabric-independent), the link's
+//!   `Inbox`, and the peer set + [`Paradigm`] needed to re-select.
 //! * [`ArbitratedDriver`] — the capability trait of "something built on an
 //!   arbitrated driver". Circuit and VLink streams implement it by
 //!   exposing their core; route/clock accessors come for free, so layers
@@ -32,17 +32,28 @@
 //! caller supplies one attempt as a closure; the core budgets attempts,
 //! splits the caller's total timeout across them, and moves later attempts
 //! to the next-best fabric when the link itself is indicted.
+//!
+//! ## One inbound path
+//!
+//! A link claims its receive channel once, when it is built, with its
+//! `Inbox` as the channel's handler; nothing swaps that handler
+//! afterwards. Pull receives (`recv_intact*`) wait on the inbox queue. A
+//! link that goes reactive ([`LinkCore::go_reactive`]) attaches a sink
+//! to the same inbox instead, and every later delivery runs through it
+//! inline on a world-scheduler worker. Both modes apply one inbound
+//! policy (`intake`): take delivery on the node clock, discard corrupt
+//! wire messages, strip the coalescing envelope.
 
 use padico_fabric::{pool, Message, Paradigm, Payload};
 use padico_util::ids::{ChannelId, FabricId, NodeId};
 use padico_util::simtime::{SimClock, Vt};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use crate::arbitration::ChannelRx;
+use crate::arbitration::{ChannelHandler, NetAccess};
 use crate::error::TmError;
 use crate::faults;
 use crate::runtime::{CoalescePolicy, PadicoTM};
@@ -69,18 +80,144 @@ struct Batch {
     tick: u64,
 }
 
-/// Per-link coalescing state: the outgoing batch plus sub-frames demuxed
-/// from received aggregates, awaiting delivery to the caller in order.
+/// Per-link coalescing state: the outgoing batch.
 struct CoalesceBox {
     policy: CoalescePolicy,
     batch: Mutex<Batch>,
-    pending: Mutex<VecDeque<Message>>,
+}
+
+/// The handler a link (or a pull listener) claims its channel with.
+/// Deliveries queue here for pull receives to wait on until a reactive
+/// sink is attached; from then on each one runs through the sink inline
+/// on the scheduler worker that delivered it.
+pub(crate) struct Inbox {
+    channel: ChannelId,
+    state: Mutex<InboxState>,
+    arrived: Condvar,
+}
+
+#[derive(Default)]
+struct InboxState {
+    queue: VecDeque<Message>,
+    sink: Option<ChannelHandler>,
+}
+
+impl Inbox {
+    /// Claim `channel` on `net` with a fresh inbox as its handler (parked
+    /// messages replay into the queue). The caller owns the claim and
+    /// releases it with [`NetAccess::off_channel`].
+    pub(crate) fn attach(net: &NetAccess, channel: ChannelId) -> Result<Arc<Inbox>, TmError> {
+        let inbox = Arc::new(Inbox {
+            channel,
+            state: Mutex::new(InboxState::default()),
+            arrived: Condvar::new(),
+        });
+        let handler = Arc::clone(&inbox);
+        net.on_channel(channel, Arc::new(move |msg| handler.deliver(msg)))?;
+        Ok(inbox)
+    }
+
+    pub(crate) fn channel(&self) -> ChannelId {
+        self.channel
+    }
+
+    fn deliver(&self, msg: Message) {
+        let mut st = self.state.lock();
+        if let Some(sink) = st.sink.clone() {
+            drop(st);
+            return sink(msg);
+        }
+        st.queue.push_back(msg);
+        drop(st);
+        self.arrived.notify_one();
+    }
+
+    /// Wait up to `timeout` (wall clock, so a missing peer cannot hang
+    /// the caller) for the next queued delivery, raw: the caller takes
+    /// delivery on its clock.
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Result<Message, TmError> {
+        let start = Instant::now();
+        let mut st = self.state.lock();
+        loop {
+            if st.sink.is_some() {
+                return Err(TmError::Protocol(format!(
+                    "channel {} runs a reactive handler; pull receive unavailable",
+                    self.channel
+                )));
+            }
+            if let Some(msg) = st.queue.pop_front() {
+                return Ok(msg);
+            }
+            let Some(remaining) = timeout.checked_sub(start.elapsed()) else {
+                return Err(TmError::Timeout(format!("recv on {}", self.channel)));
+            };
+            self.arrived.wait_for(&mut st, remaining);
+        }
+    }
+
+    fn try_recv(&self) -> Option<Message> {
+        self.state.lock().queue.pop_front()
+    }
+
+    /// Run every delivery through `sink` from now on. Queued deliveries
+    /// go first and in order: the sink is installed only once the queue
+    /// is empty, so one arriving mid-drain queues behind the backlog
+    /// instead of overtaking it. A second sink is refused.
+    fn set_sink(&self, sink: ChannelHandler) -> Result<(), TmError> {
+        loop {
+            let backlog = {
+                let mut st = self.state.lock();
+                if st.sink.is_some() {
+                    return Err(TmError::Protocol(format!(
+                        "channel {} already runs a reactive handler",
+                        self.channel
+                    )));
+                }
+                if st.queue.is_empty() {
+                    st.sink = Some(sink);
+                    return Ok(());
+                }
+                std::mem::take(&mut st.queue)
+            };
+            for msg in backlog {
+                sink(msg);
+            }
+        }
+    }
+
+    /// Detach the sink. The caller drops it after the lock is released:
+    /// its captures may own this very inbox's link.
+    fn take_sink(&self) -> Option<ChannelHandler> {
+        self.state.lock().sink.take()
+    }
+}
+
+/// The one inbound policy both receive modes share: take delivery on the
+/// node clock, discard a corrupted wire message (CRC model; with
+/// coalescing the CRC covers the aggregate, so a damaged batch counts as
+/// ONE corrupt discard, not one per sub-frame), and strip the coalescing
+/// envelope, handing each intact frame to `sink` in order.
+fn intake(
+    tm: &PadicoTM,
+    coalescing: bool,
+    msg: Message,
+    mut sink: impl FnMut(Message),
+) -> Result<(), TmError> {
+    msg.deliver(tm.clock());
+    if msg.corrupted {
+        faults::note(tm.recovery(), |r| &r.corrupt_discards);
+        return Ok(());
+    }
+    if coalescing {
+        split_envelope(msg, sink)
+    } else {
+        sink(msg);
+        Ok(())
+    }
 }
 
 /// Strip a coalescing envelope off one wire message and hand each
-/// sub-frame to `sink`, in order. Shared by the pull receive path (which
-/// queues into the [`CoalesceBox`]) and the reactive path (which runs
-/// sub-frames straight through the channel handler).
+/// sub-frame to `sink`, in order.
 fn split_envelope(msg: Message, mut sink: impl FnMut(Message)) -> Result<(), TmError> {
     let Some(tag) = msg.payload.first_byte() else {
         return Err(TmError::Protocol("empty wire envelope".into()));
@@ -250,33 +387,18 @@ pub struct LinkCore {
     /// notices: channel ids are fabric-independent and the encrypt
     /// decision depends only on the peers' trust, not the carrying fabric.
     route: Mutex<Route>,
-    rx: Mutex<RxState>,
+    /// The handler of the channel this link receives on.
+    inbox: Arc<Inbox>,
+    /// Intact frames taken off the inbox but not yet handed to a pull
+    /// receiver: the later sub-frames of a coalesced aggregate.
+    pending: Mutex<VecDeque<Message>>,
     /// Small-message coalescing, when the runtime config enables it.
     coalesce: Option<CoalesceBox>,
 }
 
-/// Receive mode of a [`LinkCore`]: pull-style (a subscribed receiver the
-/// owner drains with `recv_intact*`) or handed over to a reactive channel
-/// handler that runs inline on the node's progress engine.
-enum RxState {
-    Queued(ChannelRx),
-    Reactive(ChannelId),
-}
-
-impl RxState {
-    fn queued(&self) -> Result<&ChannelRx, TmError> {
-        match self {
-            RxState::Queued(rx) => Ok(rx),
-            RxState::Reactive(ch) => Err(TmError::Protocol(format!(
-                "channel {ch} handed to a reactive handler; pull receive unavailable"
-            ))),
-        }
-    }
-}
-
 impl LinkCore {
-    /// Select a route for `peers` and subscribe `channel`: the common
-    /// establishment path (circuits, listener-side streams).
+    /// Select a route for `peers` and open the link on `channel`: the
+    /// common establishment path (circuits, listener-side streams).
     pub fn establish(
         tm: Arc<PadicoTM>,
         peers: Vec<NodeId>,
@@ -286,103 +408,69 @@ impl LinkCore {
         channel: ChannelId,
     ) -> Result<LinkCore, TmError> {
         let route = tm.select(&peers, paradigm, choice)?;
-        let rx = tm.net().subscribe(channel)?;
-        Ok(LinkCore::adopt(tm, peers, paradigm, layer, route, rx))
+        LinkCore::open(tm, peers, paradigm, layer, route, channel)
     }
 
-    /// Wrap an already-selected route and already-subscribed receiver
-    /// (handshake protocols pick both before the stream exists).
-    pub fn adopt(
+    /// Open a link on an already-selected route (handshake protocols pick
+    /// it before the stream exists), claiming `channel` with the link's
+    /// inbox. The claim lasts until [`LinkCore::stop_reactive`] or drop.
+    pub fn open(
         tm: Arc<PadicoTM>,
         peers: Vec<NodeId>,
         paradigm: Paradigm,
         layer: &'static str,
         route: Route,
-        rx: ChannelRx,
-    ) -> LinkCore {
+        channel: ChannelId,
+    ) -> Result<LinkCore, TmError> {
+        let inbox = Inbox::attach(tm.net(), channel)?;
         let coalesce = tm.config().coalesce.map(|policy| CoalesceBox {
             policy,
             batch: Mutex::new(Batch::default()),
-            pending: Mutex::new(VecDeque::new()),
         });
-        LinkCore {
+        Ok(LinkCore {
             tm,
             peers,
             paradigm,
             layer,
             route: Mutex::new(route),
-            rx: Mutex::new(RxState::Queued(rx)),
+            inbox,
+            pending: Mutex::new(VecDeque::new()),
             coalesce,
-        }
+        })
     }
 
-    /// Hand this link's receive channel over to a reactive handler that
-    /// runs inline on a world-scheduler worker, so frames complete as
-    /// scheduler events with no reader thread parked on the link.
-    ///
-    /// The wrapper replays anything already queued, then swaps the Live
-    /// subscription for the handler (messages landing after the swap
-    /// park and replay in order; one landing between the drain and the
-    /// swap would be lost). Callers must therefore invoke this while the
-    /// link is quiescent inbound — a client connection right after its
-    /// handshake, or a server one before its ACK. `on_msg` sees intact,
-    /// envelope-demuxed messages, already delivered to the node clock;
-    /// corrupted deliveries are discarded here exactly like the pull path
-    /// does. The handler stays installed until [`LinkCore::stop_reactive`]
-    /// or the link drops.
+    /// Serve this link's inbound side reactively: from now on every
+    /// delivery runs through `on_msg` inline on a world-scheduler worker,
+    /// so frames complete as scheduler events with no reader thread
+    /// parked on the link. Frames that arrived earlier (already pulled
+    /// sub-frames, then the inbox queue) go first, in order; nothing is
+    /// lost or reordered however traffic races the call. `on_msg` sees
+    /// intact, envelope-demuxed messages, already delivered to the node
+    /// clock. Pull receives are unavailable afterwards. The handler stays
+    /// installed until [`LinkCore::stop_reactive`] or the link drops.
     pub fn go_reactive(
         &self,
         on_msg: Arc<dyn Fn(Message) + Send + Sync>,
     ) -> Result<(), TmError> {
+        for sub in std::mem::take(&mut *self.pending.lock()) {
+            on_msg(sub);
+        }
         let tm = Arc::clone(&self.tm);
         let coalescing = self.coalesce.is_some();
-        let deliver = move |msg: Message| {
-            msg.deliver(tm.clock());
-            if msg.corrupted {
-                faults::note(tm.recovery(), |r| &r.corrupt_discards);
-                return;
-            }
-            if coalescing {
-                // A malformed envelope on a reactive link has no caller
-                // to answer; drop the wire message like a corrupt frame.
-                let _ = split_envelope(msg, |sub| on_msg(sub));
-            } else {
-                on_msg(msg);
-            }
-        };
-        let handler: crate::arbitration::ChannelHandler = Arc::new(deliver);
-        let channel = {
-            let mut state = self.rx.lock();
-            let channel = match &*state {
-                RxState::Queued(rx) => {
-                    // Drain what the Live queue already holds into the
-                    // handler before unsubscribing: those messages are
-                    // lost with the receiver otherwise.
-                    while let Some(msg) = rx.try_recv_raw() {
-                        handler(msg);
-                    }
-                    rx.channel()
-                }
-                RxState::Reactive(ch) => *ch,
-            };
-            *state = RxState::Reactive(channel);
-            channel
-        };
-        // A second handler on one link is refused by the channel registry.
-        self.tm.net().on_channel(channel, handler)
+        // A malformed envelope on a reactive link has no caller to
+        // answer; it is dropped like a corrupt frame.
+        self.inbox.set_sink(Arc::new(move |msg| {
+            let _ = intake(&tm, coalescing, msg, |sub| on_msg(sub));
+        }))
     }
 
-    /// Release the handler [`LinkCore::go_reactive`] installed; later
-    /// messages park. Idempotent, and a no-op on a pull-style link.
+    /// Release the link's channel: later messages park unread, and the
+    /// handler [`LinkCore::go_reactive`] attached is dropped with
+    /// everything it captured. A handler may stop its own link; the
+    /// running invocation finishes normally. Idempotent.
     pub fn stop_reactive(&self) {
-        let reactive = match *self.rx.lock() {
-            RxState::Reactive(channel) => Some(channel),
-            RxState::Queued(_) => None,
-        };
-        // Outside the lock: dropping the handler may drop its captures.
-        if let Some(channel) = reactive {
-            self.tm.net().off_channel(channel);
-        }
+        self.tm.net().off_channel(self.inbox.channel());
+        drop(self.inbox.take_sink());
     }
 
     pub fn tm(&self) -> &Arc<PadicoTM> {
@@ -499,13 +587,6 @@ impl LinkCore {
         self.send_wire_now(dst, channel, env, "flush")
     }
 
-    /// Demux one received wire message (coalescing enabled): strip the
-    /// envelope and queue the sub-frame(s), in order, as messages.
-    fn ingest_wire(&self, cbox: &CoalesceBox, msg: Message) -> Result<(), TmError> {
-        let mut pending = cbox.pending.lock();
-        split_envelope(msg, |sub| pending.push_back(sub))
-    }
-
     /// Transmit one wire message — THE send loop.
     ///
     /// Loopback goes straight to local dispatch. Otherwise each attempt
@@ -596,66 +677,39 @@ impl LinkCore {
     /// continues.
     pub fn recv_intact(&self, timeout: Option<Duration>) -> Result<Message, TmError> {
         let timeout = timeout.unwrap_or(self.tm.config().default_deadline);
-        if let Some(m) = self.flush_and_pop_pending()? {
-            return Ok(m);
-        }
+        // Waiting to receive means nothing more is coming until the peer
+        // sees what we queued: flushing our own coalesced frames first
+        // keeps request/reply patterns live without timers.
+        self.flush()?;
         loop {
-            let msg = {
-                let rx = self.rx.lock();
-                rx.queued()?.recv_timeout(self.tm.clock(), timeout)?
-            };
-            if msg.corrupted {
-                // With coalescing this discards the whole wire message:
-                // the CRC covers the aggregate, so a damaged batch
-                // classifies as ONE corrupt discard, not one per
-                // sub-frame.
-                faults::note(self.tm.recovery(), |r| &r.corrupt_discards);
-                continue;
-            }
-            let Some(cbox) = &self.coalesce else {
-                return Ok(msg);
-            };
-            self.ingest_wire(cbox, msg)?;
-            if let Some(m) = cbox.pending.lock().pop_front() {
+            if let Some(m) = self.pending.lock().pop_front() {
                 return Ok(m);
             }
+            let msg = self.inbox.recv_timeout(timeout)?;
+            self.take_delivery(msg)?;
         }
-    }
-
-    /// Coalescing receive preamble: flush our own queued frames (waiting
-    /// to receive means nothing more is coming until the peer sees what
-    /// we queued — this keeps request/reply patterns live without
-    /// timers), then drain any already-demuxed sub-frame.
-    fn flush_and_pop_pending(&self) -> Result<Option<Message>, TmError> {
-        let Some(cbox) = &self.coalesce else {
-            return Ok(None);
-        };
-        self.flush()?;
-        Ok(cbox.pending.lock().pop_front())
     }
 
     /// Non-blocking intact receive.
     pub fn try_recv_intact(&self) -> Result<Option<Message>, TmError> {
-        if let Some(m) = self.flush_and_pop_pending()? {
-            return Ok(Some(m));
-        }
+        self.flush()?;
         loop {
-            match self.rx.lock().queued()?.try_recv(self.tm.clock())? {
-                Some(msg) if msg.corrupted => {
-                    faults::note(self.tm.recovery(), |r| &r.corrupt_discards);
-                }
-                Some(msg) => {
-                    let Some(cbox) = &self.coalesce else {
-                        return Ok(Some(msg));
-                    };
-                    self.ingest_wire(cbox, msg)?;
-                    if let Some(m) = cbox.pending.lock().pop_front() {
-                        return Ok(Some(m));
-                    }
-                }
-                None => return Ok(None),
+            if let Some(m) = self.pending.lock().pop_front() {
+                return Ok(Some(m));
             }
+            let Some(msg) = self.inbox.try_recv() else {
+                return Ok(None);
+            };
+            self.take_delivery(msg)?;
         }
+    }
+
+    /// Pull side of `intake`: intact frames queue in `pending`.
+    fn take_delivery(&self, msg: Message) -> Result<(), TmError> {
+        let mut pending = self.pending.lock();
+        intake(&self.tm, self.coalesce.is_some(), msg, |sub| {
+            pending.push_back(sub)
+        })
     }
 
     /// Budgeted-retry handshake driver — THE connect loop. `attempt_fn`
@@ -743,8 +797,6 @@ impl Drop for LinkCore {
     fn drop(&mut self) {
         // Last chance for queued frames; errors have nowhere to go.
         let _ = self.flush();
-        // A pull receiver unsubscribes itself; a reactive handler is
-        // released here, dropping whatever it captured.
         self.stop_reactive();
     }
 }
@@ -1136,7 +1188,7 @@ mod tests {
         // storage: the kind tag is peeled off the gather list, never
         // flattened into the body.
         let (a, b) = pair();
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         crate::vlink::VLinkListener::on_accept(&b, "zc", move |stream| {
             let tx = tx.clone();
             // The handler owns its stream until end of stream.
@@ -1164,6 +1216,55 @@ mod tests {
             sent_ptr,
             "VLink frame must alias the sender's buffer end-to-end"
         );
+    }
+
+    #[test]
+    fn going_reactive_mid_stream_loses_and_reorders_nothing() {
+        // A link's channel keeps one handler for the link's whole life.
+        // Frames queued before the switch drain through the frame handler
+        // first, one landing mid-drain queues behind them, and later ones
+        // follow: none lost, none reordered.
+        fn send(stream: &VLinkStream, byte: u8) {
+            stream.write_all(&[byte]).unwrap();
+            stream.flush().unwrap();
+        }
+        const WAIT: Duration = Duration::from_secs(5);
+        let (a, b) = pair();
+        let listener = b.vlink_listen("mid").unwrap();
+        let bt = std::thread::spawn(move || listener.accept().unwrap());
+        let client = Arc::new(
+            a.vlink_connect(b.node(), "mid", FabricChoice::Auto)
+                .unwrap(),
+        );
+        let server = Arc::new(bt.join().unwrap());
+        let sched = Arc::clone(a.topology().sched());
+        for byte in 0..3 {
+            send(&client, byte);
+        }
+        assert!(sched.quiesce(WAIT), "frames 0-2 wait in the inbox");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let mid = Arc::clone(&client);
+        server
+            .on_frames(Arc::new(move |frame| {
+                let Some(frame) = frame else { return };
+                let byte = frame.to_vec()[0];
+                if byte == 0 {
+                    // Still draining the backlog on the caller's thread:
+                    // land frame 3 in the inbox right now.
+                    send(&mid, 3);
+                    assert!(sched.quiesce(WAIT));
+                }
+                let _ = tx.send(byte);
+            }))
+            .unwrap();
+        send(&client, 4);
+        let got: Vec<u8> = (0..5)
+            .map(|_| rx.recv_timeout(WAIT).expect("frame lost"))
+            .collect();
+        assert_eq!(got, [0, 1, 2, 3, 4]);
+        // A served link has no pull side any more.
+        let err = server.read(&mut [0u8; 1]).unwrap_err();
+        assert!(matches!(err, TmError::Protocol(_)), "{err}");
     }
 
     fn coalesced_circuits(

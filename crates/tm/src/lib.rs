@@ -43,7 +43,7 @@ pub mod security;
 pub mod selector;
 pub mod vlink;
 
-pub use arbitration::{ChannelHandler, ChannelRx, NetAccess, NodeCell, TM_SERVICE_PORT};
+pub use arbitration::{ChannelHandler, NetAccess, NodeCell, TM_SERVICE_PORT};
 pub use circuit::{Circuit, CircuitSpec};
 pub use driver::{ArbitratedDriver, LinkCore};
 pub use error::TmError;

@@ -16,7 +16,7 @@
 //! * A listener binds a well-known channel derived from
 //!   `"vlink:<service>@<node>"`.
 //! * `connect` allocates two fresh channels (client→server and
-//!   server→client), subscribes its receiving one, and sends `SYN` with
+//!   server→client), claims its receiving one, and sends `SYN` with
 //!   both ids; the listener claims the other and replies `ACK`. Either
 //!   side then exchanges `DATA` frames and closes with `FIN`.
 //! * A listener either pulls connections with [`VLinkListener::accept`]
@@ -36,7 +36,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::arbitration::{fresh_channel, named_channel};
-use crate::driver::{ArbitratedDriver, LinkCore};
+use crate::driver::{ArbitratedDriver, Inbox, LinkCore};
 use crate::error::TmError;
 use crate::runtime::PadicoTM;
 use crate::security::SessionKey;
@@ -139,20 +139,22 @@ impl Syn {
     }
 }
 
-/// Passive side of the VLink abstraction.
+/// Passive side of the VLink abstraction: SYNs queue in the listener's
+/// inbox until [`VLinkListener::accept`] takes them. Dropping the
+/// listener releases its service.
 pub struct VLinkListener {
     tm: Arc<PadicoTM>,
     service: String,
-    rx: crate::arbitration::ChannelRx,
+    inbox: Arc<Inbox>,
 }
 
 impl VLinkListener {
     pub(crate) fn bind(tm: Arc<PadicoTM>, service: &str) -> Result<VLinkListener, TmError> {
-        let rx = tm.net().subscribe(listener_channel(service, tm.node()))?;
+        let inbox = Inbox::attach(tm.net(), listener_channel(service, tm.node()))?;
         Ok(VLinkListener {
             tm,
             service: service.to_string(),
-            rx,
+            inbox,
         })
     }
 
@@ -160,8 +162,8 @@ impl VLinkListener {
     /// inline on a world-scheduler worker, and `on_stream` receives the
     /// established stream *before* its ACK goes out. Nothing can arrive on
     /// the stream until the client sees that ACK, so `on_stream` may hand
-    /// it to a reactive handler ([`VLinkStream::on_frames`]) with no frame
-    /// able to slip past the handover, or to a thread of its own. An
+    /// it to a reactive handler ([`VLinkStream::on_frames`]) before any
+    /// frame can arrive, or to a thread of its own. An
     /// `Err` from `on_stream` withholds the ACK (the client's connect
     /// retries). `on_stream` runs on a scheduler worker and must not
     /// block. The listener stays up until [`VLinkListener::off_accept`].
@@ -210,7 +212,8 @@ impl VLinkListener {
     pub fn accept(&self) -> Result<VLinkStream, TmError> {
         let timeout = self.tm.config().default_deadline;
         let syn = loop {
-            let msg = self.rx.recv_timeout(self.tm.clock(), timeout)?;
+            let msg = self.inbox.recv_timeout(timeout)?;
+            msg.deliver(self.tm.clock());
             if let Some(syn) = Syn::parse(&self.tm, &msg) {
                 break syn;
             }
@@ -218,6 +221,12 @@ impl VLinkListener {
         let stream = syn.establish(&self.tm)?;
         stream.ack()?;
         Ok(stream)
+    }
+}
+
+impl Drop for VLinkListener {
+    fn drop(&mut self) {
+        self.tm.net().off_channel(self.inbox.channel());
     }
 }
 
@@ -329,7 +338,17 @@ impl VLinkStream {
     ) -> Result<VLinkStream, TmError> {
         let c2s = fresh_channel();
         let s2c = fresh_channel();
-        let rx = tm.net().subscribe(s2c)?;
+        // Claim the receiving channel before the SYN leaves: the ACK may
+        // come back before this thread runs again.
+        let core = LinkCore::open(
+            Arc::clone(tm),
+            vec![tm.node(), dst],
+            Paradigm::Distributed,
+            "tm.vlink",
+            route.clone(),
+            s2c,
+        )?;
+        let stream = VLinkStream::assemble(core, dst, c2s, SessionKey::derive(c2s.0, s2c.0));
         let mut syn = padico_fabric::pool::lease(22);
         syn.push(KIND_SYN);
         syn.extend_from_slice(&c2s.0.to_le_bytes());
@@ -343,15 +362,6 @@ impl VLinkStream {
         } else {
             tm.net().send(route.fabric.id(), dst, listener, syn)?;
         }
-        let core = LinkCore::adopt(
-            Arc::clone(tm),
-            vec![tm.node(), dst],
-            Paradigm::Distributed,
-            "tm.vlink",
-            route.clone(),
-            rx,
-        );
-        let stream = VLinkStream::assemble(core, dst, c2s, SessionKey::derive(c2s.0, s2c.0));
         // Wait for ACK (the core discards corrupted ones as lost).
         let ack = stream.core.recv_intact(Some(timeout))?;
         if ack.payload.first_byte() != Some(KIND_ACK) {
@@ -462,17 +472,17 @@ impl VLinkStream {
         Ok(())
     }
 
-    /// Hand the stream over to a reactive frame handler (see
-    /// [`LinkCore::go_reactive`]): every subsequent DATA frame is
-    /// decrypted and run through `on_frame` inline on a world-scheduler
-    /// worker, so no thread ever parks on this stream. `on_frame` receives `None`
+    /// Serve the stream with a reactive frame handler (see
+    /// [`LinkCore::go_reactive`]): every DATA frame is decrypted and run
+    /// through `on_frame` inline on a world-scheduler worker, so no
+    /// thread ever parks on this stream. Frames that arrived before the
+    /// call are handed over first, in order. `on_frame` receives `None`
     /// exactly once when the peer's FIN arrives (or on a framing error).
     ///
-    /// Must be called while the stream is quiescent inbound (a client
-    /// connection right after its handshake qualifies); afterwards the
-    /// pull-style `read*` methods are unavailable. The handler holds the
-    /// stream weakly: dropping the stream's last owner releases the
-    /// handler too.
+    /// Bytes already buffered by `read*` are not replayed, and the
+    /// pull-style `read*` methods are unavailable afterwards. The handler
+    /// holds the stream weakly: dropping the stream's last owner releases
+    /// the handler too.
     pub fn on_frames(
         self: &Arc<Self>,
         on_frame: Arc<dyn Fn(Option<Payload>) + Send + Sync>,
@@ -644,4 +654,13 @@ mod tests {
         assert_eq!(server.read(&mut buf).unwrap(), 0, "EOF is sticky");
     }
 
+    #[test]
+    fn dropping_a_listener_releases_its_service() {
+        let (_a, b) = pair();
+        let listener = b.vlink_listen("again").unwrap();
+        let err = b.vlink_listen("again").unwrap_err();
+        assert!(matches!(err, TmError::Protocol(_)), "{err}");
+        drop(listener);
+        b.vlink_listen("again").expect("service free again");
+    }
 }
