@@ -100,6 +100,9 @@ pub(crate) struct Inbox {
 struct InboxState {
     queue: VecDeque<Message>,
     sink: Option<ChannelHandler>,
+    /// Set by [`Inbox::take_sink`]: the link let go of its channel, so no
+    /// sink may be installed any more.
+    stopped: bool,
 }
 
 impl Inbox {
@@ -162,33 +165,42 @@ impl Inbox {
     /// Run every delivery through `sink` from now on. Queued deliveries
     /// go first and in order: the sink is installed only once the queue
     /// is empty, so one arriving mid-drain queues behind the backlog
-    /// instead of overtaking it. A second sink is refused.
+    /// instead of overtaking it. A second sink is refused. Once the link
+    /// stops (the sink itself may stop it at end of stream) the drain
+    /// ends and the sink is dropped, never installed: installed, it would
+    /// keep whatever it captured alive on an inbox nobody releases.
     fn set_sink(&self, sink: ChannelHandler) -> Result<(), TmError> {
         loop {
-            let backlog = {
+            let msg = {
                 let mut st = self.state.lock();
+                if st.stopped {
+                    return Ok(());
+                }
                 if st.sink.is_some() {
                     return Err(TmError::Protocol(format!(
                         "channel {} already runs a reactive handler",
                         self.channel
                     )));
                 }
-                if st.queue.is_empty() {
-                    st.sink = Some(sink);
-                    return Ok(());
+                match st.queue.pop_front() {
+                    Some(msg) => msg,
+                    None => {
+                        st.sink = Some(sink);
+                        return Ok(());
+                    }
                 }
-                std::mem::take(&mut st.queue)
             };
-            for msg in backlog {
-                sink(msg);
-            }
+            sink(msg);
         }
     }
 
-    /// Detach the sink. The caller drops it after the lock is released:
-    /// its captures may own this very inbox's link.
+    /// Detach the sink for good: a later [`Inbox::set_sink`] installs
+    /// nothing. The caller drops it after the lock is released: its
+    /// captures may own this very inbox's link.
     fn take_sink(&self) -> Option<ChannelHandler> {
-        self.state.lock().sink.take()
+        let mut st = self.state.lock();
+        st.stopped = true;
+        st.sink.take()
     }
 }
 
@@ -447,7 +459,8 @@ impl LinkCore {
     /// lost or reordered however traffic races the call. `on_msg` sees
     /// intact, envelope-demuxed messages, already delivered to the node
     /// clock. Pull receives are unavailable afterwards. The handler stays
-    /// installed until [`LinkCore::stop_reactive`] or the link drops.
+    /// installed until [`LinkCore::stop_reactive`] or the link drops; a
+    /// link stopped before or during the call drops `on_msg` instead.
     pub fn go_reactive(
         &self,
         on_msg: Arc<dyn Fn(Message) + Send + Sync>,
@@ -1265,6 +1278,48 @@ mod tests {
         // A served link has no pull side any more.
         let err = server.read(&mut [0u8; 1]).unwrap_err();
         assert!(matches!(err, TmError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn stopping_mid_drain_installs_no_handler() {
+        // The backlog ends in FIN, and the frame handler, which owns its
+        // stream, stops the stream there while the switch is still
+        // draining. The stopped link must drop the handler rather than
+        // install it, or handler and stream keep each other alive.
+        const WAIT: Duration = Duration::from_secs(5);
+        let (a, b) = pair();
+        let listener = b.vlink_listen("fin").unwrap();
+        let bt = std::thread::spawn(move || listener.accept().unwrap());
+        let client = a
+            .vlink_connect(b.node(), "fin", FabricChoice::Auto)
+            .unwrap();
+        let server = Arc::new(bt.join().unwrap());
+        for byte in 0..3 {
+            client.write_all(&[byte]).unwrap();
+        }
+        client.close().unwrap();
+        assert!(
+            a.topology().sched().quiesce(WAIT),
+            "frames 0-2 and the FIN wait in the inbox"
+        );
+        let (tx, rx) = std::sync::mpsc::channel();
+        let owner = Arc::clone(&server);
+        server
+            .on_frames(Arc::new(move |frame| match frame {
+                Some(frame) => {
+                    let _ = tx.send(frame.to_vec()[0]);
+                }
+                None => owner.stop_frames(),
+            }))
+            .unwrap();
+        // The whole backlog drained on this thread, inside `on_frames`.
+        assert_eq!(rx.try_iter().collect::<Vec<u8>>(), [0, 1, 2]);
+        let stream = Arc::downgrade(&server);
+        drop(server);
+        assert!(
+            stream.upgrade().is_none(),
+            "the handler outlived its stopped stream"
+        );
     }
 
     fn coalesced_circuits(
