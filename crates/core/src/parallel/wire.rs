@@ -442,7 +442,18 @@ fn build_scatter_plan(
     chunks: &[Chunk],
 ) -> Result<Vec<CopyPiece>, GridCcmError> {
     let total_bytes = (local_elems * es) as usize;
-    let mut plan = Vec::with_capacity(chunks.len());
+    // One piece per contiguous chunk, one per repetition of a strided
+    // one. A valid piece holds at least one byte, so `count` is clamped
+    // by the data length: a bogus count from the wire cannot size this.
+    let pieces = chunks
+        .iter()
+        .map(|c| match c {
+            c if c.count == 0 || c.chunk_elems == 0 => 0,
+            c if c.count == 1 || c.dst_stride == c.chunk_elems => 1,
+            c => c.count.min(c.data.len() as u64) as usize,
+        })
+        .sum();
+    let mut plan = Vec::with_capacity(pieces);
     for (ci, c) in chunks.iter().enumerate() {
         let piece_bytes = (c.chunk_elems * es) as usize;
         if c.count * c.chunk_elems * es != c.data.len() as u64 {

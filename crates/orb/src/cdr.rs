@@ -75,6 +75,19 @@ impl CdrWriter {
         self.offset += bytes.len();
     }
 
+    /// Make room for a bulk copy of `n` bytes. One that does not fit the
+    /// scratch slab moves its bytes once into a pooled slab of the right
+    /// class, instead of doubling the scratch `Vec` up to size through
+    /// unpooled reallocations. The body stays one segment.
+    fn reserve(&mut self, n: usize) {
+        let need = self.buf.len() + n;
+        if need > self.buf.capacity() {
+            let mut slab = pool::lease(need);
+            slab.extend_from_slice(&self.buf);
+            self.buf = slab;
+        }
+    }
+
     pub fn write_u8(&mut self, v: u8) {
         self.push(&[v]);
     }
@@ -141,6 +154,7 @@ impl CdrWriter {
                 self.out.push_segment(data);
             }
             _ => {
+                self.reserve(data.len());
                 self.push(&data);
             }
         }
@@ -157,6 +171,9 @@ impl CdrWriter {
         I: IntoIterator<Item = Bytes>,
     {
         self.write_u32(total_len as u32);
+        if self.strategy == MarshalStrategy::Copying {
+            self.reserve(total_len);
+        }
         let mut written = 0usize;
         for part in parts {
             written += part.len();
@@ -180,6 +197,7 @@ impl CdrWriter {
     /// `sequence<octet>` from a borrowed slice (always copies once).
     pub fn write_octet_slice(&mut self, data: &[u8]) {
         self.write_u32(data.len() as u32);
+        self.reserve(data.len());
         self.push(data);
     }
 

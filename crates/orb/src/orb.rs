@@ -361,10 +361,12 @@ impl Orb {
                     caller: conn.stream.peer(),
                     telemetry: Arc::clone(telemetry),
                 };
-                // Copying profiles physically flatten the request into
-                // one unmarshalling buffer (the copy `charge_server`
-                // accounts for); zero-copy profiles read the gather list
-                // in place.
+                // Copying profiles unmarshal from one contiguous view of
+                // the body; zero-copy profiles read the gather list in
+                // place. A copying writer's body is already one segment,
+                // so the view is a refcount bump: the copy the profile
+                // models is charged in virtual time by `charge_server`,
+                // not made.
                 let mut args = match self.profile.strategy {
                     MarshalStrategy::Copying => CdrReader::from_bytes(body.to_contiguous()),
                     MarshalStrategy::ZeroCopy => CdrReader::new(&body),
@@ -1113,8 +1115,8 @@ impl AsyncReply {
                 orb.profile
                     .charge_client_scaled(clock, body.len(), factor);
                 // Same strategy split as the server side: copying
-                // profiles flatten the reply, zero-copy ones read the
-                // gather list in place.
+                // profiles read one contiguous view of the reply,
+                // zero-copy ones read the gather list in place.
                 let reader = match orb.profile.strategy {
                     MarshalStrategy::Copying => CdrReader::from_bytes(body.to_contiguous()),
                     MarshalStrategy::ZeroCopy => CdrReader::new(&body),

@@ -35,7 +35,7 @@
 use crate::simtime::{SimClock, Vt, VtDuration};
 use crate::telemetry::Telemetry;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -387,20 +387,23 @@ pub fn child_retry(
     }
 }
 
-/// Per-node span cap: a runaway loop must not eat the heap; overflow is
-/// counted, not silently ignored.
-const NODE_CAP: usize = 1 << 16;
+/// Per-node span cap: each node keeps its newest `NODE_CAP` spans in a
+/// ring (~0.5 MiB at ~128 B a span), so memory does not grow with world
+/// age and the latest traces stay readable. Evictions are counted, not
+/// silently ignored.
+pub const NODE_CAP: usize = 1 << 12;
 
 /// Span cap across *all* nodes of one world. The per-node cap alone is
-/// no bound at world scale — 100k nodes x 64k spans would be licence to
-/// eat the heap node by node. Past this cap everything drops (and is
-/// counted); turn on sampling instead of raising it.
+/// no bound at world scale — 100k nodes x 4k spans would be licence to
+/// eat the heap node by node. Past this cap a node whose ring is not yet
+/// full drops its new spans (and counts them); turn on sampling instead
+/// of raising it.
 const TOTAL_CAP: usize = 1 << 20;
 
 /// The span buffers of one [`Telemetry`].
 #[derive(Default)]
 pub(crate) struct Buffers {
-    per_node: BTreeMap<u32, Vec<Span>>,
+    per_node: BTreeMap<u32, VecDeque<Span>>,
     total: usize,
     dropped: u64,
 }
@@ -408,16 +411,17 @@ pub(crate) struct Buffers {
 impl Telemetry {
     fn record_span(&self, span: Span) {
         let mut buffers = self.spans.lock();
-        if buffers.total >= TOTAL_CAP {
-            buffers.dropped += 1;
-            return;
-        }
+        let at_total_cap = buffers.total >= TOTAL_CAP;
         let buf = buffers.per_node.entry(span.node).or_default();
-        if buf.len() < NODE_CAP {
-            buf.push(span);
-            buffers.total += 1;
-        } else {
+        if buf.len() >= NODE_CAP {
+            buf.pop_front();
+            buf.push_back(span);
             buffers.dropped += 1;
+        } else if at_total_cap {
+            buffers.dropped += 1;
+        } else {
+            buf.push_back(span);
+            buffers.total += 1;
         }
     }
 
@@ -445,7 +449,8 @@ impl Telemetry {
         out
     }
 
-    /// Spans recorded but dropped to the per-node or world-wide cap.
+    /// Spans evicted from a full node ring or dropped to the world-wide
+    /// cap.
     pub fn spans_dropped(&self) -> u64 {
         self.spans.lock().dropped
     }
@@ -670,6 +675,7 @@ pub fn chrome_trace_json(spans: &[Span]) -> String {
 mod tests {
     use super::*;
     use crate::simtime::SimClock;
+    use std::collections::BTreeSet;
 
     fn clock() -> SimClock {
         SimClock::new()
@@ -953,14 +959,31 @@ mod tests {
     }
 
     #[test]
-    fn buffers_stay_bounded_and_count_drops() {
+    fn node_ring_keeps_the_newest_spans_and_counts_evictions() {
         let t = Telemetry::new();
         let c = clock();
+        // Each trace is a root plus one child on the same node, so the
+        // ring's cap holds whole traces and `over` evicts whole ones.
         let over = 64;
-        for i in 0..NODE_CAP + over {
-            let _r = root(&t, &c, 1, 1, "fabric.link", format!("tx:{i}"));
+        let traces = ((NODE_CAP + over) / 2) as u64;
+        for id in 1..=traces {
+            let _r = root(&t, &c, 1, id, "ccm.invoke", format!("invoke:{id}"));
+            c.advance(10);
+            let _k = child(&c, 1, "orb.giop", format!("request:{id}"));
+            c.advance(10);
         }
-        assert_eq!(t.spans().len(), NODE_CAP);
+        let kept = t.spans();
+        assert_eq!(kept.len(), NODE_CAP);
+        let first_kept = traces - (NODE_CAP / 2) as u64 + 1;
+        assert_eq!(
+            kept.iter().map(|s| s.trace_id).collect::<BTreeSet<u64>>(),
+            (first_kept..=traces).collect::<BTreeSet<u64>>(),
+            "the ring holds exactly the newest traces"
+        );
+        let last = t.trace(traces);
+        assert_eq!(last.len(), 2, "the latest trace is complete");
+        let root_span = last.iter().find(|s| s.parent == 0).expect("root kept");
+        assert!(last.iter().any(|s| s.parent == root_span.span_id));
         assert_eq!(t.spans_dropped(), over as u64);
         assert_eq!(t.spans_retained(), NODE_CAP as u64);
     }

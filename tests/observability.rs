@@ -229,6 +229,52 @@ fn separate_invocations_get_separate_traces() {
 }
 
 #[test]
+fn long_runs_keep_the_newest_spans_within_the_node_rings() {
+    // Every invocation roots a span tree, so a world that runs long
+    // records without end. Each node keeps only its newest spans: the
+    // retained total stays within `nodes × NODE_CAP` and the latest
+    // invocation's tree stays readable after the early ones are evicted.
+    let grid = Grid::single_cluster(3).unwrap();
+    let par = shift_handle(&grid, "obs-ring", 0, &[1, 2]);
+    let values: Vec<f64> = (0..(96 << 10) / 8).map(|i| i as f64).collect();
+    let telemetry = grid.topology().telemetry();
+    let mut steps = 0;
+    while telemetry.spans_dropped() == 0 {
+        assert!(steps < 1000, "no node ring filled after {steps} steps");
+        let got = invoke_shift(&par, &values, steps as f64);
+        assert_eq!(got[7], 7.0 + steps as f64);
+        steps += 1;
+    }
+    for step in steps..steps + 50 {
+        invoke_shift(&par, &values, step as f64);
+    }
+    let cap = (grid.len() * padico::util::span::NODE_CAP) as u64;
+    assert!(
+        telemetry.spans_retained() <= cap,
+        "{} spans retained over {} nodes",
+        telemetry.spans_retained(),
+        grid.len()
+    );
+
+    let obs = ObservabilitySnapshot::capture(grid.topology());
+    let roots = invoke_roots(&obs);
+    let last = obs
+        .spans
+        .iter()
+        .filter(|s| s.layer == "ccm.invoke")
+        .max_by_key(|s| s.end)
+        .expect("the newest invocation's root is retained");
+    let trace = obs.trace(last.trace_id);
+    let ids: BTreeSet<u64> = trace.iter().map(|s| s.span_id).collect();
+    assert!(
+        trace.iter().all(|s| s.parent == 0 || ids.contains(&s.parent)),
+        "the newest trace lost spans to eviction"
+    );
+    assert!(trace.iter().any(|s| s.layer == "orb.giop"));
+    assert!(roots.len() < steps + 50, "the oldest invocations were evicted");
+}
+
+#[test]
 fn control_service_serves_the_flight_recorder_over_giop() {
     // The introspection path end to end: a GridCCM invocation leaves
     // spans, latency windows, and counters in the flight recorder; a
