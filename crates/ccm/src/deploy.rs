@@ -464,7 +464,7 @@ mod tests {
                 &container,
                 NodeProps {
                     name: info.name.clone(),
-                    machine: info.machine.clone(),
+                    machine: info.machine.to_string(),
                     trusted: info.zone == SecurityZone::Trusted,
                 },
                 Arc::clone(&factories),

@@ -77,7 +77,7 @@ impl Grid {
                 &container,
                 NodeProps {
                     name: info.name.clone(),
-                    machine: info.machine.clone(),
+                    machine: info.machine.to_string(),
                     trusted: info.zone == SecurityZone::Trusted,
                 },
                 Arc::clone(&factories),

@@ -166,7 +166,7 @@ struct FabricState {
     /// Live endpoints: (node, port) → delivery target.
     ports: HashMap<(NodeId, u16), PortTarget>,
     /// For exclusive fabrics: which client holds the NIC on each node.
-    exclusive_holder: HashMap<NodeId, String>,
+    exclusive_holder: HashMap<NodeId, &'static str>,
     /// Next ephemeral port per node.
     next_ephemeral: HashMap<NodeId, u16>,
     /// SCI-style mapping tables: node → set of mapped peers.
@@ -188,6 +188,8 @@ pub struct SimFabric {
     member_set: HashSet<NodeId>,
     /// Pre-rendered `bytes.<kind>` counter name (one per send otherwise).
     bytes_counter: String,
+    /// Pre-rendered `tx:<kind>` span name of every send.
+    tx_span: String,
     /// The world's telemetry, which `bytes_counter` counts into.
     telemetry: Arc<Telemetry>,
     nics: HashMap<NodeId, NicState>,
@@ -243,6 +245,7 @@ impl SimFabric {
             member_set: members.iter().copied().collect(),
             members,
             bytes_counter: format!("bytes.{kind}"),
+            tx_span: format!("tx:{kind}"),
             telemetry,
             nics,
             state: Mutex::new(FabricState::default()),
@@ -289,7 +292,7 @@ impl SimFabric {
     pub fn attach(
         self: &Arc<Self>,
         node: NodeId,
-        client: &str,
+        client: &'static str,
     ) -> Result<FabricEndpoint, FabricError> {
         self.attach_inner(node, None, client, None)
     }
@@ -299,7 +302,7 @@ impl SimFabric {
         self: &Arc<Self>,
         node: NodeId,
         port: u16,
-        client: &str,
+        client: &'static str,
     ) -> Result<FabricEndpoint, FabricError> {
         assert!(
             port < EPHEMERAL_PORT_BASE,
@@ -318,7 +321,7 @@ impl SimFabric {
         self: &Arc<Self>,
         node: NodeId,
         port: u16,
-        client: &str,
+        client: &'static str,
         sink: MessageSink,
     ) -> Result<FabricEndpoint, FabricError> {
         assert!(
@@ -332,7 +335,7 @@ impl SimFabric {
         self: &Arc<Self>,
         node: NodeId,
         port: Option<u16>,
-        client: &str,
+        client: &'static str,
         sink: Option<MessageSink>,
     ) -> Result<FabricEndpoint, FabricError> {
         if !self.has_member(node) {
@@ -343,7 +346,7 @@ impl SimFabric {
             if let Some(holder) = st.exclusive_holder.get(&node) {
                 return Err(FabricError::Busy {
                     node,
-                    holder: holder.clone(),
+                    holder: holder.to_string(),
                 });
             }
         }
@@ -376,13 +379,13 @@ impl SimFabric {
             }
         };
         if self.access == AccessMode::Exclusive {
-            st.exclusive_holder.insert(node, client.to_string());
+            st.exclusive_holder.insert(node, client);
         }
         Ok(FabricEndpoint {
             fabric: Arc::clone(self),
             addr: EndpointAddr { node, port },
             inbox,
-            client: client.to_string(),
+            client,
         })
     }
 
@@ -479,12 +482,8 @@ impl SimFabric {
         // The span wraps the whole driver-level send, failures included:
         // a trace of a failover shows the refused attempt on the dead
         // fabric next to the retry on the surviving one.
-        let mut span = padico_util::span::child(
-            clock,
-            src.node.0,
-            "fabric.link",
-            format!("tx:{}", self.kind()),
-        );
+        let mut span =
+            padico_util::span::child(clock, src.node.0, "fabric.link", self.tx_span.as_str());
         let len = payload.len();
         let result = self.send_from_inner(src, clock, dst, channel, payload);
         match &result {
@@ -613,7 +612,7 @@ pub struct FabricEndpoint {
     addr: EndpointAddr,
     /// `None` for sink attachments (inbound traffic goes to the sink).
     inbox: Option<Receiver<Message>>,
-    client: String,
+    client: &'static str,
 }
 
 impl fmt::Debug for FabricEndpoint {
@@ -633,10 +632,6 @@ impl FabricEndpoint {
 
     pub fn fabric(&self) -> &Arc<SimFabric> {
         &self.fabric
-    }
-
-    pub fn client(&self) -> &str {
-        &self.client
     }
 
     /// Send `payload` to `dst` on logical `channel`, charging `clock`.

@@ -41,5 +41,5 @@ pub use fabric::{
 pub use faults::{FaultInjector, FaultPlan, FaultSnapshot};
 pub use model::LinkModel;
 pub use payload::{pool, Payload};
-pub use sched::{LaneSample, NodeHandler, SchedStats, WorldSched};
+pub use sched::{LaneSample, NodeHandler, NodeStep, SchedStats, WorldSched};
 pub use topology::{NodeInfo, SecurityZone, Topology, TopologyBuilder};

@@ -68,8 +68,21 @@ use crate::fabric::Message;
 use crate::payload::pool::RecordPool;
 
 /// A node's step function: invoked by a scheduler worker for every event
-/// addressed to the node, never concurrently with itself.
-pub type NodeHandler = Arc<dyn Fn(Message) + Send + Sync>;
+/// addressed to the node, never concurrently with itself. Any
+/// `Fn(Message)` closure is one; a node's state machine can also be one
+/// itself, so registering it costs no wrapper allocation.
+pub trait NodeStep: Send + Sync {
+    fn step(&self, msg: Message);
+}
+
+impl<F: Fn(Message) + Send + Sync> NodeStep for F {
+    fn step(&self, msg: Message) {
+        self(msg)
+    }
+}
+
+/// A registered step function.
+pub type NodeHandler = Arc<dyn NodeStep>;
 
 /// How many events a worker pops from a claimed shard per heap-lock
 /// acquisition. Dispatch runs outside the lock (the shard stays claimed,
@@ -373,7 +386,7 @@ impl WorldSched {
                     if let Some(msg) = rec.slot.msg.take() {
                         match handler {
                             Some(h) => {
-                                h(msg);
+                                h.step(msg);
                                 self.delivered.fetch_add(1, Ordering::Relaxed);
                             }
                             None => {

@@ -13,7 +13,6 @@ use crate::presets::FabricPreset;
 use crate::sched::WorldSched;
 use padico_util::ids::{FabricId, NodeId};
 use padico_util::Telemetry;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Trust level of a node's location (paper §2 / §6).
@@ -33,8 +32,8 @@ pub struct NodeInfo {
     pub name: String,
     /// Machine/cluster the node belongs to, e.g. `"cluster-a"`. Nodes of
     /// one machine may be connected by shared memory and are assumed
-    /// mutually trusted.
-    pub machine: String,
+    /// mutually trusted. One string shared by all nodes of the machine.
+    pub machine: Arc<str>,
     pub zone: SecurityZone,
 }
 
@@ -43,7 +42,6 @@ pub struct NodeInfo {
 pub struct Topology {
     nodes: Vec<NodeInfo>,
     fabrics: Vec<Arc<SimFabric>>,
-    by_name: HashMap<String, NodeId>,
     /// The world's one telemetry handle: every layer of every node
     /// booted on this topology reports here, and nowhere else.
     telemetry: Arc<Telemetry>,
@@ -80,8 +78,11 @@ impl Topology {
         self.nodes.iter().find(|n| n.id == id)
     }
 
+    /// Linear in the node count: names serve deployment lookups, and a
+    /// name index would cost every node of a 100k-node world a copy of
+    /// its name.
     pub fn node_by_name(&self, name: &str) -> Option<&NodeInfo> {
-        self.by_name.get(name).and_then(|id| self.node(*id))
+        self.nodes.iter().find(|n| n.name == name)
     }
 
     pub fn fabrics(&self) -> &[Arc<SimFabric>] {
@@ -93,12 +94,8 @@ impl Topology {
     }
 
     /// All fabrics a given node is wired to.
-    pub fn fabrics_of(&self, node: NodeId) -> Vec<Arc<SimFabric>> {
-        self.fabrics
-            .iter()
-            .filter(|f| f.has_member(node))
-            .cloned()
-            .collect()
+    pub fn fabrics_of(&self, node: NodeId) -> impl Iterator<Item = &Arc<SimFabric>> {
+        self.fabrics.iter().filter(move |f| f.has_member(node))
     }
 
     /// All fabrics connecting both `a` and `b`.
@@ -155,7 +152,7 @@ impl Topology {
     pub fn machine_nodes(&self, machine: &str) -> Vec<NodeId> {
         self.nodes
             .iter()
-            .filter(|n| n.machine == machine)
+            .filter(|n| &*n.machine == machine)
             .map(|n| n.id)
             .collect()
     }
@@ -171,11 +168,21 @@ pub struct TopologyBuilder {
 impl TopologyBuilder {
     /// Add a node; returns its id.
     pub fn node(&mut self, name: &str, machine: &str, zone: SecurityZone) -> NodeId {
+        self.push(name.to_string(), machine, zone)
+    }
+
+    /// Add a node named `name`; nodes of one machine share its name
+    /// string.
+    fn push(&mut self, name: String, machine: &str, zone: SecurityZone) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        let machine = match self.nodes.iter().rev().find(|n| &*n.machine == machine) {
+            Some(n) => Arc::clone(&n.machine),
+            None => Arc::from(machine),
+        };
         self.nodes.push(NodeInfo {
             id,
-            name: name.to_string(),
-            machine: machine.to_string(),
+            name,
+            machine,
             zone,
         });
         id
@@ -189,8 +196,9 @@ impl TopologyBuilder {
         count: usize,
         zone: SecurityZone,
     ) -> Vec<NodeId> {
+        self.nodes.reserve(count);
         (0..count)
-            .map(|i| self.node(&format!("{prefix}{i}"), machine, zone))
+            .map(|i| self.push(format!("{prefix}{i}"), machine, zone))
             .collect()
     }
 
@@ -201,12 +209,7 @@ impl TopologyBuilder {
     }
 
     pub fn build(self) -> Topology {
-        let telemetry = Telemetry::new();
-        let by_name = self
-            .nodes
-            .iter()
-            .map(|n| (n.name.clone(), n.id))
-            .collect();
+        let telemetry = Telemetry::for_nodes(self.nodes.len());
         let fabrics = self
             .fabric_plans
             .into_iter()
@@ -218,7 +221,6 @@ impl TopologyBuilder {
         Topology {
             nodes: self.nodes,
             fabrics,
-            by_name,
             telemetry,
             sched: OnceLock::new(),
         }
@@ -292,7 +294,7 @@ mod tests {
         let (t, ids) = single_cluster(4);
         assert_eq!(ids.len(), 4);
         for &n in &ids {
-            assert_eq!(t.fabrics_of(n).len(), 3);
+            assert_eq!(t.fabrics_of(n).count(), 3);
         }
         assert_eq!(t.fabrics_between(ids[0], ids[3]).len(), 3);
     }

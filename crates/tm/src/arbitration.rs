@@ -59,8 +59,8 @@
 //! serialize on one mutex.
 
 use padico_fabric::{
-    EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, Payload, SimFabric, Topology,
-    WorldSched,
+    EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, NodeStep, Payload, SimFabric,
+    Topology, WorldSched,
 };
 use padico_util::ids::{ChannelId, FabricId, IdGen, NodeId};
 use padico_util::simtime::{SimClock, Vt};
@@ -245,19 +245,15 @@ impl ChannelMap {
     }
 }
 
-struct Attachment {
-    fabric: Arc<SimFabric>,
-    endpoint: FabricEndpoint,
-}
-
 /// The node-local state machine the world scheduler drives: the step
 /// function that demultiplexes one inbound [`Message`] into the node's
 /// channel registry, plus a deterministic per-node RNG stream for
 /// workloads that want seeded per-node behaviour (think-time jitter in
-/// the world benches). The scheduler serializes calls per node.
+/// the world benches). The scheduler serializes calls per node, and
+/// registers the cell itself as the node's [`NodeStep`].
 pub struct NodeCell {
     node: NodeId,
-    map: Arc<ChannelMap>,
+    map: ChannelMap,
     /// splitmix64 state, seeded from the node id: a per-node random
     /// stream that is a pure function of (node, draw index).
     rng: AtomicU64,
@@ -265,7 +261,7 @@ pub struct NodeCell {
 }
 
 impl NodeCell {
-    fn new(node: NodeId, map: Arc<ChannelMap>) -> NodeCell {
+    fn new(node: NodeId, map: ChannelMap) -> NodeCell {
         NodeCell {
             node,
             map,
@@ -276,14 +272,6 @@ impl NodeCell {
 
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Process one inbound message: demultiplex it by channel id.
-    /// Inbound shed has nobody to answer, so the drop is only counted
-    /// (`tm.parked.dropped`).
-    pub fn step(&self, msg: Message) {
-        self.steps.fetch_add(1, Ordering::Relaxed);
-        let _ = self.map.dispatch(msg.channel, msg);
     }
 
     /// Events stepped so far.
@@ -312,18 +300,24 @@ impl NodeCell {
     }
 }
 
+impl NodeStep for NodeCell {
+    /// Process one inbound message: demultiplex it by channel id.
+    /// Inbound shed has nobody to answer, so the drop is only counted
+    /// (`tm.parked.dropped`).
+    fn step(&self, msg: Message) {
+        self.steps.fetch_add(1, Ordering::Relaxed);
+        let _ = self.map.dispatch(msg.channel, msg);
+    }
+}
+
 /// The arbitration layer of one node.
 pub struct NetAccess {
-    node: NodeId,
     clock: SimClock,
-    attachments: Vec<Attachment>,
-    map: Arc<ChannelMap>,
+    /// One endpoint per attached fabric, sized exactly at bring-up.
+    attachments: Vec<FabricEndpoint>,
     cell: Arc<NodeCell>,
     /// The world scheduler this node is registered with.
     sched: Arc<WorldSched>,
-    /// Per-node recovery bookkeeping; the runtime façade exposes it and
-    /// the world's telemetry sums it into `recovery.*`.
-    recovery: Arc<RecoveryStats>,
 }
 
 impl NetAccess {
@@ -340,10 +334,10 @@ impl NetAccess {
         clock: SimClock,
     ) -> Result<Arc<NetAccess>, TmError> {
         let telemetry = topology.telemetry();
-        let map = Arc::new(ChannelMap::new(PARKED_BUDGET, Arc::clone(telemetry)));
-        let cell = Arc::new(NodeCell::new(node, Arc::clone(&map)));
+        let map = ChannelMap::new(PARKED_BUDGET, Arc::clone(telemetry));
+        let cell = Arc::new(NodeCell::new(node, map));
         let sched = Arc::clone(topology.sched());
-        let mut attachments = Vec::new();
+        let mut attachments = Vec::with_capacity(topology.fabrics_of(node).count());
         for fabric in topology.fabrics_of(node) {
             let sched = Arc::clone(&sched);
             // The fabric already stamped the virtual arrival time; the
@@ -367,26 +361,20 @@ impl NetAccess {
                     }
                 }
             }
-            attachments.push(Attachment { fabric, endpoint });
+            attachments.push(endpoint);
         }
-        let step = Arc::clone(&cell);
-        sched.register(node, Arc::new(move |msg| step.step(msg)));
-        let recovery = Arc::new(RecoveryStats::new());
-        telemetry.register_recovery(Arc::clone(&recovery));
+        sched.register(node, Arc::clone(&cell) as Arc<dyn NodeStep>);
 
         Ok(Arc::new(NetAccess {
-            node,
             clock,
             attachments,
-            map,
             cell,
             sched,
-            recovery,
         }))
     }
 
     pub fn node(&self) -> NodeId {
-        self.node
+        self.cell.node
     }
 
     pub fn clock(&self) -> &SimClock {
@@ -397,7 +385,7 @@ impl NetAccess {
     pub fn fabrics(&self) -> Vec<Arc<SimFabric>> {
         self.attachments
             .iter()
-            .map(|a| Arc::clone(&a.fabric))
+            .map(|a| Arc::clone(a.fabric()))
             .collect()
     }
 
@@ -414,7 +402,7 @@ impl NetAccess {
     /// not block; it may send (including back to the arriving fabric). A
     /// channel that already has a handler is refused.
     pub fn on_channel(&self, channel: ChannelId, handler: ChannelHandler) -> Result<(), TmError> {
-        self.map.install(channel, self.node, handler)
+        self.cell.map.install(channel, self.node(), handler)
     }
 
     /// Release a channel installed with [`NetAccess::on_channel`]: the
@@ -422,13 +410,14 @@ impl NetAccess {
     /// park as for any unclaimed channel. Idempotent. A handler may
     /// release its own channel; the running invocation finishes normally.
     pub fn off_channel(&self, channel: ChannelId) {
-        self.map.remove(channel);
+        self.cell.map.remove(channel);
     }
 
     /// Per-node recovery counters (remaps, retries charged by the
-    /// abstraction layer).
+    /// abstraction layer): this node's slot in the world's telemetry,
+    /// which sums every node's into `recovery.*`.
     pub fn recovery(&self) -> &RecoveryStats {
-        &self.recovery
+        self.cell.map.telemetry.node_recovery(self.node().0)
     }
 
     /// Send `payload` on logical `channel` to the arbitration layer of
@@ -450,24 +439,22 @@ impl NetAccess {
         let att = self
             .attachments
             .iter()
-            .find(|a| a.fabric.id() == fabric)
+            .find(|a| a.fabric().id() == fabric)
             .ok_or_else(|| TmError::NoUsableFabric(format!("{fabric} not attached")))?;
         let dst_addr = EndpointAddr {
             node: dst,
             port: TM_SERVICE_PORT,
         };
-        match att
-            .endpoint
-            .send(&self.clock, dst_addr, channel, payload.clone())
-        {
+        match att.send(&self.clock, dst_addr, channel, payload.clone()) {
             Err(FabricError::NoMapping { .. }) => {
                 // Re-establish on demand, then retry the send once. If the
                 // mapping hardware is dead this surfaces LinkDown and the
                 // caller fails over to another fabric.
-                att.fabric.map_remote(self.node, dst)?;
-                self.recovery.mapping_remaps.fetch_add(1, Ordering::Relaxed);
-                att.endpoint
-                    .send(&self.clock, dst_addr, channel, payload)
+                att.map_remote(dst)?;
+                self.recovery()
+                    .mapping_remaps
+                    .fetch_add(1, Ordering::Relaxed);
+                att.send(&self.clock, dst_addr, channel, payload)
                     .map_err(TmError::from)
             }
             other => other.map_err(TmError::from),
@@ -481,7 +468,7 @@ impl NetAccess {
     pub fn send_local(&self, channel: ChannelId, payload: Payload) -> Result<(), TmError> {
         let msg = Message {
             src: EndpointAddr {
-                node: self.node,
+                node: self.node(),
                 port: TM_SERVICE_PORT,
             },
             channel,
@@ -490,14 +477,14 @@ impl NetAccess {
             corrupted: false,
             payload,
         };
-        self.map.dispatch(channel, msg)
+        self.cell.map.dispatch(channel, msg)
     }
 
     /// Unregister the node from the world scheduler: later events for it
     /// count as dropped, exactly like traffic into a powered-off NIC.
     /// Idempotent; also runs on drop, which releases the NICs.
     pub fn shutdown(&self) {
-        self.sched.unregister(self.node);
+        self.sched.unregister(self.node());
     }
 }
 
@@ -512,7 +499,7 @@ impl std::fmt::Debug for NetAccess {
         write!(
             f,
             "NetAccess({} over {} fabrics)",
-            self.node,
+            self.node(),
             self.attachments.len()
         )
     }

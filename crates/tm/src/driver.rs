@@ -307,11 +307,9 @@ pub(crate) struct BreakerState {
 /// admitted. Free functions rather than [`LinkCore`] methods because
 /// the connect handshake needs the same gate before any link exists.
 fn breaker_admit(tm: &PadicoTM, fabric: FabricId, dst: NodeId) -> Result<(), TmError> {
-    let Some(_policy) = tm.config().breaker else {
+    let Some((_, mut routes)) = tm.breaker() else {
         return Ok(());
     };
-    let routes = tm.breaker_routes();
-    let mut routes = routes.lock();
     let st = routes.entry((fabric, dst)).or_default();
     let Some(until) = st.open_until else {
         return Ok(());
@@ -334,11 +332,9 @@ fn breaker_admit(tm: &PadicoTM, fabric: FabricId, dst: NodeId) -> Result<(), TmE
 /// Record a successful wire attempt: a succeeding probe closes the
 /// breaker; any success resets the consecutive-failure streak.
 fn breaker_note_success(tm: &PadicoTM, fabric: FabricId, dst: NodeId) {
-    if tm.config().breaker.is_none() {
+    let Some((_, mut routes)) = tm.breaker() else {
         return;
-    }
-    let routes = tm.breaker_routes();
-    let mut routes = routes.lock();
+    };
     let st = routes.entry((fabric, dst)).or_default();
     if st.probing {
         tm.telemetry().counter_add("tm.breaker.closed", 1);
@@ -351,11 +347,9 @@ fn breaker_note_success(tm: &PadicoTM, fabric: FabricId, dst: NodeId) {
 /// the breaker immediately; otherwise the streak grows and trips the
 /// breaker at the policy threshold.
 fn breaker_note_failure(tm: &PadicoTM, fabric: FabricId, dst: NodeId) {
-    let Some(policy) = tm.config().breaker else {
+    let Some((policy, mut routes)) = tm.breaker() else {
         return;
     };
-    let routes = tm.breaker_routes();
-    let mut routes = routes.lock();
     let st = routes.entry((fabric, dst)).or_default();
     let trip = if st.probing {
         st.probing = false;
@@ -896,6 +890,9 @@ mod tests {
         assert!(snap.route_failovers >= 1, "{snap:?}");
         assert!(snap.send_retries >= 1, "{snap:?}");
         assert!(snap.backoff_ns > 0, "backoff charged to virtual clock");
+        // Failed sends in a world without a breaker policy (the default)
+        // create no breaker route table on either node.
+        assert!(!a.has_breaker_routes() && !b.has_breaker_routes());
     }
 
     #[test]
@@ -1486,6 +1483,12 @@ mod tests {
         let counters = tms[0].telemetry().metrics().counters;
         assert!(counters["tm.breaker.opened"] >= 1, "{counters:?}");
         assert!(counters["tm.breaker.fast_failures"] >= 1, "{counters:?}");
+        // Breaker tables are per node: the routes tripped on A stay
+        // closed on B.
+        assert!(tms.iter().all(|tm| tm.has_breaker_routes()));
+        for f in tms[0].net().fabrics() {
+            assert!(breaker_admit(&tms[1], f.id(), a).is_ok(), "B's route to A");
+        }
         // Heal the links and let the cooldown elapse on the virtual
         // clock: the next send is the half-open probe and closes the
         // breaker.

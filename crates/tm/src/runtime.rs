@@ -6,12 +6,12 @@
 //! abstraction-layer constructors ([`PadicoTM::circuit`],
 //! [`PadicoTM::vlink_listen`], [`PadicoTM::vlink_connect`]).
 
-use padico_fabric::{Paradigm, Topology};
+use padico_fabric::{NodeInfo, Paradigm, Topology};
 use padico_util::ids::{FabricId, NodeId};
 use padico_util::simtime::SimClock;
 use padico_util::stats::RecoveryStats;
 use padico_util::Telemetry;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use crate::arbitration::NetAccess;
@@ -22,7 +22,8 @@ use crate::module::ModuleManager;
 use crate::selector::{self, FabricChoice, Route};
 use crate::vlink::{VLinkListener, VLinkStream};
 
-/// Tunable runtime knobs, shared by all middleware on one node.
+/// Tunable runtime knobs, shared by all middleware of one world: every
+/// node booted by [`PadicoTM::boot_all_with_config`] holds the same one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TmConfig {
     /// Default deadline for blocking receive paths that used to wait
@@ -33,25 +34,23 @@ pub struct TmConfig {
     pub connect_timeout: Duration,
     /// Retry budget + backoff for stream ops, handshakes, and failover.
     pub retry: RetryPolicy,
-    /// Small-message coalescing policy for every link on this node.
+    /// Small-message coalescing policy for every link in the world.
     /// On by default with [`CoalescePolicy::default`]; `None` sends each
-    /// frame as its own wire message (the envelope changes the wire
-    /// format, so set it alike on every node).
+    /// frame as its own wire message.
     pub coalesce: Option<CoalescePolicy>,
-    /// Bounded inflight-dispatch budget for this node's ORB endpoint.
+    /// Bounded inflight-dispatch budget for each node's ORB endpoint.
     /// `None` (the default) admits everything; `Some(b)` load-sheds
     /// request `b+1` with a TRANSIENT reply instead of queueing it.
     pub inflight_budget: Option<u32>,
-    /// Per-route circuit breaker policy for every link on this node.
-    /// `None` (the default) never trips; routes are re-probed on every
-    /// call exactly as before.
+    /// Per-route circuit breaker policy for every link in the world.
+    /// `None` (the default) never trips, and no node allocates a route
+    /// table; routes are re-probed on every call exactly as before.
     pub breaker: Option<BreakerPolicy>,
-    /// Head-based trace sampling policy, installed on the world's
-    /// telemetry at boot (one policy per world; the last node booted in a
-    /// world wins, so set it alike on every node like `coalesce`).
-    /// `Always` records every trace; `SampleEvery(n)` keeps ~1/n of the
-    /// causal trees, selected by trace-id hash, which is how tracing stays
-    /// on at 100k nodes within the events/s overhead budget.
+    /// Head-based trace sampling policy, installed once on the world's
+    /// telemetry by [`PadicoTM::boot_all_with_config`]. `Always` records
+    /// every trace; `SampleEvery(n)` keeps ~1/n of the causal trees,
+    /// selected by trace-id hash, which is how tracing stays on at 100k
+    /// nodes within the events/s overhead budget.
     pub trace_sampling: padico_util::span::TraceSampling,
 }
 
@@ -122,44 +121,40 @@ pub const PARALLEL_BOOT_THRESHOLD: usize = 64;
 /// The PadicoTM runtime of one grid node.
 pub struct PadicoTM {
     topology: Arc<Topology>,
-    node: NodeId,
     clock: SimClock,
     net: Arc<NetAccess>,
     modules: ModuleManager,
-    config: TmConfig,
+    /// The world's knobs, one allocation shared by every node.
+    config: Arc<TmConfig>,
     /// Node-wide circuit-breaker route table, shared by every
     /// [`crate::driver::LinkCore`] on this node: breaker state is a
     /// property of the *route* (fabric, peer), not of any one link, so a
     /// connection torn down and rebuilt by a higher layer's retry loop
-    /// still sees the tripped state.
-    breaker_routes: Arc<parking_lot::Mutex<std::collections::HashMap<(FabricId, NodeId), crate::driver::BreakerState>>>,
+    /// still sees the tripped state. Created on first use, which only
+    /// breaker-enabled worlds make; boxed so an unused slot costs a
+    /// pointer.
+    breaker_routes: OnceLock<Box<parking_lot::Mutex<BreakerTable>>>,
 }
+
+/// Breaker state per (fabric, peer) route of one node.
+type BreakerTable = std::collections::HashMap<(FabricId, NodeId), crate::driver::BreakerState>;
 
 impl PadicoTM {
     /// Boot the runtime on one node of `topology`.
-    pub fn boot(topology: Arc<Topology>, node: NodeId) -> Result<Arc<PadicoTM>, TmError> {
-        PadicoTM::boot_with_config(topology, node, TmConfig::default())
-    }
-
-    /// Boot with explicit runtime knobs.
-    pub fn boot_with_config(
+    fn boot_node(
         topology: Arc<Topology>,
         node: NodeId,
-        config: TmConfig,
+        config: Arc<TmConfig>,
     ) -> Result<Arc<PadicoTM>, TmError> {
         let clock = SimClock::new();
-        topology.telemetry().set_sampling(config.trace_sampling);
         let net = NetAccess::bring_up(&topology, node, clock.share())?;
         Ok(Arc::new(PadicoTM {
             topology,
-            node,
             clock,
             net,
             modules: ModuleManager::new(),
             config,
-            breaker_routes: Arc::new(parking_lot::Mutex::new(
-                std::collections::HashMap::new(),
-            )),
+            breaker_routes: OnceLock::new(),
         }))
     }
 
@@ -169,7 +164,9 @@ impl PadicoTM {
         PadicoTM::boot_all_with_config(topology, TmConfig::default())
     }
 
-    /// [`PadicoTM::boot_all`] with explicit runtime knobs on every node.
+    /// [`PadicoTM::boot_all`] with explicit runtime knobs: one
+    /// `config` for the whole world, whose trace sampling policy is
+    /// installed on the world's telemetry.
     ///
     /// Large worlds boot in parallel: node construction only touches
     /// per-node state plus lock-guarded shared tables (fabric endpoint
@@ -182,53 +179,36 @@ impl PadicoTM {
         topology: Arc<Topology>,
         config: TmConfig,
     ) -> Result<Vec<Arc<PadicoTM>>, TmError> {
-        let ids: Vec<NodeId> = topology.nodes().iter().map(|n| n.id).collect();
-        if ids.len() < PARALLEL_BOOT_THRESHOLD {
-            return ids
-                .into_iter()
-                .map(|id| PadicoTM::boot_with_config(Arc::clone(&topology), id, config))
-                .collect();
+        topology.telemetry().set_sampling(config.trace_sampling);
+        let config = Arc::new(config);
+        let boot =
+            |n: &NodeInfo| PadicoTM::boot_node(Arc::clone(&topology), n.id, Arc::clone(&config));
+        let nodes = topology.nodes();
+        if nodes.len() < PARALLEL_BOOT_THRESHOLD {
+            return nodes.iter().map(boot).collect();
         }
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-            .min(ids.len());
-        let chunk = ids.len().div_ceil(workers);
-        let mut out: Vec<Option<Arc<PadicoTM>>> = Vec::new();
-        out.resize_with(ids.len(), || None);
-        let mut first_err: Option<TmError> = None;
+            .min(nodes.len());
         std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for (slot_chunk, id_chunk) in out.chunks_mut(chunk).zip(ids.chunks(chunk)) {
-                let topology = Arc::clone(&topology);
-                handles.push(scope.spawn(move || -> Result<(), TmError> {
-                    for (slot, &id) in slot_chunk.iter_mut().zip(id_chunk) {
-                        *slot = Some(PadicoTM::boot_with_config(
-                            Arc::clone(&topology),
-                            id,
-                            config,
-                        )?);
-                    }
-                    Ok(())
-                }));
-            }
+            let boot = &boot;
+            let handles: Vec<_> = nodes
+                .chunks(nodes.len().div_ceil(workers))
+                .map(|part| {
+                    scope.spawn(move || part.iter().map(boot).collect::<Result<Vec<_>, _>>())
+                })
+                .collect();
+            let mut out = Vec::with_capacity(nodes.len());
             for handle in handles {
-                if let Err(e) = handle.join().expect("boot worker panicked") {
-                    first_err.get_or_insert(e);
-                }
+                out.extend(handle.join().expect("boot worker panicked")?);
             }
-        });
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        Ok(out
-            .into_iter()
-            .map(|tm| tm.expect("boot worker filled every slot"))
-            .collect())
+            Ok(out)
+        })
     }
 
     pub fn node(&self) -> NodeId {
-        self.node
+        self.net.node()
     }
 
     pub fn topology(&self) -> &Arc<Topology> {
@@ -255,18 +235,25 @@ impl PadicoTM {
         &self.modules
     }
 
-    /// The node's runtime knobs.
+    /// The world's runtime knobs.
     pub fn config(&self) -> &TmConfig {
         &self.config
     }
 
-    /// The node-wide circuit-breaker route table (one entry per
-    /// (fabric, peer) route that has seen traffic).
-    pub(crate) fn breaker_routes(
+    /// The world's breaker policy and this node's route table (one
+    /// entry per (fabric, peer) route that has seen traffic), locked;
+    /// `None` in a world without a breaker, which never creates a table.
+    pub(crate) fn breaker(
         &self,
-    ) -> Arc<parking_lot::Mutex<std::collections::HashMap<(FabricId, NodeId), crate::driver::BreakerState>>>
-    {
-        Arc::clone(&self.breaker_routes)
+    ) -> Option<(BreakerPolicy, parking_lot::MutexGuard<'_, BreakerTable>)> {
+        let policy = self.config.breaker?;
+        Some((policy, self.breaker_routes.get_or_init(Box::default).lock()))
+    }
+
+    /// Whether this node has created its breaker route table.
+    #[cfg(test)]
+    pub(crate) fn has_breaker_routes(&self) -> bool {
+        self.breaker_routes.get().is_some()
     }
 
     /// The node's recovery counters (retries, failovers, backoff charged);
@@ -330,7 +317,7 @@ impl PadicoTM {
 
 impl std::fmt::Debug for PadicoTM {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PadicoTM({})", self.node)
+        write!(f, "PadicoTM({})", self.node())
     }
 }
 

@@ -199,9 +199,7 @@ impl Telemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::RecoveryStats;
     use std::sync::atomic::Ordering;
-    use std::sync::Arc;
 
     #[test]
     fn counters_histograms_and_merge() {
@@ -246,15 +244,12 @@ mod tests {
 
     #[test]
     fn recovery_counters_fold_into_snapshot() {
-        let t = Telemetry::new();
+        let t = Telemetry::for_nodes(2);
         let snap = t.metrics();
         assert_eq!(snap.counter("recovery.giop_retries"), 0);
         assert!(snap.counters.contains_key("recovery.backoff_ns"));
-        // Every registered node's counters are summed.
-        let a = Arc::new(RecoveryStats::new());
-        let b = Arc::new(RecoveryStats::new());
-        t.register_recovery(Arc::clone(&a));
-        t.register_recovery(Arc::clone(&b));
+        // Every node's counters are summed.
+        let (a, b) = (t.node_recovery(0), t.node_recovery(1));
         a.giop_retries.fetch_add(2, Ordering::Relaxed);
         b.giop_retries.fetch_add(3, Ordering::Relaxed);
         b.backoff_ns.fetch_add(40, Ordering::Relaxed);

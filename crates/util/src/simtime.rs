@@ -196,7 +196,16 @@ impl ResourceTimeline {
             }
             (true, false) => busy[at - 1].1 = end,
             (false, true) => busy[at].0 = start,
-            (false, false) => busy.insert(at, (start, end)),
+            (false, false) => {
+                let len = busy.len();
+                if len == busy.capacity() {
+                    // Double up to 64 intervals, then grow by an eighth: a
+                    // 100k-node world holds a few dozen per NIC, where
+                    // doubling 64 → 128 would add 200 MiB at once.
+                    busy.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
+                }
+                busy.insert(at, (start, end))
+            }
         }
         Reservation { start, end }
     }

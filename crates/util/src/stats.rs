@@ -9,9 +9,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Recovery bookkeeping: how much work the retry/failover machinery did.
 ///
-/// One instance lives in each PadicoTM runtime (per-node counters, used by
-/// the chaos tests to assert deterministic recovery); every node's
-/// instance is registered with its world's
+/// One instance per node (per-node counters, used by the chaos tests to
+/// assert deterministic recovery), held in its world's
 /// [`Telemetry`](crate::telemetry::Telemetry), whose snapshot sums them
 /// into `recovery.*` next to the latency story.
 #[derive(Debug, Default)]

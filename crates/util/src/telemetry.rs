@@ -13,8 +13,9 @@
 //!   ([`crate::timeseries`]);
 //! * the span buffers, their caps and the head-sampling policy
 //!   ([`crate::span`]);
-//! * the per-node [`RecoveryStats`] of every node booted in the world,
-//!   summed into `recovery.*` on snapshot;
+//! * one [`RecoveryStats`] slot per node of the world, allocated in one
+//!   block when the world is built and summed into `recovery.*` on
+//!   snapshot;
 //! * the two coalescer counters, kept apart from the registry because
 //!   batching varies with wall-clock thread interleaving and the
 //!   registry's renders must stay byte-identical across same-seed runs.
@@ -37,7 +38,8 @@ pub struct Telemetry {
     pub(crate) spans: Mutex<crate::span::Buffers>,
     /// Head-sampling rate: 0 records every trace, `n` about one in `n`.
     pub(crate) sample_n: AtomicU32,
-    recovery: Mutex<Vec<Arc<RecoveryStats>>>,
+    /// Recovery counters, indexed by node id.
+    recovery: Box<[RecoveryStats]>,
     /// Sub-threshold frames that entered a coalescing batch instead of
     /// going to the wire on their own.
     pub frames_coalesced: AtomicU64,
@@ -46,31 +48,35 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// An empty telemetry store with the default series geometry and
-    /// every trace sampled.
+    /// An empty telemetry store with the default series geometry, every
+    /// trace sampled and no node recovery slots.
     pub fn new() -> Arc<Telemetry> {
+        Telemetry::for_nodes(0)
+    }
+
+    /// [`Telemetry::new`] for a world of `nodes` nodes: one recovery slot
+    /// per node id `0..nodes`.
+    pub fn for_nodes(nodes: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry {
             metrics: Mutex::new(Default::default()),
             series: Mutex::new(crate::timeseries::Registry::new(SeriesConfig::default())),
             spans: Mutex::new(Default::default()),
             sample_n: AtomicU32::new(0),
-            recovery: Mutex::new(Vec::new()),
+            recovery: (0..nodes).map(|_| RecoveryStats::new()).collect(),
             frames_coalesced: AtomicU64::new(0),
             coalesce_flushes: AtomicU64::new(0),
         })
     }
 
-    /// Count `stats` (one node's recovery counters) into this world's
-    /// `recovery.*` totals.
-    pub fn register_recovery(&self, stats: Arc<RecoveryStats>) {
-        self.recovery.lock().push(stats);
+    /// The recovery counters of node `node` (a node id of this world).
+    pub fn node_recovery(&self, node: u32) -> &RecoveryStats {
+        &self.recovery[node as usize]
     }
 
-    /// The world's recovery counters: every registered node's, summed.
+    /// The world's recovery counters: every node's, summed.
     pub fn recovery(&self) -> RecoverySnapshot {
-        let nodes = self.recovery.lock();
         let mut total = RecoverySnapshot::default();
-        for s in nodes.iter().map(|s| s.snapshot()) {
+        for s in self.recovery.iter().map(|s| s.snapshot()) {
             total.send_retries += s.send_retries;
             total.connect_retries += s.connect_retries;
             total.giop_retries += s.giop_retries;
