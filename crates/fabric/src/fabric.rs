@@ -3,8 +3,15 @@
 //! One [`SimFabric`] instance models one physical network (e.g. "the
 //! Myrinet-2000 SAN of cluster A"). Nodes *attach* to obtain a
 //! [`FabricEndpoint`]; endpoints exchange [`Message`]s whose bytes really
-//! travel (through lock-free queues) and whose timing is charged to the
-//! participants' virtual clocks according to the fabric's [`LinkModel`].
+//! travel (each handed to the destination port's [`MessageSink`] on the
+//! sender's thread) and whose timing is charged to the participants'
+//! virtual clocks according to the fabric's [`LinkModel`].
+//!
+//! Every member node owns a slot holding its two NIC engines and its port
+//! and mapping tables. A send reads only its source and destination
+//! slots, so sends between disjoint node pairs share no lock; attach,
+//! detach and the ephemeral-port and exclusive-holder bookkeeping take
+//! one attach-time mutex no send touches.
 //!
 //! ## Resource semantics (why arbitration exists)
 //!
@@ -38,14 +45,13 @@ use crate::error::FabricError;
 use crate::faults::{FaultInjector, FaultPlan, FaultSnapshot, Verdict};
 use crate::model::LinkModel;
 use crate::payload::Payload;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use padico_util::ids::{ChannelId, FabricId, NodeId};
 use padico_util::simtime::{ResourceTimeline, SimClock, Vt, VtDuration};
 use padico_util::Telemetry;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 /// Network technology family.
@@ -141,36 +147,84 @@ impl Message {
     }
 }
 
-struct NicState {
-    tx: ResourceTimeline,
-    rx: ResourceTimeline,
-}
-
-/// Delivery target installed by a sink attachment: invoked once per
-/// inbound [`Message`] instead of queuing into a per-endpoint inbox.
-/// The callee must only *enqueue* (it runs on the sender's thread).
+/// Delivery target of one port: invoked once per inbound [`Message`], on
+/// the sender's thread, so it must only hand the message on (enqueue it,
+/// wake a handler), never block. Every attachment installs one:
+/// [`SimFabric::attach`] a sink feeding its endpoint's own queue, the
+/// arbitration layer one sink per fabric feeding the node's handlers.
 pub type MessageSink = Arc<dyn Fn(Message) + Send + Sync>;
 
-/// Where inbound traffic for one (node, port) goes.
-enum PortTarget {
-    /// Classic per-endpoint inbox (raw clients poll their own receiver).
-    Queue(Sender<Message>),
-    /// Caller-supplied sink — the arbitration layer hands in one sink per
-    /// fabric, all feeding a single per-node event queue, so one progress
-    /// thread interleaves every attachment.
-    Sink(MessageSink),
+/// A bound port and the sink its traffic goes to.
+type Port = (u16, MessageSink);
+
+/// One member node's share of the fabric: its NIC engines and the tables
+/// a send reads. A send touches only its source and destination slots.
+struct NodeSlot {
+    /// NIC transmit engine.
+    tx: ResourceTimeline,
+    /// NIC receive engine.
+    rx: ResourceTimeline,
+    /// Written only by attach, detach and (un)mapping; sends read it.
+    tables: RwLock<NodeTables>,
 }
 
 #[derive(Default)]
-struct FabricState {
-    /// Live endpoints: (node, port) → delivery target.
-    ports: HashMap<(NodeId, u16), PortTarget>,
+struct NodeTables {
+    /// The first bound port, inline: a node attached once (every booted
+    /// node) allocates nothing for its port table.
+    first: Option<Port>,
+    /// Ports bound beyond the first.
+    more: Box<[Port]>,
+    /// SCI-style mapping table: the peers this node has mapped.
+    mapped: Box<[NodeId]>,
+}
+
+/// Edit a boxed slice as a `Vec`. The tables change only at attach and
+/// map time, so the copy is cheap, and a boxed slice costs every node 8
+/// bytes less than a `Vec`.
+fn edit<T, R>(slice: &mut Box<[T]>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
+    let mut v = std::mem::take(slice).into_vec();
+    let out = f(&mut v);
+    *slice = v.into_boxed_slice();
+    out
+}
+
+impl NodeTables {
+    fn sink(&self, port: u16) -> Option<&MessageSink> {
+        self.first
+            .iter()
+            .chain(self.more.iter())
+            .find(|(p, _)| *p == port)
+            .map(|(_, sink)| sink)
+    }
+
+    fn bind(&mut self, port: u16, sink: MessageSink) {
+        if self.first.is_none() {
+            self.first = Some((port, sink));
+        } else {
+            edit(&mut self.more, |more| more.push((port, sink)));
+        }
+    }
+
+    fn unbind(&mut self, port: u16) {
+        let first = &mut self.first;
+        edit(&mut self.more, |more| {
+            if first.as_ref().is_some_and(|(p, _)| *p == port) {
+                *first = more.pop();
+            } else {
+                more.retain(|(p, _)| *p != port);
+            }
+        });
+    }
+}
+
+/// Attach-time bookkeeping; no send reads it.
+#[derive(Default)]
+struct AttachState {
     /// For exclusive fabrics: which client holds the NIC on each node.
     exclusive_holder: HashMap<NodeId, &'static str>,
     /// Next ephemeral port per node.
     next_ephemeral: HashMap<NodeId, u16>,
-    /// SCI-style mapping tables: node → set of mapped peers.
-    mappings: HashMap<NodeId, HashSet<NodeId>>,
 }
 
 /// One simulated network.
@@ -183,17 +237,21 @@ pub struct SimFabric {
     /// `Some(limit)` for SCI-style bounded mapping tables.
     mapping_limit: Option<usize>,
     members: Vec<NodeId>,
-    /// Same set as `members` — membership checks are on the boot path of
-    /// every node and must stay O(1) for 100k-node worlds.
-    member_set: HashSet<NodeId>,
+    /// Lowest member id; `positions` starts there, so a fabric wiring
+    /// one machine of a large world costs only that machine's id range.
+    first_id: u32,
+    /// `positions[id - first_id]` is the node's index in `slots`
+    /// (`u32::MAX` for a non-member): membership and slot lookups are
+    /// O(1) on the boot path of every node of a 100k-node world.
+    positions: Vec<u32>,
+    slots: Vec<NodeSlot>,
     /// Pre-rendered `bytes.<kind>` counter name (one per send otherwise).
     bytes_counter: String,
     /// Pre-rendered `tx:<kind>` span name of every send.
     tx_span: String,
     /// The world's telemetry, which `bytes_counter` counts into.
     telemetry: Arc<Telemetry>,
-    nics: HashMap<NodeId, NicState>,
-    state: Mutex<FabricState>,
+    attach: Mutex<AttachState>,
     faults: FaultInjector,
 }
 
@@ -223,18 +281,21 @@ impl SimFabric {
         members: Vec<NodeId>,
         telemetry: Arc<Telemetry>,
     ) -> Arc<Self> {
-        let nics = members
-            .iter()
-            .map(|&n| {
-                (
-                    n,
-                    NicState {
-                        tx: ResourceTimeline::new(),
-                        rx: ResourceTimeline::new(),
-                    },
-                )
-            })
-            .collect();
+        let first_id = members.iter().map(|n| n.0).min().unwrap_or(0);
+        let span = members.iter().map(|n| n.0 - first_id + 1).max().unwrap_or(0);
+        let mut positions = vec![u32::MAX; span as usize];
+        let mut slots = Vec::with_capacity(members.len());
+        for n in &members {
+            let pos = &mut positions[(n.0 - first_id) as usize];
+            if *pos == u32::MAX {
+                *pos = slots.len() as u32;
+                slots.push(NodeSlot {
+                    tx: ResourceTimeline::new(),
+                    rx: ResourceTimeline::new(),
+                    tables: RwLock::new(NodeTables::default()),
+                });
+            }
+        }
         Arc::new(SimFabric {
             id,
             kind,
@@ -242,13 +303,14 @@ impl SimFabric {
             access,
             model,
             mapping_limit,
-            member_set: members.iter().copied().collect(),
             members,
+            first_id,
+            positions,
+            slots,
             bytes_counter: format!("bytes.{kind}"),
             tx_span: format!("tx:{kind}"),
             telemetry,
-            nics,
-            state: Mutex::new(FabricState::default()),
+            attach: Mutex::new(AttachState::default()),
             faults: FaultInjector::new(),
         })
     }
@@ -278,9 +340,16 @@ impl SimFabric {
         &self.members
     }
 
+    /// `node`'s slot, or `None` if it is not wired to this fabric.
+    fn slot(&self, node: NodeId) -> Option<&NodeSlot> {
+        let at = node.0.checked_sub(self.first_id)?;
+        // A non-member's `u32::MAX` is past the end of `slots`.
+        self.slots.get(*self.positions.get(at as usize)? as usize)
+    }
+
     /// Whether `node` is wired to this fabric.
     pub fn has_member(&self, node: NodeId) -> bool {
-        self.member_set.contains(&node)
+        self.slot(node).is_some()
     }
 
     /// Whether sends require an established mapping (SCI-style).
@@ -288,35 +357,28 @@ impl SimFabric {
         self.mapping_limit.is_some()
     }
 
-    /// Attach with an ephemeral port.
+    /// Attach with an ephemeral port. Inbound messages queue on the
+    /// endpoint until [`FabricEndpoint::recv`] takes them.
     pub fn attach(
         self: &Arc<Self>,
         node: NodeId,
         client: &'static str,
     ) -> Result<FabricEndpoint, FabricError> {
-        self.attach_inner(node, None, client, None)
+        let (tx, rx) = mpsc::channel();
+        let sink: MessageSink = Arc::new(move |msg| {
+            // The receiver lives as long as the port is bound.
+            let _ = tx.send(msg);
+        });
+        let mut endpoint = self.attach_inner(node, None, client, sink)?;
+        endpoint.inbox = Some(Mutex::new(rx));
+        Ok(endpoint)
     }
 
-    /// Attach at a well-known service port (< [`EPHEMERAL_PORT_BASE`]).
-    pub fn attach_service(
-        self: &Arc<Self>,
-        node: NodeId,
-        port: u16,
-        client: &'static str,
-    ) -> Result<FabricEndpoint, FabricError> {
-        assert!(
-            port < EPHEMERAL_PORT_BASE,
-            "service ports must be < {EPHEMERAL_PORT_BASE}"
-        );
-        self.attach_inner(node, Some(port), client, None)
-    }
-
-    /// Attach at a well-known service port, delivering inbound messages
-    /// through `sink` instead of a per-endpoint inbox. This is how the
-    /// arbitration layer drains *all* of a node's fabrics from one event
-    /// queue (one progress thread per node, not one per attachment). The
-    /// returned endpoint has no inbox: its receive methods report
-    /// [`FabricError::Closed`].
+    /// Attach at a well-known service port (< [`EPHEMERAL_PORT_BASE`]),
+    /// delivering inbound messages through `sink`. This is how the
+    /// arbitration layer feeds *all* of a node's fabrics into the node's
+    /// handlers. The returned endpoint has no queue of its own:
+    /// [`FabricEndpoint::recv`] reports [`FabricError::Closed`].
     pub fn attach_service_sink(
         self: &Arc<Self>,
         node: NodeId,
@@ -328,7 +390,7 @@ impl SimFabric {
             port < EPHEMERAL_PORT_BASE,
             "service ports must be < {EPHEMERAL_PORT_BASE}"
         );
-        self.attach_inner(node, Some(port), client, Some(sink))
+        self.attach_inner(node, Some(port), client, sink)
     }
 
     fn attach_inner(
@@ -336,12 +398,10 @@ impl SimFabric {
         node: NodeId,
         port: Option<u16>,
         client: &'static str,
-        sink: Option<MessageSink>,
+        sink: MessageSink,
     ) -> Result<FabricEndpoint, FabricError> {
-        if !self.has_member(node) {
-            return Err(FabricError::NotMember(node));
-        }
-        let mut st = self.state.lock();
+        let slot = self.slot(node).ok_or(FabricError::NotMember(node))?;
+        let mut st = self.attach.lock();
         if self.access == AccessMode::Exclusive {
             if let Some(holder) = st.exclusive_holder.get(&node) {
                 return Err(FabricError::Busy {
@@ -350,9 +410,10 @@ impl SimFabric {
                 });
             }
         }
+        let mut tables = slot.tables.write();
         let port = match port {
             Some(p) => {
-                if st.ports.contains_key(&(node, p)) {
+                if tables.sink(p).is_some() {
                     return Err(FabricError::PortTaken { node, port: p });
                 }
                 p
@@ -360,31 +421,21 @@ impl SimFabric {
             None => {
                 let mut candidate = *st.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_PORT_BASE);
                 // Skip any taken ports (service ports can't collide here).
-                while st.ports.contains_key(&(node, candidate)) {
+                while tables.sink(candidate).is_some() {
                     candidate += 1;
                 }
                 st.next_ephemeral.insert(node, candidate + 1);
                 candidate
             }
         };
-        let inbox = match sink {
-            Some(sink) => {
-                st.ports.insert((node, port), PortTarget::Sink(sink));
-                None
-            }
-            None => {
-                let (tx, rx) = unbounded();
-                st.ports.insert((node, port), PortTarget::Queue(tx));
-                Some(rx)
-            }
-        };
+        tables.bind(port, sink);
         if self.access == AccessMode::Exclusive {
             st.exclusive_holder.insert(node, client);
         }
         Ok(FabricEndpoint {
             fabric: Arc::clone(self),
             addr: EndpointAddr { node, port },
-            inbox,
+            inbox: None,
             client,
         })
     }
@@ -396,9 +447,7 @@ impl SimFabric {
             Some(l) => l,
             None => return Ok(()), // no mapping discipline on this hardware
         };
-        if !self.has_member(from) {
-            return Err(FabricError::NotMember(from));
-        }
+        let slot = self.slot(from).ok_or(FabricError::NotMember(from))?;
         if !self.has_member(to) {
             return Err(FabricError::NotMember(to));
         }
@@ -406,33 +455,27 @@ impl SimFabric {
             self.faults.note_mapping_refusal();
             return Err(FabricError::LinkDown { from, to });
         }
-        let mut st = self.state.lock();
-        let table = st.mappings.entry(from).or_default();
-        if table.contains(&to) {
-            return Ok(());
-        }
-        if table.len() >= limit {
-            return Err(FabricError::MappingLimit { node: from, limit });
-        }
-        table.insert(to);
-        Ok(())
+        edit(&mut slot.tables.write().mapped, |mapped| {
+            if !mapped.contains(&to) {
+                if mapped.len() >= limit {
+                    return Err(FabricError::MappingLimit { node: from, limit });
+                }
+                mapped.push(to);
+            }
+            Ok(())
+        })
     }
 
     /// Release a mapping entry.
     pub fn unmap_remote(&self, from: NodeId, to: NodeId) {
-        if self.mapping_limit.is_none() {
-            return;
-        }
-        let mut st = self.state.lock();
-        if let Some(table) = st.mappings.get_mut(&from) {
-            table.remove(&to);
+        if let Some(slot) = self.slot(from) {
+            edit(&mut slot.tables.write().mapped, |m| m.retain(|&n| n != to));
         }
     }
 
     /// Number of mapping-table entries in use on `node`.
     pub fn mappings_in_use(&self, node: NodeId) -> usize {
-        let st = self.state.lock();
-        st.mappings.get(&node).map_or(0, |t| t.len())
+        self.slot(node).map_or(0, |s| s.tables.read().mapped.len())
     }
 
     /// The fabric's fault injector (inert until armed).
@@ -457,8 +500,9 @@ impl SimFabric {
     /// lose), but the refusal of future `map_remote` calls still applies.
     pub fn kill_mappings(&self, node: NodeId) {
         self.faults.kill_mappings(node);
-        let mut st = self.state.lock();
-        st.mappings.remove(&node);
+        if let Some(slot) = self.slot(node) {
+            slot.tables.write().mapped = Box::default();
+        }
     }
 
     /// Revive `node`'s mapping hardware; mappings must be re-established.
@@ -509,40 +553,30 @@ impl SimFabric {
         channel: ChannelId,
         payload: Payload,
     ) -> Result<Vt, FabricError> {
-        if !self.has_member(dst.node) {
-            return Err(FabricError::NotMember(dst.node));
-        }
+        // Only the two endpoints' slots are read: sends on disjoint node
+        // pairs share no lock.
+        let dst_slot = self.slot(dst.node).ok_or(FabricError::NotMember(dst.node))?;
+        let src_slot = self.slot(src.node).expect("endpoints attach to member nodes");
         // Link-level faults refuse the send before any time is charged:
         // a partitioned or flapping link fails fast at the driver.
         self.faults.check_link(src.node, dst.node, clock.now())?;
-        if self.requires_mapping() && src.node != dst.node {
-            let st = self.state.lock();
-            let mapped = st
-                .mappings
-                .get(&src.node)
-                .is_some_and(|t| t.contains(&dst.node));
-            if !mapped {
-                return Err(FabricError::NoMapping {
-                    from: src.node,
-                    to: dst.node,
-                });
-            }
+        if self.requires_mapping()
+            && src.node != dst.node
+            && !src_slot.tables.read().mapped.contains(&dst.node)
+        {
+            return Err(FabricError::NoMapping {
+                from: src.node,
+                to: dst.node,
+            });
         }
-        // Look up the destination's delivery target up front so no time is
-        // charged for a failed send.
-        let target = {
-            let st = self.state.lock();
-            match st.ports.get(&(dst.node, dst.port)) {
-                Some(PortTarget::Queue(tx)) => PortTarget::Queue(tx.clone()),
-                Some(PortTarget::Sink(sink)) => PortTarget::Sink(Arc::clone(sink)),
-                None => {
-                    return Err(FabricError::Unreachable {
-                        to: dst.node,
-                        port: dst.port,
-                    })
-                }
-            }
-        };
+        // Look up the destination's sink up front so no time is charged
+        // for a failed send.
+        let sink = dst_slot.tables.read().sink(dst.port).cloned().ok_or(
+            FabricError::Unreachable {
+                to: dst.node,
+                port: dst.port,
+            },
+        )?;
 
         let len = payload.len();
         // Roll the deterministic fault stream for this link. The verdict is
@@ -562,16 +596,14 @@ impl SimFabric {
         };
         // 2. Reserve NIC engines (cut-through: RX shadows TX).
         let wire = self.model.wire_time(len);
-        let tx_nic = &self.nics[&src.node];
-        let rx_nic = &self.nics[&dst.node];
-        let tx_res = tx_nic.tx.reserve(clock.now(), wire);
-        let rx_res = rx_nic.rx.reserve(tx_res.start, wire);
+        let tx_res = src_slot.tx.reserve(clock.now(), wire);
+        let rx_res = dst_slot.rx.reserve(tx_res.start, wire);
         // 3. The sender is occupied until the receiving NIC has accepted
         // the message: Myrinet has link-level flow control and TCP a
         // bounded window, so a busy receiver back-pressures the sender.
         let done = tx_res.end.max(rx_res.end);
         clock.merge_to(done);
-        // 4. Stamp and enqueue (unless the fault stream ate the message).
+        // 4. Stamp and hand to the sink (unless the fault stream ate it).
         if verdict == Verdict::Drop {
             return Ok(done); // silently lost on the wire; sender paid in full
         }
@@ -583,23 +615,15 @@ impl SimFabric {
             corrupted: verdict == Verdict::Corrupt,
             payload,
         };
-        match target {
-            PortTarget::Queue(tx) => tx.send(msg).map(|_| done).map_err(|_| {
-                FabricError::Unreachable {
-                    to: dst.node,
-                    port: dst.port,
-                }
-            }),
-            PortTarget::Sink(sink) => {
-                sink(msg);
-                Ok(done)
-            }
-        }
+        sink(msg);
+        Ok(done)
     }
 
     fn detach(&self, addr: EndpointAddr) {
-        let mut st = self.state.lock();
-        st.ports.remove(&(addr.node, addr.port));
+        let mut st = self.attach.lock();
+        if let Some(slot) = self.slot(addr.node) {
+            slot.tables.write().unbind(addr.port);
+        }
         if self.access == AccessMode::Exclusive {
             st.exclusive_holder.remove(&addr.node);
         }
@@ -610,8 +634,9 @@ impl SimFabric {
 pub struct FabricEndpoint {
     fabric: Arc<SimFabric>,
     addr: EndpointAddr,
-    /// `None` for sink attachments (inbound traffic goes to the sink).
-    inbox: Option<Receiver<Message>>,
+    /// The queue an [`SimFabric::attach`] endpoint's sink feeds; `None`
+    /// when the caller supplied the sink.
+    inbox: Option<Mutex<Receiver<Message>>>,
     client: &'static str,
 }
 
@@ -647,31 +672,12 @@ impl FabricEndpoint {
         self.fabric.send_from(self.addr, clock, dst, channel, payload)
     }
 
-    /// Blocking receive **without** charging a clock — used by forwarding
-    /// layers; the final consumer must call [`Message::deliver`]. Reports
-    /// [`FabricError::Closed`] on a sink attachment (its traffic goes to
-    /// the sink, never to an inbox).
-    pub fn recv_raw(&self) -> Result<Message, FabricError> {
-        self.inbox
-            .as_ref()
-            .ok_or(FabricError::Closed)?
-            .recv()
-            .map_err(|_| FabricError::Closed)
-    }
-
-    /// Non-blocking receive without charging a clock.
-    pub fn try_recv_raw(&self) -> Result<Option<Message>, FabricError> {
-        match self.inbox.as_ref().ok_or(FabricError::Closed)?.try_recv() {
-            Ok(m) => Ok(Some(m)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(FabricError::Closed),
-        }
-    }
-
     /// Blocking receive that takes delivery: merges `clock` to the arrival
-    /// time and charges the receive cost.
+    /// time and charges the receive cost. Reports [`FabricError::Closed`]
+    /// on an endpoint whose caller supplied the sink.
     pub fn recv(&self, clock: &SimClock) -> Result<Message, FabricError> {
-        let msg = self.recv_raw()?;
+        let inbox = self.inbox.as_ref().ok_or(FabricError::Closed)?;
+        let msg = inbox.lock().recv().map_err(|_| FabricError::Closed)?;
         msg.deliver(clock);
         Ok(msg)
     }
@@ -698,6 +704,9 @@ mod tests {
     use super::*;
     use crate::presets;
     use padico_util::simtime::US;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::time::Duration;
 
     fn two_node_myrinet() -> Arc<SimFabric> {
         presets::myrinet2000().build(FabricId(0), vec![NodeId(0), NodeId(1)], Telemetry::new())
@@ -705,6 +714,10 @@ mod tests {
 
     fn two_node_ethernet() -> Arc<SimFabric> {
         presets::ethernet100().build(FabricId(1), vec![NodeId(0), NodeId(1)], Telemetry::new())
+    }
+
+    fn noop_sink() -> MessageSink {
+        Arc::new(|_| {})
     }
 
     #[test]
@@ -829,8 +842,10 @@ mod tests {
     #[test]
     fn service_port_collision_detected() {
         let fab = two_node_ethernet();
-        let _tm = fab.attach_service(NodeId(0), 7, "tm").unwrap();
-        let err = fab.attach_service(NodeId(0), 7, "other").unwrap_err();
+        let _tm = fab.attach_service_sink(NodeId(0), 7, "tm", noop_sink()).unwrap();
+        let err = fab
+            .attach_service_sink(NodeId(0), 7, "other", noop_sink())
+            .unwrap_err();
         assert_eq!(
             err,
             FabricError::PortTaken {
@@ -857,6 +872,18 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, FabricError::Unreachable { .. }));
+        assert_eq!(ca.now(), 0, "failed send must not charge time");
+    }
+
+    #[test]
+    fn send_to_dropped_endpoint_is_unreachable_and_free() {
+        let fab = two_node_ethernet();
+        let a = fab.attach(NodeId(0), "t").unwrap();
+        let dst = fab.attach(NodeId(1), "t").unwrap().addr(); // dropped here
+        let ca = SimClock::new();
+        let sent = a.send(&ca, dst, ChannelId(0), Payload::from_vec(vec![1]));
+        let unreachable = FabricError::Unreachable { to: NodeId(1), port: dst.port };
+        assert_eq!(sent, Err(unreachable));
         assert_eq!(ca.now(), 0, "failed send must not charge time");
     }
 
@@ -961,19 +988,24 @@ mod tests {
     fn dropped_send_charges_sender_but_never_arrives() {
         let fab = two_node_ethernet();
         let a = fab.attach(NodeId(0), "t").unwrap();
-        let b = fab.attach(NodeId(1), "t").unwrap();
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&delivered);
+        let sink: MessageSink = Arc::new(move |_| {
+            count.fetch_add(1, Ordering::Relaxed);
+        });
+        let b = fab.attach_service_sink(NodeId(1), 1, "t", sink).unwrap();
         let ca = SimClock::new();
         fab.set_fault_plan(crate::faults::FaultPlan::drops(42, 100));
         a.send(&ca, b.addr(), ChannelId(0), Payload::from_vec(vec![9; 512]))
             .unwrap();
         assert!(ca.now() > 0, "sender pays for a message the wire ate");
-        assert!(b.try_recv_raw().unwrap().is_none(), "nothing delivered");
+        assert_eq!(delivered.load(Ordering::Relaxed), 0, "nothing delivered");
         assert_eq!(fab.fault_stats().dropped, 1);
         fab.clear_fault_plan();
         a.send(&ca, b.addr(), ChannelId(0), Payload::from_vec(vec![1]))
             .unwrap();
-        let cb = SimClock::new();
-        assert!(!b.recv(&cb).unwrap().corrupted);
+        assert_eq!(delivered.load(Ordering::Relaxed), 1);
+        assert_eq!(fab.fault_stats().corrupted, 0);
     }
 
     #[test]
@@ -1031,19 +1063,20 @@ mod tests {
     #[test]
     fn sink_attachment_delivers_through_the_sink() {
         let fab = two_node_myrinet();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         let sink: MessageSink = Arc::new(move |m| {
             let _ = tx.send(m);
         });
         let ep = fab
             .attach_service_sink(NodeId(1), 1, "tm", sink)
             .unwrap();
-        assert!(
-            matches!(ep.try_recv_raw(), Err(FabricError::Closed)),
-            "sink endpoints have no inbox"
+        let ca = SimClock::new();
+        assert_eq!(
+            ep.recv(&ca).unwrap_err(),
+            FabricError::Closed,
+            "the caller's sink gets the traffic, not the endpoint"
         );
         let a = fab.attach(NodeId(0), "t").unwrap();
-        let ca = SimClock::new();
         a.send(&ca, ep.addr(), ChannelId(3), Payload::from_vec(vec![7]))
             .unwrap();
         let msg = rx.recv().unwrap();
@@ -1115,5 +1148,76 @@ mod tests {
             agg <= fab.model().line_rate_mb_s * 1.05,
             "aggregate {agg} can't exceed line rate"
         );
+    }
+
+    #[test]
+    fn disjoint_pairs_send_beside_attach_churn() {
+        // Two senders on disjoint node pairs, while a third thread binds
+        // and releases a service port on a fifth node: the per-node tables
+        // must lose, reorder and double-bind nothing.
+        const MSGS: u32 = 1_000;
+        let fab = presets::ethernet100().build(
+            FabricId(5),
+            (0..5).map(NodeId).collect(),
+            Telemetry::new(),
+        );
+        let receivers = [1, 3].map(|n| fab.attach(NodeId(n), "rx").unwrap());
+        let start = Barrier::new(3);
+        let sending = AtomicUsize::new(2);
+        std::thread::scope(|scope| {
+            for (n, rx) in [0, 2].into_iter().zip(&receivers) {
+                let (fab, start, sending) = (&fab, &start, &sending);
+                scope.spawn(move || {
+                    let ep = fab.attach(NodeId(n), "tx").unwrap();
+                    let clock = SimClock::new();
+                    start.wait();
+                    for i in 0..MSGS {
+                        let bytes = i.to_le_bytes().to_vec();
+                        ep.send(&clock, rx.addr(), ChannelId(0), Payload::from_vec(bytes))
+                            .unwrap();
+                    }
+                    sending.fetch_sub(1, Ordering::Release);
+                });
+            }
+            scope.spawn(|| {
+                start.wait();
+                loop {
+                    // Bound and released at once: a binding left behind
+                    // would fail the next round with `PortTaken`.
+                    fab.attach_service_sink(NodeId(4), 9, "churn", noop_sink())
+                        .unwrap();
+                    if sending.load(Ordering::Acquire) == 0 {
+                        break;
+                    }
+                }
+            });
+        });
+        for rx in &receivers {
+            let clock = SimClock::new();
+            for i in 0..MSGS {
+                let m = rx.recv(&clock).unwrap();
+                assert_eq!(m.payload.to_vec(), i.to_le_bytes(), "in order per sender");
+            }
+        }
+    }
+
+    #[test]
+    fn sends_take_no_attach_time_lock() {
+        let fab = two_node_myrinet();
+        let a = fab.attach(NodeId(0), "t").unwrap();
+        let b = fab.attach(NodeId(1), "t").unwrap();
+        let held = fab.attach.lock();
+        let (tx, rx) = mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let clock = SimClock::new();
+            let sent = a.send(&clock, b.addr(), ChannelId(0), Payload::from_vec(vec![1]));
+            let _ = tx.send(sent.is_ok());
+            b
+        });
+        let sent = rx.recv_timeout(Duration::from_secs(30));
+        drop(held);
+        let b = sender.join().unwrap();
+        assert_eq!(sent, Ok(true), "a send waited on the attach-time lock");
+        assert_eq!(b.recv(&SimClock::new()).unwrap().payload.to_vec(), vec![1]);
     }
 }

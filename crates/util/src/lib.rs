@@ -23,7 +23,7 @@
 //! * [`xml`] — a minimal XML parser/writer. CCM deployment descriptors are
 //!   XML documents (OSD/CAD vocabularies); no XML crate is on the allowed
 //!   dependency list, so we implement the subset we need.
-//! * [`rng`] — seeded deterministic RNG plumbing for workload generators.
+//! * [`rng`] — seeded deterministic payload bytes for workloads and tests.
 //! * [`ids`] — small typed identifier helpers used across the workspace.
 
 pub mod ids;

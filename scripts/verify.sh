@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build, full test suite, chaos suite, the clippy
-# gate (warnings are errors) and the process-wide-state guard. Run before
+# Tier-1 verification: build (the workspace and the stand-alone
+# benchmark package), full test suite, chaos suite, the clippy gate
+# (warnings are errors) and the process-wide-state guard. Run before
 # every commit.
 #
 # Usage: scripts/verify.sh
@@ -9,6 +10,11 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo build --release"
 cargo build --release
+
+# benchmark/ builds against the `padico` facade; an API change that
+# breaks it fails here, not only in CI's benchmark smoke job.
+echo "== cargo build --release --offline --manifest-path benchmark/Cargo.toml"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== cargo test -q"
 cargo test -q
