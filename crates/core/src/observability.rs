@@ -56,9 +56,10 @@ pub struct ObservabilitySnapshot {
 impl ObservabilitySnapshot {
     /// Capture `topo`'s world: its telemetry (recovery totals included)
     /// under deterministic names, plus the coalescing and span-buffer
-    /// counters, the process-wide schedule-cache and segment-pool
-    /// counters, and the lane telemetry of its world scheduler if one was
-    /// started. Deliberately does not start a scheduler: observing a
+    /// counters, the busy intervals its NIC timelines hold now (transmit
+    /// engines retire theirs, receive engines keep all of them), the
+    /// process-wide schedule-cache and segment-pool counters, and the lane
+    /// telemetry of its world scheduler if one was started. Deliberately does not start a scheduler: observing a
     /// raw-fabric topology must not boot a worker pool.
     pub fn capture(topo: &Topology) -> Self {
         let telemetry = topo.telemetry();
@@ -66,6 +67,11 @@ impl ObservabilitySnapshot {
         let cache = schedule_cache_stats();
         let pool = padico_fabric::pool::stats();
         let (frames_coalesced, coalesce_flushes) = telemetry.coalesce_counts();
+        let (tx_intervals, rx_intervals) = topo
+            .fabrics()
+            .iter()
+            .map(|f| f.retained_intervals())
+            .fold((0, 0), |(tx, rx), (t, r)| (tx + t, rx + r));
         for (name, v) in [
             ("schedule_cache.hits", cache.hits),
             ("schedule_cache.misses", cache.misses),
@@ -78,6 +84,8 @@ impl ObservabilitySnapshot {
             ("tm.coalesce.flushes", coalesce_flushes),
             ("span.retained", telemetry.spans_retained()),
             ("span.dropped", telemetry.spans_dropped()),
+            ("fabric.tx.retained_intervals", tx_intervals as u64),
+            ("fabric.rx.retained_intervals", rx_intervals as u64),
         ] {
             metrics.counters.insert(name.to_string(), v);
         }
@@ -293,10 +301,44 @@ mod tests {
             .contains_key("tm.coalesce.frames_coalesced"));
         assert!(snap.metrics.counters.contains_key("tm.coalesce.flushes"));
         assert!(snap.metrics.counters.contains_key("span.dropped"));
+        assert_eq!(snap.metrics.counters["fabric.tx.retained_intervals"], 0);
+        assert_eq!(snap.metrics.counters["fabric.rx.retained_intervals"], 0);
         let rendered = snap.render();
         assert!(rendered.contains("counter schedule_cache.misses"));
         assert!(rendered.contains("counter span.dropped"));
         assert!(rendered.contains("spans: "));
+    }
+
+    #[test]
+    fn snapshot_counts_what_nic_timelines_retain() {
+        use padico_fabric::{FabricKind, Payload};
+        use padico_util::ids::ChannelId;
+        let (topo, ids) = padico_fabric::topology::single_cluster(2);
+        let myrinet = topo
+            .fabrics()
+            .iter()
+            .find(|f| f.kind() == FabricKind::Myrinet)
+            .unwrap();
+        let a = myrinet.attach(ids[0], "obs").unwrap();
+        let b = myrinet.attach(ids[1], "obs").unwrap();
+        let clock = padico_util::simtime::SimClock::new();
+        for _ in 0..100 {
+            a.send(
+                &clock,
+                b.addr(),
+                ChannelId(1),
+                Payload::from_vec(vec![0; 8]),
+            )
+            .unwrap();
+            // Idle gaps keep every reception its own interval.
+            clock.advance(1_000_000);
+        }
+        let counters = ObservabilitySnapshot::capture(&topo).metrics.counters;
+        assert!(
+            counters["fabric.tx.retained_intervals"] <= 2,
+            "{counters:?}"
+        );
+        assert_eq!(counters["fabric.rx.retained_intervals"], 100);
     }
 
     #[test]

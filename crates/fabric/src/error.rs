@@ -1,6 +1,7 @@
 //! Fabric error types.
 
 use padico_util::ids::NodeId;
+use padico_util::simtime::Vt;
 use std::fmt;
 
 /// Errors raised by fabric drivers.
@@ -42,6 +43,15 @@ pub enum FabricError {
         from: NodeId,
         to: NodeId,
     },
+    /// A send whose clock reads `at`, behind the transmit history that
+    /// `node`'s NIC has retired up to `retired`: a second clock is
+    /// driving a NIC that another clock has been retiring. Where the full
+    /// history would place it is unknown, so it is refused.
+    BehindRetired {
+        node: NodeId,
+        at: Vt,
+        retired: Vt,
+    },
     /// The endpoint (or fabric) has been shut down.
     Closed,
 }
@@ -68,6 +78,11 @@ impl fmt::Display for FabricError {
             FabricError::LinkDown { from, to } => {
                 write!(f, "link from {from} to {to} is down")
             }
+            FabricError::BehindRetired { node, at, retired } => write!(
+                f,
+                "send on {node} at vt {at} ns is behind its NIC's transmit history, \
+                 retired up to vt {retired} ns by another clock"
+            ),
             FabricError::Closed => write!(f, "endpoint closed"),
         }
     }

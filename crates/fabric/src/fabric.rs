@@ -25,8 +25,8 @@
 //!
 //! ## Timing model
 //!
-//! Each node has a NIC with a transmit and a receive engine, modelled as
-//! [`ResourceTimeline`]s. A send:
+//! Each node has a NIC with a transmit and a receive engine: a
+//! [`RetiringTimeline`] and a [`ResourceTimeline`]. A send:
 //!
 //! 1. charges the sender's clock the pre-wire cost (driver overhead,
 //!    rendezvous round-trip for large SAN messages, kernel copy on socket
@@ -35,7 +35,14 @@
 //!    wire time (cut-through: RX starts with TX, so a single flow is
 //!    serialized once, while competing flows on either NIC queue up —
 //!    which is exactly how concurrent CORBA + MPI streams end up splitting
-//!    Myrinet's 250 MB/s in §4.4);
+//!    Myrinet's 250 MB/s in §4.4). The TX engine reads the sender's clock
+//!    under its own lock and first drops every interval that ended by
+//!    then: only the node's own clock sends from it, and that clock only
+//!    moves forward, so TX history stays a couple of intervals long and
+//!    each grant is the one the full history would give. A send from a
+//!    second clock stops that, and one reading behind what was already
+//!    dropped is refused ([`FabricError::BehindRetired`]). The RX engine,
+//!    which every sender reserves, keeps its whole history;
 //! 3. blocks the sender (in virtual time) until its TX engine is done;
 //! 4. stamps the message with `arrival = rx_end + latency`; the consumer
 //!    merges its clock to the stamp and pays the receive cost when it
@@ -46,7 +53,7 @@ use crate::faults::{FaultInjector, FaultPlan, FaultSnapshot, Verdict};
 use crate::model::LinkModel;
 use crate::payload::Payload;
 use padico_util::ids::{ChannelId, FabricId, NodeId};
-use padico_util::simtime::{ResourceTimeline, SimClock, Vt, VtDuration};
+use padico_util::simtime::{ResourceTimeline, RetiringTimeline, SimClock, Vt, VtDuration};
 use padico_util::Telemetry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -160,9 +167,12 @@ type Port = (u16, MessageSink);
 /// One member node's share of the fabric: its NIC engines and the tables
 /// a send reads. A send touches only its source and destination slots.
 struct NodeSlot {
-    /// NIC transmit engine.
-    tx: ResourceTimeline,
-    /// NIC receive engine.
+    /// NIC transmit engine. Only this node's clock reserves it (the
+    /// arbitration layer sends every frame with it), so it retires its
+    /// past.
+    tx: RetiringTimeline,
+    /// NIC receive engine. Every sender in the world reserves it, at
+    /// times no single clock bounds, so it keeps its whole history.
     rx: ResourceTimeline,
     /// Written only by attach, detach and (un)mapping; sends read it.
     tables: RwLock<NodeTables>,
@@ -171,50 +181,51 @@ struct NodeSlot {
 #[derive(Default)]
 struct NodeTables {
     /// The first bound port, inline: a node attached once (every booted
-    /// node) allocates nothing for its port table.
+    /// node) allocates nothing for its tables.
     first: Option<Port>,
-    /// Ports bound beyond the first.
-    more: Box<[Port]>,
-    /// SCI-style mapping table: the peers this node has mapped.
-    mapped: Box<[NodeId]>,
+    /// Allocated only by a node that binds a second port or maps a peer.
+    extra: Option<Box<ExtraTables>>,
 }
 
-/// Edit a boxed slice as a `Vec`. The tables change only at attach and
-/// map time, so the copy is cheap, and a boxed slice costs every node 8
-/// bytes less than a `Vec`.
-fn edit<T, R>(slice: &mut Box<[T]>, f: impl FnOnce(&mut Vec<T>) -> R) -> R {
-    let mut v = std::mem::take(slice).into_vec();
-    let out = f(&mut v);
-    *slice = v.into_boxed_slice();
-    out
+#[derive(Default)]
+struct ExtraTables {
+    /// Ports bound beyond the first.
+    ports: Vec<Port>,
+    /// SCI-style mapping table: the peers this node has mapped.
+    mapped: Vec<NodeId>,
 }
 
 impl NodeTables {
     fn sink(&self, port: u16) -> Option<&MessageSink> {
         self.first
             .iter()
-            .chain(self.more.iter())
+            .chain(self.extra.iter().flat_map(|x| &x.ports))
             .find(|(p, _)| *p == port)
             .map(|(_, sink)| sink)
+    }
+
+    fn mapped(&self) -> &[NodeId] {
+        self.extra.as_ref().map_or(&[], |x| &x.mapped)
+    }
+
+    fn extra_mut(&mut self) -> &mut ExtraTables {
+        self.extra.get_or_insert_with(Box::default)
     }
 
     fn bind(&mut self, port: u16, sink: MessageSink) {
         if self.first.is_none() {
             self.first = Some((port, sink));
         } else {
-            edit(&mut self.more, |more| more.push((port, sink)));
+            self.extra_mut().ports.push((port, sink));
         }
     }
 
     fn unbind(&mut self, port: u16) {
-        let first = &mut self.first;
-        edit(&mut self.more, |more| {
-            if first.as_ref().is_some_and(|(p, _)| *p == port) {
-                *first = more.pop();
-            } else {
-                more.retain(|(p, _)| *p != port);
-            }
-        });
+        if self.first.as_ref().is_some_and(|(p, _)| *p == port) {
+            self.first = self.extra.as_mut().and_then(|x| x.ports.pop());
+        } else if let Some(x) = &mut self.extra {
+            x.ports.retain(|(p, _)| *p != port);
+        }
     }
 }
 
@@ -290,7 +301,7 @@ impl SimFabric {
             if *pos == u32::MAX {
                 *pos = slots.len() as u32;
                 slots.push(NodeSlot {
-                    tx: ResourceTimeline::new(),
+                    tx: RetiringTimeline::new(),
                     rx: ResourceTimeline::new(),
                     tables: RwLock::new(NodeTables::default()),
                 });
@@ -455,27 +466,29 @@ impl SimFabric {
             self.faults.note_mapping_refusal();
             return Err(FabricError::LinkDown { from, to });
         }
-        edit(&mut slot.tables.write().mapped, |mapped| {
-            if !mapped.contains(&to) {
-                if mapped.len() >= limit {
-                    return Err(FabricError::MappingLimit { node: from, limit });
-                }
-                mapped.push(to);
+        let mut tables = slot.tables.write();
+        if !tables.mapped().contains(&to) {
+            if tables.mapped().len() >= limit {
+                return Err(FabricError::MappingLimit { node: from, limit });
             }
-            Ok(())
-        })
+            tables.extra_mut().mapped.push(to);
+        }
+        Ok(())
     }
 
     /// Release a mapping entry.
     pub fn unmap_remote(&self, from: NodeId, to: NodeId) {
         if let Some(slot) = self.slot(from) {
-            edit(&mut slot.tables.write().mapped, |m| m.retain(|&n| n != to));
+            if let Some(x) = &mut slot.tables.write().extra {
+                x.mapped.retain(|&n| n != to);
+            }
         }
     }
 
     /// Number of mapping-table entries in use on `node`.
     pub fn mappings_in_use(&self, node: NodeId) -> usize {
-        self.slot(node).map_or(0, |s| s.tables.read().mapped.len())
+        self.slot(node)
+            .map_or(0, |s| s.tables.read().mapped().len())
     }
 
     /// The fabric's fault injector (inert until armed).
@@ -501,7 +514,9 @@ impl SimFabric {
     pub fn kill_mappings(&self, node: NodeId) {
         self.faults.kill_mappings(node);
         if let Some(slot) = self.slot(node) {
-            slot.tables.write().mapped = Box::default();
+            if let Some(x) = &mut slot.tables.write().extra {
+                x.mapped.clear();
+            }
         }
     }
 
@@ -513,6 +528,15 @@ impl SimFabric {
     /// Snapshot of injected-fault counters.
     pub fn fault_stats(&self) -> FaultSnapshot {
         self.faults.counters()
+    }
+
+    /// Busy intervals the NIC engines hold now, summed over members:
+    /// `(tx, rx)`. Transmit engines retire their past; receive engines
+    /// keep it all.
+    pub fn retained_intervals(&self) -> (usize, usize) {
+        self.slots.iter().fold((0, 0), |(tx, rx), s| {
+            (tx + s.tx.retained(), rx + s.rx.retained())
+        })
     }
 
     fn send_from(
@@ -562,7 +586,7 @@ impl SimFabric {
         self.faults.check_link(src.node, dst.node, clock.now())?;
         if self.requires_mapping()
             && src.node != dst.node
-            && !src_slot.tables.read().mapped.contains(&dst.node)
+            && !src_slot.tables.read().mapped().contains(&dst.node)
         {
             return Err(FabricError::NoMapping {
                 from: src.node,
@@ -594,9 +618,17 @@ impl SimFabric {
         } else {
             payload
         };
-        // 2. Reserve NIC engines (cut-through: RX shadows TX).
+        // 2. Reserve NIC engines (cut-through: RX shadows TX). The TX
+        // engine reads `clock` itself, under its lock.
         let wire = self.model.wire_time(len);
-        let tx_res = src_slot.tx.reserve(clock.now(), wire);
+        let tx_res = src_slot
+            .tx
+            .reserve(clock, wire)
+            .map_err(|e| FabricError::BehindRetired {
+                node: src.node,
+                at: e.at,
+                retired: e.retired,
+            })?;
         let rx_res = dst_slot.rx.reserve(tx_res.start, wire);
         // 3. The sender is occupied until the receiving NIC has accepted
         // the message: Myrinet has link-level flow control and TCP a
@@ -1219,5 +1251,70 @@ mod tests {
         let b = sender.join().unwrap();
         assert_eq!(sent, Ok(true), "a send waited on the attach-time lock");
         assert_eq!(b.recv(&SimClock::new()).unwrap().payload.to_vec(), vec![1]);
+    }
+
+    #[test]
+    fn transmit_history_stays_short_over_ten_thousand_sends() {
+        let fab = two_node_myrinet();
+        let a = fab.attach_service_sink(NodeId(0), 1, "t", noop_sink()).unwrap();
+        let b = fab.attach_service_sink(NodeId(1), 1, "t", noop_sink()).unwrap();
+        let clock = SimClock::new();
+        for i in 0..10_000u64 {
+            a.send(&clock, b.addr(), ChannelId(0), Payload::from_vec(vec![0; 64]))
+                .unwrap();
+            // Idle gaps between some sends keep the intervals apart.
+            clock.advance(i % 3 * US);
+        }
+        let (tx, rx) = fab.retained_intervals();
+        assert!(tx <= 2, "node 0 holds {tx} transmit intervals");
+        assert!(rx > 2, "receive history is kept whole: {rx}");
+    }
+
+    #[test]
+    fn second_clock_behind_retired_history_is_refused() {
+        let fab = two_node_myrinet();
+        let a = fab.attach(NodeId(0), "t").unwrap();
+        let b = fab.attach(NodeId(1), "t").unwrap();
+        let send = |clock: &SimClock| {
+            a.send(clock, b.addr(), ChannelId(0), Payload::from_vec(vec![0; 64]))
+        };
+        let (pre_wire, wire) = (fab.model().pre_wire_sender_cost(64), fab.model().wire_time(64));
+        let owner = SimClock::new();
+        let mut last_read = 0;
+        for _ in 0..5 {
+            // The engine reads the clock after the pre-wire cost.
+            last_read = owner.now() + pre_wire;
+            send(&owner).unwrap();
+            owner.advance(10 * US);
+        }
+        let err = send(&SimClock::new()).unwrap_err();
+        assert_eq!(
+            err,
+            FabricError::BehindRetired {
+                node: NodeId(0),
+                at: pre_wire,
+                retired: last_read
+            }
+        );
+        assert!(err.to_string().contains("node0"), "{err}");
+        // Just behind the last retiring reading: refused, nothing sent.
+        let behind = SimClock::starting_at(last_read - 1 - pre_wire);
+        assert!(matches!(send(&behind), Err(FabricError::BehindRetired { .. })));
+        // At it: served where the full history places it, right behind
+        // the owner's fifth transmission.
+        let at_point = SimClock::starting_at(last_read - pre_wire);
+        assert_eq!(send(&at_point).unwrap(), last_read + 2 * wire);
+        // The owner's five, then the second clock's: the refused sends
+        // delivered nothing.
+        let arrivals: Vec<Vt> = (0..6)
+            .map(|_| b.recv(&SimClock::new()).unwrap().arrival)
+            .collect();
+        assert_eq!(arrivals[5], last_read + 2 * wire + fab.model().latency_ns);
+        // Retirement has stopped: the owner's history grows again.
+        for _ in 0..5 {
+            send(&owner).unwrap();
+            owner.advance(10 * US);
+        }
+        assert!(fab.retained_intervals().0 >= 6, "{:?}", fab.retained_intervals());
     }
 }

@@ -445,6 +445,12 @@ impl NetAccess {
             node: dst,
             port: TM_SERVICE_PORT,
         };
+        if !att.fabric().requires_mapping() {
+            // No remap can follow, so the payload need not outlive the send.
+            return att
+                .send(&self.clock, dst_addr, channel, payload)
+                .map_err(TmError::from);
+        }
         match att.send(&self.clock, dst_addr, channel, payload.clone()) {
             Err(FabricError::NoMapping { .. }) => {
                 // Re-establish on demand, then retry the send once. If the

@@ -141,8 +141,13 @@ impl SocketApi {
     }
 
     /// Send all of `data`; returns the byte count, faithful to the API.
+    /// Like the kernel call, it hands the bytes on before returning: a
+    /// peer may wait for them with no further call on this descriptor,
+    /// so a coalesced frame is flushed, not left for a later write.
     pub fn send(&self, fd: Fd, data: &[u8]) -> Result<usize, TmError> {
-        self.stream(fd)?.write_all(data)?;
+        let stream = self.stream(fd)?;
+        stream.write_all(data)?;
+        stream.flush()?;
         Ok(data.len())
     }
 
@@ -207,6 +212,40 @@ mod tests {
         assert_eq!(&reply, b"ping");
         client.close(fd).unwrap();
         handle.join().unwrap();
+    }
+
+    /// A server that echoes and then neither writes, reads nor closes
+    /// again: the echo must still reach the client. With the frame left
+    /// in the coalescing batch the client's `recv` timed out.
+    #[test]
+    fn send_reaches_a_peer_without_a_further_call() {
+        let (topo, ids) = single_cluster(2);
+        let cfg = crate::runtime::TmConfig {
+            default_deadline: std::time::Duration::from_secs(5),
+            ..Default::default()
+        };
+        let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
+        assert!(tms[1].config().coalesce.is_some(), "coalescing is on");
+        let server = Arc::new(SocketApi::new(Arc::clone(&tms[1])));
+        let lfd = server.socket();
+        server.bind(lfd, "echo").unwrap();
+        server.listen(lfd).unwrap();
+        let srv = Arc::clone(&server);
+        let echo = std::thread::spawn(move || {
+            let cfd = srv.accept(lfd).unwrap();
+            let mut buf = [0u8; 16];
+            let n = srv.recv(cfd, &mut buf).unwrap();
+            srv.send(cfd, &buf[..n]).unwrap();
+            cfd // still open: nothing else pushes the echo out
+        });
+        let client = SocketApi::new(Arc::clone(&tms[0]));
+        let fd = client.socket();
+        client.connect(fd, ids[1], "echo").unwrap();
+        client.send(fd, b"what time is it").unwrap();
+        let mut buf = [0u8; 16];
+        let n = client.recv(fd, &mut buf).unwrap();
+        assert_eq!(&buf[..n], b"what time is it");
+        echo.join().unwrap();
     }
 
     #[test]

@@ -24,10 +24,13 @@
 //!   past window (made late in *wall-clock* order by a thread the OS
 //!   scheduled behind its peers) backfills the gap instead of queueing
 //!   behind reservations that live later on the virtual axis.
+//! * A resource only one clock reserves (a NIC's transmit engine) is a
+//!   [`RetiringTimeline`]: the clock never moves back, so intervals that
+//!   ended before its reading can never matter again and are dropped.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A point in virtual time, in nanoseconds since simulation start.
 pub type Vt = u64;
@@ -130,7 +133,7 @@ impl SimClock {
     }
 }
 
-/// A serially-reusable resource on the virtual timeline (a NIC transmit
+/// A serially-reusable resource on the virtual timeline (a NIC receive
 /// engine, a link, a DMA engine).
 ///
 /// Each reservation is granted the *earliest idle interval* on the virtual
@@ -140,6 +143,10 @@ impl SimClock {
 /// while a requester whose thread the OS scheduled late still lands in the
 /// idle window its virtual clock entitles it to, keeping granted times
 /// independent of wall-clock interleaving.
+///
+/// Any requester may present any time, so the full history is kept and
+/// every request scans it from the start. A resource with one requesting
+/// clock retires its past instead: see [`RetiringTimeline`].
 #[derive(Debug, Default)]
 pub struct ResourceTimeline {
     /// Sorted, disjoint, non-touching busy intervals `[start, end)`.
@@ -168,59 +175,12 @@ impl ResourceTimeline {
     /// to `end` (the request occupies the caller until the resource is done,
     /// e.g. a blocking DMA) or forwards `end` as a message timestamp.
     pub fn reserve(&self, not_before: Vt, dur: VtDuration) -> Reservation {
-        if dur == 0 {
-            // Zero-length use never occupies the resource; it starts (and
-            // ends) at the first instant the resource is idle.
-            let start = self.next_idle(not_before);
-            return Reservation { start, end: start };
-        }
-        let mut busy = self.busy.lock();
-        let mut start = not_before;
-        let mut at = busy.len();
-        for (i, &(s, e)) in busy.iter().enumerate() {
-            if start + dur <= s {
-                at = i;
-                break;
-            }
-            start = start.max(e);
-        }
-        let end = start + dur;
-        // Insert, coalescing with a touching predecessor and/or successor so
-        // the list stays short under back-to-back packing.
-        let merge_prev = at > 0 && busy[at - 1].1 == start;
-        let merge_next = at < busy.len() && busy[at].0 == end;
-        match (merge_prev, merge_next) {
-            (true, true) => {
-                busy[at - 1].1 = busy[at].1;
-                busy.remove(at);
-            }
-            (true, false) => busy[at - 1].1 = end,
-            (false, true) => busy[at].0 = start,
-            (false, false) => {
-                let len = busy.len();
-                if len == busy.capacity() {
-                    // Double up to 64 intervals, then grow by an eighth: a
-                    // 100k-node world holds a few dozen per NIC, where
-                    // doubling 64 → 128 would add 200 MiB at once.
-                    busy.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
-                }
-                busy.insert(at, (start, end))
-            }
-        }
-        Reservation { start, end }
+        place(&mut self.busy.lock(), not_before, dur)
     }
 
     /// First instant at or after `t` at which the resource is idle.
     pub fn next_idle(&self, t: Vt) -> Vt {
-        let busy = self.busy.lock();
-        let mut at = t;
-        for &(s, e) in busy.iter() {
-            if at < s {
-                break;
-            }
-            at = at.max(e);
-        }
-        at
+        next_idle(&self.busy.lock(), t)
     }
 
     /// The time after which the resource is permanently free (end of the
@@ -228,6 +188,162 @@ impl ResourceTimeline {
     pub fn horizon(&self) -> Vt {
         self.busy.lock().last().map_or(0, |&(_, e)| e)
     }
+
+    /// Busy intervals held: the whole history, coalesced.
+    pub fn retained(&self) -> usize {
+        self.busy.lock().len()
+    }
+}
+
+/// A [`ResourceTimeline`] reserved by clocks rather than bare times (a NIC
+/// transmit engine, which only its own node's clock drives).
+///
+/// A request reads its clock inside the timeline's lock. While every
+/// request comes from one clock, each first retires the intervals that
+/// end at or before that reading. A clock only moves forward, so no later
+/// request of the same clock starts before the reading, and no retired
+/// interval could have held or delayed it: every grant equals the one the
+/// full history gives, and the history stays a couple of intervals long.
+///
+/// A request from any other clock stops retirement for good. If it reads
+/// earlier than the last retiring request did, the full history might
+/// have placed it in a gap that is no longer known, so it is refused with
+/// [`BehindRetired`] rather than placed anywhere else.
+#[derive(Debug, Default)]
+pub struct RetiringTimeline {
+    history: Mutex<History>,
+}
+
+#[derive(Debug, Default)]
+struct History {
+    /// Sorted, disjoint, non-touching busy intervals `[start, end)`.
+    busy: Vec<(Vt, Vt)>,
+    requester: Requester,
+    /// The reading of the last retiring request: every interval ending at
+    /// or before it is gone.
+    retired: Vt,
+}
+
+/// Who has reserved a [`RetiringTimeline`] so far.
+#[derive(Debug, Default)]
+enum Requester {
+    /// Nobody yet.
+    #[default]
+    None,
+    /// One clock, which retires history. Weak, so the timeline does not
+    /// keep the clock alive, yet the counter's address is never reused
+    /// by another clock while the timeline remembers it.
+    One(Weak<AtomicU64>),
+    /// More than one clock: nothing more is retired.
+    Many,
+}
+
+/// A [`RetiringTimeline`] refused a request: its clock reads `at`, behind
+/// history retired up to `retired` by the timeline's first clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BehindRetired {
+    pub at: Vt,
+    pub retired: Vt,
+}
+
+impl RetiringTimeline {
+    /// New timeline, free from time zero, not yet claimed by any clock.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reserve the resource for `dur` no earlier than `clock` reads, in the
+    /// earliest idle interval that fits, exactly as
+    /// [`ResourceTimeline::reserve`] would with the full history.
+    pub fn reserve(&self, clock: &SimClock, dur: VtDuration) -> Result<Reservation, BehindRetired> {
+        let mut h = self.history.lock();
+        // Read under the lock: a reading taken before another thread
+        // sharing this clock retired history could already be behind it.
+        let now = clock.now();
+        let own = match &h.requester {
+            Requester::None => {
+                h.requester = Requester::One(Arc::downgrade(&clock.now));
+                true
+            }
+            Requester::One(owner) => std::ptr::eq(owner.as_ptr(), Arc::as_ptr(&clock.now)),
+            Requester::Many => false,
+        };
+        if own {
+            let past = h.busy.partition_point(|&(_, end)| end <= now);
+            h.busy.drain(..past);
+            h.retired = now;
+        } else {
+            if now < h.retired {
+                return Err(BehindRetired {
+                    at: now,
+                    retired: h.retired,
+                });
+            }
+            h.requester = Requester::Many;
+        }
+        Ok(place(&mut h.busy, now, dur))
+    }
+
+    /// Busy intervals held: what retirement has left of the history.
+    pub fn retained(&self) -> usize {
+        self.history.lock().busy.len()
+    }
+}
+
+/// Grant `dur` at the earliest idle instant of `busy` at or after
+/// `not_before`, and record it.
+fn place(busy: &mut Vec<(Vt, Vt)>, not_before: Vt, dur: VtDuration) -> Reservation {
+    if dur == 0 {
+        // Zero-length use never occupies the resource; it starts (and
+        // ends) at the first instant the resource is idle.
+        let start = next_idle(busy, not_before);
+        return Reservation { start, end: start };
+    }
+    let mut start = not_before;
+    let mut at = busy.len();
+    for (i, &(s, e)) in busy.iter().enumerate() {
+        if start + dur <= s {
+            at = i;
+            break;
+        }
+        start = start.max(e);
+    }
+    let end = start + dur;
+    // Insert, coalescing with a touching predecessor and/or successor so
+    // the list stays short under back-to-back packing.
+    let merge_prev = at > 0 && busy[at - 1].1 == start;
+    let merge_next = at < busy.len() && busy[at].0 == end;
+    match (merge_prev, merge_next) {
+        (true, true) => {
+            busy[at - 1].1 = busy[at].1;
+            busy.remove(at);
+        }
+        (true, false) => busy[at - 1].1 = end,
+        (false, true) => busy[at].0 = start,
+        (false, false) => {
+            let len = busy.len();
+            if len == busy.capacity() {
+                // Double up to 64 intervals, then grow by an eighth: a
+                // 100k-node world holds a few dozen per NIC, where
+                // doubling 64 → 128 would add 200 MiB at once.
+                busy.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
+            }
+            busy.insert(at, (start, end))
+        }
+    }
+    Reservation { start, end }
+}
+
+/// First instant at or after `t` at which `busy` is idle.
+fn next_idle(busy: &[(Vt, Vt)], t: Vt) -> Vt {
+    let mut at = t;
+    for &(s, e) in busy {
+        if at < s {
+            break;
+        }
+        at = at.max(e);
+    }
+    at
 }
 
 #[cfg(test)]
@@ -367,6 +483,97 @@ mod tests {
         assert_eq!(t.horizon(), 2000, "total service time is conserved");
         for e in ends {
             assert!(e >= 1000, "each user gets at most half the rate: {e}");
+        }
+    }
+
+    /// One node of a [`retiring_tx_case`] world: its clock, the NIC pair a
+    /// fabric gives it, and full-history shadows of both engines.
+    #[derive(Default)]
+    struct ShadowNode {
+        clock: SimClock,
+        tx: RetiringTimeline,
+        rx: ResourceTimeline,
+        tx_full: ResourceTimeline,
+        rx_full: ResourceTimeline,
+    }
+
+    /// Random multi-node send sequences reserved the way a fabric send
+    /// does (transmit engine by the sender's clock, receive engine from the
+    /// transmit start), checked grant by grant against the full history.
+    /// Node 0's clock is shared by two threads; every other node has one.
+    /// A step holds the world lock from reading its clock to moving it, so
+    /// the shadow sees the reading the retiring engine took.
+    fn retiring_tx_case(rng: &mut proptest::TestRng, steps: u64) {
+        let nodes = 2 + rng.below(4) as usize;
+        let world = Arc::new(Mutex::new(
+            (0..nodes)
+                .map(|_| ShadowNode::default())
+                .collect::<Vec<_>>(),
+        ));
+        // Actor `a` drives node `max(a - 1, 0)`: actors 0 and 1 share node 0.
+        let handles: Vec<_> = (0..=nodes)
+            .map(|actor| {
+                let world = Arc::clone(&world);
+                let mut rng = proptest::TestRng::new(rng.next_u64());
+                thread::spawn(move || {
+                    let src = actor.saturating_sub(1);
+                    for _ in 0..steps {
+                        let w = world.lock();
+                        let dst = rng.below(w.len() as u64) as usize;
+                        // Zero-length, short and long holds of the engines.
+                        let dur =
+                            [0, 1 + rng.below(20), 1 + rng.below(2_000)][rng.below(3) as usize];
+                        let n = &w[src];
+                        let now = n.clock.now();
+                        let tx = n.tx.reserve(&n.clock, dur).expect("one clock per node");
+                        assert_eq!(tx, n.tx_full.reserve(now, dur), "tx of node {src} at {now}");
+                        let rx = w[dst].rx.reserve(tx.start, dur);
+                        assert_eq!(
+                            rx,
+                            w[dst].rx_full.reserve(tx.start, dur),
+                            "rx of node {dst}"
+                        );
+                        match rng.below(3) {
+                            // A fabric sender waits for both engines.
+                            0 => n.clock.merge_to(tx.end.max(rx.end)),
+                            // A thread that moves on before its grant ends:
+                            // the next request of this clock reads earlier.
+                            1 => n.clock.advance(rng.below(50)),
+                            // A delivery pulls the clock far ahead.
+                            _ => n.clock.merge_to(rx.end + rng.below(5_000)),
+                        };
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        for n in world.lock().iter() {
+            assert!(n.tx.retained() <= n.tx_full.retained());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn retiring_tx_grants_what_full_history_grants(seed: u64) {
+            retiring_tx_case(&mut proptest::TestRng::new(seed), 200);
+        }
+    }
+
+    /// Long mode of [`retiring_tx_grants_what_full_history_grants`]:
+    /// 2 000 cases of 2 000 steps, seeded from `CHAOS_SEED` (default 42).
+    /// `cargo test -p padico-util --release -- --ignored retiring_tx`
+    #[test]
+    #[ignore = "long mode: minutes of random send sequences"]
+    fn retiring_tx_grants_what_full_history_grants_long() {
+        let seed: u64 = std::env::var("CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42);
+        for case in 0..2_000u64 {
+            let mut rng = proptest::TestRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ case);
+            retiring_tx_case(&mut rng, 2_000);
         }
     }
 

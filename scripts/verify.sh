@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build (the workspace and the stand-alone
-# benchmark package), full test suite, chaos suite, the clippy gate
+# benchmark package), full test suite, the multi-middleware example,
+# chaos suite, the clippy gate
 # (warnings are errors) and the process-wide-state guard. Run before
 # every commit.
 #
@@ -18,6 +19,10 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== cargo test -q"
 cargo test -q
+
+# Examples are documentation that runs: one that panics fails here.
+echo "== cargo run --release -q --example multi_middleware"
+cargo run --release -q --example multi_middleware >/dev/null
 
 echo "== cargo test --features chaos -q --test chaos"
 cargo test --features chaos -q --test chaos
