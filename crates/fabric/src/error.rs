@@ -20,6 +20,10 @@ pub enum FabricError {
         node: NodeId,
         port: u16,
     },
+    /// Every ephemeral port of this node is bound.
+    PortsExhausted {
+        node: NodeId,
+    },
     /// SCI-style mapping table is full on this node.
     MappingLimit {
         node: NodeId,
@@ -65,6 +69,9 @@ impl fmt::Display for FabricError {
             }
             FabricError::PortTaken { node, port } => {
                 write!(f, "port {port} already bound on {node}")
+            }
+            FabricError::PortsExhausted { node } => {
+                write!(f, "every ephemeral port is bound on {node}")
             }
             FabricError::MappingLimit { node, limit } => {
                 write!(f, "SCI mapping table full on {node} (limit {limit})")

@@ -54,6 +54,7 @@ use crate::model::LinkModel;
 use crate::payload::Payload;
 use padico_util::ids::{ChannelId, FabricId, NodeId};
 use padico_util::simtime::{ResourceTimeline, RetiringTimeline, SimClock, Vt, VtDuration};
+use padico_util::telemetry::CounterCell;
 use padico_util::Telemetry;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -122,9 +123,20 @@ impl fmt::Display for EndpointAddr {
     }
 }
 
-/// First ephemeral port; [`SimFabric::attach`] allocates from here up.
-/// Well-known service ports (used by PadicoTM instances) live below.
+/// First ephemeral port; [`SimFabric::attach`] allocates from here to
+/// `u16::MAX`, then wraps. Well-known service ports (used by PadicoTM
+/// instances) live below.
 pub const EPHEMERAL_PORT_BASE: u16 = 1024;
+
+/// The first ephemeral port at or cyclically after `next` that `taken`
+/// refuses, or `None` when every ephemeral port is taken.
+fn free_ephemeral(next: u16, taken: impl Fn(u16) -> bool) -> Option<u16> {
+    let span = u32::from(u16::MAX - EPHEMERAL_PORT_BASE) + 1;
+    let from = u32::from(next.max(EPHEMERAL_PORT_BASE) - EPHEMERAL_PORT_BASE);
+    (0..span)
+        .map(|i| EPHEMERAL_PORT_BASE + ((from + i) % span) as u16)
+        .find(|&port| !taken(port))
+}
 
 /// A message in flight or delivered.
 #[derive(Clone, Debug)]
@@ -154,12 +166,31 @@ impl Message {
     }
 }
 
-/// Delivery target of one port: invoked once per inbound [`Message`], on
-/// the sender's thread, so it must only hand the message on (enqueue it,
-/// wake a handler), never block. Every attachment installs one:
-/// [`SimFabric::attach`] a sink feeding its endpoint's own queue, the
-/// arbitration layer one sink per fabric feeding the node's handlers.
-pub type MessageSink = Arc<dyn Fn(Message) + Send + Sync>;
+/// Delivery target of a port: [`PortSink::accept`] runs once per inbound
+/// [`Message`] with the destination node, on the sender's thread, while
+/// the send holds the destination's tables for reading. It must only hand
+/// the message on (enqueue it, wake a handler): never block, and never
+/// attach or detach on the destination node.
+///
+/// Any `Fn(Message)` closure is one, for a sink that serves one port.
+/// One sink can also serve every node of a world, since it is told the
+/// destination: the world scheduler is its own sink, and the arbitration
+/// layer binds it to every node's service port, so a hop touches no
+/// per-node closure.
+pub trait PortSink: Send + Sync {
+    fn accept(&self, node: NodeId, msg: Message);
+}
+
+impl<F: Fn(Message) + Send + Sync> PortSink for F {
+    fn accept(&self, _node: NodeId, msg: Message) {
+        self(msg)
+    }
+}
+
+/// A bound sink. Every attachment installs one: [`SimFabric::attach`] a
+/// closure feeding its endpoint's own queue, the arbitration layer the
+/// world scheduler.
+pub type MessageSink = Arc<dyn PortSink>;
 
 /// A bound port and the sink its traffic goes to.
 type Port = (u16, MessageSink);
@@ -256,12 +287,11 @@ pub struct SimFabric {
     /// O(1) on the boot path of every node of a 100k-node world.
     positions: Vec<u32>,
     slots: Vec<NodeSlot>,
-    /// Pre-rendered `bytes.<kind>` counter name (one per send otherwise).
-    bytes_counter: String,
+    /// `bytes.<kind>` in the world's telemetry: a send adds to it
+    /// without taking the registry lock.
+    bytes: Arc<CounterCell>,
     /// Pre-rendered `tx:<kind>` span name of every send.
     tx_span: String,
-    /// The world's telemetry, which `bytes_counter` counts into.
-    telemetry: Arc<Telemetry>,
     attach: Mutex<AttachState>,
     faults: FaultInjector,
 }
@@ -318,9 +348,8 @@ impl SimFabric {
             first_id,
             positions,
             slots,
-            bytes_counter: format!("bytes.{kind}"),
+            bytes: telemetry.counter_cell(&format!("bytes.{kind}")),
             tx_span: format!("tx:{kind}"),
-            telemetry,
             attach: Mutex::new(AttachState::default()),
             faults: FaultInjector::new(),
         })
@@ -430,13 +459,12 @@ impl SimFabric {
                 p
             }
             None => {
-                let mut candidate = *st.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_PORT_BASE);
-                // Skip any taken ports (service ports can't collide here).
-                while tables.sink(candidate).is_some() {
-                    candidate += 1;
-                }
-                st.next_ephemeral.insert(node, candidate + 1);
-                candidate
+                let next = *st.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_PORT_BASE);
+                let port = free_ephemeral(next, |p| tables.sink(p).is_some())
+                    .ok_or(FabricError::PortsExhausted { node })?;
+                // Past u16::MAX, `free_ephemeral` wraps to the base.
+                st.next_ephemeral.insert(node, port.wrapping_add(1));
+                port
             }
         };
         tables.bind(port, sink);
@@ -559,7 +587,7 @@ impl SimFabric {
                 span.end_at(*done);
                 // Bytes that occupied the wire (a fault-dropped message
                 // still did — the sender paid in full).
-                self.telemetry.counter_add(&self.bytes_counter, len as u64);
+                self.bytes.add(len as u64);
             }
             // Refused sends charge no time: the span is a zero-length
             // mark of the failed attempt.
@@ -594,13 +622,13 @@ impl SimFabric {
             });
         }
         // Look up the destination's sink up front so no time is charged
-        // for a failed send.
-        let sink = dst_slot.tables.read().sink(dst.port).cloned().ok_or(
-            FabricError::Unreachable {
-                to: dst.node,
-                port: dst.port,
-            },
-        )?;
+        // for a failed send, and hold its tables until the sink has the
+        // message: the port cannot go between charging and delivery.
+        let dst_tables = dst_slot.tables.read();
+        let sink = dst_tables.sink(dst.port).ok_or(FabricError::Unreachable {
+            to: dst.node,
+            port: dst.port,
+        })?;
 
         let len = payload.len();
         // Roll the deterministic fault stream for this link. The verdict is
@@ -647,7 +675,7 @@ impl SimFabric {
             corrupted: verdict == Verdict::Corrupt,
             payload,
         };
-        sink(msg);
+        sink.accept(dst.node, msg);
         Ok(done)
     }
 
@@ -749,7 +777,7 @@ mod tests {
     }
 
     fn noop_sink() -> MessageSink {
-        Arc::new(|_| {})
+        Arc::new(|_: Message| {})
     }
 
     #[test]
@@ -1022,7 +1050,7 @@ mod tests {
         let a = fab.attach(NodeId(0), "t").unwrap();
         let delivered = Arc::new(AtomicUsize::new(0));
         let count = Arc::clone(&delivered);
-        let sink: MessageSink = Arc::new(move |_| {
+        let sink: MessageSink = Arc::new(move |_: Message| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         let b = fab.attach_service_sink(NodeId(1), 1, "t", sink).unwrap();
@@ -1096,7 +1124,7 @@ mod tests {
     fn sink_attachment_delivers_through_the_sink() {
         let fab = two_node_myrinet();
         let (tx, rx) = mpsc::channel();
-        let sink: MessageSink = Arc::new(move |m| {
+        let sink: MessageSink = Arc::new(move |m: Message| {
             let _ = tx.send(m);
         });
         let ep = fab
@@ -1251,6 +1279,68 @@ mod tests {
         let b = sender.join().unwrap();
         assert_eq!(sent, Ok(true), "a send waited on the attach-time lock");
         assert_eq!(b.recv(&SimClock::new()).unwrap().payload.to_vec(), vec![1]);
+    }
+
+    #[test]
+    fn sends_take_no_telemetry_lock() {
+        let telemetry = Telemetry::new();
+        let fab = presets::myrinet2000().build(
+            FabricId(0),
+            vec![NodeId(0), NodeId(1)],
+            Arc::clone(&telemetry),
+        );
+        let a = fab.attach(NodeId(0), "t").unwrap();
+        let b = fab.attach(NodeId(1), "t").unwrap();
+        let held = telemetry.hold_registry_lock();
+        let (tx, rx) = mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let clock = SimClock::new();
+            let payload = Payload::from_vec(vec![1; 48]);
+            let sent = a.send(&clock, b.addr(), ChannelId(0), payload);
+            let _ = tx.send(sent.is_ok());
+            b
+        });
+        let sent = rx.recv_timeout(Duration::from_secs(30));
+        drop(held);
+        let b = sender.join().unwrap();
+        assert_eq!(sent, Ok(true), "a send waited on the telemetry lock");
+        assert_eq!(b.recv(&SimClock::new()).unwrap().payload.len(), 48);
+        // The bytes still count, under the same name as before.
+        assert_eq!(telemetry.metrics().counter("bytes.myrinet"), 48);
+        let render = telemetry.metrics().render();
+        assert!(render.contains("counter bytes.myrinet = 48"), "{render}");
+    }
+
+    #[test]
+    fn ephemeral_ports_wrap_within_their_range() {
+        let fab = two_node_ethernet();
+        // Held throughout: the wrap must step over it.
+        let held = fab.attach(NodeId(0), "held").unwrap();
+        assert_eq!(held.addr().port, EPHEMERAL_PORT_BASE);
+        let mut wrapped = false;
+        let mut last = held.addr().port;
+        for _ in 0..70_000u32 {
+            let port = fab.attach(NodeId(0), "churn").unwrap().addr().port; // detached here
+            assert!(port > EPHEMERAL_PORT_BASE, "port {port} after {last}");
+            wrapped |= port < last;
+            last = port;
+        }
+        assert!(wrapped, "70 000 attaches cycle past u16::MAX");
+    }
+
+    #[test]
+    fn ephemeral_search_wraps_skips_and_runs_out() {
+        assert_eq!(free_ephemeral(u16::MAX, |_| false), Some(u16::MAX));
+        let base = Some(EPHEMERAL_PORT_BASE);
+        assert_eq!(free_ephemeral(u16::MAX, |p| p == u16::MAX), base);
+        // A wrapped counter (0) restarts at the base, never in the
+        // service range.
+        assert_eq!(free_ephemeral(0, |p| p < 2000), Some(2000));
+        assert_eq!(free_ephemeral(3000, |p| p != 1500), Some(1500));
+        assert_eq!(free_ephemeral(3000, |_| true), None);
+        assert!(FabricError::PortsExhausted { node: NodeId(3) }
+            .to_string()
+            .contains("node3"));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod topology;
 pub use error::FabricError;
 pub use fabric::{
     AccessMode, EndpointAddr, FabricEndpoint, FabricKind, Message, MessageSink, Paradigm,
-    SimFabric,
+    PortSink, SimFabric,
 };
 pub use faults::{FaultInjector, FaultPlan, FaultSnapshot};
 pub use model::LinkModel;

@@ -64,7 +64,7 @@ use padico_util::ids::NodeId;
 use padico_util::simtime::Vt;
 use padico_util::Telemetry;
 
-use crate::fabric::Message;
+use crate::fabric::{Message, PortSink};
 use crate::payload::pool::RecordPool;
 
 /// A node's step function: invoked by a scheduler worker for every event
@@ -545,6 +545,15 @@ impl WorldSched {
                 let _ = handle.join();
             }
         }
+    }
+}
+
+/// The scheduler is every node's port sink: a delivery becomes an event
+/// for its destination at the message's virtual arrival time (the fabric
+/// already stamped it), tie-broken by the sending node.
+impl PortSink for WorldSched {
+    fn accept(&self, node: NodeId, msg: Message) {
+        self.post(node, msg.arrival, msg.src.node, msg);
     }
 }
 

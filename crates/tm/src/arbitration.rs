@@ -27,10 +27,11 @@
 //! Every node's inbound traffic funnels through one step function — a
 //! [`NodeCell`] that demultiplexes each [`Message`] by channel id. The
 //! topology-wide discrete-event scheduler ([`padico_fabric::WorldSched`])
-//! drives it: fabric sinks post timestamped delivery events, and the
-//! scheduler's small worker pool runs each node's [`NodeCell::step`] in
-//! virtual-time order. A node costs a registered closure instead of an
-//! OS thread, which is what lets one process carry 100,000-node worlds.
+//! drives it: it is every service port's sink and turns each delivery
+//! into a timestamped event, and its small worker pool runs each node's
+//! [`NodeCell::step`] in virtual-time order. A node costs a registered
+//! cell instead of an OS thread, which is what lets one process carry
+//! 100,000-node worlds.
 //! Shutdown unregisters the node; the entire `ChannelId` space
 //! (including `u64::MAX`) belongs to users.
 //!
@@ -57,6 +58,19 @@
 //! and releasing channels (CORBA and MPI exercising different channels at
 //! once, as in the paper's §4.4 sharing experiment) therefore do not all
 //! serialize on one mutex.
+//!
+//! Each shard holds its first channel inline and allocates a hash table
+//! only when a second one lands in it. A node with at most one channel per
+//! shard — every node of the `world_ring` benchmark — therefore dispatches
+//! by comparing one id, with no hash and no separately allocated table to
+//! fetch; RPC and GridCCM nodes (2–12 channels) use the tables.
+//!
+//! No per-node object stands between the wire and the registry either:
+//! every node's service port on every fabric is bound to the world
+//! scheduler itself (a [`padico_fabric::PortSink`], told the destination
+//! by the fabric), so one sink serves the whole world and a hop touches
+//! only the two NIC slots, the event heap, the destination's
+//! [`NodeCell`] and its channel's handler.
 
 use padico_fabric::{
     EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, NodeStep, Payload, SimFabric,
@@ -131,9 +145,63 @@ enum ChannelEntry {
     Parked(Vec<Message>),
 }
 
+/// One registry shard: its first channel inline, any further ones in a
+/// map whose table is allocated only when a second channel lands in the
+/// shard. A node with one channel per shard (every `world_ring` node)
+/// dispatches by comparing one id, with no hash probe and no table to
+/// fetch.
+#[derive(Default)]
+struct Shard {
+    first: Option<(ChannelId, ChannelEntry)>,
+    /// Holds a table only while the shard holds two channels or more.
+    extra: HashMap<ChannelId, ChannelEntry>,
+}
+
+impl Shard {
+    fn get_mut(&mut self, channel: ChannelId) -> Option<&mut ChannelEntry> {
+        match &mut self.first {
+            Some((ch, entry)) if *ch == channel => Some(entry),
+            _ => self.extra.get_mut(&channel),
+        }
+    }
+
+    /// Set `channel`'s entry, replacing any it had.
+    fn insert(&mut self, channel: ChannelId, entry: ChannelEntry) {
+        if let Some(old) = self.get_mut(channel) {
+            *old = entry;
+        } else if self.first.is_none() {
+            self.first = Some((channel, entry));
+        } else {
+            self.extra.insert(channel, entry);
+        }
+    }
+
+    /// Take `channel`'s entry out. A removed inline channel makes room
+    /// for one from the map, and an emptied map frees its table.
+    fn remove(&mut self, channel: ChannelId) -> Option<ChannelEntry> {
+        let entry = if self.first.as_ref().is_some_and(|(ch, _)| *ch == channel) {
+            let promoted = self.extra.keys().next().copied();
+            let promoted = promoted.and_then(|ch| self.extra.remove_entry(&ch));
+            std::mem::replace(&mut self.first, promoted).map(|(_, entry)| entry)
+        } else {
+            self.extra.remove(&channel)
+        };
+        if self.extra.is_empty() {
+            self.extra.shrink_to_fit();
+        }
+        entry
+    }
+
+    /// Channels the shard holds, handled or parked.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.extra.len()
+    }
+}
+
 /// The sharded channel registry of one node (see module docs).
 struct ChannelMap {
-    shards: [Mutex<HashMap<ChannelId, ChannelEntry>>; SHARD_COUNT],
+    shards: [Mutex<Shard>; SHARD_COUNT],
     /// Messages currently parked across all shards, bounded by `budget`.
     parked_total: AtomicUsize,
     parked_budget: usize,
@@ -144,14 +212,14 @@ struct ChannelMap {
 impl ChannelMap {
     fn new(parked_budget: usize, telemetry: Arc<Telemetry>) -> ChannelMap {
         ChannelMap {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: Default::default(),
             parked_total: AtomicUsize::new(0),
             parked_budget,
             telemetry,
         }
     }
 
-    fn shard(&self, channel: ChannelId) -> &Mutex<HashMap<ChannelId, ChannelEntry>> {
+    fn shard(&self, channel: ChannelId) -> &Mutex<Shard> {
         &self.shards[shard_index(channel)]
     }
 
@@ -175,13 +243,13 @@ impl ChannelMap {
     /// shed-at-arbitration apart from link death; the remote inbound path
     /// has nobody to answer and keeps only the counter.
     fn dispatch(&self, channel: ChannelId, msg: Message) -> Result<(), TmError> {
-        let mut entries = self.shard(channel).lock();
-        let parked = match entries.get_mut(&channel) {
+        let mut shard = self.shard(channel).lock();
+        let parked = match shard.get_mut(channel) {
             Some(ChannelEntry::Handled(handler)) => {
                 // Run the handler outside the shard lock: it may send,
                 // which can dispatch back into this very registry.
                 let handler = Arc::clone(handler);
-                drop(entries);
+                drop(shard);
                 handler(msg);
                 return Ok(());
             }
@@ -195,9 +263,7 @@ impl ChannelMap {
         }
         match parked {
             Some(parked) => parked.push(msg),
-            None => {
-                entries.insert(channel, ChannelEntry::Parked(vec![msg]));
-            }
+            None => shard.insert(channel, ChannelEntry::Parked(vec![msg])),
         }
         Ok(())
     }
@@ -211,8 +277,8 @@ impl ChannelMap {
         handler: ChannelHandler,
     ) -> Result<(), TmError> {
         let replay = {
-            let mut entries = self.shard(channel).lock();
-            let replay = match entries.get_mut(&channel) {
+            let mut shard = self.shard(channel).lock();
+            let replay = match shard.get_mut(channel) {
                 Some(ChannelEntry::Handled(_)) => {
                     return Err(TmError::Protocol(format!(
                         "channel {channel} already handled on {node}"
@@ -224,7 +290,7 @@ impl ChannelMap {
                 }
                 None => Vec::new(),
             };
-            entries.insert(channel, ChannelEntry::Handled(Arc::clone(&handler)));
+            shard.insert(channel, ChannelEntry::Handled(Arc::clone(&handler)));
             replay
         };
         // Outside the lock: the handler may send.
@@ -238,7 +304,7 @@ impl ChannelMap {
     /// lock: a reactive handler's captures may release channels of their
     /// own on drop.
     fn remove(&self, channel: ChannelId) {
-        let entry = self.shard(channel).lock().remove(&channel);
+        let entry = self.shard(channel).lock().remove(channel);
         if let Some(ChannelEntry::Parked(v)) = &entry {
             self.parked_total.fetch_sub(v.len(), Ordering::Relaxed);
         }
@@ -339,11 +405,9 @@ impl NetAccess {
         let sched = Arc::clone(topology.sched());
         let mut attachments = Vec::with_capacity(topology.fabrics_of(node).count());
         for fabric in topology.fabrics_of(node) {
-            let sched = Arc::clone(&sched);
-            // The fabric already stamped the virtual arrival time; the
-            // heap orders delivery by it.
-            let sink: MessageSink =
-                Arc::new(move |msg: Message| sched.post(node, msg.arrival, msg.src.node, msg));
+            // The scheduler itself is the sink: the fabric tells it the
+            // destination, so no node needs a closure of its own.
+            let sink: MessageSink = sched.clone();
             let endpoint = fabric.attach_service_sink(node, TM_SERVICE_PORT, "PadicoTM", sink)?;
             // On mapping-table hardware, the arbitration layer owns the
             // table and maps the whole member set up front (it is the
@@ -734,6 +798,119 @@ mod tests {
             .unwrap();
         assert_eq!(*seen.lock(), vec![vec![1], vec![2]], "third message was dropped");
         assert_eq!(map.parked_total.load(Ordering::Relaxed), 0, "budget returned");
+    }
+
+    /// A [`ChannelMap`] entry as the differential model keeps it.
+    enum Model {
+        /// Handled by the handler with this tag.
+        Handled(u64),
+        /// Parked message ids, in arrival order.
+        Parked(Vec<u64>),
+    }
+
+    fn parked_in(model: &HashMap<ChannelId, Model>) -> usize {
+        model
+            .values()
+            .map(|e| match e {
+                Model::Parked(ids) => ids.len(),
+                Model::Handled(_) => 0,
+            })
+            .sum()
+    }
+
+    /// Random install/remove/dispatch sequences over a few channels and a
+    /// small parked budget, checked step by step against a `HashMap`
+    /// model: handler runs and parked replays (tag and message id, in
+    /// order), refusals, the parked total and the dropped counter. Six
+    /// channels over two shards move shards between no channel, one inline
+    /// and a spilled map, and back.
+    fn registry_case(rng: &mut proptest::TestRng) {
+        let budget = 1 + rng.below(6) as usize;
+        let telemetry = Telemetry::new();
+        let map = ChannelMap::new(budget, Arc::clone(&telemetry));
+        let mut model: HashMap<ChannelId, Model> = HashMap::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut expected = Vec::new();
+        let (mut dropped, mut next_id) = (0, 0);
+        for tag in 0..300u64 {
+            let ch = ChannelId(rng.below(6));
+            match rng.below(4) {
+                0 => {
+                    let log = Arc::clone(&seen);
+                    let handler: ChannelHandler =
+                        Arc::new(move |m: Message| log.lock().push((tag, m.arrival)));
+                    let got = map.install(ch, NodeId(0), handler);
+                    match model.get(&ch) {
+                        Some(Model::Handled(_)) => {
+                            assert!(matches!(got, Err(TmError::Protocol(_))), "{got:?}")
+                        }
+                        parked => {
+                            assert!(got.is_ok(), "{got:?}");
+                            if let Some(Model::Parked(ids)) = parked {
+                                expected.extend(ids.iter().map(|&id| (tag, id)));
+                            }
+                            model.insert(ch, Model::Handled(tag));
+                        }
+                    }
+                }
+                1 => {
+                    map.remove(ch);
+                    model.remove(&ch);
+                }
+                _ => {
+                    let id = next_id;
+                    next_id += 1;
+                    let msg = Message {
+                        src: EndpointAddr {
+                            node: NodeId(1),
+                            port: TM_SERVICE_PORT,
+                        },
+                        channel: ch,
+                        arrival: id,
+                        recv_cost: 0,
+                        corrupted: false,
+                        payload: Payload::from_vec(Vec::new()),
+                    };
+                    let parked = parked_in(&model);
+                    let got = map.dispatch(ch, msg);
+                    match model.get_mut(&ch) {
+                        Some(Model::Handled(tag)) => {
+                            assert!(got.is_ok());
+                            expected.push((*tag, id));
+                        }
+                        _ if parked >= budget => {
+                            assert!(matches!(got, Err(TmError::Overloaded(_))), "{got:?}");
+                            dropped += 1;
+                        }
+                        Some(Model::Parked(ids)) => {
+                            assert!(got.is_ok());
+                            ids.push(id);
+                        }
+                        None => {
+                            assert!(got.is_ok());
+                            model.insert(ch, Model::Parked(vec![id]));
+                        }
+                    }
+                }
+            }
+            assert_eq!(*seen.lock(), expected, "handler runs and replays");
+            assert_eq!(map.parked_total.load(Ordering::Relaxed), parked_in(&model));
+            for (i, shard) in map.shards.iter().enumerate() {
+                let shard = shard.lock();
+                let held = model.keys().filter(|&&ch| shard_index(ch) == i).count();
+                assert_eq!(shard.len(), held, "shard {i}");
+                let table = shard.extra.capacity() > 0;
+                assert_eq!(table, held >= 2, "shard {i}: a table past one channel only");
+            }
+        }
+        assert_eq!(telemetry.metrics().counter("tm.parked.dropped"), dropped);
+    }
+
+    proptest! {
+        #[test]
+        fn registry_matches_a_hash_map_model(seed in any::<u64>()) {
+            registry_case(&mut proptest::TestRng::new(seed));
+        }
     }
 
     #[test]

@@ -169,9 +169,10 @@ impl Telemetry {
         }
     }
 
-    /// Snapshot the counters and histograms, with the world's recovery
-    /// counters summed in as `recovery.*` — the retry/failover story
-    /// next to the latency story, in one dump.
+    /// Snapshot the counters and histograms, with the counter cells
+    /// added in by name and the world's recovery counters summed in as
+    /// `recovery.*` — the retry/failover story next to the latency story,
+    /// in one dump.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = {
             let reg = self.metrics.lock();
@@ -180,6 +181,11 @@ impl Telemetry {
                 histograms: reg.histograms.clone(),
             }
         };
+        for (name, cell) in self.cells.lock().iter() {
+            if let Some(v) = cell.read() {
+                *snap.counters.entry(name.clone()).or_insert(0) += v;
+            }
+        }
         let rec = self.recovery();
         for (name, v) in [
             ("recovery.send_retries", rec.send_retries),

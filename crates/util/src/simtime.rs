@@ -175,7 +175,7 @@ impl ResourceTimeline {
     /// to `end` (the request occupies the caller until the resource is done,
     /// e.g. a blocking DMA) or forwards `end` as a message timestamp.
     pub fn reserve(&self, not_before: Vt, dur: VtDuration) -> Reservation {
-        place(&mut self.busy.lock(), not_before, dur)
+        place(&mut *self.busy.lock(), not_before, dur)
     }
 
     /// First instant at or after `t` at which the resource is idle.
@@ -216,12 +216,117 @@ pub struct RetiringTimeline {
 
 #[derive(Debug, Default)]
 struct History {
-    /// Sorted, disjoint, non-touching busy intervals `[start, end)`.
-    busy: Vec<(Vt, Vt)>,
+    busy: TxBusy,
     requester: Requester,
     /// The reading of the last retiring request: every interval ending at
     /// or before it is gone.
     retired: Vt,
+}
+
+/// Busy intervals a [`RetiringTimeline`] holds inline. While one clock
+/// retires history, at most one interval survives a retirement (each
+/// starts at or before the reading, or touches its predecessor, so all
+/// the survivors overlap the reading) and the request adds one more.
+const INLINE_TX: usize = 2;
+
+/// The sorted, disjoint, non-touching busy intervals `[start, end)` of a
+/// [`RetiringTimeline`]: inline in the timeline (no allocation) until a
+/// request needs more than [`INLINE_TX`], which only happens once a
+/// second clock has stopped retirement; then a `Vec`.
+#[derive(Debug)]
+enum TxBusy {
+    Inline(u8, [(Vt, Vt); INLINE_TX]),
+    Spilled(Vec<(Vt, Vt)>),
+}
+
+impl Default for TxBusy {
+    fn default() -> Self {
+        TxBusy::Inline(0, [(0, 0); INLINE_TX])
+    }
+}
+
+impl TxBusy {
+    /// Drop every interval that ends at or before `now`.
+    fn retire(&mut self, now: Vt) {
+        let past = self.as_ref().partition_point(|&(_, end)| end <= now);
+        match self {
+            TxBusy::Inline(len, busy) => {
+                busy.copy_within(past..usize::from(*len), 0);
+                *len -= past as u8;
+            }
+            TxBusy::Spilled(busy) => drop(busy.drain(..past)),
+        }
+    }
+}
+
+/// Sorted, disjoint, non-touching busy intervals that [`place`] reads and
+/// inserts into.
+trait Intervals: AsRef<[(Vt, Vt)]> + AsMut<[(Vt, Vt)]> {
+    fn insert_at(&mut self, at: usize, interval: (Vt, Vt));
+    fn remove_at(&mut self, at: usize);
+}
+
+impl Intervals for Vec<(Vt, Vt)> {
+    fn insert_at(&mut self, at: usize, interval: (Vt, Vt)) {
+        let len = self.len();
+        if len == self.capacity() {
+            // Double up to 64 intervals, then grow by an eighth: a
+            // 100k-node world holds a few dozen per NIC, where doubling
+            // 64 → 128 would add 200 MiB at once.
+            self.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
+        }
+        self.insert(at, interval);
+    }
+
+    fn remove_at(&mut self, at: usize) {
+        self.remove(at);
+    }
+}
+
+impl AsRef<[(Vt, Vt)]> for TxBusy {
+    fn as_ref(&self) -> &[(Vt, Vt)] {
+        match self {
+            TxBusy::Inline(len, busy) => &busy[..usize::from(*len)],
+            TxBusy::Spilled(busy) => busy,
+        }
+    }
+}
+
+impl AsMut<[(Vt, Vt)]> for TxBusy {
+    fn as_mut(&mut self) -> &mut [(Vt, Vt)] {
+        match self {
+            TxBusy::Inline(len, busy) => &mut busy[..usize::from(*len)],
+            TxBusy::Spilled(busy) => busy,
+        }
+    }
+}
+
+impl Intervals for TxBusy {
+    fn insert_at(&mut self, at: usize, interval: (Vt, Vt)) {
+        match self {
+            TxBusy::Inline(len, busy) if usize::from(*len) < INLINE_TX => {
+                busy.copy_within(at..usize::from(*len), at + 1);
+                busy[at] = interval;
+                *len += 1;
+            }
+            TxBusy::Inline(_, busy) => {
+                let mut spilled = busy.to_vec();
+                spilled.insert_at(at, interval);
+                *self = TxBusy::Spilled(spilled);
+            }
+            TxBusy::Spilled(busy) => busy.insert_at(at, interval),
+        }
+    }
+
+    fn remove_at(&mut self, at: usize) {
+        match self {
+            TxBusy::Inline(len, busy) => {
+                busy.copy_within(at + 1..usize::from(*len), at);
+                *len -= 1;
+            }
+            TxBusy::Spilled(busy) => busy.remove_at(at),
+        }
+    }
 }
 
 /// Who has reserved a [`RetiringTimeline`] so far.
@@ -269,8 +374,7 @@ impl RetiringTimeline {
             Requester::Many => false,
         };
         if own {
-            let past = h.busy.partition_point(|&(_, end)| end <= now);
-            h.busy.drain(..past);
+            h.busy.retire(now);
             h.retired = now;
         } else {
             if now < h.retired {
@@ -286,22 +390,29 @@ impl RetiringTimeline {
 
     /// Busy intervals held: what retirement has left of the history.
     pub fn retained(&self) -> usize {
-        self.history.lock().busy.len()
+        self.history.lock().busy.as_ref().len()
+    }
+
+    /// Whether the history has outgrown its inline intervals.
+    #[cfg(test)]
+    fn spilled(&self) -> bool {
+        matches!(self.history.lock().busy, TxBusy::Spilled(_))
     }
 }
 
 /// Grant `dur` at the earliest idle instant of `busy` at or after
 /// `not_before`, and record it.
-fn place(busy: &mut Vec<(Vt, Vt)>, not_before: Vt, dur: VtDuration) -> Reservation {
+fn place(busy: &mut impl Intervals, not_before: Vt, dur: VtDuration) -> Reservation {
+    let list = busy.as_ref();
     if dur == 0 {
         // Zero-length use never occupies the resource; it starts (and
         // ends) at the first instant the resource is idle.
-        let start = next_idle(busy, not_before);
+        let start = next_idle(list, not_before);
         return Reservation { start, end: start };
     }
     let mut start = not_before;
-    let mut at = busy.len();
-    for (i, &(s, e)) in busy.iter().enumerate() {
+    let mut at = list.len();
+    for (i, &(s, e)) in list.iter().enumerate() {
         if start + dur <= s {
             at = i;
             break;
@@ -311,25 +422,17 @@ fn place(busy: &mut Vec<(Vt, Vt)>, not_before: Vt, dur: VtDuration) -> Reservati
     let end = start + dur;
     // Insert, coalescing with a touching predecessor and/or successor so
     // the list stays short under back-to-back packing.
-    let merge_prev = at > 0 && busy[at - 1].1 == start;
-    let merge_next = at < busy.len() && busy[at].0 == end;
+    let merge_prev = at > 0 && list[at - 1].1 == start;
+    let merge_next = at < list.len() && list[at].0 == end;
     match (merge_prev, merge_next) {
         (true, true) => {
-            busy[at - 1].1 = busy[at].1;
-            busy.remove(at);
+            let list = busy.as_mut();
+            list[at - 1].1 = list[at].1;
+            busy.remove_at(at);
         }
-        (true, false) => busy[at - 1].1 = end,
-        (false, true) => busy[at].0 = start,
-        (false, false) => {
-            let len = busy.len();
-            if len == busy.capacity() {
-                // Double up to 64 intervals, then grow by an eighth: a
-                // 100k-node world holds a few dozen per NIC, where
-                // doubling 64 → 128 would add 200 MiB at once.
-                busy.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
-            }
-            busy.insert(at, (start, end))
-        }
+        (true, false) => busy.as_mut()[at - 1].1 = end,
+        (false, true) => busy.as_mut()[at].0 = start,
+        (false, false) => busy.insert_at(at, (start, end)),
     }
     Reservation { start, end }
 }
@@ -501,22 +604,33 @@ mod tests {
     /// does (transmit engine by the sender's clock, receive engine from the
     /// transmit start), checked grant by grant against the full history.
     /// Node 0's clock is shared by two threads; every other node has one.
-    /// A step holds the world lock from reading its clock to moving it, so
-    /// the shadow sees the reading the retiring engine took.
+    /// In half the cases one more thread reserves some node's transmit
+    /// engine from a second clock of its own: that stops retirement, so
+    /// the node's history outgrows its inline intervals, and a reading
+    /// behind what was retired must be refused. A step holds the world
+    /// lock from reading its clock to moving it, so the shadow sees the
+    /// reading the retiring engine took.
     fn retiring_tx_case(rng: &mut proptest::TestRng, steps: u64) {
         let nodes = 2 + rng.below(4) as usize;
+        let intruded = (rng.below(2) == 0).then(|| rng.below(nodes as u64) as usize);
         let world = Arc::new(Mutex::new(
             (0..nodes)
                 .map(|_| ShadowNode::default())
                 .collect::<Vec<_>>(),
         ));
-        // Actor `a` drives node `max(a - 1, 0)`: actors 0 and 1 share node 0.
-        let handles: Vec<_> = (0..=nodes)
+        // Actor `a` drives node `max(a - 1, 0)`: actors 0 and 1 share node
+        // 0. Actor `nodes + 1`, if any, drives the intruded node with a
+        // clock of its own.
+        let actors = nodes + usize::from(intruded.is_some());
+        let handles: Vec<_> = (0..=actors)
             .map(|actor| {
                 let world = Arc::clone(&world);
                 let mut rng = proptest::TestRng::new(rng.next_u64());
+                let second = (actor > nodes).then(SimClock::new);
+                let src = intruded
+                    .filter(|_| actor > nodes)
+                    .unwrap_or(actor.saturating_sub(1));
                 thread::spawn(move || {
-                    let src = actor.saturating_sub(1);
                     for _ in 0..steps {
                         let w = world.lock();
                         let dst = rng.below(w.len() as u64) as usize;
@@ -524,8 +638,33 @@ mod tests {
                         let dur =
                             [0, 1 + rng.below(20), 1 + rng.below(2_000)][rng.below(3) as usize];
                         let n = &w[src];
-                        let now = n.clock.now();
-                        let tx = n.tx.reserve(&n.clock, dur).expect("one clock per node");
+                        let clock = match &second {
+                            Some(clock) => {
+                                // Level with the owner or ahead of it two
+                                // times in three (ahead, its interval can
+                                // end up after one the owner places
+                                // later); otherwise it may read behind
+                                // retirement.
+                                let ahead = [0, rng.below(5_000)][rng.below(2) as usize];
+                                if rng.below(3) != 0 {
+                                    clock.merge_to(n.clock.now() + ahead);
+                                }
+                                clock
+                            }
+                            None => &n.clock,
+                        };
+                        let now = clock.now();
+                        let tx = match n.tx.reserve(clock, dur) {
+                            Ok(tx) => tx,
+                            Err(refused) => {
+                                // Whichever of the two clocks came second.
+                                assert_eq!(Some(src), intruded, "one clock refused");
+                                assert_eq!(refused.at, now);
+                                assert!(now < refused.retired, "{refused:?} served at {now}");
+                                clock.merge_to(refused.retired);
+                                continue;
+                            }
+                        };
                         assert_eq!(tx, n.tx_full.reserve(now, dur), "tx of node {src} at {now}");
                         let rx = w[dst].rx.reserve(tx.start, dur);
                         assert_eq!(
@@ -535,12 +674,12 @@ mod tests {
                         );
                         match rng.below(3) {
                             // A fabric sender waits for both engines.
-                            0 => n.clock.merge_to(tx.end.max(rx.end)),
+                            0 => clock.merge_to(tx.end.max(rx.end)),
                             // A thread that moves on before its grant ends:
                             // the next request of this clock reads earlier.
-                            1 => n.clock.advance(rng.below(50)),
+                            1 => clock.advance(rng.below(50)),
                             // A delivery pulls the clock far ahead.
-                            _ => n.clock.merge_to(rx.end + rng.below(5_000)),
+                            _ => clock.merge_to(rx.end + rng.below(5_000)),
                         };
                     }
                 })
@@ -549,9 +688,40 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        for n in world.lock().iter() {
+        for (i, n) in world.lock().iter().enumerate() {
             assert!(n.tx.retained() <= n.tx_full.retained());
+            if Some(i) == intruded {
+                // Grants stayed exact past the inline capacity.
+                assert!(n.tx.spilled(), "node {i}: {} intervals", n.tx.retained());
+            } else {
+                assert!(!n.tx.spilled(), "one clock spilled node {i}");
+            }
         }
+    }
+
+    #[test]
+    fn inline_history_stays_exact_through_a_second_clock() {
+        let (tx, full) = (RetiringTimeline::new(), ResourceTimeline::new());
+        let (owner, other) = (SimClock::new(), SimClock::starting_at(1_000));
+        let reserve = |clock: &SimClock, dur| {
+            let (now, granted) = (clock.now(), tx.reserve(clock, dur).unwrap());
+            assert_eq!(granted, full.reserve(now, dur), "at {now}");
+            (tx.retained(), tx.spilled())
+        };
+        // Claimed by the owner, which keeps nothing of a zero-length use.
+        assert_eq!(reserve(&owner, 0), (0, false));
+        // The other clock stops retirement, ahead of the owner...
+        assert_eq!(reserve(&other, 100), (1, false));
+        // ...so the owner's next interval goes in front of it,
+        assert_eq!(reserve(&owner, 50), (2, false));
+        // one filling the gap exactly merges all three,
+        assert_eq!(reserve(&owner, 950), (1, false));
+        other.merge_to(5_000);
+        assert_eq!(reserve(&other, 10), (2, false));
+        // and a third interval spills the history to the heap.
+        other.merge_to(7_000);
+        assert_eq!(reserve(&other, 10), (3, true));
+        assert_eq!(reserve(&owner, 10), (3, true));
     }
 
     proptest::proptest! {

@@ -8,7 +8,9 @@
 //! so two worlds booted side by side never see each other's counters,
 //! windows or spans. It holds:
 //!
-//! * the counters and virtual-time histograms ([`crate::metrics`]);
+//! * the counters and virtual-time histograms ([`crate::metrics`]), and
+//!   the [`CounterCell`]s that hot paths count into without the
+//!   registry's lock, read into every snapshot by name;
 //! * the windowed vt series and their [`SeriesConfig`]
 //!   ([`crate::timeseries`]);
 //! * the span buffers, their caps and the head-sampling policy
@@ -28,12 +30,14 @@
 use crate::stats::{RecoverySnapshot, RecoveryStats};
 use crate::timeseries::SeriesConfig;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The telemetry of one world (see the module docs).
 pub struct Telemetry {
     pub(crate) metrics: Mutex<crate::metrics::Registry>,
+    /// Counters owned by their emitters, with the name each is read as.
+    pub(crate) cells: Mutex<Vec<(String, Arc<CounterCell>)>>,
     pub(crate) series: Mutex<crate::timeseries::Registry>,
     pub(crate) spans: Mutex<crate::span::Buffers>,
     /// Head-sampling rate: 0 records every trace, `n` about one in `n`.
@@ -59,6 +63,7 @@ impl Telemetry {
     pub fn for_nodes(nodes: usize) -> Arc<Telemetry> {
         Arc::new(Telemetry {
             metrics: Mutex::new(Default::default()),
+            cells: Mutex::new(Vec::new()),
             series: Mutex::new(crate::timeseries::Registry::new(SeriesConfig::default())),
             spans: Mutex::new(Default::default()),
             sample_n: AtomicU32::new(0),
@@ -66,6 +71,24 @@ impl Telemetry {
             frames_coalesced: AtomicU64::new(0),
             coalesce_flushes: AtomicU64::new(0),
         })
+    }
+
+    /// A counter named `name` that its owner bumps with a relaxed atomic
+    /// add, no lock taken: [`Telemetry::metrics`] adds its value to the
+    /// named counter from the first add on, exactly as if every add had
+    /// been a [`Telemetry::counter_add`]. Cells of one name sum.
+    pub fn counter_cell(&self, name: &str) -> Arc<CounterCell> {
+        let cell = Arc::new(CounterCell::default());
+        let entry = (name.to_string(), Arc::clone(&cell));
+        self.cells.lock().push(entry);
+        cell
+    }
+
+    /// Hold the counter registry's lock until the returned guard drops:
+    /// lets a test show that a path never takes it.
+    #[doc(hidden)]
+    pub fn hold_registry_lock(&self) -> impl Sized + '_ {
+        self.metrics.lock()
     }
 
     /// The recovery counters of node `node` (a node id of this world).
@@ -94,6 +117,31 @@ impl Telemetry {
             self.frames_coalesced.load(Ordering::Relaxed),
             self.coalesce_flushes.load(Ordering::Relaxed),
         )
+    }
+}
+
+/// A counter registered with [`Telemetry::counter_cell`].
+#[derive(Debug, Default)]
+pub struct CounterCell {
+    value: AtomicU64,
+    /// Set by the first add, zero included: from then on the counter
+    /// shows in snapshots, as a `counter_add` one does.
+    touched: AtomicBool,
+}
+
+impl CounterCell {
+    pub fn add(&self, delta: u64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+        if !self.touched.load(Ordering::Relaxed) {
+            self.touched.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// The value, or `None` before the first add.
+    pub(crate) fn read(&self) -> Option<u64> {
+        self.touched
+            .load(Ordering::Relaxed)
+            .then(|| self.value.load(Ordering::Relaxed))
     }
 }
 
