@@ -153,15 +153,15 @@ enum ChannelEntry {
 #[derive(Default)]
 struct Shard {
     first: Option<(ChannelId, ChannelEntry)>,
-    /// Holds a table only while the shard holds two channels or more.
-    extra: HashMap<ChannelId, ChannelEntry>,
+    /// Present only while the shard holds two channels or more.
+    extra: Option<Box<HashMap<ChannelId, ChannelEntry>>>,
 }
 
 impl Shard {
     fn get_mut(&mut self, channel: ChannelId) -> Option<&mut ChannelEntry> {
         match &mut self.first {
             Some((ch, entry)) if *ch == channel => Some(entry),
-            _ => self.extra.get_mut(&channel),
+            _ => self.extra.as_mut()?.get_mut(&channel),
         }
     }
 
@@ -172,22 +172,25 @@ impl Shard {
         } else if self.first.is_none() {
             self.first = Some((channel, entry));
         } else {
-            self.extra.insert(channel, entry);
+            self.extra.get_or_insert_default().insert(channel, entry);
         }
     }
 
     /// Take `channel`'s entry out. A removed inline channel makes room
-    /// for one from the map, and an emptied map frees its table.
+    /// for one from the map, and an emptied map is dropped.
     fn remove(&mut self, channel: ChannelId) -> Option<ChannelEntry> {
+        let extra = self.extra.as_mut();
         let entry = if self.first.as_ref().is_some_and(|(ch, _)| *ch == channel) {
-            let promoted = self.extra.keys().next().copied();
-            let promoted = promoted.and_then(|ch| self.extra.remove_entry(&ch));
+            let promoted = extra.and_then(|map| {
+                let ch = *map.keys().next()?;
+                map.remove_entry(&ch)
+            });
             std::mem::replace(&mut self.first, promoted).map(|(_, entry)| entry)
         } else {
-            self.extra.remove(&channel)
+            extra?.remove(&channel)
         };
-        if self.extra.is_empty() {
-            self.extra.shrink_to_fit();
+        if self.extra.as_ref().is_some_and(|map| map.is_empty()) {
+            self.extra = None;
         }
         entry
     }
@@ -195,7 +198,7 @@ impl Shard {
     /// Channels the shard holds, handled or parked.
     #[cfg(test)]
     fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.extra.len()
+        usize::from(self.first.is_some()) + self.extra.as_ref().map_or(0, |map| map.len())
     }
 }
 
@@ -899,7 +902,7 @@ mod tests {
                 let shard = shard.lock();
                 let held = model.keys().filter(|&&ch| shard_index(ch) == i).count();
                 assert_eq!(shard.len(), held, "shard {i}");
-                let table = shard.extra.capacity() > 0;
+                let table = shard.extra.is_some();
                 assert_eq!(table, held >= 2, "shard {i}: a table past one channel only");
             }
         }

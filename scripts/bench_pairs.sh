@@ -1,50 +1,45 @@
 #!/usr/bin/env bash
 # Alternating parent/change runs of the wall-clock benchmark.
 #
-#   scripts/bench_pairs.sh PARENT_REV [--pairs N] [--seed S] [--seconds T]
-#                          [--parent-dir DIR] [--out FILE] [workload…]
+#   scripts/bench_pairs.sh PARENT_REV [--pairs N] [--seed S] [workload…]
 #
-# Checks PARENT_REV out into a temporary `git worktree` (or uses the
-# checkout of it given with --parent-dir) and runs
+# Checks PARENT_REV out into a temporary `git worktree` and runs
 #
 #   benchmark/run.sh --workload W --seed S --seconds T --trace 0
 #
-# alternately there and in this working tree: pair i runs every chosen
-# workload in turn, parent first in odd pairs and change first in even
-# ones. Each side builds from its own checkout into its own
-# benchmark/target. FILE (default bench_pairs.json) gets, per workload,
-# the six end-to-end metrics and failed/attempted of every run, both
-# sides' medians and a verdict per metric of BENCHMARK.json: pairs the
-# change won, both sides' quartiles, the relative median change, whether
-# a loss stays within the metric's bound, and whether a gain exceeds the
-# parent's interquartile range. Defaults: 10 pairs, seed 14, 15 s, every
-# workload BENCHMARK.json names. Needs bash, git, cargo and python3 (its
-# standard library only); changes nothing under benchmark/.
+# (T is BENCHMARK.json's run_seconds) alternately there and in this
+# working tree: pair i runs every chosen workload in turn, parent first
+# in odd pairs and change first in even ones. Each side builds from its
+# own checkout into its own benchmark/target. bench_pairs.json gets, per
+# workload, the six end-to-end metrics and failed/attempted of every run,
+# both sides' medians and a verdict per metric of BENCHMARK.json: pairs
+# the change won, both sides' quartiles, the relative median change,
+# whether a loss stays within the metric's bound, and whether a gain
+# exceeds the parent's interquartile range. Defaults: 10 pairs, seed 14,
+# every workload BENCHMARK.json names. Needs bash, git, cargo and python3
+# (its standard library only); changes nothing under benchmark/.
 set -euo pipefail
 
 repo="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage="usage: $0 PARENT_REV [--pairs N] [--seed S] [--seconds T] [--parent-dir DIR] [--out FILE] [workload…]"
+usage="usage: $0 PARENT_REV [--pairs N] [--seed S] [workload…]"
 (($#)) || { echo "$usage" >&2; exit 2; }
 rev="$1"
 shift
 pairs=10
 seed=14
-seconds=15
-parent_dir=""
-out="bench_pairs.json"
+out="$repo/bench_pairs.json"
 workloads=()
 while (($#)); do
     case "$1" in
         --pairs) pairs="$2"; shift ;;
         --seed) seed="$2"; shift ;;
-        --seconds) seconds="$2"; shift ;;
-        --parent-dir) parent_dir="$2"; shift ;;
-        --out) out="$2"; shift ;;
         -*) echo "$usage" >&2; exit 2 ;;
         *) workloads+=("$1") ;;
     esac
     shift
 done
+seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$repo/BENCHMARK.json")"
 if ((${#workloads[@]} == 0)); then
     mapfile -t workloads < <(python3 -c '
 import json, sys
@@ -53,23 +48,17 @@ for w in json.load(open(sys.argv[1]))["workloads"]:
 fi
 
 scratch="$(mktemp -d)"
-worktree=""
+worktree="$scratch/parent"
 cleanup() {
-    if [[ -n "$worktree" ]]; then
-        git -C "$repo" worktree remove --force "$worktree" || true
-    fi
+    git -C "$repo" worktree remove --force "$worktree" 2>/dev/null || true
     rm -rf "$scratch"
 }
 trap cleanup EXIT
-if [[ -z "$parent_dir" ]]; then
-    worktree="$scratch/parent"
-    git -C "$repo" worktree add --quiet --detach "$worktree" "$rev"
-    parent_dir="$worktree"
-fi
-parent_rev="$(git -C "$parent_dir" rev-parse --short HEAD)"
+git -C "$repo" worktree add --quiet --detach "$worktree" "$rev"
+parent_rev="$(git -C "$worktree" rev-parse --short HEAD)"
 
 # Build both sides before the first timed run.
-for dir in "$parent_dir" "$repo"; do
+for dir in "$worktree" "$repo"; do
     echo "building $dir/benchmark" >&2
     CARGO_TARGET_DIR="$dir/benchmark/target" \
         cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
@@ -79,7 +68,7 @@ runs="$scratch/runs.jsonl"
 : >"$runs"
 run() { # side pair workload
     local dir="$repo"
-    [[ "$1" == parent ]] && dir="$parent_dir"
+    [[ "$1" == parent ]] && dir="$worktree"
     local result
     result="$(env -u CARGO_TARGET_DIR bash "$dir/benchmark/run.sh" --workload "$3" \
         --seed "$seed" --seconds "$seconds" --trace 0 2>>"$scratch/stderr.log" | tail -n 1)" || true
@@ -163,8 +152,8 @@ for w in dict.fromkeys(r["workload"] for r in runs):
 
 json.dump({
     "parent": parent_rev,
-    "how": f"scripts/bench_pairs.sh {parent_rev} --pairs {pairs} --seed {seed} "
-           f"--seconds {seconds}: benchmark/run.sh --workload W --seed {seed} "
+    "how": f"scripts/bench_pairs.sh {parent_rev} --pairs {pairs} --seed {seed}: "
+           f"benchmark/run.sh --workload W --seed {seed} "
            f"--seconds {seconds} --trace 0, parent first in odd pairs and change "
            "first in even pairs; quartiles inclusive",
     "pairs": block,
