@@ -59,8 +59,9 @@
 //! once, as in the paper's §4.4 sharing experiment) therefore do not all
 //! serialize on one mutex.
 //!
-//! Each shard holds its first channel inline and allocates a hash table
-//! only when a second one lands in it. A node with at most one channel per
+//! Each shard holds its first channel inline and boxes a hash table only
+//! while a second one is in it (an empty shard's overflow costs one
+//! pointer). A node with at most one channel per
 //! shard — every node of the `world_ring` benchmark — therefore dispatches
 //! by comparing one id, with no hash and no separately allocated table to
 //! fetch; RPC and GridCCM nodes (2–12 channels) use the tables.
@@ -146,22 +147,26 @@ enum ChannelEntry {
 }
 
 /// One registry shard: its first channel inline, any further ones in a
-/// map whose table is allocated only when a second channel lands in the
-/// shard. A node with one channel per shard (every `world_ring` node)
+/// boxed map that exists only while a second channel is in the shard. A node with one channel per shard (every `world_ring` node)
 /// dispatches by comparing one id, with no hash probe and no table to
 /// fetch.
 #[derive(Default)]
 struct Shard {
     first: Option<(ChannelId, ChannelEntry)>,
     /// Present only while the shard holds two channels or more.
-    extra: Option<Box<HashMap<ChannelId, ChannelEntry>>>,
+    extra: Option<Box<Overflow>>,
 }
+
+/// A shard's channels past its first. Boxed in the shard, so a shard
+/// without any costs one pointer rather than an empty map.
+#[derive(Default)]
+struct Overflow(HashMap<ChannelId, ChannelEntry>);
 
 impl Shard {
     fn get_mut(&mut self, channel: ChannelId) -> Option<&mut ChannelEntry> {
         match &mut self.first {
             Some((ch, entry)) if *ch == channel => Some(entry),
-            _ => self.extra.as_mut()?.get_mut(&channel),
+            _ => self.extra.as_mut()?.0.get_mut(&channel),
         }
     }
 
@@ -172,14 +177,14 @@ impl Shard {
         } else if self.first.is_none() {
             self.first = Some((channel, entry));
         } else {
-            self.extra.get_or_insert_default().insert(channel, entry);
+            self.extra.get_or_insert_default().0.insert(channel, entry);
         }
     }
 
     /// Take `channel`'s entry out. A removed inline channel makes room
     /// for one from the map, and an emptied map is dropped.
     fn remove(&mut self, channel: ChannelId) -> Option<ChannelEntry> {
-        let extra = self.extra.as_mut();
+        let extra = self.extra.as_mut().map(|extra| &mut extra.0);
         let entry = if self.first.as_ref().is_some_and(|(ch, _)| *ch == channel) {
             let promoted = extra.and_then(|map| {
                 let ch = *map.keys().next()?;
@@ -189,7 +194,7 @@ impl Shard {
         } else {
             extra?.remove(&channel)
         };
-        if self.extra.as_ref().is_some_and(|map| map.is_empty()) {
+        if self.extra.as_ref().is_some_and(|extra| extra.0.is_empty()) {
             self.extra = None;
         }
         entry
@@ -198,7 +203,7 @@ impl Shard {
     /// Channels the shard holds, handled or parked.
     #[cfg(test)]
     fn len(&self) -> usize {
-        usize::from(self.first.is_some()) + self.extra.as_ref().map_or(0, |map| map.len())
+        usize::from(self.first.is_some()) + self.extra.as_ref().map_or(0, |extra| extra.0.len())
     }
 }
 

@@ -175,7 +175,7 @@ impl ResourceTimeline {
     /// to `end` (the request occupies the caller until the resource is done,
     /// e.g. a blocking DMA) or forwards `end` as a message timestamp.
     pub fn reserve(&self, not_before: Vt, dur: VtDuration) -> Reservation {
-        place(&mut *self.busy.lock(), not_before, dur)
+        place(&mut self.busy.lock(), not_before, dur)
     }
 
     /// First instant at or after `t` at which the resource is idle.
@@ -216,117 +216,12 @@ pub struct RetiringTimeline {
 
 #[derive(Debug, Default)]
 struct History {
-    busy: TxBusy,
+    /// Sorted, disjoint, non-touching busy intervals `[start, end)`.
+    busy: Vec<(Vt, Vt)>,
     requester: Requester,
     /// The reading of the last retiring request: every interval ending at
     /// or before it is gone.
     retired: Vt,
-}
-
-/// Busy intervals a [`RetiringTimeline`] holds inline. While one clock
-/// retires history, at most one interval survives a retirement (each
-/// starts at or before the reading, or touches its predecessor, so all
-/// the survivors overlap the reading) and the request adds one more.
-const INLINE_TX: usize = 2;
-
-/// The sorted, disjoint, non-touching busy intervals `[start, end)` of a
-/// [`RetiringTimeline`]: inline in the timeline (no allocation) until a
-/// request needs more than [`INLINE_TX`], which only happens once a
-/// second clock has stopped retirement; then a `Vec`.
-#[derive(Debug)]
-enum TxBusy {
-    Inline(u8, [(Vt, Vt); INLINE_TX]),
-    Spilled(Vec<(Vt, Vt)>),
-}
-
-impl Default for TxBusy {
-    fn default() -> Self {
-        TxBusy::Inline(0, [(0, 0); INLINE_TX])
-    }
-}
-
-impl TxBusy {
-    /// Drop every interval that ends at or before `now`.
-    fn retire(&mut self, now: Vt) {
-        let past = self.as_ref().partition_point(|&(_, end)| end <= now);
-        match self {
-            TxBusy::Inline(len, busy) => {
-                busy.copy_within(past..usize::from(*len), 0);
-                *len -= past as u8;
-            }
-            TxBusy::Spilled(busy) => drop(busy.drain(..past)),
-        }
-    }
-}
-
-/// Sorted, disjoint, non-touching busy intervals that [`place`] reads and
-/// inserts into.
-trait Intervals: AsRef<[(Vt, Vt)]> + AsMut<[(Vt, Vt)]> {
-    fn insert_at(&mut self, at: usize, interval: (Vt, Vt));
-    fn remove_at(&mut self, at: usize);
-}
-
-impl Intervals for Vec<(Vt, Vt)> {
-    fn insert_at(&mut self, at: usize, interval: (Vt, Vt)) {
-        let len = self.len();
-        if len == self.capacity() {
-            // Double up to 64 intervals, then grow by an eighth: a
-            // 100k-node world holds a few dozen per NIC, where doubling
-            // 64 → 128 would add 200 MiB at once.
-            self.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
-        }
-        self.insert(at, interval);
-    }
-
-    fn remove_at(&mut self, at: usize) {
-        self.remove(at);
-    }
-}
-
-impl AsRef<[(Vt, Vt)]> for TxBusy {
-    fn as_ref(&self) -> &[(Vt, Vt)] {
-        match self {
-            TxBusy::Inline(len, busy) => &busy[..usize::from(*len)],
-            TxBusy::Spilled(busy) => busy,
-        }
-    }
-}
-
-impl AsMut<[(Vt, Vt)]> for TxBusy {
-    fn as_mut(&mut self) -> &mut [(Vt, Vt)] {
-        match self {
-            TxBusy::Inline(len, busy) => &mut busy[..usize::from(*len)],
-            TxBusy::Spilled(busy) => busy,
-        }
-    }
-}
-
-impl Intervals for TxBusy {
-    fn insert_at(&mut self, at: usize, interval: (Vt, Vt)) {
-        match self {
-            TxBusy::Inline(len, busy) if usize::from(*len) < INLINE_TX => {
-                busy.copy_within(at..usize::from(*len), at + 1);
-                busy[at] = interval;
-                *len += 1;
-            }
-            TxBusy::Inline(_, busy) => {
-                let mut spilled = busy.to_vec();
-                spilled.insert_at(at, interval);
-                *self = TxBusy::Spilled(spilled);
-            }
-            TxBusy::Spilled(busy) => busy.insert_at(at, interval),
-        }
-    }
-
-    fn remove_at(&mut self, at: usize) {
-        match self {
-            TxBusy::Inline(len, busy) => {
-                busy.copy_within(at + 1..usize::from(*len), at);
-                *len -= 1;
-            }
-            TxBusy::Spilled(busy) => busy.remove_at(at),
-        }
-    }
 }
 
 /// Who has reserved a [`RetiringTimeline`] so far.
@@ -374,7 +269,8 @@ impl RetiringTimeline {
             Requester::Many => false,
         };
         if own {
-            h.busy.retire(now);
+            let past = h.busy.partition_point(|&(_, end)| end <= now);
+            h.busy.drain(..past);
             h.retired = now;
         } else {
             if now < h.retired {
@@ -390,29 +286,22 @@ impl RetiringTimeline {
 
     /// Busy intervals held: what retirement has left of the history.
     pub fn retained(&self) -> usize {
-        self.history.lock().busy.as_ref().len()
-    }
-
-    /// Whether the history has outgrown its inline intervals.
-    #[cfg(test)]
-    fn spilled(&self) -> bool {
-        matches!(self.history.lock().busy, TxBusy::Spilled(_))
+        self.history.lock().busy.len()
     }
 }
 
 /// Grant `dur` at the earliest idle instant of `busy` at or after
 /// `not_before`, and record it.
-fn place(busy: &mut impl Intervals, not_before: Vt, dur: VtDuration) -> Reservation {
-    let list = busy.as_ref();
+fn place(busy: &mut Vec<(Vt, Vt)>, not_before: Vt, dur: VtDuration) -> Reservation {
     if dur == 0 {
         // Zero-length use never occupies the resource; it starts (and
         // ends) at the first instant the resource is idle.
-        let start = next_idle(list, not_before);
+        let start = next_idle(busy, not_before);
         return Reservation { start, end: start };
     }
     let mut start = not_before;
-    let mut at = list.len();
-    for (i, &(s, e)) in list.iter().enumerate() {
+    let mut at = busy.len();
+    for (i, &(s, e)) in busy.iter().enumerate() {
         if start + dur <= s {
             at = i;
             break;
@@ -422,17 +311,25 @@ fn place(busy: &mut impl Intervals, not_before: Vt, dur: VtDuration) -> Reservat
     let end = start + dur;
     // Insert, coalescing with a touching predecessor and/or successor so
     // the list stays short under back-to-back packing.
-    let merge_prev = at > 0 && list[at - 1].1 == start;
-    let merge_next = at < list.len() && list[at].0 == end;
+    let merge_prev = at > 0 && busy[at - 1].1 == start;
+    let merge_next = at < busy.len() && busy[at].0 == end;
     match (merge_prev, merge_next) {
         (true, true) => {
-            let list = busy.as_mut();
-            list[at - 1].1 = list[at].1;
-            busy.remove_at(at);
+            busy[at - 1].1 = busy[at].1;
+            busy.remove(at);
         }
-        (true, false) => busy.as_mut()[at - 1].1 = end,
-        (false, true) => busy.as_mut()[at].0 = start,
-        (false, false) => busy.insert_at(at, (start, end)),
+        (true, false) => busy[at - 1].1 = end,
+        (false, true) => busy[at].0 = start,
+        (false, false) => {
+            let len = busy.len();
+            if len == busy.capacity() {
+                // Double up to 64 intervals, then grow by an eighth: a
+                // 100k-node world holds a few dozen per NIC, where
+                // doubling 64 → 128 would add 200 MiB at once.
+                busy.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
+            }
+            busy.insert(at, (start, end))
+        }
     }
     Reservation { start, end }
 }
@@ -605,9 +502,8 @@ mod tests {
     /// transmit start), checked grant by grant against the full history.
     /// Node 0's clock is shared by two threads; every other node has one.
     /// In half the cases one more thread reserves some node's transmit
-    /// engine from a second clock of its own: that stops retirement, so
-    /// the node's history outgrows its inline intervals, and a reading
-    /// behind what was retired must be refused. A step holds the world
+    /// engine from a second clock of its own: that stops retirement, and
+    /// a reading behind what was retired must be refused. A step holds the world
     /// lock from reading its clock to moving it, so the shadow sees the
     /// reading the retiring engine took.
     fn retiring_tx_case(rng: &mut proptest::TestRng, steps: u64) {
@@ -690,38 +586,37 @@ mod tests {
         }
         for (i, n) in world.lock().iter().enumerate() {
             assert!(n.tx.retained() <= n.tx_full.retained());
-            if Some(i) == intruded {
-                // Grants stayed exact past the inline capacity.
-                assert!(n.tx.spilled(), "node {i}: {} intervals", n.tx.retained());
-            } else {
-                assert!(!n.tx.spilled(), "one clock spilled node {i}");
+            if Some(i) != intruded {
+                // One clock keeps at most the interval that overlaps its
+                // last reading plus the one it placed.
+                assert!(n.tx.retained() <= 2, "node {i}: {} intervals", n.tx.retained());
             }
         }
     }
 
     #[test]
-    fn inline_history_stays_exact_through_a_second_clock() {
+    fn history_stays_exact_through_a_second_clock() {
         let (tx, full) = (RetiringTimeline::new(), ResourceTimeline::new());
         let (owner, other) = (SimClock::new(), SimClock::starting_at(1_000));
         let reserve = |clock: &SimClock, dur| {
             let (now, granted) = (clock.now(), tx.reserve(clock, dur).unwrap());
             assert_eq!(granted, full.reserve(now, dur), "at {now}");
-            (tx.retained(), tx.spilled())
+            tx.retained()
         };
         // Claimed by the owner, which keeps nothing of a zero-length use.
-        assert_eq!(reserve(&owner, 0), (0, false));
+        assert_eq!(reserve(&owner, 0), 0);
         // The other clock stops retirement, ahead of the owner...
-        assert_eq!(reserve(&other, 100), (1, false));
+        assert_eq!(reserve(&other, 100), 1);
         // ...so the owner's next interval goes in front of it,
-        assert_eq!(reserve(&owner, 50), (2, false));
+        assert_eq!(reserve(&owner, 50), 2);
         // one filling the gap exactly merges all three,
-        assert_eq!(reserve(&owner, 950), (1, false));
+        assert_eq!(reserve(&owner, 950), 1);
         other.merge_to(5_000);
-        assert_eq!(reserve(&other, 10), (2, false));
-        // and a third interval spills the history to the heap.
+        assert_eq!(reserve(&other, 10), 2);
+        // and nothing is retired any more.
         other.merge_to(7_000);
-        assert_eq!(reserve(&other, 10), (3, true));
-        assert_eq!(reserve(&owner, 10), (3, true));
+        assert_eq!(reserve(&other, 10), 3);
+        assert_eq!(reserve(&owner, 10), 3);
     }
 
     proptest::proptest! {

@@ -28,23 +28,22 @@ use std::time::Duration;
 
 const NODES: usize = 10_000;
 /// `(allocations, live bytes)` per node for `Topology` construction
-/// (measured: 1 and 272, the NIC's transmit history inline in its slot),
-/// with ~10 % headroom.
-const TOPOLOGY_BUDGET: (f64, f64) = (1.1, 300.0);
+/// (measured: 1 and 256), with ~10 % headroom.
+const TOPOLOGY_BUDGET: (f64, f64) = (1.1, 270.0);
 /// `(allocations, live bytes)` per node for `PadicoTM::boot_all`
-/// (measured: 5 and 536–546; the world scheduler is every node's port sink,
+/// (measured: 5 and 456–466; the world scheduler is every node's port sink,
 /// so no node allocates one, and each registry shard holds room for its
 /// first channel), with ~10 % headroom.
-const BOOT_BUDGET: (f64, f64) = (5.5, 600.0);
+const BOOT_BUDGET: (f64, f64) = (5.5, 515.0);
 /// `(allocations, live bytes)` per node for claiming one channel on every
 /// booted node (measured: 1 and 16, the handler alone: a registry shard
 /// holds its first channel inline), with ~10 % headroom.
 const CHANNEL_BUDGET: (f64, f64) = (1.1, 18.0);
 /// `(allocations, live bytes)` per node for one 16-byte hop from every
-/// node to the next, delivered (measured: 6.0–7.4 and 82–128; the spread
-/// is event records the scheduler's shelf keeps when its worker falls
-/// behind the sends), with ~10 % headroom over the worst run.
-const HOP_BUDGET: (f64, f64) = (8.2, 140.0);
+/// node to the next, delivered (measured: 7.02 and 130.1, the same in
+/// debug and release builds and on a loaded host: see [`HOP_BATCH`]),
+/// with ~10 % headroom.
+const HOP_BUDGET: (f64, f64) = (7.7, 143.0);
 
 struct Counting;
 
@@ -150,6 +149,13 @@ fn world_boot_stays_within_its_per_node_budget() {
     assert_within("PadicoTM::boot_all", cost, BOOT_BUDGET);
 }
 
+/// Hops sent between two waits for quiescence. The world-level buffers a
+/// hop passes through (the scheduler's event records and heap shards, the
+/// payload slab shelf, which keeps 64 slabs per size class) then never
+/// hold more than one batch, however the workers keep up with the sends:
+/// under 2 B and 0.02 allocations per node.
+const HOP_BATCH: usize = 64;
+
 #[test]
 fn first_channel_and_hop_stay_within_their_per_node_budgets() {
     let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -162,15 +168,23 @@ fn first_channel_and_hop_stay_within_their_per_node_budgets() {
         }
     });
     assert_within("one channel", cost, CHANNEL_BUDGET);
+    // The scheduler's lane log is world-level too, and grows with how
+    // the workers batch: it starts empty and is emptied again before the
+    // count is read.
+    topo.sched().clear_lanes();
     let fabric = topo.fabrics()[0].id();
     let ((), cost) = per_node(|| {
-        for (i, tm) in tms.iter().enumerate() {
-            let next = tms[(i + 1) % NODES].net().node();
-            tm.net()
-                .send(fabric, next, ch, Payload::from_vec(vec![0; 16]))
-                .unwrap();
+        for start in (0..NODES).step_by(HOP_BATCH) {
+            for i in start..(start + HOP_BATCH).min(NODES) {
+                let next = tms[(i + 1) % NODES].net().node();
+                tms[i]
+                    .net()
+                    .send(fabric, next, ch, Payload::from_vec(vec![0; 16]))
+                    .unwrap();
+            }
+            assert!(topo.sched().quiesce(Duration::from_secs(60)), "every hop lands");
         }
-        assert!(topo.sched().quiesce(Duration::from_secs(60)), "every hop lands");
+        topo.sched().clear_lanes();
     });
     assert_within("first hop", cost, HOP_BUDGET);
 }
