@@ -47,11 +47,11 @@ for w in json.load(open(sys.argv[1]))["workloads"]:
     print(w["name"])' "$repo/BENCHMARK.json")
 fi
 
-scratch="$(mktemp -d)"
-worktree="$scratch/parent"
+tmp="$(mktemp -d)"
+worktree="$tmp/parent"
 cleanup() {
     git -C "$repo" worktree remove --force "$worktree" 2>/dev/null || true
-    rm -rf "$scratch"
+    rm -rf "$tmp"
 }
 trap cleanup EXIT
 git -C "$repo" worktree add --quiet --detach "$worktree" "$rev"
@@ -64,14 +64,14 @@ for dir in "$worktree" "$repo"; do
         cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
 done
 
-runs="$scratch/runs.jsonl"
+runs="$tmp/runs.jsonl"
 : >"$runs"
 run() { # side pair workload
     local dir="$repo"
     [[ "$1" == parent ]] && dir="$worktree"
     local result
     result="$(env -u CARGO_TARGET_DIR bash "$dir/benchmark/run.sh" --workload "$3" \
-        --seed "$seed" --seconds "$seconds" --trace 0 2>>"$scratch/stderr.log" | tail -n 1)" || true
+        --seed "$seed" --seconds "$seconds" --trace 0 2>>"$tmp/stderr.log" | tail -n 1)" || true
     [[ "$result" == "{"* ]] || result=null
     printf '{"side": "%s", "pair": %s, "workload": "%s", "result": %s}\n' \
         "$1" "$2" "$3" "$result" >>"$runs"
