@@ -410,7 +410,7 @@ impl SimFabric {
             let _ = tx.send(msg);
         });
         let mut endpoint = self.attach_inner(node, None, client, sink)?;
-        endpoint.inbox = Some(Mutex::new(rx));
+        endpoint.inbox = Some(Box::new(Mutex::new(rx)));
         Ok(endpoint)
     }
 
@@ -475,7 +475,6 @@ impl SimFabric {
             fabric: Arc::clone(self),
             addr: EndpointAddr { node, port },
             inbox: None,
-            client,
         })
     }
 
@@ -695,17 +694,17 @@ pub struct FabricEndpoint {
     fabric: Arc<SimFabric>,
     addr: EndpointAddr,
     /// The queue an [`SimFabric::attach`] endpoint's sink feeds; `None`
-    /// when the caller supplied the sink.
-    inbox: Option<Mutex<Receiver<Message>>>,
-    client: &'static str,
+    /// when the caller supplied the sink. Boxed: the arbitration layer's
+    /// endpoints, one inline in every node, have none.
+    inbox: Option<Box<Mutex<Receiver<Message>>>>,
 }
 
 impl fmt::Debug for FabricEndpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "FabricEndpoint({} on {} as `{}`)",
-            self.addr, self.fabric.id, self.client
+            "FabricEndpoint({} on {})",
+            self.addr, self.fabric.id
         )
     }
 }

@@ -7,6 +7,11 @@
 //! (Mico/ORBacus-style) instead calls [`Payload::to_contiguous`] /
 //! [`Payload::copy_from`], which really move the bytes *and* can be charged
 //! to a virtual clock by the caller.
+//!
+//! Most payloads are one segment (every fabric kernel copy, every
+//! `world_ring` token), so the first segment is held inline: building,
+//! cloning or dropping a one-segment payload allocates nothing for the
+//! list, which goes on the heap only from the second segment on.
 
 use bytes::{Bytes, BytesMut};
 use std::fmt;
@@ -14,8 +19,40 @@ use std::fmt;
 /// A message body as a list of byte segments.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Payload {
-    segments: Vec<Bytes>,
+    segments: Segments,
     len: usize,
+}
+
+/// A payload's segments, never empty ones: none, one inline, or a heap
+/// list once there are two or more. The form follows from the count, so
+/// two payloads with equal segments compare equal.
+#[derive(Clone, Default, PartialEq, Eq)]
+enum Segments {
+    #[default]
+    None,
+    One(Bytes),
+    Many(Vec<Bytes>),
+}
+
+impl Segments {
+    fn as_slice(&self) -> &[Bytes] {
+        match self {
+            Segments::None => &[],
+            Segments::One(b) => std::slice::from_ref(b),
+            Segments::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, b: Bytes) {
+        *self = match std::mem::take(self) {
+            Segments::None => Segments::One(b),
+            Segments::One(a) => Segments::Many(vec![a, b]),
+            Segments::Many(mut v) => {
+                v.push(b);
+                Segments::Many(v)
+            }
+        };
+    }
 }
 
 impl Payload {
@@ -31,9 +68,9 @@ impl Payload {
 
     /// Payload with one segment (no copy).
     pub fn from_bytes(b: Bytes) -> Self {
-        let len = b.len();
-        let segments = if len == 0 { Vec::new() } else { vec![b] };
-        Payload { segments, len }
+        let mut p = Payload::new();
+        p.push_segment(b);
+        p
     }
 
     /// Payload copied from a slice (one copy, as the caller requests).
@@ -53,17 +90,27 @@ impl Payload {
     /// Append another payload's segments by reference (no copy).
     ///
     /// Bulk move: `other` already excludes empty segments (the
-    /// [`Payload::push_segment`] invariant), so the whole segment vector
+    /// [`Payload::push_segment`] invariant), so a multi-segment list
     /// transfers in one `Vec::append` and `len` updates once.
-    pub fn append(&mut self, mut other: Payload) {
+    pub fn append(&mut self, other: Payload) {
+        match (&mut self.segments, other.segments) {
+            (Segments::Many(mine), Segments::Many(mut theirs)) => mine.append(&mut theirs),
+            (Segments::None, theirs) => self.segments = theirs,
+            (_, Segments::None) => {}
+            (_, Segments::One(b)) => self.segments.push(b),
+            (_, Segments::Many(theirs)) => {
+                for b in theirs {
+                    self.segments.push(b);
+                }
+            }
+        }
         self.len += other.len;
-        self.segments.append(&mut other.segments);
     }
 
     /// The first byte of the payload, if any — a peek that never copies
     /// or flattens. Protocol layers use this for 1-byte kind tags.
     pub fn first_byte(&self) -> Option<u8> {
-        self.segments.first().and_then(|s| s.first()).copied()
+        self.segs().first().and_then(|s| s.first()).copied()
     }
 
     /// Total byte length.
@@ -76,20 +123,24 @@ impl Payload {
         self.len == 0
     }
 
+    fn segs(&self) -> &[Bytes] {
+        self.segments.as_slice()
+    }
+
     /// Number of segments (1 for a freshly built contiguous payload).
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.segs().len()
     }
 
     /// Number of segments — `bytes`-style accessor so callers need not
     /// materialize an iterator just to count.
     pub fn segments_len(&self) -> usize {
-        self.segments.len()
+        self.segs().len()
     }
 
     /// Iterate over the segments.
     pub fn segments(&self) -> impl Iterator<Item = &Bytes> {
-        self.segments.iter()
+        self.segs().iter()
     }
 
     /// A contiguous view. If the payload is already a single segment this
@@ -97,12 +148,12 @@ impl Payload {
     /// copied** into one buffer — callers on a metered path must charge the
     /// copy to their clock (see [`crate::model::charge_copy`]).
     pub fn to_contiguous(&self) -> Bytes {
-        match self.segments.len() {
-            0 => Bytes::new(),
-            1 => self.segments[0].clone(),
-            _ => {
+        match &self.segments {
+            Segments::None => Bytes::new(),
+            Segments::One(b) => b.clone(),
+            Segments::Many(segs) => {
                 let mut buf = BytesMut::with_capacity(self.len);
-                for seg in &self.segments {
+                for seg in segs {
                     buf.extend_from_slice(seg);
                 }
                 buf.freeze()
@@ -112,13 +163,13 @@ impl Payload {
 
     /// Whether [`Payload::to_contiguous`] would physically copy.
     pub fn needs_copy_for_contiguous(&self) -> bool {
-        self.segments.len() > 1
+        self.segment_count() > 1
     }
 
     /// True if the payload is at most one segment — a contiguous view is
     /// free and every byte is addressable through a single `Bytes`.
     pub fn is_contiguous(&self) -> bool {
-        self.segments.len() <= 1
+        self.segment_count() <= 1
     }
 
     /// Split into the first `at` bytes and the rest, both as payloads
@@ -135,7 +186,7 @@ impl Payload {
         let mut head = Payload::new();
         let mut tail = Payload::new();
         let mut consumed = 0usize;
-        for seg in &self.segments {
+        for seg in self.segs() {
             if consumed >= at {
                 tail.push_segment(seg.clone());
             } else if consumed + seg.len() <= at {
@@ -156,7 +207,7 @@ impl Payload {
     /// last reference to the resulting `Bytes` drops.
     pub fn to_pooled_contiguous(&self) -> Bytes {
         let mut buf = pool::lease(self.len);
-        for seg in &self.segments {
+        for seg in self.segs() {
             buf.extend_from_slice(seg);
         }
         buf.freeze()
@@ -165,7 +216,7 @@ impl Payload {
     /// Copy out into a fresh `Vec<u8>` (always a physical copy).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len);
-        for seg in &self.segments {
+        for seg in self.segs() {
             v.extend_from_slice(seg);
         }
         v
@@ -186,7 +237,7 @@ impl Payload {
             let mut chunk = Payload::new();
             let mut remaining = want;
             while remaining > 0 {
-                let seg = &self.segments[seg_idx];
+                let seg = &self.segs()[seg_idx];
                 let avail = seg.len() - seg_off;
                 let take = avail.min(remaining);
                 chunk.push_segment(seg.slice(seg_off..seg_off + take));
@@ -210,20 +261,28 @@ impl Payload {
 /// profiles, kernel-copy receives) used to allocate a fresh `Vec` per
 /// message. [`lease`] instead hands out a recycled slab of the next
 /// size class up; [`PooledBuf::freeze`] turns it into an immutable
-/// [`Bytes`] whose backing `Vec` flows back onto the shelf when the
+/// [`Bytes`] whose backing `Vec` flows back onto a shelf when the
 /// last reference drops — even if a receiver held the segment for a
 /// while. Steady-state traffic therefore allocates nothing.
 ///
-/// Counters live in module-local atomics (not the metrics registry):
-/// pool traffic depends on wall-clock thread interleaving, and the
-/// registry's renders must stay byte-identical across same-seed chaos
-/// runs. [`stats`] exposes them; the observability layer folds them
-/// into snapshots as `pool.*`.
+/// Like `malloc`'s thread caches, each thread first serves itself from a
+/// small shelf of its own (classes up to 4 KiB, [`LOCAL_CAP`] slabs
+/// each) and only then from the process-wide shelves behind one mutex.
+/// A scheduler worker that both sends and receives — every kernel copy
+/// of a `world_ring` hop is leased by the sender and returned by the
+/// receiver — therefore takes no process-wide lock in steady state.
+///
+/// Counters are striped per thread ([`padico_util::stripe`]), not kept
+/// in the metrics registry: pool traffic depends on wall-clock thread
+/// interleaving, and the registry's renders must stay byte-identical
+/// across same-seed chaos runs. [`stats`] sums them; the observability
+/// layer folds them into snapshots as `pool.*`.
 pub mod pool {
     use bytes::Bytes;
+    use padico_util::stripe::Striped;
     use parking_lot::Mutex;
+    use std::cell::RefCell;
     use std::ops::{Deref, DerefMut};
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// Slab size classes, 64 B to 1 MiB. A lease rounds up to the next
     /// class; larger requests are served exactly (and shelved by their
@@ -239,17 +298,35 @@ pub mod pool {
         1 << 20,
     ];
 
-    /// At most this many idle slabs kept per class; surplus returns are
-    /// simply freed.
+    /// At most this many idle slabs kept per class on the process-wide
+    /// shelves; surplus returns are simply freed.
     const PER_CLASS_CAP: usize = 64;
+
+    /// Classes a thread shelves for itself: up to 4 KiB, where the lock
+    /// would cost as much as the copy. Larger slabs go straight to the
+    /// process-wide shelves.
+    const LOCAL_CLASSES: usize = 4;
+
+    /// Idle slabs a thread keeps per class before returns spill to the
+    /// process-wide shelves (at most ~170 KiB a thread).
+    pub const LOCAL_CAP: usize = 32;
 
     /// Idle slabs, one shelf per size class (lazily sized on first use).
     static SHELVES: Mutex<Vec<Vec<Vec<u8>>>> = Mutex::new(Vec::new());
 
-    static HITS: AtomicU64 = AtomicU64::new(0);
-    static MISSES: AtomicU64 = AtomicU64::new(0);
-    static RETURNS: AtomicU64 = AtomicU64::new(0);
-    static OUTSTANDING: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        /// The calling thread's own shelves, one per class below
+        /// [`LOCAL_CLASSES`]. Freed with the thread.
+        static LOCAL: RefCell<[Vec<Vec<u8>>; LOCAL_CLASSES]> =
+            const { RefCell::new([const { Vec::new() }; LOCAL_CLASSES]) };
+    }
+
+    static HITS: Striped = Striped::new();
+    static MISSES: Striped = Striped::new();
+    static RETURNS: Striped = Striped::new();
+    /// Raised by a lease and lowered by a return, possibly on another
+    /// thread's stripe: only the sum means anything.
+    static OUTSTANDING: Striped = Striped::new();
 
     /// A point-in-time view of the pool counters.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -266,13 +343,13 @@ pub mod pool {
         pub outstanding: u64,
     }
 
-    /// Current pool counters.
+    /// Current pool counters, summed over every thread's stripe.
     pub fn stats() -> PoolStats {
         PoolStats {
-            hits: HITS.load(Relaxed),
-            misses: MISSES.load(Relaxed),
-            returns: RETURNS.load(Relaxed),
-            outstanding: OUTSTANDING.load(Relaxed),
+            hits: HITS.sum(),
+            misses: MISSES.sum(),
+            returns: RETURNS.sum(),
+            outstanding: OUTSTANDING.sum(),
         }
     }
 
@@ -300,9 +377,23 @@ pub mod pool {
         CLASS_SIZES.iter().position(|&c| c >= min)
     }
 
+    /// Pop an idle slab of `class`: the thread's own shelf first.
+    fn take(class: usize) -> Option<Vec<u8>> {
+        if class < LOCAL_CLASSES {
+            let local = LOCAL
+                .try_with(|shelves| shelves.borrow_mut()[class].pop())
+                .ok()
+                .flatten();
+            if local.is_some() {
+                return local;
+            }
+        }
+        SHELVES.lock().get_mut(class).and_then(Vec::pop)
+    }
+
     fn give_back(vec: Vec<u8>) {
-        RETURNS.fetch_add(1, Relaxed);
-        OUTSTANDING.fetch_sub(1, Relaxed);
+        RETURNS.add(1);
+        OUTSTANDING.sub(1);
         note_thread(|s| {
             s.returns += 1;
             s.outstanding = s.outstanding.wrapping_sub(1);
@@ -311,6 +402,17 @@ pub mod pool {
         let Some(class) = CLASS_SIZES.iter().rposition(|&c| c <= vec.capacity()) else {
             return;
         };
+        let mut vec = Some(vec);
+        if class < LOCAL_CLASSES {
+            // Unavailable only while the thread's locals are torn down.
+            let _ = LOCAL.try_with(|shelves| {
+                let shelf = &mut shelves.borrow_mut()[class];
+                if shelf.len() < LOCAL_CAP {
+                    shelf.extend(vec.take());
+                }
+            });
+        }
+        let Some(vec) = vec else { return };
         let mut shelves = SHELVES.lock();
         if shelves.is_empty() {
             shelves.resize_with(CLASS_SIZES.len(), Vec::new);
@@ -323,20 +425,16 @@ pub mod pool {
 
     /// Lease a cleared slab with capacity for at least `min` bytes.
     pub fn lease(min: usize) -> PooledBuf {
-        OUTSTANDING.fetch_add(1, Relaxed);
+        OUTSTANDING.add(1);
         note_thread(|s| s.outstanding = s.outstanding.wrapping_add(1));
         if let Some(class) = class_for_lease(min) {
-            let recycled = {
-                let mut shelves = SHELVES.lock();
-                shelves.get_mut(class).and_then(Vec::pop)
-            };
-            if let Some(mut vec) = recycled {
-                HITS.fetch_add(1, Relaxed);
+            if let Some(mut vec) = take(class) {
+                HITS.add(1);
                 note_thread(|s| s.hits += 1);
                 vec.clear();
                 return PooledBuf { vec, pooled: true };
             }
-            MISSES.fetch_add(1, Relaxed);
+            MISSES.add(1);
             note_thread(|s| s.misses += 1);
             return PooledBuf {
                 vec: Vec::with_capacity(CLASS_SIZES[class]),
@@ -345,7 +443,7 @@ pub mod pool {
         }
         // Oversize: allocate exactly; the return path shelves it by its
         // real capacity, so giants still recycle.
-        MISSES.fetch_add(1, Relaxed);
+        MISSES.add(1);
         note_thread(|s| s.misses += 1);
         PooledBuf {
             vec: Vec::with_capacity(min),
@@ -416,63 +514,6 @@ pub mod pool {
         }
     }
 
-    /// A free-list of boxed fixed-size records — the event-record
-    /// counterpart of the byte-slab shelves above. The discrete-event
-    /// scheduler ([`crate::sched`]) allocates one small record per
-    /// in-flight delivery event; at steady state every one of them must
-    /// come off this shelf, not the allocator. Instances keep their own
-    /// shelf and hit/miss counts (a scheduler owns exactly one, so a test
-    /// can assert zero misses without reading its neighbours' traffic).
-    #[derive(Debug)]
-    pub struct RecordPool<T> {
-        shelf: Mutex<Vec<Box<T>>>,
-        cap: usize,
-        hits: AtomicU64,
-        misses: AtomicU64,
-    }
-
-    impl<T: Default> RecordPool<T> {
-        /// A pool keeping at most `cap` idle records.
-        pub fn new(cap: usize) -> RecordPool<T> {
-            RecordPool {
-                shelf: Mutex::new(Vec::new()),
-                cap,
-                hits: AtomicU64::new(0),
-                misses: AtomicU64::new(0),
-            }
-        }
-
-        /// Take a record off the shelf (or allocate a fresh default one).
-        /// The record comes back exactly as [`RecordPool::put`] received
-        /// it — callers clear whatever state they store in it.
-        pub fn take(&self) -> Box<T> {
-            if let Some(rec) = self.shelf.lock().pop() {
-                self.hits.fetch_add(1, Relaxed);
-                return rec;
-            }
-            self.misses.fetch_add(1, Relaxed);
-            Box::default()
-        }
-
-        /// This pool's own `(hits, misses)` since it was created.
-        pub fn hits_misses(&self) -> (u64, u64) {
-            (self.hits.load(Relaxed), self.misses.load(Relaxed))
-        }
-
-        /// Return a record; surplus past the cap is simply freed.
-        pub fn put(&self, rec: Box<T>) {
-            let mut shelf = self.shelf.lock();
-            if shelf.len() < self.cap {
-                shelf.push(rec);
-            }
-        }
-
-        /// Idle records currently shelved.
-        pub fn shelved(&self) -> usize {
-            self.shelf.lock().len()
-        }
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
@@ -535,6 +576,32 @@ pub mod pool {
         }
 
         #[test]
+        fn a_warm_thread_leases_without_the_shared_shelves() {
+            // A thread with its own shelf warm leases and returns while
+            // another thread holds the process-wide shelves' lock.
+            let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+            let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                drop(lease(64));
+                ready_tx.send(()).unwrap();
+                go_rx.recv().unwrap();
+                for _ in 0..100 {
+                    drop(pooled_copy(b"token"));
+                }
+                done_tx.send(thread_stats()).unwrap();
+            });
+            ready_rx.recv().unwrap();
+            let held = SHELVES.lock();
+            go_tx.send(()).unwrap();
+            let done = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+            drop(held);
+            let stats = done.expect("leases took the process-wide lock");
+            assert!(stats.hits >= 100, "every lease after the first hit");
+            worker.join().unwrap();
+        }
+
+        #[test]
         fn pooled_copy_matches_source() {
             let b = pooled_copy(b"abcdef");
             assert_eq!(&b[..], b"abcdef");
@@ -548,7 +615,7 @@ impl fmt::Debug for Payload {
             f,
             "Payload({} bytes in {} segments)",
             self.len,
-            self.segments.len()
+            self.segment_count()
         )
     }
 }

@@ -6,12 +6,13 @@
 //! small pool of workers drains the heaps and runs each destination
 //! node's step function inline. This is what lets a single process carry
 //! a 100,000-node topology (the benchmark's `world_ring`): a node costs a
-//! registered handler closure and a few hundred bytes of channel state,
+//! registered step function and a few hundred bytes of channel state,
 //! not an OS thread + stack.
 //!
-//! Handlers run on the workers, so they must not block: on a 2-vCPU
-//! host the pool is a single worker, and a handler waiting for another
-//! delivery would wait for itself.
+//! Handlers run on the workers, so they must not block. A topology's pool
+//! has up to half the cores (see [`crate::topology::Topology::sched`]);
+//! on two cores or fewer it is one worker, and a handler waiting for
+//! another delivery would wait for itself.
 //!
 //! ## Ordering and determinism
 //!
@@ -22,9 +23,11 @@
 //!   progress in virtual-time order and the scheduler owns the
 //!   virtual-time frontier (exposed as [`WorldSched::horizon`]).
 //! * `src` — the sending node, a deterministic tie-break.
-//! * `seq` — a global monotone counter stamped at post time. For any
-//!   single sender thread this preserves program order, so per-channel
-//!   delivery is FIFO.
+//! * `seq` — the destination shard's push counter, stamped under the
+//!   shard's heap lock. A node's events all land in its one shard, so for
+//!   any single sender thread this preserves program order, and
+//!   per-channel delivery is FIFO. The shard counters summed are the
+//!   events ever posted ([`SchedStats::posted`]).
 //!
 //! ## Shards and stealing
 //!
@@ -36,25 +39,33 @@
 //! shards starting from a home offset, so an idle worker steals whole
 //! shards from a busy one rather than sitting parked.
 //!
-//! ## Zero steady-state allocation
+//! ## What an event shares
 //!
-//! Event records are boxed [`EventSlot`]s drawn from a
-//! [`pool::RecordPool`] free-list (same discipline as the byte slabs);
-//! `tests/alloc_steady_state.rs` asserts zero misses once warm.
+//! Event records live inline in their shard's heap: posting one takes
+//! the destination shard's lock and raises the world's `outstanding`
+//! count, and nothing else the workers share. Everything else is paid
+//! once per batch of up to [`BATCH`] events: the handler table's read
+//! lock, the `outstanding` decrement, the virtual-time frontier, and
+//! each worker's own lane (its delivered/dropped/steal counters, lane
+//! samples and `sched.*` series), which no other worker writes.
 //!
-//! ## Parking
+//! ## Parking and quiescence
 //!
 //! A worker with nothing to drain parks on a condvar. It registers in
-//! `parked` and re-checks `pending` under the park lock before waiting;
-//! [`WorldSched::post`] raises `pending` first and notifies *under the
-//! same lock* whenever `parked` is non-zero. Either the poster sees the
-//! parked worker and its notify cannot land before the wait, or the
-//! worker's re-check sees the new event — no wakeup is lost, so the wait
-//! needs no timeout, and a post to a busy pool takes no lock at all.
+//! `parked` and re-checks every shard's queued count under the park lock
+//! before waiting; [`WorldSched::post`] publishes the queued count first
+//! and notifies *under the same lock* whenever `parked` is non-zero.
+//! Either the poster sees the parked worker and its notify cannot land
+//! before the wait, or the worker's re-check sees the new event — no
+//! wakeup is lost, so the wait needs no timeout, and a post to a busy
+//! pool takes no lock at all. [`WorldSched::quiesce`] waits the same way:
+//! the batch that brings `outstanding` to zero notifies under the idle
+//! lock its waiters check under.
 
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -65,7 +76,6 @@ use padico_util::simtime::Vt;
 use padico_util::Telemetry;
 
 use crate::fabric::{Message, PortSink};
-use crate::payload::pool::RecordPool;
 
 /// A node's step function: invoked by a scheduler worker for every event
 /// addressed to the node, never concurrently with itself. Any
@@ -81,7 +91,8 @@ impl<F: Fn(Message) + Send + Sync> NodeStep for F {
     }
 }
 
-/// A registered step function.
+/// A step function, as its owner holds it. The scheduler keeps only a
+/// weak reference ([`WorldSched::register`]).
 pub type NodeHandler = Arc<dyn NodeStep>;
 
 /// How many events a worker pops from a claimed shard per heap-lock
@@ -89,24 +100,16 @@ pub type NodeHandler = Arc<dyn NodeStep>;
 /// so per-node serialization holds).
 const BATCH: usize = 32;
 
-/// Idle records kept per scheduler before surplus is freed.
-const RECORD_SHELF_CAP: usize = 4096;
+/// Batches a lane folds into one `sched.*` series sample.
+const SERIES_BATCHES: u32 = 8;
 
-/// The payload of an event record. Boxed and recycled through the record
-/// pool; the scheduler takes the message out before dispatch and returns
-/// the empty slot to the shelf.
-#[derive(Default)]
-pub struct EventSlot {
-    msg: Option<Message>,
-}
-
-/// A scheduled delivery: heap key plus the recycled payload slot.
+/// A scheduled delivery, held inline in its shard's heap.
 struct EventRec {
     vt: Vt,
     src: u32,
     seq: u64,
     dst: NodeId,
-    slot: Box<EventSlot>,
+    msg: Message,
 }
 
 impl EventRec {
@@ -135,8 +138,20 @@ impl Ord for EventRec {
     }
 }
 
+#[derive(Default)]
+struct Heap {
+    events: BinaryHeap<Reverse<EventRec>>,
+    /// Events ever pushed: the next one's `seq`.
+    pushed: u64,
+}
+
+/// One heap shard, alone on its cache lines.
+#[repr(align(64))]
 struct Shard {
-    heap: Mutex<BinaryHeap<std::cmp::Reverse<EventRec>>>,
+    heap: Mutex<Heap>,
+    /// Events in `heap`, written under its lock, so a worker about to
+    /// park can look at every shard without locking any.
+    queued: AtomicUsize,
     claimed: AtomicBool,
 }
 
@@ -162,17 +177,31 @@ pub struct LaneSample {
     pub stolen: bool,
 }
 
-/// Retained lane samples: a flight-recorder window over the most recent
-/// batches. Older samples are overwritten and counted, never silently
-/// lost. 4 096 × 40 B keeps the window at 160 KiB; a longer log held the
-/// first batches of a process's life and cost megabytes of resident
-/// memory in every long-running world.
+/// Retained lane samples, over all lanes: a flight-recorder window over
+/// the most recent batches. Older samples are overwritten and counted,
+/// never silently lost. 4 096 × 40 B keeps the window at 160 KiB; a
+/// longer log held the first batches of a process's life and cost
+/// megabytes of resident memory in every long-running world.
 const LANE_CAP: usize = 4096;
 
 #[derive(Default)]
 struct LaneLog {
     samples: VecDeque<LaneSample>,
     dropped: u64,
+    /// `sched.*` series totals not yet recorded: batches, events, stolen
+    /// events, and the newest batch's virtual time.
+    series: (u32, u64, u64, Vt),
+}
+
+/// One worker's share of the scheduler's bookkeeping, written by that
+/// worker alone (and by `run_until_idle` callers, who use lane 0).
+#[repr(align(64))]
+#[derive(Default)]
+struct Lane {
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+    steals: AtomicU64,
+    log: Mutex<LaneLog>,
 }
 
 /// Counters for the progress core, reported by the world benches.
@@ -182,7 +211,7 @@ pub struct SchedStats {
     pub posted: u64,
     /// Events dispatched to a registered handler.
     pub delivered: u64,
-    /// Events whose destination had no handler (node gone).
+    /// Events whose destination had no live handler (node gone).
     pub dropped: u64,
     /// Events drained from a shard other than the worker's home shard.
     pub steals: u64,
@@ -198,27 +227,32 @@ pub struct SchedStats {
     pub lane_samples: u64,
     /// Older lane telemetry samples overwritten by newer ones.
     pub lane_dropped: u64,
-    /// Event records this scheduler drew from its record shelf.
-    pub record_hits: u64,
-    /// Event records this scheduler had to allocate (cold shelf).
-    pub record_misses: u64,
+}
+
+/// Per-worker scratch: a popped batch and its resolved handlers.
+struct Scratch {
+    events: Vec<EventRec>,
+    handlers: Vec<Option<NodeHandler>>,
+}
+
+impl Scratch {
+    fn new() -> Scratch {
+        Scratch {
+            events: Vec::with_capacity(BATCH),
+            handlers: Vec::with_capacity(BATCH),
+        }
+    }
 }
 
 /// The world's discrete-event scheduler. One per [`crate::topology::Topology`],
 /// created lazily on the first node boot.
 pub struct WorldSched {
     shards: Vec<Shard>,
-    handlers: RwLock<Vec<Option<NodeHandler>>>,
-    records: RecordPool<EventSlot>,
-    seq: AtomicU64,
-    pending: AtomicU64,
-    in_flight: AtomicU64,
-    posted: AtomicU64,
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    steals: AtomicU64,
+    handlers: RwLock<Vec<Option<Weak<dyn NodeStep>>>>,
+    /// Events posted and not yet finished (queued or being handled).
+    outstanding: AtomicU64,
     watermark: AtomicU64,
-    lanes: Mutex<LaneLog>,
+    lanes: Vec<Lane>,
     /// The world's telemetry, where the `sched.*` series land.
     telemetry: Arc<Telemetry>,
     stop: AtomicBool,
@@ -237,7 +271,7 @@ impl std::fmt::Debug for WorldSched {
         f.debug_struct("WorldSched")
             .field("shards", &self.shards.len())
             .field("workers", &self.worker_count)
-            .field("pending", &self.pending.load(Ordering::Relaxed))
+            .field("outstanding", &self.outstanding.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -256,21 +290,15 @@ impl WorldSched {
         let sched = Arc::new(WorldSched {
             shards: (0..shards.max(1))
                 .map(|_| Shard {
-                    heap: Mutex::new(BinaryHeap::new()),
+                    heap: Mutex::new(Heap::default()),
+                    queued: AtomicUsize::new(0),
                     claimed: AtomicBool::new(false),
                 })
                 .collect(),
             handlers: RwLock::new(Vec::new()),
-            records: RecordPool::new(RECORD_SHELF_CAP),
-            seq: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            posted: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
+            outstanding: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            lanes: Mutex::new(LaneLog::default()),
+            lanes: (0..workers.max(1)).map(|_| Lane::default()).collect(),
             telemetry,
             stop: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
@@ -294,15 +322,18 @@ impl WorldSched {
         sched
     }
 
-    /// Install `handler` as the step function for `node`. Replaces any
-    /// previous handler (latest wins).
-    pub fn register(&self, node: NodeId, handler: NodeHandler) {
+    /// Install `handler` as the step function for `node`, replacing any
+    /// previous one (latest wins). The scheduler keeps a weak reference:
+    /// the caller owns the node, and once it drops its last handle,
+    /// events for the node count as dropped, as after
+    /// [`WorldSched::unregister`].
+    pub fn register(&self, node: NodeId, handler: &NodeHandler) {
         let idx = node.0 as usize;
         let mut handlers = self.handlers.write();
         if handlers.len() <= idx {
             handlers.resize(idx + 1, None);
         }
-        handlers[idx] = Some(handler);
+        handlers[idx] = Some(Arc::downgrade(handler));
     }
 
     /// Remove `node`'s handler; later events for it are counted dropped,
@@ -317,30 +348,34 @@ impl WorldSched {
 
     /// Schedule delivery of `msg` to `dst` at virtual time `vt`.
     pub fn post(&self, dst: NodeId, vt: Vt, src: NodeId, msg: Message) {
-        let mut slot = self.records.take();
-        slot.msg = Some(msg);
-        let rec = EventRec {
-            vt,
-            src: src.0,
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            dst,
-            slot,
-        };
-        self.posted.fetch_add(1, Ordering::Relaxed);
-        self.pending.fetch_add(1, Ordering::SeqCst);
+        // Counted before it is visible, so a quiescence check never sees
+        // it queued but not outstanding.
+        self.outstanding.fetch_add(1, Ordering::SeqCst);
         let shard = &self.shards[shard_of(dst, self.shards.len())];
-        shard.heap.lock().push(std::cmp::Reverse(rec));
-        // SeqCst pairs with the worker's `parked` increment and `pending`
-        // re-check (see "Parking" in the module docs).
+        {
+            let mut heap = shard.heap.lock();
+            let seq = heap.pushed;
+            heap.pushed += 1;
+            heap.events.push(Reverse(EventRec {
+                vt,
+                src: src.0,
+                seq,
+                dst,
+                msg,
+            }));
+            // SeqCst pairs with the worker's `parked` increment and
+            // `queued` re-check (see "Parking" in the module docs).
+            shard.queued.store(heap.events.len(), Ordering::SeqCst);
+        }
         if self.parked.load(Ordering::SeqCst) > 0 {
             let _park = self.park.lock();
             self.park_cv.notify_one();
         }
     }
 
-    /// One full scan over all shards starting at `home`; returns whether
-    /// any event was dispatched.
-    fn drain_pass(&self, home: usize, scratch: &mut Vec<EventRec>) -> bool {
+    /// One full scan over all shards starting at `home`, bookkeeping into
+    /// lane `lane`; returns whether any event was dispatched.
+    fn drain_pass(&self, home: usize, lane: usize, scratch: &mut Scratch) -> bool {
         let n = self.shards.len();
         let mut did_work = false;
         for i in 0..n {
@@ -358,45 +393,18 @@ impl WorldSched {
                 {
                     let mut heap = shard.heap.lock();
                     for _ in 0..BATCH {
-                        match heap.pop() {
-                            Some(std::cmp::Reverse(rec)) => scratch.push(rec),
+                        match heap.events.pop() {
+                            Some(Reverse(rec)) => scratch.events.push(rec),
                             None => break,
                         }
                     }
-                    occupancy = heap.len() as u32;
+                    occupancy = heap.events.len();
+                    shard.queued.store(occupancy, Ordering::SeqCst);
                 }
-                if scratch.is_empty() {
+                if scratch.events.is_empty() {
                     break;
                 }
-                let batch = scratch.len() as u64;
-                if i != 0 {
-                    self.steals.fetch_add(batch, Ordering::Relaxed);
-                }
-                self.record_lane_sample(home, idx, i != 0, occupancy, scratch);
-                // in_flight rises BEFORE pending falls so quiescence
-                // checks never observe a false-idle window.
-                self.in_flight.fetch_add(batch, Ordering::SeqCst);
-                self.pending.fetch_sub(batch, Ordering::SeqCst);
-                for mut rec in scratch.drain(..) {
-                    self.watermark.fetch_max(rec.vt, Ordering::Relaxed);
-                    let handler = {
-                        let handlers = self.handlers.read();
-                        handlers.get(rec.dst.0 as usize).and_then(|h| h.clone())
-                    };
-                    if let Some(msg) = rec.slot.msg.take() {
-                        match handler {
-                            Some(h) => {
-                                h.step(msg);
-                                self.delivered.fetch_add(1, Ordering::Relaxed);
-                            }
-                            None => {
-                                self.dropped.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    self.records.put(rec.slot);
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
-                }
+                self.dispatch_batch(home, lane, idx, i != 0, occupancy as u32, scratch);
                 did_work = true;
             }
             shard.claimed.store(false, Ordering::Release);
@@ -404,70 +412,151 @@ impl WorldSched {
         did_work
     }
 
-    /// Fold one dispatched batch into the lane log and the `sched.*`
-    /// timeseries. Batch granularity bounds the cost: one lane push and
-    /// two windowed folds per `BATCH` events. The `sched.*` series are
-    /// timed by which worker won which shard — host scheduling, not the
-    /// seed — so determinism comparisons strip them (see
-    /// `tests/chaos_world`).
-    fn record_lane_sample(
+    /// Run one popped batch: resolve its handlers under one read lock,
+    /// step them outside it, then settle the batch's bookkeeping at once.
+    fn dispatch_batch(
         &self,
         home: usize,
+        lane: usize,
         shard: usize,
         stolen: bool,
         occupancy: u32,
-        batch: &[EventRec],
+        scratch: &mut Scratch,
     ) {
-        let oldest = batch.first().map_or(0, |r| r.vt);
-        let newest = batch.last().map_or(0, |r| r.vt);
-        let sample = LaneSample {
-            worker: home as u32,
-            shard: shard as u32,
-            vt: newest,
-            batch: batch.len() as u32,
-            occupancy,
-            lag: self.watermark.load(Ordering::Relaxed).saturating_sub(oldest),
-            stolen,
-        };
-        self.telemetry
-            .record("sched.delivered", newest, batch.len() as u64);
+        let batch = scratch.events.len() as u64;
+        // Popped in (vt, src, seq) order: the last is the newest.
+        let oldest = scratch.events.first().map_or(0, |r| r.vt);
+        let newest = scratch.events.last().map_or(0, |r| r.vt);
+        let lag = self
+            .watermark
+            .load(Ordering::Relaxed)
+            .saturating_sub(oldest);
+        if newest > self.watermark.load(Ordering::Relaxed) {
+            self.watermark.fetch_max(newest, Ordering::Relaxed);
+        }
+        {
+            let table = self.handlers.read();
+            scratch.handlers.extend(scratch.events.iter().map(|rec| {
+                table
+                    .get(rec.dst.0 as usize)
+                    .and_then(|h| h.as_ref()?.upgrade())
+            }));
+        }
+        let mut delivered = 0;
+        for (rec, handler) in scratch.events.drain(..).zip(scratch.handlers.drain(..)) {
+            if let Some(h) = handler {
+                h.step(rec.msg);
+                delivered += 1;
+            }
+        }
+        let lane = &self.lanes[lane];
+        lane.delivered.fetch_add(delivered, Ordering::Relaxed);
+        if delivered < batch {
+            lane.dropped.fetch_add(batch - delivered, Ordering::Relaxed);
+        }
         if stolen {
-            self.telemetry
-                .record("sched.steals", newest, batch.len() as u64);
+            lane.steals.fetch_add(batch, Ordering::Relaxed);
         }
-        let mut lanes = self.lanes.lock();
-        if lanes.samples.len() == LANE_CAP {
-            lanes.samples.pop_front();
-            lanes.dropped += 1;
+        self.record_lane_sample(
+            lane,
+            LaneSample {
+                worker: home as u32,
+                shard: shard as u32,
+                vt: newest,
+                batch: batch as u32,
+                occupancy,
+                lag,
+                stolen,
+            },
+        );
+        if self.outstanding.fetch_sub(batch, Ordering::SeqCst) == batch {
+            // The world just went quiet: wake `quiesce` under its lock.
+            let _idle = self.idle.lock();
+            self.idle_cv.notify_all();
         }
-        lanes.samples.push_back(sample);
     }
 
-    /// The retained lane telemetry — the most recent window — oldest
-    /// first.
+    /// Fold one dispatched batch into the lane's log, and every
+    /// [`SERIES_BATCHES`] batches into the `sched.*` timeseries. The
+    /// `sched.*` series are timed by which worker won which shard — host
+    /// scheduling, not the seed — so determinism comparisons strip them
+    /// (see `tests/chaos_world`).
+    fn record_lane_sample(&self, lane: &Lane, sample: LaneSample) {
+        let cap = (LANE_CAP / self.lanes.len()).max(1);
+        let mut log = lane.log.lock();
+        if log.samples.len() >= cap {
+            log.samples.pop_front();
+            log.dropped += 1;
+        }
+        log.samples.push_back(sample);
+        let stolen = if sample.stolen { sample.batch } else { 0 };
+        let s = &mut log.series;
+        *s = (
+            s.0 + 1,
+            s.1 + u64::from(sample.batch),
+            s.2 + u64::from(stolen),
+            sample.vt,
+        );
+        if s.0 >= SERIES_BATCHES {
+            self.flush_series(&mut log);
+        }
+    }
+
+    /// Record a lane's unrecorded `sched.*` totals.
+    fn flush_series(&self, log: &mut LaneLog) {
+        let (batches, delivered, stolen, vt) = std::mem::take(&mut log.series);
+        if batches == 0 {
+            return;
+        }
+        self.telemetry.record("sched.delivered", vt, delivered);
+        if stolen > 0 {
+            self.telemetry.record("sched.steals", vt, stolen);
+        }
+    }
+
+    fn flush_all_series(&self) {
+        for lane in &self.lanes {
+            self.flush_series(&mut lane.log.lock());
+        }
+    }
+
+    /// The retained lane telemetry — the most recent window of every
+    /// lane — ordered by virtual time.
     pub fn lane_samples(&self) -> Vec<LaneSample> {
-        self.lanes.lock().samples.iter().copied().collect()
+        let mut samples: Vec<LaneSample> = self
+            .lanes
+            .iter()
+            .flat_map(|lane| lane.log.lock().samples.iter().copied().collect::<Vec<_>>())
+            .collect();
+        samples.sort_by_key(|s| s.vt);
+        samples
     }
 
     /// Drop retained lane samples (benches use this between phases).
     pub fn clear_lanes(&self) {
-        *self.lanes.lock() = LaneLog::default();
+        for lane in &self.lanes {
+            let mut log = lane.log.lock();
+            log.samples = VecDeque::new();
+            log.dropped = 0;
+        }
+    }
+
+    fn any_queued(&self) -> bool {
+        self.shards
+            .iter()
+            .any(|s| s.queued.load(Ordering::SeqCst) > 0)
     }
 
     fn worker_loop(&self, home: usize) {
-        let mut scratch = Vec::with_capacity(BATCH);
+        let mut scratch = Scratch::new();
         while !self.stop.load(Ordering::Relaxed) {
-            if self.drain_pass(home, &mut scratch) {
+            if self.drain_pass(home, home, &mut scratch) {
                 continue;
             }
-            if self.pending.load(Ordering::SeqCst) == 0
-                && self.in_flight.load(Ordering::SeqCst) == 0
-            {
-                self.idle_cv.notify_all();
-            }
+            self.flush_series(&mut self.lanes[home].log.lock());
             let mut guard = self.park.lock();
             self.parked.fetch_add(1, Ordering::SeqCst);
-            if self.pending.load(Ordering::SeqCst) == 0 && !self.stop.load(Ordering::SeqCst) {
+            if !self.any_queued() && !self.stop.load(Ordering::SeqCst) {
                 self.park_cv.wait(&mut guard);
             }
             self.parked.fetch_sub(1, Ordering::SeqCst);
@@ -477,27 +566,34 @@ impl WorldSched {
     /// Drain events on the calling thread until the heap is empty.
     /// Dispatch order is fully deterministic with `workers == 0`.
     pub fn run_until_idle(&self) {
-        let mut scratch = Vec::with_capacity(BATCH);
-        while self.drain_pass(0, &mut scratch) {}
+        let mut scratch = Scratch::new();
+        while self.drain_pass(0, 0, &mut scratch) {}
+        self.flush_series(&mut self.lanes[0].log.lock());
     }
 
     /// Block until no events are pending or in flight, or `timeout`
-    /// elapses. Returns `true` when the world is quiescent.
+    /// elapses. Returns `true` when the world is quiescent, with every
+    /// lane's `sched.*` totals recorded.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut guard = self.idle.lock();
-        loop {
-            if self.pending.load(Ordering::SeqCst) == 0
-                && self.in_flight.load(Ordering::SeqCst) == 0
-            {
-                return true;
-            }
-            if Instant::now() >= deadline {
+        while self.outstanding.load(Ordering::SeqCst) != 0 {
+            let now = Instant::now();
+            if now >= deadline {
                 return false;
             }
-            self.idle_cv
-                .wait_for(&mut guard, Duration::from_micros(500));
+            // No poll: the batch that empties the world notifies under
+            // `idle` (see "Parking and quiescence").
+            self.idle_cv.wait_for(&mut guard, deadline - now);
         }
+        drop(guard);
+        self.flush_all_series();
+        true
+    }
+
+    /// The world's telemetry, which the scheduler records into.
+    pub fn telemetry(&self) -> &Arc<Telemetry> {
+        &self.telemetry
     }
 
     /// The scheduler-owned virtual-time frontier: the largest arrival
@@ -508,25 +604,26 @@ impl WorldSched {
 
     /// Current counters.
     pub fn stats(&self) -> SchedStats {
-        let (lane_samples, lane_dropped) = {
-            let lanes = self.lanes.lock();
-            (lanes.samples.len() as u64, lanes.dropped)
-        };
-        let (record_hits, record_misses) = self.records.hits_misses();
-        SchedStats {
-            posted: self.posted.load(Ordering::Relaxed),
-            delivered: self.delivered.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            pending: self.pending.load(Ordering::SeqCst),
+        let mut stats = SchedStats {
             horizon: self.horizon(),
             workers: self.worker_count,
             shards: self.shards.len(),
-            lane_samples,
-            lane_dropped,
-            record_hits,
-            record_misses,
+            ..SchedStats::default()
+        };
+        for shard in &self.shards {
+            let heap = shard.heap.lock();
+            stats.posted += heap.pushed;
+            stats.pending += heap.events.len() as u64;
         }
+        for lane in &self.lanes {
+            stats.delivered += lane.delivered.load(Ordering::Relaxed);
+            stats.dropped += lane.dropped.load(Ordering::Relaxed);
+            stats.steals += lane.steals.load(Ordering::Relaxed);
+            let log = lane.log.lock();
+            stats.lane_samples += log.samples.len() as u64;
+            stats.lane_dropped += log.dropped;
+        }
+        stats
     }
 
     /// Stop and join the worker pool. Idempotent; events still in the
@@ -563,6 +660,7 @@ mod tests {
     use crate::fabric::{EndpointAddr, Message};
     use crate::payload::Payload;
     use padico_util::ids::ChannelId;
+    use proptest::prelude::*;
 
     fn msg(src: NodeId, tag: u64) -> Message {
         Message {
@@ -575,15 +673,22 @@ mod tests {
         }
     }
 
+    /// A handler that counts its events into `hits`.
+    fn counter(hits: &Arc<AtomicU64>) -> NodeHandler {
+        let h = Arc::clone(hits);
+        Arc::new(move |_m| {
+            h.fetch_add(1, Ordering::Relaxed);
+        })
+    }
+
     #[test]
     fn events_dispatch_in_virtual_time_order() {
         let sched = WorldSched::start(4, 0, Telemetry::new());
         let seen: Arc<Mutex<Vec<(Vt, u64)>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        sched.register(
-            NodeId(0),
-            Arc::new(move |m: Message| sink.lock().push((m.arrival, m.channel.0))),
-        );
+        let handler: NodeHandler =
+            Arc::new(move |m: Message| sink.lock().push((m.arrival, m.channel.0)));
+        sched.register(NodeId(0), &handler);
         // Post out of virtual-time order; same-vt events tie-break on seq.
         for (vt, tag) in [(50u64, 1u64), (10, 2), (30, 3), (10, 4), (20, 5)] {
             let mut m = msg(NodeId(7), tag);
@@ -595,9 +700,60 @@ mod tests {
         assert_eq!(got, vec![(10, 2), (10, 4), (20, 5), (30, 3), (50, 1)]);
         assert_eq!(sched.horizon(), 50);
         let stats = sched.stats();
+        assert_eq!(stats.posted, 5);
         assert_eq!(stats.delivered, 5);
         assert_eq!(stats.pending, 0);
         sched.stop();
+    }
+
+    /// `(dst, vt, src, tag)` of one event.
+    type Dispatch = (u32, Vt, u32, u64);
+
+    proptest! {
+        /// Every shard dispatches its events in `(vt, src, post order)`
+        /// order, whatever order they were posted in: the shard-local
+        /// `seq` orders a sender's equal-time events as it posted them.
+        #[test]
+        fn shard_dispatch_order_matches_a_sorted_model(
+            codes in proptest::collection::vec(0u64..(8 * 16 * 3), 0..160),
+            shards in 1usize..5,
+        ) {
+            let sched = WorldSched::start(shards, 0, Telemetry::new());
+            let seen: Arc<Mutex<Vec<Dispatch>>> = Arc::default();
+            let handlers: Vec<NodeHandler> = (0..8u32)
+                .map(|n| {
+                    let sink = Arc::clone(&seen);
+                    let h: NodeHandler = Arc::new(move |m: Message| {
+                        sink.lock().push((n, m.arrival, m.src.node.0, m.channel.0));
+                    });
+                    sched.register(NodeId(n), &h);
+                    h
+                })
+                .collect();
+            // (dst, vt, src) per event; the tag is the post index.
+            let events: Vec<Dispatch> = codes
+                .iter()
+                .enumerate()
+                .map(|(i, c)| ((c % 8) as u32, (c / 8) % 16, (c / 128) as u32, i as u64))
+                .collect();
+            for &(dst, vt, src, tag) in &events {
+                let mut m = msg(NodeId(src), tag);
+                m.arrival = vt;
+                sched.post(NodeId(dst), vt, NodeId(src), m);
+            }
+            sched.run_until_idle();
+            let got = seen.lock().clone();
+            prop_assert_eq!(got.len(), events.len());
+            for shard in 0..shards {
+                let of_shard = |e: &&Dispatch| shard_of(NodeId(e.0), shards) == shard;
+                let mut model: Vec<_> = events.iter().filter(of_shard).copied().collect();
+                model.sort_by_key(|&(_, vt, src, tag)| (vt, src, tag));
+                let dispatched: Vec<_> = got.iter().filter(of_shard).copied().collect();
+                prop_assert_eq!(dispatched, model);
+            }
+            drop(handlers);
+            sched.stop();
+        }
     }
 
     #[test]
@@ -611,35 +767,50 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_handler_counts_dropped() {
+        // The scheduler holds handlers weakly: a node whose owner let go
+        // of it is gone, registered or not.
+        let sched = WorldSched::start(2, 0, Telemetry::new());
+        let hits = Arc::new(AtomicU64::new(0));
+        let handler = counter(&hits);
+        sched.register(NodeId(1), &handler);
+        drop(handler);
+        sched.post(NodeId(1), 5, NodeId(0), msg(NodeId(0), 1));
+        sched.run_until_idle();
+        assert_eq!(hits.load(Ordering::Relaxed), 0);
+        assert_eq!(sched.stats().dropped, 1);
+        sched.stop();
+    }
+
+    #[test]
     fn a_handler_may_stop_its_own_scheduler() {
         let sched = WorldSched::start(1, 1, Telemetry::new());
         let stopped = Arc::new(AtomicBool::new(false));
         let (s, flag) = (Arc::clone(&sched), Arc::clone(&stopped));
-        sched.register(
-            NodeId(0),
-            Arc::new(move |_m| {
-                s.stop();
-                flag.store(true, Ordering::SeqCst);
-            }),
-        );
+        let handler: NodeHandler = Arc::new(move |_m| {
+            s.stop();
+            flag.store(true, Ordering::SeqCst);
+        });
+        sched.register(NodeId(0), &handler);
         sched.post(NodeId(0), 1, NodeId(1), msg(NodeId(1), 1));
         assert!(sched.quiesce(Duration::from_secs(10)));
-        assert!(stopped.load(Ordering::SeqCst), "stop returned on the worker");
+        assert!(
+            stopped.load(Ordering::SeqCst),
+            "stop returned on the worker"
+        );
     }
 
     #[test]
     fn worker_pool_quiesces_after_burst() {
         let sched = WorldSched::start(8, 2, Telemetry::new());
         let hits = Arc::new(AtomicU64::new(0));
-        for n in 0..16u32 {
-            let h = Arc::clone(&hits);
-            sched.register(
-                NodeId(n),
-                Arc::new(move |_m| {
-                    h.fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-        }
+        let handlers: Vec<NodeHandler> = (0..16u32)
+            .map(|n| {
+                let h = counter(&hits);
+                sched.register(NodeId(n), &h);
+                h
+            })
+            .collect();
         for i in 0..512u64 {
             let dst = NodeId((i % 16) as u32);
             sched.post(dst, i, NodeId(99), msg(NodeId(99), i));
@@ -647,35 +818,95 @@ mod tests {
         assert!(sched.quiesce(Duration::from_secs(10)), "burst must drain");
         assert_eq!(hits.load(Ordering::Relaxed), 512);
         assert_eq!(sched.stats().delivered, 512);
+        drop(handlers);
         sched.stop();
     }
 
     #[test]
-    fn event_records_recycle_through_the_pool() {
-        // Reads only this scheduler's own record counters: sibling tests
-        // post to cold schedulers of their own concurrently.
-        let sched = WorldSched::start(2, 0, Telemetry::new());
-        sched.register(NodeId(0), Arc::new(|_m| {}));
-        // Warm the shelf.
-        for i in 0..8u64 {
+    fn quiesce_wakes_for_every_idle_transition() {
+        // Each round's quiesce must be woken by the batch that empties
+        // the world: a lost wakeup leaves it asleep until its 10 s
+        // deadline, and the round fails instead of being rescued by a
+        // poll.
+        let sched = WorldSched::start(4, 1, Telemetry::new());
+        let hits = Arc::new(AtomicU64::new(0));
+        let handler = counter(&hits);
+        sched.register(NodeId(0), &handler);
+        for i in 0..1000u64 {
             sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
+            assert!(sched.quiesce(Duration::from_secs(10)), "round {i} quiesces");
         }
-        sched.run_until_idle();
-        let before = sched.stats();
-        for i in 0..100u64 {
-            sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
+        assert_eq!(hits.load(Ordering::Relaxed), 1000);
+        sched.stop();
+    }
+
+    /// Token rounds of a reactive ring driven by `workers` workers: per
+    /// token, the nodes it visited in order.
+    fn ring_trace(workers: usize) -> Vec<Vec<u32>> {
+        const NODES: u32 = 1000;
+        const TOKENS: u64 = 16;
+        const HOPS: u64 = 500;
+        let sched = WorldSched::start(64, workers, Telemetry::new());
+        let trace: Arc<Vec<Mutex<Vec<u32>>>> =
+            Arc::new((0..TOKENS).map(|_| Mutex::new(Vec::new())).collect());
+        let handlers: Vec<NodeHandler> = (0..NODES)
+            .map(|n| {
+                let (s, trace) = (Arc::downgrade(&sched), Arc::clone(&trace));
+                let h: NodeHandler = Arc::new(move |m: Message| {
+                    // The channel carries token * HOPS + hop.
+                    let (token, hop) = (m.channel.0 / HOPS, m.channel.0 % HOPS);
+                    trace[token as usize].lock().push(n);
+                    if hop + 1 < HOPS {
+                        let next = NodeId((n + 1) % NODES);
+                        let mut fwd = msg(NodeId(n), m.channel.0 + 1);
+                        fwd.arrival = m.arrival + 1 + (u64::from(n) * 7 + hop) % 5;
+                        let s = s.upgrade().expect("the test holds the scheduler");
+                        s.post(next, fwd.arrival, NodeId(n), fwd);
+                    }
+                });
+                sched.register(NodeId(n), &h);
+                h
+            })
+            .collect();
+        for t in 0..TOKENS {
+            let start = (t * u64::from(NODES) / TOKENS) as u32;
+            sched.post(
+                NodeId(start),
+                0,
+                NodeId(start),
+                msg(NodeId(start), t * HOPS),
+            );
+        }
+        if workers == 0 {
             sched.run_until_idle();
         }
-        let after = sched.stats();
-        assert_eq!(after.record_misses, before.record_misses, "warm records must not allocate");
-        assert_eq!(after.record_hits, before.record_hits + 100);
+        assert!(sched.quiesce(Duration::from_secs(60)), "the ring quiesces");
+        assert_eq!(sched.stats().delivered, TOKENS * HOPS);
         sched.stop();
+        drop(handlers);
+        let Ok(trace) = Arc::try_unwrap(trace) else {
+            panic!("handlers dropped, and with them every other handle");
+        };
+        trace.into_iter().map(Mutex::into_inner).collect()
+    }
+
+    #[test]
+    fn one_worker_and_four_trace_the_same_ring() {
+        let one = ring_trace(1);
+        for (t, visits) in one.iter().enumerate() {
+            let start = (t * 1000 / 16) as u32;
+            let expected: Vec<u32> = (0..500).map(|h| (start + h) % 1000).collect();
+            assert_eq!(visits, &expected, "token {t} walks the ring in order");
+        }
+        assert_eq!(ring_trace(4), one, "four workers: same hops, same order");
+        assert_eq!(ring_trace(0), one, "the calling thread alone: the same");
     }
 
     #[test]
     fn lane_telemetry_samples_batches() {
         let sched = WorldSched::start(4, 0, Telemetry::new());
-        sched.register(NodeId(0), Arc::new(|_m| {}));
+        let handler: NodeHandler = Arc::new(|_m| {});
+        sched.register(NodeId(0), &handler);
         for i in 0..100u64 {
             sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
         }
@@ -692,6 +923,11 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.lane_samples, samples.len() as u64);
         assert_eq!(stats.lane_dropped, 0);
+        // The series got every event, folded per few batches.
+        let series = sched.telemetry.timeseries();
+        let delivered = series.series("sched.delivered").expect("series recorded");
+        let sum: u64 = delivered.ring.iter().map(|w| w.sum).sum();
+        assert_eq!(sum, 100);
         sched.clear_lanes();
         assert!(sched.lane_samples().is_empty());
         sched.stop();
@@ -702,7 +938,8 @@ mod tests {
         // One event per batch: every post is drained on its own, so the
         // log sees exactly one sample per event.
         let sched = WorldSched::start(1, 0, Telemetry::new());
-        sched.register(NodeId(0), Arc::new(|_m| {}));
+        let handler: NodeHandler = Arc::new(|_m| {});
+        sched.register(NodeId(0), &handler);
         let total = LANE_CAP as u64 + 10;
         for i in 0..total {
             let mut m = msg(NodeId(1), i);
@@ -712,7 +949,11 @@ mod tests {
         }
         let samples = sched.lane_samples();
         assert_eq!(samples.len(), LANE_CAP, "the ring is bounded");
-        assert_eq!(samples.first().unwrap().vt, 10, "oldest samples overwritten");
+        assert_eq!(
+            samples.first().unwrap().vt,
+            10,
+            "oldest samples overwritten"
+        );
         assert_eq!(samples.last().unwrap().vt, total - 1, "newest sample kept");
         let stats = sched.stats();
         assert_eq!(stats.lane_samples, LANE_CAP as u64);
@@ -728,12 +969,10 @@ mod tests {
         let sched = WorldSched::start(1, 1, Telemetry::new());
         let (tx, rx) = std::sync::mpsc::channel();
         let tx = Mutex::new(tx);
-        sched.register(
-            NodeId(0),
-            Arc::new(move |m: Message| {
-                let _ = tx.lock().send(m.channel.0);
-            }),
-        );
+        let handler: NodeHandler = Arc::new(move |m: Message| {
+            let _ = tx.lock().send(m.channel.0);
+        });
+        sched.register(NodeId(0), &handler);
         for i in 0..200u64 {
             sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
             assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(i));
@@ -746,20 +985,9 @@ mod tests {
         let sched = WorldSched::start(2, 0, Telemetry::new());
         let first = Arc::new(AtomicU64::new(0));
         let second = Arc::new(AtomicU64::new(0));
-        let f = Arc::clone(&first);
-        sched.register(
-            NodeId(1),
-            Arc::new(move |_m| {
-                f.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
-        let s = Arc::clone(&second);
-        sched.register(
-            NodeId(1),
-            Arc::new(move |_m| {
-                s.fetch_add(1, Ordering::Relaxed);
-            }),
-        );
+        let (f, s) = (counter(&first), counter(&second));
+        sched.register(NodeId(1), &f);
+        sched.register(NodeId(1), &s);
         sched.post(NodeId(1), 1, NodeId(0), msg(NodeId(0), 1));
         sched.run_until_idle();
         assert_eq!(first.load(Ordering::Relaxed), 0);

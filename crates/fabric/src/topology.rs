@@ -129,7 +129,9 @@ impl Topology {
     /// The world scheduler serving this topology's nodes.
     /// Started on first call: 64 shards, worker pool sized to half the
     /// available cores (clamped to 1..=4 — the workload is event
-    /// dispatch, not computation).
+    /// dispatch, not computation). Handlers must not block: on two cores
+    /// or fewer, or under `taskset -c 0`, the pool is one worker, and a
+    /// handler waiting for another delivery would wait for itself.
     pub fn sched(&self) -> &Arc<WorldSched> {
         self.sched.get_or_init(|| {
             let workers = std::thread::available_parallelism()

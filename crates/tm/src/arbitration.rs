@@ -24,14 +24,14 @@
 //!
 //! ## The progress engine
 //!
-//! Every node's inbound traffic funnels through one step function — a
-//! [`NodeCell`] that demultiplexes each [`Message`] by channel id. The
-//! topology-wide discrete-event scheduler ([`padico_fabric::WorldSched`])
-//! drives it: it is every service port's sink and turns each delivery
-//! into a timestamped event, and its small worker pool runs each node's
-//! [`NodeCell::step`] in virtual-time order. A node costs a registered
-//! cell instead of an OS thread, which is what lets one process carry
-//! 100,000-node worlds.
+//! Every node's inbound traffic funnels through one step function — the
+//! node's [`NetAccess`] itself, whose [`NodeCell`] demultiplexes each
+//! [`Message`] by channel id. The topology-wide discrete-event scheduler
+//! ([`padico_fabric::WorldSched`]) drives it: it is every service port's
+//! sink and turns each delivery into a timestamped event, and its worker
+//! pool runs each node's step in virtual-time order. A node costs one
+//! registered record instead of an OS thread, which is what lets one
+//! process carry 100,000-node worlds.
 //! Shutdown unregisters the node; the entire `ChannelId` space
 //! (including `u64::MAX`) belongs to users.
 //!
@@ -71,11 +71,11 @@
 //! scheduler itself (a [`padico_fabric::PortSink`], told the destination
 //! by the fabric), so one sink serves the whole world and a hop touches
 //! only the two NIC slots, the event heap, the destination's
-//! [`NodeCell`] and its channel's handler.
+//! [`NetAccess`] (its cell inline) and its channel's handler.
 
 use padico_fabric::{
-    EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, NodeStep, Payload, SimFabric,
-    Topology, WorldSched,
+    EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, NodeHandler, NodeStep,
+    Payload, SimFabric, Topology, WorldSched,
 };
 use padico_util::ids::{ChannelId, FabricId, IdGen, NodeId};
 use padico_util::simtime::{SimClock, Vt};
@@ -83,7 +83,7 @@ use padico_util::stats::RecoveryStats;
 use padico_util::Telemetry;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::TmError;
@@ -101,7 +101,7 @@ const SHARD_COUNT: usize = 2;
 
 /// Per-node budget of messages parked for channels without a handler.
 /// Beyond it, further parked messages are dropped (and counted).
-const PARKED_BUDGET: usize = 8192;
+const PARKED_BUDGET: u32 = 8192;
 
 /// Process-wide generator for logical channel ids: ids only need to be
 /// unique, and one shared counter keeps them unique across every world in
@@ -211,19 +211,16 @@ impl Shard {
 struct ChannelMap {
     shards: [Mutex<Shard>; SHARD_COUNT],
     /// Messages currently parked across all shards, bounded by `budget`.
-    parked_total: AtomicUsize,
-    parked_budget: usize,
-    /// The world's telemetry, where dropped parked messages are counted.
-    telemetry: Arc<Telemetry>,
+    parked_total: AtomicU32,
+    parked_budget: u32,
 }
 
 impl ChannelMap {
-    fn new(parked_budget: usize, telemetry: Arc<Telemetry>) -> ChannelMap {
+    fn new(parked_budget: u32) -> ChannelMap {
         ChannelMap {
             shards: Default::default(),
-            parked_total: AtomicUsize::new(0),
+            parked_total: AtomicU32::new(0),
             parked_budget,
-            telemetry,
         }
     }
 
@@ -232,10 +229,10 @@ impl ChannelMap {
     }
 
     /// Reserve one slot of the parked budget; on exhaustion the message is
-    /// accounted as dropped and `false` is returned.
-    fn try_park(&self) -> bool {
+    /// counted dropped in `telemetry` and `false` is returned.
+    fn try_park(&self, telemetry: &Telemetry) -> bool {
         if self.parked_total.load(Ordering::Relaxed) >= self.parked_budget {
-            self.telemetry.counter_add("tm.parked.dropped", 1);
+            telemetry.counter_add("tm.parked.dropped", 1);
             return false;
         }
         self.parked_total.fetch_add(1, Ordering::Relaxed);
@@ -250,7 +247,12 @@ impl ChannelMap {
     /// counter), so callers that *can* react — local senders — tell
     /// shed-at-arbitration apart from link death; the remote inbound path
     /// has nobody to answer and keeps only the counter.
-    fn dispatch(&self, channel: ChannelId, msg: Message) -> Result<(), TmError> {
+    fn dispatch(
+        &self,
+        telemetry: &Telemetry,
+        channel: ChannelId,
+        msg: Message,
+    ) -> Result<(), TmError> {
         let mut shard = self.shard(channel).lock();
         let parked = match shard.get_mut(channel) {
             Some(ChannelEntry::Handled(handler)) => {
@@ -264,7 +266,7 @@ impl ChannelMap {
             Some(ChannelEntry::Parked(parked)) => Some(parked),
             None => None,
         };
-        if !self.try_park() {
+        if !self.try_park(telemetry) {
             return Err(TmError::Overloaded(format!(
                 "parked budget full for {channel}"
             )));
@@ -293,7 +295,8 @@ impl ChannelMap {
                     )))
                 }
                 Some(ChannelEntry::Parked(parked)) => {
-                    self.parked_total.fetch_sub(parked.len(), Ordering::Relaxed);
+                    self.parked_total
+                        .fetch_sub(parked.len() as u32, Ordering::Relaxed);
                     std::mem::take(parked)
                 }
                 None => Vec::new(),
@@ -314,17 +317,17 @@ impl ChannelMap {
     fn remove(&self, channel: ChannelId) {
         let entry = self.shard(channel).lock().remove(channel);
         if let Some(ChannelEntry::Parked(v)) = &entry {
-            self.parked_total.fetch_sub(v.len(), Ordering::Relaxed);
+            self.parked_total.fetch_sub(v.len() as u32, Ordering::Relaxed);
         }
     }
 }
 
-/// The node-local state machine the world scheduler drives: the step
-/// function that demultiplexes one inbound [`Message`] into the node's
-/// channel registry, plus a deterministic per-node RNG stream for
-/// workloads that want seeded per-node behaviour (think-time jitter in
-/// the world benches). The scheduler serializes calls per node, and
-/// registers the cell itself as the node's [`NodeStep`].
+/// The node-local state machine the world scheduler drives: the node's
+/// channel registry, which demultiplexes each inbound [`Message`], plus a
+/// deterministic per-node RNG stream for workloads that want seeded
+/// per-node behaviour (think-time jitter in the world benches). It lives
+/// inside the node's [`NetAccess`], which is the registered [`NodeStep`];
+/// the scheduler serializes steps per node.
 pub struct NodeCell {
     node: NodeId,
     map: ChannelMap,
@@ -374,31 +377,40 @@ impl NodeCell {
     }
 }
 
-impl NodeStep for NodeCell {
-    /// Process one inbound message: demultiplex it by channel id.
-    /// Inbound shed has nobody to answer, so the drop is only counted
-    /// (`tm.parked.dropped`).
-    fn step(&self, msg: Message) {
-        self.steps.fetch_add(1, Ordering::Relaxed);
-        let _ = self.map.dispatch(msg.channel, msg);
-    }
-}
-
-/// The arbitration layer of one node.
+/// The arbitration layer of one node: one heap record holding the node's
+/// clock, its fabric endpoints and its [`NodeCell`], registered as the
+/// node's step function.
 pub struct NetAccess {
     clock: SimClock,
-    /// One endpoint per attached fabric, sized exactly at bring-up.
-    attachments: Vec<FabricEndpoint>,
-    cell: Arc<NodeCell>,
+    /// The endpoint on the node's first fabric, inline: most nodes are
+    /// wired to one fabric.
+    first: Option<FabricEndpoint>,
+    /// Endpoints on further fabrics.
+    more: Box<[FabricEndpoint]>,
+    cell: NodeCell,
     /// The world scheduler this node is registered with.
     sched: Arc<WorldSched>,
 }
 
+impl NodeStep for NetAccess {
+    /// Process one inbound message: demultiplex it by channel id.
+    /// Inbound shed has nobody to answer, so the drop is only counted
+    /// (`tm.parked.dropped`).
+    fn step(&self, msg: Message) {
+        self.cell.steps.fetch_add(1, Ordering::Relaxed);
+        let _ = self
+            .cell
+            .map
+            .dispatch(self.sched.telemetry(), msg.channel, msg);
+    }
+}
+
 impl NetAccess {
-    /// Attach to every fabric `node` is wired to and register the node's
-    /// step function with the topology's world scheduler: every
-    /// attachment's inbound traffic becomes a scheduler event for the one
-    /// [`NodeCell`] — no per-node thread at all.
+    /// Attach to every fabric `node` is wired to and register the node
+    /// with the topology's world scheduler: every attachment's inbound
+    /// traffic becomes a scheduler event for this one record — no
+    /// per-node thread at all. The scheduler holds the node weakly, so
+    /// dropping the last handle shuts it down.
     ///
     /// Fails with [`TmError::Fabric`] if some exclusive NIC is already held
     /// by a raw client — the very conflict the paper describes.
@@ -408,10 +420,9 @@ impl NetAccess {
         clock: SimClock,
     ) -> Result<Arc<NetAccess>, TmError> {
         let telemetry = topology.telemetry();
-        let map = ChannelMap::new(PARKED_BUDGET, Arc::clone(telemetry));
-        let cell = Arc::new(NodeCell::new(node, map));
+        let map = ChannelMap::new(PARKED_BUDGET);
         let sched = Arc::clone(topology.sched());
-        let mut attachments = Vec::with_capacity(topology.fabrics_of(node).count());
+        let (mut first, mut more) = (None, Vec::new());
         for fabric in topology.fabrics_of(node) {
             // The scheduler itself is the sink: the fabric tells it the
             // destination, so no node needs a closure of its own.
@@ -433,16 +444,25 @@ impl NetAccess {
                     }
                 }
             }
-            attachments.push(endpoint);
+            match first {
+                None => first = Some(endpoint),
+                Some(_) => more.push(endpoint),
+            }
         }
-        sched.register(node, Arc::clone(&cell) as Arc<dyn NodeStep>);
-
-        Ok(Arc::new(NetAccess {
+        let net = Arc::new(NetAccess {
             clock,
-            attachments,
-            cell,
+            first,
+            more: more.into_boxed_slice(),
+            cell: NodeCell::new(node, map),
             sched,
-        }))
+        });
+        net.sched.register(node, &(Arc::clone(&net) as NodeHandler));
+        Ok(net)
+    }
+
+    /// The node's fabric endpoints, in bring-up order.
+    fn endpoints(&self) -> impl Iterator<Item = &FabricEndpoint> {
+        self.first.iter().chain(self.more.iter())
     }
 
     pub fn node(&self) -> NodeId {
@@ -455,14 +475,11 @@ impl NetAccess {
 
     /// Fabrics this node's arbitration layer is attached to.
     pub fn fabrics(&self) -> Vec<Arc<SimFabric>> {
-        self.attachments
-            .iter()
-            .map(|a| Arc::clone(a.fabric()))
-            .collect()
+        self.endpoints().map(|a| Arc::clone(a.fabric())).collect()
     }
 
-    /// The node's step-function state machine.
-    pub fn cell(&self) -> &Arc<NodeCell> {
+    /// The node's channel registry and RNG stream.
+    pub fn cell(&self) -> &NodeCell {
         &self.cell
     }
 
@@ -489,7 +506,7 @@ impl NetAccess {
     /// abstraction layer): this node's slot in the world's telemetry,
     /// which sums every node's into `recovery.*`.
     pub fn recovery(&self) -> &RecoveryStats {
-        self.cell.map.telemetry.node_recovery(self.node().0)
+        self.sched.telemetry().node_recovery(self.node().0)
     }
 
     /// Send `payload` on logical `channel` to the arbitration layer of
@@ -509,8 +526,7 @@ impl NetAccess {
         payload: Payload,
     ) -> Result<Vt, TmError> {
         let att = self
-            .attachments
-            .iter()
+            .endpoints()
             .find(|a| a.fabric().id() == fabric)
             .ok_or_else(|| TmError::NoUsableFabric(format!("{fabric} not attached")))?;
         let dst_addr = EndpointAddr {
@@ -555,7 +571,7 @@ impl NetAccess {
             corrupted: false,
             payload,
         };
-        self.cell.map.dispatch(channel, msg)
+        self.cell.map.dispatch(self.sched.telemetry(), channel, msg)
     }
 
     /// Unregister the node from the world scheduler: later events for it
@@ -578,7 +594,7 @@ impl std::fmt::Debug for NetAccess {
             f,
             "NetAccess({} over {} fabrics)",
             self.node(),
-            self.attachments.len()
+            self.endpoints().count()
         )
     }
 }
@@ -778,7 +794,7 @@ mod tests {
         // drops the third; installing a handler replays exactly the
         // survivors and returns the budget.
         let telemetry = Telemetry::new();
-        let map = ChannelMap::new(2, Arc::clone(&telemetry));
+        let map = ChannelMap::new(2);
         let ch = ChannelId(7777);
         let msg = |n: u8| Message {
             src: EndpointAddr {
@@ -791,10 +807,10 @@ mod tests {
             corrupted: false,
             payload: Payload::from_vec(vec![n]),
         };
-        map.dispatch(ch, msg(1)).unwrap();
-        map.dispatch(ch, msg(2)).unwrap();
+        map.dispatch(&telemetry, ch, msg(1)).unwrap();
+        map.dispatch(&telemetry, ch, msg(2)).unwrap();
         // Over budget: shed with a typed transient error, not queued.
-        let err = map.dispatch(ch, msg(3)).unwrap_err();
+        let err = map.dispatch(&telemetry, ch, msg(3)).unwrap_err();
         assert!(matches!(err, TmError::Overloaded(_)), "{err}");
         assert!(err.is_transient(), "shed-at-arbitration is retryable");
         assert!(!err.is_link_level(), "shed does not indict the fabric");
@@ -816,11 +832,11 @@ mod tests {
         Parked(Vec<u64>),
     }
 
-    fn parked_in(model: &HashMap<ChannelId, Model>) -> usize {
+    fn parked_in(model: &HashMap<ChannelId, Model>) -> u32 {
         model
             .values()
             .map(|e| match e {
-                Model::Parked(ids) => ids.len(),
+                Model::Parked(ids) => ids.len() as u32,
                 Model::Handled(_) => 0,
             })
             .sum()
@@ -833,9 +849,9 @@ mod tests {
     /// channels over two shards move shards between no channel, one inline
     /// and a spilled map, and back.
     fn registry_case(rng: &mut proptest::TestRng) {
-        let budget = 1 + rng.below(6) as usize;
+        let budget = 1 + rng.below(6) as u32;
         let telemetry = Telemetry::new();
-        let map = ChannelMap::new(budget, Arc::clone(&telemetry));
+        let map = ChannelMap::new(budget);
         let mut model: HashMap<ChannelId, Model> = HashMap::new();
         let seen = Arc::new(Mutex::new(Vec::new()));
         let mut expected = Vec::new();
@@ -880,7 +896,7 @@ mod tests {
                         payload: Payload::from_vec(Vec::new()),
                     };
                     let parked = parked_in(&model);
-                    let got = map.dispatch(ch, msg);
+                    let got = map.dispatch(&telemetry, ch, msg);
                     match model.get_mut(&ch) {
                         Some(Model::Handled(tag)) => {
                             assert!(got.is_ok());

@@ -121,9 +121,9 @@ pub const PARALLEL_BOOT_THRESHOLD: usize = 64;
 /// The PadicoTM runtime of one grid node.
 pub struct PadicoTM {
     topology: Arc<Topology>,
-    clock: SimClock,
     net: Arc<NetAccess>,
-    modules: ModuleManager,
+    /// Created on first use: a `world_ring` node never loads a module.
+    modules: OnceLock<Box<ModuleManager>>,
     /// The world's knobs, one allocation shared by every node.
     config: Arc<TmConfig>,
     /// Node-wide circuit-breaker route table, shared by every
@@ -146,13 +146,11 @@ impl PadicoTM {
         node: NodeId,
         config: Arc<TmConfig>,
     ) -> Result<Arc<PadicoTM>, TmError> {
-        let clock = SimClock::new();
-        let net = NetAccess::bring_up(&topology, node, clock.share())?;
+        let net = NetAccess::bring_up(&topology, node, SimClock::new())?;
         Ok(Arc::new(PadicoTM {
             topology,
-            clock,
             net,
-            modules: ModuleManager::new(),
+            modules: OnceLock::new(),
             config,
             breaker_routes: OnceLock::new(),
         }))
@@ -222,7 +220,7 @@ impl PadicoTM {
 
     /// The node's virtual clock. All middleware on the node shares it.
     pub fn clock(&self) -> &SimClock {
-        &self.clock
+        self.net.clock()
     }
 
     /// The node's arbitration layer.
@@ -232,7 +230,7 @@ impl PadicoTM {
 
     /// The node's module registry.
     pub fn modules(&self) -> &ModuleManager {
-        &self.modules
+        self.modules.get_or_init(Box::default)
     }
 
     /// The world's runtime knobs.

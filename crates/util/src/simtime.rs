@@ -216,12 +216,69 @@ pub struct RetiringTimeline {
 
 #[derive(Debug, Default)]
 struct History {
-    /// Sorted, disjoint, non-touching busy intervals `[start, end)`.
-    busy: Vec<(Vt, Vt)>,
+    busy: Busy,
     requester: Requester,
     /// The reading of the last retiring request: every interval ending at
     /// or before it is gone.
     retired: Vt,
+}
+
+/// A retiring history's sorted, disjoint, non-touching busy intervals
+/// `[start, end)`. Under one clock it holds at most the interval the last
+/// request placed past the clock (the sender then waits it out), so that
+/// one is kept inline: a `Vec` appears only once two are kept at once.
+#[derive(Debug, Default)]
+enum Busy {
+    #[default]
+    Empty,
+    One(Vt, Vt),
+    Many(Vec<(Vt, Vt)>),
+}
+
+impl Busy {
+    fn len(&self) -> usize {
+        match self {
+            Busy::Empty => 0,
+            Busy::One(..) => 1,
+            Busy::Many(v) => v.len(),
+        }
+    }
+
+    /// Drop every interval that ends at or before `now`.
+    fn retire(&mut self, now: Vt) {
+        match self {
+            Busy::One(_, end) if *end <= now => *self = Busy::Empty,
+            Busy::Many(v) => {
+                let past = v.partition_point(|&(_, end)| end <= now);
+                v.drain(..past);
+            }
+            _ => {}
+        }
+    }
+
+    /// [`place`] on these intervals.
+    fn place(&mut self, not_before: Vt, dur: VtDuration) -> Reservation {
+        match self {
+            Busy::Empty => {
+                let end = not_before + dur;
+                if dur > 0 {
+                    *self = Busy::One(not_before, end);
+                }
+                Reservation {
+                    start: not_before,
+                    end,
+                }
+            }
+            Busy::One(start, end) => {
+                let mut v = Vec::with_capacity(2);
+                v.push((*start, *end));
+                let granted = place(&mut v, not_before, dur);
+                *self = Busy::Many(v);
+                granted
+            }
+            Busy::Many(v) => place(v, not_before, dur),
+        }
+    }
 }
 
 /// Who has reserved a [`RetiringTimeline`] so far.
@@ -269,8 +326,7 @@ impl RetiringTimeline {
             Requester::Many => false,
         };
         if own {
-            let past = h.busy.partition_point(|&(_, end)| end <= now);
-            h.busy.drain(..past);
+            h.busy.retire(now);
             h.retired = now;
         } else {
             if now < h.retired {
@@ -281,7 +337,7 @@ impl RetiringTimeline {
             }
             h.requester = Requester::Many;
         }
-        Ok(place(&mut h.busy, now, dur))
+        Ok(h.busy.place(now, dur))
     }
 
     /// Busy intervals held: what retirement has left of the history.

@@ -15,9 +15,9 @@
 //!   ([`crate::timeseries`]);
 //! * the span buffers, their caps and the head-sampling policy
 //!   ([`crate::span`]);
-//! * one [`RecoveryStats`] slot per node of the world, allocated in one
-//!   block when the world is built and summed into `recovery.*` on
-//!   snapshot;
+//! * one [`RecoveryStats`] slot per node of the world, allocated in
+//!   blocks of 64 nodes on a block's first use and summed into
+//!   `recovery.*` on snapshot;
 //! * the two coalescer counters, kept apart from the registry because
 //!   batching varies with wall-clock thread interleaving and the
 //!   registry's renders must stay byte-identical across same-seed runs.
@@ -28,10 +28,16 @@
 //! [`crate::span::adopt`] take it explicitly.
 
 use crate::stats::{RecoverySnapshot, RecoveryStats};
+use crate::stripe::Striped;
 use crate::timeseries::SeriesConfig;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Nodes per block of recovery slots. A block is allocated the first time
+/// one of its nodes records a recovery, so a world whose nodes never
+/// recover (every `world_ring` node) holds one empty cell per block.
+const RECOVERY_BLOCK: usize = 64;
 
 /// The telemetry of one world (see the module docs).
 pub struct Telemetry {
@@ -42,8 +48,10 @@ pub struct Telemetry {
     pub(crate) spans: Mutex<crate::span::Buffers>,
     /// Head-sampling rate: 0 records every trace, `n` about one in `n`.
     pub(crate) sample_n: AtomicU32,
-    /// Recovery counters, indexed by node id.
-    recovery: Box<[RecoveryStats]>,
+    /// Recovery counters, indexed by node id in blocks of
+    /// [`RECOVERY_BLOCK`], each block allocated on first use.
+    recovery: Box<[OnceLock<Box<[RecoveryStats; RECOVERY_BLOCK]>>]>,
+    nodes: usize,
     /// Sub-threshold frames that entered a coalescing batch instead of
     /// going to the wire on their own.
     pub frames_coalesced: AtomicU64,
@@ -67,7 +75,10 @@ impl Telemetry {
             series: Mutex::new(crate::timeseries::Registry::new(SeriesConfig::default())),
             spans: Mutex::new(Default::default()),
             sample_n: AtomicU32::new(0),
-            recovery: (0..nodes).map(|_| RecoveryStats::new()).collect(),
+            recovery: (0..nodes.div_ceil(RECOVERY_BLOCK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            nodes,
             frames_coalesced: AtomicU64::new(0),
             coalesce_flushes: AtomicU64::new(0),
         })
@@ -93,13 +104,25 @@ impl Telemetry {
 
     /// The recovery counters of node `node` (a node id of this world).
     pub fn node_recovery(&self, node: u32) -> &RecoveryStats {
-        &self.recovery[node as usize]
+        let node = node as usize;
+        assert!(
+            node < self.nodes,
+            "node {node} outside a world of {}",
+            self.nodes
+        );
+        let block = self.recovery[node / RECOVERY_BLOCK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| RecoveryStats::new())));
+        &block[node % RECOVERY_BLOCK]
     }
 
     /// The world's recovery counters: every node's, summed.
     pub fn recovery(&self) -> RecoverySnapshot {
         let mut total = RecoverySnapshot::default();
-        for s in self.recovery.iter().map(|s| s.snapshot()) {
+        let used = self.recovery.iter().filter_map(OnceLock::get);
+        for s in used
+            .flat_map(|block| block.iter())
+            .map(RecoveryStats::snapshot)
+        {
             total.send_retries += s.send_retries;
             total.connect_retries += s.connect_retries;
             total.giop_retries += s.giop_retries;
@@ -120,10 +143,12 @@ impl Telemetry {
     }
 }
 
-/// A counter registered with [`Telemetry::counter_cell`].
+/// A counter registered with [`Telemetry::counter_cell`], striped per
+/// thread ([`crate::stripe`]): scheduler workers sending at once add to
+/// lines of their own.
 #[derive(Debug, Default)]
 pub struct CounterCell {
-    value: AtomicU64,
+    value: Striped,
     /// Set by the first add, zero included: from then on the counter
     /// shows in snapshots, as a `counter_add` one does.
     touched: AtomicBool,
@@ -131,7 +156,7 @@ pub struct CounterCell {
 
 impl CounterCell {
     pub fn add(&self, delta: u64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
+        self.value.add(delta);
         if !self.touched.load(Ordering::Relaxed) {
             self.touched.store(true, Ordering::Relaxed);
         }
@@ -141,7 +166,7 @@ impl CounterCell {
     pub(crate) fn read(&self) -> Option<u64> {
         self.touched
             .load(Ordering::Relaxed)
-            .then(|| self.value.load(Ordering::Relaxed))
+            .then(|| self.value.sum())
     }
 }
 

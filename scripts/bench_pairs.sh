@@ -3,7 +3,7 @@
 #
 #   scripts/bench_pairs.sh PARENT_REV [--pairs N] [--seed S] [workload…]
 #
-# Checks PARENT_REV out into a temporary `git worktree` and runs
+# Extracts PARENT_REV into a temporary directory (`git archive`) and runs
 #
 #   benchmark/run.sh --workload W --seed S --seconds T --trace 0
 #
@@ -48,17 +48,14 @@ for w in json.load(open(sys.argv[1]))["workloads"]:
 fi
 
 tmp="$(mktemp -d)"
-worktree="$tmp/parent"
-cleanup() {
-    git -C "$repo" worktree remove --force "$worktree" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$repo" worktree add --quiet --detach "$worktree" "$rev"
-parent_rev="$(git -C "$worktree" rev-parse --short HEAD)"
+parent="$tmp/parent"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$parent"
+git -C "$repo" archive "$rev" | tar -x -C "$parent"
+parent_rev="$(git -C "$repo" rev-parse --short "$rev")"
 
 # Build both sides before the first timed run.
-for dir in "$worktree" "$repo"; do
+for dir in "$parent" "$repo"; do
     echo "building $dir/benchmark" >&2
     CARGO_TARGET_DIR="$dir/benchmark/target" \
         cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
@@ -68,7 +65,7 @@ runs="$tmp/runs.jsonl"
 : >"$runs"
 run() { # side pair workload
     local dir="$repo"
-    [[ "$1" == parent ]] && dir="$worktree"
+    [[ "$1" == parent ]] && dir="$parent"
     local result
     result="$(env -u CARGO_TARGET_DIR bash "$dir/benchmark/run.sh" --workload "$3" \
         --seed "$seed" --seconds "$seconds" --trace 0 2>>"$tmp/stderr.log" | tail -n 1)" || true

@@ -95,78 +95,6 @@ fn steady_state_roundtrips_make_zero_pool_misses() {
 }
 
 #[test]
-fn steady_state_event_engine_makes_zero_record_misses() {
-    // The world scheduler boxes one record per delivery event; at steady
-    // state every one of them must come off its record shelf, not the
-    // allocator — and the byte slabs must stay warm too.
-    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let (topo, ids) = single_cluster(2);
-    let topo = Arc::new(topo);
-    let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
-    let circuits: Vec<_> = tms
-        .iter()
-        .map(|tm| {
-            tm.circuit(
-                CircuitSpec::new("steady-event", ids.clone())
-                    .with_choice(FabricChoice::Kind(FabricKind::Myrinet)),
-            )
-            .unwrap()
-        })
-        .collect();
-
-    let body: &[u8] = b"steady-state-event-engine-ping!!";
-    let proto = Payload::from_vec(body.to_vec());
-    let roundtrip = |h: u64| {
-        // One thread drives both ends, so each send is its own protocol
-        // barrier: flush before blocking in the peer's recv (coalescing
-        // is on by default).
-        circuits[0].send(1, h, proto.clone()).unwrap();
-        circuits[0].flush().unwrap();
-        let (_, _, p) = circuits[1].recv().unwrap();
-        assert_eq!(p.to_vec(), body);
-        circuits[1].send(0, h, proto.clone()).unwrap();
-        circuits[1].flush().unwrap();
-        let (_, _, p) = circuits[0].recv().unwrap();
-        assert_eq!(p.to_vec(), body);
-    };
-
-    for i in 0..WARMUP {
-        roundtrip(i as u64);
-    }
-
-    // This world's own scheduler counts its record traffic; the slab
-    // counters are process-wide.
-    let slabs_before = pool::stats();
-    let recs_before = topo.sched().stats();
-    for i in 0..MEASURED {
-        roundtrip((WARMUP + i) as u64);
-    }
-    let slabs_after = pool::stats();
-    let recs_after = topo.sched().stats();
-
-    assert_eq!(
-        recs_after.record_misses - recs_before.record_misses,
-        0,
-        "steady-state loop allocated fresh records over {} round-trips \
-         (before {:?}, after {:?})",
-        MEASURED,
-        recs_before,
-        recs_after
-    );
-    assert!(
-        recs_after.record_hits > recs_before.record_hits,
-        "the loop never drew event records — the assertion proves nothing \
-         (before {recs_before:?}, after {recs_after:?})"
-    );
-    assert_eq!(
-        slabs_after.misses - slabs_before.misses,
-        0,
-        "round-trips must keep the byte slabs warm too \
-         (before {slabs_before:?}, after {slabs_after:?})"
-    );
-}
-
-#[test]
 fn steady_state_copying_bulk_writes_make_zero_pool_misses() {
     // One replica's share of a 2 MiB coupling step is ~683 KiB. A
     // copying-profile writer must copy it into one pooled slab of the

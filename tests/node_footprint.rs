@@ -28,22 +28,25 @@ use std::time::Duration;
 
 const NODES: usize = 10_000;
 /// `(allocations, live bytes)` per node for `Topology` construction
-/// (measured: 1 and 256), with ~10 % headroom.
-const TOPOLOGY_BUDGET: (f64, f64) = (1.1, 270.0);
+/// (measured: 1 and 200.5; recovery slots are allocated in blocks on
+/// first use, which no node here makes), with ~10 % headroom.
+const TOPOLOGY_BUDGET: (f64, f64) = (1.1, 221.0);
 /// `(allocations, live bytes)` per node for `PadicoTM::boot_all`
-/// (measured: 5 and 456–466; the world scheduler is every node's port sink,
-/// so no node allocates one, and each registry shard holds room for its
-/// first channel), with ~10 % headroom.
-const BOOT_BUDGET: (f64, f64) = (5.5, 515.0);
+/// (measured: 3.01 and 320–331: the `PadicoTM`, its clock, and one
+/// `NetAccess` holding the node's cell and its first fabric endpoint; the
+/// world scheduler is every node's port sink and each registry shard
+/// holds room for its first channel), with ~10 % headroom.
+const BOOT_BUDGET: (f64, f64) = (3.3, 364.0);
 /// `(allocations, live bytes)` per node for claiming one channel on every
 /// booted node (measured: 1 and 16, the handler alone: a registry shard
 /// holds its first channel inline), with ~10 % headroom.
 const CHANNEL_BUDGET: (f64, f64) = (1.1, 18.0);
 /// `(allocations, live bytes)` per node for one 16-byte hop from every
-/// node to the next, delivered (measured: 7.02 and 130.1, the same in
-/// debug and release builds and on a loaded host: see [`HOP_BATCH`]),
-/// with ~10 % headroom.
-const HOP_BUDGET: (f64, f64) = (7.7, 143.0);
+/// node to the next, delivered (measured: 4.02 and 67.9: the rx history's
+/// first 4 intervals; the tx history keeps its one interval inline. The
+/// same in debug and release builds and on a loaded host: see
+/// [`HOP_BATCH`]), with ~10 % headroom.
+const HOP_BUDGET: (f64, f64) = (4.4, 75.0);
 
 struct Counting;
 
@@ -150,8 +153,8 @@ fn world_boot_stays_within_its_per_node_budget() {
 }
 
 /// Hops sent between two waits for quiescence. The world-level buffers a
-/// hop passes through (the scheduler's event records and heap shards, the
-/// payload slab shelf, which keeps 64 slabs per size class) then never
+/// hop passes through (the scheduler's heap shards, the payload slab
+/// shelves, which keep 64 slabs per size class and 32 per thread) then never
 /// hold more than one batch, however the workers keep up with the sends:
 /// under 2 B and 0.02 allocations per node.
 const HOP_BATCH: usize = 64;
@@ -200,4 +203,62 @@ fn timeline_history_grows_by_an_eighth_past_64_intervals() {
     }
     let bytes = THREAD_LIVE.with(Cell::get) - live;
     assert_eq!(bytes, 72 * 16, "64 intervals grew by 8, not to 128");
+}
+
+/// A million-node world runs one token round: 256 tokens, each from its
+/// start node to the next token's, so every node receives exactly one
+/// hop. Prints what a node costs booted and after its hop; no bound is
+/// checked until rx history stops growing with traffic. Needs ~1 GB: run
+/// it with `cargo test --release --test node_footprint -- --ignored
+/// --nocapture`.
+#[test]
+#[ignore]
+fn million_node_world_runs_one_token_round() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const MILLION: usize = 1_000_000;
+    const TOKENS: usize = 256;
+    let start = |t: usize| t * MILLION / TOKENS;
+    let is_start = |i: usize| start((i * TOKENS).div_ceil(MILLION)) == i;
+    let live = LIVE.load(Ordering::Relaxed);
+    let per_node = || (LIVE.load(Ordering::Relaxed) - live) as f64 / MILLION as f64;
+    let mut b = Topology::builder();
+    let ids = b.machine("m", "million", MILLION, SecurityZone::Trusted);
+    b.fabric(presets::ethernet100(), ids);
+    let topo = Arc::new(b.build());
+    let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
+    println!("booted: {:.1} live bytes per node", per_node());
+    let fabric = topo.fabrics()[0].id();
+    let ch = ChannelId(11);
+    let hops = Arc::new(AtomicU64::new(0));
+    for (i, tm) in tms.iter().enumerate() {
+        let (net, hops) = (Arc::downgrade(tm.net()), Arc::clone(&hops));
+        let next = tms[(i + 1) % MILLION].net().node();
+        let forward = !is_start(i);
+        let handler = move |_msg| {
+            hops.fetch_add(1, Ordering::Relaxed);
+            if let (true, Some(net)) = (forward, net.upgrade()) {
+                net.send(fabric, next, ch, Payload::from_vec(vec![0; 16]))
+                    .expect("hop sends");
+            }
+        };
+        tm.net().on_channel(ch, Arc::new(handler)).unwrap();
+    }
+    for t in 0..TOKENS {
+        let src = start(t);
+        let next = tms[src + 1].net().node();
+        tms[src]
+            .net()
+            .send(fabric, next, ch, Payload::from_vec(vec![0; 16]))
+            .unwrap();
+    }
+    assert!(
+        topo.sched().quiesce(Duration::from_secs(600)),
+        "the round ends"
+    );
+    assert_eq!(
+        hops.load(Ordering::Relaxed),
+        MILLION as u64,
+        "one hop per node"
+    );
+    println!("after one round: {:.1} live bytes per node", per_node());
 }
