@@ -45,9 +45,9 @@
 //! the destination shard's lock and raises the world's `outstanding`
 //! count, and nothing else the workers share. Everything else is paid
 //! once per batch of up to [`BATCH`] events: the handler table's read
-//! lock, the `outstanding` decrement, the virtual-time frontier, and
-//! each worker's own lane (its delivered/dropped/steal counters, lane
-//! samples and `sched.*` series), which no other worker writes.
+//! lock, the `outstanding` decrement, the virtual-time frontier, and the
+//! lane lock (delivered/dropped/steal counters, lane samples and the
+//! `sched.*` series totals).
 //!
 //! ## Parking and quiescence
 //!
@@ -100,7 +100,7 @@ pub type NodeHandler = Arc<dyn NodeStep>;
 /// so per-node serialization holds).
 const BATCH: usize = 32;
 
-/// Batches a lane folds into one `sched.*` series sample.
+/// Batches the lane folds into one `sched.*` series sample.
 const SERIES_BATCHES: u32 = 8;
 
 /// A scheduled delivery, held inline in its shard's heap.
@@ -177,31 +177,25 @@ pub struct LaneSample {
     pub stolen: bool,
 }
 
-/// Retained lane samples, over all lanes: a flight-recorder window over
-/// the most recent batches. Older samples are overwritten and counted,
-/// never silently lost. 4 096 × 40 B keeps the window at 160 KiB; a
-/// longer log held the first batches of a process's life and cost
-/// megabytes of resident memory in every long-running world.
+/// Retained lane samples: a flight-recorder window over the most recent
+/// batches. Older samples are overwritten and counted, never silently
+/// lost. 4 096 × 40 B keeps the window at 160 KiB; a longer log held the
+/// first batches of a process's life and cost megabytes of resident
+/// memory in every long-running world.
 const LANE_CAP: usize = 4096;
 
+/// The scheduler's bookkeeping, settled under its lock once per batch.
 #[derive(Default)]
-struct LaneLog {
-    samples: VecDeque<LaneSample>,
+struct Lane {
+    delivered: u64,
     dropped: u64,
+    steals: u64,
+    samples: VecDeque<LaneSample>,
+    /// Samples overwritten by newer ones.
+    overwritten: u64,
     /// `sched.*` series totals not yet recorded: batches, events, stolen
     /// events, and the newest batch's virtual time.
     series: (u32, u64, u64, Vt),
-}
-
-/// One worker's share of the scheduler's bookkeeping, written by that
-/// worker alone (and by `run_until_idle` callers, who use lane 0).
-#[repr(align(64))]
-#[derive(Default)]
-struct Lane {
-    delivered: AtomicU64,
-    dropped: AtomicU64,
-    steals: AtomicU64,
-    log: Mutex<LaneLog>,
 }
 
 /// Counters for the progress core, reported by the world benches.
@@ -252,7 +246,7 @@ pub struct WorldSched {
     /// Events posted and not yet finished (queued or being handled).
     outstanding: AtomicU64,
     watermark: AtomicU64,
-    lanes: Vec<Lane>,
+    lane: Mutex<Lane>,
     /// The world's telemetry, where the `sched.*` series land.
     telemetry: Arc<Telemetry>,
     stop: AtomicBool,
@@ -298,7 +292,7 @@ impl WorldSched {
             handlers: RwLock::new(Vec::new()),
             outstanding: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            lanes: (0..workers.max(1)).map(|_| Lane::default()).collect(),
+            lane: Mutex::new(Lane::default()),
             telemetry,
             stop: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
@@ -373,18 +367,22 @@ impl WorldSched {
         }
     }
 
-    /// One full scan over all shards starting at `home`, bookkeeping into
-    /// lane `lane`; returns whether any event was dispatched.
-    fn drain_pass(&self, home: usize, lane: usize, scratch: &mut Scratch) -> bool {
+    /// One full scan over all shards starting at `home`; returns whether
+    /// any event was dispatched.
+    fn drain_pass(&self, home: usize, scratch: &mut Scratch) -> bool {
         let n = self.shards.len();
         let mut did_work = false;
         for i in 0..n {
             let idx = (home + i) % n;
             let shard = &self.shards[idx];
-            if shard
-                .claimed
-                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
+            // An empty shard is passed over without its claim or lock: an
+            // event posted to it meanwhile is seen by the pre-park check
+            // (see "Parking and quiescence").
+            if shard.queued.load(Ordering::Relaxed) == 0
+                || shard
+                    .claimed
+                    .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                    .is_err()
             {
                 continue;
             }
@@ -404,7 +402,7 @@ impl WorldSched {
                 if scratch.events.is_empty() {
                     break;
                 }
-                self.dispatch_batch(home, lane, idx, i != 0, occupancy as u32, scratch);
+                self.dispatch_batch(home, idx, i != 0, occupancy as u32, scratch);
                 did_work = true;
             }
             shard.claimed.store(false, Ordering::Release);
@@ -417,7 +415,6 @@ impl WorldSched {
     fn dispatch_batch(
         &self,
         home: usize,
-        lane: usize,
         shard: usize,
         stolen: bool,
         occupancy: u32,
@@ -449,16 +446,8 @@ impl WorldSched {
                 delivered += 1;
             }
         }
-        let lane = &self.lanes[lane];
-        lane.delivered.fetch_add(delivered, Ordering::Relaxed);
-        if delivered < batch {
-            lane.dropped.fetch_add(batch - delivered, Ordering::Relaxed);
-        }
-        if stolen {
-            lane.steals.fetch_add(batch, Ordering::Relaxed);
-        }
         self.record_lane_sample(
-            lane,
+            delivered,
             LaneSample {
                 worker: home as u32,
                 shard: shard as u32,
@@ -476,21 +465,24 @@ impl WorldSched {
         }
     }
 
-    /// Fold one dispatched batch into the lane's log, and every
-    /// [`SERIES_BATCHES`] batches into the `sched.*` timeseries. The
-    /// `sched.*` series are timed by which worker won which shard — host
-    /// scheduling, not the seed — so determinism comparisons strip them
-    /// (see `tests/chaos_world`).
-    fn record_lane_sample(&self, lane: &Lane, sample: LaneSample) {
-        let cap = (LANE_CAP / self.lanes.len()).max(1);
-        let mut log = lane.log.lock();
-        if log.samples.len() >= cap {
-            log.samples.pop_front();
-            log.dropped += 1;
-        }
-        log.samples.push_back(sample);
+    /// Fold one dispatched batch, `delivered` of whose events found a
+    /// handler, into the lane, and every [`SERIES_BATCHES`] batches into
+    /// the `sched.*` timeseries. The `sched.*` series are timed by which
+    /// worker won which shard — host scheduling, not the seed — so
+    /// determinism comparisons strip them (see `tests/chaos_world`).
+    fn record_lane_sample(&self, delivered: u64, sample: LaneSample) {
+        let batch = u64::from(sample.batch);
         let stolen = if sample.stolen { sample.batch } else { 0 };
-        let s = &mut log.series;
+        let mut lane = self.lane.lock();
+        lane.delivered += delivered;
+        lane.dropped += batch - delivered;
+        lane.steals += u64::from(stolen);
+        if lane.samples.len() == LANE_CAP {
+            lane.samples.pop_front();
+            lane.overwritten += 1;
+        }
+        lane.samples.push_back(sample);
+        let s = &mut lane.series;
         *s = (
             s.0 + 1,
             s.1 + u64::from(sample.batch),
@@ -498,13 +490,13 @@ impl WorldSched {
             sample.vt,
         );
         if s.0 >= SERIES_BATCHES {
-            self.flush_series(&mut log);
+            self.flush_series(&mut lane);
         }
     }
 
-    /// Record a lane's unrecorded `sched.*` totals.
-    fn flush_series(&self, log: &mut LaneLog) {
-        let (batches, delivered, stolen, vt) = std::mem::take(&mut log.series);
+    /// Record the lane's unrecorded `sched.*` totals.
+    fn flush_series(&self, lane: &mut Lane) {
+        let (batches, delivered, stolen, vt) = std::mem::take(&mut lane.series);
         if batches == 0 {
             return;
         }
@@ -514,31 +506,17 @@ impl WorldSched {
         }
     }
 
-    fn flush_all_series(&self) {
-        for lane in &self.lanes {
-            self.flush_series(&mut lane.log.lock());
-        }
-    }
-
-    /// The retained lane telemetry — the most recent window of every
-    /// lane — ordered by virtual time.
+    /// The retained lane telemetry — the most recent window — oldest
+    /// first.
     pub fn lane_samples(&self) -> Vec<LaneSample> {
-        let mut samples: Vec<LaneSample> = self
-            .lanes
-            .iter()
-            .flat_map(|lane| lane.log.lock().samples.iter().copied().collect::<Vec<_>>())
-            .collect();
-        samples.sort_by_key(|s| s.vt);
-        samples
+        self.lane.lock().samples.iter().copied().collect()
     }
 
     /// Drop retained lane samples (benches use this between phases).
     pub fn clear_lanes(&self) {
-        for lane in &self.lanes {
-            let mut log = lane.log.lock();
-            log.samples = VecDeque::new();
-            log.dropped = 0;
-        }
+        let mut lane = self.lane.lock();
+        lane.samples = VecDeque::new();
+        lane.overwritten = 0;
     }
 
     fn any_queued(&self) -> bool {
@@ -550,10 +528,10 @@ impl WorldSched {
     fn worker_loop(&self, home: usize) {
         let mut scratch = Scratch::new();
         while !self.stop.load(Ordering::Relaxed) {
-            if self.drain_pass(home, home, &mut scratch) {
+            if self.drain_pass(home, &mut scratch) {
                 continue;
             }
-            self.flush_series(&mut self.lanes[home].log.lock());
+            self.flush_series(&mut self.lane.lock());
             let mut guard = self.park.lock();
             self.parked.fetch_add(1, Ordering::SeqCst);
             if !self.any_queued() && !self.stop.load(Ordering::SeqCst) {
@@ -567,12 +545,12 @@ impl WorldSched {
     /// Dispatch order is fully deterministic with `workers == 0`.
     pub fn run_until_idle(&self) {
         let mut scratch = Scratch::new();
-        while self.drain_pass(0, 0, &mut scratch) {}
-        self.flush_series(&mut self.lanes[0].log.lock());
+        while self.drain_pass(0, &mut scratch) {}
+        self.flush_series(&mut self.lane.lock());
     }
 
     /// Block until no events are pending or in flight, or `timeout`
-    /// elapses. Returns `true` when the world is quiescent, with every
+    /// elapses. Returns `true` when the world is quiescent, with the
     /// lane's `sched.*` totals recorded.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -587,7 +565,7 @@ impl WorldSched {
             self.idle_cv.wait_for(&mut guard, deadline - now);
         }
         drop(guard);
-        self.flush_all_series();
+        self.flush_series(&mut self.lane.lock());
         true
     }
 
@@ -615,14 +593,12 @@ impl WorldSched {
             stats.posted += heap.pushed;
             stats.pending += heap.events.len() as u64;
         }
-        for lane in &self.lanes {
-            stats.delivered += lane.delivered.load(Ordering::Relaxed);
-            stats.dropped += lane.dropped.load(Ordering::Relaxed);
-            stats.steals += lane.steals.load(Ordering::Relaxed);
-            let log = lane.log.lock();
-            stats.lane_samples += log.samples.len() as u64;
-            stats.lane_dropped += log.dropped;
-        }
+        let lane = self.lane.lock();
+        stats.delivered = lane.delivered;
+        stats.dropped = lane.dropped;
+        stats.steals = lane.steals;
+        stats.lane_samples = lane.samples.len() as u64;
+        stats.lane_dropped = lane.overwritten;
         stats
     }
 

@@ -41,7 +41,6 @@ allowed=(
     "MISSES      segment pool miss counter (allocator statistics)"
     "RETURNS     segment pool return counter (allocator statistics)"
     "OUTSTANDING segment pool outstanding-lease gauge (allocator statistics)"
-    "NEXT_STRIPE next per-thread counter stripe to hand out (padico_util::stripe)"
     "SCHEDULE_CACHE     redistribution schedules: a memo of a pure function"
     "CHANNEL_IDS        logical channel ids must be unique across every world"
 )
