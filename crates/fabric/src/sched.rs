@@ -10,9 +10,13 @@
 //! not an OS thread + stack.
 //!
 //! Handlers run on the workers, so they must not block. A topology's pool
-//! has up to half the cores (see [`crate::topology::Topology::sched`]);
-//! on two cores or fewer it is one worker, and a handler waiting for
-//! another delivery would wait for itself.
+//! has up to one worker per core, at most 4 (see
+//! [`crate::topology::Topology::sched`]), but only the first starts with
+//! the scheduler: each further worker starts on the first backlog the
+//! running ones leave, more than [`BATCH`] events outstanding per running
+//! worker. A world that never builds one (a 2-node RPC rig) runs one
+//! worker, and a handler waiting for another delivery would wait for
+//! itself.
 //!
 //! ## Ordering and determinism
 //!
@@ -43,11 +47,13 @@
 //!
 //! Event records live inline in their shard's heap: posting one takes
 //! the destination shard's lock and raises the world's `outstanding`
-//! count, and nothing else the workers share. Everything else is paid
-//! once per batch of up to [`BATCH`] events: the handler table's read
-//! lock, the `outstanding` decrement, the virtual-time frontier, and the
-//! lane lock (delivered/dropped/steal counters, lane samples and the
-//! `sched.*` series totals).
+//! count, and writes nothing else the workers share (it reads the
+//! running worker count, which changes only when the pool grows).
+//! Everything else is paid once per batch of up to [`BATCH`] events: the
+//! handler table's read lock, the `outstanding` decrement, the
+//! virtual-time frontier, and each worker's own lane (its
+//! delivered/dropped/steal counters, lane samples and `sched.*` series),
+//! which no other worker writes.
 //!
 //! ## Parking and quiescence
 //!
@@ -100,7 +106,7 @@ pub type NodeHandler = Arc<dyn NodeStep>;
 /// so per-node serialization holds).
 const BATCH: usize = 32;
 
-/// Batches the lane folds into one `sched.*` series sample.
+/// Batches a lane folds into one `sched.*` series sample.
 const SERIES_BATCHES: u32 = 8;
 
 /// A scheduled delivery, held inline in its shard's heap.
@@ -177,25 +183,33 @@ pub struct LaneSample {
     pub stolen: bool,
 }
 
-/// Retained lane samples: a flight-recorder window over the most recent
-/// batches. Older samples are overwritten and counted, never silently
-/// lost. 4 096 × 40 B keeps the window at 160 KiB; a longer log held the
-/// first batches of a process's life and cost megabytes of resident
-/// memory in every long-running world.
+/// Retained lane samples, over all lanes: a flight-recorder window over
+/// the most recent batches. Older samples are overwritten and counted,
+/// never silently lost. 4 096 × 40 B keeps the window at 160 KiB; a
+/// longer log held the first batches of a process's life and cost
+/// megabytes of resident memory in every long-running world.
 const LANE_CAP: usize = 4096;
 
-/// The scheduler's bookkeeping, settled under its lock once per batch.
 #[derive(Default)]
-struct Lane {
-    delivered: u64,
-    dropped: u64,
-    steals: u64,
+struct LaneLog {
     samples: VecDeque<LaneSample>,
     /// Samples overwritten by newer ones.
-    overwritten: u64,
+    dropped: u64,
     /// `sched.*` series totals not yet recorded: batches, events, stolen
     /// events, and the newest batch's virtual time.
     series: (u32, u64, u64, Vt),
+}
+
+/// One worker's share of the scheduler's bookkeeping, settled once per
+/// batch and written by that worker alone (and by `run_until_idle`
+/// callers, who use lane 0).
+#[repr(align(64))]
+#[derive(Default)]
+struct Lane {
+    delivered: AtomicU64,
+    dropped: AtomicU64,
+    steals: AtomicU64,
+    log: Mutex<LaneLog>,
 }
 
 /// Counters for the progress core, reported by the world benches.
@@ -213,7 +227,7 @@ pub struct SchedStats {
     pub pending: u64,
     /// The virtual-time frontier: max vt of any dispatched event.
     pub horizon: Vt,
-    /// Worker threads serving the heap.
+    /// Worker threads started so far (the pool starts them on backlog).
     pub workers: usize,
     /// Heap shards.
     pub shards: usize,
@@ -246,7 +260,7 @@ pub struct WorldSched {
     /// Events posted and not yet finished (queued or being handled).
     outstanding: AtomicU64,
     watermark: AtomicU64,
-    lane: Mutex<Lane>,
+    lanes: Vec<Lane>,
     /// The world's telemetry, where the `sched.*` series land.
     telemetry: Arc<Telemetry>,
     stop: AtomicBool,
@@ -256,15 +270,22 @@ pub struct WorldSched {
     park_cv: Condvar,
     idle: Mutex<()>,
     idle_cv: Condvar,
+    /// The running workers; locked only to start or stop them.
     workers: Mutex<Vec<JoinHandle<()>>>,
-    worker_count: usize,
+    /// How many workers have started: `workers.len()`, readable without
+    /// the lock.
+    running: AtomicUsize,
+    /// The most workers the pool may start.
+    pool: usize,
+    /// The scheduler itself, for a worker started by a post.
+    me: Weak<WorldSched>,
 }
 
 impl std::fmt::Debug for WorldSched {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WorldSched")
             .field("shards", &self.shards.len())
-            .field("workers", &self.worker_count)
+            .field("workers", &self.running.load(Ordering::Relaxed))
             .field("outstanding", &self.outstanding.load(Ordering::Relaxed))
             .finish()
     }
@@ -276,12 +297,13 @@ fn shard_of(node: NodeId, shards: usize) -> usize {
 }
 
 impl WorldSched {
-    /// Start a scheduler with `shards` heap shards served by `workers`
-    /// threads, recording its `sched.*` series into `telemetry`.
-    /// `workers == 0` is valid for tests and single-threaded driving via
-    /// [`WorldSched::run_until_idle`].
+    /// Start a scheduler with `shards` heap shards served by a pool of up
+    /// to `workers` threads, recording its `sched.*` series into
+    /// `telemetry`. One worker starts now, the others on backlog (see the
+    /// module docs). `workers == 0` is valid for tests and
+    /// single-threaded driving via [`WorldSched::run_until_idle`].
     pub fn start(shards: usize, workers: usize, telemetry: Arc<Telemetry>) -> Arc<WorldSched> {
-        let sched = Arc::new(WorldSched {
+        let sched = Arc::new_cyclic(|me| WorldSched {
             shards: (0..shards.max(1))
                 .map(|_| Shard {
                     heap: Mutex::new(Heap::default()),
@@ -292,7 +314,7 @@ impl WorldSched {
             handlers: RwLock::new(Vec::new()),
             outstanding: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            lane: Mutex::new(Lane::default()),
+            lanes: (0..workers.max(1)).map(|_| Lane::default()).collect(),
             telemetry,
             stop: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
@@ -301,19 +323,33 @@ impl WorldSched {
             idle: Mutex::new(()),
             idle_cv: Condvar::new(),
             workers: Mutex::new(Vec::new()),
-            worker_count: workers,
+            running: AtomicUsize::new(0),
+            pool: workers,
+            me: me.clone(),
         });
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let s = Arc::clone(&sched);
-            let handle = thread::Builder::new()
-                .name(format!("padico-sched-{w}"))
-                .spawn(move || s.worker_loop(w))
-                .expect("spawn scheduler worker");
-            handles.push(handle);
-        }
-        *sched.workers.lock() = handles;
+        sched.start_worker();
         sched
+    }
+
+    /// Start one more worker, unless the pool is full, the scheduler is
+    /// stopping, or another thread is starting one right now.
+    fn start_worker(&self) {
+        let Some(mut workers) = self.workers.try_lock() else {
+            return;
+        };
+        let w = workers.len();
+        if w >= self.pool || self.stop.load(Ordering::SeqCst) {
+            return;
+        }
+        let Some(s) = self.me.upgrade() else {
+            return;
+        };
+        let handle = thread::Builder::new()
+            .name(format!("padico-sched-{w}"))
+            .spawn(move || s.worker_loop(w))
+            .expect("spawn scheduler worker");
+        workers.push(handle);
+        self.running.store(w + 1, Ordering::Release);
     }
 
     /// Install `handler` as the step function for `node`, replacing any
@@ -344,7 +380,7 @@ impl WorldSched {
     pub fn post(&self, dst: NodeId, vt: Vt, src: NodeId, msg: Message) {
         // Counted before it is visible, so a quiescence check never sees
         // it queued but not outstanding.
-        self.outstanding.fetch_add(1, Ordering::SeqCst);
+        let outstanding = self.outstanding.fetch_add(1, Ordering::SeqCst) + 1;
         let shard = &self.shards[shard_of(dst, self.shards.len())];
         {
             let mut heap = shard.heap.lock();
@@ -365,11 +401,15 @@ impl WorldSched {
             let _park = self.park.lock();
             self.park_cv.notify_one();
         }
+        let running = self.running.load(Ordering::Relaxed);
+        if running < self.pool && outstanding > (BATCH * running) as u64 {
+            self.start_worker();
+        }
     }
 
-    /// One full scan over all shards starting at `home`; returns whether
-    /// any event was dispatched.
-    fn drain_pass(&self, home: usize, scratch: &mut Scratch) -> bool {
+    /// One full scan over all shards starting at `home`, bookkeeping into
+    /// lane `lane`; returns whether any event was dispatched.
+    fn drain_pass(&self, home: usize, lane: usize, scratch: &mut Scratch) -> bool {
         let n = self.shards.len();
         let mut did_work = false;
         for i in 0..n {
@@ -402,7 +442,7 @@ impl WorldSched {
                 if scratch.events.is_empty() {
                     break;
                 }
-                self.dispatch_batch(home, idx, i != 0, occupancy as u32, scratch);
+                self.dispatch_batch(home, lane, idx, i != 0, occupancy as u32, scratch);
                 did_work = true;
             }
             shard.claimed.store(false, Ordering::Release);
@@ -415,6 +455,7 @@ impl WorldSched {
     fn dispatch_batch(
         &self,
         home: usize,
+        lane: usize,
         shard: usize,
         stolen: bool,
         occupancy: u32,
@@ -446,8 +487,16 @@ impl WorldSched {
                 delivered += 1;
             }
         }
+        let lane = &self.lanes[lane];
+        lane.delivered.fetch_add(delivered, Ordering::Relaxed);
+        if delivered < batch {
+            lane.dropped.fetch_add(batch - delivered, Ordering::Relaxed);
+        }
+        if stolen {
+            lane.steals.fetch_add(batch, Ordering::Relaxed);
+        }
         self.record_lane_sample(
-            delivered,
+            lane,
             LaneSample {
                 worker: home as u32,
                 shard: shard as u32,
@@ -465,24 +514,21 @@ impl WorldSched {
         }
     }
 
-    /// Fold one dispatched batch, `delivered` of whose events found a
-    /// handler, into the lane, and every [`SERIES_BATCHES`] batches into
-    /// the `sched.*` timeseries. The `sched.*` series are timed by which
-    /// worker won which shard — host scheduling, not the seed — so
-    /// determinism comparisons strip them (see `tests/chaos_world`).
-    fn record_lane_sample(&self, delivered: u64, sample: LaneSample) {
-        let batch = u64::from(sample.batch);
-        let stolen = if sample.stolen { sample.batch } else { 0 };
-        let mut lane = self.lane.lock();
-        lane.delivered += delivered;
-        lane.dropped += batch - delivered;
-        lane.steals += u64::from(stolen);
-        if lane.samples.len() == LANE_CAP {
-            lane.samples.pop_front();
-            lane.overwritten += 1;
+    /// Fold one dispatched batch into its lane's log, and every
+    /// [`SERIES_BATCHES`] batches into the `sched.*` timeseries. The
+    /// `sched.*` series are timed by which worker won which shard — host
+    /// scheduling, not the seed — so determinism comparisons strip them
+    /// (see `tests/chaos_world`).
+    fn record_lane_sample(&self, lane: &Lane, sample: LaneSample) {
+        let cap = (LANE_CAP / self.lanes.len()).max(1);
+        let mut log = lane.log.lock();
+        if log.samples.len() >= cap {
+            log.samples.pop_front();
+            log.dropped += 1;
         }
-        lane.samples.push_back(sample);
-        let s = &mut lane.series;
+        log.samples.push_back(sample);
+        let stolen = if sample.stolen { sample.batch } else { 0 };
+        let s = &mut log.series;
         *s = (
             s.0 + 1,
             s.1 + u64::from(sample.batch),
@@ -490,13 +536,13 @@ impl WorldSched {
             sample.vt,
         );
         if s.0 >= SERIES_BATCHES {
-            self.flush_series(&mut lane);
+            self.flush_series(&mut log);
         }
     }
 
-    /// Record the lane's unrecorded `sched.*` totals.
-    fn flush_series(&self, lane: &mut Lane) {
-        let (batches, delivered, stolen, vt) = std::mem::take(&mut lane.series);
+    /// Record a lane's unrecorded `sched.*` totals.
+    fn flush_series(&self, log: &mut LaneLog) {
+        let (batches, delivered, stolen, vt) = std::mem::take(&mut log.series);
         if batches == 0 {
             return;
         }
@@ -506,17 +552,31 @@ impl WorldSched {
         }
     }
 
-    /// The retained lane telemetry — the most recent window — oldest
-    /// first.
+    fn flush_all_series(&self) {
+        for lane in &self.lanes {
+            self.flush_series(&mut lane.log.lock());
+        }
+    }
+
+    /// The retained lane telemetry — the most recent window of every
+    /// lane — ordered by virtual time.
     pub fn lane_samples(&self) -> Vec<LaneSample> {
-        self.lane.lock().samples.iter().copied().collect()
+        let mut samples: Vec<LaneSample> = self
+            .lanes
+            .iter()
+            .flat_map(|lane| lane.log.lock().samples.iter().copied().collect::<Vec<_>>())
+            .collect();
+        samples.sort_by_key(|s| s.vt);
+        samples
     }
 
     /// Drop retained lane samples (benches use this between phases).
     pub fn clear_lanes(&self) {
-        let mut lane = self.lane.lock();
-        lane.samples = VecDeque::new();
-        lane.overwritten = 0;
+        for lane in &self.lanes {
+            let mut log = lane.log.lock();
+            log.samples = VecDeque::new();
+            log.dropped = 0;
+        }
     }
 
     fn any_queued(&self) -> bool {
@@ -528,10 +588,10 @@ impl WorldSched {
     fn worker_loop(&self, home: usize) {
         let mut scratch = Scratch::new();
         while !self.stop.load(Ordering::Relaxed) {
-            if self.drain_pass(home, &mut scratch) {
+            if self.drain_pass(home, home, &mut scratch) {
                 continue;
             }
-            self.flush_series(&mut self.lane.lock());
+            self.flush_series(&mut self.lanes[home].log.lock());
             let mut guard = self.park.lock();
             self.parked.fetch_add(1, Ordering::SeqCst);
             if !self.any_queued() && !self.stop.load(Ordering::SeqCst) {
@@ -545,12 +605,12 @@ impl WorldSched {
     /// Dispatch order is fully deterministic with `workers == 0`.
     pub fn run_until_idle(&self) {
         let mut scratch = Scratch::new();
-        while self.drain_pass(0, &mut scratch) {}
-        self.flush_series(&mut self.lane.lock());
+        while self.drain_pass(0, 0, &mut scratch) {}
+        self.flush_series(&mut self.lanes[0].log.lock());
     }
 
     /// Block until no events are pending or in flight, or `timeout`
-    /// elapses. Returns `true` when the world is quiescent, with the
+    /// elapses. Returns `true` when the world is quiescent, with every
     /// lane's `sched.*` totals recorded.
     pub fn quiesce(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -565,7 +625,7 @@ impl WorldSched {
             self.idle_cv.wait_for(&mut guard, deadline - now);
         }
         drop(guard);
-        self.flush_series(&mut self.lane.lock());
+        self.flush_all_series();
         true
     }
 
@@ -584,7 +644,7 @@ impl WorldSched {
     pub fn stats(&self) -> SchedStats {
         let mut stats = SchedStats {
             horizon: self.horizon(),
-            workers: self.worker_count,
+            workers: self.running.load(Ordering::Acquire),
             shards: self.shards.len(),
             ..SchedStats::default()
         };
@@ -593,12 +653,14 @@ impl WorldSched {
             stats.posted += heap.pushed;
             stats.pending += heap.events.len() as u64;
         }
-        let lane = self.lane.lock();
-        stats.delivered = lane.delivered;
-        stats.dropped = lane.dropped;
-        stats.steals = lane.steals;
-        stats.lane_samples = lane.samples.len() as u64;
-        stats.lane_dropped = lane.overwritten;
+        for lane in &self.lanes {
+            stats.delivered += lane.delivered.load(Ordering::Relaxed);
+            stats.dropped += lane.dropped.load(Ordering::Relaxed);
+            stats.steals += lane.steals.load(Ordering::Relaxed);
+            let log = lane.log.lock();
+            stats.lane_samples += log.samples.len() as u64;
+            stats.lane_dropped += log.dropped;
+        }
         stats
     }
 
@@ -816,15 +878,15 @@ mod tests {
         sched.stop();
     }
 
-    /// Token rounds of a reactive ring driven by `workers` workers: per
-    /// token, the nodes it visited in order.
-    fn ring_trace(workers: usize) -> Vec<Vec<u32>> {
+    /// Token rounds of `tokens` tokens on a reactive ring served by a pool
+    /// of `workers`: per token, the nodes it visited in order, and the
+    /// workers the pool started.
+    fn ring_trace(workers: usize, tokens: u64) -> (Vec<Vec<u32>>, usize) {
         const NODES: u32 = 1000;
-        const TOKENS: u64 = 16;
         const HOPS: u64 = 500;
         let sched = WorldSched::start(64, workers, Telemetry::new());
         let trace: Arc<Vec<Mutex<Vec<u32>>>> =
-            Arc::new((0..TOKENS).map(|_| Mutex::new(Vec::new())).collect());
+            Arc::new((0..tokens).map(|_| Mutex::new(Vec::new())).collect());
         let handlers: Vec<NodeHandler> = (0..NODES)
             .map(|n| {
                 let (s, trace) = (Arc::downgrade(&sched), Arc::clone(&trace));
@@ -844,8 +906,8 @@ mod tests {
                 h
             })
             .collect();
-        for t in 0..TOKENS {
-            let start = (t * u64::from(NODES) / TOKENS) as u32;
+        for t in 0..tokens {
+            let start = (t * u64::from(NODES) / tokens) as u32;
             sched.post(
                 NodeId(start),
                 0,
@@ -857,25 +919,46 @@ mod tests {
             sched.run_until_idle();
         }
         assert!(sched.quiesce(Duration::from_secs(60)), "the ring quiesces");
-        assert_eq!(sched.stats().delivered, TOKENS * HOPS);
+        assert_eq!(sched.stats().delivered, tokens * HOPS);
+        let started = sched.stats().workers;
         sched.stop();
         drop(handlers);
         let Ok(trace) = Arc::try_unwrap(trace) else {
             panic!("handlers dropped, and with them every other handle");
         };
-        trace.into_iter().map(Mutex::into_inner).collect()
+        (trace.into_iter().map(Mutex::into_inner).collect(), started)
     }
 
     #[test]
     fn one_worker_and_four_trace_the_same_ring() {
-        let one = ring_trace(1);
+        let (one, _) = ring_trace(1, 16);
         for (t, visits) in one.iter().enumerate() {
             let start = (t * 1000 / 16) as u32;
             let expected: Vec<u32> = (0..500).map(|h| (start + h) % 1000).collect();
             assert_eq!(visits, &expected, "token {t} walks the ring in order");
         }
-        assert_eq!(ring_trace(4), one, "four workers: same hops, same order");
-        assert_eq!(ring_trace(0), one, "the calling thread alone: the same");
+        assert_eq!(ring_trace(4, 16).0, one, "four workers: same hops, same order");
+        assert_eq!(ring_trace(0, 16).0, one, "the calling thread alone: the same");
+    }
+
+    #[test]
+    fn workers_start_on_backlog() {
+        // 64 circulating tokens keep more than BATCH events outstanding
+        // for one worker: the pool starts its second.
+        let (_, started) = ring_trace(2, 64);
+        assert_eq!(started, 2, "every worker the pool allows");
+        // One event at a time never leaves a backlog.
+        let sched = WorldSched::start(4, 4, Telemetry::new());
+        assert_eq!(sched.stats().workers, 1, "one worker starts with the scheduler");
+        let hits = Arc::new(AtomicU64::new(0));
+        let handler = counter(&hits);
+        sched.register(NodeId(0), &handler);
+        for i in 0..200u64 {
+            sched.post(NodeId(0), i, NodeId(1), msg(NodeId(1), i));
+            assert!(sched.quiesce(Duration::from_secs(10)));
+        }
+        assert_eq!(sched.stats().workers, 1);
+        sched.stop();
     }
 
     #[test]

@@ -127,15 +127,18 @@ impl Topology {
     }
 
     /// The world scheduler serving this topology's nodes.
-    /// Started on first call: 64 shards, worker pool sized to half the
-    /// available cores (clamped to 1..=4 — the workload is event
-    /// dispatch, not computation). Handlers must not block: on two cores
-    /// or fewer, or under `taskset -c 0`, the pool is one worker, and a
+    /// Started on first call: 64 shards, and a worker pool of one worker
+    /// per available core (clamped to 1..=4 — the workload is event
+    /// dispatch, not computation). One worker starts with it; each
+    /// further one only once the running workers fall behind (see
+    /// [`WorldSched`]), so a world that never builds a backlog keeps one
+    /// thread. Handlers must not block: under `taskset -c 0`, or until a
+    /// backlog starts a second worker, the pool is one worker, and a
     /// handler waiting for another delivery would wait for itself.
     pub fn sched(&self) -> &Arc<WorldSched> {
         self.sched.get_or_init(|| {
             let workers = std::thread::available_parallelism()
-                .map(|p| p.get() / 2)
+                .map(|p| p.get())
                 .unwrap_or(1)
                 .clamp(1, 4);
             WorldSched::start(SCHED_SHARDS, workers, Arc::clone(&self.telemetry))

@@ -27,8 +27,31 @@
 //! * A resource only one clock reserves (a NIC's transmit engine) is a
 //!   [`RetiringTimeline`]: the clock never moves back, so intervals that
 //!   ended before its reading can never matter again and are dropped.
+//!
+//! ## Busy history as runs
+//!
+//! Both timelines store their busy intervals as delta runs of 8 bytes,
+//! `(gap: u32, len: u32)`, each counted from the end of the run before it,
+//! the first from a base the timeline keeps (time zero, or the retirement
+//! point), against 16 for absolute `(Vt, Vt)` pairs. A NIC's receive
+//! history keeps one per delivery for the life of the world, so the
+//! entry size is what a 100 000-node world's resident set gains per hop. A
+//! gap or length beyond `u32::MAX` ns (4.29 s) is split into more runs
+//! (see `Runs`), so the entry size is the same at any virtual time. There
+//! is one placement routine, over runs, for both timelines.
+//!
+//! Placement scans the runs from the first: it passes the runs that end
+//! before the request with one add each, then decodes the rest. A
+//! receive history is reserved by every sender in the world at times no
+//! clock bounds, so any request may backfill any gap. A sublinear search
+//! (binary search over runs, or an append fast path) would make the RPC
+//! workloads several times faster, and at that rate the benchmark's
+//! per-operation sample log alone breaks its peak-RSS bound, so it waits
+//! for that log to become fixed-size (ROADMAP direction 1), as does
+//! retiring receive history.
 
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
@@ -144,13 +167,14 @@ impl SimClock {
 /// idle window its virtual clock entitles it to, keeping granted times
 /// independent of wall-clock interleaving.
 ///
-/// Any requester may present any time, so the full history is kept and
-/// every request scans it from the start. A resource with one requesting
-/// clock retires its past instead: see [`RetiringTimeline`].
+/// Any requester may present any time, so the full history is kept, in
+/// runs of 8 bytes an interval, and every request scans it from the
+/// start. A resource with one requesting clock retires its past instead:
+/// see [`RetiringTimeline`].
 #[derive(Debug, Default)]
 pub struct ResourceTimeline {
-    /// Sorted, disjoint, non-touching busy intervals `[start, end)`.
-    busy: Mutex<Vec<(Vt, Vt)>>,
+    /// The whole history, counted from time zero.
+    busy: Mutex<Runs>,
 }
 
 /// The interval granted by [`ResourceTimeline::reserve`].
@@ -175,23 +199,191 @@ impl ResourceTimeline {
     /// to `end` (the request occupies the caller until the resource is done,
     /// e.g. a blocking DMA) or forwards `end` as a message timestamp.
     pub fn reserve(&self, not_before: Vt, dur: VtDuration) -> Reservation {
-        place(&mut self.busy.lock(), not_before, dur)
+        self.busy.lock().place(0, not_before, dur)
     }
 
     /// First instant at or after `t` at which the resource is idle.
     pub fn next_idle(&self, t: Vt) -> Vt {
-        next_idle(&self.busy.lock(), t)
+        self.busy.lock().next_idle(0, t)
     }
 
     /// The time after which the resource is permanently free (end of the
     /// last reservation).
     pub fn horizon(&self) -> Vt {
-        self.busy.lock().last().map_or(0, |&(_, e)| e)
+        self.busy.lock().end(0)
     }
 
-    /// Busy intervals held: the whole history, coalesced.
+    /// Runs held: the whole history, coalesced.
     pub fn retained(&self) -> usize {
-        self.busy.lock().len()
+        self.busy.lock().0.len()
+    }
+}
+
+/// The longest gap or length one run holds: `u32::MAX` ns, 4.29 s.
+const RUN_MAX: u64 = u32::MAX as u64;
+
+/// Busy intervals `[start, end)` as delta runs, 8 bytes an interval where
+/// `(Vt, Vt)` pairs take 16: run `i` is `(gap, len)`, idle for `gap` ns
+/// after the previous run's end, then busy for `len`. The first run's gap
+/// counts from a base its owner keeps and passes in: time zero for a full
+/// history, the retirement point for a retiring one. Intervals never
+/// overlap, and one that touches its neighbour is coalesced with it.
+///
+/// A gap or length past [`RUN_MAX`] is split rather than widened, so an
+/// interval costs 8 bytes at any virtual time, not only in a world's
+/// first 4.29 s: a longer gap puts zero-length spacer runs
+/// `(u32::MAX, 0)` ahead of its run, and a longer length continues in
+/// touching runs `(0, len)`. A spacer marks no busy time.
+#[derive(Debug, Default)]
+struct Runs(Vec<(u32, u32)>);
+
+impl Runs {
+    /// The end of the last run.
+    fn end(&self, base: Vt) -> Vt {
+        self.0
+            .iter()
+            .fold(base, |end, &(gap, len)| end + u64::from(gap) + u64::from(len))
+    }
+
+    /// First instant at or after `t` at which no run is busy. A spacer
+    /// needs no case of its own: it ends where it starts.
+    fn next_idle(&self, base: Vt, t: Vt) -> Vt {
+        let (mut idle, mut end) = (t, base);
+        for &(gap, len) in &self.0 {
+            let start = end + u64::from(gap);
+            if idle < start {
+                break;
+            }
+            end = start + u64::from(len);
+            idle = idle.max(end);
+        }
+        idle
+    }
+
+    /// Grant `dur` at the earliest idle instant at or after `not_before`,
+    /// and record it.
+    ///
+    /// The scan stays linear from the first run: every request may
+    /// backfill any gap, and the history never shrinks.
+    fn place(&mut self, base: Vt, not_before: Vt, dur: VtDuration) -> Reservation {
+        if dur == 0 {
+            // Zero-length use never occupies the resource; it starts (and
+            // ends) at the first instant the resource is idle.
+            let start = self.next_idle(base, not_before);
+            return Reservation { start, end: start };
+        }
+        debug_assert!(not_before >= base, "{not_before} before {base}");
+        let mut start = not_before;
+        // Runs that end before `not_before` can neither hold nor delay the
+        // grant: most of a long history, passed over with one add each.
+        let (mut lo, mut end) = (0, base);
+        for &(gap, len) in &self.0 {
+            let run_end = end + (u64::from(gap) + u64::from(len));
+            if run_end >= start {
+                break;
+            }
+            (lo, end) = (lo + 1, run_end);
+        }
+        // Runs before `lo` end before the grant and stay as they are;
+        // `from` is where run `lo` is counted from, and `merged` the start
+        // of a run `lo` that the grant continues.
+        let (mut from, mut merged) = (end, None);
+        // The first run the grant ends at or before, and its start.
+        let mut next = None;
+        for (i, &(gap, len)) in self.0.iter().enumerate().skip(lo) {
+            let s = end + u64::from(gap);
+            if start + dur <= s {
+                next = Some((i, s));
+                break;
+            }
+            let prev = end;
+            end = s + u64::from(len);
+            if len > 0 && start <= end {
+                // Busy until `end`: the grant starts there at the
+                // earliest, touching this run.
+                start = end;
+                (lo, from, merged) = (i, prev, Some(s));
+            } else if end < start {
+                (lo, from, merged) = (i + 1, end, None);
+            }
+            // Otherwise a spacer the grant may cover: it is dropped.
+        }
+        let granted = Reservation {
+            start,
+            end: start + dur,
+        };
+        // Coalesce with a successor the grant touches, continuations and
+        // all; any other keeps its start, counted from the grant's end.
+        let (hi, last, next) = match next {
+            Some((i, s)) if s == granted.end && self.0[i].1 > 0 => {
+                let (mut hi, mut last) = (i + 1, s + u64::from(self.0[i].1));
+                while let Some(&(0, len)) = self.0.get(hi) {
+                    (hi, last) = (hi + 1, last + u64::from(len));
+                }
+                (hi, last, None)
+            }
+            Some((i, s)) => (i, granted.end, Some(s)),
+            None => (self.0.len(), granted.end, None),
+        };
+        let n = self.splice(lo..hi, from, merged.unwrap_or(start), last);
+        if let Some(s) = next {
+            debug_assert!(s - last <= RUN_MAX);
+            // At most the gap it had: that was counted from a run ending
+            // no later than the grant.
+            self.0[lo + n].0 = (s - last) as u32;
+        }
+        granted
+    }
+
+    /// Replace the runs in `range`, which lie at or after `from` and
+    /// within `[start, end)`, with that interval. Returns the number of
+    /// runs it took.
+    fn splice(&mut self, range: Range<usize>, from: Vt, start: Vt, end: Vt) -> usize {
+        let (gap, len) = (start - from, end - start);
+        let spacers = gap.saturating_sub(1) / RUN_MAX;
+        let gap = gap - spacers * RUN_MAX;
+        let n = (spacers + len.div_ceil(RUN_MAX)) as usize;
+        let run = |k: usize| match (k as u64).checked_sub(spacers) {
+            None => (u32::MAX, 0),
+            Some(0) => (gap as u32, len.min(RUN_MAX) as u32),
+            Some(k) => (0, (len - k * RUN_MAX).min(RUN_MAX) as u32),
+        };
+        let grow = n.saturating_sub(range.len());
+        let held = self.0.len();
+        if held + grow > self.0.capacity() {
+            // Double up to 64 runs, then grow by an eighth: a 100k-node
+            // world holds a few dozen per NIC, where doubling 64 → 128
+            // would add 64 × 8 B = 512 B to every NIC at once, 51 MB
+            // over 100 000 of them.
+            let step = if held < 64 { held.max(4) } else { held / 8 };
+            self.0.reserve_exact(step.max(grow));
+        }
+        match (n, range.len()) {
+            (1, 0) => self.0.insert(range.start, run(0)),
+            (1, 1) => self.0[range.start] = run(0),
+            _ => {
+                self.0.splice(range, (0..n).map(run));
+            }
+        }
+        n
+    }
+
+    /// Drop every run that ends at or before `now`, and re-base the rest
+    /// from `base` onto `now`. What a run held before `now` is cut too: a
+    /// request that reads `now` or later cannot be held or delayed by it.
+    fn retire(&mut self, base: Vt, now: Vt) {
+        let (mut past, mut end) = (0, base);
+        while let Some(&(gap, len)) = self.0.get(past) {
+            let start = end + u64::from(gap);
+            end = start + u64::from(len);
+            if end > now {
+                let from = start.max(now);
+                self.0[past] = ((from - now) as u32, (end - from) as u32);
+                break;
+            }
+            past += 1;
+        }
+        self.0.drain(..past);
     }
 }
 
@@ -219,20 +411,20 @@ struct History {
     busy: Busy,
     requester: Requester,
     /// The reading of the last retiring request: every interval ending at
-    /// or before it is gone.
+    /// or before it is gone, and the runs count from it.
     retired: Vt,
 }
 
-/// A retiring history's sorted, disjoint, non-touching busy intervals
-/// `[start, end)`. Under one clock it holds at most the interval the last
-/// request placed past the clock (the sender then waits it out), so that
-/// one is kept inline: a `Vec` appears only once two are kept at once.
+/// A retiring history's busy intervals. Under one clock it holds at most
+/// the interval the last request placed past the clock (the sender then
+/// waits it out), so that one is kept inline: [`Runs`] appear only once
+/// two are kept at once.
 #[derive(Debug, Default)]
 enum Busy {
     #[default]
     Empty,
     One(Vt, Vt),
-    Many(Vec<(Vt, Vt)>),
+    Many(Runs),
 }
 
 impl Busy {
@@ -240,24 +432,22 @@ impl Busy {
         match self {
             Busy::Empty => 0,
             Busy::One(..) => 1,
-            Busy::Many(v) => v.len(),
+            Busy::Many(r) => r.0.len(),
         }
     }
 
-    /// Drop every interval that ends at or before `now`.
-    fn retire(&mut self, now: Vt) {
+    /// Drop every interval that ends at or before `now`, moving the
+    /// runs' base from `base` to `now`.
+    fn retire(&mut self, base: Vt, now: Vt) {
         match self {
             Busy::One(_, end) if *end <= now => *self = Busy::Empty,
-            Busy::Many(v) => {
-                let past = v.partition_point(|&(_, end)| end <= now);
-                v.drain(..past);
-            }
+            Busy::Many(r) => r.retire(base, now),
             _ => {}
         }
     }
 
-    /// [`place`] on these intervals.
-    fn place(&mut self, not_before: Vt, dur: VtDuration) -> Reservation {
+    /// [`Runs::place`] on these intervals, with runs counted from `base`.
+    fn place(&mut self, base: Vt, not_before: Vt, dur: VtDuration) -> Reservation {
         match self {
             Busy::Empty => {
                 let end = not_before + dur;
@@ -269,14 +459,15 @@ impl Busy {
                     end,
                 }
             }
-            Busy::One(start, end) => {
-                let mut v = Vec::with_capacity(2);
-                v.push((*start, *end));
-                let granted = place(&mut v, not_before, dur);
-                *self = Busy::Many(v);
+            &mut Busy::One(start, end) => {
+                // Cut at the base like any run (see [`Runs::retire`]).
+                let mut runs = Runs::default();
+                runs.splice(0..0, base, start.max(base), end);
+                let granted = runs.place(base, not_before, dur);
+                *self = Busy::Many(runs);
                 granted
             }
-            Busy::Many(v) => place(v, not_before, dur),
+            Busy::Many(r) => r.place(base, not_before, dur),
         }
     }
 }
@@ -326,7 +517,8 @@ impl RetiringTimeline {
             Requester::Many => false,
         };
         if own {
-            h.busy.retire(now);
+            let base = h.retired;
+            h.busy.retire(base, now);
             h.retired = now;
         } else {
             if now < h.retired {
@@ -337,69 +529,14 @@ impl RetiringTimeline {
             }
             h.requester = Requester::Many;
         }
-        Ok(h.busy.place(now, dur))
+        let base = h.retired;
+        Ok(h.busy.place(base, now, dur))
     }
 
     /// Busy intervals held: what retirement has left of the history.
     pub fn retained(&self) -> usize {
         self.history.lock().busy.len()
     }
-}
-
-/// Grant `dur` at the earliest idle instant of `busy` at or after
-/// `not_before`, and record it.
-fn place(busy: &mut Vec<(Vt, Vt)>, not_before: Vt, dur: VtDuration) -> Reservation {
-    if dur == 0 {
-        // Zero-length use never occupies the resource; it starts (and
-        // ends) at the first instant the resource is idle.
-        let start = next_idle(busy, not_before);
-        return Reservation { start, end: start };
-    }
-    let mut start = not_before;
-    let mut at = busy.len();
-    for (i, &(s, e)) in busy.iter().enumerate() {
-        if start + dur <= s {
-            at = i;
-            break;
-        }
-        start = start.max(e);
-    }
-    let end = start + dur;
-    // Insert, coalescing with a touching predecessor and/or successor so
-    // the list stays short under back-to-back packing.
-    let merge_prev = at > 0 && busy[at - 1].1 == start;
-    let merge_next = at < busy.len() && busy[at].0 == end;
-    match (merge_prev, merge_next) {
-        (true, true) => {
-            busy[at - 1].1 = busy[at].1;
-            busy.remove(at);
-        }
-        (true, false) => busy[at - 1].1 = end,
-        (false, true) => busy[at].0 = start,
-        (false, false) => {
-            let len = busy.len();
-            if len == busy.capacity() {
-                // Double up to 64 intervals, then grow by an eighth: a
-                // 100k-node world holds a few dozen per NIC, where
-                // doubling 64 → 128 would add 200 MiB at once.
-                busy.reserve_exact(if len < 64 { len.max(4) } else { len / 8 });
-            }
-            busy.insert(at, (start, end))
-        }
-    }
-    Reservation { start, end }
-}
-
-/// First instant at or after `t` at which `busy` is idle.
-fn next_idle(busy: &[(Vt, Vt)], t: Vt) -> Vt {
-    let mut at = t;
-    for &(s, e) in busy {
-        if at < s {
-            break;
-        }
-        at = at.max(e);
-    }
-    at
 }
 
 #[cfg(test)]
@@ -542,15 +679,95 @@ mod tests {
         }
     }
 
+    /// The full `(Vt, Vt)` history and its earliest-fit placement, as the
+    /// timelines kept them before [`Runs`]: the reference both timelines
+    /// are checked against.
+    #[derive(Debug, Default)]
+    struct Model(Mutex<Vec<(Vt, Vt)>>);
+
+    impl Model {
+        fn reserve(&self, not_before: Vt, dur: VtDuration) -> Reservation {
+            let mut busy = self.0.lock();
+            if dur == 0 {
+                let start = model_next_idle(&busy, not_before);
+                return Reservation { start, end: start };
+            }
+            let mut start = not_before;
+            let mut at = busy.len();
+            for (i, &(s, e)) in busy.iter().enumerate() {
+                if start + dur <= s {
+                    at = i;
+                    break;
+                }
+                start = start.max(e);
+            }
+            let end = start + dur;
+            let merge_prev = at > 0 && busy[at - 1].1 == start;
+            let merge_next = at < busy.len() && busy[at].0 == end;
+            match (merge_prev, merge_next) {
+                (true, true) => {
+                    busy[at - 1].1 = busy[at].1;
+                    busy.remove(at);
+                }
+                (true, false) => busy[at - 1].1 = end,
+                (false, true) => busy[at].0 = start,
+                (false, false) => busy.insert(at, (start, end)),
+            }
+            Reservation { start, end }
+        }
+
+        fn next_idle(&self, t: Vt) -> Vt {
+            model_next_idle(&self.0.lock(), t)
+        }
+
+        fn retained(&self) -> usize {
+            self.0.lock().len()
+        }
+    }
+
+    fn model_next_idle(busy: &[(Vt, Vt)], t: Vt) -> Vt {
+        let mut at = t;
+        for &(s, e) in busy {
+            if at < s {
+                break;
+            }
+            at = at.max(e);
+        }
+        at
+    }
+
+    /// The intervals `runs` encode, checking that two runs touch only
+    /// where a length past [`RUN_MAX`] continues.
+    fn decode(runs: &Runs, base: Vt) -> Vec<(Vt, Vt)> {
+        let (mut out, mut end) = (Vec::<(Vt, Vt)>::new(), base);
+        let mut prev_len = 0;
+        for &(gap, len) in &runs.0 {
+            let start = end + u64::from(gap);
+            end = start + u64::from(len);
+            if len == 0 {
+                continue;
+            }
+            match out.last_mut() {
+                Some(last) if last.1 == start => {
+                    assert_eq!(prev_len, u32::MAX, "touching runs at {start} not coalesced");
+                    last.1 = end;
+                }
+                _ => out.push((start, end)),
+            }
+            prev_len = len;
+        }
+        out
+    }
+
     /// One node of a [`retiring_tx_case`] world: its clock, the NIC pair a
-    /// fabric gives it, and full-history shadows of both engines.
+    /// fabric gives it, and full-history [`Model`] shadows of both engines.
     #[derive(Default)]
     struct ShadowNode {
         clock: SimClock,
         tx: RetiringTimeline,
         rx: ResourceTimeline,
-        tx_full: ResourceTimeline,
-        rx_full: ResourceTimeline,
+        tx_full: Model,
+        rx_full: Model,
     }
 
     /// Random multi-node send sequences reserved the way a fabric send
@@ -652,7 +869,7 @@ mod tests {
 
     #[test]
     fn history_stays_exact_through_a_second_clock() {
-        let (tx, full) = (RetiringTimeline::new(), ResourceTimeline::new());
+        let (tx, full) = (RetiringTimeline::new(), Model::default());
         let (owner, other) = (SimClock::new(), SimClock::starting_at(1_000));
         let reserve = |clock: &SimClock, dur| {
             let (now, granted) = (clock.now(), tx.reserve(clock, dur).unwrap());
@@ -673,6 +890,107 @@ mod tests {
         other.merge_to(7_000);
         assert_eq!(reserve(&other, 10), 3);
         assert_eq!(reserve(&owner, 10), 3);
+    }
+
+    /// A span of virtual time at one of four scales: nanoseconds,
+    /// microseconds, around [`RUN_MAX`], and up to three times it.
+    fn span(rng: &mut proptest::TestRng) -> VtDuration {
+        match rng.below(4) {
+            0 => rng.below(8),
+            1 => rng.below(5_000),
+            2 => RUN_MAX - 2 + rng.below(5),
+            _ => rng.below(3 * RUN_MAX),
+        }
+    }
+
+    /// Random reservations of one [`ResourceTimeline`], each grant and a
+    /// `next_idle` probe after it checked against [`Model`], and the runs
+    /// decoded against the model's intervals. Spans past [`RUN_MAX`] split
+    /// runs into spacers and continuations. Most requests start at one of
+    /// the model's interval edges, so grants backfill earlier gaps, hold
+    /// nothing, fill a gap exactly or touch a neighbour on either side.
+    fn runs_case(rng: &mut proptest::TestRng, steps: u64) {
+        let (timeline, model) = (ResourceTimeline::new(), Model::default());
+        for step in 0..steps {
+            let edges: Vec<Vt> = model.0.lock().iter().flat_map(|&(s, e)| [s, e]).collect();
+            let edge = |rng: &mut proptest::TestRng| match edges.len() {
+                0 => span(rng),
+                n => edges[rng.below(n as u64) as usize],
+            };
+            let (not_before, dur) = match rng.below(5) {
+                0 => (span(rng), span(rng)),
+                // From an edge or a little before it.
+                1 => (edge(rng).saturating_sub(rng.below(3)), span(rng)),
+                // Nothing held, at an edge.
+                2 => (edge(rng), 0),
+                // Exactly the gap after an interval, which the grant fills
+                // when nothing earlier fits it.
+                3 => {
+                    let gaps = model.0.lock().windows(2).map(|w| (w[0].1, w[1].0 - w[0].1)).collect::<Vec<_>>();
+                    match gaps.len() {
+                        0 => (edge(rng), span(rng)),
+                        n => gaps[rng.below(n as u64) as usize],
+                    }
+                }
+                _ => (edge(rng), 1 + rng.below(20)),
+            };
+            let granted = timeline.reserve(not_before, dur);
+            assert_eq!(granted, model.reserve(not_before, dur), "step {step}: {dur} at {not_before}");
+            let probe = [edge(rng), granted.end, span(rng)][rng.below(3) as usize];
+            let probe = probe.saturating_sub(rng.below(2));
+            assert_eq!(timeline.next_idle(probe), model.next_idle(probe), "step {step}: idle after {probe}");
+            assert_eq!(decode(&timeline.busy.lock(), 0), *model.0.lock(), "step {step}");
+        }
+        assert_eq!(timeline.horizon(), model.0.lock().last().map_or(0, |&(_, e)| e));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn runs_grant_what_full_history_grants(seed: u64) {
+            runs_case(&mut proptest::TestRng::new(seed), 200);
+        }
+    }
+
+    /// Long mode of [`runs_grant_what_full_history_grants`]: 2 000 cases of
+    /// 2 000 steps, seeded from `CHAOS_SEED` (default 42).
+    /// `cargo test -p padico-util --release -- --ignored runs_grant`
+    #[test]
+    #[ignore = "long mode: random reservation sequences"]
+    fn runs_grant_what_full_history_grants_long() {
+        let seed: u64 = std::env::var("CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42);
+        for case in 0..2_000u64 {
+            let mut rng = proptest::TestRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ case);
+            runs_case(&mut rng, 2_000);
+        }
+    }
+
+    #[test]
+    fn runs_split_past_u32_max_and_retire() {
+        let mut runs = Runs::default();
+        // A gap of two RUN_MAX and a length of one and a half.
+        let (start, len) = (2 * RUN_MAX + 5, RUN_MAX + RUN_MAX / 2);
+        let granted = runs.place(0, start, len);
+        assert_eq!(granted, Reservation { start, end: start + len });
+        let expected = [(u32::MAX, 0), (u32::MAX, 0), (5, u32::MAX), (0, u32::MAX / 2)];
+        assert_eq!(runs.0, expected, "spacers, the run and its continuation");
+        assert_eq!(runs.next_idle(0, 0), 0, "spacers hold nothing");
+        assert_eq!(runs.next_idle(0, start + 1), start + len);
+        // A grant covering both spacers drops them.
+        let (half, covered) = (RUN_MAX / 2, 2 * RUN_MAX + 2);
+        assert_eq!(runs.place(0, half, covered - half).start, half);
+        assert_eq!(decode(&runs, 0), [(half, covered), (start, start + len)]);
+        let expected = [(half as u32, u32::MAX), (0, half as u32 + 3), (3, u32::MAX), (0, u32::MAX / 2)];
+        assert_eq!(runs.0, expected);
+        // Retiring drops what has ended and counts the rest from `now`...
+        runs.retire(0, covered + 1);
+        assert_eq!(runs.0, [(2, u32::MAX), (0, u32::MAX / 2)]);
+        // ...and cuts what a run held before `now`.
+        runs.retire(covered + 1, start + 1);
+        assert_eq!(runs.0, [(0, u32::MAX - 1), (0, u32::MAX / 2)]);
+        assert_eq!(runs.end(start + 1), start + len);
     }
 
     proptest::proptest! {

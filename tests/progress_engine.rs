@@ -170,3 +170,23 @@ fn concurrent_corba_and_mpi_flows_keep_solo_latency() {
     within(mpi_shared, mpi_solo, "MPI flow");
     within(corba_shared, corba_solo, "CORBA flow");
 }
+
+/// The scheduler starts a second worker only on backlog: a 2-node RPC
+/// rig, one two-way outstanding at a time, never leaves one, so its
+/// world runs on the one worker started at boot whatever the core count.
+#[test]
+fn a_two_node_rpc_rig_keeps_one_scheduler_worker() {
+    let (topo, _) = single_cluster(2);
+    let topo = Arc::new(topo);
+    let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
+    let eth = FabricChoice::Kind(FabricKind::Ethernet);
+    let client = Orb::start(Arc::clone(&tms[0]), "rig", OrbProfile::omniorb3(), eth).unwrap();
+    let server = Orb::start(Arc::clone(&tms[1]), "rig", OrbProfile::omniorb3(), eth).unwrap();
+    let obj = client.object_ref(server.activate(Arc::new(SinkServant)));
+    for _ in 0..1_000 {
+        obj.request("drain").invoke().unwrap();
+    }
+    let stats = topo.sched().stats();
+    assert!(stats.delivered >= 2_000, "{} events", stats.delivered);
+    assert_eq!(stats.workers, 1, "no backlog, no second worker");
+}
