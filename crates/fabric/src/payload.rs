@@ -272,17 +272,17 @@ impl Payload {
 /// of a `world_ring` hop is leased by the sender and returned by the
 /// receiver — therefore takes no process-wide lock in steady state.
 ///
-/// Counters are striped per thread ([`padico_util::stripe`]), not kept
-/// in the metrics registry: pool traffic depends on wall-clock thread
-/// interleaving, and the registry's renders must stay byte-identical
-/// across same-seed chaos runs. [`stats`] sums them; the observability
-/// layer folds them into snapshots as `pool.*`.
+/// Counters live in module-local atomics (not the metrics registry):
+/// pool traffic depends on wall-clock thread interleaving, and the
+/// registry's renders must stay byte-identical across same-seed chaos
+/// runs. [`stats`] exposes them; the observability layer folds them
+/// into snapshots as `pool.*`.
 pub mod pool {
     use bytes::Bytes;
-    use padico_util::stripe::Striped;
     use parking_lot::Mutex;
     use std::cell::RefCell;
     use std::ops::{Deref, DerefMut};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// Slab size classes, 64 B to 1 MiB. A lease rounds up to the next
     /// class; larger requests are served exactly (and shelved by their
@@ -321,12 +321,10 @@ pub mod pool {
             const { RefCell::new([const { Vec::new() }; LOCAL_CLASSES]) };
     }
 
-    static HITS: Striped = Striped::new();
-    static MISSES: Striped = Striped::new();
-    static RETURNS: Striped = Striped::new();
-    /// Raised by a lease and lowered by a return, possibly on another
-    /// thread's stripe: only the sum means anything.
-    static OUTSTANDING: Striped = Striped::new();
+    static HITS: AtomicU64 = AtomicU64::new(0);
+    static MISSES: AtomicU64 = AtomicU64::new(0);
+    static RETURNS: AtomicU64 = AtomicU64::new(0);
+    static OUTSTANDING: AtomicU64 = AtomicU64::new(0);
 
     /// A point-in-time view of the pool counters.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -343,13 +341,13 @@ pub mod pool {
         pub outstanding: u64,
     }
 
-    /// Current pool counters, summed over every thread's stripe.
+    /// Current pool counters.
     pub fn stats() -> PoolStats {
         PoolStats {
-            hits: HITS.sum(),
-            misses: MISSES.sum(),
-            returns: RETURNS.sum(),
-            outstanding: OUTSTANDING.sum(),
+            hits: HITS.load(Relaxed),
+            misses: MISSES.load(Relaxed),
+            returns: RETURNS.load(Relaxed),
+            outstanding: OUTSTANDING.load(Relaxed),
         }
     }
 
@@ -392,8 +390,8 @@ pub mod pool {
     }
 
     fn give_back(vec: Vec<u8>) {
-        RETURNS.add(1);
-        OUTSTANDING.sub(1);
+        RETURNS.fetch_add(1, Relaxed);
+        OUTSTANDING.fetch_sub(1, Relaxed);
         note_thread(|s| {
             s.returns += 1;
             s.outstanding = s.outstanding.wrapping_sub(1);
@@ -425,16 +423,16 @@ pub mod pool {
 
     /// Lease a cleared slab with capacity for at least `min` bytes.
     pub fn lease(min: usize) -> PooledBuf {
-        OUTSTANDING.add(1);
+        OUTSTANDING.fetch_add(1, Relaxed);
         note_thread(|s| s.outstanding = s.outstanding.wrapping_add(1));
         if let Some(class) = class_for_lease(min) {
             if let Some(mut vec) = take(class) {
-                HITS.add(1);
+                HITS.fetch_add(1, Relaxed);
                 note_thread(|s| s.hits += 1);
                 vec.clear();
                 return PooledBuf { vec, pooled: true };
             }
-            MISSES.add(1);
+            MISSES.fetch_add(1, Relaxed);
             note_thread(|s| s.misses += 1);
             return PooledBuf {
                 vec: Vec::with_capacity(CLASS_SIZES[class]),
@@ -443,7 +441,7 @@ pub mod pool {
         }
         // Oversize: allocate exactly; the return path shelves it by its
         // real capacity, so giants still recycle.
-        MISSES.add(1);
+        MISSES.fetch_add(1, Relaxed);
         note_thread(|s| s.misses += 1);
         PooledBuf {
             vec: Vec::with_capacity(min),

@@ -48,7 +48,8 @@
 //! Event records live inline in their shard's heap: posting one takes
 //! the destination shard's lock and raises the world's `outstanding`
 //! count, and writes nothing else the workers share (it reads the
-//! running worker count, which changes only when the pool grows).
+//! running worker count and the pool's size, which change only when the
+//! pool grows or the host refuses it a thread).
 //! Everything else is paid once per batch of up to [`BATCH`] events: the
 //! handler table's read lock, the `outstanding` decrement, the
 //! virtual-time frontier, and each worker's own lane (its
@@ -183,11 +184,14 @@ pub struct LaneSample {
     pub stolen: bool,
 }
 
-/// Retained lane samples, over all lanes: a flight-recorder window over
-/// the most recent batches. Older samples are overwritten and counted,
-/// never silently lost. 4 096 × 40 B keeps the window at 160 KiB; a
-/// longer log held the first batches of a process's life and cost
-/// megabytes of resident memory in every long-running world.
+/// The lane-sample window: [`WorldSched::lane_samples`] returns the most
+/// recent `LANE_CAP` batches over all lanes. Each lane keeps up to as
+/// many of its own, so a lane that idles while another works still
+/// leaves the window whole, and the retained total is bounded by
+/// `LANE_CAP` × the running workers, 160 KiB (4 096 × 40 B) each. Older
+/// samples are overwritten and counted, never silently lost; a longer
+/// log held the first batches of a process's life and cost megabytes of
+/// resident memory in every long-running world.
 const LANE_CAP: usize = 4096;
 
 #[derive(Default)]
@@ -231,9 +235,9 @@ pub struct SchedStats {
     pub workers: usize,
     /// Heap shards.
     pub shards: usize,
-    /// Lane telemetry samples retained (≤ the lane buffer cap).
+    /// Lane telemetry samples in the window (≤ the lane buffer cap).
     pub lane_samples: u64,
-    /// Older lane telemetry samples overwritten by newer ones.
+    /// Older lane telemetry samples, overwritten or past the window.
     pub lane_dropped: u64,
 }
 
@@ -275,8 +279,9 @@ pub struct WorldSched {
     /// How many workers have started: `workers.len()`, readable without
     /// the lock.
     running: AtomicUsize,
-    /// The most workers the pool may start.
-    pool: usize,
+    /// The most workers the pool may start; lowered to those running if
+    /// the host refuses a thread.
+    pool: AtomicUsize,
     /// The scheduler itself, for a worker started by a post.
     me: Weak<WorldSched>,
 }
@@ -324,32 +329,45 @@ impl WorldSched {
             idle_cv: Condvar::new(),
             workers: Mutex::new(Vec::new()),
             running: AtomicUsize::new(0),
-            pool: workers,
+            pool: AtomicUsize::new(workers),
             me: me.clone(),
         });
-        sched.start_worker();
+        if workers > 0 {
+            sched.start_worker().expect("spawn scheduler worker");
+        }
         sched
     }
 
     /// Start one more worker, unless the pool is full, the scheduler is
-    /// stopping, or another thread is starting one right now.
-    fn start_worker(&self) {
+    /// stopping, or another thread is starting one right now. If the
+    /// host refuses the thread, the pool stops growing where it is: the
+    /// running workers serve on, and the poster that asked (an
+    /// application thread, or a handler) does not fail for it.
+    fn start_worker(&self) -> std::io::Result<()> {
         let Some(mut workers) = self.workers.try_lock() else {
-            return;
+            return Ok(());
         };
         let w = workers.len();
-        if w >= self.pool || self.stop.load(Ordering::SeqCst) {
-            return;
+        if w >= self.pool.load(Ordering::Relaxed) || self.stop.load(Ordering::SeqCst) {
+            return Ok(());
         }
         let Some(s) = self.me.upgrade() else {
-            return;
+            return Ok(());
         };
-        let handle = thread::Builder::new()
+        let spawned = thread::Builder::new()
             .name(format!("padico-sched-{w}"))
-            .spawn(move || s.worker_loop(w))
-            .expect("spawn scheduler worker");
-        workers.push(handle);
-        self.running.store(w + 1, Ordering::Release);
+            .spawn(move || s.worker_loop(w));
+        match spawned {
+            Ok(handle) => {
+                workers.push(handle);
+                self.running.store(w + 1, Ordering::Release);
+                Ok(())
+            }
+            Err(e) => {
+                self.pool.store(w, Ordering::Relaxed);
+                Err(e)
+            }
+        }
     }
 
     /// Install `handler` as the step function for `node`, replacing any
@@ -402,8 +420,9 @@ impl WorldSched {
             self.park_cv.notify_one();
         }
         let running = self.running.load(Ordering::Relaxed);
-        if running < self.pool && outstanding > (BATCH * running) as u64 {
-            self.start_worker();
+        if running < self.pool.load(Ordering::Relaxed) && outstanding > (BATCH * running) as u64 {
+            // A refused thread leaves the pool as it is (see above).
+            let _ = self.start_worker();
         }
     }
 
@@ -520,9 +539,8 @@ impl WorldSched {
     /// scheduling, not the seed — so determinism comparisons strip them
     /// (see `tests/chaos_world`).
     fn record_lane_sample(&self, lane: &Lane, sample: LaneSample) {
-        let cap = (LANE_CAP / self.lanes.len()).max(1);
         let mut log = lane.log.lock();
-        if log.samples.len() >= cap {
+        if log.samples.len() == LANE_CAP {
             log.samples.pop_front();
             log.dropped += 1;
         }
@@ -558,15 +576,15 @@ impl WorldSched {
         }
     }
 
-    /// The retained lane telemetry — the most recent window of every
-    /// lane — ordered by virtual time.
+    /// The retained lane telemetry: the newest [`LANE_CAP`] batches over
+    /// all lanes, ordered by virtual time.
     pub fn lane_samples(&self) -> Vec<LaneSample> {
-        let mut samples: Vec<LaneSample> = self
-            .lanes
-            .iter()
-            .flat_map(|lane| lane.log.lock().samples.iter().copied().collect::<Vec<_>>())
-            .collect();
+        let mut samples = Vec::new();
+        for lane in &self.lanes {
+            samples.extend(lane.log.lock().samples.iter().copied());
+        }
         samples.sort_by_key(|s| s.vt);
+        samples.drain(..samples.len().saturating_sub(LANE_CAP));
         samples
     }
 
@@ -661,6 +679,11 @@ impl WorldSched {
             stats.lane_samples += log.samples.len() as u64;
             stats.lane_dropped += log.dropped;
         }
+        // Kept by a lane but older than the window: out of it, as if
+        // overwritten.
+        let past = stats.lane_samples.saturating_sub(LANE_CAP as u64);
+        stats.lane_samples -= past;
+        stats.lane_dropped += past;
         stats
     }
 
@@ -995,29 +1018,39 @@ mod tests {
     #[test]
     fn lane_log_keeps_the_most_recent_window() {
         // One event per batch: every post is drained on its own, so the
-        // log sees exactly one sample per event.
-        let sched = WorldSched::start(1, 0, Telemetry::new());
-        let handler: NodeHandler = Arc::new(|_m| {});
-        sched.register(NodeId(0), &handler);
-        let total = LANE_CAP as u64 + 10;
-        for i in 0..total {
-            let mut m = msg(NodeId(1), i);
-            m.arrival = i;
-            sched.post(NodeId(0), i, NodeId(1), m);
-            sched.run_until_idle();
+        // log sees exactly one sample per event. Driven by the calling
+        // thread (one lane), then by a pool of two that never leaves a
+        // backlog, so one worker runs and the other lane stays empty: the
+        // window is as long either way.
+        for workers in [0, 2] {
+            let sched = WorldSched::start(1, workers, Telemetry::new());
+            let handler: NodeHandler = Arc::new(|_m| {});
+            sched.register(NodeId(0), &handler);
+            let total = LANE_CAP as u64 + 10;
+            for i in 0..total {
+                let mut m = msg(NodeId(1), i);
+                m.arrival = i;
+                sched.post(NodeId(0), i, NodeId(1), m);
+                if workers == 0 {
+                    sched.run_until_idle();
+                } else {
+                    assert!(sched.quiesce(Duration::from_secs(10)));
+                }
+            }
+            let samples = sched.lane_samples();
+            assert_eq!(samples.len(), LANE_CAP, "the window is bounded");
+            assert_eq!(
+                samples.first().unwrap().vt,
+                10,
+                "oldest samples overwritten"
+            );
+            assert_eq!(samples.last().unwrap().vt, total - 1, "newest sample kept");
+            let stats = sched.stats();
+            assert_eq!(stats.workers, workers.min(1), "one worker at most");
+            assert_eq!(stats.lane_samples, LANE_CAP as u64);
+            assert_eq!(stats.lane_dropped, 10, "every overwrite is counted");
+            sched.stop();
         }
-        let samples = sched.lane_samples();
-        assert_eq!(samples.len(), LANE_CAP, "the ring is bounded");
-        assert_eq!(
-            samples.first().unwrap().vt,
-            10,
-            "oldest samples overwritten"
-        );
-        assert_eq!(samples.last().unwrap().vt, total - 1, "newest sample kept");
-        let stats = sched.stats();
-        assert_eq!(stats.lane_samples, LANE_CAP as u64);
-        assert_eq!(stats.lane_dropped, 10, "every overwrite is counted");
-        sched.stop();
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   observations: counters/histograms folded into fixed-width
 //!   virtual-time windows in a bounded ring, so campaigns show *when*
 //!   sheds, breaker trips, steals and retries happened.
-//! * [`stripe`] — counters striped per thread, so workers bumping one
-//!   counter on every event do not bounce its cache line.
 //! * [`stats`] — small statistics helpers for the benchmark harness
 //!   (mean, percentiles, throughput conversion).
 //! * [`xml`] — a minimal XML parser/writer. CCM deployment descriptors are
@@ -34,7 +32,6 @@ pub mod rng;
 pub mod simtime;
 pub mod span;
 pub mod stats;
-pub mod stripe;
 pub mod telemetry;
 pub mod timeseries;
 pub mod xml;

@@ -213,9 +213,9 @@ impl ResourceTimeline {
         self.busy.lock().end(0)
     }
 
-    /// Runs held: the whole history, coalesced.
+    /// Busy intervals held: the whole history, coalesced.
     pub fn retained(&self) -> usize {
-        self.busy.lock().0.len()
+        self.busy.lock().intervals()
     }
 }
 
@@ -238,6 +238,20 @@ const RUN_MAX: u64 = u32::MAX as u64;
 struct Runs(Vec<(u32, u32)>);
 
 impl Runs {
+    /// Busy intervals held: runs that start one, not spacers or the
+    /// touching runs that continue one.
+    fn intervals(&self) -> usize {
+        let (mut n, mut open) = (0, false);
+        for &(gap, len) in &self.0 {
+            open &= gap == 0;
+            if len > 0 && !open {
+                n += 1;
+                open = true;
+            }
+        }
+        n
+    }
+
     /// The end of the last run.
     fn end(&self, base: Vt) -> Vt {
         self.0
@@ -432,7 +446,7 @@ impl Busy {
         match self {
             Busy::Empty => 0,
             Busy::One(..) => 1,
-            Busy::Many(r) => r.0.len(),
+            Busy::Many(r) => r.intervals(),
         }
     }
 
@@ -940,6 +954,7 @@ mod tests {
             let probe = probe.saturating_sub(rng.below(2));
             assert_eq!(timeline.next_idle(probe), model.next_idle(probe), "step {step}: idle after {probe}");
             assert_eq!(decode(&timeline.busy.lock(), 0), *model.0.lock(), "step {step}");
+            assert_eq!(timeline.retained(), model.retained(), "step {step}: intervals");
         }
         assert_eq!(timeline.horizon(), model.0.lock().last().map_or(0, |&(_, e)| e));
     }
@@ -976,6 +991,7 @@ mod tests {
         assert_eq!(granted, Reservation { start, end: start + len });
         let expected = [(u32::MAX, 0), (u32::MAX, 0), (5, u32::MAX), (0, u32::MAX / 2)];
         assert_eq!(runs.0, expected, "spacers, the run and its continuation");
+        assert_eq!(runs.intervals(), 1, "four runs, one interval");
         assert_eq!(runs.next_idle(0, 0), 0, "spacers hold nothing");
         assert_eq!(runs.next_idle(0, start + 1), start + len);
         // A grant covering both spacers drops them.
@@ -984,12 +1000,14 @@ mod tests {
         assert_eq!(decode(&runs, 0), [(half, covered), (start, start + len)]);
         let expected = [(half as u32, u32::MAX), (0, half as u32 + 3), (3, u32::MAX), (0, u32::MAX / 2)];
         assert_eq!(runs.0, expected);
+        assert_eq!(runs.intervals(), 2);
         // Retiring drops what has ended and counts the rest from `now`...
         runs.retire(0, covered + 1);
         assert_eq!(runs.0, [(2, u32::MAX), (0, u32::MAX / 2)]);
         // ...and cuts what a run held before `now`.
         runs.retire(covered + 1, start + 1);
         assert_eq!(runs.0, [(0, u32::MAX - 1), (0, u32::MAX / 2)]);
+        assert_eq!(runs.intervals(), 1, "the first run opens its interval");
         assert_eq!(runs.end(start + 1), start + len);
     }
 

@@ -28,7 +28,6 @@
 //! [`crate::span::adopt`] take it explicitly.
 
 use crate::stats::{RecoverySnapshot, RecoveryStats};
-use crate::stripe::Striped;
 use crate::timeseries::SeriesConfig;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -143,12 +142,10 @@ impl Telemetry {
     }
 }
 
-/// A counter registered with [`Telemetry::counter_cell`], striped per
-/// thread ([`crate::stripe`]): scheduler workers sending at once add to
-/// lines of their own.
+/// A counter registered with [`Telemetry::counter_cell`].
 #[derive(Debug, Default)]
 pub struct CounterCell {
-    value: Striped,
+    value: AtomicU64,
     /// Set by the first add, zero included: from then on the counter
     /// shows in snapshots, as a `counter_add` one does.
     touched: AtomicBool,
@@ -156,7 +153,7 @@ pub struct CounterCell {
 
 impl CounterCell {
     pub fn add(&self, delta: u64) {
-        self.value.add(delta);
+        self.value.fetch_add(delta, Ordering::Relaxed);
         if !self.touched.load(Ordering::Relaxed) {
             self.touched.store(true, Ordering::Relaxed);
         }
@@ -166,7 +163,7 @@ impl CounterCell {
     pub(crate) fn read(&self) -> Option<u64> {
         self.touched
             .load(Ordering::Relaxed)
-            .then(|| self.value.sum())
+            .then(|| self.value.load(Ordering::Relaxed))
     }
 }
 

@@ -41,12 +41,11 @@ allowed=(
     "MISSES      segment pool miss counter (allocator statistics)"
     "RETURNS     segment pool return counter (allocator statistics)"
     "OUTSTANDING segment pool outstanding-lease gauge (allocator statistics)"
-    "NEXT_STRIPE next per-thread counter stripe to hand out (padico_util::stripe)"
     "SCHEDULE_CACHE     redistribution schedules: a memo of a pure function"
     "CHANNEL_IDS        logical channel ids must be unique across every world"
 )
 names=$(printf '%s\n' "${allowed[@]}" | awk '{print $1}' | paste -sd'|')
-offenders=$(grep -rnE 'static +[A-Z_][A-Z0-9_]* *:.*(Mutex|OnceLock|Atomic|IdGen|Striped)' crates/*/src \
+offenders=$(grep -rnE 'static +[A-Z_][A-Z0-9_]* *:.*(Mutex|OnceLock|Atomic|IdGen)' crates/*/src \
     | grep -vE "static +($names) *:" || true)
 if [ -n "$offenders" ]; then
     echo "process-wide state outside the allow-list in scripts/verify.sh:"
