@@ -54,8 +54,13 @@ pub fn layer_pingpong(layer: Layer, fabric_kind: FabricKind, rounds: usize) -> (
                 let payload = vec![0u8; size];
                 let start = ca.now();
                 for _ in 0..rounds {
-                    a.send(&ca, b.addr(), ChannelId(1), Payload::from_vec(payload.clone()))
-                        .unwrap();
+                    a.send(
+                        &ca,
+                        b.addr(),
+                        ChannelId(1),
+                        Payload::from_vec(payload.clone()),
+                    )
+                    .unwrap();
                     let msg = b.recv(&cb).unwrap();
                     b.send(&cb, a.addr(), ChannelId(1), msg.payload).unwrap();
                     a.recv(&ca).unwrap();
@@ -69,8 +74,7 @@ pub fn layer_pingpong(layer: Layer, fabric_kind: FabricKind, rounds: usize) -> (
         Layer::Circuit => {
             let (topo, ids) = single_cluster(2);
             let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-            let spec = CircuitSpec::new("abl", ids)
-                .with_choice(FabricChoice::Kind(fabric_kind));
+            let spec = CircuitSpec::new("abl", ids).with_choice(FabricChoice::Kind(fabric_kind));
             let c0 = tms[0].circuit(spec.clone()).unwrap();
             let c1 = Arc::new(tms[1].circuit(spec).unwrap());
             let clock = tms[0].clock().clone();

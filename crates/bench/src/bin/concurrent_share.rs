@@ -7,7 +7,10 @@ fn main() {
     println!("## §4.4 — concurrent CORBA + MPI over one Myrinet NIC\n");
     println!("| flow | alone (MB/s) | concurrent (MB/s) | paper |");
     println!("|---|---:|---:|---:|");
-    println!("| MPI | {:.1} | {:.1} | 120 |", r.mpi_alone_mb_s, r.mpi_shared_mb_s);
+    println!(
+        "| MPI | {:.1} | {:.1} | 120 |",
+        r.mpi_alone_mb_s, r.mpi_shared_mb_s
+    );
     println!(
         "| CORBA (omniORB) | {:.1} | {:.1} | 120 |",
         r.corba_alone_mb_s, r.corba_shared_mb_s

@@ -16,8 +16,7 @@ fn main() {
     for ((latency, bandwidth), (p_lat, p_bw)) in rows.iter().zip(paper) {
         println!(
             "| {} to {} | {:.0} | {} | {:.0} | {} |",
-            latency.nodes, latency.nodes, latency.latency_us, p_lat,
-            bandwidth.aggregate_mb_s, p_bw
+            latency.nodes, latency.nodes, latency.latency_us, p_lat, bandwidth.aggregate_mb_s, p_bw
         );
     }
 }

@@ -84,8 +84,8 @@ fn rig(piece_len: usize, pieces: usize) -> Rig {
         Orb::start(Arc::clone(&tms[1]), "conc", OrbProfile::omniorb3(), choice).unwrap();
     let obj = client_orb.object_ref(server_orb.activate(Arc::new(SinkServant)));
     obj.request("drain").invoke().unwrap(); // connection warmup
-    // The ORB's endpoint listener holds its own Arc to the server ORB,
-    // and `obj` keeps the client ORB alive; the locals may drop.
+                                            // The ORB's endpoint listener holds its own Arc to the server ORB,
+                                            // and `obj` keeps the client ORB alive; the locals may drop.
     drop(server_orb);
     let comm0 = init_world(&tms[0], "conc", ids.clone(), choice).unwrap();
     let comm1 = init_world(&tms[1], "conc", ids, choice).unwrap();

@@ -218,7 +218,10 @@ mod tests {
 
         // Peak anchors (±10 %).
         let omni_peak = omni.peak();
-        assert!((216.0..264.0).contains(&omni_peak), "omniORB peak {omni_peak}");
+        assert!(
+            (216.0..264.0).contains(&omni_peak),
+            "omniORB peak {omni_peak}"
+        );
         let mpi_peak = mpi.peak();
         assert!((216.0..264.0).contains(&mpi_peak), "MPI peak {mpi_peak}");
         let mico_peak = mico.peak();

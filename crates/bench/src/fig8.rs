@@ -12,10 +12,10 @@
 
 use padico_core::dist::{DistSeq, Distribution};
 use padico_core::error::GridCcmError;
-use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::parallel::adapter::{ParArgs, ParCtx, ParallelAdapter, ParallelServant};
 use padico_core::parallel::client::ParallelRef;
 use padico_core::parallel::wire::ParValue;
+use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_fabric::topology::single_cluster;
 use padico_fabric::FabricKind;
 use padico_orb::orb::Orb;
@@ -98,8 +98,7 @@ pub fn run_parallel_pair(
             Arc::new(StoreServant) as Arc<dyn ParallelServant>,
             Arc::clone(&plan),
         );
-        let comm =
-            padico_mpi::init_world(tm, "fig8-srv", server_group.clone(), choice).unwrap();
+        let comm = padico_mpi::init_world(tm, "fig8-srv", server_group.clone(), choice).unwrap();
         adapter.configure(rank, n, Some(comm));
         server_iors.push(orb.activate(adapter));
         server_orbs.push(orb);
@@ -121,22 +120,16 @@ pub fn run_parallel_pair(
         let client_group = client_group.clone();
         handles.push(std::thread::spawn(move || {
             let orb = Orb::start(tm.clone(), "fig8c", profile, choice).unwrap();
-            let comm =
-                padico_mpi::init_world(&tm, "fig8-cli-world", client_group, choice).unwrap();
+            let comm = padico_mpi::init_world(&tm, "fig8-cli-world", client_group, choice).unwrap();
             let replicas = server_iors
                 .into_iter()
                 .map(|ior| orb.object_ref(ior))
                 .collect();
             let client = ParallelRef::new("fig8-cli", plan, replicas, rank, n).unwrap();
             let local_vals = vec![7i32; elems_per_rank];
-            let local = DistSeq::from_i32_local(
-                global_elems,
-                Distribution::Block,
-                rank,
-                n,
-                &local_vals,
-            )
-            .unwrap();
+            let local =
+                DistSeq::from_i32_local(global_elems, Distribution::Block, rank, n, &local_vals)
+                    .unwrap();
             // Warmup (connection + first invocation), then line the ranks
             // up before the timed window.
             client

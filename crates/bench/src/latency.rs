@@ -60,16 +60,22 @@ pub fn mpi_latency_us(fabric: FabricKind, rounds: usize) -> f64 {
     let echo = std::thread::spawn(move || {
         for _ in 0..rounds + 1 {
             comm1.recv_bytes(0, 0).unwrap();
-            comm1.send_bytes(0, 0, Payload::from_vec(vec![0u8; 4])).unwrap();
+            comm1
+                .send_bytes(0, 0, Payload::from_vec(vec![0u8; 4]))
+                .unwrap();
         }
     });
     // Warmup.
-    comm0.send_bytes(1, 0, Payload::from_vec(vec![0u8; 4])).unwrap();
+    comm0
+        .send_bytes(1, 0, Payload::from_vec(vec![0u8; 4]))
+        .unwrap();
     comm0.recv_bytes(1, 0).unwrap();
     let clock = tms[0].clock();
     let start = clock.now();
     for _ in 0..rounds {
-        comm0.send_bytes(1, 0, Payload::from_vec(vec![0u8; 4])).unwrap();
+        comm0
+            .send_bytes(1, 0, Payload::from_vec(vec![0u8; 4]))
+            .unwrap();
         comm0.recv_bytes(1, 0).unwrap();
     }
     let elapsed = clock.now() - start;
@@ -127,7 +133,10 @@ mod tests {
         let mpi = mpi_latency_us(FabricKind::Myrinet, 10);
         assert!((9.3..12.7).contains(&mpi), "MPI {mpi} µs vs paper 11");
         let omni = orb_latency_us(OrbProfile::omniorb3(), FabricKind::Myrinet, 10);
-        assert!((17.0..23.0).contains(&omni), "omniORB {omni} µs vs paper 20");
+        assert!(
+            (17.0..23.0).contains(&omni),
+            "omniORB {omni} µs vs paper 20"
+        );
         let orbacus = orb_latency_us(OrbProfile::orbacus(), FabricKind::Myrinet, 10);
         assert!(
             (46.0..62.0).contains(&orbacus),

@@ -65,10 +65,7 @@ mod tests {
 
     #[test]
     fn rows_table_shape() {
-        let text = render_rows(
-            "Latency",
-            &[("MPI".to_string(), 11.2, "µs", "11 µs")],
-        );
+        let text = render_rows("Latency", &[("MPI".to_string(), 11.2, "µs", "11 µs")]);
         assert!(text.contains("| MPI | 11.2 µs | 11 µs |"));
         assert!(render_curves("x", &[]).contains("no data"));
     }

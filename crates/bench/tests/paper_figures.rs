@@ -30,8 +30,7 @@ fn check(bin: &str, exe: &str) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("expected")
         .join(format!("{bin}.txt"));
-    let expected =
-        std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let expected = std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     assert!(
         out.stdout == expected,
         "{bin} output differs from {}\n--- expected\n{}\n--- got\n{}",

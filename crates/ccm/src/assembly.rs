@@ -309,10 +309,8 @@ mod tests {
 
     #[test]
     fn default_placement_is_any() {
-        let a = Assembly::parse(
-            r#"<assembly name="x"><component id="c" package="p"/></assembly>"#,
-        )
-        .unwrap();
+        let a = Assembly::parse(r#"<assembly name="x"><component id="c" package="p"/></assembly>"#)
+            .unwrap();
         assert_eq!(a.component("c").unwrap().placement, Placement::Any);
         assert_eq!(a.component("c").unwrap().replicas, 1);
     }
@@ -360,8 +358,12 @@ mod tests {
 
     #[test]
     fn missing_required_attrs_rejected() {
-        assert!(Assembly::parse(r#"<assembly><component id="a" package="p"/></assembly>"#).is_err());
-        assert!(Assembly::parse(r#"<assembly name="x"><component package="p"/></assembly>"#).is_err());
+        assert!(
+            Assembly::parse(r#"<assembly><component id="a" package="p"/></assembly>"#).is_err()
+        );
+        assert!(
+            Assembly::parse(r#"<assembly name="x"><component package="p"/></assembly>"#).is_err()
+        );
         assert!(Assembly::parse(r#"<assembly name="x"><component id="a"/></assembly>"#).is_err());
         assert!(Assembly::parse("<not-assembly/>").is_err());
     }

@@ -130,7 +130,9 @@ impl AttrValue {
             "string" => AttrValue::Str(text.to_string()),
             "boolean" => AttrValue::Boolean(text.parse().map_err(bad(kind, text))?),
             other => {
-                return Err(CcmError::Descriptor(format!("unknown attribute type `{other}`")))
+                return Err(CcmError::Descriptor(format!(
+                    "unknown attribute type `{other}`"
+                )))
             }
         })
     }
@@ -223,12 +225,20 @@ impl PortRegistry {
 
     /// All connections of a (multiplex) receptacle.
     pub fn receptacles(&self, name: &str) -> Vec<ObjectRef> {
-        self.receptacles.lock().get(name).cloned().unwrap_or_default()
+        self.receptacles
+            .lock()
+            .get(name)
+            .cloned()
+            .unwrap_or_default()
     }
 
     /// Subscribed sinks of an event source.
     pub fn subscribers(&self, source: &str) -> Vec<ObjectRef> {
-        self.subscribers.lock().get(source).cloned().unwrap_or_default()
+        self.subscribers
+            .lock()
+            .get(source)
+            .cloned()
+            .unwrap_or_default()
     }
 
     pub fn set_attribute(&self, name: &str, value: AttrValue) {
@@ -368,10 +378,7 @@ mod tests {
 
     #[test]
     fn attr_value_parse() {
-        assert_eq!(
-            AttrValue::parse("long", "42").unwrap(),
-            AttrValue::Long(42)
-        );
+        assert_eq!(AttrValue::parse("long", "42").unwrap(), AttrValue::Long(42));
         assert_eq!(
             AttrValue::parse("double", "0.5").unwrap(),
             AttrValue::Double(0.5)

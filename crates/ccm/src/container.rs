@@ -20,9 +20,7 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::component::{
-    AttrValue, CcmComponent, ComponentContext, ComponentDescriptor, PortKind,
-};
+use crate::component::{AttrValue, CcmComponent, ComponentContext, ComponentDescriptor, PortKind};
 use crate::error::CcmError;
 use crate::events::SinkServant;
 
@@ -119,7 +117,9 @@ impl Core {
                 *state = Lifecycle::Active;
                 Ok(())
             }
-            other => Err(CcmError::Lifecycle(format!("ccm_activate in state {other:?}"))),
+            other => Err(CcmError::Lifecycle(format!(
+                "ccm_activate in state {other:?}"
+            ))),
         }
     }
 
@@ -359,7 +359,12 @@ impl Container {
             .remove(name)
             .ok_or_else(|| CcmError::NotFound(format!("instance `{name}`")))?;
         handle.core.component.ccm_remove()?;
-        for ior in handle.core.facets.values().chain(handle.core.sinks.values()) {
+        for ior in handle
+            .core
+            .facets
+            .values()
+            .chain(handle.core.sinks.values())
+        {
             let _ = self.orb.deactivate(ior);
         }
         let _ = self.orb.deactivate(&handle.meta);
@@ -401,7 +406,9 @@ impl RemoteComponent {
             .arg_string(name)
             .invoke()
             .map_err(CcmError::from)?;
-        Ok(Ior::destringify(&reply.read_string().map_err(CcmError::from)?)?)
+        Ok(Ior::destringify(
+            &reply.read_string().map_err(CcmError::from)?,
+        )?)
     }
 
     pub fn get_consumer(&self, sink: &str) -> Result<Ior, CcmError> {
@@ -411,7 +418,9 @@ impl RemoteComponent {
             .arg_string(sink)
             .invoke()
             .map_err(CcmError::from)?;
-        Ok(Ior::destringify(&reply.read_string().map_err(CcmError::from)?)?)
+        Ok(Ior::destringify(
+            &reply.read_string().map_err(CcmError::from)?,
+        )?)
     }
 
     pub fn connect(&self, receptacle: &str, target: &Ior) -> Result<(), CcmError> {
@@ -503,9 +512,7 @@ impl RemoteComponent {
                 3 => PortKind::EventSource,
                 4 => PortKind::EventSink,
                 5 => PortKind::Attribute,
-                other => {
-                    return Err(CcmError::Descriptor(format!("bad port kind {other}")))
-                }
+                other => return Err(CcmError::Descriptor(format!("bad port kind {other}"))),
             };
             let type_id = r.read_string().map_err(CcmError::from)?;
             ports.push(crate::component::PortDesc {
@@ -689,10 +696,7 @@ pub(crate) mod tests {
     fn lifecycle_violations_are_rejected() {
         let (c0, _c1) = two_containers();
         let handle = c0.install("f", FieldComponent::new(0)).unwrap();
-        assert!(matches!(
-            handle.ccm_activate(),
-            Err(CcmError::Lifecycle(_))
-        ));
+        assert!(matches!(handle.ccm_activate(), Err(CcmError::Lifecycle(_))));
         handle.configuration_complete().unwrap();
         assert!(matches!(
             handle.configuration_complete(),

@@ -78,11 +78,7 @@ impl NodeDaemon {
         Ok(())
     }
 
-    fn create_component(
-        &self,
-        package_name: &str,
-        instance_name: &str,
-    ) -> Result<Ior, CcmError> {
+    fn create_component(&self, package_name: &str, instance_name: &str) -> Result<Ior, CcmError> {
         let factory_symbol = {
             let packages = self.packages.lock();
             packages
@@ -645,10 +641,9 @@ mod tests {
     #[test]
     fn missing_package_is_reported() {
         let f = fixture(1);
-        let assembly = Assembly::parse(
-            r#"<assembly name="x"><component id="a" package="ghost"/></assembly>"#,
-        )
-        .unwrap();
+        let assembly =
+            Assembly::parse(r#"<assembly name="x"><component id="a" package="ghost"/></assembly>"#)
+                .unwrap();
         assert!(matches!(
             f.deployer.deploy(&assembly, &[]),
             Err(CcmError::NotFound(_))

@@ -38,7 +38,10 @@ pub mod home;
 pub mod naming;
 pub mod package;
 
-pub use component::{AttrValue, CcmComponent, ComponentContext, ComponentDescriptor, PortDesc, PortKind, PortRegistry};
+pub use component::{
+    AttrValue, CcmComponent, ComponentContext, ComponentDescriptor, PortDesc, PortKind,
+    PortRegistry,
+};
 pub use container::Container;
 pub use error::CcmError;
 pub use events::Event;

@@ -70,10 +70,8 @@ impl Servant for NamingServant {
             "list" => {
                 let prefix = args.read_string()?;
                 let entries = self.entries.lock();
-                let names: Vec<&String> = entries
-                    .keys()
-                    .filter(|k| k.starts_with(&prefix))
-                    .collect();
+                let names: Vec<&String> =
+                    entries.keys().filter(|k| k.starts_with(&prefix)).collect();
                 reply.write_u32(names.len() as u32);
                 for n in names {
                     reply.write_string(n);

@@ -124,13 +124,14 @@ impl Package {
         let mut out = Vec::new();
         out.extend_from_slice(CAR_MAGIC);
         let descriptor = self.descriptor_xml().into_bytes();
-        let entries: Vec<(&str, &[u8])> = std::iter::once((DESCRIPTOR_ENTRY, descriptor.as_slice()))
-            .chain(
-                self.extra_entries
-                    .iter()
-                    .map(|(n, d)| (n.as_str(), d.as_slice())),
-            )
-            .collect();
+        let entries: Vec<(&str, &[u8])> =
+            std::iter::once((DESCRIPTOR_ENTRY, descriptor.as_slice()))
+                .chain(
+                    self.extra_entries
+                        .iter()
+                        .map(|(n, d)| (n.as_str(), d.as_slice())),
+                )
+                .collect();
         out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for (name, data) in entries {
             out.extend_from_slice(&(name.len() as u32).to_le_bytes());
@@ -159,12 +160,10 @@ impl Package {
         let mut descriptor: Option<String> = None;
         let mut extra = Vec::new();
         for _ in 0..count {
-            let name_len =
-                u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
+            let name_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
             let name = String::from_utf8(take(&mut pos, name_len)?.to_vec())
                 .map_err(|_| CcmError::Package("entry name is not UTF-8".into()))?;
-            let data_len =
-                u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
+            let data_len = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4")) as usize;
             let data = take(&mut pos, data_len)?.to_vec();
             if name == DESCRIPTOR_ENTRY {
                 descriptor = Some(
@@ -270,13 +269,17 @@ mod tests {
 
     #[test]
     fn descriptor_xml_is_valid_osd_style() {
-        let pkg = Package::new("transport", "1.0", "make_transport")
-            .restrict_to_machines(&["m1", "m2"]);
+        let pkg =
+            Package::new("transport", "1.0", "make_transport").restrict_to_machines(&["m1", "m2"]);
         let xml_text = pkg.descriptor_xml();
         let parsed = padico_util::xml::parse(&xml_text).unwrap();
         assert_eq!(parsed.name, "softpkg");
         assert_eq!(
-            parsed.find("localization").unwrap().find_all("allowed-machine").count(),
+            parsed
+                .find("localization")
+                .unwrap()
+                .find_all("allowed-machine")
+                .count(),
             2
         );
     }

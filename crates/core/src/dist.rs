@@ -116,9 +116,9 @@ impl Distribution {
             return Ok(Distribution::Cyclic);
         }
         if let Some(b) = text.strip_prefix("block-cyclic:") {
-            let b: u64 = b.parse().map_err(|_| {
-                GridCcmError::Descriptor(format!("bad block-cyclic size `{b}`"))
-            })?;
+            let b: u64 = b
+                .parse()
+                .map_err(|_| GridCcmError::Descriptor(format!("bad block-cyclic size `{b}`")))?;
             if b == 0 {
                 return Err(GridCcmError::Descriptor("block-cyclic:0".into()));
             }

@@ -80,13 +80,7 @@ impl DistMatrix {
         for v in global {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
-        let seq = DistSeq::from_global(
-            cols * 8,
-            distribution,
-            rank,
-            size,
-            &Bytes::from(bytes),
-        )?;
+        let seq = DistSeq::from_global(cols * 8, distribution, rank, size, &Bytes::from(bytes))?;
         Ok(DistMatrix { rows, cols, seq })
     }
 
@@ -172,15 +166,9 @@ mod tests {
 
     #[test]
     fn local_rows_roundtrip_through_seq() {
-        let m = DistMatrix::from_local_rows(
-            4,
-            2,
-            Distribution::Block,
-            1,
-            2,
-            &[10.0, 11.0, 20.0, 21.0],
-        )
-        .unwrap();
+        let m =
+            DistMatrix::from_local_rows(4, 2, Distribution::Block, 1, 2, &[10.0, 11.0, 20.0, 21.0])
+                .unwrap();
         // The embedded sequence can cross the GridCCM wire and come back.
         let back = DistMatrix::from_seq(2, m.seq.clone()).unwrap();
         assert_eq!(back, m);

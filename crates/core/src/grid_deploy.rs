@@ -25,8 +25,8 @@ use std::sync::Arc;
 
 use crate::error::GridCcmError;
 use crate::padico::Grid;
-use crate::paridl::{InterceptionPlan, InterfaceDef};
 use crate::parallel::proxy::install_proxy;
+use crate::paridl::{InterceptionPlan, InterfaceDef};
 
 /// Interface metadata the deployer needs to wire parallel connections,
 /// registered per interface repository id.
@@ -53,8 +53,10 @@ impl<'g> GridDeployer<'g> {
     /// type, keyed by the interface repository id used in port
     /// declarations.
     pub fn register_interface(&mut self, interface: InterfaceDef, plan: Arc<InterceptionPlan>) {
-        self.interfaces
-            .insert(interface.repo_id.clone(), RegisteredInterface { interface, plan });
+        self.interfaces.insert(
+            interface.repo_id.clone(),
+            RegisteredInterface { interface, plan },
+        );
     }
 
     fn candidates<'a>(
@@ -157,8 +159,10 @@ impl<'g> GridDeployer<'g> {
                 }
                 if instance.replicas > 1 {
                     component.set_attribute("_gridccm_rank", &AttrValue::Long(k as i32))?;
-                    component
-                        .set_attribute("_gridccm_size", &AttrValue::Long(instance.replicas as i32))?;
+                    component.set_attribute(
+                        "_gridccm_size",
+                        &AttrValue::Long(instance.replicas as i32),
+                    )?;
                     component.set_attribute("_gridccm_job", &AttrValue::Str(job.clone()))?;
                     component
                         .set_attribute("_gridccm_group", &AttrValue::Str(group_text.clone()))?;
@@ -181,7 +185,9 @@ impl<'g> GridDeployer<'g> {
             match (provider_inst.replicas > 1, user_inst.replicas > 1) {
                 (false, false) => {
                     let facet = provider_replicas[0].component.provide_facet(&conn.facet)?;
-                    user_replicas[0].component.connect(&conn.receptacle, &facet)?;
+                    user_replicas[0]
+                        .component
+                        .connect(&conn.receptacle, &facet)?;
                 }
                 (false, true) => {
                     // Sequential provider, parallel user: every replica
@@ -229,10 +235,12 @@ impl<'g> GridDeployer<'g> {
                         }
                     } else {
                         // Install the proxy next to provider replica 0.
-                        let proxy_node =
-                            self.grid.node_by_name(&provider_replicas[0].node).ok_or_else(
-                                || GridCcmError::Protocol("provider node not in grid".into()),
-                            )?;
+                        let proxy_node = self
+                            .grid
+                            .node_by_name(&provider_replicas[0].node)
+                            .ok_or_else(|| {
+                                GridCcmError::Protocol("provider node not in grid".into())
+                            })?;
                         let proxy_ior = install_proxy(
                             &proxy_node.env.orb,
                             registered.interface.clone(),

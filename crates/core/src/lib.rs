@@ -40,13 +40,13 @@ pub mod error;
 pub mod grid_deploy;
 pub mod observability;
 pub mod padico;
-pub mod paridl;
 pub mod parallel;
+pub mod paridl;
 pub mod redistribute;
 
 pub use dist::{DistSeq, Distribution};
 pub use dist2d::DistMatrix;
 pub use error::GridCcmError;
 pub use padico::Grid;
-pub use paridl::InterceptionPlan;
 pub use parallel::{ParallelAdapter, ParallelRef, ParallelServant};
+pub use paridl::InterceptionPlan;

@@ -68,9 +68,8 @@ impl Grid {
             if naming_ior.is_none() {
                 naming_ior = Some(start_naming(&orb));
             }
-            let naming = NamingClient::new(
-                orb.object_ref(naming_ior.clone().expect("set on first node")),
-            );
+            let naming =
+                NamingClient::new(orb.object_ref(naming_ior.clone().expect("set on first node")));
             let info = topology.node(tm.node()).expect("node exists");
             let factories = FactoryRegistry::new();
             start_daemon(
@@ -166,8 +165,7 @@ impl Grid {
         for node in &self.nodes {
             let env = node.env.clone();
             let factory = Arc::clone(&factory);
-            node.factories
-                .register(symbol, move || factory(&env));
+            node.factories.register(symbol, move || factory(&env));
         }
     }
 }
@@ -223,10 +221,7 @@ mod tests {
             fn registry(&self) -> &Arc<PortRegistry> {
                 &self.registry
             }
-            fn facet_servant(
-                &self,
-                name: &str,
-            ) -> Result<Arc<dyn Servant>, padico_ccm::CcmError> {
+            fn facet_servant(&self, name: &str) -> Result<Arc<dyn Servant>, padico_ccm::CcmError> {
                 Err(padico_ccm::CcmError::NoSuchPort(name.into()))
             }
         }

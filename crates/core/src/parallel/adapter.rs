@@ -27,13 +27,13 @@ use std::sync::Arc;
 
 use crate::dist::DistSeq;
 use crate::error::GridCcmError;
-use crate::paridl::{InterceptionPlan, OpPlan, DERIVED_OP_PREFIX};
 use crate::parallel::routing::{expected_clients, DistMeta};
 use crate::parallel::wire::{
     assemble_block, read_arg, write_reply_dist, write_reply_replicated, write_reply_void,
     InvHeader, ParValue, WireArg,
 };
 use crate::parallel::GRIDCCM_SERVER_NS;
+use crate::paridl::{InterceptionPlan, OpPlan, DERIVED_OP_PREFIX};
 use crate::redistribute::{schedule_cached, sends_of};
 
 /// What an SPMD upcall sees.
@@ -64,9 +64,9 @@ impl ParArgs {
     }
 
     pub fn get(&self, index: usize) -> Result<&ParValue, GridCcmError> {
-        self.values.get(index).ok_or_else(|| {
-            GridCcmError::Protocol(format!("argument index {index} out of range"))
-        })
+        self.values
+            .get(index)
+            .ok_or_else(|| GridCcmError::Protocol(format!("argument index {index} out of range")))
     }
 
     /// The assembled local block of a distributed argument.
@@ -554,8 +554,8 @@ impl Servant for ParallelAdapter {
         // span (the orb.dispatch span adopted the wire context); adopt
         // the header's context only when dispatched directly, as unit
         // tests do.
-        let _hdr_adopt = (padico_util::span::current().is_none() && header.trace_id != 0)
-            .then(|| {
+        let _hdr_adopt =
+            (padico_util::span::current().is_none() && header.trace_id != 0).then(|| {
                 padico_util::span::adopt(
                     &ctx.telemetry,
                     padico_util::span::SpanCtx {
@@ -582,8 +582,7 @@ impl Servant for ParallelAdapter {
         if header.target_size == 0
             || header.target_rank >= header.target_size
             || header.target_size as usize > cfg.size
-            || (header.target_size as usize == cfg.size
-                && header.target_rank as usize != cfg.rank)
+            || (header.target_size as usize == cfg.size && header.target_rank as usize != cfg.rank)
         {
             return Err(OrbError::System(format!(
                 "bad degraded view: target rank {}/{} at replica {}/{}",
@@ -657,26 +656,27 @@ impl Servant for ParallelAdapter {
             } else if seq < dedup.watermark(header.group, header.client_rank) {
                 Found::Stale
             } else {
-                Found::Slot(Arc::clone(dedup.open.entry(key.clone()).or_insert_with(|| {
-                    Arc::new(InvSlot {
-                        mu: Mutex::new(InvState {
-                            expected: expected.clone(),
-                            arrived: HashMap::new(),
-                            ctxs: HashMap::new(),
-                            outcome: None,
-                            replies_sent: 0,
-                        }),
-                        cv: Condvar::new(),
-                    })
-                })))
+                Found::Slot(Arc::clone(dedup.open.entry(key.clone()).or_insert_with(
+                    || {
+                        Arc::new(InvSlot {
+                            mu: Mutex::new(InvState {
+                                expected: expected.clone(),
+                                arrived: HashMap::new(),
+                                ctxs: HashMap::new(),
+                                outcome: None,
+                                replies_sent: 0,
+                            }),
+                            cv: Condvar::new(),
+                        })
+                    },
+                )))
             };
             (found, change)
         };
         change.report(&ctx.telemetry);
         let slot = match found {
             Found::Done(outcome) => {
-                let outcome =
-                    outcome.map_err(|msg| OrbError::System(format!("GridCCM: {msg}")))?;
+                let outcome = outcome.map_err(|msg| OrbError::System(format!("GridCCM: {msg}")))?;
                 return self.write_outcome(&outcome, &header, reply);
             }
             Found::Stale => {
@@ -744,7 +744,10 @@ impl Servant for ParallelAdapter {
                         expected: state.expected.clone(),
                         outcome: outcome.clone(),
                     };
-                    self.dedup.lock().retire(&key, finished).report(&ctx.telemetry);
+                    self.dedup
+                        .lock()
+                        .retire(&key, finished)
+                        .report(&ctx.telemetry);
                 }
             }
             outcome
@@ -774,8 +777,8 @@ fn to_orb(e: GridCcmError) -> OrbError {
 mod tests {
     use super::*;
     use crate::dist::Distribution;
-    use crate::paridl::{ArgDef, InterfaceDef, OpDef, ParamKind};
     use crate::parallel::wire::write_replicated;
+    use crate::paridl::{ArgDef, InterfaceDef, OpDef, ParamKind};
     use padico_orb::profile::MarshalStrategy;
     use padico_util::ids::NodeId;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -890,7 +893,10 @@ mod tests {
             "the stale duplicate waited {:?}",
             start.elapsed()
         );
-        assert!(GridCcmError::Orb(err.clone()).is_already_completed(), "{err}");
+        assert!(
+            GridCcmError::Orb(err.clone()).is_already_completed(),
+            "{err}"
+        );
         assert_eq!(counter.0.load(Ordering::SeqCst), 300, "the servant re-ran");
         // Only the last invocation's outcome is still kept.
         assert_eq!(adapter.retained(), (1, 8));

@@ -37,17 +37,17 @@ use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use crate::dist::DistSeq;
 use crate::dist::Distribution;
 use crate::error::GridCcmError;
-use crate::paridl::{InterceptionPlan, OpPlan};
 use crate::parallel::routing::{targets_of, DistMeta};
 use crate::parallel::wire::{
     assemble_block, read_reply, write_dist_chunks, write_replicated, InvHeader, ParValue,
     WireReply, ROUND_SHIFT,
 };
 use crate::parallel::GRIDCCM_CLIENT_NS;
+use crate::paridl::{InterceptionPlan, OpPlan};
 use crate::redistribute::{schedule_cached, sends_of, TransferRun};
-use crate::dist::DistSeq;
 
 /// Client-rank handle to a parallel component.
 pub struct ParallelRef {
@@ -385,8 +385,16 @@ impl ParallelRef {
                 "ccm.target",
                 format!("target:{v}"),
             );
-            let submitted =
-                self.submit_one(target, derived, op, args, &schedules, v, server_size, inv_id);
+            let submitted = self.submit_one(
+                target,
+                derived,
+                op,
+                args,
+                &schedules,
+                v,
+                server_size,
+                inv_id,
+            );
             // The span stays open (detached) until this target's reply
             // resolves, so it still covers the full derived invocation.
             target_span.detach();
@@ -474,10 +482,7 @@ impl ParallelRef {
                 let local_elems = dst_dist.local_len(global_elems, self.my_rank, self.group_size);
                 let block = assemble_block(elem_size, local_elems, &dist_chunks)?;
                 // Reassembling the result block physically copied it.
-                padico_fabric::model::charge_copy(
-                    self.replicas[0].orb().tm().clock(),
-                    block.len(),
-                );
+                padico_fabric::model::charge_copy(self.replicas[0].orb().tm().clock(), block.len());
                 Ok(Some(ParValue::Dist(DistSeq::from_local(
                     elem_size,
                     global_elems,

@@ -34,9 +34,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::GridCcmError;
-use crate::paridl::InterceptionPlan;
 use crate::parallel::adapter::{ParCtx, ParallelAdapter, ParallelServant};
 use crate::parallel::client::ParallelRef;
+use crate::paridl::InterceptionPlan;
 
 /// What a component factory gets from the node it is instantiated on.
 #[derive(Clone)]
@@ -127,9 +127,11 @@ impl GridCcmComponent {
                 )))
             }
         };
-        let rt = self.runtime.lock().clone().ok_or_else(|| {
-            GridCcmError::Protocol("component not configured yet".into())
-        })?;
+        let rt = self
+            .runtime
+            .lock()
+            .clone()
+            .ok_or_else(|| GridCcmError::Protocol("component not configured yet".into()))?;
         let replicas = bundle
             .split(';')
             .map(|s| {
@@ -183,10 +185,7 @@ impl CcmComponent for GridCcmComponent {
         }
         // One connection-bundle attribute per user receptacle.
         for p in &self.extra_ports {
-            if matches!(
-                p.kind,
-                PortKind::Receptacle | PortKind::MultiplexReceptacle
-            ) {
+            if matches!(p.kind, PortKind::Receptacle | PortKind::MultiplexReceptacle) {
                 ports.push(PortDesc::new(
                     format!("_gridccm_conn_{}", p.name),
                     PortKind::Attribute,
@@ -212,11 +211,9 @@ impl CcmComponent for GridCcmComponent {
             .find(|p| p.name == name)
             .ok_or_else(|| CcmError::NoSuchPort(name.to_string()))?;
         let mut adapters = self.adapters.lock();
-        let adapter = adapters
-            .entry(name.to_string())
-            .or_insert_with(|| {
-                ParallelAdapter::new(Arc::clone(&port.servant), Arc::clone(&port.plan))
-            });
+        let adapter = adapters.entry(name.to_string()).or_insert_with(|| {
+            ParallelAdapter::new(Arc::clone(&port.servant), Arc::clone(&port.plan))
+        });
         Ok(Arc::clone(adapter) as Arc<dyn Servant>)
     }
 
@@ -256,11 +253,9 @@ impl CcmComponent for GridCcmComponent {
         // Arm every parallel facet adapter (create any not yet exposed).
         for port in &self.parallel_ports {
             let mut adapters = self.adapters.lock();
-            let adapter = adapters
-                .entry(port.name.clone())
-                .or_insert_with(|| {
-                    ParallelAdapter::new(Arc::clone(&port.servant), Arc::clone(&port.plan))
-                });
+            let adapter = adapters.entry(port.name.clone()).or_insert_with(|| {
+                ParallelAdapter::new(Arc::clone(&port.servant), Arc::clone(&port.plan))
+            });
             adapter.configure(rank, size, comm.clone());
         }
         *self.runtime.lock() = Some(Arc::new(Runtime {
@@ -276,9 +271,9 @@ impl CcmComponent for GridCcmComponent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paridl::{ArgDef, InterfaceDef, OpDef, ParamKind};
     use crate::parallel::adapter::ParArgs;
     use crate::parallel::wire::ParValue;
+    use crate::paridl::{ArgDef, InterfaceDef, OpDef, ParamKind};
 
     struct NullServant;
 
@@ -386,8 +381,10 @@ mod tests {
     #[test]
     fn parallel_configuration_requires_group() {
         let c = component(env());
-        c.registry().set_attribute("_gridccm_rank", AttrValue::Long(0));
-        c.registry().set_attribute("_gridccm_size", AttrValue::Long(2));
+        c.registry()
+            .set_attribute("_gridccm_rank", AttrValue::Long(0));
+        c.registry()
+            .set_attribute("_gridccm_size", AttrValue::Long(2));
         c.registry()
             .set_attribute("_gridccm_job", AttrValue::Str("j".into()));
         let ctx = ComponentContext::new(Arc::clone(c.registry()));

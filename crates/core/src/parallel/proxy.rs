@@ -22,9 +22,9 @@ use std::sync::Arc;
 
 use crate::dist::{DistSeq, Distribution};
 use crate::error::GridCcmError;
-use crate::paridl::{InterceptionPlan, InterfaceDef, ParamKind};
 use crate::parallel::client::ParallelRef;
 use crate::parallel::wire::ParValue;
+use crate::paridl::{InterceptionPlan, InterfaceDef, ParamKind};
 
 /// The proxy servant.
 pub struct SequentialProxy {
@@ -166,11 +166,7 @@ impl SequentialClient {
 
     /// Invoke `op` with the given values (sequences as
     /// `ParValue::Seq`/`Dist` are written in the proxy convention).
-    pub fn invoke(
-        &self,
-        op: &str,
-        args: &[ParValue],
-    ) -> Result<Option<ParValue>, GridCcmError> {
+    pub fn invoke(&self, op: &str, args: &[ParValue]) -> Result<Option<ParValue>, GridCcmError> {
         let op_def = self
             .interface
             .op(op)

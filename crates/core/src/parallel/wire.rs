@@ -30,7 +30,10 @@ pub enum ParValue {
     Bool(bool),
     Str(String),
     /// Replicated sequence: every node receives the whole thing.
-    Seq { elem_size: u32, data: Bytes },
+    Seq {
+        elem_size: u32,
+        data: Bytes,
+    },
     /// Distributed sequence: this side's local block.
     Dist(DistSeq),
 }
@@ -759,9 +762,15 @@ mod tests {
     #[test]
     fn zero_copy_chunks_share_storage() {
         // Chunk slices must reference the client's local block, not copy.
-        let local =
-            DistSeq::from_local(1, 4096, Distribution::Block, 0, 1, Bytes::from(vec![5u8; 4096]))
-                .unwrap();
+        let local = DistSeq::from_local(
+            1,
+            4096,
+            Distribution::Block,
+            0,
+            1,
+            Bytes::from(vec![5u8; 4096]),
+        )
+        .unwrap();
         let transfers = schedule(4096, Distribution::Block, 1, Distribution::Block, 1).unwrap();
         let mut w = CdrWriter::new(MarshalStrategy::ZeroCopy);
         write_dist_chunks(&mut w, &local, Distribution::Block, &transfers).unwrap();
@@ -784,8 +793,14 @@ mod tests {
             Bytes::from(vec![5u8; 4 * 4096]),
         )
         .unwrap();
-        let sched = schedule(4096, Distribution::Block, 1, Distribution::BlockCyclic(512), 2)
-            .unwrap();
+        let sched = schedule(
+            4096,
+            Distribution::Block,
+            1,
+            Distribution::BlockCyclic(512),
+            2,
+        )
+        .unwrap();
         let sends: Vec<TransferRun> = sends_of(&sched, 0)
             .filter(|t| t.dst_rank == 0)
             .cloned()

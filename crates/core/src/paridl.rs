@@ -129,8 +129,8 @@ pub const DERIVED_OP_PREFIX: &str = "_par_";
 impl InterceptionPlan {
     /// Compile an interface against its parallelism descriptor.
     pub fn compile(interface: &InterfaceDef, parallelism_xml: &str) -> Result<Self, GridCcmError> {
-        let root = xml::parse(parallelism_xml)
-            .map_err(|e| GridCcmError::Descriptor(e.to_string()))?;
+        let root =
+            xml::parse(parallelism_xml).map_err(|e| GridCcmError::Descriptor(e.to_string()))?;
         if root.name != "parallelism" {
             return Err(GridCcmError::Descriptor(format!(
                 "expected <parallelism>, found <{}>",
@@ -164,9 +164,9 @@ impl InterceptionPlan {
             .collect();
 
         for op_el in root.find_all("operation") {
-            let op_name = op_el.get_attr("name").ok_or_else(|| {
-                GridCcmError::Descriptor("operation without name".into())
-            })?;
+            let op_name = op_el
+                .get_attr("name")
+                .ok_or_else(|| GridCcmError::Descriptor("operation without name".into()))?;
             let op_def = interface.op(op_name).ok_or_else(|| {
                 GridCcmError::Descriptor(format!(
                     "operation `{op_name}` is not declared by `{}`",
@@ -191,9 +191,7 @@ impl InterceptionPlan {
                          cannot be distributed"
                     )));
                 }
-                let dist = Distribution::parse(
-                    arg_el.get_attr("distribution").unwrap_or("block"),
-                )?;
+                let dist = Distribution::parse(arg_el.get_attr("distribution").unwrap_or("block"))?;
                 plan.arg_dists[index] = Some(dist);
             }
             if let Some(res_el) = op_el.find("result") {
@@ -206,8 +204,7 @@ impl InterceptionPlan {
                         )))
                     }
                 }
-                let dist =
-                    Distribution::parse(res_el.get_attr("distribution").unwrap_or("block"))?;
+                let dist = Distribution::parse(res_el.get_attr("distribution").unwrap_or("block"))?;
                 plan.result_dist = Some(dist);
             }
         }
@@ -312,10 +309,7 @@ mod tests {
         let plan = InterceptionPlan::compile(&field_interface(), DESCRIPTOR).unwrap();
         assert_eq!(plan.derived_repo_id, "IDL:Coupling/Field:1.0:par");
         let set = plan.op("set_density").unwrap();
-        assert_eq!(
-            set.arg_dists,
-            vec![Some(Distribution::Block), None]
-        );
+        assert_eq!(set.arg_dists, vec![Some(Distribution::Block), None]);
         assert!(set.result_dist.is_none());
         assert!(set.is_parallel());
         let ex = plan.op("exchange").unwrap();
@@ -379,7 +373,10 @@ mod tests {
     fn all_replicated_plan() {
         let plan = InterceptionPlan::all_replicated(&field_interface());
         assert_eq!(plan.op_names().len(), 4);
-        assert!(plan.op_names().iter().all(|n| !plan.op(n).unwrap().is_parallel()));
+        assert!(plan
+            .op_names()
+            .iter()
+            .all(|n| !plan.op(n).unwrap().is_parallel()));
         assert!(plan.op("missing").is_err());
     }
 

@@ -230,11 +230,24 @@ fn schedule_block_periodic(
                     count: u64,
                     block_offset: u64,
                     periodic_offset: u64| {
-        let (src_rank, dst_rank, src_offset, dst_offset, src_stride, dst_stride) = if block_is_src
-        {
-            (block_rank, periodic_rank, block_offset, periodic_offset, p, b)
+        let (src_rank, dst_rank, src_offset, dst_offset, src_stride, dst_stride) = if block_is_src {
+            (
+                block_rank,
+                periodic_rank,
+                block_offset,
+                periodic_offset,
+                p,
+                b,
+            )
         } else {
-            (periodic_rank, block_rank, periodic_offset, block_offset, b, p)
+            (
+                periodic_rank,
+                block_rank,
+                periodic_offset,
+                block_offset,
+                b,
+                p,
+            )
         };
         out.push(TransferRun {
             src_rank,
@@ -256,7 +269,7 @@ fn schedule_block_periodic(
         }
         for d in 0..periodic_size {
             let off = d as u64 * b; // first chunk start of periodic rank d
-            // First chunk index whose end exceeds s.
+                                    // First chunk index whose end exceeds s.
             let j0 = if s <= off {
                 0
             } else {
@@ -448,9 +461,7 @@ pub fn schedule(
         (None, None) => schedule_block_block(global, src_size, dst_size),
         (None, Some(b)) => schedule_block_periodic(global, src_size, b, dst_size, true),
         (Some(b), None) => schedule_block_periodic(global, dst_size, b, src_size, false),
-        (Some(bs), Some(bd)) => {
-            schedule_periodic_periodic(global, bs, src_size, bd, dst_size)
-        }
+        (Some(bs), Some(bd)) => schedule_periodic_periodic(global, bs, src_size, bd, dst_size),
     };
     out.sort_by_key(|t| (t.src_rank, t.dst_rank, t.global_start));
     debug_assert!(out.iter().all(|t| t.count >= 1 && t.chunk_elems >= 1));
@@ -695,9 +706,39 @@ mod tests {
         // Sequential client (1 rank) to parallel server (3 ranks).
         let t = expand(&schedule(10, Distribution::Block, 1, Distribution::Block, 3).unwrap());
         assert_eq!(t.len(), 3);
-        assert_eq!(t[0], Transfer { src_rank: 0, dst_rank: 0, global_start: 0, global_end: 4, src_offset: 0, dst_offset: 0 });
-        assert_eq!(t[1], Transfer { src_rank: 0, dst_rank: 1, global_start: 4, global_end: 7, src_offset: 4, dst_offset: 0 });
-        assert_eq!(t[2], Transfer { src_rank: 0, dst_rank: 2, global_start: 7, global_end: 10, src_offset: 7, dst_offset: 0 });
+        assert_eq!(
+            t[0],
+            Transfer {
+                src_rank: 0,
+                dst_rank: 0,
+                global_start: 0,
+                global_end: 4,
+                src_offset: 0,
+                dst_offset: 0
+            }
+        );
+        assert_eq!(
+            t[1],
+            Transfer {
+                src_rank: 0,
+                dst_rank: 1,
+                global_start: 4,
+                global_end: 7,
+                src_offset: 4,
+                dst_offset: 0
+            }
+        );
+        assert_eq!(
+            t[2],
+            Transfer {
+                src_rank: 0,
+                dst_rank: 2,
+                global_start: 7,
+                global_end: 10,
+                src_offset: 7,
+                dst_offset: 0
+            }
+        );
     }
 
     #[test]
@@ -716,12 +757,7 @@ mod tests {
     fn block_to_block_different_sizes() {
         // 2 → 3 over 12 elements: blocks [0,6),[6,12) → [0,4),[4,8),[8,12).
         let t = expand(&schedule(12, Distribution::Block, 2, Distribution::Block, 3).unwrap());
-        let expect = vec![
-            (0, 0, 0, 4),
-            (0, 1, 4, 6),
-            (1, 1, 6, 8),
-            (1, 2, 8, 12),
-        ];
+        let expect = vec![(0, 0, 0, 4), (0, 1, 4, 6), (1, 1, 6, 8), (1, 2, 8, 12)];
         let got: Vec<(usize, usize, u64, u64)> = t
             .iter()
             .map(|tr| (tr.src_rank, tr.dst_rank, tr.global_start, tr.global_end))
@@ -793,7 +829,13 @@ mod tests {
             (70_001, Distribution::Block, 3, Distribution::Cyclic, 4),
             (70_002, Distribution::Cyclic, 4, Distribution::Block, 3),
             (70_003, Distribution::Block, 2, Distribution::Block, 5),
-            (70_004, Distribution::BlockCyclic(8), 3, Distribution::Block, 2),
+            (
+                70_004,
+                Distribution::BlockCyclic(8),
+                3,
+                Distribution::Block,
+                2,
+            ),
         ];
         let before = schedule_cache_stats();
         let per_thread: Vec<Vec<(u64, Arc<Vec<TransferRun>>)>> = std::thread::scope(|scope| {

@@ -9,11 +9,11 @@ use padico_ccm::package::Package;
 use padico_core::dist::DistSeq;
 use padico_core::error::GridCcmError;
 use padico_core::grid_deploy::GridDeployer;
-use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::parallel::adapter::{ParArgs, ParCtx, ParallelServant};
 use padico_core::parallel::component::{GridCcmComponent, ParallelPort};
 use padico_core::parallel::proxy::SequentialClient;
 use padico_core::parallel::wire::ParValue;
+use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::Grid;
 use padico_mpi::ReduceOp;
 use std::sync::Arc;
@@ -174,10 +174,7 @@ fn deploy_parallel_component_and_call_through_proxy_connection() {
         "vis-proxy",
     )
     .unwrap();
-    let client = SequentialClient::new(
-        vis_node.env.orb.object_ref(proxy_ior),
-        solver_interface(),
-    );
+    let client = SequentialClient::new(vis_node.env.orb.object_ref(proxy_ior), solver_interface());
     match client.invoke_f64_seq("norm", &values).unwrap() {
         Some(ParValue::F64(norm)) => assert!((norm - expected).abs() < 1e-9),
         other => panic!("unexpected {other:?}"),
@@ -309,14 +306,9 @@ fn deploy_parallel_to_parallel_connection() {
         .iter()
         .map(|i| orb.object_ref(i.clone()))
         .collect();
-    let client = padico_core::parallel::client::ParallelRef::new(
-        "test-harness",
-        driver_plan,
-        refs,
-        0,
-        1,
-    )
-    .unwrap();
+    let client =
+        padico_core::parallel::client::ParallelRef::new("test-harness", driver_plan, refs, 0, 1)
+            .unwrap();
     match client.invoke("run", vec![]).unwrap() {
         Some(ParValue::F64(norm)) => assert!(
             (norm - expected).abs() < 1e-9,

@@ -4,11 +4,11 @@
 use bytes::Bytes;
 use padico_core::dist::{DistSeq, Distribution};
 use padico_core::error::GridCcmError;
-use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::parallel::adapter::{ParArgs, ParCtx, ParallelAdapter, ParallelServant};
 use padico_core::parallel::client::ParallelRef;
 use padico_core::parallel::proxy::{install_proxy, SequentialClient};
 use padico_core::parallel::wire::ParValue;
+use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::Grid;
 use padico_mpi::ReduceOp;
 use padico_orb::Ior;
@@ -207,7 +207,10 @@ fn parallel_to_parallel_with_redistribution_and_mpi_reduce() {
                 .collect::<Vec<u8>>(),
         );
         let local = DistSeq::from_global(8, Distribution::Block, rank, 3, &blob).unwrap();
-        match client.invoke("global_sum", vec![ParValue::Dist(local)]).unwrap() {
+        match client
+            .invoke("global_sum", vec![ParValue::Dist(local)])
+            .unwrap()
+        {
             Some(ParValue::F64(sum)) => sum,
             other => panic!("unexpected result {other:?}"),
         }
@@ -236,10 +239,7 @@ fn distributed_result_comes_back_redistributed() {
         );
         let local = DistSeq::from_global(8, Distribution::Block, rank, 2, &blob).unwrap();
         match client
-            .invoke(
-                "scale",
-                vec![ParValue::Dist(local), ParValue::F64(2.5)],
-            )
+            .invoke("scale", vec![ParValue::Dist(local), ParValue::F64(2.5)])
             .unwrap()
         {
             Some(ParValue::Dist(d)) => {

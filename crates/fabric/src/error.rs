@@ -11,51 +11,27 @@ pub enum FabricError {
     NotMember(NodeId),
     /// Exclusive-access hardware is already held by another client on this
     /// node (e.g. Myrinet through BIP: one process per NIC).
-    Busy {
-        node: NodeId,
-        holder: String,
-    },
+    Busy { node: NodeId, holder: String },
     /// The requested well-known port is already bound on this node.
-    PortTaken {
-        node: NodeId,
-        port: u16,
-    },
+    PortTaken { node: NodeId, port: u16 },
     /// Every ephemeral port of this node is bound.
-    PortsExhausted {
-        node: NodeId,
-    },
+    PortsExhausted { node: NodeId },
     /// SCI-style mapping table is full on this node.
-    MappingLimit {
-        node: NodeId,
-        limit: usize,
-    },
+    MappingLimit { node: NodeId, limit: usize },
     /// Sending to a remote node that requires an established mapping
     /// without having mapped it first.
-    NoMapping {
-        from: NodeId,
-        to: NodeId,
-    },
+    NoMapping { from: NodeId, to: NodeId },
     /// The destination endpoint does not exist or was dropped.
-    Unreachable {
-        to: NodeId,
-        port: u16,
-    },
+    Unreachable { to: NodeId, port: u16 },
     /// The physical link between two nodes is down (partition, flapping
     /// window, or dead mapping hardware). Retryable: the link may heal,
     /// or another fabric may reach the peer.
-    LinkDown {
-        from: NodeId,
-        to: NodeId,
-    },
+    LinkDown { from: NodeId, to: NodeId },
     /// A send whose clock reads `at`, behind the transmit history that
     /// `node`'s NIC has retired up to `retired`: a second clock is
     /// driving a NIC that another clock has been retiring. Where the full
     /// history would place it is unknown, so it is refused.
-    BehindRetired {
-        node: NodeId,
-        at: Vt,
-        retired: Vt,
-    },
+    BehindRetired { node: NodeId, at: Vt, retired: Vt },
     /// The endpoint (or fabric) has been shut down.
     Closed,
 }

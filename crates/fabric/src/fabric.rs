@@ -323,7 +323,11 @@ impl SimFabric {
         telemetry: Arc<Telemetry>,
     ) -> Arc<Self> {
         let first_id = members.iter().map(|n| n.0).min().unwrap_or(0);
-        let span = members.iter().map(|n| n.0 - first_id + 1).max().unwrap_or(0);
+        let span = members
+            .iter()
+            .map(|n| n.0 - first_id + 1)
+            .max()
+            .unwrap_or(0);
         let mut positions = vec![u32::MAX; span as usize];
         let mut slots = Vec::with_capacity(members.len());
         for n in &members {
@@ -606,8 +610,12 @@ impl SimFabric {
     ) -> Result<Vt, FabricError> {
         // Only the two endpoints' slots are read: sends on disjoint node
         // pairs share no lock.
-        let dst_slot = self.slot(dst.node).ok_or(FabricError::NotMember(dst.node))?;
-        let src_slot = self.slot(src.node).expect("endpoints attach to member nodes");
+        let dst_slot = self
+            .slot(dst.node)
+            .ok_or(FabricError::NotMember(dst.node))?;
+        let src_slot = self
+            .slot(src.node)
+            .expect("endpoints attach to member nodes");
         // Link-level faults refuse the send before any time is charged:
         // a partitioned or flapping link fails fast at the driver.
         self.faults.check_link(src.node, dst.node, clock.now())?;
@@ -701,11 +709,7 @@ pub struct FabricEndpoint {
 
 impl fmt::Debug for FabricEndpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "FabricEndpoint({} on {})",
-            self.addr, self.fabric.id
-        )
+        write!(f, "FabricEndpoint({} on {})", self.addr, self.fabric.id)
     }
 }
 
@@ -728,7 +732,8 @@ impl FabricEndpoint {
         channel: ChannelId,
         payload: Payload,
     ) -> Result<Vt, FabricError> {
-        self.fabric.send_from(self.addr, clock, dst, channel, payload)
+        self.fabric
+            .send_from(self.addr, clock, dst, channel, payload)
     }
 
     /// Blocking receive that takes delivery: merges `clock` to the arrival
@@ -802,8 +807,13 @@ mod tests {
         let b = fab.attach(NodeId(1), "test").unwrap();
         let ca = SimClock::new();
         let cb = SimClock::new();
-        a.send(&ca, b.addr(), ChannelId(0), Payload::from_vec(vec![0; 1024]))
-            .unwrap();
+        a.send(
+            &ca,
+            b.addr(),
+            ChannelId(0),
+            Payload::from_vec(vec![0; 1024]),
+        )
+        .unwrap();
         assert!(ca.now() > 0, "sender charged");
         let msg = b.recv(&cb).unwrap();
         assert!(cb.now() >= msg.arrival, "receiver merged to arrival");
@@ -901,7 +911,9 @@ mod tests {
     #[test]
     fn service_port_collision_detected() {
         let fab = two_node_ethernet();
-        let _tm = fab.attach_service_sink(NodeId(0), 7, "tm", noop_sink()).unwrap();
+        let _tm = fab
+            .attach_service_sink(NodeId(0), 7, "tm", noop_sink())
+            .unwrap();
         let err = fab
             .attach_service_sink(NodeId(0), 7, "other", noop_sink())
             .unwrap_err();
@@ -941,7 +953,10 @@ mod tests {
         let dst = fab.attach(NodeId(1), "t").unwrap().addr(); // dropped here
         let ca = SimClock::new();
         let sent = a.send(&ca, dst, ChannelId(0), Payload::from_vec(vec![1]));
-        let unreachable = FabricError::Unreachable { to: NodeId(1), port: dst.port };
+        let unreachable = FabricError::Unreachable {
+            to: NodeId(1),
+            port: dst.port,
+        };
         assert_eq!(sent, Err(unreachable));
         assert_eq!(ca.now(), 0, "failed send must not charge time");
     }
@@ -1126,9 +1141,7 @@ mod tests {
         let sink: MessageSink = Arc::new(move |m: Message| {
             let _ = tx.send(m);
         });
-        let ep = fab
-            .attach_service_sink(NodeId(1), 1, "tm", sink)
-            .unwrap();
+        let ep = fab.attach_service_sink(NodeId(1), 1, "tm", sink).unwrap();
         let ca = SimClock::new();
         assert_eq!(
             ep.recv(&ca).unwrap_err(),
@@ -1345,12 +1358,21 @@ mod tests {
     #[test]
     fn transmit_history_stays_short_over_ten_thousand_sends() {
         let fab = two_node_myrinet();
-        let a = fab.attach_service_sink(NodeId(0), 1, "t", noop_sink()).unwrap();
-        let b = fab.attach_service_sink(NodeId(1), 1, "t", noop_sink()).unwrap();
+        let a = fab
+            .attach_service_sink(NodeId(0), 1, "t", noop_sink())
+            .unwrap();
+        let b = fab
+            .attach_service_sink(NodeId(1), 1, "t", noop_sink())
+            .unwrap();
         let clock = SimClock::new();
         for i in 0..10_000u64 {
-            a.send(&clock, b.addr(), ChannelId(0), Payload::from_vec(vec![0; 64]))
-                .unwrap();
+            a.send(
+                &clock,
+                b.addr(),
+                ChannelId(0),
+                Payload::from_vec(vec![0; 64]),
+            )
+            .unwrap();
             // Idle gaps between some sends keep the intervals apart.
             clock.advance(i % 3 * US);
         }
@@ -1365,9 +1387,17 @@ mod tests {
         let a = fab.attach(NodeId(0), "t").unwrap();
         let b = fab.attach(NodeId(1), "t").unwrap();
         let send = |clock: &SimClock| {
-            a.send(clock, b.addr(), ChannelId(0), Payload::from_vec(vec![0; 64]))
+            a.send(
+                clock,
+                b.addr(),
+                ChannelId(0),
+                Payload::from_vec(vec![0; 64]),
+            )
         };
-        let (pre_wire, wire) = (fab.model().pre_wire_sender_cost(64), fab.model().wire_time(64));
+        let (pre_wire, wire) = (
+            fab.model().pre_wire_sender_cost(64),
+            fab.model().wire_time(64),
+        );
         let owner = SimClock::new();
         let mut last_read = 0;
         for _ in 0..5 {
@@ -1388,7 +1418,10 @@ mod tests {
         assert!(err.to_string().contains("node0"), "{err}");
         // Just behind the last retiring reading: refused, nothing sent.
         let behind = SimClock::starting_at(last_read - 1 - pre_wire);
-        assert!(matches!(send(&behind), Err(FabricError::BehindRetired { .. })));
+        assert!(matches!(
+            send(&behind),
+            Err(FabricError::BehindRetired { .. })
+        ));
         // At it: served where the full history places it, right behind
         // the owner's fifth transmission.
         let at_point = SimClock::starting_at(last_read - pre_wire);
@@ -1404,6 +1437,10 @@ mod tests {
             send(&owner).unwrap();
             owner.advance(10 * US);
         }
-        assert!(fab.retained_intervals().0 >= 6, "{:?}", fab.retained_intervals());
+        assert!(
+            fab.retained_intervals().0 >= 6,
+            "{:?}",
+            fab.retained_intervals()
+        );
     }
 }

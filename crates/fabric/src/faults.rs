@@ -236,7 +236,9 @@ impl FaultInjector {
 
     /// Record a refused mapping establishment (dead hardware).
     pub fn note_mapping_refusal(&self) {
-        self.counters.mapping_refusals.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .mapping_refusals
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn counters(&self) -> FaultSnapshot {

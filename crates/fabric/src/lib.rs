@@ -35,8 +35,8 @@ pub mod topology;
 
 pub use error::FabricError;
 pub use fabric::{
-    AccessMode, EndpointAddr, FabricEndpoint, FabricKind, Message, MessageSink, Paradigm,
-    PortSink, SimFabric,
+    AccessMode, EndpointAddr, FabricEndpoint, FabricKind, Message, MessageSink, Paradigm, PortSink,
+    SimFabric,
 };
 pub use faults::{FaultInjector, FaultPlan, FaultSnapshot};
 pub use model::LinkModel;

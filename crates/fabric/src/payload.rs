@@ -182,7 +182,11 @@ impl Payload {
     /// # Panics
     /// Panics if `at > self.len()`.
     pub fn split_at(&self, at: usize) -> (Payload, Payload) {
-        assert!(at <= self.len, "split_at({at}) beyond payload of {}", self.len);
+        assert!(
+            at <= self.len,
+            "split_at({at}) beyond payload of {}",
+            self.len
+        );
         let mut head = Payload::new();
         let mut tail = Payload::new();
         let mut consumed = 0usize;
@@ -287,16 +291,8 @@ pub mod pool {
     /// Slab size classes, 64 B to 1 MiB. A lease rounds up to the next
     /// class; larger requests are served exactly (and shelved by their
     /// true capacity on return).
-    pub const CLASS_SIZES: [usize; 8] = [
-        64,
-        256,
-        1024,
-        4096,
-        16 << 10,
-        64 << 10,
-        256 << 10,
-        1 << 20,
-    ];
+    pub const CLASS_SIZES: [usize; 8] =
+        [64, 256, 1024, 4096, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
 
     /// At most this many idle slabs kept per class on the process-wide
     /// shelves; surplus returns are simply freed.
@@ -570,7 +566,10 @@ pub mod pool {
             assert!(b.is_empty());
             drop(PooledBuf::default());
             let after = thread_stats();
-            assert_eq!(before, after, "unpooled placeholders never touch accounting");
+            assert_eq!(
+                before, after,
+                "unpooled placeholders never touch accounting"
+            );
         }
 
         #[test]

@@ -81,7 +81,7 @@ pub fn myrinet2000() -> FabricPreset {
         model: LinkModel {
             name: "Myrinet-2000",
             line_rate_mb_s: 250.0,
-            latency_ns: 3_500,      // switch + wire
+            latency_ns: 3_500,       // switch + wire
             send_overhead_ns: 1_500, // user-level doorbell, no syscall
             recv_overhead_ns: 1_500,
             mtu: 4096,

@@ -960,8 +960,16 @@ mod tests {
             let expected: Vec<u32> = (0..500).map(|h| (start + h) % 1000).collect();
             assert_eq!(visits, &expected, "token {t} walks the ring in order");
         }
-        assert_eq!(ring_trace(4, 16).0, one, "four workers: same hops, same order");
-        assert_eq!(ring_trace(0, 16).0, one, "the calling thread alone: the same");
+        assert_eq!(
+            ring_trace(4, 16).0,
+            one,
+            "four workers: same hops, same order"
+        );
+        assert_eq!(
+            ring_trace(0, 16).0,
+            one,
+            "the calling thread alone: the same"
+        );
     }
 
     #[test]
@@ -972,7 +980,11 @@ mod tests {
         assert_eq!(started, 2, "every worker the pool allows");
         // One event at a time never leaves a backlog.
         let sched = WorldSched::start(4, 4, Telemetry::new());
-        assert_eq!(sched.stats().workers, 1, "one worker starts with the scheduler");
+        assert_eq!(
+            sched.stats().workers,
+            1,
+            "one worker starts with the scheduler"
+        );
         let hits = Arc::new(AtomicU64::new(0));
         let handler = counter(&hits);
         sched.register(NodeId(0), &handler);

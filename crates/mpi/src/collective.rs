@@ -155,7 +155,11 @@ impl Communicator {
         if vrank != 0 {
             let parent_vrank = vrank & (vrank - 1);
             let parent = (parent_vrank + root) % n;
-            self.send_bytes_internal(parent as i32, window + SLOT_REDUCE, Payload::from_vec(encode(&acc)))?;
+            self.send_bytes_internal(
+                parent as i32,
+                window + SLOT_REDUCE,
+                Payload::from_vec(encode(&acc)),
+            )?;
             Ok(None)
         } else {
             Ok(Some(acc))
@@ -163,11 +167,7 @@ impl Communicator {
     }
 
     /// Reduce-to-all: every rank returns the combined vector.
-    pub fn allreduce<T: MpiDatatype>(
-        &self,
-        op: ReduceOp,
-        buf: &[T],
-    ) -> Result<Vec<T>, MpiError> {
+    pub fn allreduce<T: MpiDatatype>(&self, op: ReduceOp, buf: &[T]) -> Result<Vec<T>, MpiError> {
         let reduced = self.reduce(0, op, buf)?;
         let mut out = reduced.unwrap_or_default();
         self.bcast(0, &mut out)?;
@@ -184,7 +184,11 @@ impl Communicator {
         self.check_root(root)?;
         let window = self.next_collective_window();
         if self.rank() != root {
-            self.send_bytes_internal(root as i32, window + SLOT_GATHER, Payload::from_vec(encode(buf)))?;
+            self.send_bytes_internal(
+                root as i32,
+                window + SLOT_GATHER,
+                Payload::from_vec(encode(buf)),
+            )?;
             return Ok(None);
         }
         let mut out: Vec<T> = Vec::with_capacity(buf.len() * self.size());
@@ -217,7 +221,11 @@ impl Communicator {
         self.check_root(root)?;
         let window = self.next_collective_window();
         if self.rank() != root {
-            self.send_bytes_internal(root as i32, window + SLOT_GATHER, Payload::from_vec(encode(buf)))?;
+            self.send_bytes_internal(
+                root as i32,
+                window + SLOT_GATHER,
+                Payload::from_vec(encode(buf)),
+            )?;
             return Ok(None);
         }
         let mut out: Vec<Vec<T>> = Vec::with_capacity(self.size());
@@ -242,9 +250,8 @@ impl Communicator {
         self.check_root(root)?;
         let window = self.next_collective_window();
         if self.rank() == root {
-            let chunks = chunks.ok_or_else(|| {
-                MpiError::BadCount("root must provide scatter chunks".into())
-            })?;
+            let chunks = chunks
+                .ok_or_else(|| MpiError::BadCount("root must provide scatter chunks".into()))?;
             if chunks.len() != self.size() {
                 return Err(MpiError::BadCount(format!(
                     "{} scatter chunks for {} ranks",
@@ -415,7 +422,8 @@ mod tests {
     #[test]
     fn allreduce_gives_everyone_the_answer() {
         let results = run_ranks(world(4), |c| {
-            c.allreduce(ReduceOp::Sum, &[1i32, c.rank() as i32]).unwrap()
+            c.allreduce(ReduceOp::Sum, &[1i32, c.rank() as i32])
+                .unwrap()
         });
         for r in results {
             assert_eq!(r, vec![4, 1 + 2 + 3]);
@@ -424,9 +432,7 @@ mod tests {
 
     #[test]
     fn gather_concatenates_in_rank_order() {
-        let results = run_ranks(world(3), |c| {
-            c.gather(1, &[c.rank() as u16, 99]).unwrap()
-        });
+        let results = run_ranks(world(3), |c| c.gather(1, &[c.rank() as u16, 99]).unwrap());
         assert!(results[0].is_none());
         assert_eq!(results[1].as_ref().unwrap(), &vec![0u16, 99, 1, 99, 2, 99]);
     }
@@ -482,7 +488,8 @@ mod tests {
     fn alltoall_transposes() {
         let results = run_ranks(world(3), |c| {
             // Rank r sends [r*10 + dst] to each dst.
-            let chunks: Vec<Vec<i32>> = (0..3).map(|dst| vec![c.rank() as i32 * 10 + dst]).collect();
+            let chunks: Vec<Vec<i32>> =
+                (0..3).map(|dst| vec![c.rank() as i32 * 10 + dst]).collect();
             c.alltoall(&chunks).unwrap()
         });
         for (dst, got) in results.iter().enumerate() {

@@ -344,11 +344,7 @@ impl Communicator {
     }
 
     /// Internal receive that may use reserved tags (collectives).
-    pub(crate) fn recv_internal(
-        &self,
-        src: usize,
-        tag: u32,
-    ) -> Result<Payload, MpiError> {
+    pub(crate) fn recv_internal(&self, src: usize, tag: u32) -> Result<Payload, MpiError> {
         let want_src = Some(self.circuit_rank(src as i32)?);
         let envelope = self.engine.recv_match(self.comm_id, want_src, Some(tag))?;
         Ok(envelope.payload)
@@ -379,11 +375,7 @@ impl Communicator {
         let mine = encode(&[color as i32, key]);
         for dst in 0..self.size() {
             if dst != self.rank {
-                self.send_bytes_internal(
-                    dst as i32,
-                    ITAG_SPLIT,
-                    Payload::from_vec(mine.clone()),
-                )?;
+                self.send_bytes_internal(dst as i32, ITAG_SPLIT, Payload::from_vec(mine.clone()))?;
             }
         }
         entries.push((color, key, self.rank));

@@ -125,11 +125,10 @@ mod tests {
 
     #[test]
     fn roundtrip_all_scalar_types() {
-        assert_eq!(decode::<i32>(&encode(&[1i32, -5, 1 << 20])).unwrap(), vec![
-            1,
-            -5,
-            1 << 20
-        ]);
+        assert_eq!(
+            decode::<i32>(&encode(&[1i32, -5, 1 << 20])).unwrap(),
+            vec![1, -5, 1 << 20]
+        );
         assert_eq!(
             decode::<f64>(&encode(&[1.5f64, -0.25])).unwrap(),
             vec![1.5, -0.25]

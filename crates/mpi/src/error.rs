@@ -25,7 +25,10 @@ impl fmt::Display for MpiError {
         match self {
             MpiError::Tm(e) => write!(f, "transport error: {e}"),
             MpiError::BadRank { rank, size } => {
-                write!(f, "rank {rank} out of range for communicator of size {size}")
+                write!(
+                    f,
+                    "rank {rank} out of range for communicator of size {size}"
+                )
             }
             MpiError::BadTag(t) => write!(f, "tag {t} outside the user tag space"),
             MpiError::Truncated { incoming, capacity } => {
@@ -67,6 +70,8 @@ mod tests {
         }
         .to_string()
         .contains("truncated"));
-        assert!(MpiError::from(TmError::Closed).to_string().contains("transport"));
+        assert!(MpiError::from(TmError::Closed)
+            .to_string()
+            .contains("transport"));
     }
 }

@@ -191,7 +191,10 @@ impl CdrWriter {
                 }
             }
         }
-        debug_assert_eq!(written, total_len, "gather parts must sum to the declared length");
+        debug_assert_eq!(
+            written, total_len,
+            "gather parts must sum to the declared length"
+        );
     }
 
     /// `sequence<octet>` from a borrowed slice (always copies once).
@@ -547,7 +550,10 @@ mod tests {
             let seq = r.read_octet_seq().unwrap();
             assert_eq!(seq.len(), total);
             assert_eq!(&seq[..16], &[1u8; 16]);
-            assert_eq!(&seq[16..16 + ZERO_COPY_THRESHOLD], vec![2u8; ZERO_COPY_THRESHOLD]);
+            assert_eq!(
+                &seq[16..16 + ZERO_COPY_THRESHOLD],
+                vec![2u8; ZERO_COPY_THRESHOLD]
+            );
             assert_eq!(&seq[16 + ZERO_COPY_THRESHOLD..], &[3u8; 8]);
             assert_eq!(r.read_u32().unwrap(), 7);
             if strategy == MarshalStrategy::ZeroCopy {
@@ -745,11 +751,8 @@ mod proptests {
             "[a-zA-Z0-9 _-]{0,24}".prop_map(Item::Str),
             proptest::collection::vec(any::<u8>(), 0..2048).prop_map(Item::Octets),
             proptest::collection::vec(any::<i32>(), 0..32).prop_map(Item::I32Seq),
-            proptest::collection::vec(
-                any::<f64>().prop_filter("finite", |v| v.is_finite()),
-                0..32
-            )
-            .prop_map(Item::F64Seq),
+            proptest::collection::vec(any::<f64>().prop_filter("finite", |v| v.is_finite()), 0..32)
+                .prop_map(Item::F64Seq),
         ]
     }
 

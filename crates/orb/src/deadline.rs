@@ -72,7 +72,11 @@ mod tests {
         {
             let _outer = adopt(1_000);
             assert_eq!(current(), Some(1_000));
-            assert_eq!(clamp(5_000), 1_000, "ambient tightens a looser own deadline");
+            assert_eq!(
+                clamp(5_000),
+                1_000,
+                "ambient tightens a looser own deadline"
+            );
             assert_eq!(clamp(400), 400, "a tighter own deadline survives");
             {
                 let _inner = adopt(300);

@@ -161,9 +161,7 @@ pub fn decode(frame: &Payload) -> Result<GiopMessage, OrbError> {
                 2 => ReplyStatus::SystemException,
                 3 => ReplyStatus::Transient,
                 4 => ReplyStatus::DeadlineExceeded,
-                other => {
-                    return Err(OrbError::Marshal(format!("bad ESIOP status {other}")))
-                }
+                other => return Err(OrbError::Marshal(format!("bad ESIOP status {other}"))),
             };
             Ok(GiopMessage::Reply {
                 request_id,

@@ -321,9 +321,7 @@ pub fn decode(frame: &Payload) -> Result<GiopMessage, OrbError> {
             let status = match r.read_u32()? {
                 0 => LocateStatus::UnknownObject,
                 1 => LocateStatus::ObjectHere,
-                other => {
-                    return Err(OrbError::Marshal(format!("unknown locate status {other}")))
-                }
+                other => return Err(OrbError::Marshal(format!("unknown locate status {other}"))),
             };
             Ok(GiopMessage::LocateReply { request_id, status })
         }

@@ -195,8 +195,9 @@ impl RequestMux {
             return;
         };
         let request_id = match &msg {
-            GiopMessage::Reply { request_id, .. }
-            | GiopMessage::LocateReply { request_id, .. } => *request_id,
+            GiopMessage::Reply { request_id, .. } | GiopMessage::LocateReply { request_id, .. } => {
+                *request_id
+            }
             GiopMessage::CloseConnection => {
                 self.fail_all();
                 return;

@@ -413,8 +413,11 @@ impl Orb {
             let reply_payload = reply_writer.finish();
             // The reply marshal path costs like a server-side charge on
             // the reply body.
-            self.profile
-                .charge_server_scaled(&clock, reply_payload.len(), wire.fixed_cost_factor());
+            self.profile.charge_server_scaled(
+                &clock,
+                reply_payload.len(),
+                wire.fixed_cost_factor(),
+            );
             let frame = wire.encode_reply(request_id, status, reply_payload);
             // Close the dispatch span *before* the reply goes out: the
             // instant the client sees the reply it may snapshot the span
@@ -1112,8 +1115,7 @@ impl AsyncReply {
             } => {
                 // Unmarshalling the reply costs like a client-side charge
                 // on the reply length.
-                orb.profile
-                    .charge_client_scaled(clock, body.len(), factor);
+                orb.profile.charge_client_scaled(clock, body.len(), factor);
                 // Same strategy split as the server side: copying
                 // profiles read one contiguous view of the reply,
                 // zero-copy ones read the gather list in place.
@@ -1148,9 +1150,7 @@ impl AsyncReply {
                     }
                 }
             }
-            other => Err(OrbError::Marshal(format!(
-                "expected Reply, got {other:?}"
-            ))),
+            other => Err(OrbError::Marshal(format!("expected Reply, got {other:?}"))),
         }
     }
 }
@@ -1439,10 +1439,20 @@ mod tests {
         };
         let tms = PadicoTM::boot_all_with_config(Arc::clone(&topo), cfg).unwrap();
         let choice = FabricChoice::Kind(FabricKind::Myrinet);
-        let a = Orb::start(Arc::clone(&tms[0]), "client", OrbProfile::omniorb3(), choice)
-            .unwrap();
-        let b = Orb::start(Arc::clone(&tms[1]), "server", OrbProfile::omniorb3(), choice)
-            .unwrap();
+        let a = Orb::start(
+            Arc::clone(&tms[0]),
+            "client",
+            OrbProfile::omniorb3(),
+            choice,
+        )
+        .unwrap();
+        let b = Orb::start(
+            Arc::clone(&tms[1]),
+            "server",
+            OrbProfile::omniorb3(),
+            choice,
+        )
+        .unwrap();
         (a, b, fabric)
     }
 
@@ -1482,7 +1492,12 @@ mod tests {
         let obj = client.object_ref(ior);
         obj.request("noop").invoke().unwrap(); // warm-up
         fabric.set_fault_plan(FaultPlan::drops(1, 100));
-        let err = obj.request("add").arg_i32(1).arg_i32(2).invoke().unwrap_err();
+        let err = obj
+            .request("add")
+            .arg_i32(1)
+            .arg_i32(2)
+            .invoke()
+            .unwrap_err();
         assert!(
             matches!(err, OrbError::Transient(TmError::Timeout(_))),
             "lost exchange must surface as TRANSIENT, got {err}"
@@ -1510,10 +1525,8 @@ mod tests {
     fn malformed_syns_do_not_stop_the_endpoint() {
         let (client, server) = orb_pair(OrbProfile::omniorb3(), OrbProfile::omniorb3());
         let ior = server.activate(Arc::new(Calculator));
-        let listener = padico_tm::arbitration::named_channel(&format!(
-            "vlink:giop:server@{}",
-            server.node()
-        ));
+        let listener =
+            padico_tm::arbitration::named_channel(&format!("vlink:giop:server@{}", server.node()));
         // A SYN of the wrong length, then a well-formed one naming an
         // unknown fabric-choice code.
         let mut bad_choice = vec![1u8; 22];
@@ -1565,7 +1578,11 @@ mod tests {
         assert_eq!(server.server_connections(), 1);
         let stream = client
             .tm()
-            .vlink_connect(ior.node, &ior.endpoint, FabricChoice::Kind(FabricKind::Myrinet))
+            .vlink_connect(
+                ior.node,
+                &ior.endpoint,
+                FabricChoice::Kind(FabricKind::Myrinet),
+            )
             .unwrap();
         assert_eq!(server.server_connections(), 2);
         let mut args = CdrWriter::new(MarshalStrategy::ZeroCopy);
@@ -1579,7 +1596,11 @@ mod tests {
         let n = stream.read(&mut buf).unwrap();
         assert!(matches!(
             giop::decode(&Payload::copy_from(&buf[..n])).unwrap(),
-            GiopMessage::Reply { request_id: 7, status: ReplyStatus::NoException, .. }
+            GiopMessage::Reply {
+                request_id: 7,
+                status: ReplyStatus::NoException,
+                ..
+            }
         ));
         stream.close().unwrap();
         assert!(
@@ -1598,10 +1619,20 @@ mod tests {
         };
         let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
         let choice = FabricChoice::Kind(FabricKind::Myrinet);
-        let client =
-            Orb::start(Arc::clone(&tms[0]), "client", OrbProfile::omniorb3(), choice).unwrap();
-        let server =
-            Orb::start(Arc::clone(&tms[1]), "server", OrbProfile::omniorb3(), choice).unwrap();
+        let client = Orb::start(
+            Arc::clone(&tms[0]),
+            "client",
+            OrbProfile::omniorb3(),
+            choice,
+        )
+        .unwrap();
+        let server = Orb::start(
+            Arc::clone(&tms[1]),
+            "server",
+            OrbProfile::omniorb3(),
+            choice,
+        )
+        .unwrap();
         let obj = client.object_ref(server.activate(Arc::new(Calculator)));
         // Three default deadlines of idleness: the listener must not time
         // out, so the first connection made afterwards is still answered.

@@ -148,16 +148,15 @@ mod tests {
         args.write_i32(77);
         let mut reader = CdrReader::new(&args.finish());
         let mut reply = CdrWriter::new(MarshalStrategy::Copying);
-        servant.dispatch("echo", &mut reader, &mut reply, &ctx()).unwrap();
+        servant
+            .dispatch("echo", &mut reader, &mut reply, &ctx())
+            .unwrap();
         let mut out = CdrReader::new(&reply.finish());
         assert_eq!(out.read_i32().unwrap(), 77);
 
         poa.deactivate(key).unwrap();
         assert!(!poa.contains(key));
-        assert!(matches!(
-            poa.resolve(key),
-            Err(OrbError::ObjectNotExist(_))
-        ));
+        assert!(matches!(poa.resolve(key), Err(OrbError::ObjectNotExist(_))));
         assert!(poa.deactivate(key).is_err());
     }
 

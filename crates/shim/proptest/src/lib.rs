@@ -248,9 +248,7 @@ mod pattern {
             for _ in 0..n {
                 match &atom {
                     Atom::Literal(c) => out.push(*c),
-                    Atom::AnyChar => {
-                        out.push(char::from_u32(32 + rng.below(95) as u32).unwrap())
-                    }
+                    Atom::AnyChar => out.push(char::from_u32(32 + rng.below(95) as u32).unwrap()),
                     Atom::Class(set) => {
                         if !set.is_empty() {
                             out.push(set[rng.below(set.len() as u64) as usize]);

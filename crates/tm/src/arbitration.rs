@@ -317,7 +317,8 @@ impl ChannelMap {
     fn remove(&self, channel: ChannelId) {
         let entry = self.shard(channel).lock().remove(channel);
         if let Some(ChannelEntry::Parked(v)) = &entry {
-            self.parked_total.fetch_sub(v.len() as u32, Ordering::Relaxed);
+            self.parked_total
+                .fetch_sub(v.len() as u32, Ordering::Relaxed);
         }
     }
 }
@@ -648,7 +649,10 @@ mod tests {
         for &id in &ids {
             NetAccess::bring_up(&topo, id, SimClock::new()).unwrap();
         }
-        let short = topo.telemetry().metrics().counter("tm.arbitration.mapping_table_short");
+        let short = topo
+            .telemetry()
+            .metrics()
+            .counter("tm.arbitration.mapping_table_short");
         assert_eq!(short, n as u64);
     }
 
@@ -700,8 +704,11 @@ mod tests {
         assert!(topo.sched().quiesce(Duration::from_secs(5)));
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        b.on_channel(ch, Arc::new(move |msg: Message| sink.lock().push(msg.payload.to_vec())))
-            .unwrap();
+        b.on_channel(
+            ch,
+            Arc::new(move |msg: Message| sink.lock().push(msg.payload.to_vec())),
+        )
+        .unwrap();
         assert_eq!(*seen.lock(), vec![vec![1]], "parked message replayed");
         a.send(fid, ids[1], ch, Payload::from_vec(vec![2])).unwrap();
         assert!(topo.sched().quiesce(Duration::from_secs(5)));
@@ -730,7 +737,9 @@ mod tests {
         let other = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         assert_ne!(
             run(),
-            (0..8).map(|_| other.cell().rng_next()).collect::<Vec<u64>>(),
+            (0..8)
+                .map(|_| other.cell().rng_next())
+                .collect::<Vec<u64>>(),
             "different nodes draw different streams"
         );
         assert!(other.cell().jitter(0) == 0);
@@ -747,8 +756,10 @@ mod tests {
         let rx1 = collect(&b, ch1);
         let rx2 = collect(&b, ch2);
         let fid = myrinet_id(&a);
-        a.send(fid, ids[1], ch2, Payload::from_vec(vec![2])).unwrap();
-        a.send(fid, ids[1], ch1, Payload::from_vec(vec![1])).unwrap();
+        a.send(fid, ids[1], ch2, Payload::from_vec(vec![2]))
+            .unwrap();
+        a.send(fid, ids[1], ch1, Payload::from_vec(vec![1]))
+            .unwrap();
         assert_eq!(rx1.recv_timeout(WAIT).unwrap().payload.to_vec(), vec![1]);
         assert_eq!(rx2.recv_timeout(WAIT).unwrap().payload.to_vec(), vec![2]);
     }
@@ -765,7 +776,8 @@ mod tests {
         let fid = myrinet_id(&a);
         for ch in [ChannelId(u64::MAX), ChannelId(u64::MAX - 1)] {
             let rx = collect(&b, ch);
-            a.send(fid, ids[1], ch, Payload::from_vec(vec![0xEE])).unwrap();
+            a.send(fid, ids[1], ch, Payload::from_vec(vec![0xEE]))
+                .unwrap();
             let msg = rx.recv_timeout(WAIT).unwrap();
             assert_eq!(msg.payload.to_vec(), vec![0xEE], "{ch} deliverable");
         }
@@ -780,7 +792,8 @@ mod tests {
         let b = NetAccess::bring_up(&topo, ids[1], SimClock::new()).unwrap();
         let ch = fresh_channel();
         let fid = myrinet_id(&a);
-        a.send(fid, ids[1], ch, Payload::from_vec(vec![42])).unwrap();
+        a.send(fid, ids[1], ch, Payload::from_vec(vec![42]))
+            .unwrap();
         // Let the progress engine park it.
         assert!(topo.sched().quiesce(WAIT));
         let rx = collect(&b, ch);
@@ -818,10 +831,22 @@ mod tests {
         assert_eq!(telemetry.metrics().counter("tm.parked.dropped"), 1);
         let seen = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        map.install(ch, NodeId(0), Arc::new(move |m: Message| sink.lock().push(m.payload.to_vec())))
-            .unwrap();
-        assert_eq!(*seen.lock(), vec![vec![1], vec![2]], "third message was dropped");
-        assert_eq!(map.parked_total.load(Ordering::Relaxed), 0, "budget returned");
+        map.install(
+            ch,
+            NodeId(0),
+            Arc::new(move |m: Message| sink.lock().push(m.payload.to_vec())),
+        )
+        .unwrap();
+        assert_eq!(
+            *seen.lock(),
+            vec![vec![1], vec![2]],
+            "third message was dropped"
+        );
+        assert_eq!(
+            map.parked_total.load(Ordering::Relaxed),
+            0,
+            "budget returned"
+        );
     }
 
     /// A [`ChannelMap`] entry as the differential model keeps it.

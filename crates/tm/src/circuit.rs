@@ -140,8 +140,12 @@ impl Circuit {
             payload
         };
         wire.append(body);
-        self.core
-            .send_wire(dst_node, self.channel, wire, &format!("send:rank{dst_rank}"))
+        self.core.send_wire(
+            dst_node,
+            self.channel,
+            wire,
+            &format!("send:rank{dst_rank}"),
+        )
     }
 
     fn decode(&self, msg: padico_fabric::Message) -> Result<(u32, u64, Payload), TmError> {
@@ -241,9 +245,10 @@ mod tests {
         let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
         tms.iter()
             .map(|tm| {
-                tm.circuit(CircuitSpec::new("test", ids.clone()).with_choice(
-                    FabricChoice::Kind(FabricKind::Myrinet),
-                ))
+                tm.circuit(
+                    CircuitSpec::new("test", ids.clone())
+                        .with_choice(FabricChoice::Kind(FabricKind::Myrinet)),
+                )
                 .unwrap()
             })
             .collect()
@@ -326,5 +331,4 @@ mod tests {
         let (src, h, p) = got.expect("message should arrive");
         assert_eq!((src, h, p.to_vec()), (1, 3, vec![8]));
     }
-
 }

@@ -250,8 +250,7 @@ fn split_envelope(msg: Message, mut sink: impl FnMut(Message)) -> Result<(), TmE
                 return Err(TmError::Protocol("truncated aggregate header".into()));
             }
             let (cnt, rest) = rest.split_at(4);
-            let count =
-                u32::from_le_bytes(cnt.to_contiguous()[..].try_into().expect("4")) as usize;
+            let count = u32::from_le_bytes(cnt.to_contiguous()[..].try_into().expect("4")) as usize;
             if rest.len() < 4 * count {
                 return Err(TmError::Protocol("truncated aggregate length table".into()));
             }
@@ -455,10 +454,7 @@ impl LinkCore {
     /// clock. Pull receives are unavailable afterwards. The handler stays
     /// installed until [`LinkCore::stop_reactive`] or the link drops; a
     /// link stopped before or during the call drops `on_msg` instead.
-    pub fn go_reactive(
-        &self,
-        on_msg: Arc<dyn Fn(Message) + Send + Sync>,
-    ) -> Result<(), TmError> {
+    pub fn go_reactive(&self, on_msg: Arc<dyn Fn(Message) + Send + Sync>) -> Result<(), TmError> {
         for sub in std::mem::take(&mut *self.pending.lock()) {
             on_msg(sub);
         }
@@ -666,12 +662,10 @@ impl LinkCore {
             return;
         }
         let current = self.route.lock().fabric.id();
-        if let Ok(next) = self.tm.select_excluding(
-            &self.peers,
-            self.paradigm,
-            FabricChoice::Auto,
-            &[current],
-        ) {
+        if let Ok(next) =
+            self.tm
+                .select_excluding(&self.peers, self.paradigm, FabricChoice::Auto, &[current])
+        {
             faults::note(self.tm.recovery(), |r| &r.route_failovers);
             *self.route.lock() = next;
         }
@@ -1051,8 +1045,7 @@ mod tests {
         s.write_all(&vec![0u8; len]).unwrap();
         let trusted_cost = tms[0].clock().now() - before;
 
-        let cipher_cost =
-            padico_util::simtime::transfer_time(len, crate::security::CIPHER_MB_S);
+        let cipher_cost = padico_util::simtime::transfer_time(len, crate::security::CIPHER_MB_S);
         assert!(
             trusted_cost < cipher_cost,
             "trusted send ({trusted_cost} ns) must beat even just the cipher ({cipher_cost} ns)"
@@ -1092,7 +1085,9 @@ mod tests {
             let _ = a2;
             b
         });
-        let s = a.vlink_connect(a.node(), "self", FabricChoice::Auto).unwrap();
+        let s = a
+            .vlink_connect(a.node(), "self", FabricChoice::Auto)
+            .unwrap();
         s.write_all(&[7, 8, 9]).unwrap();
         s.flush().unwrap();
         assert_eq!(t.join().unwrap(), [7, 8, 9]);
@@ -1138,9 +1133,7 @@ mod tests {
         let (_tms, circuits) = shmem_circuits("shm");
         let blob = bytes::Bytes::from(padico_util::rng::payload(21, "zc", 64 * 1024));
         let sent_ptr = blob.as_ptr();
-        circuits[0]
-            .send(1, 5, Payload::from_bytes(blob))
-            .unwrap();
+        circuits[0].send(1, 5, Payload::from_bytes(blob)).unwrap();
         let (src, h, body) = circuits[1].recv().unwrap();
         assert_eq!((src, h), (0, 5));
         assert!(body.is_contiguous(), "body arrives as one segment");
@@ -1365,14 +1358,19 @@ mod tests {
             assert_eq!(got.to_vec(), *body, "frame {i} byte-identical");
         }
         let (frames_coalesced, flushes) = tms[0].telemetry().coalesce_counts();
-        assert!(frames_coalesced >= 12, "12 sub-threshold frames entered batches");
+        assert!(
+            frames_coalesced >= 12,
+            "12 sub-threshold frames entered batches"
+        );
         assert!(flushes > 0, "at least one batch flushed");
     }
 
     #[test]
     fn coalesced_loopback_roundtrip() {
         let (_tms, circuits) = coalesced_circuits("co-lo", FabricKind::Myrinet);
-        circuits[0].send(0, 3, Payload::from_vec(vec![1, 2])).unwrap();
+        circuits[0]
+            .send(0, 3, Payload::from_vec(vec![1, 2]))
+            .unwrap();
         circuits[0].send(0, 4, Payload::from_vec(vec![3])).unwrap();
         // recv flushes our own batch first, so no explicit flush needed.
         let (_, h, p) = circuits[0].recv().unwrap();
@@ -1392,7 +1390,9 @@ mod tests {
             ..Default::default()
         });
         for i in 0..5u64 {
-            circuits[0].send(1, i, Payload::from_vec(vec![i as u8; 4])).unwrap();
+            circuits[0]
+                .send(1, i, Payload::from_vec(vec![i as u8; 4]))
+                .unwrap();
         }
         circuits[0].core().flush().unwrap();
         let err = circuits[1]
@@ -1417,7 +1417,9 @@ mod tests {
             ..Default::default()
         });
         for i in 0..6u64 {
-            circuits[0].send(1, i, Payload::from_vec(vec![0; 8])).unwrap();
+            circuits[0]
+                .send(1, i, Payload::from_vec(vec![0; 8]))
+                .unwrap();
         }
         circuits[0].core().flush().unwrap();
         assert_eq!(

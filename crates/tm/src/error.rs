@@ -69,9 +69,7 @@ impl TmError {
         matches!(
             self,
             TmError::LinkDown { .. }
-                | TmError::Fabric(
-                    FabricError::NoMapping { .. } | FabricError::MappingLimit { .. }
-                )
+                | TmError::Fabric(FabricError::NoMapping { .. } | FabricError::MappingLimit { .. })
         )
     }
 }
@@ -137,11 +135,31 @@ mod tests {
         let pair = (NodeId(0), NodeId(1));
         // Transient: another attempt (or another fabric) may succeed.
         assert!(TmError::Timeout("connect".into()).is_transient());
-        assert!(TmError::LinkDown { from: pair.0, to: pair.1 }.is_transient());
-        assert!(TmError::Fabric(FabricError::NoMapping { from: pair.0, to: pair.1 }).is_transient());
-        assert!(TmError::Fabric(FabricError::MappingLimit { node: pair.0, limit: 2 }).is_transient());
-        assert!(TmError::Fabric(FabricError::Unreachable { to: pair.1, port: 9 }).is_transient());
-        assert!(TmError::Fabric(FabricError::LinkDown { from: pair.0, to: pair.1 }).is_transient());
+        assert!(TmError::LinkDown {
+            from: pair.0,
+            to: pair.1
+        }
+        .is_transient());
+        assert!(TmError::Fabric(FabricError::NoMapping {
+            from: pair.0,
+            to: pair.1
+        })
+        .is_transient());
+        assert!(TmError::Fabric(FabricError::MappingLimit {
+            node: pair.0,
+            limit: 2
+        })
+        .is_transient());
+        assert!(TmError::Fabric(FabricError::Unreachable {
+            to: pair.1,
+            port: 9
+        })
+        .is_transient());
+        assert!(TmError::Fabric(FabricError::LinkDown {
+            from: pair.0,
+            to: pair.1
+        })
+        .is_transient());
         // Shed work and open breakers clear once load drains / the
         // cooldown elapses.
         assert!(TmError::Overloaded("inflight budget".into()).is_transient());
@@ -150,38 +168,79 @@ mod tests {
         assert!(!TmError::Closed.is_transient());
         assert!(!TmError::Protocol("bad header".into()).is_transient());
         assert!(!TmError::Module("missing dep".into()).is_transient());
-        assert!(!TmError::NoRoute { from: pair.0, to: pair.1 }.is_transient());
+        assert!(!TmError::NoRoute {
+            from: pair.0,
+            to: pair.1
+        }
+        .is_transient());
         assert!(!TmError::NoUsableFabric("no myrinet".into()).is_transient());
         assert!(!TmError::Fabric(FabricError::Closed).is_transient());
         assert!(!TmError::Fabric(FabricError::NotMember(pair.0)).is_transient());
-        assert!(!TmError::Fabric(FabricError::Busy { node: pair.0, holder: "mpi".into() }).is_transient());
-        assert!(!TmError::Fabric(FabricError::PortTaken { node: pair.0, port: 1 }).is_transient());
+        assert!(!TmError::Fabric(FabricError::Busy {
+            node: pair.0,
+            holder: "mpi".into()
+        })
+        .is_transient());
+        assert!(!TmError::Fabric(FabricError::PortTaken {
+            node: pair.0,
+            port: 1
+        })
+        .is_transient());
     }
 
     #[test]
     fn link_level_classification_per_variant() {
         let pair = (NodeId(0), NodeId(1));
         // Link-level: failing over to another fabric is worth trying.
-        assert!(TmError::LinkDown { from: pair.0, to: pair.1 }.is_link_level());
-        assert!(TmError::Fabric(FabricError::NoMapping { from: pair.0, to: pair.1 }).is_link_level());
-        assert!(TmError::Fabric(FabricError::MappingLimit { node: pair.0, limit: 8 }).is_link_level());
+        assert!(TmError::LinkDown {
+            from: pair.0,
+            to: pair.1
+        }
+        .is_link_level());
+        assert!(TmError::Fabric(FabricError::NoMapping {
+            from: pair.0,
+            to: pair.1
+        })
+        .is_link_level());
+        assert!(TmError::Fabric(FabricError::MappingLimit {
+            node: pair.0,
+            limit: 8
+        })
+        .is_link_level());
         // Transient but *not* link-level: a timeout does not indict the
         // fabric, an unreachable port is the peer's fault, and overload /
         // an open breaker say the route is saturated or quarantined —
         // failing over would just spread the load, not fix it.
         assert!(!TmError::Timeout("recv".into()).is_link_level());
-        assert!(!TmError::Fabric(FabricError::Unreachable { to: pair.1, port: 9 }).is_link_level());
+        assert!(!TmError::Fabric(FabricError::Unreachable {
+            to: pair.1,
+            port: 9
+        })
+        .is_link_level());
         assert!(!TmError::Overloaded("budget".into()).is_link_level());
         assert!(!TmError::CircuitOpen("route".into()).is_link_level());
         // Permanent errors are never link-level.
         assert!(!TmError::Closed.is_link_level());
         assert!(!TmError::Protocol("x".into()).is_link_level());
-        assert!(!TmError::NoRoute { from: pair.0, to: pair.1 }.is_link_level());
+        assert!(!TmError::NoRoute {
+            from: pair.0,
+            to: pair.1
+        }
+        .is_link_level());
         // Every link-level error is also transient.
         for e in [
-            TmError::LinkDown { from: pair.0, to: pair.1 },
-            TmError::Fabric(FabricError::NoMapping { from: pair.0, to: pair.1 }),
-            TmError::Fabric(FabricError::MappingLimit { node: pair.0, limit: 1 }),
+            TmError::LinkDown {
+                from: pair.0,
+                to: pair.1,
+            },
+            TmError::Fabric(FabricError::NoMapping {
+                from: pair.0,
+                to: pair.1,
+            }),
+            TmError::Fabric(FabricError::MappingLimit {
+                node: pair.0,
+                limit: 1,
+            }),
         ] {
             assert!(e.is_transient(), "{e}");
         }

@@ -66,11 +66,7 @@ impl ModuleManager {
 
     /// Load and initialize a module. Fails on duplicates and missing
     /// dependencies.
-    pub fn load(
-        &self,
-        tm: &Arc<PadicoTM>,
-        module: Arc<dyn PadicoModule>,
-    ) -> Result<(), TmError> {
+    pub fn load(&self, tm: &Arc<PadicoTM>, module: Arc<dyn PadicoModule>) -> Result<(), TmError> {
         let name = module.name().to_string();
         {
             let slots = self.slots.lock();
@@ -217,7 +213,9 @@ mod tests {
 
     fn boot_one() -> Arc<PadicoTM> {
         let (topo, ids) = single_cluster(1);
-        PadicoTM::boot_all(Arc::new(topo)).unwrap().remove(ids[0].0 as usize)
+        PadicoTM::boot_all(Arc::new(topo))
+            .unwrap()
+            .remove(ids[0].0 as usize)
     }
 
     #[test]

@@ -81,7 +81,9 @@ impl SocketApi {
             }
         };
         let listener = self.tm.vlink_listen(&service)?;
-        self.table.lock().insert(fd, SocketState::Listening(listener));
+        self.table
+            .lock()
+            .insert(fd, SocketState::Listening(listener));
         Ok(())
     }
 
@@ -105,7 +107,9 @@ impl SocketApi {
             }
         };
         let result = listener.accept();
-        self.table.lock().insert(fd, SocketState::Listening(listener));
+        self.table
+            .lock()
+            .insert(fd, SocketState::Listening(listener));
         let stream = result?;
         let new_fd = self.socket();
         self.table

@@ -38,7 +38,8 @@ impl<'a> FmChannel<'a> {
     /// An active message fires immediately (the receiver's handler is
     /// the completion), so each send is its own coalescing barrier.
     pub fn send(&self, dst_rank: usize, handler_id: u32, payload: Payload) -> Result<(), TmError> {
-        self.circuit.send(dst_rank, u64::from(handler_id), payload)?;
+        self.circuit
+            .send(dst_rank, u64::from(handler_id), payload)?;
         self.circuit.flush()
     }
 
@@ -121,9 +122,12 @@ mod tests {
         let fm_rx = FmChannel::new(&cs[1]);
         let count = Arc::new(AtomicUsize::new(0));
         let c2 = Arc::clone(&count);
-        fm_rx.register(1, Box::new(move |_, _| {
-            c2.fetch_add(1, Ordering::SeqCst);
-        }));
+        fm_rx.register(
+            1,
+            Box::new(move |_, _| {
+                c2.fetch_add(1, Ordering::SeqCst);
+            }),
+        );
         let fm_tx = FmChannel::new(&cs[0]);
         for _ in 0..5 {
             fm_tx.send(1, 1, Payload::from_vec(vec![0])).unwrap();

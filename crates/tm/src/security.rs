@@ -42,7 +42,9 @@ impl SessionKey {
     }
 
     fn keystream_byte(&self, index: u64) -> u8 {
-        let mut x = self.0.wrapping_add(index.wrapping_mul(0x2545_f491_4f6c_dd1d));
+        let mut x = self
+            .0
+            .wrapping_add(index.wrapping_mul(0x2545_f491_4f6c_dd1d));
         x ^= x >> 33;
         x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
         x ^= x >> 33;

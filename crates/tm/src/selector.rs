@@ -120,7 +120,13 @@ mod tests {
     fn prefers_shmem_then_myrinet_in_cluster() {
         let (topo, ids) = single_cluster(4);
         // Shmem has the lowest one-way estimate in this topology.
-        let r = select(&topo, &[ids[0], ids[1]], Paradigm::Parallel, FabricChoice::Auto).unwrap();
+        let r = select(
+            &topo,
+            &[ids[0], ids[1]],
+            Paradigm::Parallel,
+            FabricChoice::Auto,
+        )
+        .unwrap();
         assert_eq!(r.fabric.kind(), FabricKind::Shmem);
         assert!(r.straight);
         assert!(!r.encrypt, "intra-cluster trusted traffic is cleartext");
@@ -129,7 +135,13 @@ mod tests {
     #[test]
     fn cross_cluster_falls_back_to_wan_with_encryption() {
         let (topo, a, b) = two_clusters_wan(2);
-        let r = select(&topo, &[a[0], b[0]], Paradigm::Distributed, FabricChoice::Auto).unwrap();
+        let r = select(
+            &topo,
+            &[a[0], b[0]],
+            Paradigm::Distributed,
+            FabricChoice::Auto,
+        )
+        .unwrap();
         assert_eq!(r.fabric.kind(), FabricKind::Wan);
         assert!(r.straight, "WAN is distributed-oriented");
         assert!(r.encrypt, "WAN crossings must be encrypted");
@@ -146,7 +158,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(r.fabric.kind(), FabricKind::Myrinet);
-        assert!(!r.straight, "distributed abstraction on a SAN is cross-paradigm");
+        assert!(
+            !r.straight,
+            "distributed abstraction on a SAN is cross-paradigm"
+        );
     }
 
     #[test]
@@ -182,7 +197,10 @@ mod tests {
         let peers = [a[0], a[1], b[0], b[1]];
         let r = select(&topo, &peers, Paradigm::Parallel, FabricChoice::Auto).unwrap();
         assert_eq!(r.fabric.kind(), FabricKind::Wan);
-        assert!(!r.straight, "parallel abstraction over WAN is cross-paradigm");
+        assert!(
+            !r.straight,
+            "parallel abstraction over WAN is cross-paradigm"
+        );
     }
 
     #[test]
@@ -201,9 +219,8 @@ mod tests {
         assert_ne!(next.fabric.id(), best.fabric.id());
         // Excluding everything leaves no route.
         let all: Vec<_> = topo.fabrics().iter().map(|f| f.id()).collect();
-        let err =
-            select_excluding(&topo, &peers, Paradigm::Parallel, FabricChoice::Auto, &all)
-                .unwrap_err();
+        let err = select_excluding(&topo, &peers, Paradigm::Parallel, FabricChoice::Auto, &all)
+            .unwrap_err();
         assert!(matches!(err, TmError::NoRoute { .. }));
     }
 

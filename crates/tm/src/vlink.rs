@@ -76,7 +76,10 @@ fn choice_codes() -> [FabricChoice; 6] {
 }
 
 fn encode_choice(choice: FabricChoice) -> u8 {
-    choice_codes().iter().position(|&c| c == choice).expect("known choice") as u8
+    choice_codes()
+        .iter()
+        .position(|&c| c == choice)
+        .expect("known choice") as u8
 }
 
 fn decode_choice(byte: u8) -> Option<FabricChoice> {
@@ -385,7 +388,8 @@ impl VLinkStream {
         let mut wire = Payload::new();
         wire.push_segment(kind_segment(kind));
         wire.append(body);
-        self.core.send_wire(self.peer, self.tx_channel, wire, "send")
+        self.core
+            .send_wire(self.peer, self.tx_channel, wire, "send")
     }
 
     /// Write all of `data` to the stream (one DATA frame).
@@ -626,7 +630,9 @@ mod tests {
         let (a, b) = pair();
         let listener = b.vlink_listen("svc").unwrap();
         let bt = std::thread::spawn(move || listener.accept().unwrap());
-        let s = a.vlink_connect(b.node(), "svc", FabricChoice::Auto).unwrap();
+        let s = a
+            .vlink_connect(b.node(), "svc", FabricChoice::Auto)
+            .unwrap();
         let server = bt.join().unwrap();
         s.write_all(b"abcdef").unwrap();
         s.flush().unwrap();
@@ -643,7 +649,9 @@ mod tests {
         let (a, b) = pair();
         let listener = b.vlink_listen("svc2").unwrap();
         let bt = std::thread::spawn(move || listener.accept().unwrap());
-        let s = a.vlink_connect(b.node(), "svc2", FabricChoice::Auto).unwrap();
+        let s = a
+            .vlink_connect(b.node(), "svc2", FabricChoice::Auto)
+            .unwrap();
         let server = bt.join().unwrap();
         s.write_all(b"xy").unwrap();
         s.close().unwrap();

@@ -254,9 +254,9 @@ impl Runs {
 
     /// The end of the last run.
     fn end(&self, base: Vt) -> Vt {
-        self.0
-            .iter()
-            .fold(base, |end, &(gap, len)| end + u64::from(gap) + u64::from(len))
+        self.0.iter().fold(base, |end, &(gap, len)| {
+            end + u64::from(gap) + u64::from(len)
+        })
     }
 
     /// First instant at or after `t` at which no run is busy. A spacer
@@ -876,7 +876,11 @@ mod tests {
             if Some(i) != intruded {
                 // One clock keeps at most the interval that overlaps its
                 // last reading plus the one it placed.
-                assert!(n.tx.retained() <= 2, "node {i}: {} intervals", n.tx.retained());
+                assert!(
+                    n.tx.retained() <= 2,
+                    "node {i}: {} intervals",
+                    n.tx.retained()
+                );
             }
         }
     }
@@ -940,7 +944,12 @@ mod tests {
                 // Exactly the gap after an interval, which the grant fills
                 // when nothing earlier fits it.
                 3 => {
-                    let gaps = model.0.lock().windows(2).map(|w| (w[0].1, w[1].0 - w[0].1)).collect::<Vec<_>>();
+                    let gaps = model
+                        .0
+                        .lock()
+                        .windows(2)
+                        .map(|w| (w[0].1, w[1].0 - w[0].1))
+                        .collect::<Vec<_>>();
                     match gaps.len() {
                         0 => (edge(rng), span(rng)),
                         n => gaps[rng.below(n as u64) as usize],
@@ -949,14 +958,33 @@ mod tests {
                 _ => (edge(rng), 1 + rng.below(20)),
             };
             let granted = timeline.reserve(not_before, dur);
-            assert_eq!(granted, model.reserve(not_before, dur), "step {step}: {dur} at {not_before}");
+            assert_eq!(
+                granted,
+                model.reserve(not_before, dur),
+                "step {step}: {dur} at {not_before}"
+            );
             let probe = [edge(rng), granted.end, span(rng)][rng.below(3) as usize];
             let probe = probe.saturating_sub(rng.below(2));
-            assert_eq!(timeline.next_idle(probe), model.next_idle(probe), "step {step}: idle after {probe}");
-            assert_eq!(decode(&timeline.busy.lock(), 0), *model.0.lock(), "step {step}");
-            assert_eq!(timeline.retained(), model.retained(), "step {step}: intervals");
+            assert_eq!(
+                timeline.next_idle(probe),
+                model.next_idle(probe),
+                "step {step}: idle after {probe}"
+            );
+            assert_eq!(
+                decode(&timeline.busy.lock(), 0),
+                *model.0.lock(),
+                "step {step}"
+            );
+            assert_eq!(
+                timeline.retained(),
+                model.retained(),
+                "step {step}: intervals"
+            );
         }
-        assert_eq!(timeline.horizon(), model.0.lock().last().map_or(0, |&(_, e)| e));
+        assert_eq!(
+            timeline.horizon(),
+            model.0.lock().last().map_or(0, |&(_, e)| e)
+        );
     }
 
     proptest::proptest! {
@@ -988,8 +1016,19 @@ mod tests {
         // A gap of two RUN_MAX and a length of one and a half.
         let (start, len) = (2 * RUN_MAX + 5, RUN_MAX + RUN_MAX / 2);
         let granted = runs.place(0, start, len);
-        assert_eq!(granted, Reservation { start, end: start + len });
-        let expected = [(u32::MAX, 0), (u32::MAX, 0), (5, u32::MAX), (0, u32::MAX / 2)];
+        assert_eq!(
+            granted,
+            Reservation {
+                start,
+                end: start + len
+            }
+        );
+        let expected = [
+            (u32::MAX, 0),
+            (u32::MAX, 0),
+            (5, u32::MAX),
+            (0, u32::MAX / 2),
+        ];
         assert_eq!(runs.0, expected, "spacers, the run and its continuation");
         assert_eq!(runs.intervals(), 1, "four runs, one interval");
         assert_eq!(runs.next_idle(0, 0), 0, "spacers hold nothing");
@@ -998,7 +1037,12 @@ mod tests {
         let (half, covered) = (RUN_MAX / 2, 2 * RUN_MAX + 2);
         assert_eq!(runs.place(0, half, covered - half).start, half);
         assert_eq!(decode(&runs, 0), [(half, covered), (start, start + len)]);
-        let expected = [(half as u32, u32::MAX), (0, half as u32 + 3), (3, u32::MAX), (0, u32::MAX / 2)];
+        let expected = [
+            (half as u32, u32::MAX),
+            (0, half as u32 + 3),
+            (3, u32::MAX),
+            (0, u32::MAX / 2),
+        ];
         assert_eq!(runs.0, expected);
         assert_eq!(runs.intervals(), 2);
         // Retiring drops what has ended and counts the rest from `now`...

@@ -771,10 +771,7 @@ mod tests {
         }
         drop(r);
         let spans = t.trace(5);
-        let second = spans
-            .iter()
-            .find(|s| s.name.ends_with("attempt2"))
-            .unwrap();
+        let second = spans.iter().find(|s| s.name.ends_with("attempt2")).unwrap();
         assert_eq!(second.retry_of, first_id);
     }
 
@@ -935,7 +932,9 @@ mod tests {
         // The decision is a pure function of the id: re-evaluating gives
         // the identical set.
         assert_eq!(
-            (0..64).filter(|id| t.trace_sampled(*id)).collect::<Vec<u64>>(),
+            (0..64)
+                .filter(|id| t.trace_sampled(*id))
+                .collect::<Vec<u64>>(),
             sampled
         );
         t.set_sampling(TraceSampling::Always);

@@ -20,10 +20,10 @@ use padico::ccm::package::Package;
 use padico::core::dist::{DistSeq, Distribution};
 use padico::core::error::GridCcmError;
 use padico::core::grid_deploy::GridDeployer;
-use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelServant};
 use padico::core::parallel::component::{GridCcmComponent, ParallelPort};
 use padico::core::parallel::wire::ParValue;
+use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico::core::Grid;
 use padico::mpi::ReduceOp;
 use parking_lot::Mutex;
@@ -75,9 +75,8 @@ impl ParallelServant for ChemistryServant {
             "step" => {
                 let dt = args.f64(0)?;
                 let mut guard = self.field.lock();
-                let local_len = Distribution::Block
-                    .local_len(FIELD_ELEMS, ctx.rank, ctx.size)
-                    as usize;
+                let local_len =
+                    Distribution::Block.local_len(FIELD_ELEMS, ctx.rank, ctx.size) as usize;
                 let rank = ctx.rank;
                 let field = guard.get_or_insert_with(|| {
                     // Non-uniform initial condition: each rank holds a
@@ -102,9 +101,8 @@ impl ParallelServant for ChemistryServant {
             }
             "density" => {
                 let guard = self.field.lock();
-                let local_len = Distribution::Block
-                    .local_len(FIELD_ELEMS, ctx.rank, ctx.size)
-                    as usize;
+                let local_len =
+                    Distribution::Block.local_len(FIELD_ELEMS, ctx.rank, ctx.size) as usize;
                 let field = guard
                     .clone()
                     .unwrap_or_else(|| vec![1.0 + ctx.rank as f64; local_len]);
@@ -173,8 +171,7 @@ impl ParallelServant for TransportServant {
             }
         };
         // Toy porosity update + a residual via the internal MPI world.
-        let local_residual: f64 =
-            field.iter().map(|v| (v - 1.0).abs()).sum::<f64>() * dt;
+        let local_residual: f64 = field.iter().map(|v| (v - 1.0).abs()).sum::<f64>() * dt;
         let residual = match &ctx.comm {
             Some(comm) => comm.allreduce(ReduceOp::Sum, &[local_residual])?[0],
             None => local_residual,

@@ -17,9 +17,7 @@
 //! ```
 
 use padico::ccm::assembly::Assembly;
-use padico::ccm::component::{
-    CcmComponent, ComponentDescriptor, PortDesc, PortKind, PortRegistry,
-};
+use padico::ccm::component::{CcmComponent, ComponentDescriptor, PortDesc, PortKind, PortRegistry};
 use padico::ccm::package::Package;
 use padico::ccm::CcmError;
 use padico::core::Grid;
@@ -127,7 +125,11 @@ fn deploy_and_exchange(grid: &Grid, assembly_xml: &str) -> (String, String, f64)
     // The transport component exchanges a field block with chemistry
     // through its connected receptacle; we drive the same call from the
     // transport node to measure the route cost.
-    let facet = app.component("chem").unwrap().provide_facet("field").unwrap();
+    let facet = app
+        .component("chem")
+        .unwrap()
+        .provide_facet("field")
+        .unwrap();
     let trans_env = &grid.node_by_name(&trans_node).unwrap().env;
     let obj = trans_env.orb.object_ref(facet);
     let blob = bytes::Bytes::from(vec![5u8; 256 << 10]);
@@ -146,7 +148,10 @@ fn deploy_and_exchange(grid: &Grid, assembly_xml: &str) -> (String, String, f64)
 fn main() {
     // --- Scenario A: two parallel machines coupled by a WAN. -----------
     let (topo_a, cluster_a, cluster_b) = padico::fabric::topology::two_clusters_wan(2);
-    println!("scenario A: clusters {:?} + {:?} coupled by a WAN", cluster_a, cluster_b);
+    println!(
+        "scenario A: clusters {:?} + {:?} coupled by a WAN",
+        cluster_a, cluster_b
+    );
     // Machine discovery first (paper: "a mechanism to find machines").
     let grid_a = Grid::boot(topo_a, OrbProfile::omniorb3(), FabricChoice::Auto).unwrap();
     for daemon in grid_a.deployer().discover().unwrap() {
@@ -208,8 +213,8 @@ fn main() {
             registry: Arc::new(PortRegistry::new()),
         }) as _
     });
-    let pinned = Package::new("chemistry", "1.0", "make_field")
-        .restrict_to_machines(&["cluster-a"]);
+    let pinned =
+        Package::new("chemistry", "1.0", "make_field").restrict_to_machines(&["cluster-a"]);
     // Trying to force it onto cluster-b fails with a localization error...
     let bad = Assembly::parse(
         r#"<assembly name="bad">
@@ -219,7 +224,10 @@ fn main() {
            </assembly>"#,
     )
     .unwrap();
-    match grid_c.deployer().deploy(&bad, std::slice::from_ref(&pinned)) {
+    match grid_c
+        .deployer()
+        .deploy(&bad, std::slice::from_ref(&pinned))
+    {
         Err(e) => println!("  forced misplacement refused: {e}"),
         Ok(_) => unreachable!(),
     }

@@ -107,7 +107,10 @@ fn main() {
 
     // --- 2. PadicoTM up, modules loaded side by side. ------------------
     let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
-    println!("PadicoTM up on {} nodes; loading middleware modules:", tms.len());
+    println!(
+        "PadicoTM up on {} nodes; loading middleware modules:",
+        tms.len()
+    );
     for tm in &tms {
         tm.modules().load(tm, Arc::new(MpiModule)).unwrap();
         tm.modules().load(tm, Arc::new(OrbModule)).unwrap();

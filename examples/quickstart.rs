@@ -6,9 +6,7 @@
 //! ```
 
 use padico::ccm::assembly::Assembly;
-use padico::ccm::component::{
-    CcmComponent, ComponentDescriptor, PortDesc, PortKind, PortRegistry,
-};
+use padico::ccm::component::{CcmComponent, ComponentDescriptor, PortDesc, PortKind, PortRegistry};
 use padico::ccm::package::Package;
 use padico::ccm::CcmError;
 use padico::core::Grid;
@@ -97,7 +95,10 @@ fn main() {
 
     // 3. Deploy: machine discovery, package upload, instantiation,
     //    lifecycle — all driven through CORBA calls.
-    let app = grid.deployer().deploy(&assembly, &[package]).expect("deploys");
+    let app = grid
+        .deployer()
+        .deploy(&assembly, &[package])
+        .expect("deploys");
     println!(
         "deployed `{}` on {}",
         app.name,

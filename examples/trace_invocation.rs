@@ -18,10 +18,10 @@ use padico::core::dist::DistSeq;
 use padico::core::error::GridCcmError;
 use padico::core::grid_deploy::GridDeployer;
 use padico::core::observability::ObservabilitySnapshot;
-use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelServant};
 use padico::core::parallel::component::{GridCcmComponent, ParallelPort};
 use padico::core::parallel::wire::ParValue;
+use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico::core::Grid;
 use std::sync::Arc;
 

@@ -118,7 +118,10 @@ fn dashboard_frame(grid: &Grid, client: &ControlClient, phase: &str) {
     grid.node(5).env.tm.clock().merge_to(newest);
 
     let (node, vt) = patient(|| client.ping()).expect("control object reachable");
-    println!("\n== dashboard: {phase} (node {node}, vt {:.1} ms) ==", vt as f64 / 1e6);
+    println!(
+        "\n== dashboard: {phase} (node {node}, vt {:.1} ms) ==",
+        vt as f64 / 1e6
+    );
     for (title, series) in [
         ("admission sheds", "orb.admission.shed"),
         ("giop retries", "recovery.giop_retries"),
@@ -166,7 +169,10 @@ fn main() {
     // client on node 5 — every poll is a real GIOP round-trip.
     let echo_ior = grid.node(1).env.orb.activate(Arc::new(Echo));
     let control_ior = padico::control::serve(&grid.node(1).env.orb);
-    println!("control object IOR: {}...", &control_ior.stringify()[..48.min(control_ior.stringify().len())]);
+    println!(
+        "control object IOR: {}...",
+        &control_ior.stringify()[..48.min(control_ior.stringify().len())]
+    );
     let dashboard = ControlClient::attach(&grid.node(5).env.orb, control_ior);
 
     // Phase 1: healthy warm-up over the SAN. Each call opens a root
@@ -244,7 +250,10 @@ fn main() {
     println!(
         "\nsnapshot render: {} lines ({} timeseries lines)",
         snapshot.lines().count(),
-        snapshot.lines().filter(|l| l.starts_with("timeseries")).count()
+        snapshot
+            .lines()
+            .filter(|l| l.starts_with("timeseries"))
+            .count()
     );
 
     let json = patient(|| dashboard.dump()).expect("dump over GIOP");

@@ -128,7 +128,10 @@ fn steady_state_copying_bulk_writes_make_zero_pool_misses() {
         assert_eq!(gathered.len(), 8 + 4 + BLOCK);
         let flat = gathered.to_contiguous();
         assert_eq!(&flat[12..12 + PIECE], &local[..PIECE]);
-        assert_eq!(&flat[12 + PIECE..12 + 2 * PIECE], &local[2 * PIECE..3 * PIECE]);
+        assert_eq!(
+            &flat[12 + PIECE..12 + 2 * PIECE],
+            &local[2 * PIECE..3 * PIECE]
+        );
     };
 
     for i in 0..WARMUP {

@@ -790,10 +790,7 @@ fn breaker_trips_fails_fast_and_recovers_byte_identically() {
     let (dump2, metrics2) = run_breaker_storm();
     assert!(!dump1.is_empty(), "no spans captured");
     assert_eq!(dump1, dump2, "breaker span trees diverged between runs");
-    assert_eq!(
-        metrics1, metrics2,
-        "breaker counters diverged between runs"
-    );
+    assert_eq!(metrics1, metrics2, "breaker counters diverged between runs");
 }
 
 #[test]
@@ -897,7 +894,11 @@ fn mid_pipeline_link_down_fails_in_flight_and_retries_queued() {
     let before = client.tm().recovery().snapshot().giop_retries;
     for q in queued {
         let mut reply = q.wait().unwrap();
-        assert_eq!(reply.read_i32().unwrap(), 1, "queued request lost its reply");
+        assert_eq!(
+            reply.read_i32().unwrap(),
+            1,
+            "queued request lost its reply"
+        );
     }
     let retries = client.tm().recovery().snapshot().giop_retries - before;
     assert!(

@@ -151,14 +151,8 @@ pub fn invoke_shift(
     values: &[f64],
     delta: f64,
 ) -> Result<Vec<f64>, GridCcmError> {
-    let arg = DistSeq::from_f64_local(
-        values.len() as u64,
-        Distribution::Block,
-        0,
-        1,
-        values,
-    )
-    .unwrap();
+    let arg =
+        DistSeq::from_f64_local(values.len() as u64, Distribution::Block, 0, 1, values).unwrap();
     match par.invoke("shift", vec![ParValue::Dist(arg), ParValue::F64(delta)])? {
         Some(ParValue::Dist(d)) => Ok(d.as_f64().unwrap()),
         other => panic!("unexpected shift result {other:?}"),
@@ -168,7 +162,11 @@ pub fn invoke_shift(
 pub fn assert_shifted(got: &[f64], values: &[f64], delta: f64) {
     assert_eq!(got.len(), values.len());
     for (g, v) in got.iter().zip(values) {
-        assert!((g - (v + delta)).abs() < 1e-9, "got {g}, want {}", v + delta);
+        assert!(
+            (g - (v + delta)).abs() < 1e-9,
+            "got {g}, want {}",
+            v + delta
+        );
     }
 }
 

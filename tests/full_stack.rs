@@ -3,19 +3,17 @@
 
 use bytes::Bytes;
 use padico::ccm::assembly::Assembly;
-use padico::ccm::component::{
-    CcmComponent, ComponentDescriptor, PortDesc, PortKind, PortRegistry,
-};
+use padico::ccm::component::{CcmComponent, ComponentDescriptor, PortDesc, PortKind, PortRegistry};
 use padico::ccm::package::Package;
 use padico::ccm::CcmError;
 use padico::core::dist::{DistSeq, Distribution};
 use padico::core::error::GridCcmError;
 use padico::core::grid_deploy::GridDeployer;
-use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico::core::parallel::adapter::{ParArgs, ParCtx, ParallelAdapter, ParallelServant};
 use padico::core::parallel::client::ParallelRef;
 use padico::core::parallel::component::{GridCcmComponent, ParallelPort};
 use padico::core::parallel::wire::ParValue;
+use padico::core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico::core::Grid;
 use padico::mpi::ReduceOp;
 use padico::orb::cdr::{CdrReader, CdrWriter};
@@ -380,7 +378,13 @@ fn coupling_keeps_one_result_per_group(field_bytes: usize, steps: u64) {
     // Two epochs, so a stale block answering a `fetch` is a wrong answer.
     let elems = (field_bytes / 4) as u64;
     let epochs: Vec<Bytes> = (0..2u8)
-        .map(|e| Bytes::from(padico::util::rng::payload(u64::from(e), "field", field_bytes)))
+        .map(|e| {
+            Bytes::from(padico::util::rng::payload(
+                u64::from(e),
+                "field",
+                field_bytes,
+            ))
+        })
         .collect();
     std::thread::scope(|scope| {
         for rank in 0..CLIENTS {
@@ -434,7 +438,10 @@ fn coupling_keeps_one_result_per_group(field_bytes: usize, steps: u64) {
         );
     }
     let metrics = grid.topology().telemetry().metrics();
-    assert_eq!(metrics.counter("ccm.dedup.retained_bytes"), field_bytes as u64);
+    assert_eq!(
+        metrics.counter("ccm.dedup.retained_bytes"),
+        field_bytes as u64
+    );
     // Every other invocation was released, on every replica.
     assert_eq!(
         metrics.counter("ccm.dedup.released"),

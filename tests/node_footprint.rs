@@ -185,7 +185,10 @@ fn first_channel_and_hop_stay_within_their_per_node_budgets() {
                     .send(fabric, next, ch, Payload::from_vec(vec![0; 16]))
                     .unwrap();
             }
-            assert!(topo.sched().quiesce(Duration::from_secs(60)), "every hop lands");
+            assert!(
+                topo.sched().quiesce(Duration::from_secs(60)),
+                "every hop lands"
+            );
         }
         topo.sched().clear_lanes();
     });

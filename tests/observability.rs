@@ -145,7 +145,10 @@ fn parallel_invocation_yields_one_connected_multilayer_tree() {
     // It crosses the whole stack and more than one node.
     let layers: BTreeSet<&str> = trace.iter().map(|s| s.layer).collect();
     for needed in ["ccm.invoke", "orb.giop", "tm.vlink", "fabric.link"] {
-        assert!(layers.contains(needed), "missing layer {needed}: {layers:?}");
+        assert!(
+            layers.contains(needed),
+            "missing layer {needed}: {layers:?}"
+        );
     }
     let subsystems: BTreeSet<&str> = layers
         .iter()
@@ -267,11 +270,16 @@ fn long_runs_keep_the_newest_spans_within_the_node_rings() {
     let trace = obs.trace(last.trace_id);
     let ids: BTreeSet<u64> = trace.iter().map(|s| s.span_id).collect();
     assert!(
-        trace.iter().all(|s| s.parent == 0 || ids.contains(&s.parent)),
+        trace
+            .iter()
+            .all(|s| s.parent == 0 || ids.contains(&s.parent)),
         "the newest trace lost spans to eviction"
     );
     assert!(trace.iter().any(|s| s.layer == "orb.giop"));
-    assert!(roots.len() < steps + 50, "the oldest invocations were evicted");
+    assert!(
+        roots.len() < steps + 50,
+        "the oldest invocations were evicted"
+    );
 }
 
 #[test]
@@ -296,7 +304,10 @@ fn control_service_serves_the_flight_recorder_over_giop() {
     // The remote snapshot must agree with a local capture on the
     // deterministic parts: same invocation root, same latency series.
     let snap = client.snapshot().unwrap();
-    assert!(snap.contains("timeseries latency.ccm.invoke"), "snapshot:\n{snap}");
+    assert!(
+        snap.contains("timeseries latency.ccm.invoke"),
+        "snapshot:\n{snap}"
+    );
     assert!(snap.contains("histogram latency.ccm.invoke"));
 
     let local = ObservabilitySnapshot::capture(grid.topology());

@@ -72,8 +72,10 @@ fn rig() -> Rig {
     let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
     let eth = FabricChoice::Kind(FabricKind::Ethernet);
     let myri = FabricChoice::Kind(FabricKind::Myrinet);
-    let client_orb = Orb::start(Arc::clone(&tms[0]), "stress", OrbProfile::omniorb3(), eth).unwrap();
-    let server_orb = Orb::start(Arc::clone(&tms[2]), "stress", OrbProfile::omniorb3(), eth).unwrap();
+    let client_orb =
+        Orb::start(Arc::clone(&tms[0]), "stress", OrbProfile::omniorb3(), eth).unwrap();
+    let server_orb =
+        Orb::start(Arc::clone(&tms[2]), "stress", OrbProfile::omniorb3(), eth).unwrap();
     let obj = client_orb.object_ref(server_orb.activate(Arc::new(SinkServant)));
     obj.request("drain").invoke().unwrap(); // connection warmup
     drop(server_orb); // the ORB's endpoint listener keeps its own Arc

@@ -154,7 +154,10 @@ fn bad_assembly_and_missing_factories_fail_cleanly() {
             .unwrap();
     let err = grid
         .deployer()
-        .deploy(&assembly, &[Package::new("p", "1.0", "unregistered_symbol")])
+        .deploy(
+            &assembly,
+            &[Package::new("p", "1.0", "unregistered_symbol")],
+        )
         .unwrap_err();
     assert!(
         matches!(&err, CcmError::Remote(msg) if msg.contains("unregistered_symbol")),
@@ -344,7 +347,10 @@ fn cancel_request_suppresses_the_late_reply() {
     // The invocation gives up after its 20 ms reply deadline and chases
     // the abandoned request with a best-effort CancelRequest.
     let err = obj.request("block").invoke().unwrap_err();
-    assert!(err.is_transport(), "abandoned exchange is transport-level: {err}");
+    assert!(
+        err.is_transport(),
+        "abandoned exchange is transport-level: {err}"
+    );
     started_rx.recv().unwrap(); // the dispatch definitely started
     assert_eq!(client.pending_request_count(ior.node, &ior.endpoint), 0);
 

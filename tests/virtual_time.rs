@@ -4,9 +4,9 @@
 
 use bytes::Bytes;
 use padico::fabric::topology::{single_cluster, two_clusters_wan};
+use padico::fabric::FabricKind;
 #[allow(unused_imports)]
 use padico::fabric::Topology;
-use padico::fabric::FabricKind;
 use padico::orb::cdr::{CdrReader, CdrWriter};
 use padico::orb::orb::Orb;
 use padico::orb::poa::{Servant, ServerCtx};
@@ -59,20 +59,8 @@ fn echo_cost(choice: FabricChoice, size: usize, cross_cluster: bool) -> u64 {
         let tms = PadicoTM::boot_all(Arc::new(all_fabrics_cluster())).unwrap();
         (tms, 0, 1)
     };
-    let client = Orb::start(
-        Arc::clone(&tms[a]),
-        "vt",
-        OrbProfile::omniorb3(),
-        choice,
-    )
-    .unwrap();
-    let server = Orb::start(
-        Arc::clone(&tms[b]),
-        "vt",
-        OrbProfile::omniorb3(),
-        choice,
-    )
-    .unwrap();
+    let client = Orb::start(Arc::clone(&tms[a]), "vt", OrbProfile::omniorb3(), choice).unwrap();
+    let server = Orb::start(Arc::clone(&tms[b]), "vt", OrbProfile::omniorb3(), choice).unwrap();
     let obj = client.object_ref(server.activate(Arc::new(Echo)));
     let blob = Bytes::from(vec![9u8; size]);
     // Warmup (connection handshake).
