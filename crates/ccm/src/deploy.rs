@@ -459,8 +459,8 @@ mod tests {
             start_daemon(
                 &container,
                 NodeProps {
-                    name: info.name.clone(),
-                    machine: info.machine.to_string(),
+                    name: info.name().to_string(),
+                    machine: info.machine().to_string(),
                     trusted: info.zone == SecurityZone::Trusted,
                 },
                 Arc::clone(&factories),

@@ -75,8 +75,8 @@ impl Grid {
             start_daemon(
                 &container,
                 NodeProps {
-                    name: info.name.clone(),
-                    machine: info.machine.to_string(),
+                    name: info.name().to_string(),
+                    machine: info.machine().to_string(),
                     trusted: info.zone == SecurityZone::Trusted,
                 },
                 Arc::clone(&factories),
@@ -89,7 +89,7 @@ impl Grid {
                 },
                 container,
                 factories,
-                name: info.name.clone(),
+                name: info.name().to_string(),
             });
         }
         Ok(Grid {

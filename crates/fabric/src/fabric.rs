@@ -60,7 +60,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{self, Receiver};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Network technology family.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -192,8 +192,9 @@ impl<F: Fn(Message) + Send + Sync> PortSink for F {
 /// world scheduler.
 pub type MessageSink = Arc<dyn PortSink>;
 
-/// A bound port and the sink its traffic goes to.
-type Port = (u16, MessageSink);
+/// A bound port and the sink its traffic goes to: its own, or `None` for
+/// the fabric's world sink ([`SimFabric::attach_world_service`]).
+type Port = (u16, Option<MessageSink>);
 
 /// One member node's share of the fabric: its NIC engines and the tables
 /// a send reads. A send touches only its source and destination slots.
@@ -227,7 +228,8 @@ struct ExtraTables {
 }
 
 impl NodeTables {
-    fn sink(&self, port: u16) -> Option<&MessageSink> {
+    /// `port`'s binding: `Some(None)` for a port bound to the world sink.
+    fn binding(&self, port: u16) -> Option<&Option<MessageSink>> {
         self.first
             .iter()
             .chain(self.extra.iter().flat_map(|x| &x.ports))
@@ -243,7 +245,7 @@ impl NodeTables {
         self.extra.get_or_insert_with(Box::default)
     }
 
-    fn bind(&mut self, port: u16, sink: MessageSink) {
+    fn bind(&mut self, port: u16, sink: Option<MessageSink>) {
         if self.first.is_none() {
             self.first = Some((port, sink));
         } else {
@@ -260,7 +262,9 @@ impl NodeTables {
     }
 }
 
-/// Attach-time bookkeeping; no send reads it.
+/// Fabric-wide attach bookkeeping, for exclusive fabrics and ephemeral
+/// ports; no send reads it, and a service port on a shared fabric binds
+/// without it.
 #[derive(Default)]
 struct AttachState {
     /// For exclusive fabrics: which client holds the NIC on each node.
@@ -293,6 +297,9 @@ pub struct SimFabric {
     /// Pre-rendered `tx:<kind>` span name of every send.
     tx_span: String,
     attach: Mutex<AttachState>,
+    /// The sink of every port bound by [`SimFabric::attach_world_service`],
+    /// held once for all of them.
+    world_sink: OnceLock<MessageSink>,
     faults: FaultInjector,
 }
 
@@ -355,6 +362,7 @@ impl SimFabric {
             bytes: telemetry.counter_cell(&format!("bytes.{kind}")),
             tx_span: format!("tx:{kind}"),
             attach: Mutex::new(AttachState::default()),
+            world_sink: OnceLock::new(),
             faults: FaultInjector::new(),
         })
     }
@@ -413,7 +421,7 @@ impl SimFabric {
             // The receiver lives as long as the port is bound.
             let _ = tx.send(msg);
         });
-        let mut endpoint = self.attach_inner(node, None, client, sink)?;
+        let mut endpoint = self.attach_inner(node, None, client, Some(sink))?;
         endpoint.inbox = Some(Box::new(Mutex::new(rx)));
         Ok(endpoint)
     }
@@ -434,7 +442,42 @@ impl SimFabric {
             port < EPHEMERAL_PORT_BASE,
             "service ports must be < {EPHEMERAL_PORT_BASE}"
         );
-        self.attach_inner(node, Some(port), client, sink)
+        self.attach_inner(node, Some(port), client, Some(sink))
+    }
+
+    /// [`SimFabric::attach_service_sink`] for the sink that serves every
+    /// node of the world, the world scheduler: the fabric holds `world`
+    /// once, from the first such attach on, and the port stores no
+    /// reference of its own, so binding a node writes nothing another
+    /// node's binding writes. Every such attach on one fabric must pass
+    /// the same sink.
+    pub fn attach_world_service<S: PortSink + 'static>(
+        self: &Arc<Self>,
+        node: NodeId,
+        port: u16,
+        client: &'static str,
+        world: &Arc<S>,
+    ) -> Result<FabricEndpoint, FabricError> {
+        assert!(
+            port < EPHEMERAL_PORT_BASE,
+            "service ports must be < {EPHEMERAL_PORT_BASE}"
+        );
+        let held = self
+            .world_sink
+            .get_or_init(|| Arc::clone(world) as MessageSink);
+        assert!(
+            std::ptr::addr_eq(Arc::as_ptr(held), Arc::as_ptr(world)),
+            "one world sink per fabric"
+        );
+        self.attach_inner(node, Some(port), client, None)
+    }
+
+    /// The sink bound to `port` in `tables`.
+    fn sink<'a>(&'a self, tables: &'a NodeTables, port: u16) -> Option<&'a MessageSink> {
+        match tables.binding(port)? {
+            Some(own) => Some(own),
+            None => self.world_sink.get(),
+        }
     }
 
     fn attach_inner(
@@ -442,37 +485,39 @@ impl SimFabric {
         node: NodeId,
         port: Option<u16>,
         client: &'static str,
-        sink: MessageSink,
+        sink: Option<MessageSink>,
     ) -> Result<FabricEndpoint, FabricError> {
         let slot = self.slot(node).ok_or(FabricError::NotMember(node))?;
-        let mut st = self.attach.lock();
-        if self.access == AccessMode::Exclusive {
-            if let Some(holder) = st.exclusive_holder.get(&node) {
-                return Err(FabricError::Busy {
-                    node,
-                    holder: holder.to_string(),
-                });
-            }
+        let exclusive = self.access == AccessMode::Exclusive;
+        // A service port on a shared fabric needs its node's tables only:
+        // nodes of a world booting side by side share no lock.
+        let mut st = (exclusive || port.is_none()).then(|| self.attach.lock());
+        if let Some(holder) = st.as_ref().and_then(|st| st.exclusive_holder.get(&node)) {
+            return Err(FabricError::Busy {
+                node,
+                holder: holder.to_string(),
+            });
         }
         let mut tables = slot.tables.write();
-        let port = match port {
-            Some(p) => {
-                if tables.sink(p).is_some() {
+        let port = match (port, st.as_mut()) {
+            (Some(p), _) => {
+                if tables.binding(p).is_some() {
                     return Err(FabricError::PortTaken { node, port: p });
                 }
                 p
             }
-            None => {
+            (None, Some(st)) => {
                 let next = *st.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_PORT_BASE);
-                let port = free_ephemeral(next, |p| tables.sink(p).is_some())
+                let port = free_ephemeral(next, |p| tables.binding(p).is_some())
                     .ok_or(FabricError::PortsExhausted { node })?;
                 // Past u16::MAX, `free_ephemeral` wraps to the base.
                 st.next_ephemeral.insert(node, port.wrapping_add(1));
                 port
             }
+            (None, None) => unreachable!("an ephemeral attach holds the attach lock"),
         };
         tables.bind(port, sink);
-        if self.access == AccessMode::Exclusive {
+        if let (true, Some(st)) = (exclusive, st.as_mut()) {
             st.exclusive_holder.insert(node, client);
         }
         Ok(FabricEndpoint {
@@ -632,10 +677,12 @@ impl SimFabric {
         // for a failed send, and hold its tables until the sink has the
         // message: the port cannot go between charging and delivery.
         let dst_tables = dst_slot.tables.read();
-        let sink = dst_tables.sink(dst.port).ok_or(FabricError::Unreachable {
-            to: dst.node,
-            port: dst.port,
-        })?;
+        let sink = self
+            .sink(&dst_tables, dst.port)
+            .ok_or(FabricError::Unreachable {
+                to: dst.node,
+                port: dst.port,
+            })?;
 
         let len = payload.len();
         // Roll the deterministic fault stream for this link. The verdict is
@@ -687,11 +734,14 @@ impl SimFabric {
     }
 
     fn detach(&self, addr: EndpointAddr) {
-        let mut st = self.attach.lock();
+        // The attach lock first, as in `attach_inner`; a shared fabric
+        // keeps no holder to release.
+        let exclusive = self.access == AccessMode::Exclusive;
+        let st = exclusive.then(|| self.attach.lock());
         if let Some(slot) = self.slot(addr.node) {
             slot.tables.write().unbind(addr.port);
         }
-        if self.access == AccessMode::Exclusive {
+        if let Some(mut st) = st {
             st.exclusive_holder.remove(&addr.node);
         }
     }

@@ -42,4 +42,4 @@ pub use faults::{FaultInjector, FaultPlan, FaultSnapshot};
 pub use model::LinkModel;
 pub use payload::{pool, Payload};
 pub use sched::{LaneSample, NodeHandler, NodeStep, SchedStats, WorldSched};
-pub use topology::{NodeInfo, SecurityZone, Topology, TopologyBuilder};
+pub use topology::{NodeInfo, NodeName, SecurityZone, Topology, TopologyBuilder};

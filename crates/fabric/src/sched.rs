@@ -376,12 +376,30 @@ impl WorldSched {
     /// events for the node count as dropped, as after
     /// [`WorldSched::unregister`].
     pub fn register(&self, node: NodeId, handler: &NodeHandler) {
-        let idx = node.0 as usize;
+        self.register_all([(node, Arc::downgrade(handler))]);
+    }
+
+    /// [`WorldSched::register`] for many nodes under one acquisition of the
+    /// table lock: a thread booting a block of nodes takes it once for
+    /// the block, not once per node.
+    pub fn register_all(&self, nodes: impl IntoIterator<Item = (NodeId, Weak<dyn NodeStep>)>) {
         let mut handlers = self.handlers.write();
-        if handlers.len() <= idx {
-            handlers.resize(idx + 1, None);
+        for (node, handler) in nodes {
+            let idx = node.0 as usize;
+            if handlers.len() <= idx {
+                handlers.resize(idx + 1, None);
+            }
+            handlers[idx] = Some(handler);
         }
-        handlers[idx] = Some(Arc::downgrade(handler));
+    }
+
+    /// Size the handler table for nodes `0..nodes`, so that registering
+    /// them never regrows it.
+    pub fn reserve(&self, nodes: usize) {
+        let mut handlers = self.handlers.write();
+        if handlers.len() < nodes {
+            handlers.resize(nodes, None);
+        }
     }
 
     /// Remove `node`'s handler; later events for it are counted dropped,

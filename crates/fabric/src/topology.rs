@@ -13,6 +13,7 @@ use crate::presets::FabricPreset;
 use crate::sched::WorldSched;
 use padico_util::ids::{FabricId, NodeId};
 use padico_util::Telemetry;
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Trust level of a node's location (paper §2 / §6).
@@ -25,16 +26,98 @@ pub enum SecurityZone {
 }
 
 /// Static description of one grid node.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct NodeInfo {
     pub id: NodeId,
-    /// Human name, e.g. `"paraski3"`.
-    pub name: String,
+    pub zone: SecurityZone,
+    /// `Some(i)`: the name is the group's prefix followed by `i` (a node
+    /// of [`TopologyBuilder::machine`]); `None`: the prefix is the whole
+    /// name.
+    index: Option<u32>,
+    /// Machine and name prefix, shared by every node of one
+    /// [`TopologyBuilder::machine`] call: a node costs no string of its
+    /// own.
+    group: Arc<NodeGroup>,
+}
+
+#[derive(Debug)]
+struct NodeGroup {
+    machine: Box<str>,
+    prefix: Box<str>,
+}
+
+impl NodeInfo {
+    /// Human name, e.g. `"paraski3"`, rendered on demand.
+    pub fn name(&self) -> NodeName<'_> {
+        NodeName {
+            prefix: &self.group.prefix,
+            index: self.index,
+        }
+    }
+
     /// Machine/cluster the node belongs to, e.g. `"cluster-a"`. Nodes of
     /// one machine may be connected by shared memory and are assumed
-    /// mutually trusted. One string shared by all nodes of the machine.
-    pub machine: Arc<str>,
-    pub zone: SecurityZone,
+    /// mutually trusted.
+    pub fn machine(&self) -> &str {
+        &self.group.machine
+    }
+}
+
+impl fmt::Debug for NodeInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeInfo")
+            .field("id", &self.id)
+            .field("name", &self.name())
+            .field("machine", &self.machine())
+            .field("zone", &self.zone)
+            .finish()
+    }
+}
+
+/// A node's name: a prefix, followed by the node's index when the name
+/// was generated. Displays as, and compares equal to, the string it
+/// stands for.
+#[derive(Clone, Copy)]
+pub struct NodeName<'a> {
+    prefix: &'a str,
+    index: Option<u32>,
+}
+
+impl fmt::Display for NodeName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.prefix)?;
+        match self.index {
+            Some(i) => write!(f, "{i}"),
+            None => Ok(()),
+        }
+    }
+}
+
+impl fmt::Debug for NodeName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "\"{self}\"")
+    }
+}
+
+impl PartialEq<str> for NodeName<'_> {
+    fn eq(&self, name: &str) -> bool {
+        let Some(index) = self.index else {
+            return self.prefix == name;
+        };
+        // `digits` must be exactly how `index` renders: decimal digits
+        // only, and no leading zero.
+        name.strip_prefix(self.prefix).is_some_and(|digits| {
+            digits.bytes().all(|b| b.is_ascii_digit())
+                && (digits == "0" || !digits.starts_with('0'))
+                && digits.parse() == Ok(index)
+        })
+    }
+}
+
+impl PartialEq<&str> for NodeName<'_> {
+    fn eq(&self, name: &&str) -> bool {
+        self == *name
+    }
 }
 
 /// The static grid: nodes plus fabric instances.
@@ -74,15 +157,17 @@ impl Topology {
         &self.nodes
     }
 
+    /// O(1): the builder numbers nodes densely from zero, so a node's id
+    /// is its index.
     pub fn node(&self, id: NodeId) -> Option<&NodeInfo> {
-        self.nodes.iter().find(|n| n.id == id)
+        self.nodes.get(id.0 as usize)
     }
 
     /// Linear in the node count: names serve deployment lookups, and a
     /// name index would cost every node of a 100k-node world a copy of
     /// its name.
     pub fn node_by_name(&self, name: &str) -> Option<&NodeInfo> {
-        self.nodes.iter().find(|n| n.name == name)
+        self.nodes.iter().find(|n| n.name() == name)
     }
 
     pub fn fabrics(&self) -> &[Arc<SimFabric>] {
@@ -114,7 +199,7 @@ impl Topology {
             (Some(na), Some(nb)) => {
                 na.zone == SecurityZone::Trusted
                     && nb.zone == SecurityZone::Trusted
-                    && na.machine == nb.machine
+                    && na.machine() == nb.machine()
             }
             _ => false,
         }
@@ -157,7 +242,7 @@ impl Topology {
     pub fn machine_nodes(&self, machine: &str) -> Vec<NodeId> {
         self.nodes
             .iter()
-            .filter(|n| &*n.machine == machine)
+            .filter(|n| n.machine() == machine)
             .map(|n| n.id)
             .collect()
     }
@@ -173,27 +258,26 @@ pub struct TopologyBuilder {
 impl TopologyBuilder {
     /// Add a node; returns its id.
     pub fn node(&mut self, name: &str, machine: &str, zone: SecurityZone) -> NodeId {
-        self.push(name.to_string(), machine, zone)
+        let group = NodeGroup {
+            machine: machine.into(),
+            prefix: name.into(),
+        };
+        self.push(Arc::new(group), None, zone)
     }
 
-    /// Add a node named `name`; nodes of one machine share its name
-    /// string.
-    fn push(&mut self, name: String, machine: &str, zone: SecurityZone) -> NodeId {
+    fn push(&mut self, group: Arc<NodeGroup>, index: Option<u32>, zone: SecurityZone) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        let machine = match self.nodes.iter().rev().find(|n| &*n.machine == machine) {
-            Some(n) => Arc::clone(&n.machine),
-            None => Arc::from(machine),
-        };
         self.nodes.push(NodeInfo {
             id,
-            name,
-            machine,
             zone,
+            index,
+            group,
         });
         id
     }
 
-    /// Add `count` nodes named `prefix0..prefixN` on one machine.
+    /// Add `count` nodes named `prefix0..prefixN` on one machine. The
+    /// nodes share one copy of both strings.
     pub fn machine(
         &mut self,
         prefix: &str,
@@ -201,9 +285,13 @@ impl TopologyBuilder {
         count: usize,
         zone: SecurityZone,
     ) -> Vec<NodeId> {
+        let group = Arc::new(NodeGroup {
+            machine: machine.into(),
+            prefix: prefix.into(),
+        });
         self.nodes.reserve(count);
         (0..count)
-            .map(|i| self.push(format!("{prefix}{i}"), machine, zone))
+            .map(|i| self.push(Arc::clone(&group), Some(i as u32), zone))
             .collect()
     }
 
@@ -279,6 +367,44 @@ mod tests {
         assert_eq!(t.node_by_name("beta").unwrap().id, n1);
         assert!(t.node_by_name("gamma").is_none());
         assert_eq!(t.machine_nodes("m1"), vec![n0, n1]);
+    }
+
+    #[test]
+    fn node_looks_up_every_id_by_index() {
+        let (t, a, b) = two_clusters_wan(3);
+        for (i, &id) in a.iter().chain(&b).enumerate() {
+            let info = t.node(id).unwrap();
+            assert_eq!(info.id, id);
+            assert_eq!(id, NodeId(i as u32));
+            let machine = if i < 3 { "cluster-a" } else { "cluster-b" };
+            assert_eq!(info.machine(), machine);
+        }
+        assert!(t.node(NodeId(6)).is_none(), "unknown id");
+        assert!(t.node(NodeId(u32::MAX)).is_none());
+    }
+
+    #[test]
+    fn generated_names_render_and_resolve_as_formatted_strings() {
+        let mut b = Topology::builder();
+        let first = b.node("head", "front", SecurityZone::Untrusted);
+        let w = b.machine("w", "world", 20, SecurityZone::Trusted);
+        let t = b.build();
+        for (i, &id) in w.iter().enumerate() {
+            let name = t.node(id).unwrap().name();
+            assert_eq!(name.to_string(), format!("w{i}"));
+            assert_eq!(format!("{name:?}"), format!("\"w{i}\""));
+            assert_eq!(t.node_by_name(&format!("w{i}")).unwrap().id, id);
+        }
+        assert_eq!(t.node_by_name("w12").unwrap().id, w[12]);
+        for missing in ["w012", "w", "w12x", "x12", "w20", "w+1", "w-1", ""] {
+            assert!(t.node_by_name(missing).is_none(), "{missing:?}");
+        }
+        // An explicitly named node matches its whole name only.
+        assert_eq!(t.node_by_name("head").unwrap().id, first);
+        assert_eq!(t.node(first).unwrap().name().to_string(), "head");
+        assert!(t.node_by_name("head0").is_none());
+        assert_eq!(t.machine_nodes("world"), w);
+        assert_eq!(t.machine_nodes("front"), vec![first]);
     }
 
     #[test]

@@ -74,8 +74,8 @@
 //! [`NetAccess`] (its cell inline) and its channel's handler.
 
 use padico_fabric::{
-    EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, NodeHandler, NodeStep,
-    Payload, SimFabric, Topology, WorldSched,
+    EndpointAddr, FabricEndpoint, FabricError, Message, NodeHandler, NodeStep, Payload, SimFabric,
+    Topology, WorldSched,
 };
 use padico_util::ids::{ChannelId, FabricId, IdGen, NodeId};
 use padico_util::simtime::{SimClock, Vt};
@@ -420,15 +420,28 @@ impl NetAccess {
         node: NodeId,
         clock: SimClock,
     ) -> Result<Arc<NetAccess>, TmError> {
+        let net = NetAccess::attach(topology, node, clock)?;
+        net.sched.register(node, &(Arc::clone(&net) as NodeHandler));
+        Ok(net)
+    }
+
+    /// [`NetAccess::bring_up`] short of the scheduler registration, which
+    /// [`crate::PadicoTM::boot_all`] makes for a whole block of nodes at
+    /// once.
+    pub(crate) fn attach(
+        topology: &Topology,
+        node: NodeId,
+        clock: SimClock,
+    ) -> Result<Arc<NetAccess>, TmError> {
         let telemetry = topology.telemetry();
         let map = ChannelMap::new(PARKED_BUDGET);
-        let sched = Arc::clone(topology.sched());
+        let sched = topology.sched();
         let (mut first, mut more) = (None, Vec::new());
         for fabric in topology.fabrics_of(node) {
             // The scheduler itself is the sink: the fabric tells it the
-            // destination, so no node needs a closure of its own.
-            let sink: MessageSink = sched.clone();
-            let endpoint = fabric.attach_service_sink(node, TM_SERVICE_PORT, "PadicoTM", sink)?;
+            // destination, so no node needs a closure of its own, and each
+            // fabric holds it once for all nodes.
+            let endpoint = fabric.attach_world_service(node, TM_SERVICE_PORT, "PadicoTM", sched)?;
             // On mapping-table hardware, the arbitration layer owns the
             // table and maps the whole member set up front (it is the
             // single client, so the table is not fragmented by competing
@@ -450,15 +463,13 @@ impl NetAccess {
                 Some(_) => more.push(endpoint),
             }
         }
-        let net = Arc::new(NetAccess {
+        Ok(Arc::new(NetAccess {
             clock,
             first,
             more: more.into_boxed_slice(),
             cell: NodeCell::new(node, map),
-            sched,
-        });
-        net.sched.register(node, &(Arc::clone(&net) as NodeHandler));
-        Ok(net)
+            sched: Arc::clone(sched),
+        }))
     }
 
     /// The node's fabric endpoints, in bring-up order.

@@ -885,7 +885,7 @@ mod tests {
         assert!(snap.send_retries >= 1, "{snap:?}");
         assert!(snap.backoff_ns > 0, "backoff charged to virtual clock");
         // Failed sends in a world without a breaker policy (the default)
-        // create no breaker route table on either node.
+        // keep no breaker route on either node.
         assert!(!a.has_breaker_routes() && !b.has_breaker_routes());
     }
 

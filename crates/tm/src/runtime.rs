@@ -6,12 +6,12 @@
 //! abstraction-layer constructors ([`PadicoTM::circuit`],
 //! [`PadicoTM::vlink_listen`], [`PadicoTM::vlink_connect`]).
 
-use padico_fabric::{NodeInfo, Paradigm, Topology};
+use padico_fabric::{NodeInfo, NodeStep, Paradigm, Topology};
 use padico_util::ids::{FabricId, NodeId};
 use padico_util::simtime::SimClock;
 use padico_util::stats::RecoveryStats;
 use padico_util::Telemetry;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
 use crate::arbitration::NetAccess;
@@ -122,37 +122,42 @@ pub const PARALLEL_BOOT_THRESHOLD: usize = 64;
 pub struct PadicoTM {
     topology: Arc<Topology>,
     net: Arc<NetAccess>,
-    /// Created on first use: a `world_ring` node never loads a module.
-    modules: OnceLock<Box<ModuleManager>>,
     /// The world's knobs, one allocation shared by every node.
     config: Arc<TmConfig>,
+    /// Created on first use: a `world_ring` node never loads a module
+    /// or keeps a breaker route, so it pays one empty slot for both.
+    lazy: OnceLock<Box<Lazy>>,
+}
+
+/// The parts of a node that most nodes of a large world never use.
+#[derive(Default)]
+struct Lazy {
+    modules: ModuleManager,
     /// Node-wide circuit-breaker route table, shared by every
     /// [`crate::driver::LinkCore`] on this node: breaker state is a
     /// property of the *route* (fabric, peer), not of any one link, so a
     /// connection torn down and rebuilt by a higher layer's retry loop
-    /// still sees the tripped state. Created on first use, which only
-    /// breaker-enabled worlds make; boxed so an unused slot costs a
-    /// pointer.
-    breaker_routes: OnceLock<Box<parking_lot::Mutex<BreakerTable>>>,
+    /// still sees the tripped state. Only breaker-enabled worlds fill it.
+    breaker_routes: parking_lot::Mutex<BreakerTable>,
 }
 
 /// Breaker state per (fabric, peer) route of one node.
 type BreakerTable = std::collections::HashMap<(FabricId, NodeId), crate::driver::BreakerState>;
 
 impl PadicoTM {
-    /// Boot the runtime on one node of `topology`.
+    /// Boot the runtime on one node of `topology`, not yet registered
+    /// with the world scheduler.
     fn boot_node(
         topology: Arc<Topology>,
         node: NodeId,
         config: Arc<TmConfig>,
     ) -> Result<Arc<PadicoTM>, TmError> {
-        let net = NetAccess::bring_up(&topology, node, SimClock::new())?;
+        let net = NetAccess::attach(&topology, node, SimClock::new())?;
         Ok(Arc::new(PadicoTM {
             topology,
             net,
-            modules: OnceLock::new(),
             config,
-            breaker_routes: OnceLock::new(),
+            lazy: OnceLock::new(),
         }))
     }
 
@@ -166,39 +171,54 @@ impl PadicoTM {
     /// `config` for the whole world, whose trace sampling policy is
     /// installed on the world's telemetry.
     ///
-    /// Large worlds boot in parallel: node construction only touches
-    /// per-node state plus lock-guarded shared tables (fabric endpoint
-    /// maps, the world scheduler's handler slots, both keyed by node
-    /// id), so construction is sharded across `available_parallelism`
-    /// worker threads. Small worlds (< [`PARALLEL_BOOT_THRESHOLD`]
-    /// nodes) boot serially — thread setup would cost more than it
-    /// saves, and tests stay single-threaded.
+    /// Large worlds boot in parallel, one block of nodes per available
+    /// core, the calling thread taking the first. Besides its own records
+    /// and fabric slots, a node's boot writes only the reference counts
+    /// of the world objects it holds a share of (topology, knobs,
+    /// scheduler, fabrics): a shared fabric binds its service port under
+    /// the slot's lock alone, and every port uses the fabric's one
+    /// reference to the world scheduler. Each block then registers with
+    /// the scheduler under one lock, in a handler table sized once for
+    /// the world. Small worlds (< [`PARALLEL_BOOT_THRESHOLD`] nodes), and
+    /// any world on one core, boot serially on the calling thread.
     pub fn boot_all_with_config(
         topology: Arc<Topology>,
         config: TmConfig,
     ) -> Result<Vec<Arc<PadicoTM>>, TmError> {
         topology.telemetry().set_sampling(config.trace_sampling);
         let config = Arc::new(config);
-        let boot =
-            |n: &NodeInfo| PadicoTM::boot_node(Arc::clone(&topology), n.id, Arc::clone(&config));
         let nodes = topology.nodes();
+        let sched = topology.sched();
+        sched.reserve(nodes.len());
+        let boot = |part: &[NodeInfo]| {
+            let tms = part
+                .iter()
+                .map(|n| PadicoTM::boot_node(Arc::clone(&topology), n.id, Arc::clone(&config)))
+                .collect::<Result<Vec<_>, _>>()?;
+            sched.register_all(
+                tms.iter()
+                    .map(|tm| (tm.node(), Arc::downgrade(&tm.net) as Weak<dyn NodeStep>)),
+            );
+            Ok(tms)
+        };
         if nodes.len() < PARALLEL_BOOT_THRESHOLD {
-            return nodes.iter().map(boot).collect();
+            return boot(nodes);
         }
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(nodes.len());
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if workers == 1 {
+            return boot(nodes);
+        }
         std::thread::scope(|scope| {
             let boot = &boot;
-            let handles: Vec<_> = nodes
-                .chunks(nodes.len().div_ceil(workers))
-                .map(|part| {
-                    scope.spawn(move || part.iter().map(boot).collect::<Result<Vec<_>, _>>())
-                })
+            let mut blocks = nodes.chunks(nodes.len().div_ceil(workers));
+            let own = blocks.next().unwrap_or_default();
+            let others: Vec<_> = blocks
+                .map(|block| scope.spawn(move || boot(block)))
                 .collect();
-            let mut out = Vec::with_capacity(nodes.len());
-            for handle in handles {
+            // The calling thread boots the first block instead of waiting.
+            let mut out = boot(own)?;
+            out.reserve(nodes.len() - out.len());
+            for handle in others {
                 out.extend(handle.join().expect("boot worker panicked")?);
             }
             Ok(out)
@@ -230,7 +250,11 @@ impl PadicoTM {
 
     /// The node's module registry.
     pub fn modules(&self) -> &ModuleManager {
-        self.modules.get_or_init(Box::default)
+        &self.lazy().modules
+    }
+
+    fn lazy(&self) -> &Lazy {
+        self.lazy.get_or_init(Box::default)
     }
 
     /// The world's runtime knobs.
@@ -240,18 +264,20 @@ impl PadicoTM {
 
     /// The world's breaker policy and this node's route table (one
     /// entry per (fabric, peer) route that has seen traffic), locked;
-    /// `None` in a world without a breaker, which never creates a table.
+    /// `None` in a world without a breaker, which never fills a table.
     pub(crate) fn breaker(
         &self,
     ) -> Option<(BreakerPolicy, parking_lot::MutexGuard<'_, BreakerTable>)> {
         let policy = self.config.breaker?;
-        Some((policy, self.breaker_routes.get_or_init(Box::default).lock()))
+        Some((policy, self.lazy().breaker_routes.lock()))
     }
 
-    /// Whether this node has created its breaker route table.
+    /// Whether this node keeps a breaker route.
     #[cfg(test)]
     pub(crate) fn has_breaker_routes(&self) -> bool {
-        self.breaker_routes.get().is_some()
+        self.lazy
+            .get()
+            .is_some_and(|lazy| !lazy.breaker_routes.lock().is_empty())
     }
 
     /// The node's recovery counters (retries, failovers, backoff charged);

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Tier-1 verification: build (the workspace and the stand-alone
-# benchmark package), full test suite, the multi-middleware example,
-# chaos suite, the clippy gate
-# (warnings are errors) and the process-wide-state guard. Run before
-# every commit.
+# Tier-1 verification: the format gate (`cargo fmt --check`), build (the
+# workspace and the stand-alone benchmark package), full test suite, the
+# multi-middleware example, chaos suite, the clippy gate (warnings are
+# errors) and the process-wide-state guard. Run before every commit.
 #
 # Usage: scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== cargo fmt --all -- --check"
+cargo fmt --all -- --check
 
 echo "== cargo build --release"
 cargo build --release

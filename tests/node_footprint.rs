@@ -24,19 +24,23 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const NODES: usize = 10_000;
 /// `(allocations, live bytes)` per node for `Topology` construction
-/// (measured: 1 and 200.5; recovery slots are allocated in blocks on
-/// first use, which no node here makes), with ~10 % headroom.
-const TOPOLOGY_BUDGET: (f64, f64) = (1.1, 221.0);
+/// (measured: 0.00 and 176.4: a node's record shares its machine's name
+/// prefix and renders its name on demand, and recovery slots are
+/// allocated in blocks on first use, which no node here makes), with
+/// ~10 % headroom.
+const TOPOLOGY_BUDGET: (f64, f64) = (0.1, 194.0);
 /// `(allocations, live bytes)` per node for `PadicoTM::boot_all`
-/// (measured: 3.01 and 320–331: the `PadicoTM`, its clock, and one
-/// `NetAccess` holding the node's cell and its first fabric endpoint; the
-/// world scheduler is every node's port sink and each registry shard
-/// holds room for its first channel), with ~10 % headroom.
-const BOOT_BUDGET: (f64, f64) = (3.3, 364.0);
+/// (measured: 3.00 and 309.5: the `PadicoTM`, its clock, one `NetAccess`
+/// holding the node's cell and its first fabric endpoint, and the node's
+/// slot in the scheduler's handler table, sized once for the world; the
+/// world scheduler is every node's port sink, held once by the fabric,
+/// and each registry shard holds room for its first channel), with
+/// ~10 % headroom.
+const BOOT_BUDGET: (f64, f64) = (3.3, 341.0);
 /// `(allocations, live bytes)` per node for claiming one channel on every
 /// booted node (measured: 1 and 16, the handler alone: a registry shard
 /// holds its first channel inline), with ~10 % headroom.
@@ -210,7 +214,8 @@ fn timeline_history_grows_by_an_eighth_past_64_intervals() {
 
 /// A million-node world runs one token round: 256 tokens, each from its
 /// start node to the next token's, so every node receives exactly one
-/// hop. Prints what a node costs booted and after its hop; no bound is
+/// hop. Prints how long `PadicoTM::boot_all` takes and what a node costs
+/// booted and after its hop; no bound is
 /// checked until rx history stops growing with traffic. Needs ~1 GB: run
 /// it with `cargo test --release --test node_footprint -- --ignored
 /// --nocapture`.
@@ -228,8 +233,13 @@ fn million_node_world_runs_one_token_round() {
     let ids = b.machine("m", "million", MILLION, SecurityZone::Trusted);
     b.fabric(presets::ethernet100(), ids);
     let topo = Arc::new(b.build());
+    let started = Instant::now();
     let tms = PadicoTM::boot_all(Arc::clone(&topo)).unwrap();
-    println!("booted: {:.1} live bytes per node", per_node());
+    println!(
+        "booted in {:.0} ms: {:.1} live bytes per node",
+        started.elapsed().as_secs_f64() * 1e3,
+        per_node()
+    );
     let fabric = topo.fabrics()[0].id();
     let ch = ChannelId(11);
     let hops = Arc::new(AtomicU64::new(0));
