@@ -9,9 +9,10 @@
 //!
 //! Every member node owns a slot holding its two NIC engines and its port
 //! and mapping tables. A send reads only its source and destination
-//! slots, so sends between disjoint node pairs share no lock; attach,
-//! detach and the ephemeral-port and exclusive-holder bookkeeping take
-//! one attach-time mutex no send touches.
+//! slots, so sends between disjoint node pairs share no lock. Binding a
+//! service port on a shared fabric takes its slot's lock alone, so the
+//! nodes of a world attach side by side; ephemeral ports and exclusive
+//! holders are bookkept under one attach-time mutex no send touches.
 //!
 //! ## Resource semantics (why arbitration exists)
 //!
@@ -499,14 +500,17 @@ impl SimFabric {
             });
         }
         let mut tables = slot.tables.write();
-        let port = match (port, st.as_mut()) {
-            (Some(p), _) => {
+        let port = match port {
+            Some(p) => {
                 if tables.binding(p).is_some() {
                     return Err(FabricError::PortTaken { node, port: p });
                 }
                 p
             }
-            (None, Some(st)) => {
+            None => {
+                let st = st
+                    .as_mut()
+                    .expect("an ephemeral attach holds the attach lock");
                 let next = *st.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_PORT_BASE);
                 let port = free_ephemeral(next, |p| tables.binding(p).is_some())
                     .ok_or(FabricError::PortsExhausted { node })?;
@@ -514,10 +518,9 @@ impl SimFabric {
                 st.next_ephemeral.insert(node, port.wrapping_add(1));
                 port
             }
-            (None, None) => unreachable!("an ephemeral attach holds the attach lock"),
         };
         tables.bind(port, sink);
-        if let (true, Some(st)) = (exclusive, st.as_mut()) {
+        if let Some(st) = st.as_mut().filter(|_| exclusive) {
             st.exclusive_holder.insert(node, client);
         }
         Ok(FabricEndpoint {
@@ -956,6 +959,58 @@ mod tests {
         let _a = fab.attach(NodeId(0), "corba").unwrap();
         let _b = fab.attach(NodeId(0), "mpi").unwrap();
         let _c = fab.attach(NodeId(0), "soap").unwrap();
+    }
+
+    #[test]
+    fn world_service_ports_share_one_sink_and_skip_the_attach_lock() {
+        let fab = two_node_ethernet();
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&delivered);
+        let world = Arc::new(move |_: Message| {
+            seen.fetch_add(1, Ordering::Relaxed);
+        });
+        // Both nodes bind while another thread holds the attach mutex: a
+        // service port on a shared fabric needs only its node's slot.
+        let held = fab.attach.lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (f, w) = (Arc::clone(&fab), Arc::clone(&world));
+        let binder = std::thread::spawn(move || {
+            let eps =
+                [NodeId(0), NodeId(1)].map(|n| f.attach_world_service(n, 7, "tm", &w).unwrap());
+            tx.send(()).unwrap();
+            eps
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("bound without the attach mutex");
+        drop(held);
+        let [a, b] = binder.join().unwrap();
+        // The fabric holds the sink once; the ports hold no reference.
+        assert_eq!(Arc::strong_count(&world), 2);
+        a.send(
+            &SimClock::new(),
+            b.addr(),
+            ChannelId(1),
+            Payload::from_vec(vec![1]),
+        )
+        .unwrap();
+        assert_eq!(
+            delivered.load(Ordering::Relaxed),
+            1,
+            "went to the world sink"
+        );
+        let err = fab
+            .attach_world_service(NodeId(0), 7, "other", &world)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            FabricError::PortTaken {
+                node: NodeId(0),
+                port: 7
+            }
+        );
+        drop(a);
+        fab.attach_world_service(NodeId(0), 7, "tm", &world)
+            .expect("a detached port is free again");
     }
 
     #[test]

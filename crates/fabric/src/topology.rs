@@ -40,7 +40,6 @@ pub struct NodeInfo {
     group: Arc<NodeGroup>,
 }
 
-#[derive(Debug)]
 struct NodeGroup {
     machine: Box<str>,
     prefix: Box<str>,
@@ -114,12 +113,6 @@ impl PartialEq<str> for NodeName<'_> {
     }
 }
 
-impl PartialEq<&str> for NodeName<'_> {
-    fn eq(&self, name: &&str) -> bool {
-        self == *name
-    }
-}
-
 /// The static grid: nodes plus fabric instances.
 #[derive(Debug)]
 pub struct Topology {
@@ -167,7 +160,7 @@ impl Topology {
     /// name index would cost every node of a 100k-node world a copy of
     /// its name.
     pub fn node_by_name(&self, name: &str) -> Option<&NodeInfo> {
-        self.nodes.iter().find(|n| n.name() == name)
+        self.nodes.iter().find(|n| n.name() == *name)
     }
 
     pub fn fabrics(&self) -> &[Arc<SimFabric>] {
