@@ -193,9 +193,25 @@ impl<F: Fn(Message) + Send + Sync> PortSink for F {
 /// world scheduler.
 pub type MessageSink = Arc<dyn PortSink>;
 
-/// A bound port and the sink its traffic goes to: its own, or `None` for
-/// the fabric's world sink ([`SimFabric::attach_world_service`]).
-type Port = (u16, Option<MessageSink>);
+/// A bound port and where its traffic goes. An enum, not a
+/// `(u16, Option<MessageSink>)` pair: `Option<Port>` keeps the 24 bytes
+/// of a port that always holds its own sink (the tag fits beside the
+/// port number), where the pair takes 32 and widens every node slot a
+/// send reads.
+enum Port {
+    /// To a sink of its own.
+    Own(u16, MessageSink),
+    /// To the fabric's world sink ([`SimFabric::attach_world_service`]).
+    World(u16),
+}
+
+impl Port {
+    fn number(&self) -> u16 {
+        match self {
+            Port::Own(port, _) | Port::World(port) => *port,
+        }
+    }
+}
 
 /// One member node's share of the fabric: its NIC engines and the tables
 /// a send reads. A send touches only its source and destination slots.
@@ -229,13 +245,11 @@ struct ExtraTables {
 }
 
 impl NodeTables {
-    /// `port`'s binding: `Some(None)` for a port bound to the world sink.
-    fn binding(&self, port: u16) -> Option<&Option<MessageSink>> {
+    fn binding(&self, port: u16) -> Option<&Port> {
         self.first
             .iter()
             .chain(self.extra.iter().flat_map(|x| &x.ports))
-            .find(|(p, _)| *p == port)
-            .map(|(_, sink)| sink)
+            .find(|bound| bound.number() == port)
     }
 
     fn mapped(&self) -> &[NodeId] {
@@ -246,19 +260,23 @@ impl NodeTables {
         self.extra.get_or_insert_with(Box::default)
     }
 
-    fn bind(&mut self, port: u16, sink: Option<MessageSink>) {
+    fn bind(&mut self, port: Port) {
         if self.first.is_none() {
-            self.first = Some((port, sink));
+            self.first = Some(port);
         } else {
-            self.extra_mut().ports.push((port, sink));
+            self.extra_mut().ports.push(port);
         }
     }
 
     fn unbind(&mut self, port: u16) {
-        if self.first.as_ref().is_some_and(|(p, _)| *p == port) {
+        if self
+            .first
+            .as_ref()
+            .is_some_and(|bound| bound.number() == port)
+        {
             self.first = self.extra.as_mut().and_then(|x| x.ports.pop());
         } else if let Some(x) = &mut self.extra {
-            x.ports.retain(|(p, _)| *p != port);
+            x.ports.retain(|bound| bound.number() != port);
         }
     }
 }
@@ -476,8 +494,8 @@ impl SimFabric {
     /// The sink bound to `port` in `tables`.
     fn sink<'a>(&'a self, tables: &'a NodeTables, port: u16) -> Option<&'a MessageSink> {
         match tables.binding(port)? {
-            Some(own) => Some(own),
-            None => self.world_sink.get(),
+            Port::Own(_, own) => Some(own),
+            Port::World(_) => self.world_sink.get(),
         }
     }
 
@@ -519,7 +537,10 @@ impl SimFabric {
                 port
             }
         };
-        tables.bind(port, sink);
+        tables.bind(match sink {
+            Some(own) => Port::Own(port, own),
+            None => Port::World(port),
+        });
         if let Some(st) = st.as_mut().filter(|_| exclusive) {
             st.exclusive_holder.insert(node, client);
         }

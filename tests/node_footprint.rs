@@ -28,19 +28,19 @@ use std::time::{Duration, Instant};
 
 const NODES: usize = 10_000;
 /// `(allocations, live bytes)` per node for `Topology` construction
-/// (measured: 0.00 and 176.4: a node's record shares its machine's name
-/// prefix and renders its name on demand, and recovery slots are
-/// allocated in blocks on first use, which no node here makes), with
-/// ~10 % headroom.
-const TOPOLOGY_BUDGET: (f64, f64) = (0.1, 194.0);
+/// (measured: 0.00 and 168.4: a 24-byte node record that shares its
+/// machine's name prefix and renders its name on demand, and a 136-byte
+/// fabric slot; recovery slots are allocated in blocks on first use,
+/// which no node here makes), with ~10 % headroom.
+const TOPOLOGY_BUDGET: (f64, f64) = (0.1, 185.0);
 /// `(allocations, live bytes)` per node for `PadicoTM::boot_all`
-/// (measured: 3.00 and 309.5: the `PadicoTM`, its clock, one `NetAccess`
+/// (measured: 3.00 and 304.4: the `PadicoTM`, its clock, one `NetAccess`
 /// holding the node's cell and its first fabric endpoint, and the node's
 /// slot in the scheduler's handler table, sized once for the world; the
 /// world scheduler is every node's port sink, held once by the fabric,
 /// and each registry shard holds room for its first channel), with
 /// ~10 % headroom.
-const BOOT_BUDGET: (f64, f64) = (3.3, 341.0);
+const BOOT_BUDGET: (f64, f64) = (3.3, 335.0);
 /// `(allocations, live bytes)` per node for claiming one channel on every
 /// booted node (measured: 1 and 16, the handler alone: a registry shard
 /// holds its first channel inline), with ~10 % headroom.
