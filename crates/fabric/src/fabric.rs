@@ -982,6 +982,16 @@ mod tests {
         let _c = fab.attach(NodeId(0), "soap").unwrap();
     }
 
+    /// A send reads its source and destination slots, out of a vector
+    /// far larger than the caches: a wider slot is more lines fetched
+    /// per hop (a 144-byte slot cost `world_ring` 5–8 % of its events/s).
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn node_slot_stays_136_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Port>>(), 24);
+        assert_eq!(std::mem::size_of::<NodeSlot>(), 136);
+    }
+
     #[test]
     fn world_service_ports_share_one_sink_and_skip_the_attach_lock() {
         let fab = two_node_ethernet();
