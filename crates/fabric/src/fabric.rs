@@ -61,7 +61,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc::{self, Receiver};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Network technology family.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -193,25 +193,8 @@ impl<F: Fn(Message) + Send + Sync> PortSink for F {
 /// world scheduler.
 pub type MessageSink = Arc<dyn PortSink>;
 
-/// A bound port and where its traffic goes. An enum, not a
-/// `(u16, Option<MessageSink>)` pair: `Option<Port>` keeps the 24 bytes
-/// of a port that always holds its own sink (the tag fits beside the
-/// port number), where the pair takes 32 and widens every node slot a
-/// send reads.
-enum Port {
-    /// To a sink of its own.
-    Own(u16, MessageSink),
-    /// To the fabric's world sink ([`SimFabric::attach_world_service`]).
-    World(u16),
-}
-
-impl Port {
-    fn number(&self) -> u16 {
-        match self {
-            Port::Own(port, _) | Port::World(port) => *port,
-        }
-    }
-}
+/// A bound port and the sink its traffic goes to.
+type Port = (u16, MessageSink);
 
 /// One member node's share of the fabric: its NIC engines and the tables
 /// a send reads. A send touches only its source and destination slots.
@@ -245,11 +228,12 @@ struct ExtraTables {
 }
 
 impl NodeTables {
-    fn binding(&self, port: u16) -> Option<&Port> {
+    fn sink(&self, port: u16) -> Option<&MessageSink> {
         self.first
             .iter()
             .chain(self.extra.iter().flat_map(|x| &x.ports))
-            .find(|bound| bound.number() == port)
+            .find(|(p, _)| *p == port)
+            .map(|(_, sink)| sink)
     }
 
     fn mapped(&self) -> &[NodeId] {
@@ -260,23 +244,19 @@ impl NodeTables {
         self.extra.get_or_insert_with(Box::default)
     }
 
-    fn bind(&mut self, port: Port) {
+    fn bind(&mut self, port: u16, sink: MessageSink) {
         if self.first.is_none() {
-            self.first = Some(port);
+            self.first = Some((port, sink));
         } else {
-            self.extra_mut().ports.push(port);
+            self.extra_mut().ports.push((port, sink));
         }
     }
 
     fn unbind(&mut self, port: u16) {
-        if self
-            .first
-            .as_ref()
-            .is_some_and(|bound| bound.number() == port)
-        {
+        if self.first.as_ref().is_some_and(|(p, _)| *p == port) {
             self.first = self.extra.as_mut().and_then(|x| x.ports.pop());
         } else if let Some(x) = &mut self.extra {
-            x.ports.retain(|bound| bound.number() != port);
+            x.ports.retain(|(p, _)| *p != port);
         }
     }
 }
@@ -316,9 +296,6 @@ pub struct SimFabric {
     /// Pre-rendered `tx:<kind>` span name of every send.
     tx_span: String,
     attach: Mutex<AttachState>,
-    /// The sink of every port bound by [`SimFabric::attach_world_service`],
-    /// held once for all of them.
-    world_sink: OnceLock<MessageSink>,
     faults: FaultInjector,
 }
 
@@ -381,7 +358,6 @@ impl SimFabric {
             bytes: telemetry.counter_cell(&format!("bytes.{kind}")),
             tx_span: format!("tx:{kind}"),
             attach: Mutex::new(AttachState::default()),
-            world_sink: OnceLock::new(),
             faults: FaultInjector::new(),
         })
     }
@@ -440,7 +416,7 @@ impl SimFabric {
             // The receiver lives as long as the port is bound.
             let _ = tx.send(msg);
         });
-        let mut endpoint = self.attach_inner(node, None, client, Some(sink))?;
+        let mut endpoint = self.attach_inner(node, None, client, sink)?;
         endpoint.inbox = Some(Box::new(Mutex::new(rx)));
         Ok(endpoint)
     }
@@ -461,42 +437,7 @@ impl SimFabric {
             port < EPHEMERAL_PORT_BASE,
             "service ports must be < {EPHEMERAL_PORT_BASE}"
         );
-        self.attach_inner(node, Some(port), client, Some(sink))
-    }
-
-    /// [`SimFabric::attach_service_sink`] for the sink that serves every
-    /// node of the world, the world scheduler: the fabric holds `world`
-    /// once, from the first such attach on, and the port stores no
-    /// reference of its own, so binding a node writes nothing another
-    /// node's binding writes. Every such attach on one fabric must pass
-    /// the same sink.
-    pub fn attach_world_service<S: PortSink + 'static>(
-        self: &Arc<Self>,
-        node: NodeId,
-        port: u16,
-        client: &'static str,
-        world: &Arc<S>,
-    ) -> Result<FabricEndpoint, FabricError> {
-        assert!(
-            port < EPHEMERAL_PORT_BASE,
-            "service ports must be < {EPHEMERAL_PORT_BASE}"
-        );
-        let held = self
-            .world_sink
-            .get_or_init(|| Arc::clone(world) as MessageSink);
-        assert!(
-            std::ptr::addr_eq(Arc::as_ptr(held), Arc::as_ptr(world)),
-            "one world sink per fabric"
-        );
-        self.attach_inner(node, Some(port), client, None)
-    }
-
-    /// The sink bound to `port` in `tables`.
-    fn sink<'a>(&'a self, tables: &'a NodeTables, port: u16) -> Option<&'a MessageSink> {
-        match tables.binding(port)? {
-            Port::Own(_, own) => Some(own),
-            Port::World(_) => self.world_sink.get(),
-        }
+        self.attach_inner(node, Some(port), client, sink)
     }
 
     fn attach_inner(
@@ -504,7 +445,7 @@ impl SimFabric {
         node: NodeId,
         port: Option<u16>,
         client: &'static str,
-        sink: Option<MessageSink>,
+        sink: MessageSink,
     ) -> Result<FabricEndpoint, FabricError> {
         let slot = self.slot(node).ok_or(FabricError::NotMember(node))?;
         let exclusive = self.access == AccessMode::Exclusive;
@@ -520,7 +461,7 @@ impl SimFabric {
         let mut tables = slot.tables.write();
         let port = match port {
             Some(p) => {
-                if tables.binding(p).is_some() {
+                if tables.sink(p).is_some() {
                     return Err(FabricError::PortTaken { node, port: p });
                 }
                 p
@@ -530,17 +471,14 @@ impl SimFabric {
                     .as_mut()
                     .expect("an ephemeral attach holds the attach lock");
                 let next = *st.next_ephemeral.get(&node).unwrap_or(&EPHEMERAL_PORT_BASE);
-                let port = free_ephemeral(next, |p| tables.binding(p).is_some())
+                let port = free_ephemeral(next, |p| tables.sink(p).is_some())
                     .ok_or(FabricError::PortsExhausted { node })?;
                 // Past u16::MAX, `free_ephemeral` wraps to the base.
                 st.next_ephemeral.insert(node, port.wrapping_add(1));
                 port
             }
         };
-        tables.bind(match sink {
-            Some(own) => Port::Own(port, own),
-            None => Port::World(port),
-        });
+        tables.bind(port, sink);
         if let Some(st) = st.as_mut().filter(|_| exclusive) {
             st.exclusive_holder.insert(node, client);
         }
@@ -701,12 +639,10 @@ impl SimFabric {
         // for a failed send, and hold its tables until the sink has the
         // message: the port cannot go between charging and delivery.
         let dst_tables = dst_slot.tables.read();
-        let sink = self
-            .sink(&dst_tables, dst.port)
-            .ok_or(FabricError::Unreachable {
-                to: dst.node,
-                port: dst.port,
-            })?;
+        let sink = dst_tables.sink(dst.port).ok_or(FabricError::Unreachable {
+            to: dst.node,
+            port: dst.port,
+        })?;
 
         let len = payload.len();
         // Roll the deterministic fault stream for this link. The verdict is
@@ -993,11 +929,11 @@ mod tests {
     }
 
     #[test]
-    fn world_service_ports_share_one_sink_and_skip_the_attach_lock() {
+    fn shared_service_ports_bind_without_the_attach_lock() {
         let fab = two_node_ethernet();
         let delivered = Arc::new(AtomicUsize::new(0));
         let seen = Arc::clone(&delivered);
-        let world = Arc::new(move |_: Message| {
+        let world: MessageSink = Arc::new(move |_: Message| {
             seen.fetch_add(1, Ordering::Relaxed);
         });
         // Both nodes bind while another thread holds the attach mutex: a
@@ -1006,8 +942,8 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let (f, w) = (Arc::clone(&fab), Arc::clone(&world));
         let binder = std::thread::spawn(move || {
-            let eps =
-                [NodeId(0), NodeId(1)].map(|n| f.attach_world_service(n, 7, "tm", &w).unwrap());
+            let eps = [NodeId(0), NodeId(1)]
+                .map(|n| f.attach_service_sink(n, 7, "tm", Arc::clone(&w)).unwrap());
             tx.send(()).unwrap();
             eps
         });
@@ -1015,8 +951,6 @@ mod tests {
             .expect("bound without the attach mutex");
         drop(held);
         let [a, b] = binder.join().unwrap();
-        // The fabric holds the sink once; the ports hold no reference.
-        assert_eq!(Arc::strong_count(&world), 2);
         a.send(
             &SimClock::new(),
             b.addr(),
@@ -1024,23 +958,9 @@ mod tests {
             Payload::from_vec(vec![1]),
         )
         .unwrap();
-        assert_eq!(
-            delivered.load(Ordering::Relaxed),
-            1,
-            "went to the world sink"
-        );
-        let err = fab
-            .attach_world_service(NodeId(0), 7, "other", &world)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            FabricError::PortTaken {
-                node: NodeId(0),
-                port: 7
-            }
-        );
+        assert_eq!(delivered.load(Ordering::Relaxed), 1, "went to the sink");
         drop(a);
-        fab.attach_world_service(NodeId(0), 7, "tm", &world)
+        fab.attach_service_sink(NodeId(0), 7, "tm", world)
             .expect("a detached port is free again");
     }
 

@@ -376,29 +376,30 @@ impl WorldSched {
     /// events for the node count as dropped, as after
     /// [`WorldSched::unregister`].
     pub fn register(&self, node: NodeId, handler: &NodeHandler) {
-        self.register_all([(node, Arc::downgrade(handler))]);
-    }
-
-    /// [`WorldSched::register`] for many nodes under one acquisition of the
-    /// table lock: a thread booting a block of nodes takes it once for
-    /// the block, not once per node.
-    pub fn register_all(&self, nodes: impl IntoIterator<Item = (NodeId, Weak<dyn NodeStep>)>) {
+        let idx = node.0 as usize;
         let mut handlers = self.handlers.write();
-        for (node, handler) in nodes {
-            let idx = node.0 as usize;
-            if handlers.len() <= idx {
-                handlers.resize(idx + 1, None);
-            }
-            handlers[idx] = Some(handler);
+        if handlers.len() <= idx {
+            handlers.resize(idx + 1, None);
         }
+        handlers[idx] = Some(Arc::downgrade(handler));
     }
 
-    /// Size the handler table for nodes `0..nodes`, so that registering
-    /// them never regrows it.
-    pub fn reserve(&self, nodes: usize) {
+    /// [`WorldSched::register`] for a batch of nodes under one acquisition
+    /// of the table lock, growing the table at most once, to exactly the
+    /// batch's largest id + 1: a thread booting a block of nodes takes
+    /// the lock once for the block, not once per node.
+    pub fn register_all(&self, nodes: Vec<(NodeId, Weak<dyn NodeStep>)>) {
+        let Some(top) = nodes.iter().map(|(node, _)| node.0 as usize).max() else {
+            return;
+        };
         let mut handlers = self.handlers.write();
-        if handlers.len() < nodes {
-            handlers.resize(nodes, None);
+        if handlers.len() <= top {
+            let grow = top + 1 - handlers.len();
+            handlers.reserve_exact(grow);
+            handlers.resize(top + 1, None);
+        }
+        for (node, handler) in nodes {
+            handlers[node.0 as usize] = Some(handler);
         }
     }
 

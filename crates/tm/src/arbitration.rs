@@ -74,8 +74,8 @@
 //! [`NetAccess`] (its cell inline) and its channel's handler.
 
 use padico_fabric::{
-    EndpointAddr, FabricEndpoint, FabricError, Message, NodeHandler, NodeStep, Payload, SimFabric,
-    Topology, WorldSched,
+    EndpointAddr, FabricEndpoint, FabricError, Message, MessageSink, NodeHandler, NodeStep,
+    Payload, SimFabric, Topology, WorldSched,
 };
 use padico_util::ids::{ChannelId, FabricId, IdGen, NodeId};
 use padico_util::simtime::{SimClock, Vt};
@@ -439,9 +439,9 @@ impl NetAccess {
         let (mut first, mut more) = (None, Vec::new());
         for fabric in topology.fabrics_of(node) {
             // The scheduler itself is the sink: the fabric tells it the
-            // destination, so no node needs a closure of its own, and each
-            // fabric holds it once for all nodes.
-            let endpoint = fabric.attach_world_service(node, TM_SERVICE_PORT, "PadicoTM", sched)?;
+            // destination, so no node needs a closure of its own.
+            let sink: MessageSink = sched.clone();
+            let endpoint = fabric.attach_service_sink(node, TM_SERVICE_PORT, "PadicoTM", sink)?;
             // On mapping-table hardware, the arbitration layer owns the
             // table and maps the whole member set up front (it is the
             // single client, so the table is not fragmented by competing

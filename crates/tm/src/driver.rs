@@ -885,8 +885,8 @@ mod tests {
         assert!(snap.send_retries >= 1, "{snap:?}");
         assert!(snap.backoff_ns > 0, "backoff charged to virtual clock");
         // Failed sends in a world without a breaker policy (the default)
-        // keep no breaker route on either node.
-        assert!(!a.has_breaker_routes() && !b.has_breaker_routes());
+        // create no breaker route table on either node.
+        assert!(!a.has_lazy_parts() && !b.has_lazy_parts());
     }
 
     #[test]

@@ -181,8 +181,7 @@ impl PadicoTM {
     /// scheduler, fabrics): a shared fabric binds its service port under
     /// the slot's lock alone, and every port uses the fabric's one
     /// reference to the world scheduler. Each block then registers with
-    /// the scheduler under one lock, in a handler table sized once for
-    /// the world. Small worlds (< [`PARALLEL_BOOT_THRESHOLD`] nodes), and
+    /// the scheduler under one lock. Small worlds (< [`PARALLEL_BOOT_THRESHOLD`] nodes), and
     /// any world on one core, boot serially on the calling thread.
     pub fn boot_all_with_config(
         topology: Arc<Topology>,
@@ -192,7 +191,6 @@ impl PadicoTM {
         let config = Arc::new(config);
         let nodes = topology.nodes();
         let sched = topology.sched();
-        sched.reserve(nodes.len());
         let boot = |part: &[NodeInfo]| {
             let tms = part
                 .iter()
@@ -200,7 +198,8 @@ impl PadicoTM {
                 .collect::<Result<Vec<_>, _>>()?;
             sched.register_all(
                 tms.iter()
-                    .map(|tm| (tm.node(), Arc::downgrade(&tm.net) as Weak<dyn NodeStep>)),
+                    .map(|tm| (tm.node(), Arc::downgrade(&tm.net) as Weak<dyn NodeStep>))
+                    .collect(),
             );
             Ok(tms)
         };
@@ -270,6 +269,13 @@ impl PadicoTM {
     ) -> Option<(BreakerPolicy, parking_lot::MutexGuard<'_, BreakerTable>)> {
         let policy = self.config.breaker?;
         Some((policy, self.lazy().breaker_routes.lock()))
+    }
+
+    /// Whether this node has created its lazy parts (module registry and
+    /// breaker route table).
+    #[cfg(test)]
+    pub(crate) fn has_lazy_parts(&self) -> bool {
+        self.lazy.get().is_some()
     }
 
     /// Whether this node keeps a breaker route.
