@@ -175,14 +175,14 @@ impl PadicoTM {
     /// core, each on a scoped thread while the calling thread waits (a
     /// calling thread that booted a block itself cost `world_ring` 3–5 %
     /// of its events/s in alternating runs: half the nodes' records then
-    /// come from its allocator arena). Besides its own records
-    /// and fabric slots, a node's boot writes only the reference counts
-    /// of the world objects it holds a share of (topology, knobs,
-    /// scheduler, fabrics): a shared fabric binds its service port under
-    /// the slot's lock alone, and every port uses the fabric's one
-    /// reference to the world scheduler. Each block then registers with
-    /// the scheduler under one lock. Small worlds (< [`PARALLEL_BOOT_THRESHOLD`] nodes), and
-    /// any world on one core, boot serially on the calling thread.
+    /// come from its allocator arena, and a serial boot of every node
+    /// cost 4.4 %). Besides its own records and fabric slots, a node's boot
+    /// writes only the reference counts of the world objects it holds a
+    /// share of (topology, knobs, scheduler, fabrics): a shared fabric
+    /// binds its service port under the slot's lock alone. Each block
+    /// then registers with the scheduler under one lock. Small worlds
+    /// (< [`PARALLEL_BOOT_THRESHOLD`] nodes), and any world on one core,
+    /// boot serially on the calling thread.
     pub fn boot_all_with_config(
         topology: Arc<Topology>,
         config: TmConfig,
