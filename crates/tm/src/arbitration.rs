@@ -435,7 +435,7 @@ impl NetAccess {
     ) -> Result<Arc<NetAccess>, TmError> {
         let telemetry = topology.telemetry();
         let map = ChannelMap::new(PARKED_BUDGET);
-        let sched = topology.sched();
+        let sched = Arc::clone(topology.sched());
         let (mut first, mut more) = (None, Vec::new());
         for fabric in topology.fabrics_of(node) {
             // The scheduler itself is the sink: the fabric tells it the
@@ -468,7 +468,7 @@ impl NetAccess {
             first,
             more: more.into_boxed_slice(),
             cell: NodeCell::new(node, map),
-            sched: Arc::clone(sched),
+            sched,
         }))
     }
 
