@@ -1,7 +1,8 @@
 //! §4.3 ablations: per-layer cost of the PadicoTM stack and
 //! cross-paradigm mappings.
 
-use padico_bench::ablation::{layer_pingpong, vlink_bandwidth, Layer};
+use padico_bench::ablation::{layer_pingpong, vlink_bandwidth};
+use padico_bench::probe::{CircuitProbe, FabricProbe, MpiProbe, Probe};
 use padico_fabric::FabricKind;
 
 fn main() {
@@ -12,14 +13,15 @@ fn main() {
     println!("## Layer ablation over Myrinet-2000 (ping-pong)\n");
     println!("| layer | latency (µs) | bandwidth (MB/s) |");
     println!("|---|---:|---:|");
-    for (name, layer) in [
-        ("raw fabric (Madeleine level)", Layer::RawFabric),
-        ("PadicoTM Circuit", Layer::Circuit),
-        ("MPI on PadicoTM", Layer::Mpi),
-    ] {
-        let (lat, bw) = layer_pingpong(layer, FabricKind::Myrinet, rounds);
+    // One rig per row, each dropped before the next is built.
+    let row = |name: &str, rig: &dyn Probe| {
+        let (lat, bw) = layer_pingpong(rig, rounds);
         println!("| {name} | {lat:.1} | {bw:.1} |");
-    }
+    };
+    let fabric = FabricKind::Myrinet;
+    row("raw fabric (Madeleine level)", &FabricProbe::new(fabric));
+    row("PadicoTM Circuit", &CircuitProbe::new(fabric));
+    row("MPI on PadicoTM", &MpiProbe::new(fabric));
     println!("\n## Cross-paradigm mappings (VLink stream bandwidth)\n");
     println!("| mapping | bandwidth (MB/s) |");
     println!("|---|---:|");

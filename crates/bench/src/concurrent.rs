@@ -11,19 +11,13 @@
 //! to the arbitration) and each flow's effective rate in the combined
 //! run is about half its alone rate — i.e. ≈120 of Myrinet's 240 MB/s.
 
+use crate::probe::{OrbProbe, Pair};
 use bytes::Bytes;
-use padico_fabric::topology::single_cluster;
 use padico_fabric::{FabricKind, Payload};
-use padico_mpi::{init_world, Communicator};
-use padico_orb::cdr::{CdrReader, CdrWriter};
-use padico_orb::orb::{ObjectRef, Orb};
-use padico_orb::poa::{Servant, ServerCtx};
+use padico_mpi::Communicator;
+use padico_orb::orb::{ObjectRef, WireProtocol};
 use padico_orb::profile::OrbProfile;
-use padico_orb::OrbError;
-use padico_tm::runtime::PadicoTM;
-use padico_tm::selector::FabricChoice;
 use padico_util::stats::mb_per_s;
-use std::sync::Arc;
 
 /// Result of the concurrent experiment.
 #[derive(Debug, Clone, Copy)]
@@ -40,33 +34,8 @@ pub struct ShareResult {
     pub aggregate_mb_s: f64,
 }
 
-struct SinkServant;
-
-impl Servant for SinkServant {
-    fn repository_id(&self) -> &str {
-        "IDL:Bench/Sink:1.0"
-    }
-
-    fn dispatch(
-        &self,
-        operation: &str,
-        args: &mut CdrReader,
-        _reply: &mut CdrWriter,
-        _ctx: &ServerCtx,
-    ) -> Result<(), OrbError> {
-        match operation {
-            "push" => {
-                let _ = args.read_octet_seq()?;
-                Ok(())
-            }
-            "drain" => Ok(()),
-            other => Err(OrbError::BadOperation(other.into())),
-        }
-    }
-}
-
 struct Rig {
-    tms: Vec<Arc<PadicoTM>>,
+    pair: Pair,
     obj: ObjectRef,
     comm0: Communicator,
     comm1: Communicator,
@@ -75,23 +44,13 @@ struct Rig {
 }
 
 fn rig(piece_len: usize, pieces: usize) -> Rig {
-    let (topo, ids) = single_cluster(2);
-    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let choice = FabricChoice::Kind(FabricKind::Myrinet);
-    let client_orb =
-        Orb::start(Arc::clone(&tms[0]), "conc", OrbProfile::omniorb3(), choice).unwrap();
-    let server_orb =
-        Orb::start(Arc::clone(&tms[1]), "conc", OrbProfile::omniorb3(), choice).unwrap();
-    let obj = client_orb.object_ref(server_orb.activate(Arc::new(SinkServant)));
-    obj.request("drain").invoke().unwrap(); // connection warmup
-                                            // The ORB's endpoint listener holds its own Arc to the server ORB,
-                                            // and `obj` keeps the client ORB alive; the locals may drop.
-    drop(server_orb);
-    let comm0 = init_world(&tms[0], "conc", ids.clone(), choice).unwrap();
-    let comm1 = init_world(&tms[1], "conc", ids, choice).unwrap();
+    let pair = Pair::boot();
+    let fabric = FabricKind::Myrinet;
+    let orb = OrbProbe::over(&pair, OrbProfile::omniorb3(), fabric, WireProtocol::Giop);
+    let (comm0, comm1) = pair.mpi(fabric);
     Rig {
-        tms,
-        obj,
+        obj: orb.obj().clone(),
+        pair,
         comm0,
         comm1,
         blob: Bytes::from(padico_util::rng::payload(12, "concurrent", piece_len)),
@@ -141,7 +100,8 @@ impl Rig {
 
     /// Virtual span of running the given flows to completion.
     fn span(&self, mpi: bool, corba: bool) -> u64 {
-        let start = self.tms[0].clock().now().max(self.tms[1].clock().now());
+        let tms = &self.pair.tms;
+        let start = tms[0].clock().now().max(tms[1].clock().now());
         let mut handles = Vec::new();
         if mpi {
             handles.push(self.run_mpi());
@@ -152,7 +112,7 @@ impl Rig {
         for h in handles {
             h.join().unwrap();
         }
-        let end = self.tms[0].clock().now().max(self.tms[1].clock().now());
+        let end = tms[0].clock().now().max(tms[1].clock().now());
         end - start
     }
 }

@@ -7,51 +7,28 @@
 //! message; the TCP reference echoes over a raw VLink socket stream. All
 //! timing is virtual, so the curves are deterministic.
 
+use crate::probe::{MpiProbe, OrbProbe, Probe, VLinkProbe};
 use bytes::Bytes;
-use padico_fabric::topology::single_cluster;
-use padico_fabric::{FabricKind, Payload};
-use padico_mpi::init_world;
-use padico_orb::cdr::{CdrReader, CdrWriter};
-use padico_orb::orb::Orb;
-use padico_orb::poa::{Servant, ServerCtx};
+use padico_fabric::FabricKind;
+use padico_orb::orb::WireProtocol;
 use padico_orb::profile::OrbProfile;
-use padico_orb::OrbError;
-use padico_tm::runtime::PadicoTM;
-use padico_tm::selector::FabricChoice;
-use padico_tm::VLinkListener;
-use padico_util::stats::{mb_per_s, size_sweep, Series};
-use std::sync::Arc;
+use padico_util::stats::{size_sweep, Series};
 
 /// Message sizes of the sweep (32 B … 1 MiB, as in Figure 7's x-axis).
 pub fn sweep() -> Vec<usize> {
     size_sweep(32, 1 << 20)
 }
 
-/// Echo servant used by the CORBA curves.
-pub struct EchoServant;
-
-impl Servant for EchoServant {
-    fn repository_id(&self) -> &str {
-        "IDL:Bench/Echo:1.0"
+/// One bandwidth curve read off `rig`: per size, one warm-up round trip,
+/// then `rounds` timed ones.
+pub fn curve(label: impl Into<String>, rig: &dyn Probe, sizes: &[usize], rounds: usize) -> Series {
+    let mut series = Series::new(label);
+    for &size in sizes {
+        let blob = Bytes::from(padico_util::rng::payload(7, "fig7", size));
+        rig.round_trip(&blob);
+        series.push(size, rig.bandwidth_mb_s(&blob, rounds));
     }
-
-    fn dispatch(
-        &self,
-        operation: &str,
-        args: &mut CdrReader,
-        reply: &mut CdrWriter,
-        _ctx: &ServerCtx,
-    ) -> Result<(), OrbError> {
-        match operation {
-            "echo" => {
-                let blob = args.read_octet_seq()?;
-                reply.write_octet_seq(blob);
-                Ok(())
-            }
-            "noop" => Ok(()),
-            other => Err(OrbError::BadOperation(other.into())),
-        }
-    }
+    series
 }
 
 /// Ping-pong bandwidth of one ORB profile over one fabric.
@@ -61,128 +38,29 @@ pub fn orb_bandwidth(
     sizes: &[usize],
     rounds: usize,
 ) -> Series {
-    let (topo, _ids) = single_cluster(2);
-    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let choice = FabricChoice::Kind(fabric);
-    let client_orb = Orb::start(Arc::clone(&tms[0]), "bench", profile.clone(), choice).unwrap();
-    let server_orb = Orb::start(Arc::clone(&tms[1]), "bench", profile.clone(), choice).unwrap();
-    let ior = server_orb.activate(Arc::new(EchoServant));
-    let obj = client_orb.object_ref(ior);
-    // Warm the connection (handshake costs once).
-    obj.request("noop").invoke().unwrap();
-
-    let mut series = Series::new(format!("{}/{}", profile.name, fabric));
-    let clock = tms[0].clock();
-    for &size in sizes {
-        let blob = Bytes::from(padico_util::rng::payload(7, "fig7", size));
-        // Warmup.
-        obj.request("echo")
-            .arg_octet_seq(blob.clone())
-            .invoke()
-            .unwrap()
-            .read_octet_seq()
-            .unwrap();
-        let start = clock.now();
-        for _ in 0..rounds {
-            let mut reply = obj
-                .request("echo")
-                .arg_octet_seq(blob.clone())
-                .invoke()
-                .unwrap();
-            reply.read_octet_seq().unwrap();
-        }
-        let elapsed = clock.now() - start;
-        // One-way convention: size / (RTT/2).
-        series.push(size, mb_per_s(2 * size * rounds, elapsed));
-    }
-    series
+    let label = format!("{}/{}", profile.name, fabric);
+    curve(
+        label,
+        &OrbProbe::new(profile, fabric, WireProtocol::Giop),
+        sizes,
+        rounds,
+    )
 }
 
 /// Ping-pong bandwidth of the MPI subset over one fabric.
 pub fn mpi_bandwidth(fabric: FabricKind, sizes: &[usize], rounds: usize) -> Series {
-    let (topo, ids) = single_cluster(2);
-    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let choice = FabricChoice::Kind(fabric);
-    let comm0 = init_world(&tms[0], "fig7", ids.clone(), choice).unwrap();
-    let comm1 = init_world(&tms[1], "fig7", ids, choice).unwrap();
-
-    let mut series = Series::new(format!("MPI/{fabric}"));
-    let clock = tms[0].clock().clone();
-    for &size in sizes {
-        let blob = Bytes::from(padico_util::rng::payload(8, "fig7-mpi", size));
-        let echo = {
-            let comm1 = comm1.clone();
-            let blob = blob.clone();
-            std::thread::spawn(move || {
-                for _ in 0..rounds + 1 {
-                    let (_status, _payload) = comm1.recv_bytes(0, 0).unwrap();
-                    comm1
-                        .send_bytes(0, 0, Payload::from_bytes(blob.clone()))
-                        .unwrap();
-                }
-            })
-        };
-        // Warmup round.
-        comm0
-            .send_bytes(1, 0, Payload::from_bytes(blob.clone()))
-            .unwrap();
-        comm0.recv_bytes(1, 0).unwrap();
-        let start = clock.now();
-        for _ in 0..rounds {
-            comm0
-                .send_bytes(1, 0, Payload::from_bytes(blob.clone()))
-                .unwrap();
-            comm0.recv_bytes(1, 0).unwrap();
-        }
-        let elapsed = clock.now() - start;
-        echo.join().unwrap();
-        series.push(size, mb_per_s(2 * size * rounds, elapsed));
-    }
-    series
+    curve(
+        format!("MPI/{fabric}"),
+        &MpiProbe::new(fabric),
+        sizes,
+        rounds,
+    )
 }
 
 /// Ping-pong bandwidth of a raw VLink byte stream (the TCP reference).
 pub fn tcp_reference(sizes: &[usize], rounds: usize) -> Series {
-    let (topo, _ids) = single_cluster(2);
-    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    // Reactive echo: each frame bounces back inline on the server node's
-    // scheduler worker.
-    VLinkListener::on_accept(&tms[1], "echo", |stream| {
-        let echo = Arc::clone(&stream);
-        stream.on_frames(Arc::new(move |frame| match frame {
-            Some(frame) => {
-                let _ = echo.write_payload(frame).and_then(|()| echo.flush());
-            }
-            None => echo.stop_frames(),
-        }))
-    })
-    .unwrap();
-    let stream = tms[0]
-        .vlink_connect(
-            tms[1].node(),
-            "echo",
-            FabricChoice::Kind(FabricKind::Ethernet),
-        )
-        .unwrap();
-    let clock = tms[0].clock();
-    let mut series = Series::new("TCP/Ethernet-100");
-    for &size in sizes {
-        let blob = padico_util::rng::payload(9, "fig7-tcp", size);
-        let roundtrip = |payload: &[u8]| {
-            stream.write_all(payload).unwrap();
-            let mut buf = vec![0u8; payload.len()];
-            stream.read_exact(&mut buf).unwrap();
-        };
-        roundtrip(&blob); // warmup
-        let start = clock.now();
-        for _ in 0..rounds {
-            roundtrip(&blob);
-        }
-        let elapsed = clock.now() - start;
-        series.push(size, mb_per_s(2 * size * rounds, elapsed));
-    }
-    stream.close().unwrap();
-    series
+    let rig = VLinkProbe::new(FabricKind::Ethernet);
+    curve("TCP/Ethernet-100", &rig, sizes, rounds)
 }
 
 /// The full Figure 7: five Myrinet curves plus the Ethernet reference.

@@ -3,17 +3,11 @@
 //!
 //! Paper anchors: MPI 11 µs, omniORB 20 µs, ORBacus 54 µs, Mico 62 µs.
 
-use padico_fabric::topology::single_cluster;
-use padico_fabric::{FabricKind, Payload};
-use padico_mpi::init_world;
-use padico_orb::orb::Orb;
-use padico_orb::profile::OrbProfile;
-use padico_tm::runtime::PadicoTM;
-use padico_tm::selector::FabricChoice;
-use std::sync::Arc;
-
-use crate::fig7::EchoServant;
+use crate::probe::{MpiProbe, OrbProbe, Probe};
+use bytes::Bytes;
+use padico_fabric::FabricKind;
 use padico_orb::orb::WireProtocol;
+use padico_orb::profile::OrbProfile;
 
 /// One-way latency of an empty CORBA invocation, µs.
 pub fn orb_latency_us(profile: OrbProfile, fabric: FabricKind, rounds: usize) -> f64 {
@@ -28,59 +22,15 @@ pub fn orb_latency_us_with(
     rounds: usize,
     protocol: WireProtocol,
 ) -> f64 {
-    let (topo, _ids) = single_cluster(2);
-    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let choice = FabricChoice::Kind(fabric);
-    let client = Orb::start_with_protocol(
-        Arc::clone(&tms[0]),
-        "lat",
-        profile.clone(),
-        choice,
-        protocol,
-    )
-    .unwrap();
-    let server = Orb::start(Arc::clone(&tms[1]), "lat", profile, choice).unwrap();
-    let obj = client.object_ref(server.activate(Arc::new(EchoServant)));
-    obj.request("noop").invoke().unwrap(); // connection warmup
-    let clock = tms[0].clock();
-    let start = clock.now();
-    for _ in 0..rounds {
-        obj.request("noop").invoke().unwrap();
-    }
-    (clock.now() - start) as f64 / rounds as f64 / 2.0 / 1_000.0
+    OrbProbe::new(profile, fabric, protocol).one_way_us(&Bytes::new(), rounds)
 }
 
 /// One-way latency of a 4-byte MPI ping-pong, µs.
 pub fn mpi_latency_us(fabric: FabricKind, rounds: usize) -> f64 {
-    let (topo, ids) = single_cluster(2);
-    let tms = PadicoTM::boot_all(Arc::new(topo)).unwrap();
-    let choice = FabricChoice::Kind(fabric);
-    let comm0 = init_world(&tms[0], "lat", ids.clone(), choice).unwrap();
-    let comm1 = init_world(&tms[1], "lat", ids, choice).unwrap();
-    let echo = std::thread::spawn(move || {
-        for _ in 0..rounds + 1 {
-            comm1.recv_bytes(0, 0).unwrap();
-            comm1
-                .send_bytes(0, 0, Payload::from_vec(vec![0u8; 4]))
-                .unwrap();
-        }
-    });
-    // Warmup.
-    comm0
-        .send_bytes(1, 0, Payload::from_vec(vec![0u8; 4]))
-        .unwrap();
-    comm0.recv_bytes(1, 0).unwrap();
-    let clock = tms[0].clock();
-    let start = clock.now();
-    for _ in 0..rounds {
-        comm0
-            .send_bytes(1, 0, Payload::from_vec(vec![0u8; 4]))
-            .unwrap();
-        comm0.recv_bytes(1, 0).unwrap();
-    }
-    let elapsed = clock.now() - start;
-    echo.join().unwrap();
-    elapsed as f64 / rounds as f64 / 2.0 / 1_000.0
+    let rig = MpiProbe::new(fabric);
+    let four = Bytes::from(vec![0u8; 4]);
+    rig.round_trip(&four); // warmup
+    rig.one_way_us(&four, rounds)
 }
 
 /// The full latency table: `(label, measured µs, paper µs)`.

@@ -14,6 +14,10 @@
 //! | §4.4 Fast-Ethernet scaling | [`fig8`] (Ethernet config) | `fastethernet_scaling` |
 //! | §4.3 no-overhead / layering claims | [`ablation`] | `ablation_layers` |
 //!
+//! [`probe`] builds the 2-node rig of each layer (raw fabric, Circuit,
+//! MPI, ORB, VLink) once; [`fig7`], [`latency`], [`ablation`] and
+//! [`concurrent`] read those rigs rather than building their own.
+//!
 //! `fig7_bandwidth`, `latency_table` and `ablation_layers` print the same
 //! bytes on every run; `tests/paper_figures.rs` compares their output
 //! with `expected/`.
@@ -23,4 +27,5 @@ pub mod concurrent;
 pub mod fig7;
 pub mod fig8;
 pub mod latency;
+pub mod probe;
 pub mod report;

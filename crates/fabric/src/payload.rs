@@ -320,7 +320,6 @@ pub mod pool {
     static HITS: AtomicU64 = AtomicU64::new(0);
     static MISSES: AtomicU64 = AtomicU64::new(0);
     static RETURNS: AtomicU64 = AtomicU64::new(0);
-    static OUTSTANDING: AtomicU64 = AtomicU64::new(0);
 
     /// A point-in-time view of the pool counters.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -333,17 +332,23 @@ pub mod pool {
         /// reference dropping).
         pub returns: u64,
         /// Slabs currently leased out (including frozen, still-referenced
-        /// segments).
+        /// segments): every lease is a hit or a miss, so this is
+        /// `hits + misses - returns`.
         pub outstanding: u64,
     }
 
     /// Current pool counters.
     pub fn stats() -> PoolStats {
+        // Returns first: a slab's lease is counted before its return, so
+        // a racing lease-and-return can inflate the gauge for one read
+        // but not push it below zero.
+        let returns = RETURNS.load(Relaxed);
+        let (hits, misses) = (HITS.load(Relaxed), MISSES.load(Relaxed));
         PoolStats {
-            hits: HITS.load(Relaxed),
-            misses: MISSES.load(Relaxed),
-            returns: RETURNS.load(Relaxed),
-            outstanding: OUTSTANDING.load(Relaxed),
+            hits,
+            misses,
+            returns,
+            outstanding: (hits + misses).saturating_sub(returns),
         }
     }
 
@@ -387,11 +392,7 @@ pub mod pool {
 
     fn give_back(vec: Vec<u8>) {
         RETURNS.fetch_add(1, Relaxed);
-        OUTSTANDING.fetch_sub(1, Relaxed);
-        note_thread(|s| {
-            s.returns += 1;
-            s.outstanding = s.outstanding.wrapping_sub(1);
-        });
+        note_thread(|s| s.returns += 1);
         // Shelve under the largest class the slab can serve.
         let Some(class) = CLASS_SIZES.iter().rposition(|&c| c <= vec.capacity()) else {
             return;
@@ -419,8 +420,6 @@ pub mod pool {
 
     /// Lease a cleared slab with capacity for at least `min` bytes.
     pub fn lease(min: usize) -> PooledBuf {
-        OUTSTANDING.fetch_add(1, Relaxed);
-        note_thread(|s| s.outstanding = s.outstanding.wrapping_add(1));
         if let Some(class) = class_for_lease(min) {
             if let Some(mut vec) = take(class) {
                 HITS.fetch_add(1, Relaxed);
@@ -516,7 +515,9 @@ pub mod pool {
         /// before/after comparisons use these; a monotone "went up"
         /// check can read the process-wide [`stats`].
         fn thread_stats() -> PoolStats {
-            THREAD_STATS.with(std::cell::Cell::get)
+            let s = THREAD_STATS.with(std::cell::Cell::get);
+            let outstanding = (s.hits + s.misses).wrapping_sub(s.returns);
+            PoolStats { outstanding, ..s }
         }
 
         #[test]

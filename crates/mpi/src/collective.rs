@@ -32,6 +32,11 @@ const SLOT_GATHER: u32 = 34;
 const SLOT_SCATTER: u32 = 35;
 const SLOT_ALLTOALL: u32 = 36; // + offset % 16
 
+/// Rounds of a dissemination barrier over `n` ranks: ⌈log2 n⌉.
+fn barrier_rounds(n: usize) -> u32 {
+    n.next_power_of_two().trailing_zeros()
+}
+
 impl Communicator {
     fn check_root(&self, root: usize) -> Result<(), MpiError> {
         if root >= self.size() {
@@ -50,16 +55,20 @@ impl Communicator {
             return Ok(());
         }
         let window = self.next_collective_window();
-        let mut step = 1usize;
-        let mut round = 0u32;
-        while step < n {
-            let to = (self.rank() + step) % n;
-            let from = (self.rank() + n - step) % n;
-            self.send_bytes_internal(to as i32, window + SLOT_BARRIER + round, Payload::new())?;
-            self.recv_internal(from, window + SLOT_BARRIER + round)?;
-            step *= 2;
-            round += 1;
+        for round in 0..barrier_rounds(n) {
+            self.barrier_round(window, round)?;
         }
+        Ok(())
+    }
+
+    /// Round `round` of the dissemination barrier in `window`: signal the
+    /// rank `2^round` ahead, wait for the one `2^round` behind.
+    fn barrier_round(&self, window: u32, round: u32) -> Result<(), MpiError> {
+        let (n, step) = (self.size(), 1usize << round);
+        let to = (self.rank() + step) % n;
+        let from = (self.rank() + n - step) % n;
+        self.send_bytes_internal(to as i32, window + SLOT_BARRIER + round, Payload::new())?;
+        self.recv_internal(from, window + SLOT_BARRIER + round)?;
         Ok(())
     }
 
@@ -338,6 +347,7 @@ impl Communicator {
 mod tests {
     use super::*;
     use crate::comm::tests::world;
+    use std::sync::{Arc, Barrier};
     use std::thread;
 
     /// Run one closure per rank on its own thread and collect results in
@@ -366,19 +376,31 @@ mod tests {
 
     #[test]
     fn barrier_latency_grows_logarithmically() {
-        // Virtual time for a barrier must scale ~log2(n), not ~n.
+        // Virtual time for a barrier must scale ~log2(n), not ~n. A rank
+        // takes delivery of a message when it pulls it, even one it only
+        // stashes, so a rank that pulled round k+1's signal before round
+        // k's would start its later rounds at that later time: the
+        // virtual cost would follow how the OS interleaved the rank
+        // threads. The rig runs the barrier's own rounds in lock-step
+        // instead (no rank sends round k+1 before every rank finished
+        // round k), so each rank pulls only the signal it waits for.
         let mut costs = vec![];
         for n in [2usize, 4, 8] {
-            let elapsed = run_ranks(world(n), |c| {
+            let lockstep = Arc::new(Barrier::new(n));
+            let elapsed = run_ranks(world(n), move |c| {
+                let window = c.next_collective_window();
                 let start = c.clock().now();
-                c.barrier().unwrap();
+                for round in 0..barrier_rounds(n) {
+                    c.barrier_round(window, round).unwrap();
+                    lockstep.wait();
+                }
                 c.clock().now() - start
             });
             costs.push(*elapsed.iter().max().unwrap() as f64);
         }
         // 8 ranks = 3 rounds vs 2 ranks = 1 round: the critical path grows
-        // with the round count (×3) plus per-message fan-in costs — well
-        // under the ×7 a linear algorithm would show.
+        // with the round count (×3), well under the ×7 a linear algorithm
+        // would show.
         assert!(
             costs[2] / costs[0] < 7.0,
             "barrier cost should grow like log n: {costs:?}"

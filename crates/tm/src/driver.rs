@@ -56,7 +56,7 @@ use std::time::{Duration, Instant};
 use crate::arbitration::{ChannelHandler, NetAccess};
 use crate::error::TmError;
 use crate::faults;
-use crate::runtime::{CoalescePolicy, PadicoTM};
+use crate::runtime::PadicoTM;
 use crate::selector::{FabricChoice, Route};
 
 /// Envelope tags prefixed to every wire message when coalescing is on:
@@ -71,6 +71,12 @@ fn env_tag(tag: u8) -> bytes::Bytes {
     bytes::Bytes::from_static(std::slice::from_ref(&TAGS[usize::from(tag)]))
 }
 
+/// Frames larger than this bypass coalescing: they go out at once, after
+/// anything queued, to preserve FIFO order.
+const COALESCE_MAX_FRAME: usize = 64;
+/// A batch flushes once it holds this many payload bytes.
+const COALESCE_MAX_BATCH: usize = 4096;
+
 /// Frames queued towards one destination within one virtual tick.
 #[derive(Default)]
 struct Batch {
@@ -78,12 +84,6 @@ struct Batch {
     frames: Vec<Payload>,
     bytes: usize,
     tick: u64,
-}
-
-/// Per-link coalescing state: the outgoing batch.
-struct CoalesceBox {
-    policy: CoalescePolicy,
-    batch: Mutex<Batch>,
 }
 
 /// The handler a link (or a pull listener) claims its channel with.
@@ -397,8 +397,9 @@ pub struct LinkCore {
     /// Intact frames taken off the inbox but not yet handed to a pull
     /// receiver: the later sub-frames of a coalesced aggregate.
     pending: Mutex<VecDeque<Message>>,
-    /// Small-message coalescing, when the runtime config enables it.
-    coalesce: Option<CoalesceBox>,
+    /// The outgoing small-message batch, when the runtime config enables
+    /// coalescing.
+    coalesce: Option<Mutex<Batch>>,
 }
 
 impl LinkCore {
@@ -428,10 +429,7 @@ impl LinkCore {
         channel: ChannelId,
     ) -> Result<LinkCore, TmError> {
         let inbox = Inbox::attach(tm.net(), channel)?;
-        let coalesce = tm.config().coalesce.map(|policy| CoalesceBox {
-            policy,
-            batch: Mutex::new(Batch::default()),
-        });
+        let coalesce = tm.config().coalesce.then(Mutex::default);
         Ok(LinkCore {
             tm,
             peers,
@@ -519,10 +517,10 @@ impl LinkCore {
         wire: Payload,
         label: &str,
     ) -> Result<(), TmError> {
-        let Some(cbox) = &self.coalesce else {
+        let Some(batch) = &self.coalesce else {
             return self.send_wire_now(dst, channel, wire, label);
         };
-        if wire.len() > cbox.policy.max_frame {
+        if wire.len() > COALESCE_MAX_FRAME {
             // Oversize bypasses batching but must not overtake what is
             // already queued.
             self.flush()?;
@@ -531,7 +529,7 @@ impl LinkCore {
             env.append(wire);
             return self.send_wire_now(dst, channel, env, label);
         }
-        let mut batch = cbox.batch.lock();
+        let mut batch = batch.lock();
         let tick = self.clock().now();
         if !batch.frames.is_empty() && (batch.dst != Some((dst, channel)) || batch.tick != tick) {
             self.flush_batch(&mut batch)?;
@@ -541,7 +539,7 @@ impl LinkCore {
         batch.bytes += wire.len();
         batch.frames.push(wire);
         self.tm.telemetry().frames_coalesced.fetch_add(1, Relaxed);
-        if batch.bytes >= cbox.policy.max_batch_bytes {
+        if batch.bytes >= COALESCE_MAX_BATCH {
             self.flush_batch(&mut batch)?;
         }
         Ok(())
@@ -551,11 +549,10 @@ impl LinkCore {
     /// coalescing, so callers may flush unconditionally at their protocol
     /// barriers (end of an RPC write, FIN, ACK).
     pub fn flush(&self) -> Result<(), TmError> {
-        let Some(cbox) = &self.coalesce else {
+        let Some(batch) = &self.coalesce else {
             return Ok(());
         };
-        let mut batch = cbox.batch.lock();
-        self.flush_batch(&mut batch)
+        self.flush_batch(&mut batch.lock())
     }
 
     /// Envelope and transmit the queued frames as one wire message.
@@ -1318,7 +1315,7 @@ mod tests {
     ) -> (Vec<Arc<PadicoTM>>, Vec<crate::circuit::Circuit>) {
         let (topo, ids) = single_cluster(2);
         let cfg = TmConfig {
-            coalesce: Some(crate::runtime::CoalescePolicy::default()),
+            coalesce: true,
             ..TmConfig::default()
         };
         let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
@@ -1440,7 +1437,7 @@ mod tests {
             }),
             // Uncoalesced so each write is its own wire attempt and the
             // breaker errors surface on the write, not a later flush.
-            coalesce: None,
+            coalesce: false,
             ..TmConfig::default()
         };
         let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
@@ -1540,7 +1537,7 @@ mod proptests {
     //! uncoalesced one.
     use super::*;
     use crate::circuit::CircuitSpec;
-    use crate::runtime::{CoalescePolicy, PadicoTM, TmConfig};
+    use crate::runtime::{PadicoTM, TmConfig};
     use padico_fabric::topology::single_cluster;
     use padico_fabric::FabricKind;
     use proptest::prelude::*;
@@ -1550,7 +1547,7 @@ mod proptests {
     fn roundtrip(bodies: &[Vec<u8>], coalesce: bool) -> Vec<(u32, u64, Vec<u8>)> {
         let (topo, ids) = single_cluster(2);
         let cfg = TmConfig {
-            coalesce: coalesce.then(CoalescePolicy::default),
+            coalesce,
             ..TmConfig::default()
         };
         let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();

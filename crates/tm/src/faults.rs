@@ -8,12 +8,9 @@
 //! latencies (so bench reports can show recovery overhead next to the
 //! happy path) while tests stay fast and deterministic.
 //!
-//! Error *classification* lives on [`TmError`] itself
-//! ([`TmError::is_transient`], [`TmError::is_link_level`]); the free
-//! function [`is_retryable`] is kept as a compatibility alias for
-//! middleware crates built against it.
+//! Error *classification* lives on [`crate::TmError`] itself
+//! ([`crate::TmError::is_transient`], [`crate::TmError::is_link_level`]).
 
-use crate::error::TmError;
 use padico_util::simtime::{SimClock, VtDuration, MS, US};
 use padico_util::stats::RecoveryStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,16 +78,9 @@ impl RetryPolicy {
     }
 }
 
-/// Whether another attempt (possibly over another fabric) may succeed.
-/// Compatibility alias for [`TmError::is_transient`].
-pub fn is_retryable(err: &TmError) -> bool {
-    err.is_transient()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use padico_util::ids::NodeId;
 
     #[test]
     fn backoff_grows_exponentially_and_caps() {
@@ -113,23 +103,6 @@ mod tests {
         let charged = p.charge_backoff(&clock, 1);
         assert_eq!(charged, p.base_backoff);
         assert_eq!(clock.now(), p.base_backoff);
-    }
-
-    #[test]
-    fn is_retryable_aliases_error_classification() {
-        // Full per-variant coverage lives in `crate::error`; the alias must
-        // agree with it.
-        for e in [
-            TmError::Timeout("x".into()),
-            TmError::Closed,
-            TmError::LinkDown {
-                from: NodeId(0),
-                to: NodeId(1),
-            },
-            TmError::Protocol("bad header".into()),
-        ] {
-            assert_eq!(is_retryable(&e), e.is_transient(), "{e}");
-        }
     }
 
     #[test]

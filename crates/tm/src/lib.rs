@@ -47,9 +47,9 @@ pub use arbitration::{ChannelHandler, NetAccess, NodeCell, TM_SERVICE_PORT};
 pub use circuit::{Circuit, CircuitSpec};
 pub use driver::{ArbitratedDriver, LinkCore};
 pub use error::TmError;
-pub use faults::{is_retryable, RetryPolicy};
+pub use faults::RetryPolicy;
 pub use module::{ModuleManager, PadicoModule};
 pub use padico_util::span::TraceSampling;
-pub use runtime::{BreakerPolicy, CoalescePolicy, PadicoTM, TmConfig};
+pub use runtime::{BreakerPolicy, PadicoTM, TmConfig};
 pub use selector::{FabricChoice, Route};
 pub use vlink::{VLinkListener, VLinkStream};

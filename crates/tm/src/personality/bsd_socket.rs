@@ -229,7 +229,7 @@ mod tests {
             ..Default::default()
         };
         let tms = PadicoTM::boot_all_with_config(Arc::new(topo), cfg).unwrap();
-        assert!(tms[1].config().coalesce.is_some(), "coalescing is on");
+        assert!(tms[1].config().coalesce, "coalescing is on");
         let server = Arc::new(SocketApi::new(Arc::clone(&tms[1])));
         let lfd = server.socket();
         server.bind(lfd, "echo").unwrap();

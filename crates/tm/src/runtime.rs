@@ -34,10 +34,10 @@ pub struct TmConfig {
     pub connect_timeout: Duration,
     /// Retry budget + backoff for stream ops, handshakes, and failover.
     pub retry: RetryPolicy,
-    /// Small-message coalescing policy for every link in the world.
-    /// On by default with [`CoalescePolicy::default`]; `None` sends each
-    /// frame as its own wire message.
-    pub coalesce: Option<CoalescePolicy>,
+    /// Small-message coalescing on every link in the world (see
+    /// [`crate::driver::LinkCore::send_wire`]). On by default; `false`
+    /// sends each frame as its own wire message.
+    pub coalesce: bool,
     /// Bounded inflight-dispatch budget for each node's ORB endpoint.
     /// `None` (the default) admits everything; `Some(b)` load-sheds
     /// request `b+1` with a TRANSIENT reply instead of queueing it.
@@ -79,34 +79,13 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// Knobs for small-message coalescing (see [`crate::driver::LinkCore`]):
-/// frames at or under `max_frame` bytes to the same destination within
-/// one virtual tick are batched into a single wire message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoalescePolicy {
-    /// Frames larger than this bypass batching (sent immediately, after
-    /// flushing anything queued, to preserve FIFO order).
-    pub max_frame: usize,
-    /// Flush the batch once it holds this many payload bytes.
-    pub max_batch_bytes: usize,
-}
-
-impl Default for CoalescePolicy {
-    fn default() -> Self {
-        CoalescePolicy {
-            max_frame: 64,
-            max_batch_bytes: 4096,
-        }
-    }
-}
-
 impl Default for TmConfig {
     fn default() -> Self {
         TmConfig {
             default_deadline: Duration::from_secs(30),
             connect_timeout: Duration::from_secs(5),
             retry: RetryPolicy::default(),
-            coalesce: Some(CoalescePolicy::default()),
+            coalesce: true,
             inflight_budget: None,
             breaker: None,
             trace_sampling: padico_util::span::TraceSampling::Always,

@@ -42,7 +42,6 @@ allowed=(
     "HITS        segment pool hit counter (allocator statistics)"
     "MISSES      segment pool miss counter (allocator statistics)"
     "RETURNS     segment pool return counter (allocator statistics)"
-    "OUTSTANDING segment pool outstanding-lease gauge (allocator statistics)"
     "SCHEDULE_CACHE     redistribution schedules: a memo of a pure function"
     "CHANNEL_IDS        logical channel ids must be unique across every world"
 )

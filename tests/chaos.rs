@@ -35,7 +35,7 @@ use std::time::Duration;
 /// determinism runs that prove batching does not perturb recovery.
 fn chaos_config_coalesced() -> TmConfig {
     TmConfig {
-        coalesce: Some(padico::tm::CoalescePolicy::default()),
+        coalesce: true,
         ..chaos_config()
     }
 }
@@ -503,7 +503,7 @@ fn run_overload_storm() -> (String, String, u32) {
             max_attempts: 6,
             ..RetryPolicy::default()
         },
-        coalesce: None,
+        coalesce: false,
         inflight_budget: Some(2),
         breaker: None,
         trace_sampling: TraceSampling::Always,
@@ -646,7 +646,7 @@ fn run_breaker_storm() -> (String, String) {
             max_attempts: 6,
             ..RetryPolicy::default()
         },
-        coalesce: None,
+        coalesce: false,
         inflight_budget: None,
         breaker: Some(BreakerPolicy {
             trip_after: 2,

@@ -38,7 +38,7 @@ pub fn chaos_config() -> TmConfig {
             max_attempts: 6,
             ..RetryPolicy::default()
         },
-        coalesce: None,
+        coalesce: false,
         inflight_budget: None,
         breaker: None,
         trace_sampling: TraceSampling::Always,
