@@ -11,7 +11,10 @@
 //! therefore O(runs), not O(elements), and pieces of the client's local
 //! block are sliced zero-copy, so an omniORB-profile transport moves bulk
 //! data without any extra copy, exactly as in the paper's bandwidth
-//! argument. See DESIGN.md §9 for the strided representation.
+//! argument. A run whose source pieces are contiguous goes by reference
+//! under a copying profile too: the ORB charges that profile's copies in
+//! virtual time, and [`assemble_block`]'s scatter is the one physical
+//! copy. See DESIGN.md §9 for the strided representation.
 
 use bytes::Bytes;
 use padico_orb::cdr::{CdrReader, CdrWriter};
@@ -216,7 +219,11 @@ impl Chunk {
 /// `runs` are the schedule runs from `local.rank` to the destination.
 /// Each run costs one fixed header (four u64s) plus one octet sequence
 /// gathering its pieces — wire overhead is O(runs), independent of the
-/// element count. Pieces are sliced zero-copy out of `local.data`.
+/// element count. A run whose pieces are contiguous in `local.data`
+/// (`count == 1` or `src_stride == chunk_elems`) is one slice of it,
+/// spliced by reference under every profile; a run with a strided
+/// source is gathered as the profile marshals (copied into one segment,
+/// or each bulk piece spliced).
 pub fn write_dist_chunks(
     w: &mut CdrWriter,
     local: &DistSeq,
@@ -248,10 +255,14 @@ pub fn write_dist_chunks(
         w.write_u64(t.chunk_elems);
         w.write_u64(t.dst_stride);
         w.write_u64(t.count);
-        if t.count == 1 {
+        if t.count == 1 || t.src_stride == t.chunk_elems {
+            // The pieces lie back to back in the local block: the run is
+            // one slice of it, handed off by reference whatever the
+            // profile. A copying profile's marshal copy is charged by
+            // body length in virtual time; assembly makes the one copy.
             let byte_start = (t.src_offset * es) as usize;
-            let byte_end = byte_start + (t.chunk_elems * es) as usize;
-            w.write_octet_seq(local.data.slice(byte_start..byte_end));
+            let byte_end = byte_start + (t.elems() * es) as usize;
+            w.splice_octet_seq(local.data.slice(byte_start..byte_end));
         } else {
             let chunk_bytes = (t.chunk_elems * es) as usize;
             let data = &local.data;
@@ -826,12 +837,122 @@ mod tests {
         }
     }
 
+    #[test]
+    fn source_contiguous_runs_travel_by_reference() {
+        // The benchmark's store shape: a block-cyclic:256 client block of
+        // 2 × 4096 i32s to a block server. Client rank 0's pieces bound
+        // for server rank 0 lie back to back in its local block (source
+        // stride = piece length), though 256 elements apart at the server.
+        let (global, clients, servers) = (8192u64, 2, 2);
+        let src_dist = Distribution::BlockCyclic(256);
+        let global_bytes = Bytes::from(
+            (0..global as i32)
+                .flat_map(i32::to_le_bytes)
+                .collect::<Vec<u8>>(),
+        );
+        let local = DistSeq::from_global(4, src_dist, 0, clients, &global_bytes).unwrap();
+        let sched = schedule(global, src_dist, clients, Distribution::Block, servers).unwrap();
+        let sends: Vec<TransferRun> = sends_of(&sched, 0)
+            .filter(|t| t.dst_rank == 0)
+            .cloned()
+            .collect();
+        assert_eq!(sends.len(), 1);
+        let run = sends[0];
+        assert!(run.count > 1 && run.src_stride == run.chunk_elems);
+        assert_ne!(run.dst_stride, run.chunk_elems, "strided at the server");
+        let src = &local.data[(run.src_offset * 4) as usize..];
+        for strategy in [MarshalStrategy::Copying, MarshalStrategy::ZeroCopy] {
+            let mut w = CdrWriter::new(strategy);
+            write_dist_chunks(&mut w, &local, Distribution::Block, &sends).unwrap();
+            let payload = w.finish();
+            let run_bytes = (run.elems() * 4) as usize;
+            let bulk: Vec<&Bytes> = payload.segments().filter(|s| s.len() >= 1024).collect();
+            assert_eq!(bulk.len(), 1, "{strategy:?}: the run is one segment");
+            assert_eq!(bulk[0].len(), run_bytes);
+            assert_eq!(
+                bulk[0].as_ptr(),
+                src.as_ptr(),
+                "{strategy:?}: aliases the block"
+            );
+            let mut r = CdrReader::new(&payload);
+            match read_arg(&mut r).unwrap() {
+                WireArg::DistChunks { chunks, .. } => {
+                    assert_eq!(chunks.len(), 1);
+                    assert_eq!(chunks[0].data.as_ptr(), src.as_ptr(), "{strategy:?}");
+                }
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// Scatter a global payload through the strided schedule and wire
+    /// encoding under `strategy`, assemble every destination rank's block,
+    /// and compare it with the direct distribution of the same payload.
+    fn redistribution_case(
+        global: u64,
+        (src_size, src_dist): (usize, Distribution),
+        (dst_size, dst_dist): (usize, Distribution),
+        strategy: MarshalStrategy,
+    ) {
+        // Distinguishable element payload: global index as i32.
+        let global_bytes = Bytes::from(
+            (0..global as i32)
+                .flat_map(i32::to_le_bytes)
+                .collect::<Vec<u8>>(),
+        );
+        let sched = schedule(global, src_dist, src_size, dst_dist, dst_size).unwrap();
+        let locals: Vec<DistSeq> = (0..src_size)
+            .map(|r| DistSeq::from_global(4, src_dist, r, src_size, &global_bytes).unwrap())
+            .collect();
+        for dst in 0..dst_size {
+            let mut chunks = Vec::new();
+            for local in &locals {
+                let sends: Vec<TransferRun> = sends_of(&sched, local.rank)
+                    .filter(|t| t.dst_rank == dst)
+                    .cloned()
+                    .collect();
+                if sends.is_empty() {
+                    continue; // degenerate pair: nothing to ship
+                }
+                let mut w = CdrWriter::new(strategy);
+                write_dist_chunks(&mut w, local, dst_dist, &sends).unwrap();
+                let mut r = CdrReader::new(&w.finish());
+                match read_arg(&mut r).unwrap() {
+                    WireArg::DistChunks { chunks: c, .. } => chunks.extend(c),
+                    other => panic!("{other:?}"),
+                }
+            }
+            let local_elems = dst_dist.local_len(global, dst, dst_size);
+            let assembled = assemble_block(4, local_elems, &chunks).unwrap();
+            let direct = DistSeq::from_global(4, dst_dist, dst, dst_size, &global_bytes).unwrap();
+            assert_eq!(
+                &assembled, &direct.data,
+                "dst rank {dst} of {dst_dist:?}x{dst_size} from {src_dist:?}x{src_size} \
+                 over {global} under {strategy:?}"
+            );
+        }
+    }
+
+    fn distribution(kind: u8, block: u64) -> Distribution {
+        match kind {
+            0 => Distribution::Block,
+            1 => Distribution::Cyclic,
+            _ => Distribution::BlockCyclic(block),
+        }
+    }
+
+    fn strategy(zero_copy: bool) -> MarshalStrategy {
+        if zero_copy {
+            MarshalStrategy::ZeroCopy
+        } else {
+            MarshalStrategy::Copying
+        }
+    }
+
     proptest::proptest! {
-        /// Full-path byte equality: scatter a global payload through the
-        /// strided schedule and wire encoding, assemble every destination
-        /// rank's block, and compare against the direct distribution of
-        /// the same payload — across random shapes including degenerate
-        /// ranks that own nothing.
+        /// Full-path byte equality across random shapes, including
+        /// degenerate ranks that own nothing, under both marshal
+        /// strategies.
         #[test]
         fn redistributed_payloads_are_byte_identical(
             global in 0u64..220,
@@ -841,56 +962,39 @@ mod tests {
             dst_kind in 0u8..3,
             src_bc in 1u64..7,
             dst_bc in 1u64..7,
+            zero_copy: bool,
         ) {
-            let src_dist = match src_kind {
-                0 => Distribution::Block,
-                1 => Distribution::Cyclic,
-                _ => Distribution::BlockCyclic(src_bc),
-            };
-            let dst_dist = match dst_kind {
-                0 => Distribution::Block,
-                1 => Distribution::Cyclic,
-                _ => Distribution::BlockCyclic(dst_bc),
-            };
-            // Distinguishable element payload: global index as i32.
-            let global_bytes = Bytes::from(
-                (0..global as i32).flat_map(i32::to_le_bytes).collect::<Vec<u8>>(),
+            redistribution_case(
+                global,
+                (src_size, distribution(src_kind, src_bc)),
+                (dst_size, distribution(dst_kind, dst_bc)),
+                strategy(zero_copy),
             );
-            let sched = schedule(global, src_dist, src_size, dst_dist, dst_size).unwrap();
-            let locals: Vec<DistSeq> = (0..src_size)
-                .map(|r| {
-                    DistSeq::from_global(4, src_dist, r, src_size, &global_bytes).unwrap()
-                })
-                .collect();
-            for dst in 0..dst_size {
-                let mut chunks = Vec::new();
-                for local in &locals {
-                    let sends: Vec<TransferRun> = sends_of(&sched, local.rank)
-                        .filter(|t| t.dst_rank == dst)
-                        .cloned()
-                        .collect();
-                    if sends.is_empty() {
-                        continue; // degenerate pair: nothing to ship
-                    }
-                    let mut w = CdrWriter::new(MarshalStrategy::ZeroCopy);
-                    write_dist_chunks(&mut w, local, dst_dist, &sends).unwrap();
-                    let mut r = CdrReader::new(&w.finish());
-                    match read_arg(&mut r).unwrap() {
-                        WireArg::DistChunks { chunks: c, .. } => chunks.extend(c),
-                        other => panic!("{other:?}"),
-                    }
-                }
-                let local_elems = dst_dist.local_len(global, dst, dst_size);
-                let assembled = assemble_block(4, local_elems, &chunks).unwrap();
-                let direct =
-                    DistSeq::from_global(4, dst_dist, dst, dst_size, &global_bytes).unwrap();
-                proptest::prop_assert_eq!(
-                    &assembled,
-                    &direct.data,
-                    "dst rank {} of {:?}x{} from {:?}x{} over {}",
-                    dst, dst_dist, dst_size, src_dist, src_size, global
-                );
-            }
+        }
+    }
+
+    /// Long mode of [`redistributed_payloads_are_byte_identical`]: 2 000
+    /// cases over larger shapes, with block sizes from 1 to 600 elements
+    /// so that pieces cross the zero-copy threshold, seeded from
+    /// `CHAOS_SEED` (default 42).
+    /// `cargo test -p padico-core --release -- --ignored redistributed`
+    #[test]
+    #[ignore = "long mode: random redistribution shapes"]
+    fn redistributed_payloads_are_byte_identical_long() {
+        let seed: u64 = std::env::var("CHAOS_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(42);
+        for case in 0..2_000u64 {
+            let mut rng = proptest::TestRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ case);
+            let side = |rng: &mut proptest::TestRng| {
+                let size = 1 + rng.below(8) as usize;
+                let kind = rng.below(3) as u8;
+                (size, distribution(kind, 1 + rng.below(600)))
+            };
+            let global = rng.below(6_000);
+            let (src, dst) = (side(&mut rng), side(&mut rng));
+            redistribution_case(global, src, dst, strategy(rng.below(2) == 1));
         }
     }
 }

@@ -11,6 +11,7 @@ use padico_core::parallel::wire::ParValue;
 use padico_core::paridl::{ArgDef, InterceptionPlan, InterfaceDef, OpDef, ParamKind};
 use padico_core::Grid;
 use padico_mpi::ReduceOp;
+use padico_orb::profile::OrbProfile;
 use padico_orb::Ior;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -115,9 +116,11 @@ struct ParallelFixture {
 }
 
 /// Stand up S server replicas (with MPI among them) and leave C nodes for
-/// clients.
-fn fixture(server_count: usize, client_count: usize) -> ParallelFixture {
-    let grid = Arc::new(Grid::single_cluster(server_count + client_count).unwrap());
+/// clients, every node's ORB of `profile`.
+fn fixture(profile: OrbProfile, server_count: usize, client_count: usize) -> ParallelFixture {
+    let (topology, _) = padico_fabric::topology::single_cluster(server_count + client_count);
+    let grid =
+        Arc::new(Grid::boot(topology, profile, padico_tm::selector::FabricChoice::Auto).unwrap());
     let plan = Arc::new(InterceptionPlan::compile(&field_interface(), PARALLELISM).unwrap());
     let servant = Arc::new(FieldServant {
         upcalls: AtomicUsize::new(0),
@@ -191,78 +194,88 @@ impl ParallelFixture {
     }
 }
 
+/// The two marshal strategies: zero-copy (omniORB) and copying (Mico, the
+/// profile of the paper's Fig. 8 coupling).
+fn both_strategies() -> [OrbProfile; 2] {
+    [OrbProfile::omniorb3(), OrbProfile::mico()]
+}
+
 #[test]
 fn parallel_to_parallel_with_redistribution_and_mpi_reduce() {
-    // 2 servers, 3 clients: block(3) → block(2) redistribution.
-    let fx = Arc::new(fixture(2, 3));
-    let global: Vec<f64> = (0..30).map(|i| i as f64).collect();
-    let expected_sum: f64 = global.iter().sum();
+    for profile in both_strategies() {
+        // 2 servers, 3 clients: block(3) → block(2) redistribution, with
+        // runs above the CDR zero-copy threshold.
+        let fx = Arc::new(fixture(profile, 2, 3));
+        let global: Vec<f64> = (0..3_001).map(|i| i as f64).collect();
+        let expected_sum: f64 = global.iter().sum();
 
-    let sums = fx.run_clients(move |fx, rank| {
-        let client = fx.client_ref(rank);
-        let blob = Bytes::from(
-            global
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect::<Vec<u8>>(),
-        );
-        let local = DistSeq::from_global(8, Distribution::Block, rank, 3, &blob).unwrap();
-        match client
-            .invoke("global_sum", vec![ParValue::Dist(local)])
-            .unwrap()
-        {
-            Some(ParValue::F64(sum)) => sum,
-            other => panic!("unexpected result {other:?}"),
+        let sums = fx.run_clients(move |fx, rank| {
+            let client = fx.client_ref(rank);
+            let blob = Bytes::from(
+                global
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect::<Vec<u8>>(),
+            );
+            let local = DistSeq::from_global(8, Distribution::Block, rank, 3, &blob).unwrap();
+            match client
+                .invoke("global_sum", vec![ParValue::Dist(local)])
+                .unwrap()
+            {
+                Some(ParValue::F64(sum)) => sum,
+                other => panic!("unexpected result {other:?}"),
+            }
+        });
+        for s in sums {
+            assert!((s - expected_sum).abs() < 1e-9, "{s} != {expected_sum}");
         }
-    });
-    for s in sums {
-        assert!((s - expected_sum).abs() < 1e-9, "{s} != {expected_sum}");
+        // The servant ran exactly once per server replica.
+        assert_eq!(fx.server_upcalls.upcalls.load(Ordering::SeqCst), 2);
     }
-    // The servant ran exactly once per server replica.
-    assert_eq!(fx.server_upcalls.upcalls.load(Ordering::SeqCst), 2);
 }
 
 #[test]
 fn distributed_result_comes_back_redistributed() {
-    // 3 servers, 2 clients; scale by 2.5 and check every element.
-    let fx = Arc::new(fixture(3, 2));
-    let global: Vec<f64> = (0..23).map(|i| i as f64 * 1.5).collect();
-    let expected: Vec<f64> = global.iter().map(|v| v * 2.5).collect();
+    for profile in both_strategies() {
+        // 3 servers, 2 clients; scale by 2.5 and check every element.
+        let fx = Arc::new(fixture(profile, 3, 2));
+        let global: Vec<f64> = (0..2_301).map(|i| i as f64 * 1.5).collect();
+        let expected: Vec<f64> = global.iter().map(|v| v * 2.5).collect();
 
-    let blocks = fx.run_clients(move |fx, rank| {
-        let client = fx.client_ref(rank);
-        let blob = Bytes::from(
-            global
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect::<Vec<u8>>(),
-        );
-        let local = DistSeq::from_global(8, Distribution::Block, rank, 2, &blob).unwrap();
-        match client
-            .invoke("scale", vec![ParValue::Dist(local), ParValue::F64(2.5)])
-            .unwrap()
-        {
-            Some(ParValue::Dist(d)) => {
-                assert_eq!(d.rank, rank);
-                assert_eq!(d.size, 2);
-                d.as_f64().unwrap()
+        let blocks = fx.run_clients(move |fx, rank| {
+            let client = fx.client_ref(rank);
+            let blob = Bytes::from(
+                global
+                    .iter()
+                    .flat_map(|v| v.to_le_bytes())
+                    .collect::<Vec<u8>>(),
+            );
+            let local = DistSeq::from_global(8, Distribution::Block, rank, 2, &blob).unwrap();
+            match client
+                .invoke("scale", vec![ParValue::Dist(local), ParValue::F64(2.5)])
+                .unwrap()
+            {
+                Some(ParValue::Dist(d)) => {
+                    assert_eq!(d.rank, rank);
+                    assert_eq!(d.size, 2);
+                    d.as_f64().unwrap()
+                }
+                other => panic!("unexpected result {other:?}"),
             }
-            other => panic!("unexpected result {other:?}"),
+        });
+        // Rank 0 holds the first 1 151 elements, rank 1 the rest.
+        assert_eq!(blocks[0].len(), 1_151);
+        let rejoined = blocks.concat();
+        assert_eq!(rejoined.len(), expected.len());
+        for (got, want) in rejoined.iter().zip(&expected) {
+            assert!((got - want).abs() < 1e-9);
         }
-    });
-    // Rank 0 holds the first 12 elements, rank 1 the rest.
-    let mut rejoined = blocks[0].clone();
-    rejoined.extend_from_slice(&blocks[1]);
-    let expected_check: Vec<f64> = expected.clone();
-    assert_eq!(rejoined.len(), expected_check.len());
-    for (got, want) in rejoined.iter().zip(&expected_check) {
-        assert!((got - want).abs() < 1e-9);
     }
 }
 
 #[test]
 fn replicated_op_runs_on_every_server_with_internal_barrier() {
-    let fx = Arc::new(fixture(4, 2));
+    let fx = Arc::new(fixture(OrbProfile::omniorb3(), 4, 2));
     let results = fx.run_clients(|fx, rank| {
         let client = fx.client_ref(rank);
         match client.invoke("ping", vec![]).unwrap() {
@@ -278,7 +291,7 @@ fn replicated_op_runs_on_every_server_with_internal_barrier() {
 fn sequential_proxy_hides_the_parallel_component() {
     // A sequential caller goes through the proxy and still gets the
     // globally-correct answer from 3 SPMD replicas.
-    let fx = fixture(3, 1);
+    let fx = fixture(OrbProfile::omniorb3(), 3, 1);
     let proxy_node = fx.client_nodes[0];
     let orb = &fx.grid.node(proxy_node).env.orb;
     let proxy_ior = install_proxy(
@@ -337,7 +350,7 @@ fn threads_sharing_one_handle_never_see_already_completed() {
     // Each request acknowledges only invocations below the lowest one
     // still in progress, so no replica refuses or forgets an invocation
     // a sibling call still waits for.
-    let fx = fixture(2, 1);
+    let fx = fixture(OrbProfile::omniorb3(), 2, 1);
     let client = fx.client_ref(0);
     let start = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
@@ -368,7 +381,7 @@ fn threads_sharing_one_handle_never_see_already_completed() {
 
 #[test]
 fn validation_errors_surface_cleanly() {
-    let fx = fixture(2, 1);
+    let fx = fixture(OrbProfile::omniorb3(), 2, 1);
     let client = fx.client_ref(0);
     // Wrong arity.
     assert!(matches!(

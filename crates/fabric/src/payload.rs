@@ -3,10 +3,11 @@
 //! A [`Payload`] is a gather-list of [`Bytes`] segments, mirroring the iovec
 //! style of Madeleine's `pack`/`unpack` interface. Passing a `Payload`
 //! through the stack hands segments off by reference counting — the
-//! zero-copy path used by omniORB-style marshalling. Copying middleware
-//! (Mico/ORBacus-style) instead calls [`Payload::to_contiguous`] /
-//! [`Payload::copy_from`], which really move the bytes *and* can be charged
-//! to a virtual clock by the caller.
+//! zero-copy path used by omniORB-style marshalling. The copies that
+//! copying middleware (Mico/ORBacus-style) makes are charged to a virtual
+//! clock by its profile; a layer that needs storage of its own calls
+//! [`Payload::to_contiguous`] / [`Payload::copy_from`], which really move
+//! the bytes, and charges that copy itself.
 //!
 //! Most payloads are one segment (every fabric kernel copy, every
 //! `world_ring` token), so the first segment is held inline: building,
@@ -98,10 +99,9 @@ impl Payload {
             (Segments::None, theirs) => self.segments = theirs,
             (_, Segments::None) => {}
             (_, Segments::One(b)) => self.segments.push(b),
-            (_, Segments::Many(theirs)) => {
-                for b in theirs {
-                    self.segments.push(b);
-                }
+            (Segments::One(mine), Segments::Many(mut theirs)) => {
+                theirs.insert(0, std::mem::take(mine));
+                self.segments = Segments::Many(theirs);
             }
         }
         self.len += other.len;
@@ -187,22 +187,44 @@ impl Payload {
             "split_at({at}) beyond payload of {}",
             self.len
         );
-        let mut head = Payload::new();
-        let mut tail = Payload::new();
-        let mut consumed = 0usize;
-        for seg in self.segs() {
-            if consumed >= at {
-                tail.push_segment(seg.clone());
-            } else if consumed + seg.len() <= at {
-                head.push_segment(seg.clone());
-            } else {
-                let cut = at - consumed;
-                head.push_segment(seg.slice(..cut));
-                tail.push_segment(seg.slice(cut..));
-            }
-            consumed += seg.len();
+        // Segments `..i` end at or before the cut; segment `i`, if any,
+        // holds byte `at`, `cut` bytes into it.
+        let segs = self.segs();
+        let (mut i, mut start) = (0, 0);
+        while i < segs.len() && start + segs[i].len() <= at {
+            start += segs[i].len();
+            i += 1;
         }
-        (head, tail)
+        let cut = at - start;
+        let head = segs[..i]
+            .iter()
+            .cloned()
+            .chain((cut > 0).then(|| segs[i].slice(..cut)));
+        let tail = segs.get(i).map(|seg| match cut {
+            0 => seg.clone(),
+            _ => seg.slice(cut..),
+        });
+        let tail = tail.into_iter().chain(segs.iter().skip(i + 1).cloned());
+        (
+            Payload::of_segments(i + usize::from(cut > 0), at, head),
+            Payload::of_segments(segs.len() - i, self.len - at, tail),
+        )
+    }
+
+    /// A payload of exactly `count` non-empty segments totalling `len`
+    /// bytes, its segment list allocated once.
+    fn of_segments(count: usize, len: usize, segs: impl Iterator<Item = Bytes>) -> Payload {
+        let segments = match count {
+            0 => Segments::None,
+            1 => segs.map(Segments::One).next().unwrap_or_default(),
+            n => {
+                let mut list = Vec::with_capacity(n);
+                list.extend(segs);
+                Segments::Many(list)
+            }
+        };
+        debug_assert_eq!(segments.as_slice().len(), count);
+        Payload { segments, len }
     }
 
     /// Gather-copy every segment into one **pooled** slab (always a
@@ -269,6 +291,10 @@ impl Payload {
 /// last reference drops — even if a receiver held the segment for a
 /// while. Steady-state traffic therefore allocates nothing.
 ///
+/// Size classes are the powers of two from 64 B to 1 MiB
+/// ([`CLASS_SIZES`]), so a leased slab is less than twice the bytes asked
+/// for, and a class is found by a bit scan, not a search.
+///
 /// Like `malloc`'s thread caches, each thread first serves itself from a
 /// small shelf of its own (classes up to 4 KiB, [`LOCAL_CAP`] slabs
 /// each) and only then from the process-wide shelves behind one mutex.
@@ -288,11 +314,29 @@ pub mod pool {
     use std::ops::{Deref, DerefMut};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-    /// Slab size classes, 64 B to 1 MiB. A lease rounds up to the next
-    /// class; larger requests are served exactly (and shelved by their
-    /// true capacity on return).
-    pub const CLASS_SIZES: [usize; 8] =
-        [64, 256, 1024, 4096, 16 << 10, 64 << 10, 256 << 10, 1 << 20];
+    /// log2 of the smallest class.
+    const MIN_SHIFT: u32 = 6;
+
+    /// Slab size classes: every power of two from 64 B to 1 MiB. A lease
+    /// rounds up to the next class; larger requests are served exactly
+    /// (and shelved by their true capacity on return).
+    pub const CLASS_SIZES: [usize; 15] = [
+        64,
+        128,
+        256,
+        512,
+        1 << 10,
+        2 << 10,
+        4 << 10,
+        8 << 10,
+        16 << 10,
+        32 << 10,
+        64 << 10,
+        128 << 10,
+        256 << 10,
+        512 << 10,
+        1 << 20,
+    ];
 
     /// At most this many idle slabs kept per class on the process-wide
     /// shelves; surplus returns are simply freed.
@@ -301,10 +345,10 @@ pub mod pool {
     /// Classes a thread shelves for itself: up to 4 KiB, where the lock
     /// would cost as much as the copy. Larger slabs go straight to the
     /// process-wide shelves.
-    const LOCAL_CLASSES: usize = 4;
+    const LOCAL_CLASSES: usize = 7;
 
     /// Idle slabs a thread keeps per class before returns spill to the
-    /// process-wide shelves (at most ~170 KiB a thread).
+    /// process-wide shelves (at most ~254 KiB a thread: 32 × 8 128 B).
     pub const LOCAL_CAP: usize = 32;
 
     /// Idle slabs, one shelf per size class (lazily sized on first use).
@@ -372,8 +416,17 @@ pub mod pool {
         });
     }
 
+    /// The smallest class that holds `min` bytes, if any does.
     fn class_for_lease(min: usize) -> Option<usize> {
-        CLASS_SIZES.iter().position(|&c| c >= min)
+        let bits = min.max(1).checked_next_power_of_two()?.trailing_zeros();
+        let class = bits.saturating_sub(MIN_SHIFT) as usize;
+        (class < CLASS_SIZES.len()).then_some(class)
+    }
+
+    /// The largest class a slab of `capacity` bytes can serve, if any.
+    fn class_for_return(capacity: usize) -> Option<usize> {
+        let class = capacity.checked_ilog2()?.checked_sub(MIN_SHIFT)?;
+        Some((class as usize).min(CLASS_SIZES.len() - 1))
     }
 
     /// Pop an idle slab of `class`: the thread's own shelf first.
@@ -394,7 +447,7 @@ pub mod pool {
         RETURNS.fetch_add(1, Relaxed);
         note_thread(|s| s.returns += 1);
         // Shelve under the largest class the slab can serve.
-        let Some(class) = CLASS_SIZES.iter().rposition(|&c| c <= vec.capacity()) else {
+        let Some(class) = class_for_return(vec.capacity()) else {
             return;
         };
         let mut vec = Some(vec);
@@ -524,14 +577,40 @@ pub mod pool {
         fn lease_rounds_up_and_recycles() {
             let before = stats();
             let buf = lease(100);
-            assert!(buf.capacity() >= 256, "100 B rounds up to the 256 class");
+            assert!(buf.capacity() >= 128, "100 B rounds up to the 128 class");
             drop(buf);
             // The shelf now holds that slab; the next lease of the same
             // class must hit.
-            let buf = lease(200);
+            let buf = lease(120);
             let after = stats();
             assert!(after.hits > before.hits, "second lease served from shelf");
             drop(buf);
+        }
+
+        #[test]
+        fn class_lookups_match_a_search_of_the_table() {
+            let sizes = (0..=22).flat_map(|b: u32| {
+                let p = 1usize << b;
+                [p - 1, p, p + 1]
+            });
+            for n in sizes.chain([usize::MAX]) {
+                assert_eq!(
+                    class_for_lease(n),
+                    CLASS_SIZES.iter().position(|&c| c >= n),
+                    "lease of {n}"
+                );
+                assert_eq!(
+                    class_for_return(n),
+                    CLASS_SIZES.iter().rposition(|&c| c <= n),
+                    "return of {n}"
+                );
+            }
+            assert_eq!(CLASS_SIZES[0], 1 << MIN_SHIFT);
+            assert!(
+                CLASS_SIZES.windows(2).all(|w| w[1] == 2 * w[0]),
+                "classes 2x apart"
+            );
+            assert_eq!(CLASS_SIZES[LOCAL_CLASSES - 1], 4096);
         }
 
         #[test]

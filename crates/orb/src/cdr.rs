@@ -138,26 +138,40 @@ impl CdrWriter {
         self.push(&[0]);
     }
 
-    /// `sequence<octet>`: u32 length then raw bytes. Bulk payloads take
-    /// the strategy's fast path.
-    pub fn write_octet_seq(&mut self, data: Bytes) {
-        self.write_u32(data.len() as u32);
-        match self.strategy {
-            MarshalStrategy::ZeroCopy if data.len() >= ZERO_COPY_THRESHOLD => {
-                // Splice: flush the scratch buffer, then hand the bytes
-                // off by reference.
-                if !self.buf.is_empty() {
-                    let flushed = std::mem::replace(&mut self.buf, pool::lease(256));
-                    self.out.push_segment(flushed.freeze());
-                }
-                self.offset += data.len();
-                self.out.push_segment(data);
-            }
-            _ => {
-                self.reserve(data.len());
-                self.push(&data);
-            }
+    /// Append `data` as a segment of its own, by reference: flush the
+    /// scratch buffer first, so segment order stays wire order.
+    fn splice(&mut self, data: Bytes) {
+        if !self.buf.is_empty() {
+            let flushed = std::mem::replace(&mut self.buf, pool::lease(256));
+            self.out.push_segment(flushed.freeze());
         }
+        self.offset += data.len();
+        self.out.push_segment(data);
+    }
+
+    /// `sequence<octet>`: u32 length then raw bytes. Bulk payloads take
+    /// the strategy's fast path: [`MarshalStrategy::Copying`] copies them
+    /// into one pooled segment, [`MarshalStrategy::ZeroCopy`] splices
+    /// them as [`CdrWriter::splice_octet_seq`] does.
+    pub fn write_octet_seq(&mut self, data: Bytes) {
+        match self.strategy {
+            MarshalStrategy::ZeroCopy => self.splice_octet_seq(data),
+            MarshalStrategy::Copying => self.write_octet_slice(&data),
+        }
+    }
+
+    /// `sequence<octet>` handed off by reference under either strategy: a
+    /// sequence of at least [`ZERO_COPY_THRESHOLD`] bytes rides as a
+    /// segment of its own, a shorter one is copied in. For callers whose
+    /// profile's marshal copy is already charged in virtual time by body
+    /// length (`OrbProfile::charge_client_scaled`), so that making it
+    /// too would model nothing: GridCCM's redistributed runs.
+    pub fn splice_octet_seq(&mut self, data: Bytes) {
+        if data.len() < ZERO_COPY_THRESHOLD {
+            return self.write_octet_slice(&data);
+        }
+        self.write_u32(data.len() as u32);
+        self.splice(data);
     }
 
     /// `sequence<octet>` assembled from multiple parts under one length
@@ -178,17 +192,8 @@ impl CdrWriter {
         for part in parts {
             written += part.len();
             match self.strategy {
-                MarshalStrategy::ZeroCopy if part.len() >= ZERO_COPY_THRESHOLD => {
-                    if !self.buf.is_empty() {
-                        let flushed = std::mem::replace(&mut self.buf, pool::lease(256));
-                        self.out.push_segment(flushed.freeze());
-                    }
-                    self.offset += part.len();
-                    self.out.push_segment(part);
-                }
-                _ => {
-                    self.push(&part);
-                }
+                MarshalStrategy::ZeroCopy if part.len() >= ZERO_COPY_THRESHOLD => self.splice(part),
+                _ => self.push(&part),
             }
         }
         debug_assert_eq!(
@@ -592,6 +597,25 @@ mod tests {
         w.write_octet_seq(big);
         let payload = w.finish();
         assert_eq!(payload.segment_count(), 1);
+    }
+
+    #[test]
+    fn splice_octet_seq_aliases_under_both_strategies() {
+        let big = Bytes::from(vec![4u8; ZERO_COPY_THRESHOLD]);
+        for strategy in [MarshalStrategy::Copying, MarshalStrategy::ZeroCopy] {
+            let mut w = CdrWriter::new(strategy);
+            w.write_u8(1);
+            w.splice_octet_seq(big.clone());
+            w.splice_octet_seq(Bytes::from_static(b"tiny"));
+            let payload = w.finish();
+            assert_eq!(payload.segment_count(), 3, "{strategy:?}: head, bulk, tail");
+            let mut r = CdrReader::new(&payload);
+            assert_eq!(r.read_u8().unwrap(), 1);
+            let seq = r.read_octet_seq().unwrap();
+            assert_eq!(seq.as_ptr(), big.as_ptr(), "{strategy:?}: by reference");
+            assert_eq!(r.read_octet_seq().unwrap(), Bytes::from_static(b"tiny"));
+            assert_eq!(r.remaining(), 0);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::giop::{self, GiopMessage, LocateStatus, ReplyStatus};
 use crate::ior::Ior;
 use crate::mux::{self, ReplyHandle, RequestMux};
 use crate::poa::{Poa, Servant, ServerCtx};
-use crate::profile::{MarshalStrategy, OrbProfile};
+use crate::profile::OrbProfile;
 use padico_fabric::Payload;
 
 /// Wire protocol spoken by a client connection. Servers auto-detect the
@@ -177,12 +177,10 @@ impl Drop for AdmissionPermit {
 /// Read the reason string out of an exceptional reply body (shed or
 /// deadline replies carry one); malformed bodies degrade to a stock text
 /// rather than masking the real failure with a marshal error.
-fn reply_reason(strategy: MarshalStrategy, body: &Payload) -> String {
-    let mut r = match strategy {
-        MarshalStrategy::Copying => CdrReader::from_bytes(body.to_contiguous()),
-        MarshalStrategy::ZeroCopy => CdrReader::new(body),
-    };
-    r.read_string().unwrap_or_else(|_| "unspecified".into())
+fn reply_reason(body: &Payload) -> String {
+    CdrReader::new(body)
+        .read_string()
+        .unwrap_or_else(|_| "unspecified".into())
 }
 
 impl Orb {
@@ -361,16 +359,10 @@ impl Orb {
                     caller: conn.stream.peer(),
                     telemetry: Arc::clone(telemetry),
                 };
-                // Copying profiles unmarshal from one contiguous view of
-                // the body; zero-copy profiles read the gather list in
-                // place. A copying writer's body is already one segment,
-                // so the view is a refcount bump: the copy the profile
-                // models is charged in virtual time by `charge_server`,
-                // not made.
-                let mut args = match self.profile.strategy {
-                    MarshalStrategy::Copying => CdrReader::from_bytes(body.to_contiguous()),
-                    MarshalStrategy::ZeroCopy => CdrReader::new(&body),
-                };
+                // Every profile reads the body's gather list in place:
+                // the copy a copying profile models is charged in virtual
+                // time by `charge_server_scaled`, not made.
+                let mut args = CdrReader::new(&body);
                 // A panicking servant must not hang its client: panics
                 // become system exceptions, as real POAs map them.
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1058,17 +1050,13 @@ impl AsyncReply {
                             body,
                             ..
                         } => Err(OrbError::Transient(TmError::Overloaded(reply_reason(
-                            self.orb.profile.strategy,
                             &body,
                         )))),
                         GiopMessage::Reply {
                             status: ReplyStatus::DeadlineExceeded,
                             body,
                             ..
-                        } => Err(OrbError::DeadlineExceeded(reply_reason(
-                            self.orb.profile.strategy,
-                            &body,
-                        ))),
+                        } => Err(OrbError::DeadlineExceeded(reply_reason(&body))),
                         other => Ok(Some(other)),
                     }),
                 };
@@ -1116,13 +1104,8 @@ impl AsyncReply {
                 // Unmarshalling the reply costs like a client-side charge
                 // on the reply length.
                 orb.profile.charge_client_scaled(clock, body.len(), factor);
-                // Same strategy split as the server side: copying
-                // profiles read one contiguous view of the reply,
-                // zero-copy ones read the gather list in place.
-                let reader = match orb.profile.strategy {
-                    MarshalStrategy::Copying => CdrReader::from_bytes(body.to_contiguous()),
-                    MarshalStrategy::ZeroCopy => CdrReader::new(&body),
-                };
+                // Read in place, as the server side does.
+                let reader = CdrReader::new(&body);
                 match status {
                     ReplyStatus::NoException => Ok(Some(reader)),
                     ReplyStatus::UserException => {
@@ -1158,6 +1141,7 @@ impl AsyncReply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::MarshalStrategy;
     use padico_fabric::topology::single_cluster;
     use padico_fabric::{FabricKind, FaultPlan};
     use padico_util::stats::mb_per_s;
